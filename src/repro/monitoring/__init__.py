@@ -1,7 +1,9 @@
 """Monitoring substrate: time-series database, InfluxQL subset and probes.
 
 Replaces the paper's Heapster + InfluxDB pipeline (Section V-C) with an
-in-memory equivalent:
+in-memory equivalent.  By default the collectors feed the window-max
+store directly; the time-series database and InfluxQL engine form the
+opt-in raw-series path that reproduces Listing 1 verbatim:
 
 * :mod:`repro.monitoring.tsdb` — a time-series store with tags, retention
   and range scans;
@@ -12,8 +14,9 @@ in-memory equivalent:
 * :mod:`repro.monitoring.heapster` — the standard-memory collector;
 * :mod:`repro.monitoring.probe` — the SGX EPC probe deployed per node as a
   DaemonSet payload, reading the patched driver's counters;
-* :mod:`repro.monitoring.aggregate` — the write-through sliding-window
-  aggregate cache that answers Listing 1's inner query incrementally.
+* :mod:`repro.monitoring.aggregate` — the sliding-window MAX store that
+  answers Listing 1's inner query incrementally, standalone (the default
+  sink) or write-through over a database.
 """
 
 from .aggregate import SeriesAggregate, WindowedAggregateCache

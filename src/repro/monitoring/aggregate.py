@@ -1,33 +1,43 @@
-"""Incremental sliding-window aggregates over the time-series database.
+"""Sliding-window MAX store: the scheduler's monitoring sink.
 
-The paper's scheduler rebuilds its cluster view on every pass by running
-Listing 1's sliding-window InfluxQL queries — a full scan over every
-point in the window, per measurement, per pass.  That is O(passes ×
-window-points) over a whole replay.  This module makes the hot query
-shape incremental instead:
+The paper's scheduler reads exactly one thing from monitoring: Listing
+1's per-pod sliding-window maximum, ``SELECT MAX(value) FROM m WHERE
+value <> 0 AND time >= now() - Ws GROUP BY pod_name, nodename``.
+:class:`WindowedAggregateCache` keeps, for every ``(measurement,
+nodename, pod_name)`` series, that rolling MAX with the classic
+monotonic-deque algorithm:
 
-:class:`WindowedAggregateCache` subscribes to
-:class:`~repro.monitoring.tsdb.TimeSeriesDatabase` writes and maintains,
-for every ``(measurement, nodename, pod_name)`` series, a rolling
-sliding-window MAX using the classic monotonic-deque algorithm:
+* each sample is absorbed in O(1) amortised time;
+* a :meth:`~WindowedAggregateCache.snapshot` answers the query in
+  O(live series), never touching stored raw points;
+* expiry is lazy (front-of-deque pops at snapshot time).
 
-* each write is absorbed in O(1) amortised time;
-* a :meth:`snapshot` answers Listing 1's inner query — ``SELECT
-  MAX(value) FROM m WHERE value <> 0 AND time >= now() - Ws GROUP BY
-  pod_name, nodename`` — in O(live series), never touching the stored
-  points;
-* expiry is lazy (front-of-deque pops at snapshot time) and mirrors the
-  database's retention machinery: :meth:`on_vacuum` records the vacuum
-  cutoff and the next snapshot expires exactly the points the TSDB
-  dropped, so cache and store never disagree.
+The store runs in one of two modes.
 
-Bit-for-bit equivalence with the full scan is preserved even for inputs
-the incremental algorithm cannot handle: out-of-order writes mark the
-measurement dirty (rebuilt from one scan on the next snapshot), and
-queries whose ``now`` lies before already-absorbed data or already-expired
-state return ``None`` from :meth:`snapshot`, telling the caller to fall
-back to the ordinary full scan.  The simulation's monotone clock never
-takes either path, so the replay hot loop stays incremental.
+**Standalone** (``db=None``, the orchestrator's default): it *is* the
+monitoring sink.  Heapster and the SGX probes hand it one batch of
+``(nodename, pod_name, value)`` rows per node per tick through
+:meth:`~WindowedAggregateCache.ingest`; no raw series are kept, and
+samples no query can reach again are trimmed on ingest, so memory is
+bounded by the window rather than by a retention period.  A query it
+cannot answer (a ``now`` earlier than absorbed data) raises
+:class:`~repro.errors.MonitoringError`: there is no raw series to fall
+back to.
+
+**Write-through** over a :class:`~repro.monitoring.tsdb.
+TimeSeriesDatabase` (the Listing 1 fidelity path): it subscribes to the
+database's writes (``on_write``) and mirrors its retention
+(``on_vacuum``), so cache and store never disagree.  Inputs the
+incremental algorithm cannot handle keep bit-for-bit equivalence with
+the full scan: out-of-order writes mark the measurement dirty (rebuilt
+from one scan on the next snapshot), and queries whose ``now`` lies
+before absorbed data or already-expired state return ``None`` from
+:meth:`~WindowedAggregateCache.snapshot`, telling the caller to run the
+ordinary full scan.
+
+Both modes apply the same absorption rules, so they report identical
+rows, content versions and stability horizons for the same samples.
+The simulation's monotone clock never takes a fallback path.
 """
 
 from __future__ import annotations
@@ -35,10 +45,10 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MonitoringError
-from .tsdb import Point, TimeSeriesDatabase
+from .tsdb import Point, SampleRow, TimeSeriesDatabase
 
 logger = logging.getLogger(__name__)
 
@@ -115,23 +125,26 @@ class _MeasurementState:
 
 
 class WindowedAggregateCache:
-    """Write-through sliding-window MAX cache over a TSDB.
+    """Sliding-window MAX store, standalone or write-through over a TSDB.
 
-    Construction subscribes to *db* (and publishes itself as
+    With a *db*, construction subscribes to it (and publishes itself as
     ``db.aggregate_cache`` so the InfluxQL executor's fast path can find
-    it).  Measurements already holding points are marked dirty and
-    rebuilt from one scan on first use.
+    it); measurements already holding points are marked dirty and
+    rebuilt from one scan on first use.  With ``db=None`` the store is
+    standalone and fed through :meth:`ingest`.
 
     Parameters
     ----------
     db:
-        The database to mirror.
+        The database to mirror, or ``None`` for a standalone store.
     window_seconds:
         The sliding-window length; must match the ``now() - Ws`` bound
         of the queries the cache is meant to answer.
     """
 
-    def __init__(self, db: TimeSeriesDatabase, window_seconds: float):
+    def __init__(
+        self, db: Optional[TimeSeriesDatabase], window_seconds: float
+    ):
         if window_seconds <= 0:
             raise MonitoringError(
                 f"window must be positive, got {window_seconds}"
@@ -155,6 +168,8 @@ class WindowedAggregateCache:
         #: refresh an unchanged maximum (steady-state probes) do not
         #: bump it.
         self.content_version = 0
+        if db is None:
+            return
         # One write-through cache per database: a displaced cache would
         # either absorb every write twice (if left subscribed) or serve
         # stale windows (if silently unsubscribed), so replace it
@@ -178,14 +193,89 @@ class WindowedAggregateCache:
 
         Idempotent.  Holders of a detached cache fall back to the full
         scan on every query (snapshots return ``None``), which stays
-        correct — a detached cache never serves stale windows.
+        correct — a detached cache never serves stale windows.  A
+        detached standalone store has nothing to fall back to, so its
+        queries raise instead.
         """
         if self._detached:
             return
         self._detached = True
         self.content_version += 1
-        self.db.unsubscribe(self)
+        if self.db is not None:
+            self.db.unsubscribe(self)
         self._measurements.clear()
+
+    # -- the standalone sink ---------------------------------------------
+
+    def ingest(
+        self, measurement: str, now: float, rows: Sequence[SampleRow]
+    ) -> None:
+        """Absorb one batch of ``(nodename, pod_name, value)`` samples
+        taken at *now* — one node's tick from one collector.
+
+        Applies exactly :meth:`on_write`'s absorption rules row by row
+        (zero values are not retained, each retained row takes one
+        ``seq``, a new series or a rising maximum bumps
+        :attr:`content_version`), so the store reports what per-point
+        absorption through a database would.  On top, samples no query
+        can reach again are trimmed: queries earlier than absorbed data
+        are refused, so nothing older than ``now - window`` is ever
+        served.  The maximum deque keeps its head (the head decides the
+        rising-max bumps and :meth:`revalidate`'s change test) and drops
+        only the expired entries behind it, so what every query reports
+        is unchanged while memory stays bounded by the window.
+        """
+        if self.db is not None:
+            raise MonitoringError(
+                "this cache mirrors a database; ingest into the database"
+            )
+        if not rows:
+            return
+        state = self._measurements.get(measurement)
+        if state is None:
+            state = self._measurements[measurement] = _MeasurementState()
+        all_series = state.series
+        cutoff = now - self.window_seconds
+        seq = self._seq
+        version = self.content_version
+        try:
+            for nodename, pod_name, value in rows:
+                if value == 0.0:
+                    # Listing 1 filters ``value <> 0``: never a max.
+                    continue
+                key = (nodename, pod_name)
+                series = all_series.get(key)
+                if series is None:
+                    series = all_series[key] = _SeriesState()
+                    version += 1
+                times = series.times
+                if times and now < times[-1][0]:
+                    raise MonitoringError(
+                        f"{measurement!r} sample for {key} at t={now} is "
+                        f"older than the series' newest at "
+                        f"t={times[-1][0]}"
+                    )
+                maxdeque = series.maxdeque
+                if maxdeque and value > maxdeque[0][1]:
+                    version += 1
+                times.append((now, seq))
+                seq += 1
+                while maxdeque and maxdeque[-1][1] <= value:
+                    maxdeque.pop()
+                maxdeque.append((now, value))
+                while times[0][0] < cutoff:
+                    times.popleft()
+                if len(maxdeque) > 2 and maxdeque[1][0] < cutoff:
+                    head = maxdeque.popleft()
+                    while maxdeque[0][0] < cutoff:
+                        maxdeque.popleft()
+                    maxdeque.appendleft(head)
+        finally:
+            # Rows absorbed before a refused one stay absorbed.
+            if seq != self._seq and now > state.max_time:
+                state.max_time = now
+            self._seq = seq
+            self.content_version = version
 
     # -- subscriber interface (driven by the TSDB) -----------------------
 
@@ -271,11 +361,10 @@ class WindowedAggregateCache:
         (by each series' oldest in-window point).
         """
         if self._detached:
-            self.fallbacks += 1
-            return None
+            return self._decline(measurement, "the store is detached")
         state = self._measurements.get(measurement)
         if state is None:
-            if self.db.count(measurement) == 0:
+            if self.db is None or self.db.count(measurement) == 0:
                 self.hits += 1
                 return []
             # Data exists the cache never saw (defensive; construction
@@ -286,8 +375,13 @@ class WindowedAggregateCache:
             self._rebuild(measurement, state)
         if now < state.max_time or now < state.hwm:
             state.stable_until = float("-inf")
-            self.fallbacks += 1
-            return None
+            if now < state.max_time:
+                reason = f"data was absorbed up to t={state.max_time}"
+            else:
+                reason = f"a query at t={state.hwm} already expired it"
+            return self._decline(
+                measurement, f"query at t={now} is too early: {reason}"
+            )
         cutoff = now - self.window_seconds
         if state.vacuum_floor > cutoff:
             # Retention cut inside the window: the store no longer has
@@ -430,6 +524,17 @@ class WindowedAggregateCache:
 
     # -- internals -------------------------------------------------------
 
+    def _decline(self, measurement: str, reason: str) -> None:
+        """Tell the caller to fall back to the full scan — or, for a
+        standalone store, which has no raw series to scan, raise."""
+        if self.db is None:
+            raise MonitoringError(
+                f"cannot answer {measurement!r} from the window store: "
+                f"{reason}"
+            )
+        self.fallbacks += 1
+        return None
+
     def _push(self, series: _SeriesState, point: Point) -> None:
         seq = self._seq
         self._seq = seq + 1
@@ -454,5 +559,6 @@ class WindowedAggregateCache:
         state.vacuum_floor = float("-inf")
         state.dirty = False
         self.rebuilds += 1
+        assert self.db is not None  # only a mirror is ever dirty
         for point in self.db.scan(measurement):
             self.on_write(measurement, point)

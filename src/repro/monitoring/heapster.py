@@ -1,65 +1,53 @@
 """Heapster-like collector for standard-memory metrics.
 
 The paper configures Heapster to gather per-pod memory usage on every
-node and push it into InfluxDB (Section V-C).  Our collector does the
-same against the in-memory TSDB: it polls registered *sources* (the
-Kubelets, in practice) and writes one point per pod per collection pass,
-tagged ``pod_name`` and ``nodename`` exactly as the paper's Listing 1
-expects.
+node and push it into InfluxDB (Section V-C).  Our collector polls
+registered *sources* (the Kubelets, in practice) and hands each node's
+samples to a :class:`~repro.monitoring.tsdb.MetricsSink` as one batch
+of ``(nodename, pod_name, value)`` rows per collection pass.  By default
+the sink is the scheduler's sliding-window MAX store; with a
+:class:`~repro.monitoring.tsdb.TimeSeriesDatabase` sink every row
+becomes a point tagged ``pod_name`` and ``nodename``, exactly as the
+paper's Listing 1 expects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Protocol, Tuple
+from typing import Iterable, List, Protocol
 
-from .tsdb import TimeSeriesDatabase
+from .tsdb import MetricsSink, SampleRow
 
 #: Measurement name for standard memory, Heapster-style.
 MEASUREMENT_MEMORY = "memory/usage"
 
 
-@dataclass(frozen=True, slots=True)
-class PodUsage:
-    """One pod's measured usage of a resource on one node."""
+class MemorySource(Protocol):
+    """Anything able to report per-pod memory (Kubelets implement this)."""
 
-    pod_name: str
-    node_name: str
-    value: float
-
-
-class PodUsageSource(Protocol):
-    """Anything able to report per-pod usage (Kubelets implement this)."""
-
-    def pod_memory_usage(self) -> List[PodUsage]:
+    def memory_rows(self) -> List[SampleRow]:
         """Measured standard-memory bytes per pod on this source's node."""
         ...  # pragma: no cover - protocol
 
 
 class Heapster:
-    """Polls Kubelet-like sources and stores per-pod memory points."""
+    """Polls Kubelet-like sources and sends per-pod memory samples."""
 
-    __slots__ = ("db", "_sources", "_tag_cache")
+    __slots__ = ("sink", "_sources")
 
-    def __init__(self, db: TimeSeriesDatabase):
-        self.db = db
-        self._sources: List[PodUsageSource] = []
-        # Sorted tag tuples keyed by (pod, node): each series' tags are
-        # built once instead of dict-sorted on every collection pass.
-        self._tag_cache: Dict[
-            Tuple[str, str], Tuple[Tuple[str, str], ...]
-        ] = {}
+    def __init__(self, sink: MetricsSink):
+        self.sink = sink
+        self._sources: List[MemorySource] = []
 
-    def register(self, source: PodUsageSource) -> None:
+    def register(self, source: MemorySource) -> None:
         """Add a node-level usage source."""
         self._sources.append(source)
 
-    def register_all(self, sources: Iterable[PodUsageSource]) -> None:
+    def register_all(self, sources: Iterable[MemorySource]) -> None:
         """Add several sources at once."""
         for source in sources:
             self.register(source)
 
-    def unregister(self, source: PodUsageSource) -> bool:
+    def unregister(self, source: MemorySource) -> bool:
         """Stop polling a source (node removed); returns whether found."""
         if source in self._sources:
             self._sources.remove(source)
@@ -72,23 +60,11 @@ class Heapster:
         return len(self._sources)
 
     def collect(self, now: float) -> int:
-        """Poll every source once; returns the number of points written."""
-        written = 0
-        tag_cache = self._tag_cache
-        write_tagged = self.db.write_tagged
+        """Poll every source once; returns the number of samples taken."""
+        taken = 0
+        ingest = self.sink.ingest
         for source in self._sources:
-            for usage in source.pod_memory_usage():
-                key = (usage.pod_name, usage.node_name)
-                tags = tag_cache.get(key)
-                if tags is None:
-                    # Already in sorted order: "nodename" < "pod_name".
-                    tags = tag_cache[key] = (
-                        ("nodename", usage.node_name),
-                        ("pod_name", usage.pod_name),
-                    )
-                write_tagged(
-                    MEASUREMENT_MEMORY, value=usage.value, time=now,
-                    tags=tags,
-                )
-                written += 1
-        return written
+            rows = source.memory_rows()
+            ingest(MEASUREMENT_MEMORY, now, rows)
+            taken += len(rows)
+        return taken

@@ -3,10 +3,13 @@
 One probe runs on every SGX-enabled node (deployed by the DaemonSet
 controller, Section V-C).  It reads the patched driver's counters — the
 ``sgx_nr_total_epc_pages`` / ``sgx_nr_free_pages`` module parameters plus
-the per-process occupancy ioctl rolled up by cgroup — and pushes per-pod
-EPC usage into the same TSDB Heapster uses, under the ``sgx/epc``
-measurement with ``pod_name``/``nodename`` tags so the scheduler's
-InfluxQL (Listing 1) covers both resource kinds with one query shape.
+the per-process occupancy ioctl rolled up by cgroup — and hands per-pod
+EPC usage to the same sink Heapster uses, as one batch of ``(nodename,
+pod_name, pages)`` rows under the ``sgx/epc`` measurement, so the
+scheduler's Listing 1 query covers both resource kinds with one shape.
+The node-level gauges are stored only when the sink is a
+:class:`~repro.monitoring.tsdb.TimeSeriesDatabase` (the raw-series
+path): the scheduler never reads them.
 
 Values are written in **EPC pages**, the unit the whole accounting chain
 (device plugin, driver, scheduler) shares.
@@ -14,14 +17,10 @@ Values are written in **EPC pages**, the unit the whole accounting chain
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
-from ..sgx.driver import (
-    PARAM_FREE_PAGES,
-    PARAM_TOTAL_PAGES,
-    SgxDriver,
-)
-from .tsdb import TimeSeriesDatabase
+from ..sgx.driver import SgxDriver
+from .tsdb import MetricsSink, TimeSeriesDatabase
 
 #: Measurement name for EPC usage, as in the paper's Listing 1.
 MEASUREMENT_EPC = "sgx/epc"
@@ -31,7 +30,7 @@ MEASUREMENT_EPC_NODE = "sgx/epc_node"
 
 
 class SgxMetricsProbe:
-    """Per-node probe translating driver counters into TSDB points.
+    """Per-node probe translating driver counters into samples.
 
     Parameters
     ----------
@@ -39,68 +38,49 @@ class SgxMetricsProbe:
         Tag value for ``nodename``.
     driver:
         The node's :class:`~repro.sgx.driver.SgxDriver`.
-    db:
-        Destination time-series database.
+    sink:
+        Where samples go: the window-max store or a time-series
+        database.
     pod_name_resolver:
         Maps a cgroup path to the owning pod's name.  Supplied by the
         Kubelet, which owns the cgroup-to-pod mapping.  Unresolvable
         cgroups are skipped (e.g. enclaves of system daemons).
     """
 
-    __slots__ = (
-        "node_name", "driver", "db", "pod_name_resolver", "_pod_tags",
-        "_gauge_tags",
-    )
+    __slots__ = ("node_name", "driver", "sink", "pod_name_resolver")
 
     def __init__(
         self,
         node_name: str,
         driver: SgxDriver,
-        db: TimeSeriesDatabase,
+        sink: MetricsSink,
         pod_name_resolver: Callable[[str], Optional[str]],
     ):
         self.node_name = node_name
         self.driver = driver
-        self.db = db
+        self.sink = sink
         self.pod_name_resolver = pod_name_resolver
-        # Sorted tag tuples built once per pod (and once per gauge)
-        # instead of dict-sorted on every measurement pass.
-        self._pod_tags: Dict[str, Tuple[Tuple[str, str], ...]] = {}
-        self._gauge_tags = tuple(
-            (("gauge", label), ("nodename", node_name))
-            for label in ("total", "free")
-        )
 
     def collect(self, now: float) -> int:
-        """Take one measurement pass; returns points written."""
-        written = 0
+        """Take one measurement pass; returns the samples taken,
+        including the two node gauges."""
         snapshot = self.driver.snapshot()
-        pod_tags = self._pod_tags
-        write_tagged = self.db.write_tagged
+        node_name = self.node_name
+        resolve = self.pod_name_resolver
+        rows = []
         for cgroup_path, pages in snapshot.usage_by_owner.items():
-            pod_name = self.pod_name_resolver(cgroup_path)
-            if pod_name is None:
-                continue
-            tags = pod_tags.get(pod_name)
-            if tags is None:
-                # Already in sorted order: "nodename" < "pod_name".
-                tags = pod_tags[pod_name] = (
-                    ("nodename", self.node_name),
-                    ("pod_name", pod_name),
+            pod_name = resolve(cgroup_path)
+            if pod_name is not None:
+                rows.append((node_name, pod_name, float(pages)))
+        sink = self.sink
+        sink.ingest(MEASUREMENT_EPC, now, rows)
+        if isinstance(sink, TimeSeriesDatabase):
+            for label, value in (
+                ("total", snapshot.total_pages),
+                ("free", snapshot.free_pages),
+            ):
+                sink.write_tagged(
+                    MEASUREMENT_EPC_NODE, float(value), now,
+                    (("gauge", label), ("nodename", node_name)),
                 )
-            write_tagged(
-                MEASUREMENT_EPC, value=float(pages), time=now, tags=tags
-            )
-            written += 1
-        for param, tags in (
-            (PARAM_TOTAL_PAGES, self._gauge_tags[0]),
-            (PARAM_FREE_PAGES, self._gauge_tags[1]),
-        ):
-            write_tagged(
-                MEASUREMENT_EPC_NODE,
-                value=float(self.driver.read_parameter(param)),
-                time=now,
-                tags=tags,
-            )
-            written += 1
-        return written
+        return len(rows) + 2

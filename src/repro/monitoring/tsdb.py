@@ -10,21 +10,49 @@ Timestamps are simulation-time ``float`` seconds — the database never
 consults the wall clock; callers pass ``now`` explicitly, which keeps the
 discrete-event simulation deterministic.
 
+Collectors hand over one batch of ``(nodename, pod_name, value)``
+:data:`SampleRow` tuples per node per tick to a :class:`MetricsSink`:
+this database (the raw-series path, kept for Listing 1 fidelity) or a
+standalone :class:`~repro.monitoring.aggregate.WindowedAggregateCache`
+(the orchestrator's default, which keeps only window maxima).
+
 Mutations can be observed: :meth:`TimeSeriesDatabase.subscribe` registers
 a subscriber notified of every appended point (``on_write``), every
 retention vacuum (``on_vacuum``) and every dropped measurement
-(``on_drop``).  The windowed-aggregate cache
-(:mod:`repro.monitoring.aggregate`) uses this to stay write-through
-consistent without the database knowing anything about aggregation.
+(``on_drop``).  The windowed-aggregate cache uses this to stay
+write-through consistent without the database knowing anything about
+aggregation.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import MonitoringError
+
+#: One collected sample: ``(nodename, pod_name, value)``.
+SampleRow = Tuple[str, str, float]
+
+
+class MetricsSink(Protocol):
+    """Where collectors send samples, one batch per node per tick."""
+
+    def ingest(
+        self, measurement: str, now: float, rows: Sequence[SampleRow]
+    ) -> None:
+        """Absorb *rows*, all sampled at *now*, into *measurement*."""
+        ...  # pragma: no cover - protocol
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,10 +60,9 @@ class Point:
     """One sample: a value at a time with identifying tags.
 
     ``tags`` is a sorted tuple of ``(key, value)`` pairs — the
-    normalised form :meth:`make` produces.  Collectors on the replay
-    hot path build these tuples once per series and hand them to
-    :meth:`TimeSeriesDatabase.write_tagged`, skipping the per-write
-    dict-sort of :meth:`make`.
+    normalised form :meth:`make` produces.
+    :meth:`TimeSeriesDatabase.write_tagged` takes such tuples directly,
+    skipping the per-write dict-sort of :meth:`make`.
     """
 
     time: float
@@ -204,10 +231,9 @@ class TimeSeriesDatabase:
         """Append one sample with pre-normalised tags.
 
         *tags* must be a sorted tuple of ``(key, value)`` pairs — the
-        form :meth:`Point.make` normalises to.  Collectors cache these
-        tuples per series so the replay's per-write path allocates one
-        point and nothing else; the stored point is bit-identical to
-        what :meth:`write` would produce from the equivalent mapping.
+        form :meth:`Point.make` normalises to; the stored point is
+        bit-identical to what :meth:`write` would produce from the
+        equivalent mapping.
         """
         if not measurement:
             raise MonitoringError("empty measurement name")
@@ -223,6 +249,24 @@ class TimeSeriesDatabase:
             subscriber.on_write(measurement, point)
         if self.retention_seconds is not None and self._writes % 256 == 0:
             self.vacuum(now=time)
+
+    def ingest(
+        self, measurement: str, now: float, rows: Sequence[SampleRow]
+    ) -> None:
+        """Append one collector batch (the :class:`MetricsSink` write).
+
+        Each ``(nodename, pod_name, value)`` row becomes one point at
+        *now*, tagged as Listing 1 expects, through :meth:`write_tagged`
+        — so subscribers, the aggregate cache included, absorb it via
+        ``on_write`` like any other write.
+        """
+        write_tagged = self.write_tagged
+        for nodename, pod_name, value in rows:
+            # Already in sorted order: "nodename" < "pod_name".
+            write_tagged(
+                measurement, value, now,
+                (("nodename", nodename), ("pod_name", pod_name)),
+            )
 
     def _append(self, measurement: str, point: Point) -> None:
         series = self._series.get(measurement)

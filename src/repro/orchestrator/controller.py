@@ -5,11 +5,21 @@ Owns the cluster's Kubelets, the device plugins, the monitoring pipeline
 queue, and exposes the operations the event loop drives:
 
 * :meth:`Orchestrator.submit` — user submits a pod (Fig. 2, step 1-2);
-* :meth:`Orchestrator.collect_metrics` — probes push usage samples;
+* :meth:`Orchestrator.collect_metrics` — probes push usage samples,
+  one batch per node, into the monitoring sink;
 * :meth:`Orchestrator.scheduling_pass` — fetch pending jobs + metrics,
   filter, place, bind (Fig. 2, steps 3-5);
 * :meth:`Orchestrator.start_pod` / :meth:`complete_pod` / meth:`kill_pod`
   — lifecycle transitions driven by the simulation clock.
+
+The monitoring sink follows from the constructor's inputs.  By default
+(no ``db``, state cache on) it is a standalone
+:class:`~repro.monitoring.aggregate.WindowedAggregateCache` holding only
+Listing 1's window maxima, and :attr:`Orchestrator.db` is ``None``.  A
+caller-supplied ``db`` — or ``use_state_cache=False``, which builds a
+3600 s-retention database — keeps the paper's raw-series path: samples
+land in the TSDB as tagged points and the scheduler reads them through
+InfluxQL (accelerated by a write-through cache unless disabled).
 
 The orchestrator itself is clock-free: every method takes ``now``.
 """
@@ -112,21 +122,25 @@ class Orchestrator:
         #: the paper's strictly non-preemptive scheduling.
         self.preemption_policy = preemption_policy
         self.preemption_priority_threshold = preemption_priority_threshold
-        # Explicit None check: an empty TimeSeriesDatabase is falsy
+        # Explicit None checks: an empty TimeSeriesDatabase is falsy
         # (len == 0), and ``db or ...`` would silently discard it.
-        self.db = (
-            db if db is not None
-            else TimeSeriesDatabase(retention_seconds=3600.0)
-        )
-        # Incremental cluster-state cache: keeps the sliding-window
-        # maxima the scheduling pass needs up to date on every metrics
-        # write, so build_views never re-scans the TSDB window.  A
-        # caller-supplied db may already carry a cache (e.g. two
-        # orchestrators sharing one database); reuse it rather than
+        if db is None and not use_state_cache:
+            db = TimeSeriesDatabase(retention_seconds=3600.0)
+        #: The raw-series database, or ``None`` when the window-max
+        #: store is the only monitoring sink (the default).
+        self.db = db
+        # The sliding-window maxima the scheduling pass reads, kept
+        # current on every metrics sample so build_views never scans a
+        # window.  A caller-supplied db may already carry a cache (e.g.
+        # two orchestrators sharing one database); reuse it rather than
         # stacking a second subscriber over the same window.
         self.aggregate_cache: Optional[WindowedAggregateCache] = None
-        if use_state_cache:
-            existing = getattr(self.db, "aggregate_cache", None)
+        if db is None:
+            self.aggregate_cache = WindowedAggregateCache(
+                None, window_seconds=metrics_window_seconds
+            )
+        elif use_state_cache:
+            existing = getattr(db, "aggregate_cache", None)
             if (
                 existing is not None
                 and existing.window_seconds == metrics_window_seconds
@@ -134,7 +148,7 @@ class Orchestrator:
                 self.aggregate_cache = existing
             else:
                 self.aggregate_cache = WindowedAggregateCache(
-                    self.db, window_seconds=metrics_window_seconds
+                    db, window_seconds=metrics_window_seconds
                 )
         self.perf_model = perf_model or SgxPerfModel()
         self.registry = registry
@@ -155,7 +169,9 @@ class Orchestrator:
             # Device plugin discovers /dev/isgx and registers over RPC.
             SgxDevicePlugin(node).register(RpcChannel(kubelet.rpc_server))
 
-        self.heapster = Heapster(self.db)
+        self.heapster = Heapster(
+            db if db is not None else self.aggregate_cache
+        )
         self.heapster.register_all(self.kubelets.values())
 
         self.daemonsets = DaemonSetController()
@@ -203,7 +219,7 @@ class Orchestrator:
         return SgxMetricsProbe(
             node_name=kubelet.node.name,
             driver=driver,
-            db=self.db,
+            sink=self.heapster.sink,
             pod_name_resolver=kubelet.resolve_pod_name,
         )
 
@@ -291,11 +307,12 @@ class Orchestrator:
     # -- monitoring --------------------------------------------------------
 
     def collect_metrics(self, now: float) -> int:
-        """One metrics push from Heapster and every SGX probe."""
-        written = self.heapster.collect(now)
+        """One metrics push from Heapster and every SGX probe; returns
+        the number of samples taken."""
+        taken = self.heapster.collect(now)
         for probe in self.daemonsets.payloads(PROBE_DAEMONSET):
-            written += probe.collect(now)
-        return written
+            taken += probe.collect(now)
+        return taken
 
     # -- scheduling ----------------------------------------------------------
 

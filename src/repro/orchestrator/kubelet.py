@@ -31,7 +31,7 @@ from ..errors import (
     EpcExhaustedError,
     NodeError,
 )
-from ..monitoring.heapster import PodUsage
+from ..monitoring.tsdb import SampleRow
 from ..sgx.aesm import PlatformSoftware
 from ..sgx.enclave import Enclave
 from ..sgx.perf import SgxPerfModel
@@ -418,25 +418,20 @@ class Kubelet:
 
     # -- monitoring interfaces --------------------------------------------
 
-    def pod_memory_usage(self) -> List[PodUsage]:
-        """Per-pod standard memory, for the Heapster collector."""
-        usage = []
+    def memory_rows(self) -> List[SampleRow]:
+        """Per-pod ``(nodename, pod_name, bytes)`` rows, for Heapster."""
         node = self.node
         node_name = node.name
         cgroup_memory_bytes = node.cgroup_memory_bytes
-        for record in self._records.values():
-            if record.pid is None:
-                continue
-            usage.append(
-                PodUsage(
-                    pod_name=record.pod_name,
-                    node_name=node_name,
-                    value=float(
-                        cgroup_memory_bytes(record.cgroup_path)
-                    ),
-                )
+        return [
+            (
+                node_name,
+                record.pod_name,
+                float(cgroup_memory_bytes(record.cgroup_path)),
             )
-        return usage
+            for record in self._records.values()
+            if record.pid is not None
+        ]
 
     def resolve_pod_name(self, cgroup_path: str) -> Optional[str]:
         """Map a cgroup path back to a pod name, for the SGX probe."""

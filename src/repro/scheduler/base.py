@@ -3,11 +3,11 @@
 The pieces every strategy shares:
 
 * :class:`NodeView` — the scheduler's picture of one node: capacity,
-  *measured* usage (from the TSDB) and *committed* declared requests.
-* :class:`ClusterStateService` — builds node views by running the
-  paper's sliding-window InfluxQL queries (Listing 1's inner query shape)
-  against the monitoring database, falling back to declared requests for
-  pods too young to have samples.
+  *measured* usage (from monitoring) and *committed* declared requests.
+* :class:`ClusterStateService` — builds node views from Listing 1's
+  per-pod sliding-window maxima (read from the window-max store, or by
+  running the InfluxQL query against a monitoring database), falling
+  back to declared requests for pods too young to have samples.
 * :class:`Scheduler` — the non-preemptive FCFS scheduling pass shared by
   all strategies; concrete strategies implement :meth:`Scheduler._select`.
 """
@@ -183,7 +183,7 @@ _PER_POD_QUERY = (
 
 
 class ClusterStateService:
-    """Builds :class:`NodeView` snapshots from Kubelets plus the TSDB.
+    """Builds :class:`NodeView` snapshots from Kubelets plus monitoring.
 
     The measured view comes from Listing 1's inner query, one run per
     measurement per pass.  When a
@@ -193,7 +193,9 @@ class ClusterStateService:
     re-scanning every point in the window; the cache window must equal
     ``window_seconds`` so both paths answer the identical query.  Passes
     the cache cannot serve (non-monotone clocks, cold state) fall back
-    to the full InfluxQL scan, which produces bit-for-bit the same rows.
+    to the full InfluxQL scan over *db*, which produces bit-for-bit the
+    same rows.  A standalone cache (``db=None``) has no scan to fall back
+    to and raises instead; without a cache, *db* is required.
 
     Rows missing the ``nodename`` or ``pod_name`` tag cannot be
     attributed to a pod; they are skipped and counted in
@@ -219,6 +221,11 @@ class ClusterStateService:
         reuse_clean_snapshots: bool = True,
         observer=None,
     ):
+        if db is None and (cache is None or not allow_query_cache):
+            raise SchedulingError(
+                "no monitoring source: pass a database, a window-max "
+                "store with allow_query_cache=True, or both"
+            )
         if cache is not None and cache.window_seconds != window_seconds:
             raise SchedulingError(
                 f"state cache window {cache.window_seconds}s does not "

@@ -1,10 +1,12 @@
 """Windowed aggregate cache: unit behaviour plus scan equivalence.
 
-The load-bearing property: with a cache attached, ``execute_query`` on
-Listing 1's query shape returns bit-for-bit the rows a full window scan
-returns, across randomised write/vacuum/query interleavings — including
-the adversarial ones (out-of-order writes, clocks that move backwards)
-where the cache must detect it cannot answer and fall back.
+Two load-bearing properties.  With a cache attached, ``execute_query``
+on Listing 1's query shape returns bit-for-bit the rows a full window
+scan returns, across randomised write/vacuum/query interleavings —
+including the adversarial ones (out-of-order writes, clocks that move
+backwards) where the cache must detect it cannot answer and fall back.
+And a standalone store fed by batched ``ingest`` reports exactly what a
+cache mirroring per-point database writes reports.
 """
 
 import pytest
@@ -224,6 +226,65 @@ class TestSnapshot:
         assert db.scan_count == before
 
 
+class TestStandaloneStore:
+    def test_ingest_batches_feed_window_maxima(self):
+        store = WindowedAggregateCache(None, window_seconds=WINDOW)
+        store.ingest("sgx/epc", 1.0, [("n1", "a", 4.0), ("n1", "b", 0.0)])
+        store.ingest("sgx/epc", 11.0, [("n1", "a", 2.0), ("n2", "c", 7.0)])
+        assert sorted(store.window_maxima("sgx/epc", now=12.0)) == [
+            ("n1", "a", 4.0), ("n2", "c", 7.0),
+        ]
+        assert store.window_maxima("sgx/epc", now=30.0) == [
+            ("n1", "a", 2.0), ("n2", "c", 7.0),
+        ]
+        assert store.fallbacks == 0
+
+    def test_query_before_absorbed_data_names_both_times(self):
+        store = WindowedAggregateCache(None, window_seconds=WINDOW)
+        store.ingest("sgx/epc", 10.0, [("n1", "a", 4.0)])
+        with pytest.raises(MonitoringError, match=r"'sgx/epc'.*t=5.0.*t=10"):
+            store.snapshot("sgx/epc", now=5.0)
+        with pytest.raises(MonitoringError, match="t=9.0"):
+            store.window_maxima("sgx/epc", now=9.0)
+
+    def test_query_before_an_earlier_expiry_raises(self):
+        store = WindowedAggregateCache(None, window_seconds=WINDOW)
+        store.ingest("sgx/epc", 1.0, [("n1", "a", 4.0)])
+        assert store.snapshot("sgx/epc", now=20.0) is not None
+        with pytest.raises(MonitoringError, match=r"t=15.0.*t=20"):
+            store.snapshot("sgx/epc", now=15.0)
+
+    def test_out_of_order_sample_raises(self):
+        store = WindowedAggregateCache(None, window_seconds=WINDOW)
+        store.ingest("sgx/epc", 10.0, [("n1", "a", 4.0)])
+        with pytest.raises(MonitoringError, match="older"):
+            store.ingest("sgx/epc", 9.0, [("n1", "a", 5.0)])
+
+    def test_detached_store_raises_instead_of_serving(self):
+        store = WindowedAggregateCache(None, window_seconds=WINDOW)
+        store.ingest("sgx/epc", 1.0, [("n1", "a", 4.0)])
+        store.detach()
+        with pytest.raises(MonitoringError, match="detached"):
+            store.snapshot("sgx/epc", now=2.0)
+
+    def test_mirror_refuses_direct_ingest(self):
+        cache = WindowedAggregateCache(TimeSeriesDatabase(), WINDOW)
+        with pytest.raises(MonitoringError, match="mirrors a database"):
+            cache.ingest("sgx/epc", 1.0, [("n1", "a", 4.0)])
+
+    def test_database_ingest_writes_tagged_points(self):
+        db = TimeSeriesDatabase()
+        cache = WindowedAggregateCache(db, window_seconds=WINDOW)
+        db.ingest("sgx/epc", 3.0, [("n1", "a", 4.0), ("n2", "b", 0.0)])
+        assert db.scan("sgx/epc") == [
+            Point.make(3.0, 4.0, {"nodename": "n1", "pod_name": "a"}),
+            Point.make(3.0, 0.0, {"nodename": "n2", "pod_name": "b"}),
+        ]
+        assert cache.window_maxima("sgx/epc", now=3.0) == [
+            ("n1", "a", 4.0)
+        ]
+
+
 class TestFastPathRows:
     def test_rows_match_full_scan_exactly(self):
         db = TimeSeriesDatabase()
@@ -349,6 +410,86 @@ class TestEquivalenceProperty:
                 assert execute_query(parsed, db, now=now) == full_scan(
                     parsed, db, now
                 )
+
+
+_MEASUREMENTS = st.sampled_from(["sgx/epc", "memory/usage"])
+#: Few series and coarse steps, so samples of one series often straddle
+#: the window edge between queries (where ingest trims).
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["node-1", "node-2"]),
+        st.sampled_from(["pod-a", "pod-b"]),
+        st.integers(min_value=-1, max_value=6).map(float),
+    ),
+    max_size=4,
+)
+_STEPS = st.integers(min_value=0, max_value=8).map(lambda i: i * 2.5)
+#: Queries may look up to 5 s back.
+_OFFSETS = st.integers(min_value=-10, max_value=60).map(lambda i: i / 2.0)
+_INGEST_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), _STEPS, _MEASUREMENTS, _ROWS),
+        st.tuples(st.just("snapshot"), _OFFSETS, _MEASUREMENTS),
+        st.tuples(st.just("window_maxima"), _OFFSETS, _MEASUREMENTS),
+        st.tuples(st.just("revalidate"), _OFFSETS, _MEASUREMENTS),
+    ),
+    max_size=60,
+)
+
+
+class TestBatchedIngestEquivalence:
+    def test_trimming_keeps_the_head_that_decides_version_bumps(self):
+        """An expired window max still masks smaller samples until a
+        query expires it; trimming must not bump the version earlier
+        than per-point absorption would."""
+        store = WindowedAggregateCache(None, window_seconds=WINDOW)
+        mirror = WindowedAggregateCache(TimeSeriesDatabase(), WINDOW)
+        for time, value in ((0.0, 6.0), (20.0, 2.0), (30.0, 3.0),
+                            (40.0, 4.0)):
+            store.ingest("sgx/epc", time, [("n", "p", value)])
+            write(mirror.db, time=time, value=value, pod="p", node="n")
+            assert store.content_version == mirror.content_version
+        assert store.snapshot("sgx/epc", 40.0) == mirror.snapshot(
+            "sgx/epc", 40.0
+        )
+
+    @given(ops=_INGEST_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_batched_ingest_equals_per_point_absorption(self, ops):
+        """Collector batches into a standalone store == one database
+        write per sample mirrored by ``on_write``, at every step:
+        maxima, snapshot rows and order, content version, horizon."""
+        store = WindowedAggregateCache(None, window_seconds=WINDOW)
+        db = TimeSeriesDatabase()
+        mirror = WindowedAggregateCache(db, window_seconds=WINDOW)
+        clock = 0.0
+        for op in ops:
+            kind, offset, measurement = op[:3]
+            if kind == "ingest":
+                clock += offset
+                store.ingest(measurement, clock, op[3])
+                for node, pod, value in op[3]:
+                    db.write(
+                        measurement, value=value, time=clock,
+                        tags={"nodename": node, "pod_name": pod},
+                    )
+            elif kind == "revalidate":
+                store.revalidate(measurement, clock + offset)
+                mirror.revalidate(measurement, clock + offset)
+            else:
+                now = clock + offset
+                expected = getattr(mirror, kind)(measurement, now)
+                if expected is None:
+                    # The mirror falls back to a scan; the store, with
+                    # nothing to scan, must refuse loudly instead.
+                    with pytest.raises(MonitoringError):
+                        getattr(store, kind)(measurement, now)
+                else:
+                    assert getattr(store, kind)(measurement, now) == expected
+            assert store.content_version == mirror.content_version
+            for name in ("sgx/epc", "memory/usage"):
+                assert store.stable_until(name) == mirror.stable_until(name)
+                assert store.live_series(name) == mirror.live_series(name)
 
 
 class TestWindowMatchesSchedulerConstants:

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.monitoring.heapster import (
-    MEASUREMENT_MEMORY,
-    Heapster,
-    PodUsage,
-)
+from repro.monitoring.aggregate import WindowedAggregateCache
+from repro.monitoring.heapster import MEASUREMENT_MEMORY, Heapster
 from repro.monitoring.probe import (
     MEASUREMENT_EPC,
     MEASUREMENT_EPC_NODE,
@@ -20,18 +17,18 @@ from repro.units import mib, pages
 class StubSource:
     """A fixed-usage Kubelet stand-in."""
 
-    def __init__(self, usages):
-        self._usages = usages
+    def __init__(self, rows):
+        self._rows = rows
 
-    def pod_memory_usage(self):
-        return self._usages
+    def memory_rows(self):
+        return self._rows
 
 
 class TestHeapster:
     def test_collect_writes_tagged_points(self, db):
         heapster = Heapster(db)
         heapster.register(
-            StubSource([PodUsage("pod-a", "node-1", 1000.0)])
+            StubSource([("node-1", "pod-a", 1000.0)])
         )
         written = heapster.collect(now=5.0)
         assert written == 1
@@ -44,8 +41,8 @@ class TestHeapster:
         heapster = Heapster(db)
         heapster.register_all(
             [
-                StubSource([PodUsage("a", "n1", 1.0)]),
-                StubSource([PodUsage("b", "n2", 2.0)]),
+                StubSource([("n1", "a", 1.0)]),
+                StubSource([("n2", "b", 2.0)]),
             ]
         )
         assert heapster.source_count == 2
@@ -55,6 +52,18 @@ class TestHeapster:
         heapster = Heapster(db)
         heapster.register(StubSource([]))
         assert heapster.collect(now=1.0) == 0
+
+    def test_window_store_sink_keeps_only_maxima(self):
+        store = WindowedAggregateCache(None, window_seconds=25.0)
+        heapster = Heapster(store)
+        source = StubSource([("n1", "a", 5.0), ("n1", "b", 0.0)])
+        heapster.register(source)
+        assert heapster.collect(now=1.0) == 2  # zero samples count
+        source._rows = [("n1", "a", 3.0)]
+        heapster.collect(now=11.0)
+        assert store.window_maxima(MEASUREMENT_MEMORY, now=12.0) == [
+            ("n1", "a", 5.0)
+        ]
 
 
 class TestSgxProbe:
@@ -68,7 +77,7 @@ class TestSgxProbe:
         probe = SgxMetricsProbe(
             node_name="sgx-0",
             driver=driver,
-            db=db,
+            sink=db,
             pod_name_resolver=lambda path: "pod-x",
         )
         probe.collect(now=3.0)
@@ -83,7 +92,7 @@ class TestSgxProbe:
         probe = SgxMetricsProbe(
             node_name="sgx-0",
             driver=driver,
-            db=db,
+            sink=db,
             pod_name_resolver=lambda path: None,
         )
         probe.collect(now=1.0)
@@ -93,7 +102,7 @@ class TestSgxProbe:
         probe = SgxMetricsProbe(
             node_name="sgx-0",
             driver=driver,
-            db=db,
+            sink=db,
             pod_name_resolver=lambda path: None,
         )
         probe.collect(now=1.0)
@@ -108,7 +117,7 @@ class TestSgxProbe:
         probe = SgxMetricsProbe(
             node_name="sgx-0",
             driver=driver,
-            db=db,
+            sink=db,
             pod_name_resolver=lambda path: "x",
         )
         probe.collect(now=1.0)
@@ -118,3 +127,21 @@ class TestSgxProbe:
             if p.tag("gauge") == "free"
         )
         assert free.value == 23_936.0 - pages(mib(8))
+
+    def test_window_store_sink_gets_pods_but_no_gauges(self, driver):
+        driver.register_process(1, "/kubepods/burstable/podx")
+        driver.create_enclave(1, size_bytes=mib(4))
+        store = WindowedAggregateCache(None, window_seconds=25.0)
+        probe = SgxMetricsProbe(
+            node_name="sgx-0",
+            driver=driver,
+            sink=store,
+            pod_name_resolver=lambda path: "pod-x",
+        )
+        # Samples taken: one pod plus the two node gauges, which only a
+        # raw-series database stores.
+        assert probe.collect(now=3.0) == 3
+        assert store.window_maxima(MEASUREMENT_EPC, now=3.0) == [
+            ("sgx-0", "pod-x", float(pages(mib(4))))
+        ]
+        assert store.live_series(MEASUREMENT_EPC_NODE) == 0

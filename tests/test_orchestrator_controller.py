@@ -146,8 +146,9 @@ class TestLifecycle:
 
 class TestMetricsPath:
     def test_collect_metrics_feeds_probe_data(
-        self, orchestrator, scheduler, sgx_pod_spec
+        self, raw_series_orchestrator, scheduler, sgx_pod_spec
     ):
+        orchestrator = raw_series_orchestrator
         pod = orchestrator.submit(sgx_pod_spec, now=0.0)
         orchestrator.scheduling_pass(scheduler, now=1.0)
         orchestrator.start_pod(pod, now=1.5)
@@ -158,6 +159,21 @@ class TestMetricsPath:
         )
         assert point is not None
         assert point.value == pages(mib(10))
+
+    def test_default_sink_is_the_window_store(
+        self, orchestrator, scheduler, sgx_pod_spec
+    ):
+        assert orchestrator.db is None
+        pod = orchestrator.submit(sgx_pod_spec, now=0.0)
+        orchestrator.scheduling_pass(scheduler, now=1.0)
+        orchestrator.start_pod(pod, now=1.5)
+        # Heapster: one pod's memory; each SGX probe: its pods plus the
+        # two node gauges (taken, though only a database stores them).
+        assert orchestrator.collect_metrics(now=2.0) == 1 + (1 + 2) + 2
+        maxima = orchestrator.aggregate_cache.window_maxima(
+            MEASUREMENT_EPC, now=2.0
+        )
+        assert maxima == [(pod.node_name, pod.name, float(pages(mib(10))))]
 
     def test_measured_usage_informs_next_pass(self):
         # A pod declaring little but using much: after metrics arrive,

@@ -177,14 +177,12 @@ class TestReporting:
             mib(10)
         ) + pages(mib(20))
 
-    def test_pod_memory_usage_reports_actuals(self):
+    def test_memory_rows_report_actuals(self):
         kubelet = make_kubelet(Node(NodeSpec.standard("w0")))
         pod = standard_pod(declared_gib=1, actual_gib=1.5)
         pod.mark_bound("w0", 1.0)
         kubelet.admit(pod)
-        (usage,) = kubelet.pod_memory_usage()
-        assert usage.value == gib(1.5)
-        assert usage.node_name == "w0"
+        assert kubelet.memory_rows() == [("w0", pod.name, float(gib(1.5)))]
 
     def test_resolve_pod_name(self):
         kubelet = make_kubelet()

@@ -65,9 +65,10 @@ class TestMigration:
         assert pod.phase is PodPhase.SUCCEEDED
         assert pod.turnaround_seconds == 700.0
 
-    def test_monitoring_follows_the_pod(self, orchestrator):
+    def test_monitoring_follows_the_pod(self, raw_series_orchestrator):
         from repro.monitoring.probe import MEASUREMENT_EPC
 
+        orchestrator = raw_series_orchestrator
         pod = running_sgx_pod(orchestrator)
         target = other_sgx_node(pod)
         orchestrator.migrate_pod(pod, target, now=100.0)

@@ -58,7 +58,8 @@ class TestAddNode:
         assert any(p is late for p, _ in second.launched)
         assert late.node_name == "sgx-worker-9"
 
-    def test_new_node_feeds_metrics(self, orchestrator):
+    def test_new_node_feeds_metrics(self, raw_series_orchestrator):
+        orchestrator = raw_series_orchestrator
         orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=0.0)
         # Metrics collection polls the new node without error and its
         # node gauges appear.
