@@ -13,7 +13,7 @@ Nine sweeps over the scheduling hot path:
   :class:`~repro.monitoring.aggregate.WindowedAggregateCache`;
 * **event_sched** — whole trace replays, the paper's periodic
   scheduling loop versus the event-driven trigger mode
-  (``ReplayConfig(event_driven=True)``): scheduling passes executed,
+  (``Scenario(event_driven=True)``): scheduling passes executed,
   wall-clock, and a bit-for-bit equivalence check of every pod's
   lifecycle timestamps, at 250–2000 pods;
 * **sched_scale** — the placement loop *inside* one pass: a pending

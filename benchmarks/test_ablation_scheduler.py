@@ -8,7 +8,8 @@
 """
 
 from conftest import run_once
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.api import Scenario
+from repro.simulation.runner import run_replay
 from repro.units import fmt_duration
 
 
@@ -28,15 +29,21 @@ def test_ablation_measured_vs_declared(benchmark, trace):
     """Measured-usage scheduling vs the declared-only baseline."""
 
     def run():
-        measured = replay_trace(
-            trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        measured = run_replay(
+            Scenario(
+                trace=trace,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
-        declared = replay_trace(
-            trace,
-            ReplayConfig(
-                scheduler="kube-default", sgx_fraction=1.0, seed=1
-            ),
+        declared = run_replay(
+            Scenario(
+                trace=trace,
+                scheduler="kube-default",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
         return measured, declared
 
@@ -52,18 +59,22 @@ def test_ablation_sgx_nodes_last(benchmark, trace):
     """Preserving SGX nodes for SGX jobs in a mixed workload."""
 
     def run():
-        preserved = replay_trace(
-            trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=1),
+        preserved = run_replay(
+            Scenario(
+                trace=trace,
+                scheduler="binpack",
+                sgx_fraction=0.5,
+                seed=1,
+            )
         )
-        mixed = replay_trace(
-            trace,
-            ReplayConfig(
+        mixed = run_replay(
+            Scenario(
+                trace=trace,
                 scheduler="binpack",
                 sgx_fraction=0.5,
                 seed=1,
                 preserve_sgx_nodes=False,
-            ),
+            )
         )
         return preserved, mixed
 
@@ -86,18 +97,22 @@ def test_ablation_strict_fcfs(benchmark, trace):
     """Kubernetes-like skipping vs strict head-of-line blocking."""
 
     def run():
-        skip = replay_trace(
-            trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        skip = run_replay(
+            Scenario(
+                trace=trace,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
-        strict = replay_trace(
-            trace,
-            ReplayConfig(
+        strict = run_replay(
+            Scenario(
+                trace=trace,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 strict_fcfs=True,
-            ),
+            )
         )
         return skip, strict
 

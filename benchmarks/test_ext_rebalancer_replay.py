@@ -6,7 +6,8 @@ over-committed paging time it claws back, at what migration cost.
 """
 
 from conftest import run_once
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.api import Scenario
+from repro.simulation.runner import run_replay
 
 
 def paging_excess_seconds(result) -> float:
@@ -19,18 +20,22 @@ def paging_excess_seconds(result) -> float:
 
 def test_ext_rebalancer_replay(benchmark, trace):
     def run():
-        base = replay_trace(
-            trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        base = run_replay(
+            Scenario(
+                trace=trace,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
-        rebalanced = replay_trace(
-            trace,
-            ReplayConfig(
+        rebalanced = run_replay(
+            Scenario(
+                trace=trace,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 rebalance_period=15.0,
-            ),
+            )
         )
         return base, rebalanced
 

@@ -25,7 +25,7 @@ Quick start::
     print(pod.node_name)  # 'sgx-worker-0'
 
 or replay the paper's whole evaluation workload through the scenario
-layer (``ReplayConfig``/``replay_trace`` remain as a deprecated shim)::
+layer::
 
     from repro import Scenario, Sweep
 
@@ -57,12 +57,12 @@ from .policy import (
 from .scheduler.binpack import BinpackScheduler
 from .scheduler.kube_default import KubeDefaultScheduler
 from .scheduler.spread import SpreadScheduler
-from .simulation.runner import ReplayConfig, ReplayResult, replay_trace
+from .simulation.runner import ReplayResult, run_replay
 from .trace.borg import BorgTraceGenerator, synthetic_scaled_trace
 from .trace.loader import load_borg_csv
 from .workload.malicious import MaliciousConfig
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 # The scenario layer sits on top of everything above; importing it
 # after the core packages keeps the orchestrator <-> scheduler import
@@ -91,7 +91,6 @@ __all__ = [
     "PreemptionPolicy",
     "PriorityClass",
     "QosClass",
-    "ReplayConfig",
     "ReplayResult",
     "ResourceRequirements",
     "ResourceVector",
@@ -107,8 +106,8 @@ __all__ = [
     "paper_cluster",
     "register_scheduler",
     "register_workload",
-    "replay_trace",
     "resolve_priority",
+    "run_replay",
     "synthetic_scaled_trace",
     "uniform_cluster",
 ]

@@ -82,7 +82,9 @@ class CheckConfig:
     #: Flag dest -> scenario field, where the names differ.
     cli_field_aliases: Dict[str, str] = field(
         default_factory=lambda: {
-            "jobs": "trace_jobs",
+            # --trace-seed/--jobs fold into a borg-synth trace spec.
+            "jobs": "trace",
+            "trace_seed": "trace",
             "epc_mib": "epc_total_bytes",
             "indexed": "indexed_scheduling",
             "no_state_cache": "use_state_cache",

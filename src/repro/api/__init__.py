@@ -20,14 +20,15 @@ Quickstart::
 
     # a parallel sweep over a grid, dumped as JSON
     sweep = Sweep(
-        Scenario(trace_jobs=200),
+        Scenario(trace="borg-synth:jobs=200"),
         grid={"scheduler": ("binpack", "spread"),
               "sgx_fraction": (0.0, 0.5, 1.0)},
     )
     print(sweep.run(workers=4).to_json())
 
-The legacy ``ReplayConfig``/``replay_trace`` pair remains as a thin
-deprecated shim over the same engine.
+``Scenario`` is also the replay engine's only configuration: call
+:func:`repro.simulation.runner.run_replay` with one when the live
+orchestrator and event log are needed.
 """
 
 from ..registry import (

@@ -7,9 +7,9 @@ name plus options, and the feature toggles the later PRs added
 (``event_driven``, ``indexed_scheduling``, ``use_state_cache``).  It
 validates at construction (unknown scheduler/workload names die here
 with the list of registered names), is immutable and picklable (so
-sweeps can ship it to worker processes), and ``.run()`` executes it on
-the same deterministic engine the legacy
-:func:`repro.simulation.runner.replay_trace` shim drives::
+sweeps can ship it to worker processes), and is the only configuration
+the replay engine reads: ``.run()`` wraps
+:func:`repro.simulation.runner.run_replay`::
 
     from repro.api import Scenario
 
@@ -20,34 +20,117 @@ the same deterministic engine the legacy
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
-import warnings
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+# Importing the strategy/workload/policy *packages* registers every
+# built-in with the registries, so a bare ``Scenario(scheduler=
+# "spread")`` always resolves.
+from .. import policy as _policy_builtins  # noqa: F401
+from .. import scheduler as _scheduler_builtins  # noqa: F401
+from .. import workload as _workload_builtins  # noqa: F401
 from ..constants import (
     EPC_TOTAL_BYTES,
     METRICS_PUSH_PERIOD_SECONDS,
     SCHEDULER_PERIOD_SECONDS,
 )
-from ..errors import SimulationError
+from ..errors import PolicyError, RegistryError, SimulationError
 from ..obs.ledger import ObserveConfig
-from ..policy.classes import DEFAULT_PREEMPTION_THRESHOLD
-from ..registry import TRACES, WORKLOADS
+from ..policy.classes import (
+    DEFAULT_PREEMPTION_THRESHOLD,
+    priority_class_map,
+)
+from ..registry import (
+    CELLS,
+    PREEMPTION_POLICIES,
+    SCHEDULERS,
+    TRACES,
+    WORKLOADS,
+    Registry,
+)
 from ..scheduler.base import Scheduler
 from ..simulation.metrics import ReplayMetrics
-from ..simulation.runner import (
-    OptionItems,
-    ReplayConfig,
-    freeze_options,
-    make_scheduler,
-    run_replay,
-)
+from ..simulation.runner import make_scheduler, run_replay
 from ..trace.adapters import resolve_trace
 from ..trace.schema import Trace
-from ..trace.spec import make_trace_spec, parse_trace_spec
+from ..trace.spec import parse_trace_spec
 from ..workload.malicious import MaliciousConfig
 from .format import RUN_SCHEMA, format_table
+
+#: Option mappings stored on the frozen scenario: sorted (key, value)
+#: pairs, so scenarios stay hashable and order-insensitively equal.
+OptionItems = Tuple[Tuple[str, object], ...]
+
+
+def freeze_options(
+    options: Union[Mapping[str, object], Iterable[Tuple[str, object]], None],
+) -> OptionItems:
+    """Normalise a mapping (or pair iterable) into sorted items."""
+    if options is None:
+        return ()
+    return tuple(sorted(dict(options).items()))
+
+
+def _require_registered(registry: Registry, name: str) -> None:
+    """Fail with the sorted known names if *name* is not registered."""
+    try:
+        registry.get(name)
+    except RegistryError as exc:
+        raise SimulationError(str(exc)) from None
+
+
+def _validate_factory_options(
+    kind: str,
+    name: str,
+    factory: Callable[..., object],
+    standard_kwargs: Dict[str, object],
+    options: OptionItems,
+) -> None:
+    """Fail at construction if *options* cannot reach *factory*.
+
+    Checks the factory's signature without calling it: an option
+    shadowing a standard knob, or an unknown keyword on a factory
+    without ``**options``, would otherwise die with a bare TypeError
+    deep inside ``.run()`` (possibly in a pool worker).
+    """
+    extra = dict(options)
+    shadowed = sorted(set(extra) & set(standard_kwargs))
+    if shadowed:
+        raise SimulationError(
+            f"{kind}_options may not shadow the standard knob(s) "
+            f"{', '.join(shadowed)}; set the scenario field instead"
+        )
+    try:
+        signature = inspect.signature(factory)
+    except (TypeError, ValueError):  # pragma: no cover - C callables
+        return
+    try:
+        signature.bind_partial(**standard_kwargs, **extra)
+    except TypeError as exc:
+        detail = (
+            f"invalid {kind}_options for {name!r}"
+            if extra
+            else f"{kind} {name!r} factory cannot accept the "
+            f"standard knobs ({', '.join(standard_kwargs)})"
+        )
+        raise SimulationError(f"{detail}: {exc}") from None
+
+
+def _is_int(value: object) -> bool:
+    """A real ``int``; ``bool`` is excluded."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,6 +148,11 @@ class Scenario:
         Scenario(trace="synth-bursty:seed=3,jobs=500").run()
         Scenario(trace="google2019:path=ev.jsonl,window=1h,sample=0.05")
         Scenario(trace=my_trace)          # an explicit Trace object
+
+    Invalid knobs are rejected here — a bad SGX fraction, a
+    non-positive or non-finite period or an unknown scheduler name
+    dies at construction with a :class:`SimulationError`, not minutes
+    into a replay.
     """
 
     #: Optional display name; shows up as the row label in tables.
@@ -78,7 +166,8 @@ class Scenario:
     scheduler_options: OptionItems = ()
 
     # -- workload ----------------------------------------------------------
-    #: Any name registered in :data:`repro.registry.WORKLOADS`.
+    #: Any name registered in :data:`repro.registry.WORKLOADS`; the
+    #: default is the paper's STRESS-SGX trace materialisation.
     workload: str = "stress"
     workload_options: OptionItems = ()
     #: Share of trace jobs designated SGX-enabled (Fig. 8's sweep).
@@ -96,13 +185,6 @@ class Scenario:
     #: :class:`Trace`.  ``None`` replays the paper's default scaled
     #: slice (``"borg-synth"``).  ``repro traces`` lists the catalogue.
     trace: Optional[Union[Trace, str]] = None
-    #: .. deprecated:: use ``trace="borg-synth:seed=..."``.  Kept as a
-    #:    warning alias; rewritten into the spec above at construction.
-    trace_seed: Optional[int] = None
-    #: .. deprecated:: use ``trace="borg-synth:jobs=..."``.
-    trace_jobs: Optional[int] = None
-    #: .. deprecated:: use ``trace="borg-synth:overallocators=..."``.
-    trace_overallocators: Optional[int] = None
 
     # -- cluster shape -----------------------------------------------------
     epc_total_bytes: int = EPC_TOTAL_BYTES
@@ -111,13 +193,19 @@ class Scenario:
     sgx_workers: Optional[int] = None
 
     # -- driver / limit policy (Fig. 11's switches) ------------------------
+    #: Figs. 8-10 run on the stock driver: no per-pod limits, paging
+    #: allowed.  Fig. 11's "limits enabled" runs flip both switches.
     enforce_epc_limits: bool = False
     epc_allow_overcommit: bool = True
 
     # -- control-plane cadence ---------------------------------------------
     scheduler_period: float = SCHEDULER_PERIOD_SECONDS
     metrics_period: float = METRICS_PUSH_PERIOD_SECONDS
+    #: Backoff before a transiently failed (requeued) pod is eligible
+    #: again.  0 retries on the very next pass, like the paper.
     requeue_backoff_seconds: float = 0.0
+    #: Period of the EPC contention rebalancer (Sec. V-E's migration
+    #: use case); ``None`` disables it, as in the paper's evaluation.
     rebalance_period: Optional[float] = None
 
     # -- strategy toggles --------------------------------------------------
@@ -140,8 +228,15 @@ class Scenario:
     preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD
 
     # -- feature toggles (later PRs' fast paths) ---------------------------
+    #: Fire scheduling passes on cluster events instead of
+    #: unconditionally every period; bit-for-bit equivalent to the
+    #: periodic default, which stays the oracle for that claim.
     event_driven: bool = False
+    #: Answer each pass from the incremental node-candidate index
+    #: instead of the per-pod full scan; bit-for-bit identical.
     indexed_scheduling: bool = False
+    #: Answer the sliding-window queries from the window-max store
+    #: instead of re-scanning raw series; identical results.
     use_state_cache: bool = True
 
     # -- two-level sharded scheduling --------------------------------------
@@ -153,7 +248,8 @@ class Scenario:
     cells: Optional[int] = None
     #: Partition policy (any name in :data:`repro.registry.CELLS`):
     #: ``balanced`` (seeded hash round-robin), ``region`` (node-name
-    #: prefixes) or ``capacity-class`` (hardware shapes).
+    #: prefixes) or ``capacity-class`` (hardware shapes).  Only
+    #: consulted when ``cells`` is set.
     cell_policy: str = "balanced"
     #: Consecutive deferrals before a pod spills to another cell.
     cell_spillover_after: int = 2
@@ -167,10 +263,15 @@ class Scenario:
     observe: Optional[ObserveConfig] = None
 
     # -- failure injection / stop -----------------------------------------
+    #: (time, node_name) crashes: running pods on the crashed node are
+    #: lost and resubmitted; the node leaves the cluster.
     node_failures: Sequence[Tuple[float, str]] = ()
+    #: Hard stop; generous because small EPC sizes drain slowly (Fig. 7).
     max_sim_seconds: float = 48 * 3600.0
 
     def __post_init__(self) -> None:
+        # Accept plain dicts for the option fields; store sorted items
+        # so the scenario stays frozen, hashable and picklable.
         for option_field in (
             "workload_options", "scheduler_options", "priority_classes",
         ):
@@ -184,80 +285,110 @@ class Scenario:
             "node_failures",
             tuple(tuple(failure) for failure in self.node_failures),
         )
-        if self.trace_jobs is not None and self.trace_jobs < 1:
-            raise SimulationError(
-                f"trace_jobs must be >= 1: {self.trace_jobs}"
-            )
-        if (
-            self.trace_overallocators is not None
-            and self.trace_overallocators < 0
-        ):
-            raise SimulationError(
-                "trace_overallocators must be >= 0: "
-                f"{self.trace_overallocators}"
-            )
-        self._rewrite_legacy_trace_knobs()
         if isinstance(self.trace, str):
             # Die at construction, not mid-replay: the name must be a
             # registered adapter (the error lists the sorted known
             # ones) and the spec must parse.
             TRACES.get(parse_trace_spec(self.trace).name)
-        # The engine config performs the rest of the validation
-        # (fractions, periods, worker counts, registry names), so a
-        # scenario can never exist that the engine would reject later.
-        self.to_replay_config()
-
-    def _rewrite_legacy_trace_knobs(self) -> None:
-        """Fold the deprecated ``trace_*`` knobs into a spec string.
-
-        ``trace_seed``/``trace_jobs``/``trace_overallocators`` were
-        the original synthesis interface; each maps one-to-one onto a
-        ``borg-synth`` spec option and routes through the identical
-        generator call, so results stay bit-for-bit the same.  Over an
-        existing ``borg-synth`` spec (e.g. ``with_(trace_seed=5)`` on
-        an already-rewritten scenario) the knobs merge in, knob
-        winning per key — exactly the old ``dataclasses.replace``
-        semantics.  Over an explicit :class:`Trace` or a non-Borg spec
-        they contradict and die.
-        """
-        knobs = {}
-        if self.trace_seed is not None:
-            knobs["seed"] = self.trace_seed
-        if self.trace_jobs is not None:
-            knobs["jobs"] = self.trace_jobs
-        if self.trace_overallocators is not None:
-            knobs["overallocators"] = self.trace_overallocators
-        if not knobs:
-            return
-        options: Dict[str, object] = {}
-        if isinstance(self.trace, str):
-            spec = parse_trace_spec(self.trace)
-            if spec.name != "borg-synth":
-                raise SimulationError(
-                    f"an explicit trace spec ({self.trace!r}) "
-                    "conflicts with the deprecated trace_seed/"
-                    "trace_jobs/trace_overallocators knobs; fold them "
-                    "into the spec instead"
-                )
-            options.update(spec.options)
-        elif self.trace is not None:
+        if self.observe is not None and not isinstance(
+            self.observe, ObserveConfig
+        ):
             raise SimulationError(
-                "an explicit trace conflicts with trace_seed/"
-                "trace_jobs/trace_overallocators: the synthesis knobs "
-                "would be silently ignored; set one or the other"
+                f"observe must be an ObserveConfig: {self.observe!r}"
             )
-        options.update(knobs)
-        replacement = make_trace_spec("borg-synth", options.items())
-        warnings.warn(
-            "Scenario trace_seed/trace_jobs/trace_overallocators are "
-            f"deprecated; use trace={replacement!r}",
-            DeprecationWarning,
-            stacklevel=4,
+        if not 0.0 <= self.sgx_fraction <= 1.0:
+            raise SimulationError(
+                f"sgx_fraction outside [0, 1]: {self.sgx_fraction}"
+            )
+        _require_registered(SCHEDULERS, self.scheduler)
+        _require_registered(WORKLOADS, self.workload)
+        _require_registered(PREEMPTION_POLICIES, self.preemption_policy)
+        if not _is_int(self.preemption_priority_threshold):
+            raise SimulationError(
+                "preemption_priority_threshold must be an int: "
+                f"{self.preemption_priority_threshold!r}"
+            )
+        try:
+            # Validates names and values; the merged catalogue itself
+            # is rebuilt where it is used.
+            priority_class_map(self.priority_classes)
+        except PolicyError as exc:
+            raise SimulationError(str(exc)) from None
+        if self.malicious is not None and self.workload == "malicious":
+            raise SimulationError(
+                "workload='malicious' already deploys the squatters; "
+                "the malicious= side deployment would duplicate their "
+                "pod names — drop one of the two"
+            )
+        # Unconditional: a factory that cannot even accept the
+        # standard knobs (a plugin with a bespoke __init__) must die
+        # here, not with a bare TypeError inside a pool worker.
+        _validate_factory_options(
+            "scheduler",
+            self.scheduler,
+            SCHEDULERS.get(self.scheduler),
+            {
+                "use_measured": self.use_measured,
+                "strict_fcfs": self.strict_fcfs,
+                "preserve_sgx_nodes": self.preserve_sgx_nodes,
+                "indexed": self.indexed_scheduling,
+            },
+            self.scheduler_options,
         )
-        object.__setattr__(self, "trace", replacement)
-        object.__setattr__(self, "trace_seed", None)
-        object.__setattr__(self, "trace_jobs", None)
-        object.__setattr__(self, "trace_overallocators", None)
+        _validate_factory_options(
+            "workload",
+            self.workload,
+            WORKLOADS.get(self.workload),
+            {
+                "sgx_fraction": self.sgx_fraction,
+                "seed": self.seed,
+                "scheduler_name": self.scheduler,
+            },
+            self.workload_options,
+        )
+        positive_fields = [
+            "scheduler_period", "metrics_period", "max_sim_seconds",
+            "epc_total_bytes",
+        ]
+        if self.rebalance_period is not None:
+            positive_fields.append("rebalance_period")
+        for positive_field in positive_fields:
+            value = getattr(self, positive_field)
+            # Chained so NaN fails too: ``value <= 0`` is False for it.
+            if not 0 < value < math.inf:
+                raise SimulationError(
+                    f"{positive_field} must be positive and finite: "
+                    f"{value}"
+                )
+        if not 0 <= self.requeue_backoff_seconds < math.inf:
+            raise SimulationError(
+                "requeue_backoff_seconds must be >= 0 and finite: "
+                f"{self.requeue_backoff_seconds}"
+            )
+        for worker_field in ("standard_workers", "sgx_workers"):
+            value = getattr(self, worker_field)
+            if value is not None and value < 1:
+                raise SimulationError(
+                    f"{worker_field} must be >= 1: {value}"
+                )
+        if self.cells is not None and (
+            not _is_int(self.cells) or self.cells < 1
+        ):
+            raise SimulationError(f"cells must be >= 1: {self.cells!r}")
+        if (
+            not _is_int(self.cell_spillover_after)
+            or self.cell_spillover_after < 1
+        ):
+            raise SimulationError(
+                "cell_spillover_after must be >= 1: "
+                f"{self.cell_spillover_after!r}"
+            )
+        if self.cells is not None or self.cell_policy != "balanced":
+            # Importing the cells package registers the built-in
+            # policies; lazy so the flat oracle path never pays it.
+            from .. import cells as _cell_builtins  # noqa: F401
+
+            _require_registered(CELLS, self.cell_policy)
 
     # -- derived views -----------------------------------------------------
 
@@ -269,44 +400,6 @@ class Scenario:
         return (
             f"{self.scheduler}/{self.workload}"
             f"/sgx={self.sgx_fraction:g}/seed={self.seed}"
-        )
-
-    def to_replay_config(self) -> ReplayConfig:
-        """The engine-level config equivalent to this scenario."""
-        return ReplayConfig(
-            scheduler=self.scheduler,
-            sgx_fraction=self.sgx_fraction,
-            seed=self.seed,
-            epc_total_bytes=self.epc_total_bytes,
-            enforce_epc_limits=self.enforce_epc_limits,
-            epc_allow_overcommit=self.epc_allow_overcommit,
-            scheduler_period=self.scheduler_period,
-            metrics_period=self.metrics_period,
-            use_measured=self.use_measured,
-            strict_fcfs=self.strict_fcfs,
-            preserve_sgx_nodes=self.preserve_sgx_nodes,
-            event_driven=self.event_driven,
-            requeue_backoff_seconds=self.requeue_backoff_seconds,
-            indexed_scheduling=self.indexed_scheduling,
-            standard_workers=self.standard_workers,
-            sgx_workers=self.sgx_workers,
-            use_state_cache=self.use_state_cache,
-            malicious=self.malicious,
-            rebalance_period=self.rebalance_period,
-            node_failures=self.node_failures,
-            max_sim_seconds=self.max_sim_seconds,
-            workload=self.workload,
-            workload_options=self.workload_options,
-            scheduler_options=self.scheduler_options,
-            priority_classes=self.priority_classes,
-            preemption_policy=self.preemption_policy,
-            preemption_priority_threshold=(
-                self.preemption_priority_threshold
-            ),
-            cells=self.cells,
-            cell_policy=self.cell_policy,
-            cell_spillover_after=self.cell_spillover_after,
-            observe=self.observe,
         )
 
     def build_trace(self) -> Trace:
@@ -322,7 +415,7 @@ class Scenario:
 
     def build_scheduler(self) -> Scheduler:
         """The configured strategy instance (for pass-level harnesses)."""
-        return make_scheduler(self.to_replay_config())
+        return make_scheduler(self)
 
     def with_(self, **changes: object) -> "Scenario":
         """A copy with *changes* applied (re-validated on build)."""
@@ -339,16 +432,7 @@ class Scenario:
 
     def run(self) -> "RunResult":
         """Execute the scenario; fully deterministic per its seeds."""
-        factory = WORKLOADS.get(self.workload)
-        # Workload factories that never read the trace (hybrid,
-        # malicious) declare ``consumes_trace = False``; skip the
-        # synthesis (and, in sweeps, the per-worker pickling) for them.
-        trace = (
-            self.build_trace()
-            if getattr(factory, "consumes_trace", True)
-            else None
-        )
-        replay = run_replay(trace, self.to_replay_config())
+        replay = run_replay(self)
         trigger = replay.orchestrator.trigger
         return RunResult(
             scenario=self,
@@ -427,8 +511,8 @@ class RunResult:
     def signature(self) -> Tuple:
         """Everything that must match for two runs to count as equal:
         pod lifecycles, makespan, the queue series and the engine
-        counters.  Serial and parallel sweeps, and the legacy
-        ``replay_trace`` path, must agree on this bit for bit."""
+        counters.  Serial and parallel sweeps must agree on this bit
+        for bit."""
         return (
             self.pod_signature(),
             self.metrics.makespan_seconds,

@@ -8,8 +8,7 @@ scheduler over its own pending queue and event queue
 dispatcher (:mod:`~repro.cells.dispatch`) routes submissions to cells
 and spills persistently deferred pods across them.  The replay driver
 tying it together is :class:`~repro.cells.runner.CellReplay`, entered
-through ``Scenario(cells=...)`` / ``ReplayConfig(cells=...)`` /
-``repro run --cells``.
+through ``Scenario(cells=...)`` / ``repro run --cells``.
 
 Importing this package registers the built-in cell policies
 (``balanced``, ``region``, ``capacity-class``).

@@ -34,12 +34,7 @@ from typing import Dict, List, Set
 
 from ..orchestrator.controller import Orchestrator
 from ..orchestrator.pod import Pod
-from ..simulation.runner import (
-    ReplayConfig,
-    _Replay,
-    make_preemption_policy,
-    make_scheduler,
-)
+from ..simulation.runner import _Replay, make_scheduler
 from .dispatch import Cell, GlobalDispatcher
 from .engine import GLOBAL_CELL, ShardedEngine
 from .policies import partition_nodes
@@ -54,51 +49,36 @@ class CellReplay(_Replay):
         "_rerouted_uids",
     )
 
-    def __init__(self, trace, config: ReplayConfig):
-        assert config.cells is not None
-        super().__init__(trace, config)
-
     # -- construction hooks ------------------------------------------------
 
-    def _make_orchestrator(self) -> Orchestrator:
+    def _make_orchestrator(self, queue=None) -> Orchestrator:
         """Partition the cluster, then build the control plane around
         the cell router instead of the flat queue."""
-        config = self.config
-        cell_count = config.cells
+        scenario = self.scenario
+        cell_count = scenario.cells
         assert cell_count is not None
         assignment = partition_nodes(
             self.cluster.nodes,
             cell_count,
-            config.cell_policy,
-            seed=config.seed,
+            scenario.cell_policy,
+            seed=scenario.seed,
         )
         names_by_cell: List[List[str]] = [[] for _ in range(cell_count)]
         for node in self.cluster.nodes:
             names_by_cell[assignment[node.name]].append(node.name)
         self.cells = [
-            Cell(cell_id, names, make_scheduler(config))
+            Cell(cell_id, names, make_scheduler(scenario))
             for cell_id, names in enumerate(names_by_cell)
         ]
         self.dispatcher = GlobalDispatcher(self.cells)
         self.router = CellQueueRouter(
             cell_count,
             self.dispatcher,
-            requeue_backoff_seconds=config.requeue_backoff_seconds,
+            requeue_backoff_seconds=scenario.requeue_backoff_seconds,
         )
         self._deferral_streaks: Dict[str, int] = {}
         self._rerouted_uids: Set[str] = set()
-        orchestrator = Orchestrator(
-            self.cluster,
-            perf_model=self.perf,
-            use_state_cache=config.use_state_cache,
-            requeue_backoff_seconds=config.requeue_backoff_seconds,
-            preemption_policy=make_preemption_policy(config),
-            preemption_priority_threshold=(
-                config.preemption_priority_threshold
-            ),
-            queue=self.router,
-            observer=self.obs,
-        )
+        orchestrator = super()._make_orchestrator(queue=self.router)
         self.dispatcher.bind(
             orchestrator.kubelets,
             self.router,
@@ -107,8 +87,8 @@ class CellReplay(_Replay):
         return orchestrator
 
     def _make_engine(self) -> ShardedEngine:
-        assert self.config.cells is not None
-        return ShardedEngine(cells=self.config.cells)
+        assert self.scenario.cells is not None
+        return ShardedEngine(cells=self.scenario.cells)
 
     # -- cell-routed event scheduling --------------------------------------
 
@@ -239,7 +219,7 @@ class CellReplay(_Replay):
         deferrals only; a pod that stays keeps retrying the spill on
         every subsequent deferred tick.
         """
-        threshold = self.config.cell_spillover_after
+        threshold = self.scenario.cell_spillover_after
         router = self.router
         streaks: Dict[str, int] = {}
         for cell, deferred in zip(

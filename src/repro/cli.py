@@ -570,9 +570,8 @@ def _trace_spec(args: argparse.Namespace) -> Optional[str]:
     """The ``trace=`` spec the shared flags describe, if any.
 
     ``--trace-seed``/``--jobs`` are shorthands that fold into a
-    ``borg-synth`` spec (so the CLI never routes through the
-    deprecated scenario knobs); combined with an explicit ``--trace``
-    they would contradict it and die as a usage error.
+    ``borg-synth`` spec; combined with an explicit ``--trace`` they
+    would contradict it and die as a usage error.
     """
     shorthands = {}
     if args.trace_seed is not None:

@@ -191,19 +191,26 @@ def _encode_record(record: Dict[str, object]) -> str:
     return _ENCODERS[record["kind"]](record)
 
 
+#: Scenario fields kept out of the header: where the ledger goes, the
+#: display label, and the trace source — a ``Trace`` object's default
+#: ``repr`` holds its memory address, which would make repeat runs'
+#: ledgers differ.
+_UNSIGNED_FIELDS = frozenset(("observe", "name", "trace"))
+
+
 def config_signature(config) -> Dict[str, object]:
-    """A primitive snapshot of a replay/scenario config dataclass.
+    """A primitive snapshot of a scenario's engine knobs.
 
     Primitive fields pass through; structured ones (option tuples,
     failure schedules, malicious configs) are captured as their
-    deterministic ``repr``.  The ``observe`` field itself is skipped —
+    deterministic ``repr``.  :data:`_UNSIGNED_FIELDS` are skipped —
     two runs must not diff as divergent because one wrote its ledger
     to a different path.
     """
     signature: Dict[str, object] = {}
     for config_field in dataclasses.fields(config):
         name = config_field.name
-        if name == "observe":
+        if name in _UNSIGNED_FIELDS:
             continue
         value = getattr(config, name)
         if value is None or isinstance(value, (str, int, float, bool)):
@@ -217,10 +224,10 @@ def config_signature(config) -> Dict[str, object]:
 class ObserveConfig:
     """What one observed run should export, and where.
 
-    Hashable and picklable (it rides on the frozen ``ReplayConfig`` /
-    ``Scenario``); any ``None`` path disables that exporter, and with
-    all three unset the replay keeps the null observer — the
-    allocation-free disabled path.
+    Hashable and picklable (it rides on the frozen ``Scenario``); any
+    ``None`` path disables that exporter, and with all three unset the
+    replay keeps the null observer — the allocation-free disabled
+    path.
     """
 
     #: JSONL decision-ledger output (``repro.ledger/v1``).

@@ -14,8 +14,6 @@ site and zero allocations.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .ledger import (
     LEDGER_EVENT_KINDS,
     LEDGER_SCHEMA,
@@ -66,14 +64,16 @@ class NullObserver:
 NULL_OBSERVER = NullObserver()
 
 
-def build_observer(observe: Optional[ObserveConfig], replay_config):
-    """Build the observer for one replay and open its ledger.
+def build_observer(scenario):
+    """Build the observer for one replay of *scenario*; open its ledger.
 
-    Returns :data:`NULL_OBSERVER` when observation is off.  When a
-    ledger is configured its header line — schema tag, seed, primitive
-    config signature and the declared kinds — is written immediately,
-    so even a replay that dies mid-run leaves a self-describing file.
+    Returns :data:`NULL_OBSERVER` when ``scenario.observe`` is off.
+    When a ledger is configured its header line — schema tag, seed,
+    primitive config signature and the declared kinds — is written
+    immediately, so even a replay that dies mid-run leaves a
+    self-describing file.
     """
+    observe = scenario.observe
     if observe is None or not observe.active:
         return NULL_OBSERVER
     observer = RunObserver(observe)
@@ -81,8 +81,8 @@ def build_observer(observe: Optional[ObserveConfig], replay_config):
     if ledger.enabled:
         ledger.open({
             "schema": LEDGER_SCHEMA,
-            "seed": replay_config.seed,
-            "config": config_signature(replay_config),
+            "seed": scenario.seed,
+            "config": config_signature(scenario),
             "kinds": sorted(LEDGER_EVENT_KINDS),
         })
     return observer

@@ -35,7 +35,7 @@ state_unchanged`) to *skip* passes that provably cannot differ from the
 previous one.  Because a skipped pass is exactly a pass the periodic
 oracle would have executed to an all-deferred no-op, event-driven replay
 reproduces the periodic replay bit-for-bit — same bindings, same
-timestamps — while executing far fewer passes.  ``ReplayConfig
+timestamps — while executing far fewer passes.  ``Scenario
 (event_driven=False)`` remains the default, so Sec. IV's "periodically
 checks" behaviour is reproducible unchanged.
 """

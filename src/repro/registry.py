@@ -5,7 +5,7 @@ many configurations"; what varies between configurations is *which
 strategy places pods* and *which workload the trace materialises
 into*.  Both are now extension points: a strategy or workload plugs in
 with a decorator and is immediately addressable by name from
-:class:`repro.api.Scenario`, ``ReplayConfig`` and the CLI —
+:class:`repro.api.Scenario` and the CLI —
 
     from repro.registry import register_scheduler
 

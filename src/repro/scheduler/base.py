@@ -205,7 +205,7 @@ class ClusterStateService:
 
     __slots__ = (
         "kubelets", "db", "window_seconds", "cache",
-        "allow_query_cache", "reuse_clean_snapshots", "_last_views",
+        "allow_query_cache", "_last_views",
         "_last_fingerprint", "snapshots_reused",
         "malformed_rows_skipped", "_epc_query", "_memory_query",
         "ledger", "spans",
@@ -218,7 +218,6 @@ class ClusterStateService:
         window_seconds: float = METRICS_WINDOW_SECONDS,
         cache: Optional[WindowedAggregateCache] = None,
         allow_query_cache: bool = True,
-        reuse_clean_snapshots: bool = True,
         observer=None,
     ):
         if db is None and (cache is None or not allow_query_cache):
@@ -242,7 +241,6 @@ class ClusterStateService:
         #: Skip-clean passes: when the aggregate cache and the kubelet
         #: commitments report no change since the previous pass, reuse
         #: the previous pass's node views instead of rebuilding them.
-        self.reuse_clean_snapshots = reuse_clean_snapshots
         self._last_views: Optional[List[NodeView]] = None
         self._last_fingerprint: Optional[Tuple] = None
         #: Passes answered from the retained views (observability).
@@ -429,12 +427,12 @@ class ClusterStateService:
         measured view — this is the reservation that prevents stampedes
         between a bind and its first sample).
 
-        With :attr:`reuse_clean_snapshots`, a pass whose fingerprint
-        matches the previous pass's reuses the retained views (the
-        malformed-row counter then reflects rebuilt passes only).
+        A pass whose fingerprint matches the previous pass's reuses
+        the retained views (the malformed-row counter then reflects
+        rebuilt passes only).
         """
         ledger = self.ledger
-        if self.reuse_clean_snapshots and self.state_unchanged(now):
+        if self.state_unchanged(now):
             self.snapshots_reused += 1
             if ledger.enabled:
                 ledger.emit(now, "cache_rebuild", reused=True)
@@ -476,11 +474,10 @@ class ClusterStateService:
                     committed=kubelet.committed_requests(),
                 )
             )
-        if self.reuse_clean_snapshots:
-            # Fingerprint AFTER the build: the snapshot above refreshed
-            # the cache's stability horizon for the window at *now*.
-            self._last_views = self._clone_views(views)
-            self._last_fingerprint = self._state_fingerprint(now)
+        # Fingerprint AFTER the build: the snapshot above refreshed the
+        # cache's stability horizon for the window at *now*.
+        self._last_views = self._clone_views(views)
+        self._last_fingerprint = self._state_fingerprint(now)
         spans.end(span_start, "view_rebuild", now)
         return views
 

@@ -16,7 +16,7 @@ The progress of a running enclave job is tracked as *remaining work*:
 whenever a node's EPC occupancy changes, work done so far is banked at
 the old rate and the finish event is rescheduled at the new rate.
 
-**Event-driven scheduling** (``ReplayConfig(event_driven=True)``): the
+**Event-driven scheduling** (``Scenario(event_driven=True)``): the
 scheduler wakes on the same periodic grid — the grid doubles as the
 min-interval guard and, crucially, keeps the progress-banking float
 arithmetic on the identical cadence — but each wake-up consults the
@@ -29,7 +29,7 @@ periodic oracle (same bindings, same timestamps, same makespan) while
 executing a fraction of its scheduling passes.  The default,
 ``event_driven=False``, is the paper's Sec. IV behaviour unchanged.
 
-**Indexed scheduling** (``ReplayConfig(indexed_scheduling=True)``):
+**Indexed scheduling** (``Scenario(indexed_scheduling=True)``):
 inside each executed pass, the scheduler consults the incremental
 :class:`~repro.scheduler.index.NodeCandidateIndex` instead of scanning
 every node for every pod — same outcomes bit for bit, O(pods × nodes)
@@ -39,349 +39,35 @@ work removed from the pass itself.  Composes freely with
 
 from __future__ import annotations
 
-import inspect
-import warnings
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-# Importing the strategy/workload/policy *packages* (not just the
-# modules the runner itself touches) registers every built-in with the
-# registries, so a bare ``ReplayConfig(scheduler="spread")`` always
-# resolves.
-from .. import policy as _policy_builtins  # noqa: F401
-from .. import scheduler as _scheduler_builtins  # noqa: F401
-from .. import workload as _workload_builtins  # noqa: F401
 from ..cluster.topology import paper_cluster
-from ..constants import (
-    EPC_TOTAL_BYTES,
-    METRICS_PUSH_PERIOD_SECONDS,
-    SCHEDULER_PERIOD_SECONDS,
-)
 from ..errors import PolicyError, RegistryError, SimulationError
-from ..obs.ledger import ObserveConfig
 from ..obs.observer import build_observer
 from ..orchestrator.controller import Orchestrator
 from ..orchestrator.pod import Pod
-from ..policy.classes import (
-    DEFAULT_PREEMPTION_THRESHOLD,
-    priority_class_map,
-    resolve_priority,
-)
+from ..orchestrator.queue import PendingQueue
+from ..policy.classes import priority_class_map, resolve_priority
 from ..policy.preemption import PreemptionPolicy
-from ..registry import CELLS, PREEMPTION_POLICIES, SCHEDULERS, WORKLOADS
+from ..registry import PREEMPTION_POLICIES, SCHEDULERS, WORKLOADS
 from ..scheduler.base import Scheduler
 from ..scheduler.rebalancer import EpcRebalancer
 from ..sgx.perf import SgxPerfModel
-from ..trace.adapters import resolve_trace
-from ..trace.schema import Trace
-from ..workload.malicious import MaliciousConfig
 from ..workload.stress import SubmissionPlan
 from .engine import EventHandle, SimulationEngine
 from .events import EventKind, EventLog
 from .metrics import QueueSample, ReplayMetrics
 
-#: Option mappings stored on the frozen config: sorted (key, value)
-#: pairs, so configs stay hashable and order-insensitively equal.
-OptionItems = Tuple[Tuple[str, object], ...]
-
-
-def freeze_options(options) -> OptionItems:
-    """Normalise a mapping (or pair iterable) into sorted items."""
-    if options is None:
-        return ()
-    if isinstance(options, Mapping):
-        items = options.items()
-    else:
-        items = dict(options).items()
-    return tuple(sorted(items))
-
-
-def _validate_factory_options(
-    kind: str,
-    name: str,
-    factory,
-    standard_kwargs: Dict[str, object],
-    options: OptionItems,
-) -> None:
-    """Fail at config construction if *options* cannot reach *factory*.
-
-    Checks the factory's signature without calling it: an option
-    shadowing a standard knob, or an unknown keyword on a factory
-    without ``**options``, would otherwise die with a bare TypeError
-    deep inside ``.run()`` (possibly in a pool worker).
-    """
-    extra = dict(options)
-    shadowed = sorted(set(extra) & set(standard_kwargs))
-    if shadowed:
-        raise SimulationError(
-            f"{kind}_options may not shadow the standard knob(s) "
-            f"{', '.join(shadowed)}; set the config field instead"
-        )
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - C callables
-        return
-    try:
-        signature.bind_partial(**standard_kwargs, **extra)
-    except TypeError as exc:
-        detail = (
-            f"invalid {kind}_options for {name!r}"
-            if extra
-            else f"{kind} {name!r} factory cannot accept the "
-            f"standard knobs ({', '.join(standard_kwargs)})"
-        )
-        raise SimulationError(f"{detail}: {exc}") from None
-
-
-@dataclass(frozen=True, slots=True)
-class ReplayConfig:
-    """Parameters of one replay experiment.
-
-    .. deprecated::
-        ``ReplayConfig`` + :func:`replay_trace` remain as a thin shim;
-        new code should build a :class:`repro.api.Scenario` (same
-        knobs, plus the trace source) and call ``.run()``.
-
-    Invalid parameters are rejected at construction time — a bad SGX
-    fraction, a non-positive period or an unknown scheduler name dies
-    here with the list of known names, not minutes into a replay.
-    """
-
-    scheduler: str = "binpack"  # any name in repro.registry.SCHEDULERS
-    sgx_fraction: float = 0.0
-    seed: int = 0
-    epc_total_bytes: int = EPC_TOTAL_BYTES
-    #: Figs. 8-10 run on the stock driver: no per-pod limits, paging
-    #: allowed.  Fig. 11's "limits enabled" runs flip both switches.
-    enforce_epc_limits: bool = False
-    epc_allow_overcommit: bool = True
-    scheduler_period: float = SCHEDULER_PERIOD_SECONDS
-    metrics_period: float = METRICS_PUSH_PERIOD_SECONDS
-    use_measured: bool = True
-    strict_fcfs: bool = False
-    preserve_sgx_nodes: bool = True
-    #: Fire scheduling passes on cluster events (submissions,
-    #: completions, requeue-backoff expiries, node churn) instead of
-    #: unconditionally every period: clean wake-ups are skipped.
-    #: Bit-for-bit equivalent to the periodic default on any seeded
-    #: trace; the periodic mode remains the oracle for that claim.
-    event_driven: bool = False
-    #: Backoff before a transiently failed (requeued) pod is eligible
-    #: again.  0 retries on the very next pass, like the paper.
-    requeue_backoff_seconds: float = 0.0
-    #: Answer each pass from the incremental node-candidate index
-    #: (sorted per-resource candidate selection, batched placements)
-    #: instead of the per-pod full scan over every node.  Bit-for-bit
-    #: identical outcomes; the full scan remains the oracle for that
-    #: claim, exactly like ``event_driven`` and ``use_state_cache``.
-    indexed_scheduling: bool = False
-    #: Cluster sizing overrides (``None`` keeps the paper's testbed:
-    #: 2 standard + 2 SGX workers) for scaled-up benchmark runs.
-    standard_workers: Optional[int] = None
-    sgx_workers: Optional[int] = None
-    #: Answer the scheduler's sliding-window queries from the
-    #: incremental aggregate cache instead of re-scanning the TSDB
-    #: every pass.  Results are identical either way; the toggle exists
-    #: for A/B benchmarking and as an escape hatch.
-    use_state_cache: bool = True
-    malicious: Optional[MaliciousConfig] = None
-    #: Period of the EPC contention rebalancer (Sec. V-E's migration
-    #: use case); ``None`` disables it, as in the paper's evaluation.
-    rebalance_period: Optional[float] = None
-    #: Failure injection: (time, node_name) crashes.  Running pods on
-    #: the crashed node are lost and resubmitted by the controller; the
-    #: node leaves the cluster (its probe is reaped).
-    node_failures: Sequence[Tuple[float, str]] = ()
-    #: Hard stop; generous because small EPC sizes drain slowly (Fig. 7).
-    max_sim_seconds: float = 48 * 3600.0
-    #: Workload materialiser (any name in ``repro.registry.WORKLOADS``)
-    #: turning the trace into submission plans, plus its options.  The
-    #: default is the paper's STRESS-SGX trace materialisation.
-    workload: str = "stress"
-    workload_options: OptionItems = ()
-    #: Extra keyword arguments for the scheduler factory, for plugin
-    #: strategies with knobs beyond the standard four toggles.
-    scheduler_options: OptionItems = ()
-    #: Extra priority classes (name -> int) overlaid on the built-in
-    #: tiers; workload ``priority`` options given as names resolve
-    #: against the merged catalogue.
-    priority_classes: OptionItems = ()
-    #: Preemption planner (any name in
-    #: ``repro.registry.PREEMPTION_POLICIES``).  The default ``none``
-    #: keeps the paper's strictly non-preemptive scheduling:
-    #: priority-disabled replays are bit-for-bit identical to the
-    #: pre-policy engine across all three scheduling modes.
-    preemption_policy: str = "none"
-    #: Deferred pods at or above this priority consult the planner.
-    preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD
-    #: Two-level sharded scheduling: split the cluster into this many
-    #: cells, each with its own scheduler instance, pending queue and
-    #: event queue, routed by the global dispatcher.  ``None`` (the
-    #: default) is the flat single-queue oracle; ``cells=1`` engages
-    #: the full sharded machinery and is bit-for-bit identical to it.
-    cells: Optional[int] = None
-    #: Partition policy (any name in ``repro.registry.CELLS``): how
-    #: nodes map onto cells.  Only consulted when ``cells`` is set.
-    cell_policy: str = "balanced"
-    #: Consecutive deferrals a cell may accumulate for one pod before
-    #: the dispatcher spills it to the next-best feasible cell.
-    cell_spillover_after: int = 2
-    #: Observability exports (decision ledger JSONL, Chrome trace
-    #: JSON, Prometheus metrics snapshot).  ``None`` — the default —
-    #: keeps the allocation-free null observer; observed runs are
-    #: signature-identical to unobserved ones across every engine.
-    observe: Optional[ObserveConfig] = None
-
-    def __post_init__(self):
-        if self.observe is not None and not isinstance(
-            self.observe, ObserveConfig
-        ):
-            raise SimulationError(
-                f"observe must be an ObserveConfig: {self.observe!r}"
-            )
-        # Accept plain dicts for the option fields; store sorted items
-        # so the config stays frozen, hashable and picklable.
-        for option_field in (
-            "workload_options", "scheduler_options", "priority_classes",
-        ):
-            value = getattr(self, option_field)
-            if not isinstance(value, tuple):
-                object.__setattr__(
-                    self, option_field, freeze_options(value)
-                )
-        if not 0.0 <= self.sgx_fraction <= 1.0:
-            raise SimulationError(
-                f"sgx_fraction outside [0, 1]: {self.sgx_fraction}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            known = ", ".join(SCHEDULERS.names())
-            raise SimulationError(
-                f"unknown scheduler {self.scheduler!r}; known: {known}"
-            )
-        if self.workload not in WORKLOADS:
-            known = ", ".join(WORKLOADS.names())
-            raise SimulationError(
-                f"unknown workload {self.workload!r}; known: {known}"
-            )
-        if self.preemption_policy not in PREEMPTION_POLICIES:
-            known = ", ".join(PREEMPTION_POLICIES.names())
-            raise SimulationError(
-                f"unknown preemption policy {self.preemption_policy!r}; "
-                f"known: {known}"
-            )
-        if not isinstance(
-            self.preemption_priority_threshold, int
-        ) or isinstance(self.preemption_priority_threshold, bool):
-            raise SimulationError(
-                "preemption_priority_threshold must be an int: "
-                f"{self.preemption_priority_threshold!r}"
-            )
-        try:
-            # Validates names and values; the merged catalogue itself
-            # is rebuilt where it is used.
-            priority_class_map(self.priority_classes)
-        except PolicyError as exc:
-            raise SimulationError(str(exc)) from None
-        if self.malicious is not None and self.workload == "malicious":
-            raise SimulationError(
-                "workload='malicious' already deploys the squatters; "
-                "the malicious= side deployment would duplicate their "
-                "pod names — drop one of the two"
-            )
-        # Unconditional: a factory that cannot even accept the
-        # standard knobs (a plugin with a bespoke __init__) must die
-        # here, not with a bare TypeError inside a pool worker.
-        _validate_factory_options(
-            "scheduler",
-            self.scheduler,
-            SCHEDULERS.get(self.scheduler),
-            {
-                "use_measured": self.use_measured,
-                "strict_fcfs": self.strict_fcfs,
-                "preserve_sgx_nodes": self.preserve_sgx_nodes,
-                "indexed": self.indexed_scheduling,
-            },
-            self.scheduler_options,
-        )
-        _validate_factory_options(
-            "workload",
-            self.workload,
-            WORKLOADS.get(self.workload),
-            {
-                "sgx_fraction": self.sgx_fraction,
-                "seed": self.seed,
-                "scheduler_name": self.scheduler,
-            },
-            self.workload_options,
-        )
-        for positive_field in (
-            "scheduler_period",
-            "metrics_period",
-            "max_sim_seconds",
-            "epc_total_bytes",
-        ):
-            value = getattr(self, positive_field)
-            if value <= 0:
-                raise SimulationError(
-                    f"{positive_field} must be positive: {value}"
-                )
-        if self.requeue_backoff_seconds < 0:
-            raise SimulationError(
-                "requeue_backoff_seconds must be >= 0: "
-                f"{self.requeue_backoff_seconds}"
-            )
-        if self.rebalance_period is not None and self.rebalance_period <= 0:
-            raise SimulationError(
-                f"rebalance_period must be positive: "
-                f"{self.rebalance_period}"
-            )
-        for worker_field in ("standard_workers", "sgx_workers"):
-            value = getattr(self, worker_field)
-            if value is not None and value < 1:
-                raise SimulationError(
-                    f"{worker_field} must be >= 1: {value}"
-                )
-        if self.cells is not None and (
-            not isinstance(self.cells, int)
-            or isinstance(self.cells, bool)
-            or self.cells < 1
-        ):
-            raise SimulationError(f"cells must be >= 1: {self.cells!r}")
-        if (
-            not isinstance(self.cell_spillover_after, int)
-            or isinstance(self.cell_spillover_after, bool)
-            or self.cell_spillover_after < 1
-        ):
-            raise SimulationError(
-                "cell_spillover_after must be >= 1: "
-                f"{self.cell_spillover_after!r}"
-            )
-        if self.cells is not None or self.cell_policy != "balanced":
-            # Importing the cells package registers the built-in
-            # policies; lazy so the flat oracle path never pays it.
-            from .. import cells as _cell_builtins  # noqa: F401
-
-            if self.cell_policy not in CELLS:
-                known = ", ".join(CELLS.names())
-                raise SimulationError(
-                    f"unknown cell policy {self.cell_policy!r}; "
-                    f"known: {known}"
-                )
+if TYPE_CHECKING:  # the scenario layer imports this module
+    from ..api.scenario import Scenario
 
 
 @dataclass(slots=True)
 class ReplayResult:
     """Outcome of one replay."""
 
-    config: ReplayConfig
+    scenario: Scenario
     metrics: ReplayMetrics
     log: EventLog
     orchestrator: Orchestrator
@@ -412,8 +98,8 @@ class ReplayResult:
     metrics_path: Optional[str] = None
 
 
-def make_scheduler(config: ReplayConfig) -> Scheduler:
-    """Instantiate the strategy named by *config* via the registry.
+def make_scheduler(scenario: Scenario) -> Scheduler:
+    """Instantiate the strategy named by *scenario* via the registry.
 
     The standard toggles are passed to every factory; registered
     strategies that do not honour one (the kube-default baseline)
@@ -421,26 +107,26 @@ def make_scheduler(config: ReplayConfig) -> Scheduler:
     strategies with extra knobs.
     """
     try:
-        factory = SCHEDULERS.get(config.scheduler)
+        factory = SCHEDULERS.get(scenario.scheduler)
     except RegistryError as exc:
-        # Unreachable through a validated config; kept so a hand-built
-        # config (or a plugin unregistered mid-run) fails identically.
+        # Unreachable through a validated scenario; kept so a plugin
+        # unregistered mid-run fails with the same error type.
         raise SimulationError(str(exc)) from exc
     return factory(
-        use_measured=config.use_measured,
-        strict_fcfs=config.strict_fcfs,
-        preserve_sgx_nodes=config.preserve_sgx_nodes,
-        indexed=config.indexed_scheduling,
-        **dict(config.scheduler_options),
+        use_measured=scenario.use_measured,
+        strict_fcfs=scenario.strict_fcfs,
+        preserve_sgx_nodes=scenario.preserve_sgx_nodes,
+        indexed=scenario.indexed_scheduling,
+        **dict(scenario.scheduler_options),
     )
 
 
-def make_preemption_policy(config: ReplayConfig) -> PreemptionPolicy:
-    """Instantiate the planner named by *config* via the registry."""
+def make_preemption_policy(scenario: Scenario) -> PreemptionPolicy:
+    """Instantiate the planner named by *scenario* via the registry."""
     try:
-        factory = PREEMPTION_POLICIES.get(config.preemption_policy)
+        factory = PREEMPTION_POLICIES.get(scenario.preemption_policy)
     except RegistryError as exc:
-        # Unreachable through a validated config; see make_scheduler.
+        # Unreachable through a validated scenario; see make_scheduler.
         raise SimulationError(str(exc)) from exc
     return factory()
 
@@ -456,7 +142,7 @@ def resolve_workload_priorities(
 
     Lets a scenario say ``workload_options={"priority":
     "latency-critical"}`` and have the catalogue (built-ins plus the
-    config's ``priority_classes``) supply the value.  Unknown names
+    scenario's ``priority_classes``) supply the value.  Unknown names
     die here, before any replay work happens.
     """
     resolved = dict(options)
@@ -511,10 +197,10 @@ class _RunningJob:
 
 
 class _Replay:
-    """One replay in flight; see :func:`replay_trace`."""
+    """One replay in flight; see :func:`run_replay`."""
 
     __slots__ = (
-        "config", "trace", "cluster", "perf", "orchestrator",
+        "scenario", "cluster", "perf", "orchestrator",
         "scheduler", "engine", "log", "running", "_node_jobs",
         "_job_seq", "_sgx_node_names", "unsubmitted", "plans",
         "rebalancer", "queue_series", "migration_count",
@@ -522,27 +208,31 @@ class _Replay:
         "eviction_count", "wait_reasons", "spillover_count", "obs",
     )
 
-    def __init__(self, trace, config: ReplayConfig):
-        # A trace spec string ("borg-synth:seed=7,jobs=500") resolves
-        # through the TRACES registry, same as Scenario(trace=...).
-        if isinstance(trace, str):
-            trace = resolve_trace(trace)
-        self.config = config
-        self.trace = trace
-        cluster_kwargs = dict(
-            epc_total_bytes=config.epc_total_bytes,
-            enforce_epc_limits=config.enforce_epc_limits,
-            epc_allow_overcommit=config.epc_allow_overcommit,
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        build_plans = WORKLOADS.get(scenario.workload)
+        # Workload factories that never read the trace (hybrid,
+        # malicious) declare ``consumes_trace = False``; skip the
+        # synthesis (and, in sweeps, the per-worker pickling) for them.
+        trace = (
+            scenario.build_trace()
+            if getattr(build_plans, "consumes_trace", True)
+            else None
         )
-        if config.standard_workers is not None:
-            cluster_kwargs["standard_workers"] = config.standard_workers
-        if config.sgx_workers is not None:
-            cluster_kwargs["sgx_workers"] = config.sgx_workers
+        cluster_kwargs = dict(
+            epc_total_bytes=scenario.epc_total_bytes,
+            enforce_epc_limits=scenario.enforce_epc_limits,
+            epc_allow_overcommit=scenario.epc_allow_overcommit,
+        )
+        if scenario.standard_workers is not None:
+            cluster_kwargs["standard_workers"] = scenario.standard_workers
+        if scenario.sgx_workers is not None:
+            cluster_kwargs["sgx_workers"] = scenario.sgx_workers
         self.cluster = paper_cluster(**cluster_kwargs)
         self.perf = SgxPerfModel()
-        self.obs = build_observer(config.observe, config)
+        self.obs = build_observer(scenario)
         self.orchestrator = self._make_orchestrator()
-        self.scheduler = make_scheduler(config)
+        self.scheduler = make_scheduler(scenario)
         self.engine = self._make_engine()
         self.log = EventLog()
         self.running: Dict[str, _RunningJob] = {}  # pod uid -> job
@@ -558,30 +248,29 @@ class _Replay:
         ]
         self.unsubmitted = 0
 
-        build_plans = WORKLOADS.get(config.workload)
         self.plans = build_plans(
             self.cluster,
             trace,
-            sgx_fraction=config.sgx_fraction,
-            seed=config.seed,
+            sgx_fraction=scenario.sgx_fraction,
+            seed=scenario.seed,
             scheduler_name=self.scheduler.name,
             **resolve_workload_priorities(
-                dict(config.workload_options),
-                priority_class_map(config.priority_classes),
+                dict(scenario.workload_options),
+                priority_class_map(scenario.priority_classes),
             ),
         )
-        if config.malicious is not None:
+        if scenario.malicious is not None:
             self.plans = (
                 WORKLOADS.get("malicious")(
                     self.cluster,
                     trace,
                     scheduler_name=self.scheduler.name,
-                    config=config.malicious,
+                    config=scenario.malicious,
                 )
                 + self.plans
             )
         self.rebalancer: Optional[EpcRebalancer] = None
-        if config.rebalance_period is not None:
+        if scenario.rebalance_period is not None:
             self.rebalancer = EpcRebalancer(self.orchestrator)
         self.queue_series: List[QueueSample] = []
         self.migration_count = 0
@@ -596,18 +285,25 @@ class _Replay:
 
     # -- construction hooks (the sharded runner overrides these) ----------
 
-    def _make_orchestrator(self) -> Orchestrator:
-        """Build the control plane; runs after the cluster exists."""
-        config = self.config
+    def _make_orchestrator(
+        self, queue: Optional[PendingQueue] = None
+    ) -> Orchestrator:
+        """Build the control plane; runs after the cluster exists.
+
+        *queue* replaces the flat pending queue (the sharded runner
+        passes its cell router).
+        """
+        scenario = self.scenario
         return Orchestrator(
             self.cluster,
             perf_model=self.perf,
-            use_state_cache=config.use_state_cache,
-            requeue_backoff_seconds=config.requeue_backoff_seconds,
-            preemption_policy=make_preemption_policy(config),
+            use_state_cache=scenario.use_state_cache,
+            requeue_backoff_seconds=scenario.requeue_backoff_seconds,
+            preemption_policy=make_preemption_policy(scenario),
             preemption_priority_threshold=(
-                config.preemption_priority_threshold
+                scenario.preemption_priority_threshold
             ),
+            queue=queue,
             observer=self.obs,
         )
 
@@ -638,7 +334,7 @@ class _Replay:
         self.log.record(now, EventKind.METRICS_COLLECTED)
         if self._active():
             self.engine.schedule_in(
-                self.config.metrics_period, self._metrics_tick
+                self.scenario.metrics_period, self._metrics_tick
             )
 
     def _sample_queue(self, now: float) -> None:
@@ -675,7 +371,7 @@ class _Replay:
         now = self.engine.now
         # Bank progress at current rates before occupancy changes.
         self._sync_all_nodes(now)
-        if self.config.event_driven and self._pass_skippable(now):
+        if self.scenario.event_driven and self._pass_skippable(now):
             # Skip the pass, not the wake-up: progress banking and
             # finish-event refresh stay on the periodic cadence so the
             # float arithmetic (and hence every timestamp) matches the
@@ -691,7 +387,7 @@ class _Replay:
             self._sample_queue(now)
             if self._active():
                 self.engine.schedule_in(
-                    self.config.scheduler_period, self._scheduler_tick
+                    self.scenario.scheduler_period, self._scheduler_tick
                 )
             return
         self._execute_pass(now)
@@ -700,7 +396,7 @@ class _Replay:
         self._sample_queue(now)
         if self._active():
             self.engine.schedule_in(
-                self.config.scheduler_period, self._scheduler_tick
+                self.scenario.scheduler_period, self._scheduler_tick
             )
 
     def _execute_pass(self, now: float) -> None:
@@ -863,9 +559,9 @@ class _Replay:
             )
         self._reschedule_all_nodes(now)
         if self._active():
-            assert self.config.rebalance_period is not None
+            assert self.scenario.rebalance_period is not None
             self.engine.schedule_in(
-                self.config.rebalance_period, self._rebalance_tick
+                self.scenario.rebalance_period, self._rebalance_tick
             )
 
     def _crash_node(self, node_name: str) -> None:
@@ -1007,26 +703,26 @@ class _Replay:
             )
         self.engine.schedule_at(0.0, self._metrics_tick)
         self.engine.schedule_at(
-            self.config.scheduler_period / 2.0, self._scheduler_tick
+            self.scenario.scheduler_period / 2.0, self._scheduler_tick
         )
         if self.rebalancer is not None:
-            assert self.config.rebalance_period is not None
+            assert self.scenario.rebalance_period is not None
             self.engine.schedule_at(
-                self.config.rebalance_period, self._rebalance_tick
+                self.scenario.rebalance_period, self._rebalance_tick
             )
-        for crash_time, node_name in self.config.node_failures:
+        for crash_time, node_name in self.scenario.node_failures:
             self.engine.schedule_at(
                 crash_time, lambda n=node_name: self._crash_node(n)
             )
         spans = self.obs.spans
         span_start = spans.begin()
-        self.engine.run(until=self.config.max_sim_seconds)
+        self.engine.run(until=self.scenario.max_sim_seconds)
         spans.end(span_start, "replay", self.engine.now)
         if self._active():
             self.obs.ledger.close()
             raise SimulationError(
                 "replay did not converge within "
-                f"{self.config.max_sim_seconds} simulated seconds "
+                f"{self.scenario.max_sim_seconds} simulated seconds "
                 f"({len(self.orchestrator.queue)} pods still queued)"
             )
         metrics = ReplayMetrics(
@@ -1042,7 +738,7 @@ class _Replay:
             ),
         )
         result = ReplayResult(
-            config=self.config,
+            scenario=self.scenario,
             metrics=metrics,
             log=self.log,
             orchestrator=self.orchestrator,
@@ -1133,38 +829,19 @@ class _Replay:
             result.trace_path = obs.spans.write(obs.config.trace_path)
 
 
-def run_replay(trace, config: ReplayConfig) -> ReplayResult:
-    """The replay engine proper; :class:`repro.api.Scenario` drives it.
+def run_replay(scenario: Scenario) -> ReplayResult:
+    """Replay *scenario*; fully deterministic per its seeds.
 
-    *trace* is a :class:`Trace`, a trace spec string resolved through
-    :data:`repro.registry.TRACES`, or ``None`` for workloads that
-    never read it.  Identical to :func:`replay_trace` minus the
-    deprecation warning — the scenario layer is the supported caller.
+    The one engine entry.  :meth:`repro.api.Scenario.run` wraps it
+    into a picklable :class:`repro.api.RunResult`; call it directly
+    for the live orchestrator, event log and submission plans.
 
-    ``config.cells`` forks to the two-level sharded runner
+    ``scenario.cells`` forks to the two-level sharded runner
     (:class:`repro.cells.runner.CellReplay`); ``cells=1`` runs the
     full sharded machinery and is bit-for-bit the flat oracle.
     """
-    if config.cells is not None:
+    if scenario.cells is not None:
         from ..cells.runner import CellReplay
 
-        return CellReplay(trace, config).run()
-    return _Replay(trace, config).run()
-
-
-def replay_trace(trace, config: ReplayConfig) -> ReplayResult:
-    """Replay *trace* under *config*; fully deterministic per seed.
-
-    .. deprecated::
-        Thin shim over the same engine :class:`repro.api.Scenario`
-        drives; prefer ``Scenario(...).run()``, which also owns the
-        trace source and returns the structured
-        :class:`repro.api.RunResult`.
-    """
-    warnings.warn(
-        "replay_trace/ReplayConfig are deprecated; build a "
-        "repro.api.Scenario and call .run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_replay(trace, config)
+        return CellReplay(scenario).run()
+    return _Replay(scenario).run()

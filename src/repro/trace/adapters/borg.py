@@ -1,8 +1,8 @@
 """Borg-shaped trace adapters: the paper's own workload, as specs.
 
 ``borg-synth`` is the calibrated synthetic generator behind every
-figure (bit-for-bit identical to the deprecated
-``Scenario(trace_seed=..., trace_jobs=...)`` knobs it replaces);
+figure (:class:`repro.trace.borg.BorgTraceGenerator`, its over-allocator
+share scaled with ``jobs``);
 ``borg-csv`` replays a prepared four-metric CSV — the shape
 :func:`repro.trace.loader.load_borg_csv` documents — streamed through
 the shared windowing/downsampling pipeline.

@@ -114,10 +114,9 @@ def make_trace_spec(
 ) -> str:
     """Build a canonical spec string from *name* and option pairs.
 
-    The scenario layer uses this to rewrite the deprecated
-    ``trace_seed``/``trace_jobs`` knobs into their ``borg-synth:...``
-    equivalent; values are stringified with ``str`` (which round-trips
-    ints exactly).
+    The CLI uses this to fold its ``--trace-seed``/``--jobs``
+    shorthands into their ``borg-synth:...`` equivalent; values are
+    stringified with ``str`` (which round-trips ints exactly).
     """
     pairs = tuple(
         sorted((key, str(value)) for key, value in (options or ()))

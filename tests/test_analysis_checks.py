@@ -629,7 +629,7 @@ SCENARIO_FIXTURE = """
     class Scenario:
         scheduler: str = "binpack"
         seed: int = 0
-        trace_jobs: int = 663
+        trace: object = None
 """
 
 

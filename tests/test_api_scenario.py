@@ -1,7 +1,8 @@
-"""``Scenario``: validation, immutability, and engine equivalence."""
+"""``Scenario``: validation, immutability, and running it."""
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -9,8 +10,6 @@ from repro.api import RUN_SCHEMA, Scenario
 from repro.errors import SimulationError
 from repro.scheduler.binpack import BinpackScheduler
 from repro.scheduler.spread import SpreadScheduler
-from repro.simulation.runner import run_replay
-from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
 
 
@@ -47,13 +46,38 @@ class TestValidation:
             {"rebalance_period": 0.0},
             {"standard_workers": 0},
             {"sgx_workers": -2},
-            {"trace_jobs": 0},
-            {"trace_overallocators": -1},
+            {"preemption_priority_threshold": 1.5},
+            {"observe": "ledger.jsonl"},
         ],
     )
     def test_out_of_range_knobs(self, kwargs):
         with pytest.raises(SimulationError):
             Scenario(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "scheduler_period",
+            "metrics_period",
+            "requeue_backoff_seconds",
+            "rebalance_period",
+            "epc_total_bytes",
+            "max_sim_seconds",
+        ],
+    )
+    def test_non_finite_knobs_rejected(self, field, value):
+        # Every comparison with NaN is False, so a lone ``value <= 0``
+        # check accepts it; a NaN period silently changes the replay.
+        with pytest.raises(SimulationError, match=field):
+            Scenario(**{field: value})
+
+    @pytest.mark.parametrize(
+        "knob", ["trace_seed", "trace_jobs", "trace_overallocators"]
+    )
+    def test_removed_trace_knobs_raise_type_error(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            Scenario(**{knob: 5})
 
     def test_plugin_without_standard_knobs_dies_at_build(self):
         from repro.registry import SCHEDULERS, register_scheduler
@@ -127,35 +151,6 @@ class TestDerived:
         )
         assert Scenario(name="my-run").label == "my-run"
 
-    def test_to_replay_config_mirrors_fields(self):
-        scenario = Scenario(
-            scheduler="spread",
-            sgx_fraction=0.25,
-            seed=9,
-            epc_total_bytes=mib(64),
-            event_driven=True,
-            indexed_scheduling=True,
-            use_state_cache=False,
-            strict_fcfs=True,
-            standard_workers=3,
-            sgx_workers=4,
-            malicious=MaliciousConfig(epc_occupancy=0.5),
-            node_failures=((60.0, "sgx-worker-0"),),
-        )
-        config = scenario.to_replay_config()
-        assert config.scheduler == "spread"
-        assert config.sgx_fraction == 0.25
-        assert config.seed == 9
-        assert config.epc_total_bytes == mib(64)
-        assert config.event_driven is True
-        assert config.indexed_scheduling is True
-        assert config.use_state_cache is False
-        assert config.strict_fcfs is True
-        assert config.standard_workers == 3
-        assert config.sgx_workers == 4
-        assert config.malicious == MaliciousConfig(epc_occupancy=0.5)
-        assert config.node_failures == ((60.0, "sgx-worker-0"),)
-
     def test_build_scheduler_honours_toggles(self):
         assert isinstance(
             Scenario(scheduler="binpack").build_scheduler(),
@@ -169,11 +164,11 @@ class TestDerived:
         assert spread.strict_fcfs is True
 
     def test_build_trace_scales_overallocators(self):
-        trace = Scenario(trace_seed=7, trace_jobs=60).build_trace()
+        trace = Scenario(trace="borg-synth:seed=7,jobs=60").build_trace()
         assert len(trace) == 60
         assert trace.overallocator_count == round(60 * 44 / 663)
         pinned = Scenario(
-            trace_seed=7, trace_jobs=60, trace_overallocators=9
+            trace="borg-synth:seed=7,jobs=60,overallocators=9"
         ).build_trace()
         assert pinned.overallocator_count == 9
 
@@ -181,22 +176,12 @@ class TestDerived:
         scenario = Scenario(trace=small_trace)
         assert scenario.build_trace() is small_trace
 
-    def test_explicit_trace_conflicts_with_synthesis_knobs(
-        self, small_trace
-    ):
-        with pytest.raises(SimulationError, match="explicit trace"):
-            Scenario(trace=small_trace, trace_jobs=5)
-        with pytest.raises(SimulationError, match="explicit trace"):
-            Scenario(trace=small_trace, trace_overallocators=2)
-
 
 class TestRun:
     @pytest.fixture(scope="class")
     def result(self, request):
         scenario = Scenario(
-            trace_seed=7,
-            trace_jobs=40,
-            trace_overallocators=4,
+            trace="borg-synth:seed=7,jobs=40,overallocators=4",
             sgx_fraction=0.5,
             seed=1,
         )
@@ -206,30 +191,6 @@ class TestRun:
         assert len(result.metrics.pods) == 40
         assert len(result.metrics.succeeded) == 40
         assert result.passes_executed > 0
-
-    def test_matches_legacy_engine_bit_for_bit(self, result):
-        scenario = result.scenario
-        legacy = run_replay(
-            scenario.build_trace(), scenario.to_replay_config()
-        )
-        legacy_signature = tuple(
-            (
-                pod.name,
-                pod.phase.value,
-                pod.submitted_at,
-                pod.bound_at,
-                pod.started_at,
-                pod.finished_at,
-                pod.node_name,
-            )
-            for pod in legacy.metrics.pods
-        )
-        assert result.pod_signature() == legacy_signature
-        assert (
-            result.metrics.makespan_seconds
-            == legacy.metrics.makespan_seconds
-        )
-        assert result.metrics.queue_series == legacy.metrics.queue_series
 
     def test_to_row_summarises(self, result):
         row = result.to_row()

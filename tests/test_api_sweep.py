@@ -1,7 +1,6 @@
-"""``Sweep``: grid expansion and serial/parallel/legacy equivalence."""
+"""``Sweep``: grid expansion and serial/parallel/engine equivalence."""
 
 import json
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.api import SWEEP_SCHEMA, Scenario, Sweep, expand_grid
 from repro.errors import SimulationError
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 
 
@@ -172,7 +171,7 @@ class TestSweepExecution:
 
 
 class TestEquivalenceSeeded:
-    """Hypothesis-seeded: parallel sweep == serial == legacy shim."""
+    """Hypothesis-seeded: parallel sweep == serial == direct engine."""
 
     @settings(
         max_examples=5,
@@ -204,18 +203,10 @@ class TestEquivalenceSeeded:
         parallel = sweep.run(workers=4)
         assert serial.signatures() == parallel.signatures()
 
-        # The legacy shim replays the identical experiment.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = replay_trace(
-                trace,
-                ReplayConfig(
-                    scheduler=scheduler,
-                    sgx_fraction=sgx_fraction,
-                    seed=run_seed,
-                ),
-            )
-        legacy_signature = tuple(
+        # The engine entry, called directly, replays the identical
+        # experiment.
+        direct = run_replay(base)
+        direct_signature = tuple(
             (
                 pod.name,
                 pod.phase.value,
@@ -225,13 +216,13 @@ class TestEquivalenceSeeded:
                 pod.finished_at,
                 pod.node_name,
             )
-            for pod in legacy.metrics.pods
+            for pod in direct.metrics.pods
         )
         periodic = serial[0]
-        assert periodic.pod_signature() == legacy_signature
+        assert periodic.pod_signature() == direct_signature
         assert (
             periodic.metrics.makespan_seconds
-            == legacy.metrics.makespan_seconds
+            == direct.metrics.makespan_seconds
         )
         # Event-driven composes with the sweep and stays equivalent.
         event_driven = serial[1]

@@ -1,4 +1,4 @@
-"""Scenario/CLI trace= spec plumbing and the deprecated knob aliases."""
+"""Scenario/CLI ``trace=`` spec plumbing."""
 
 import json
 
@@ -6,102 +6,29 @@ import pytest
 
 from repro.api import Scenario
 from repro.cli import main
-from repro.errors import RegistryError, SimulationError
-from repro.simulation import ReplayConfig, replay_trace
+from repro.errors import RegistryError
+from repro.simulation import run_replay
 from repro.trace import synthetic_scaled_trace
-
-LEGACY = dict(trace_seed=7, trace_jobs=60, trace_overallocators=9)
-SPEC = "borg-synth:jobs=60,overallocators=9,seed=7"
-
-
-def _legacy_scenario(**extra):
-    with pytest.warns(DeprecationWarning):
-        return Scenario(**LEGACY, **extra)
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize(
-        "engine",
-        [
-            {},
-            {"event_driven": True},
-            {"indexed_scheduling": True},
-        ],
-        ids=["periodic", "event-driven", "indexed"],
-    )
-    def test_legacy_knobs_and_spec_run_identically(self, engine):
-        legacy = _legacy_scenario(sgx_fraction=0.5, **engine).run()
-        spec = Scenario(trace=SPEC, sgx_fraction=0.5, **engine).run()
-        assert legacy.signature() == spec.signature()
-
-    def test_legacy_knobs_build_identical_trace(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = Scenario(trace_jobs=40)
-        explicit = Scenario(trace="borg-synth:jobs=40")
-        expected = synthetic_scaled_trace(
-            seed=42, n_jobs=40, overallocators=round(40 * 44 / 663)
+    def test_spec_string_and_trace_object_replay_identically(self):
+        via_string = run_replay(
+            Scenario(trace="borg-synth:seed=7,jobs=40", sgx_fraction=0.5)
         )
-        assert list(legacy.build_trace()) == list(expected)
-        assert list(explicit.build_trace()) == list(expected)
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_replay_trace_accepts_spec_string(self):
-        via_string = replay_trace(
-            "borg-synth:seed=7,jobs=40", ReplayConfig(sgx_fraction=0.5)
-        )
-        via_trace = replay_trace(
-            synthetic_scaled_trace(
-                seed=7, n_jobs=40, overallocators=round(40 * 44 / 663)
-            ),
-            ReplayConfig(sgx_fraction=0.5),
+        via_trace = run_replay(
+            Scenario(
+                trace=synthetic_scaled_trace(
+                    seed=7, n_jobs=40, overallocators=round(40 * 44 / 663)
+                ),
+                sgx_fraction=0.5,
+            )
         )
         assert (
             via_string.metrics.makespan_seconds
             == via_trace.metrics.makespan_seconds
         )
         assert len(via_string.plans) == len(via_trace.plans) == 40
-
-
-class TestDeprecatedKnobs:
-    def test_knobs_rewrite_into_spec_and_clear(self):
-        scenario = _legacy_scenario()
-        assert scenario.trace == SPEC
-        assert scenario.trace_seed is None
-        assert scenario.trace_jobs is None
-        assert scenario.trace_overallocators is None
-
-    def test_warning_names_replacement(self):
-        with pytest.warns(DeprecationWarning, match="borg-synth:jobs=60"):
-            Scenario(trace_jobs=60)
-
-    def test_partial_knobs_rewrite(self):
-        with pytest.warns(DeprecationWarning):
-            scenario = Scenario(trace_seed=5)
-        assert scenario.trace == "borg-synth:seed=5"
-
-    def test_with_merges_knob_into_existing_spec(self):
-        scenario = _legacy_scenario()
-        with pytest.warns(DeprecationWarning):
-            bumped = scenario.with_(trace_jobs=100)
-        # Per-key merge: jobs updated, overallocators/seed retained —
-        # exactly what dataclasses.replace did before the redesign.
-        assert bumped.trace == (
-            "borg-synth:jobs=100,overallocators=9,seed=7"
-        )
-
-    def test_knob_conflicts_with_trace_object(self, small_trace):
-        with pytest.raises(SimulationError, match="explicit trace"):
-            Scenario(trace=small_trace, trace_seed=5)
-
-    def test_knob_conflicts_with_non_borg_spec(self):
-        with pytest.raises(SimulationError, match="explicit trace spec"):
-            Scenario(trace="synth-bursty:jobs=40", trace_seed=5)
-
-    def test_validation_still_eager(self):
-        with pytest.raises(SimulationError):
-            Scenario(trace_jobs=0)
-        with pytest.raises(SimulationError):
-            Scenario(trace_overallocators=-1)
 
 
 class TestSpecValidation:

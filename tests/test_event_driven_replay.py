@@ -8,11 +8,12 @@ makespan and turnaround distribution — while executing far fewer passes.
 
 import pytest
 
+from repro.api import Scenario
 from repro.errors import EpcExhaustedError
 from repro.orchestrator.api import PodPhase
 from repro.sgx.migration import MigrationManager
 from repro.simulation.events import EventKind
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import mib
 
@@ -73,12 +74,16 @@ class TestEquivalence:
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_bit_for_bit_with_fewer_passes(self, small_trace, kwargs):
-        periodic = replay_trace(
-            small_trace, ReplayConfig(scheduler="binpack", **kwargs)
+        periodic = run_replay(
+            Scenario(trace=small_trace, scheduler="binpack", **kwargs)
         )
-        event = replay_trace(
-            small_trace,
-            ReplayConfig(scheduler="binpack", event_driven=True, **kwargs),
+        event = run_replay(
+            Scenario(
+                trace=small_trace,
+                scheduler="binpack",
+                event_driven=True,
+                **kwargs,
+            )
         )
         assert pod_signature(event) == pod_signature(periodic)
         assert (
@@ -98,12 +103,16 @@ class TestEquivalence:
 
     def test_saturated_queue_equivalence(self, saturated_trace):
         kwargs = dict(sgx_fraction=1.0, seed=1, epc_total_bytes=mib(64))
-        periodic = replay_trace(
-            saturated_trace, ReplayConfig(scheduler="binpack", **kwargs)
+        periodic = run_replay(
+            Scenario(trace=saturated_trace, scheduler="binpack", **kwargs)
         )
-        event = replay_trace(
-            saturated_trace,
-            ReplayConfig(scheduler="binpack", event_driven=True, **kwargs),
+        event = run_replay(
+            Scenario(
+                trace=saturated_trace,
+                scheduler="binpack",
+                event_driven=True,
+                **kwargs,
+            )
         )
         assert pod_signature(event) == pod_signature(periodic)
         assert event.passes_executed < periodic.passes_executed
@@ -114,43 +123,48 @@ class TestEquivalence:
 
     def test_spread_scheduler_equivalence(self, small_trace):
         kwargs = dict(scheduler="spread", sgx_fraction=0.5, seed=4)
-        periodic = replay_trace(small_trace, ReplayConfig(**kwargs))
-        event = replay_trace(
-            small_trace, ReplayConfig(event_driven=True, **kwargs)
+        periodic = run_replay(Scenario(trace=small_trace, **kwargs))
+        event = run_replay(
+            Scenario(trace=small_trace, event_driven=True, **kwargs)
         )
         assert pod_signature(event) == pod_signature(periodic)
 
     def test_periodic_mode_logs_no_skips(self, small_trace):
-        result = replay_trace(
-            small_trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=1),
+        result = run_replay(
+            Scenario(
+                trace=small_trace,
+                scheduler="binpack",
+                sgx_fraction=0.5,
+                seed=1,
+            )
         )
         assert result.passes_skipped == 0
         assert result.log.of_kind(EventKind.PASS_SKIPPED) == []
 
     def test_event_mode_is_deterministic(self, small_trace):
-        config = ReplayConfig(
+        scenario = Scenario(
+            trace=small_trace,
             scheduler="binpack",
             sgx_fraction=1.0,
             seed=5,
             event_driven=True,
         )
-        a = replay_trace(small_trace, config)
-        b = replay_trace(small_trace, config)
+        a = run_replay(scenario)
+        b = run_replay(scenario)
         assert pod_signature(a) == pod_signature(b)
         assert a.passes_executed == b.passes_executed
 
 
 class TestTriggerAccounting:
     def test_events_coalesce_into_fewer_passes(self, small_trace):
-        result = replay_trace(
-            small_trace,
-            ReplayConfig(
+        result = run_replay(
+            Scenario(
+                trace=small_trace,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 event_driven=True,
-            ),
+            )
         )
         trigger = result.orchestrator.trigger
         # 40 submissions + 40 completions at minimum.
@@ -180,14 +194,14 @@ class TestFailedMigrationInReplay:
             return real_restore(self, driver, pid, checkpoint, key, aesm)
 
         monkeypatch.setattr(MigrationManager, "restore", flaky_restore)
-        result = replay_trace(
-            saturated_trace,
-            ReplayConfig(
+        result = run_replay(
+            Scenario(
+                trace=saturated_trace,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 rebalance_period=15.0,
-            ),
+            )
         )
         migration_failures = result.log.of_kind(EventKind.MIGRATION_FAILED)
         assert migration_failures, "outage never exercised the fix"

@@ -8,8 +8,9 @@ what the paper's conclusions rest on.
 
 import pytest
 
+from repro.api import Scenario
 from repro.experiments.common import default_trace
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
 
@@ -25,7 +26,7 @@ def trace():
 def runs(trace):
     """The replays shared across assertions (computed once)."""
     def run(**kwargs):
-        return replay_trace(trace, ReplayConfig(seed=1, **kwargs))
+        return run_replay(Scenario(trace=trace, seed=1, **kwargs))
 
     return {
         "std": run(scheduler="binpack", sgx_fraction=0.0),
@@ -79,14 +80,14 @@ class TestFig7Shapes:
     def makespans(self, trace):
         spans = {}
         for size in (32, 64, 128, 256):
-            result = replay_trace(
-                trace,
-                ReplayConfig(
+            result = run_replay(
+                Scenario(
+                    trace=trace,
                     scheduler="binpack",
                     sgx_fraction=1.0,
                     seed=1,
                     epc_total_bytes=mib(size),
-                ),
+                )
             )
             spans[size] = result.metrics.makespan_seconds
         return spans
@@ -117,16 +118,16 @@ class TestFig11Shapes:
                 if occupancy
                 else None
             )
-            return replay_trace(
-                trace,
-                ReplayConfig(
+            return run_replay(
+                Scenario(
+                    trace=trace,
                     scheduler="binpack",
                     sgx_fraction=0.5,
                     seed=1,
                     enforce_epc_limits=enforce,
                     epc_allow_overcommit=not enforce,
                     malicious=malicious,
-                ),
+                )
             )
 
         return {
@@ -170,15 +171,21 @@ class TestMeasuredVsDeclaredAblation:
         measured scheduler re-packs from live probe data and turns the
         reclaimed capacity into shorter queues and an earlier finish.
         """
-        measured = replay_trace(
-            trace,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        measured = run_replay(
+            Scenario(
+                trace=trace,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
-        declared = replay_trace(
-            trace,
-            ReplayConfig(
-                scheduler="kube-default", sgx_fraction=1.0, seed=1
-            ),
+        declared = run_replay(
+            Scenario(
+                trace=trace,
+                scheduler="kube-default",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
         assert (
             measured.metrics.mean_waiting_seconds()

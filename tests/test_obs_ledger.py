@@ -133,6 +133,21 @@ def test_cells1_ledger_is_decision_for_decision_the_oracle(
     assert ("config.cells", None, 1) in diff.header_diffs
 
 
+#: The engine knobs the header's ``config`` snapshots: every scenario
+#: field except ``name``, ``trace`` and ``observe``.
+HEADER_CONFIG_KEYS = frozenset((
+    "cell_policy", "cell_spillover_after", "cells", "enforce_epc_limits",
+    "epc_allow_overcommit", "epc_total_bytes", "event_driven",
+    "indexed_scheduling", "malicious", "max_sim_seconds",
+    "metrics_period", "node_failures", "preemption_policy",
+    "preemption_priority_threshold", "preserve_sgx_nodes",
+    "priority_classes", "rebalance_period", "requeue_backoff_seconds",
+    "scheduler", "scheduler_options", "scheduler_period", "seed",
+    "sgx_fraction", "sgx_workers", "standard_workers", "strict_fcfs",
+    "use_measured", "use_state_cache", "workload", "workload_options",
+))
+
+
 def test_repeat_runs_write_byte_identical_ledgers(tmp_path):
     scenario = Scenario(
         trace="borg-synth:seed=7,jobs=40", sgx_fraction=0.5, seed=3
@@ -143,6 +158,21 @@ def test_repeat_runs_write_byte_identical_ledgers(tmp_path):
         paths.append(path)
     first, second = (open(p, "rb").read() for p in paths)
     assert first == second
+    # An explicit Trace object per recording: two distinct objects
+    # (their default reprs differ) must still write identical files.
+    object_paths = []
+    for name in ("c", "d"):
+        trace = synthetic_scaled_trace(seed=7, n_jobs=40, overallocators=3)
+        path, _ = record(
+            Scenario(trace=trace, sgx_fraction=0.5, seed=3),
+            str(tmp_path),
+            name,
+        )
+        object_paths.append(path)
+    third, fourth = (open(p, "rb").read() for p in object_paths)
+    assert third == fourth
+    for path in paths + object_paths:
+        assert set(load_ledger(path).header["config"]) == HEADER_CONFIG_KEYS
 
 
 def test_ledger_header_and_ordering(tmp_path):

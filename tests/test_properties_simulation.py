@@ -3,9 +3,10 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scenario
 from repro.orchestrator.api import PodPhase
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.trace.borg import BorgTraceGenerator
 
 replay_settings = settings(
@@ -26,11 +27,13 @@ def test_replay_invariants(seed, n_jobs, sgx_fraction, scheduler):
     trace = BorgTraceGenerator(seed=seed).scaled_trace(
         n_jobs=n_jobs, overallocators=0, window_seconds=600.0
     )
-    result = replay_trace(
-        trace,
-        ReplayConfig(
-            scheduler=scheduler, sgx_fraction=sgx_fraction, seed=seed
-        ),
+    result = run_replay(
+        Scenario(
+            trace=trace,
+            scheduler=scheduler,
+            sgx_fraction=sgx_fraction,
+            seed=seed,
+        )
     )
     durations = {job.job_id: job.duration for job in trace}
     for pod in result.metrics.pods:

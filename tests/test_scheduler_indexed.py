@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scenario
 from repro.cluster.resources import ResourceVector
 from repro.orchestrator.api import PodSpec, ResourceRequirements
 from repro.orchestrator.pod import Pod
@@ -24,7 +25,7 @@ from repro.scheduler import (
     SpreadScheduler,
 )
 from repro.scheduler.index import NodeCandidateIndex, SelectionStats
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib
 
@@ -383,9 +384,9 @@ class TestReplayEquivalence:
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_bit_for_bit_replay(self, small_trace, kwargs):
-        oracle = replay_trace(small_trace, ReplayConfig(**kwargs))
-        indexed = replay_trace(
-            small_trace, ReplayConfig(indexed_scheduling=True, **kwargs)
+        oracle = run_replay(Scenario(trace=small_trace, **kwargs))
+        indexed = run_replay(
+            Scenario(trace=small_trace, indexed_scheduling=True, **kwargs)
         )
         assert pod_signature(indexed) == pod_signature(oracle)
         assert (
@@ -397,25 +398,28 @@ class TestReplayEquivalence:
 
     def test_composes_with_event_driven(self, small_trace):
         kwargs = dict(scheduler="binpack", sgx_fraction=1.0, seed=1)
-        oracle = replay_trace(small_trace, ReplayConfig(**kwargs))
-        both = replay_trace(
-            small_trace,
-            ReplayConfig(
-                event_driven=True, indexed_scheduling=True, **kwargs
-            ),
+        oracle = run_replay(Scenario(trace=small_trace, **kwargs))
+        both = run_replay(
+            Scenario(
+                trace=small_trace,
+                event_driven=True,
+                indexed_scheduling=True,
+                **kwargs,
+            )
         )
         assert pod_signature(both) == pod_signature(oracle)
         assert both.passes_executed < oracle.passes_executed
 
     def test_indexed_replay_is_deterministic(self, small_trace):
-        config = ReplayConfig(
+        scenario = Scenario(
+            trace=small_trace,
             scheduler="binpack",
             sgx_fraction=1.0,
             seed=5,
             indexed_scheduling=True,
         )
-        a = replay_trace(small_trace, config)
-        b = replay_trace(small_trace, config)
+        a = run_replay(scenario)
+        b = run_replay(scenario)
         assert pod_signature(a) == pod_signature(b)
 
 

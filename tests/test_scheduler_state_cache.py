@@ -28,7 +28,7 @@ from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.base import ClusterStateService, NodeView
 from repro.scheduler.binpack import BinpackScheduler
-from repro.simulation.runner import ReplayConfig, replay_trace
+from repro.simulation.runner import run_replay
 from repro.units import gib, mib
 
 
@@ -207,13 +207,15 @@ class TestBuildViewsEquivalence:
         """End to end: the cache changes latency, never behaviour."""
         results = {}
         for use_cache in (True, False):
-            config = ReplayConfig(
-                scheduler="binpack",
-                sgx_fraction=0.5,
-                seed=11,
-                use_state_cache=use_cache,
+            outcome = run_replay(
+                Scenario(
+                    trace=small_trace,
+                    scheduler="binpack",
+                    sgx_fraction=0.5,
+                    seed=11,
+                    use_state_cache=use_cache,
+                )
             )
-            outcome = replay_trace(small_trace, config)
             results[use_cache] = (
                 outcome.metrics.makespan_seconds,
                 sorted(

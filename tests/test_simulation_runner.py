@@ -2,23 +2,24 @@
 
 import pytest
 
+from repro.api import Scenario
 from repro.errors import SimulationError
 from repro.orchestrator.api import PodPhase
 from repro.simulation.events import EventKind
-from repro.simulation.runner import (
-    ReplayConfig,
-    make_scheduler,
-    replay_trace,
-)
+from repro.simulation.runner import make_scheduler, run_replay
 from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
 
 
 @pytest.fixture(scope="module")
 def small_result(small_trace_module):
-    return replay_trace(
-        small_trace_module,
-        ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=1),
+    return run_replay(
+        Scenario(
+            trace=small_trace_module,
+            scheduler="binpack",
+            sgx_fraction=0.5,
+            seed=1,
+        )
     )
 
 
@@ -32,12 +33,12 @@ def small_trace_module():
 class TestMakeScheduler:
     def test_known_names(self):
         for name in ("binpack", "spread", "kube-default"):
-            scheduler = make_scheduler(ReplayConfig(scheduler=name))
+            scheduler = make_scheduler(Scenario(scheduler=name))
             assert scheduler is not None
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SimulationError):
-            make_scheduler(ReplayConfig(scheduler="random"))
+            make_scheduler(Scenario(scheduler="random"))
 
 
 class TestReplayCompleteness:
@@ -116,9 +117,14 @@ class TestTimingSemantics:
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self, small_trace_module):
-        config = ReplayConfig(scheduler="binpack", sgx_fraction=0.5, seed=3)
-        a = replay_trace(small_trace_module, config)
-        b = replay_trace(small_trace_module, config)
+        scenario = Scenario(
+            trace=small_trace_module,
+            scheduler="binpack",
+            sgx_fraction=0.5,
+            seed=3,
+        )
+        a = run_replay(scenario)
+        b = run_replay(scenario)
         assert [
             (p.name, p.waiting_seconds, p.turnaround_seconds)
             for p in a.metrics.pods
@@ -130,15 +136,15 @@ class TestDeterminism:
 
 class TestEnforcementInReplay:
     def test_overallocators_killed_with_limits(self, small_trace_module):
-        result = replay_trace(
-            small_trace_module,
-            ReplayConfig(
+        result = run_replay(
+            Scenario(
+                trace=small_trace_module,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 enforce_epc_limits=True,
                 epc_allow_overcommit=False,
-            ),
+            )
         )
         failed = result.metrics.failed
         # The trace has 4 over-allocators; all are SGX jobs here.
@@ -148,18 +154,22 @@ class TestEnforcementInReplay:
         )
 
     def test_malicious_squatters_slow_honest_jobs(self, small_trace_module):
-        base = replay_trace(
-            small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        base = run_replay(
+            Scenario(
+                trace=small_trace_module,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
-        squatted = replay_trace(
-            small_trace_module,
-            ReplayConfig(
+        squatted = run_replay(
+            Scenario(
+                trace=small_trace_module,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 malicious=MaliciousConfig(epc_occupancy=0.5),
-            ),
+            )
         )
         assert (
             squatted.metrics.mean_waiting_seconds()
@@ -167,16 +177,16 @@ class TestEnforcementInReplay:
         )
 
     def test_enforcement_kills_malicious_pods(self, small_trace_module):
-        result = replay_trace(
-            small_trace_module,
-            ReplayConfig(
+        result = run_replay(
+            Scenario(
+                trace=small_trace_module,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 enforce_epc_limits=True,
                 epc_allow_overcommit=False,
                 malicious=MaliciousConfig(epc_occupancy=0.5),
-            ),
+            )
         )
         malicious = [
             p
@@ -191,14 +201,14 @@ class TestEpcSweep:
     def test_larger_epc_never_slower(self, small_trace_module):
         makespans = []
         for size in (64, 128, 256):
-            result = replay_trace(
-                small_trace_module,
-                ReplayConfig(
+            result = run_replay(
+                Scenario(
+                    trace=small_trace_module,
                     scheduler="binpack",
                     sgx_fraction=1.0,
                     seed=1,
                     epc_total_bytes=mib(size),
-                ),
+                )
             )
             makespans.append(result.metrics.makespan_seconds)
         assert makespans[0] >= makespans[1] >= makespans[2]
@@ -213,18 +223,22 @@ class TestRebalancerInReplay:
                 for p in result.metrics.succeeded
             )
 
-        base = replay_trace(
-            small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        base = run_replay(
+            Scenario(
+                trace=small_trace_module,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
-        rebalanced = replay_trace(
-            small_trace_module,
-            ReplayConfig(
+        rebalanced = run_replay(
+            Scenario(
+                trace=small_trace_module,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 rebalance_period=15.0,
-            ),
+            )
         )
         # Over-allocators cause transient over-commit in both runs; the
         # rebalancer may only ever reduce the resulting paging time.
@@ -232,9 +246,13 @@ class TestRebalancerInReplay:
         assert base.migration_count == 0
 
     def test_rebalancer_disabled_by_default(self, small_trace_module):
-        result = replay_trace(
-            small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        result = run_replay(
+            Scenario(
+                trace=small_trace_module,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
         assert result.migration_count == 0
 
@@ -243,14 +261,14 @@ class TestFailureInjection:
     def test_sgx_node_crash_mid_replay(self, small_trace_module):
         """Crashing one SGX node mid-run loses no work permanently:
         every job name eventually completes on the survivors."""
-        result = replay_trace(
-            small_trace_module,
-            ReplayConfig(
+        result = run_replay(
+            Scenario(
+                trace=small_trace_module,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 node_failures=((600.0, "sgx-worker-0"),),
-            ),
+            )
         )
         metrics = result.metrics
         completed_names = {p.name for p in metrics.succeeded}
@@ -271,30 +289,34 @@ class TestFailureInjection:
     def test_crash_of_idle_standard_node_is_harmless(
         self, small_trace_module
     ):
-        result = replay_trace(
-            small_trace_module,
-            ReplayConfig(
+        result = run_replay(
+            Scenario(
+                trace=small_trace_module,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 node_failures=((600.0, "worker-0"),),
-            ),
+            )
         )
         assert len(result.metrics.succeeded) == 40
 
     def test_makespan_grows_under_failure(self, small_trace_module):
-        healthy = replay_trace(
-            small_trace_module,
-            ReplayConfig(scheduler="binpack", sgx_fraction=1.0, seed=1),
+        healthy = run_replay(
+            Scenario(
+                trace=small_trace_module,
+                scheduler="binpack",
+                sgx_fraction=1.0,
+                seed=1,
+            )
         )
-        degraded = replay_trace(
-            small_trace_module,
-            ReplayConfig(
+        degraded = run_replay(
+            Scenario(
+                trace=small_trace_module,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
                 node_failures=((300.0, "sgx-worker-0"),),
-            ),
+            )
         )
         # Losing half the EPC capacity cannot speed the batch up.
         assert (
