@@ -103,34 +103,18 @@ class CellReplay(_Replay):
             self._cell_of_node(pod.node_name),
         )
 
-    def _reschedule_node(self, node_name: str, now: float) -> None:
-        """The flat reschedule loop, landing events in the node's cell.
+    def _arm(self, job, delay: float) -> None:
+        """The flat arm, landing the finish event in the node's cell.
 
-        Identical arithmetic and call order to the base method — the
-        only change is the ``cell`` argument, which keeps a node's
-        finish events in its own cell's queue (and migrates them with
-        the job on a cross-cell rebalance, via the fused cancel).
+        A node's finish events stay in its own cell's queue, and move
+        with the job on a cross-cell migration via the fused cancel.
         """
-        jobs = self._node_jobs.get(node_name)
-        if not jobs:
-            return
-        cell = self._cell_of_node(node_name)
-        epc_slowdown = -1.0
-        reschedule_in = self.engine.reschedule_in
-        for job in jobs.values():
-            if job.uses_epc:
-                if epc_slowdown < 0.0:
-                    epc_slowdown = self._node_slowdown(node_name, True)
-                slowdown = epc_slowdown
-            else:
-                slowdown = 1.0
-            job.rate = 1.0 / slowdown
-            job.finish_handle = reschedule_in(
-                job.finish_handle,
-                job.remaining_work * slowdown,
-                job.finish_action,
-                cell,
-            )
+        job.finish_handle = self.engine.reschedule_in(
+            job.finish_handle,
+            delay,
+            job.finish_action,
+            self._cell_of_node(job.node_name),
+        )
 
     # -- the per-cell scheduling step --------------------------------------
 

@@ -158,8 +158,8 @@ class SimulationEngine:
         """Cancel *handle* (when live) and schedule *action* after *delay*.
 
         Fuses ``handle.cancel()`` + :meth:`schedule_in` into one call —
-        the replay refreshes every running job's finish event on each
-        occupancy change, making this the engine's hottest entry point.
+        the replay arms a job's finish event through it at start and
+        re-arms it whenever the job's paging slowdown changes.
         Timestamps, sequence numbers and compaction behaviour are
         exactly those of the unfused pair; a live cancel nets out
         against the new event in the pending count.

@@ -14,15 +14,20 @@ plugins, probes, driver — with a deterministic event loop:
 
 The progress of a running enclave job is tracked as *remaining work*:
 whenever a node's EPC occupancy changes, work done so far is banked at
-the old rate and the finish event is rescheduled at the new rate.
+the old rate and the finish event is rescheduled at the new rate.  Each
+SGX node keeps a *slowdown epoch*, the paging slowdown its enclave jobs
+run at, checked after every scheduling pass and whenever an enclave job
+starts or finishes on it; only an epoch change (or a migration) banks
+and re-arms jobs.  A finish event is otherwise armed once, at start, and
+standard jobs are never re-armed.
 
 **Event-driven scheduling** (``Scenario(event_driven=True)``): the
-scheduler wakes on the same periodic grid — the grid doubles as the
-min-interval guard and, crucially, keeps the progress-banking float
-arithmetic on the identical cadence — but each wake-up consults the
-orchestrator's :class:`~repro.orchestrator.triggers.SchedulingTrigger`
-and the state-service fingerprint, and *skips* the pass when no cluster
-event fired and the measured view is provably unchanged: the pass would
+scheduler wakes on the same periodic grid — the grid stays as the
+min-interval guard and as the cadence of Fig. 7's queue samples — but
+each wake-up consults the orchestrator's
+:class:`~repro.orchestrator.triggers.SchedulingTrigger` and the
+state-service fingerprint, and *skips* the pass when no cluster event
+fired and the measured view is provably unchanged: the pass would
 recompute the previous all-deferred outcome.  Because only provable
 no-ops are skipped, event-driven replay is bit-for-bit identical to the
 periodic oracle (same bindings, same timestamps, same makespan) while
@@ -157,15 +162,16 @@ def resolve_workload_priorities(
 
 
 class _RunningJob:
-    """Progress tracking for one started pod.
+    """Piecewise-linear progress of one started pod.
 
-    ``seq`` is the global start order; per-node registries keep their
-    jobs sorted by it so iteration matches the historical flat-dict
-    scan (reschedule order feeds event sequence numbers, which break
-    simultaneous-event ties — order is behaviour here).  ``uses_epc``
-    is resolved once at start: the spec never changes afterwards, and
-    the paging-slowdown loop is too hot for two attribute hops per job
-    per tick.
+    The job does one second of work per ``slowdown`` seconds;
+    ``remaining_work`` is what was left at ``last_update``, which lies
+    in the future while a migrated job waits out its downtime.  ``seq``
+    is the global start order; per-node registries keep their jobs
+    sorted by it, so a node's re-arm order (which feeds event sequence
+    numbers, which break simultaneous-event ties) does not depend on
+    migrations.  ``uses_epc`` is resolved once at start: the spec never
+    changes afterwards.
     """
 
     __slots__ = (
@@ -173,7 +179,7 @@ class _RunningJob:
         "node_name",
         "remaining_work",
         "last_update",
-        "rate",
+        "slowdown",
         "finish_handle",
         "finish_action",
         "seq",
@@ -185,15 +191,23 @@ class _RunningJob:
         self.node_name = node_name
         self.remaining_work = work_seconds
         self.last_update = 0.0
-        self.rate = 1.0
+        self.slowdown = 1.0
         self.finish_handle: Optional[EventHandle] = None
-        #: The finish callback, built once at start — every occupancy
-        #: change re-schedules it, and a fresh closure per reschedule
-        #: was measurable on the replay hot path.
+        #: The finish callback, built once at start and reused by every
+        #: re-arm; cleared when the job is dropped, which breaks the
+        #: job <-> closure reference cycle.
         self.finish_action: Optional[Callable[[], None]] = None
         self.seq = 0
         workload = pod.spec.workload
         self.uses_epc = workload is not None and workload.uses_sgx
+
+    def bank(self, now: float) -> None:
+        """Credit the work done since ``last_update`` at ``slowdown``."""
+        elapsed = now - self.last_update
+        if elapsed > 0.0:
+            work = self.remaining_work - elapsed / self.slowdown
+            self.remaining_work = work if work > 0.0 else 0.0
+            self.last_update = now
 
 
 class _Replay:
@@ -202,7 +216,7 @@ class _Replay:
     __slots__ = (
         "scenario", "cluster", "perf", "orchestrator",
         "scheduler", "engine", "log", "running", "_node_jobs",
-        "_job_seq", "_sgx_node_names", "unsubmitted", "plans",
+        "_job_seq", "_sgx_node_names", "_epochs", "unsubmitted", "plans",
         "rebalancer", "queue_series", "migration_count",
         "passes_executed", "passes_skipped", "preemption_count",
         "eviction_count", "wait_reasons", "spillover_count", "obs",
@@ -237,15 +251,17 @@ class _Replay:
         self.log = EventLog()
         self.running: Dict[str, _RunningJob] = {}  # pod uid -> job
         #: Per-node registries (node name -> pod uid -> job), each kept
-        #: in global start order (``_RunningJob.seq``); lets the
-        #: per-tick sync/reschedule loops touch only the node's own
-        #: jobs instead of scanning every running job per node.
+        #: in global start order (``_RunningJob.seq``); an epoch change
+        #: re-arms only the node's own jobs.
         self._node_jobs: Dict[str, Dict[str, _RunningJob]] = {}
         self._job_seq = 0
         #: SGX node names in cluster order; refreshed on node churn.
         self._sgx_node_names: List[str] = [
             n.name for n in self.cluster.sgx_nodes
         ]
+        #: Slowdown epochs: node name -> the paging slowdown its enclave
+        #: jobs run at (absent means 1.0, no over-commit).
+        self._epochs: Dict[str, float] = {}
         self.unsubmitted = 0
 
         self.plans = build_plans(
@@ -369,30 +385,21 @@ class _Replay:
 
     def _scheduler_tick(self) -> None:
         now = self.engine.now
-        # Bank progress at current rates before occupancy changes.
-        self._sync_all_nodes(now)
         if self.scenario.event_driven and self._pass_skippable(now):
-            # Skip the pass, not the wake-up: progress banking and
-            # finish-event refresh stay on the periodic cadence so the
-            # float arithmetic (and hence every timestamp) matches the
-            # periodic oracle bit-for-bit.  The queue is sampled too —
-            # a skipped pass leaves it untouched, so the sample equals
-            # the one the oracle records and Fig. 7's series match.
+            # Skip the pass, not the wake-up: the grid stays the
+            # min-interval guard, and the queue is still sampled — a
+            # skipped pass leaves it untouched, so the sample equals
+            # the periodic replay's and Fig. 7's series match.  No
+            # occupancy moved, so no slowdown epoch can have either.
             self.passes_skipped += 1
             self.log.record(now, EventKind.PASS_SKIPPED)
             ledger = self.obs.ledger
             if ledger.enabled:
                 ledger.emit(now, "pass_skipped")
-            self._reschedule_all_nodes(now)
-            self._sample_queue(now)
-            if self._active():
-                self.engine.schedule_in(
-                    self.scenario.scheduler_period, self._scheduler_tick
-                )
-            return
-        self._execute_pass(now)
-        # Admissions changed EPC occupancy; refresh running-job rates.
-        self._reschedule_all_nodes(now)
+        else:
+            self._execute_pass(now)
+            # Admissions, kills and evictions moved EPC occupancy.
+            self._check_sgx_nodes(now)
         self._sample_queue(now)
         if self._active():
             self.engine.schedule_in(
@@ -453,8 +460,6 @@ class _Replay:
             # replacement reuses the spec name.
             job = self.running.get(victim.uid)
             if job is not None:
-                if job.finish_handle is not None:
-                    job.finish_handle.cancel()
                 self._drop_job(job)
             self.log.record(
                 now,
@@ -481,29 +486,29 @@ class _Replay:
         if pod.phase.is_terminal:
             return  # killed between bind and start
         self.orchestrator.start_pod(pod, now)
-        assert pod.spec.workload is not None and pod.node_name is not None
-        # Bank progress of already-running jobs on this node before the
-        # reschedule below recomputes their finish events.
-        self._sync_node(pod.node_name, now)
+        node_name = pod.node_name
+        assert pod.spec.workload is not None and node_name is not None
         job = _RunningJob(
-            pod, pod.node_name, pod.spec.workload.duration_seconds
+            pod, node_name, pod.spec.workload.duration_seconds
         )
         job.last_update = now
         job.finish_action = lambda: self._finish(job)
         job.seq = self._job_seq
         self._job_seq += 1
+        if job.uses_epc:
+            # Settle the node's epoch before the job joins it, so the
+            # job is armed once, at the slowdown it starts under.
+            job.slowdown = self._check_node(node_name, now)
         self.running[pod.uid] = job
-        self._node_jobs.setdefault(pod.node_name, {})[pod.uid] = job
+        self._node_jobs.setdefault(node_name, {})[pod.uid] = job
         self.log.record(
-            now, EventKind.STARTED, pod_name=pod.name, node_name=pod.node_name
+            now, EventKind.STARTED, pod_name=pod.name, node_name=node_name
         )
-        self._reschedule_node(pod.node_name, now)
+        self._arm(job, job.remaining_work * job.slowdown)
 
     def _rebalance_tick(self) -> None:
         now = self.engine.now
         assert self.rebalancer is not None
-        # Bank progress before occupancy moves between nodes.
-        self._sync_all_nodes(now)
         spans = self.obs.spans
         span_start = spans.begin()
         report = self.rebalancer.rebalance(now)
@@ -519,10 +524,9 @@ class _Replay:
                 None,
             )
             if job is not None:
-                self._move_job(job, action.target_node)
-                # Downtime pauses the workload: account it as extra
-                # work at the current rate.
-                job.remaining_work += action.downtime_seconds * job.rate
+                self._move_job(
+                    job, action.target_node, now, action.downtime_seconds
+                )
             self.log.record(
                 now,
                 EventKind.SLOWDOWN_CHANGED,
@@ -538,8 +542,6 @@ class _Replay:
             # by uid — the replacement reuses the spec name.
             job = self.running.get(failure.pod_uid)
             if job is not None:
-                if job.finish_handle is not None:
-                    job.finish_handle.cancel()
                 self._drop_job(job)
             self.log.record(
                 now,
@@ -557,7 +559,8 @@ class _Replay:
                     f"{failure.source_node}"
                 ),
             )
-        self._reschedule_all_nodes(now)
+        # The sources' occupancy fell (and failed restores freed pages).
+        self._check_sgx_nodes(now)
         if self._active():
             assert self.scenario.rebalance_period is not None
             self.engine.schedule_in(
@@ -566,11 +569,9 @@ class _Replay:
 
     def _crash_node(self, node_name: str) -> None:
         now = self.engine.now
-        # Bank progress everywhere; the crashed node's jobs are lost.
-        self._sync_all_nodes(now)
-        for job in self._jobs_on(node_name):
-            if job.finish_handle is not None:
-                job.finish_handle.cancel()
+        # The crashed node's jobs are lost; no other node's occupancy
+        # moves, so no other job is touched.
+        for job in list(self._node_jobs.get(node_name, {}).values()):
             self._drop_job(job)
         replacements = self.orchestrator.remove_node(node_name, now)
         self._sgx_node_names = [n.name for n in self.cluster.sgx_nodes]
@@ -587,15 +588,10 @@ class _Replay:
             node_name=node_name,
             detail="node crashed",
         )
-        self._reschedule_all_nodes(now)
 
     def _finish(self, job: _RunningJob) -> None:
+        # Every slowdown change re-armed this event: the work is done.
         now = self.engine.now
-        self._sync_node(job.node_name, now)
-        if job.remaining_work > 1e-6:
-            # Slowed down since this event was scheduled; reschedule.
-            self._reschedule_node(job.node_name, now)
-            return
         self._drop_job(job)
         self.orchestrator.complete_pod(job.pod, now)
         self.log.record(
@@ -604,40 +600,83 @@ class _Replay:
             pod_name=job.pod.name,
             node_name=job.node_name,
         )
-        # Completion may end an over-commit episode; refresh the node.
-        self._reschedule_node(job.node_name, now)
+        if job.uses_epc:
+            # Completion may end an over-commit episode on the node.
+            self._check_node(job.node_name, now)
 
-    # -- paging-slowdown bookkeeping ----------------------------------------
+    # -- piecewise-linear progress -----------------------------------------
 
-    def _node_slowdown(self, node_name: str, uses_epc: bool) -> float:
-        if not uses_epc:
-            return 1.0
+    def _arm(self, job: _RunningJob, delay: float) -> None:
+        """(Re-)arm *job*'s finish event *delay* seconds from now."""
+        job.finish_handle = self.engine.reschedule_in(
+            job.finish_handle, delay, job.finish_action
+        )
+
+    def _rearm(self, job: _RunningJob, now: float, slowdown: float) -> None:
+        """Bank *job*'s progress, then re-arm it to run at *slowdown*."""
+        job.bank(now)
+        job.slowdown = slowdown
+        # ``last_update`` is past *now* only during migration downtime.
+        self._arm(
+            job, (job.last_update - now) + job.remaining_work * slowdown
+        )
+
+    def _check_node(self, node_name: str, now: float) -> float:
+        """Bring *node_name*'s slowdown epoch up to date; return it.
+
+        The paging slowdown is a pure function of the node's EPC
+        occupancy.  When it has moved off the epoch, every enclave job
+        on the node banks its progress at the old epoch and re-arms at
+        the new one; otherwise nothing is touched.
+        """
         kubelet = self.orchestrator.kubelets[node_name]
-        return self.perf.paging_slowdown(kubelet.epc_overcommit_ratio())
+        slowdown = self.perf.paging_slowdown(kubelet.epc_overcommit_ratio())
+        if slowdown != self._epochs.get(node_name, 1.0):
+            self._epochs[node_name] = slowdown
+            jobs = self._node_jobs.get(node_name)
+            if jobs:
+                for job in jobs.values():
+                    if job.uses_epc:
+                        self._rearm(job, now, slowdown)
+        return slowdown
 
-    def _jobs_on(self, node_name: str) -> List[_RunningJob]:
-        jobs = self._node_jobs.get(node_name)
-        return list(jobs.values()) if jobs else []
+    def _check_sgx_nodes(self, now: float) -> None:
+        for node_name in self._sgx_node_names:
+            self._check_node(node_name, now)
 
     def _drop_job(self, job: _RunningJob) -> None:
-        """Remove a job from both registries (finish/evict/crash/loss)."""
+        """Disarm a job and remove it from both registries (finish,
+        eviction, crash, failed migration)."""
+        if job.finish_handle is not None:
+            job.finish_handle.cancel()
+        job.finish_action = None
         del self.running[job.pod.uid]
         node_jobs = self._node_jobs.get(job.node_name)
         if node_jobs is not None:
             node_jobs.pop(job.pod.uid, None)
 
-    def _move_job(self, job: _RunningJob, target_node: str) -> None:
-        """Re-home a migrated job, preserving start-order iteration.
+    def _move_job(
+        self, job: _RunningJob, target_node: str, now: float,
+        downtime: float,
+    ) -> None:
+        """Re-home a migrated job; it resumes after *downtime*.
 
-        The target registry is rebuilt sorted by ``seq`` because a
-        plain insert would append the migrant at the end, whereas the
-        flat-scan order this registry replaces keeps it at its original
-        start position.  Migrations are rare; the sort is cheap.
+        Progress is banked at the source's epoch.  The job then does no
+        work for *downtime* seconds and runs at the target's slowdown,
+        so its finish lands exactly *downtime* after the time its
+        remaining work needs on the target.  The target's epoch is
+        settled before the job joins it, so the job is armed once.
+
+        The target registry is rebuilt sorted by ``seq``: a plain
+        insert would append the migrant, and re-arm order must follow
+        start order.  Migrations are rare; the sort is cheap.
         """
+        job.bank(now)
         uid = job.pod.uid
         source_jobs = self._node_jobs.get(job.node_name)
         if source_jobs is not None:
             source_jobs.pop(uid, None)
+        job.slowdown = self._check_node(target_node, now)
         job.node_name = target_node
         target_jobs = self._node_jobs.setdefault(target_node, {})
         target_jobs[uid] = job
@@ -646,52 +685,10 @@ class _Replay:
             target_jobs.clear()
             for entry in ordered:
                 target_jobs[entry.pod.uid] = entry
-
-    def _sync_node(self, node_name: str, now: float) -> None:
-        """Bank work done at the rates in effect since the last sync."""
-        jobs = self._node_jobs.get(node_name)
-        if not jobs:
-            return
-        for job in jobs.values():
-            elapsed = now - job.last_update
-            # Engine time is monotone, so elapsed == 0 makes both the
-            # work update and the timestamp write no-ops: skip them.
-            if elapsed > 0.0:
-                work = job.remaining_work - elapsed * job.rate
-                job.remaining_work = work if work > 0.0 else 0.0
-                job.last_update = now
-
-    def _reschedule_node(self, node_name: str, now: float) -> None:
-        """Recompute rates and finish events after an occupancy change."""
-        jobs = self._node_jobs.get(node_name)
-        if not jobs:
-            return
-        # The paging slowdown is a pure function of the node's EPC
-        # occupancy, constant across this loop: compute it once for
-        # the node (lazily — nodes with no enclave jobs never look).
-        epc_slowdown = -1.0
-        reschedule_in = self.engine.reschedule_in
-        for job in jobs.values():
-            if job.uses_epc:
-                if epc_slowdown < 0.0:
-                    epc_slowdown = self._node_slowdown(node_name, True)
-                slowdown = epc_slowdown
-            else:
-                slowdown = 1.0
-            job.rate = 1.0 / slowdown
-            job.finish_handle = reschedule_in(
-                job.finish_handle,
-                job.remaining_work * slowdown,
-                job.finish_action,
-            )
-
-    def _sync_all_nodes(self, now: float) -> None:
-        for node_name in self._sgx_node_names:
-            self._sync_node(node_name, now)
-
-    def _reschedule_all_nodes(self, now: float) -> None:
-        for node_name in self._sgx_node_names:
-            self._reschedule_node(node_name, now)
+        # Normally 0 + downtime; more if an earlier downtime is unspent.
+        pause = (job.last_update - now) + downtime
+        job.last_update = now + pause
+        self._arm(job, pause + job.remaining_work * job.slowdown)
 
     # -- main ---------------------------------------------------------------
 
