@@ -173,6 +173,29 @@ def classify_wait(
     return "fragmentation"
 
 
+def _free_maxima(
+    views: Sequence[NodeView], requires_sgx: bool
+) -> Tuple[int, int, int]:
+    """Per-dimension maxima of free capacity over the eligible views.
+
+    Eligible means SGX-capable for an enclave pod and any view for a
+    standard one; these are the maxima :func:`classify_wait` takes
+    (``-1`` in every dimension when no view is eligible).
+    """
+    cpu_max = memory_max = epc_max = -1
+    for view in views:
+        if requires_sgx and not view.sgx_capable:
+            continue
+        available = view.available
+        if available.cpu_millicores > cpu_max:
+            cpu_max = available.cpu_millicores
+        if available.memory_bytes > memory_max:
+            memory_max = available.memory_bytes
+        if available.epc_pages > epc_max:
+            epc_max = available.epc_pages
+    return cpu_max, memory_max, epc_max
+
+
 #: Inner query of the paper's Listing 1, parameterised by measurement:
 #: the per-pod maximum over the sliding window, tagged by node.
 _PER_POD_QUERY = (
@@ -504,9 +527,10 @@ class Scheduler(abc.ABC):
         When ``True``, the pass batches the pending queue against the
         incremental :class:`~repro.scheduler.index.NodeCandidateIndex`
         instead of re-scanning every node for every pod.  Selections
-        are bit-for-bit identical to the default full-scan oracle; the
-        toggle exists for A/B benchmarking and because the oracle is
-        the reference the equivalence suite trusts.
+        are bit-for-bit identical to the default full-scan pass; the
+        toggle exists for A/B benchmarking.  The equivalence suite
+        checks both passes against the literal per-pod scan kept in
+        ``tests/scheduling_reference.py``.
     """
 
     name = "abstract"
@@ -532,11 +556,11 @@ class Scheduler(abc.ABC):
         self.indexed = indexed
         #: Membership statics reused across passes until node churn.
         self._index_statics_cache: Dict = {}
-        #: Counters of the most recent indexed pass (``None`` after an
-        #: oracle pass); the orchestrator copies this into PassResult.
+        #: Counters of the most recent indexed pass (``None`` after a
+        #: full-scan pass); the orchestrator copies this into PassResult.
         self.last_selection_stats: Optional[SelectionStats] = None
         #: The candidate index of the most recent indexed pass
-        #: (``None`` after an oracle pass).  The orchestrator's
+        #: (``None`` after a full-scan pass).  The orchestrator's
         #: preemption step keeps it consistent — O(log n) per
         #: un-placement — while evictions mutate the pass's views.
         self.last_index: Optional[NodeCandidateIndex] = None
@@ -548,7 +572,17 @@ class Scheduler(abc.ABC):
     def schedule(
         self, pending: Sequence[Pod], views: Sequence[NodeView], now: float
     ) -> SchedulingOutcome:
-        """Run one pass over *pending* (oldest first) against *views*."""
+        """Run one pass over *pending* (oldest first) against *views*.
+
+        Only a placement changes the views within a pass, so the free
+        maxima a deferral is classified by stay valid until the next
+        :meth:`NodeView.reserve`.  They are kept per eligibility class
+        (enclave pods see the SGX-capable views, standard pods all of
+        them), and a pod requesting more than a kept maximum in some
+        dimension is deferred without filtering: free capacity floors
+        at zero, so that request exceeds every eligible view's headroom
+        and the filter could only return no candidates.
+        """
         if self.indexed:
             return self._schedule_indexed(pending, views, now)
         self.last_selection_stats = None
@@ -559,43 +593,48 @@ class Scheduler(abc.ABC):
         if not self.use_measured:
             for view in views:
                 view.used = view.committed
-        for pod in pending:
+        # requires_sgx -> free maxima over that class's eligible views.
+        free_maxima: Dict[bool, Tuple[int, int, int]] = {}
+        for position, pod in enumerate(pending):
             if not can_ever_fit(pod, views):
                 outcome.unschedulable.append(pod)
                 continue
+            requests = pod.spec.resources.requests
+            needs_sgx = pod.requires_sgx
+            maxima = free_maxima.get(needs_sgx)
+            if maxima is not None:
+                reason = classify_wait(requests, *maxima)
+                if reason != "fragmentation":
+                    if self._defer(
+                        outcome, pending, position, reason, now, blocks=True
+                    ):
+                        break
+                    continue
             candidates = feasible_candidates(pod, views)
             if self.preserve_sgx_nodes:
                 candidates = prefer_non_sgx(pod, candidates)
-            if not candidates:
-                reason = self._wait_reason(pod, views)
-                outcome.defer(pod, reason)
-                if ledger.enabled:
-                    ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-                if self.strict_fcfs:
-                    remaining = list(pending)
-                    tail = remaining[remaining.index(pod) + 1:]
-                    for blocked in tail:
-                        outcome.defer(blocked, "head_of_line")
-                        if ledger.enabled:
-                            ledger.emit(
-                                now, "deferral",
-                                pod=blocked.name, reason="head_of_line",
-                            )
+            chosen = (
+                self._select(pod, candidates, views) if candidates else None
+            )
+            if chosen is None:
+                if maxima is None:
+                    maxima = free_maxima[needs_sgx] = _free_maxima(
+                        views, needs_sgx
+                    )
+                reason = classify_wait(requests, *maxima)
+                if self._defer(
+                    outcome, pending, position, reason, now,
+                    blocks=not candidates,
+                ):
                     break
                 continue
-            chosen = self._select(pod, candidates, views)
-            if chosen is None:
-                reason = self._wait_reason(pod, views)
-                outcome.defer(pod, reason)
-                if ledger.enabled:
-                    ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-                continue
-            if not pod.spec.resources.requests.fits_within(chosen.available):
+            if not requests.fits_within(chosen.available):
                 raise SchedulingError(
                     f"{self.name} selected saturated node {chosen.name} "
                     f"for pod {pod.name}"
                 )
-            chosen.reserve(pod.spec.resources.requests)
+            chosen.reserve(requests)
+            free_maxima.clear()
             outcome.assignments.append(
                 Assignment(pod=pod, node_name=chosen.name)
             )
@@ -617,8 +656,10 @@ class Scheduler(abc.ABC):
         same saturation sanity check, same ``reserve`` mutation order —
         but answers each step from the candidate index.  For the
         built-in strategies a ``None`` selection can only mean "no
-        feasible candidate", which is exactly the oracle's
+        feasible candidate", which is exactly the full-scan pass's
         empty-candidates branch, so the outcomes coincide bit for bit.
+        Deferrals are classified from the index's tree roots, which
+        hold the same free maxima the full-scan pass computes.
         """
         outcome = SchedulingOutcome()
         ledger = self.ledger
@@ -632,33 +673,21 @@ class Scheduler(abc.ABC):
         )
         self.last_selection_stats = stats
         self.last_index = index
-        for pod in pending:
+        for position, pod in enumerate(pending):
             if not index.can_ever_fit(pod):
                 outcome.unschedulable.append(pod)
                 continue
             had_candidates, chosen = self._select_indexed(pod, index)
-            if not had_candidates:
-                reason = self._wait_reason_indexed(pod, index)
-                outcome.defer(pod, reason)
-                if ledger.enabled:
-                    ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-                if self.strict_fcfs:
-                    remaining = list(pending)
-                    tail = remaining[remaining.index(pod) + 1:]
-                    for blocked in tail:
-                        outcome.defer(blocked, "head_of_line")
-                        if ledger.enabled:
-                            ledger.emit(
-                                now, "deferral",
-                                pod=blocked.name, reason="head_of_line",
-                            )
-                    break
-                continue
             if chosen is None:
-                reason = self._wait_reason_indexed(pod, index)
-                outcome.defer(pod, reason)
-                if ledger.enabled:
-                    ledger.emit(now, "deferral", pod=pod.name, reason=reason)
+                reason = classify_wait(
+                    pod.spec.resources.requests,
+                    *index.availability_maxima(pod),
+                )
+                if self._defer(
+                    outcome, pending, position, reason, now,
+                    blocks=not had_candidates,
+                ):
+                    break
                 continue
             if not pod.spec.resources.requests.fits_within(chosen.available):
                 raise SchedulingError(
@@ -681,43 +710,36 @@ class Scheduler(abc.ABC):
         stats.wait_reasons = dict(outcome.wait_reasons)
         return outcome
 
-    # -- deferral classification (observability, both paths) -------------
+    def _defer(
+        self,
+        outcome: SchedulingOutcome,
+        pending: Sequence[Pod],
+        position: int,
+        reason: str,
+        now: float,
+        blocks: bool,
+    ) -> bool:
+        """Defer ``pending[position]`` for *reason*; ``True`` ends the pass.
 
-    @staticmethod
-    def _wait_reason(pod: Pod, views: Sequence[NodeView]) -> str:
-        """Oracle-path deferral reason: scan the eligible views.
-
-        O(nodes) per deferral — the oracle pass is already linear in
-        the nodes for every pod, so classification does not change its
-        complexity.
+        *blocks* marks a pod that had no feasible candidate at all:
+        under strict FCFS it holds back every younger pod, and those
+        are deferred as ``head_of_line`` without being examined.
         """
-        cpu_max = memory_max = epc_max = -1
-        for view in views:
-            if pod.requires_sgx and not view.sgx_capable:
-                continue
-            available = view.available
-            if available.cpu_millicores > cpu_max:
-                cpu_max = available.cpu_millicores
-            if available.memory_bytes > memory_max:
-                memory_max = available.memory_bytes
-            if available.epc_pages > epc_max:
-                epc_max = available.epc_pages
-        return classify_wait(
-            pod.spec.resources.requests, cpu_max, memory_max, epc_max
-        )
-
-    @staticmethod
-    def _wait_reason_indexed(pod: Pod, index: NodeCandidateIndex) -> str:
-        """Indexed-path deferral reason, O(1) from the tree roots.
-
-        A group root holds the component-wise maxima of its members'
-        availability, which is exactly what the oracle's scan
-        computes — the two paths classify identically by construction.
-        """
-        cpu_max, memory_max, epc_max = index.availability_maxima(pod)
-        return classify_wait(
-            pod.spec.resources.requests, cpu_max, memory_max, epc_max
-        )
+        ledger = self.ledger
+        pod = pending[position]
+        outcome.defer(pod, reason)
+        if ledger.enabled:
+            ledger.emit(now, "deferral", pod=pod.name, reason=reason)
+        if not (blocks and self.strict_fcfs):
+            return False
+        for blocked in pending[position + 1:]:
+            outcome.defer(blocked, "head_of_line")
+            if ledger.enabled:
+                ledger.emit(
+                    now, "deferral",
+                    pod=blocked.name, reason="head_of_line",
+                )
+        return True
 
     def _select_indexed(
         self, pod: Pod, index: NodeCandidateIndex

@@ -98,8 +98,9 @@ def can_ever_fit(pod: Pod, views: Sequence["NodeView"]) -> bool:
     largest enclave jobs unsatisfiable).
     """
     requests = pod.spec.resources.requests
+    needs_sgx = pod.requires_sgx
     for view in views:
-        if pod.requires_sgx and not view.sgx_capable:
+        if needs_sgx and not view.sgx_capable:
             continue
         if requests.fits_within(view.capacity):
             return True

@@ -38,12 +38,13 @@ placement via :meth:`NodeCandidateIndex.note_reserved`.
 
 Everything here is an *accelerator*, not a policy: candidate-set
 membership and every score a strategy computes are bit-for-bit
-identical to the full-scan oracle in :mod:`repro.scheduler.base`
-(``Scheduler(indexed=False)``, the default), which remains the
-reference the equivalence suite compares against.  The proofs lean on
-one invariant the state service guarantees: view ``used``/``capacity``
-components are non-negative, hence ``load_after(r) >= load`` for any
-non-negative request ``r``.
+identical to the full-scan pass in :mod:`repro.scheduler.base`
+(``Scheduler(indexed=False)``, the default).  The equivalence suite
+compares both passes against the literal per-pod scan kept in
+``tests/scheduling_reference.py``.  The proofs lean on one invariant
+the state service guarantees: view ``used``/``capacity`` components
+are non-negative, hence ``load_after(r) >= load`` for any non-negative
+request ``r``.
 """
 
 from __future__ import annotations
@@ -405,7 +406,7 @@ class NodeCandidateIndex:
         pods, the component-wise merge of both groups' for standard
         pods.  Equals what a linear scan of the eligible views'
         ``available`` vectors would report (-1 per dimension when no
-        node is eligible), which is how the oracle's deferral
+        node is eligible), which is how the full-scan pass's deferral
         classifier computes the same answer.
         """
         if pod.requires_sgx:

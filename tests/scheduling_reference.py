@@ -1,0 +1,98 @@
+"""The literal full-scan scheduling pass: the reference both passes match.
+
+Per pod, in queue order: the unschedulable test (``can_ever_fit``), the
+feasibility filter, the node-preservation rule, the strategy's pick,
+and, for a pod left without a node, a scan of its eligible views for
+the free maxima that name the binding dimension.  Nothing carries over
+from one pod to the next except the views' in-pass reservations.
+
+``Scheduler.schedule`` keeps free maxima across deferrals and the
+indexed pass answers from its candidate index; both must reproduce this
+pass's outcome, view mutations and ledger records exactly.
+"""
+
+from repro.errors import SchedulingError
+from repro.scheduler.base import (
+    Assignment,
+    SchedulingOutcome,
+    classify_wait,
+)
+from repro.scheduler.filtering import (
+    can_ever_fit,
+    feasible_candidates,
+    prefer_non_sgx,
+)
+
+
+class RecordingLedger:
+    """A decision-ledger stand-in that keeps every record in memory."""
+
+    enabled = True
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, now, kind, **payload):
+        self.records.append((now, kind, payload))
+
+
+def wait_reason(pod, views):
+    """Classify a deferral from a fresh scan of the eligible views."""
+    cpu_max = memory_max = epc_max = -1
+    for view in views:
+        if pod.requires_sgx and not view.sgx_capable:
+            continue
+        available = view.available
+        cpu_max = max(cpu_max, available.cpu_millicores)
+        memory_max = max(memory_max, available.memory_bytes)
+        epc_max = max(epc_max, available.epc_pages)
+    return classify_wait(
+        pod.spec.resources.requests, cpu_max, memory_max, epc_max
+    )
+
+
+def reference_schedule(scheduler, pending, views, now):
+    """One pass of *scheduler*'s strategy, every pod scanned afresh."""
+    ledger = scheduler.ledger
+    outcome = SchedulingOutcome()
+    views = list(views)
+    if not scheduler.use_measured:
+        for view in views:
+            view.used = view.committed
+
+    def defer(pod, reason):
+        outcome.defer(pod, reason)
+        if ledger.enabled:
+            ledger.emit(now, "deferral", pod=pod.name, reason=reason)
+
+    for position, pod in enumerate(pending):
+        if not can_ever_fit(pod, views):
+            outcome.unschedulable.append(pod)
+            continue
+        candidates = feasible_candidates(pod, views)
+        if scheduler.preserve_sgx_nodes:
+            candidates = prefer_non_sgx(pod, candidates)
+        chosen = (
+            scheduler._select(pod, candidates, views) if candidates else None
+        )
+        if chosen is None:
+            defer(pod, wait_reason(pod, views))
+            if not candidates and scheduler.strict_fcfs:
+                for blocked in pending[position + 1:]:
+                    defer(blocked, "head_of_line")
+                break
+            continue
+        requests = pod.spec.resources.requests
+        if not requests.fits_within(chosen.available):
+            raise SchedulingError(
+                f"{scheduler.name} selected saturated node {chosen.name}"
+            )
+        chosen.reserve(requests)
+        outcome.assignments.append(Assignment(pod=pod, node_name=chosen.name))
+        if ledger.enabled:
+            ledger.emit(
+                now, "placement",
+                pod=pod.name, node=chosen.name,
+                runner_ups=len(candidates) - 1,
+            )
+    return outcome

@@ -1,13 +1,14 @@
-"""Indexed batch scheduling: bit-for-bit equivalence with the oracle.
+"""Indexed batch scheduling: bit-for-bit equivalence with the reference.
 
-The tentpole claim of the candidate-index layer: answering each pod
-from the per-resource indexes (capacity classes, availability bounds,
-name order, dominant-utilisation order, load cache) with incremental
-updates between batch placements reproduces the per-pod full-scan
-oracle exactly — same assignments, same rejections, same deferrals,
-same view mutations — across every strategy and flag combination, and
-end to end across whole replays including requeues, node churn and
-rebalancer migrations.
+The claim of the candidate-index layer: answering each pod from the
+per-resource indexes (capacity classes, availability bounds, name
+order, dominant-utilisation order, load cache) with incremental
+updates between batch placements reproduces the literal per-pod scan
+of ``scheduling_reference.py`` exactly — same assignments, same
+rejections, same deferrals and wait reasons, same view mutations, same
+ledger records — across every strategy and flag combination, as the
+default full-scan pass does.  End to end, whole replays (requeues,
+node churn, rebalancer migrations) are identical on both passes.
 """
 
 import pytest
@@ -22,12 +23,14 @@ from repro.scheduler import (
     BinpackScheduler,
     KubeDefaultScheduler,
     NodeView,
+    Scheduler,
     SpreadScheduler,
 )
 from repro.scheduler.index import NodeCandidateIndex, SelectionStats
 from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib
+from scheduling_reference import RecordingLedger, reference_schedule
 
 
 def make_view(
@@ -70,11 +73,29 @@ def outcome_signature(outcome):
         [(a.pod.name, a.node_name) for a in outcome.assignments],
         [pod.name for pod in outcome.unschedulable],
         [pod.name for pod in outcome.deferred],
+        list(outcome.wait_reasons.items()),
     )
 
 
 def views_signature(views):
     return [(v.name, v.used, v.committed) for v in views]
+
+
+def ledger_signature(ledger, runner_ups=True):
+    """The ledger's records; *runner_ups* False drops that placement
+    field, which the indexed pass reports as -1 (not counted)."""
+    return [
+        (
+            now,
+            kind,
+            {
+                key: value
+                for key, value in payload.items()
+                if runner_ups or key != "runner_ups"
+            },
+        )
+        for now, kind, payload in ledger.records
+    ]
 
 
 # -- hypothesis: one pass, adversarial views and queues ------------------
@@ -102,6 +123,17 @@ _pod_strategy = st.builds(
 )
 
 
+class DecliningScheduler(Scheduler):
+    """A custom strategy that defers odd-CPU pods despite candidates."""
+
+    name = "declining"
+
+    def _select(self, pod, candidates, views):
+        if pod.spec.resources.requests.cpu_millicores % 2:
+            return None
+        return candidates[-1]
+
+
 def build_schedulers(kind, use_measured, strict, preserve, indexed):
     if kind == "kube-default":
         scheduler = KubeDefaultScheduler(
@@ -111,7 +143,11 @@ def build_schedulers(kind, use_measured, strict, preserve, indexed):
         # merged-pool fallback of the indexed path too.
         scheduler.preserve_sgx_nodes = preserve
         return scheduler
-    cls = BinpackScheduler if kind == "binpack" else SpreadScheduler
+    cls = {
+        "binpack": BinpackScheduler,
+        "spread": SpreadScheduler,
+        "declining": DecliningScheduler,
+    }[kind]
     return cls(
         use_measured=use_measured,
         strict_fcfs=strict,
@@ -121,9 +157,13 @@ def build_schedulers(kind, use_measured, strict, preserve, indexed):
 
 
 class TestPassEquivalence:
-    @settings(max_examples=150, deadline=None)
+    """Both passes against the literal per-pod scan of the reference."""
+
+    @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from(["binpack", "spread", "kube-default"]),
+        kind=st.sampled_from(
+            ["binpack", "spread", "kube-default", "declining"]
+        ),
         use_measured=st.booleans(),
         strict=st.booleans(),
         preserve=st.booleans(),
@@ -147,35 +187,43 @@ class TestPassEquivalence:
             make_pod(f"p{i:03d}", submitted_at=float(i), **raw)
             for i, raw in enumerate(raw_pods)
         ]
-        oracle = build_schedulers(
+        reference = build_schedulers(
             kind, use_measured, strict, preserve, indexed=False
         )
-        indexed = build_schedulers(
-            kind, use_measured, strict, preserve, indexed=True
+        reference.ledger = RecordingLedger()
+        reference_views = clone_views(views)
+        expected = reference_schedule(
+            reference, pods, reference_views, now=100.0
         )
-        oracle_views = clone_views(views)
-        indexed_views = clone_views(views)
-        oracle_outcome = oracle.schedule(pods, oracle_views, now=100.0)
-        indexed_outcome = indexed.schedule(pods, indexed_views, now=100.0)
-        assert outcome_signature(indexed_outcome) == outcome_signature(
-            oracle_outcome
-        )
-        assert views_signature(indexed_views) == views_signature(
-            oracle_views
-        )
-        assert oracle.last_selection_stats is None
-        stats = indexed.last_selection_stats
+        for indexed in (False, True):
+            scheduler = build_schedulers(
+                kind, use_measured, strict, preserve, indexed=indexed
+            )
+            scheduler.ledger = RecordingLedger()
+            scheduler_views = clone_views(views)
+            outcome = scheduler.schedule(pods, scheduler_views, now=100.0)
+            # Deferral order and wait reasons included: the reference's
+            # fresh scan, the default pass's per-class free maxima and
+            # the index's tree-root maxima name the same binding
+            # dimension for every deferred pod.
+            assert outcome_signature(outcome) == outcome_signature(expected)
+            assert views_signature(scheduler_views) == views_signature(
+                reference_views
+            )
+            assert ledger_signature(
+                scheduler.ledger, runner_ups=not indexed
+            ) == ledger_signature(reference.ledger, runner_ups=not indexed)
+        assert reference.last_selection_stats is None
+        stats = scheduler.last_selection_stats
         assert stats is not None and stats.pods == len(pods)
-        assert stats.placements == len(indexed_outcome.assignments)
-        # Deferral classification agrees: the oracle's linear scan and
-        # the index's O(1) tree-root maxima name the same binding
-        # dimension for every deferred pod.
-        assert indexed_outcome.wait_reasons == oracle_outcome.wait_reasons
-        assert stats.wait_reasons == indexed_outcome.wait_reasons
+        assert stats.placements == len(outcome.assignments)
+        assert stats.wait_reasons == outcome.wait_reasons
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["binpack", "spread", "kube-default"]),
+        kind=st.sampled_from(
+            ["binpack", "spread", "kube-default", "declining"]
+        ),
         raw_views=st.lists(_view_strategy, min_size=1, max_size=6),
         batches=st.lists(
             st.lists(_pod_strategy, min_size=0, max_size=5),
@@ -198,9 +246,9 @@ class TestPassEquivalence:
             )
             for i, raw in enumerate(raw_views)
         ]
-        oracle = build_schedulers(kind, True, False, True, indexed=False)
+        reference = build_schedulers(kind, True, False, True, indexed=False)
         indexed = build_schedulers(kind, True, False, True, indexed=True)
-        oracle_views = clone_views(views)
+        reference_views = clone_views(views)
         indexed_views = clone_views(views)
         counter = 0
         for round_number, batch in enumerate(batches):
@@ -214,11 +262,13 @@ class TestPassEquivalence:
                     )
                 )
                 counter += 1
-            a = oracle.schedule(pods, oracle_views, now=100.0)
+            a = reference_schedule(
+                reference, pods, reference_views, now=100.0
+            )
             b = indexed.schedule(pods, indexed_views, now=100.0)
             assert outcome_signature(b) == outcome_signature(a)
             assert views_signature(indexed_views) == views_signature(
-                oracle_views
+                reference_views
             )
             stats = indexed.last_selection_stats
             assert stats.statics_reused == (round_number > 0)
