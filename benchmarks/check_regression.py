@@ -15,10 +15,6 @@ metric against the matching row of the committed ``BENCH_*.json``:
 * ``traces``       — ``completed`` (windowed-ingestion kept rows and
   synthetic-replay outcomes), with the ``deterministic`` flag proving
   every registered spec resolves and replays reproducibly;
-* ``cells``        — ``speedup`` (two-level sharded replay vs the
-  flat single-scheduler path at the quick 2k-pod point), with the
-  ``deterministic`` flag proving every cells configuration repeats
-  bit-for-bit;
 * ``wall``         — ``speedup`` (whole-replay wall clock vs the
   pre-refactor baselines), with the ``engines_identical``
   cross-engine identity flag.  Unlike the advisory sweeps this gate
@@ -97,12 +93,6 @@ GATES = {
         ("case",),
         "deterministic",
     ),
-    "cells": (
-        "BENCH_cells.json",
-        "speedup",
-        ("pods", "cells"),
-        "deterministic",
-    ),
     "wall": (
         "BENCH_wall.json",
         "speedup",
@@ -165,16 +155,6 @@ def fresh_reports(names, quick: bool) -> dict:
             # the synthetic replays are already small.
             reports[name] = run_bench.run_traces(
                 csv_rows=20_000 if quick else run_bench.TRACES_CSV_ROWS
-            )
-        elif name == "cells":
-            # Quick mode keeps the smallest size only: its rows
-            # (2k pods at 1/4/16 cells) have baseline counterparts,
-            # and the sharding overhead regression the gate is after
-            # shows up at any scale.
-            reports[name] = run_bench.run_cells(
-                sizes=(2_000,)
-                if quick
-                else run_bench.CELLS_SIZES
             )
         elif name == "wall":
             # Quick mode keeps the smallest size; a hot-path fallback

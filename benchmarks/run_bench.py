@@ -1,10 +1,9 @@
 """Benchmark runner: emits ``BENCH_state_cache.json``,
 ``BENCH_event_sched.json``, ``BENCH_sched_scale.json``,
 ``BENCH_api_sweep.json``, ``BENCH_preemption.json``,
-``BENCH_traces.json``, ``BENCH_cells.json``, ``BENCH_wall.json`` and
-``BENCH_obs.json``.
+``BENCH_traces.json``, ``BENCH_wall.json`` and ``BENCH_obs.json``.
 
-Nine sweeps over the scheduling hot path:
+Eight sweeps over the scheduling hot path:
 
 * **state_cache** — the scheduler's per-pass snapshot latency (the two
   Listing-1 sliding-window queries behind
@@ -39,14 +38,6 @@ Nine sweeps over the scheduling hot path:
   rows)), plus EPC-contended replays of two registered synthetic
   shapes (``synth-bursty``, ``synth-heavytail``) under binpack and
   spread with a spec-level determinism check;
-* **cells** — the two-level sharded scheduler
-  (``Scenario(cells=...)``): whole-replay wall clock of the flat
-  single-scheduler path versus 4- and 16-cell sharding at 2k–100k
-  pods on clusters scaling to 1600 nodes, with a per-row bit-for-bit
-  determinism repeat — sharding wins biggest where the queue backs up
-  (~2x at 10k pods) and the 16-cell row still beats the flat path at
-  the 100k top, where per-node monitoring (untouched by sharding)
-  dominates the wall;
 * **wall** — whole-replay wall clock at 250–2000 pods for all three
   engines, reported as a speedup against the hard-coded pre-refactor
   baselines (:data:`WALL_BASELINES`, measured at the seed commit of
@@ -869,112 +860,6 @@ def run_obs(sizes=(1000, 2000), repeats=9) -> dict:
     }
 
 
-#: The cells sweep: whole-replay wall clock of the two-level sharded
-#: scheduler (``Scenario(cells=...)``) versus the flat single-scheduler
-#: path, on clusters that grow with the workload (one worker pair per
-#: 125 pods; 100k pods is a 1600-node cluster).  Submissions arrive at
-#: a constant rate, so each periodic pass handles a bounded batch —
-#: the regime where the flat binpack scan still walks *every* node per
-#: pod while a cell's scheduler walks only its shard.  The speedup
-#: column (flat wall over sharded wall) therefore *grows* with cluster
-#: size: the top of the curve is where two-level scheduling pays.
-CELLS_SIZES = (2_000, 10_000, 30_000, 100_000)
-CELLS_COUNTS = (4, 16)
-CELLS_ARRIVAL_PER_SECOND = 16.0
-
-
-def cells_scenario(n_pods: int, cells=None) -> Scenario:
-    """One configuration of the cells sweep (sans trace).
-
-    Identical cluster scaling and knobs to :func:`wall_config`'s
-    periodic engine — the only axis is ``cells``; ``None`` is the flat
-    single-scheduler oracle the sharded rows are measured against.
-    """
-    workers = max(2, n_pods // 125)
-    kwargs = {} if cells is None else {"cells": cells}
-    return Scenario(
-        scheduler="binpack",
-        sgx_fraction=SGX_FRACTION,
-        seed=1,
-        scheduler_period=EVENT_SCHED_PERIOD_SECONDS,
-        standard_workers=workers,
-        sgx_workers=workers,
-        **kwargs,
-    )
-
-
-def run_cells(sizes=CELLS_SIZES, counts=CELLS_COUNTS) -> dict:
-    """Sharded vs flat wall clock at 2k-100k pods.
-
-    Every configuration runs twice: the wall is the best of the two
-    (same convention as :func:`run_wall`) and ``deterministic`` is the
-    bit-for-bit identity of the repeat — the sharded machinery must
-    stay exactly reproducible at every scale, spillovers included.
-    """
-    results = []
-    for n_pods in sizes:
-        trace = synthetic_scaled_trace(
-            seed=7,
-            n_jobs=n_pods,
-            overallocators=n_pods // 10,
-            window_seconds=n_pods / CELLS_ARRIVAL_PER_SECOND,
-        )
-
-        def timed(cells):
-            scenario = cells_scenario(n_pods, cells).with_(trace=trace)
-            start = time.perf_counter()
-            first = scenario.run()
-            first_s = time.perf_counter() - start
-            start = time.perf_counter()
-            repeat = scenario.run()
-            repeat_s = time.perf_counter() - start
-            return (
-                first,
-                min(first_s, repeat_s),
-                first.signature() == repeat.signature(),
-            )
-
-        flat, flat_s, flat_deterministic = timed(None)
-        results.append(
-            {
-                "pods": n_pods,
-                "cells": 1,
-                "nodes": 2 * max(2, n_pods // 125),
-                "wall_s": round(flat_s, 3),
-                "speedup": 1.0,
-                "spillovers": 0,
-                "completed": len(flat.metrics.succeeded),
-                "makespan_s": round(flat.metrics.makespan_seconds, 3),
-                "deterministic": flat_deterministic,
-            }
-        )
-        for cells in counts:
-            sharded, sharded_s, deterministic = timed(cells)
-            results.append(
-                {
-                    "pods": n_pods,
-                    "cells": cells,
-                    "nodes": 2 * max(2, n_pods // 125),
-                    "wall_s": round(sharded_s, 3),
-                    "speedup": round(flat_s / sharded_s, 2),
-                    "spillovers": sharded.cell_spillovers,
-                    "completed": len(sharded.metrics.succeeded),
-                    "makespan_s": round(
-                        sharded.metrics.makespan_seconds, 3
-                    ),
-                    "deterministic": deterministic,
-                }
-            )
-    return {
-        "benchmark": "cells",
-        "cell_policy": "balanced",
-        "sgx_fraction": SGX_FRACTION,
-        "scheduler_period_seconds": EVENT_SCHED_PERIOD_SECONDS,
-        "arrival_per_second": CELLS_ARRIVAL_PER_SECOND,
-        "results": results,
-    }
-
-
 def main() -> None:
     report = run()
     out_path = Path(__file__).resolve().parent.parent / (
@@ -1080,20 +965,6 @@ def main() -> None:
                 f"deterministic={row['deterministic']}"
             )
     print(f"wrote {traces_path}")
-
-    cells_report = run_cells()
-    cells_path = Path(__file__).resolve().parent.parent / (
-        "BENCH_cells.json"
-    )
-    cells_path.write_text(json.dumps(cells_report, indent=2) + "\n")
-    for row in cells_report["results"]:
-        print(
-            f"{row['pods']:>7} pods / {row['cells']:>2} cells: "
-            f"{row['wall_s']:.2f} s  speedup {row['speedup']:.2f}x  "
-            f"{row['spillovers']} spillovers  "
-            f"deterministic={row['deterministic']}"
-        )
-    print(f"wrote {cells_path}")
 
     wall_report = run_wall()
     wall_path = Path(__file__).resolve().parent.parent / (

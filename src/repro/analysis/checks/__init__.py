@@ -10,8 +10,6 @@ Rule                  Hazard
 ``LAYOUT001``         hot-module class without ``__slots__``
 ``LAYOUT002``         slotted class inheriting a non-slotted base
 ``REG001``            registry factory signature / duplicate names
-``TRACE001``          trace-adapter signature / duplicate names
-``CELL001``           cell-policy signature / duplicate names
 ``API001``            CLI flag with no matching ``Scenario`` field
 ``OBS001``            ledger emit site off the frozen schema table
 ====================  =================================================
@@ -23,9 +21,7 @@ are bookkeeping, not AST rules, so they live in
 """
 
 from . import api_drift  # noqa: F401
-from . import cell_conformance  # noqa: F401
 from . import determinism  # noqa: F401
 from . import layout  # noqa: F401
 from . import obs_conformance  # noqa: F401
 from . import registry_conformance  # noqa: F401
-from . import trace_conformance  # noqa: F401

@@ -27,7 +27,6 @@ class CheckConfig:
     #: here would desynchronise replays from the oracle.
     simulated_time_packages: FrozenSet[str] = _frozen(
         "simulation", "orchestrator", "scheduler", "sgx", "monitoring",
-        "cells",
     )
     #: DET002: modules exempt by design (the profiling harness measures
     #: real wall time on purpose).
@@ -37,7 +36,7 @@ class CheckConfig:
     #: evictions or event order — iteration order is behaviour there.
     decision_path_packages: FrozenSet[str] = _frozen(
         "simulation", "orchestrator", "scheduler", "sgx", "policy",
-        "monitoring", "cluster", "cells",
+        "monitoring", "cluster",
     )
 
     #: LAYOUT001/LAYOUT002: the PR 6 lean-layout modules.  Every class
@@ -57,10 +56,6 @@ class CheckConfig:
         "monitoring/tsdb.py",
         "monitoring/probe.py",
         "monitoring/heapster.py",
-        "cells/engine.py",
-        "cells/queue.py",
-        "cells/dispatch.py",
-        "cells/runner.py",
         "obs/ledger.py",
         "obs/spans.py",
         "obs/metrics.py",
@@ -113,20 +108,10 @@ class CheckConfig:
                 2,
             ),
             "register_preemption_policy": ((), 0),
+            # resolve_trace calls factory(spec=..., seed=...).
+            "register_trace": (("spec", "seed"), 0),
         }
     )
-
-    #: TRACE001: the trace-adapter registration decorator and the
-    #: keywords :func:`repro.trace.adapters.resolve_trace` calls every
-    #: factory with (``factory(spec=..., seed=...)``).
-    trace_decorator: str = "register_trace"
-    trace_factory_keywords: Tuple[str, ...] = ("spec", "seed")
-
-    #: CELL001: the cell-policy registration decorator and the keywords
-    #: :func:`repro.cells.policies.partition_nodes` calls every factory
-    #: with (``factory(nodes=..., cells=..., seed=...)``).
-    cell_decorator: str = "register_cell_policy"
-    cell_factory_keywords: Tuple[str, ...] = ("nodes", "cells", "seed")
 
     #: OBS001: the module holding the frozen ``repro.ledger/v1`` schema
     #: table and the table's name.  Every ``<ledger>.emit(now, kind,

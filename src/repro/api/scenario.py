@@ -53,7 +53,6 @@ from ..policy.classes import (
     priority_class_map,
 )
 from ..registry import (
-    CELLS,
     PREEMPTION_POLICIES,
     SCHEDULERS,
     TRACES,
@@ -131,6 +130,27 @@ def _validate_factory_options(
 def _is_int(value: object) -> bool:
     """A real ``int``; ``bool`` is excluded."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _node_failure(entry: object) -> Tuple[float, str]:
+    """*entry* as a ``(time, node_name)`` crash, or a SimulationError.
+
+    The time must be a finite number >= 0: a NaN crash time would
+    enter the event heap and corrupt its ordering.
+    """
+    if isinstance(entry, (tuple, list)) and len(entry) == 2:
+        time, node_name = entry
+        if (
+            isinstance(time, (int, float))
+            and not isinstance(time, bool)
+            and 0 <= time < math.inf
+            and isinstance(node_name, str)
+        ):
+            return time, node_name
+    raise SimulationError(
+        "node_failures entries must be (time, node_name) pairs with a "
+        f"finite time >= 0: {entry!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -239,21 +259,6 @@ class Scenario:
     #: instead of re-scanning raw series; identical results.
     use_state_cache: bool = True
 
-    # -- two-level sharded scheduling --------------------------------------
-    #: Split the cluster into this many cells, each with its own
-    #: scheduler, pending queue and event queue, routed by the global
-    #: dispatcher.  ``None`` is the flat single-queue oracle;
-    #: ``cells=1`` runs the full sharded machinery and is bit-for-bit
-    #: identical to it.
-    cells: Optional[int] = None
-    #: Partition policy (any name in :data:`repro.registry.CELLS`):
-    #: ``balanced`` (seeded hash round-robin), ``region`` (node-name
-    #: prefixes) or ``capacity-class`` (hardware shapes).  Only
-    #: consulted when ``cells`` is set.
-    cell_policy: str = "balanced"
-    #: Consecutive deferrals before a pod spills to another cell.
-    cell_spillover_after: int = 2
-
     # -- observability -----------------------------------------------------
     #: Export targets for the decision ledger (JSONL), span trace
     #: (Chrome trace-event JSON) and metrics snapshot (Prometheus
@@ -283,7 +288,7 @@ class Scenario:
         object.__setattr__(
             self,
             "node_failures",
-            tuple(tuple(failure) for failure in self.node_failures),
+            tuple(_node_failure(failure) for failure in self.node_failures),
         )
         if isinstance(self.trace, str):
             # Die at construction, not mid-replay: the name must be a
@@ -365,30 +370,14 @@ class Scenario:
                 "requeue_backoff_seconds must be >= 0 and finite: "
                 f"{self.requeue_backoff_seconds}"
             )
+        if not _is_int(self.seed):
+            raise SimulationError(f"seed must be an int: {self.seed!r}")
         for worker_field in ("standard_workers", "sgx_workers"):
             value = getattr(self, worker_field)
-            if value is not None and value < 1:
+            if value is not None and (not _is_int(value) or value < 1):
                 raise SimulationError(
-                    f"{worker_field} must be >= 1: {value}"
+                    f"{worker_field} must be an int >= 1: {value!r}"
                 )
-        if self.cells is not None and (
-            not _is_int(self.cells) or self.cells < 1
-        ):
-            raise SimulationError(f"cells must be >= 1: {self.cells!r}")
-        if (
-            not _is_int(self.cell_spillover_after)
-            or self.cell_spillover_after < 1
-        ):
-            raise SimulationError(
-                "cell_spillover_after must be >= 1: "
-                f"{self.cell_spillover_after!r}"
-            )
-        if self.cells is not None or self.cell_policy != "balanced":
-            # Importing the cells package registers the built-in
-            # policies; lazy so the flat oracle path never pays it.
-            from .. import cells as _cell_builtins  # noqa: F401
-
-            _require_registered(CELLS, self.cell_policy)
 
     # -- derived views -----------------------------------------------------
 
@@ -445,7 +434,6 @@ class Scenario:
             preemption_count=replay.preemption_count,
             eviction_count=replay.eviction_count,
             wait_reasons=replay.wait_reasons,
-            cell_spillovers=replay.cell_spillovers,
             ledger_path=replay.ledger_path,
             trace_path=replay.trace_path,
             metrics_path=replay.metrics_path,
@@ -482,9 +470,6 @@ class RunResult:
     wait_reasons: Dict[str, int] = dataclasses.field(
         default_factory=dict
     )
-    #: Pods the global dispatcher re-routed across cells (0 in the
-    #: flat oracle and in every ``cells=1`` replay).
-    cell_spillovers: int = 0
     #: Where the observability exports landed (``None`` unless the
     #: scenario's ``observe`` requested them).  Deliberately excluded
     #: from :meth:`signature` and :meth:`to_row`: observation must
@@ -523,7 +508,9 @@ class RunResult:
             self.preemption_count,
             self.eviction_count,
             tuple(sorted(self.wait_reasons.items())),
-            self.cell_spillovers,
+            # Where 2.x counted sharded spillovers; the constant keeps
+            # the tuple's shape, so committed digests stay valid.
+            0,
         )
 
     def to_row(self) -> Dict[str, object]:
@@ -539,8 +526,6 @@ class RunResult:
             "epc_mib": round(scenario.epc_total_bytes / 2**20, 3),
             "event_driven": scenario.event_driven,
             "indexed": scenario.indexed_scheduling,
-            "cells": 1 if scenario.cells is None else scenario.cells,
-            "cell_policy": scenario.cell_policy,
             "submitted": len(metrics.pods),
             "completed": len(metrics.succeeded),
             "failed": len(metrics.failed),
@@ -553,7 +538,6 @@ class RunResult:
             "migrations": self.migration_count,
             "preemptions": self.preemption_count,
             "evictions": self.eviction_count,
-            "cell_spillovers": self.cell_spillovers,
             # Deferral-reason aggregates: what the queue waited *on*.
             "wait_epc": self.wait_reasons.get("epc", 0),
             "wait_memory": self.wait_reasons.get("memory", 0),

@@ -250,22 +250,6 @@ def _scenario_flags() -> argparse.ArgumentParser:
         help="rescan the TSDB window instead of the aggregate cache",
     )
     parent.add_argument(
-        "--cells",
-        type=int,
-        default=None,
-        help="shard the cluster into N scheduling cells under a "
-        "global dispatcher (default: the flat single-scheduler "
-        "path; --cells 1 runs the sharded machinery, bit-for-bit "
-        "equal to it)",
-    )
-    parent.add_argument(
-        "--cell-policy",
-        default="balanced",
-        dest="cell_policy",
-        help="registered cell partition policy splitting nodes "
-        "across --cells (default %(default)s)",
-    )
-    parent.add_argument(
         "--cluster-workers",
         type=int,
         default=None,
@@ -453,9 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Replay one pod's story out of a repro.ledger/v1 file: "
             "when it was submitted, how many passes deferred it and "
             "why (EPC vs memory vs CPU), where it was placed, and any "
-            "requeues, evictions, preemptions, migrations or cell "
-            "spillovers along the way.  Exit 2 when the ledger is "
-            "unreadable or the pod never appears in it."
+            "requeues, evictions, preemptions, migrations or (in "
+            "ledgers written by 2.x) cell spillovers along the way.  "
+            "Exit 2 when the ledger is unreadable or the pod never "
+            "appears in it."
         ),
     )
     explain_parser.add_argument(
@@ -608,9 +593,6 @@ def _base_scenario(args: argparse.Namespace) -> Scenario:
         preemption_policy=args.preemption_policy,
         preemption_priority_threshold=args.priority_threshold,
     )
-    if args.cells is not None:
-        kwargs["cells"] = args.cells
-        kwargs["cell_policy"] = args.cell_policy
     trace = _trace_spec(args)
     if trace is not None:
         kwargs["trace"] = trace

@@ -3,9 +3,9 @@
 The replay engines answer *what* happened (``RunResult`` counters,
 bit-for-bit signatures); the ledger answers *why*.  Every decision the
 control plane takes — a pass beginning, a placement, a deferral with
-its wait reason, an eviction with its planner cost, a cross-cell
-spillover, a trigger firing, a view-cache rebuild — is appended as one
-compact record and streamed to a JSON-lines file:
+its wait reason, an eviction with its planner cost, a trigger firing,
+a view-cache rebuild — is appended as one compact record and streamed
+to a JSON-lines file:
 
 * line 1 is the **header**: the ``repro.ledger/v1`` schema tag, the
   run's seed, a primitive snapshot of the replay config (so a diff can
@@ -90,7 +90,9 @@ LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     "migration": ("pod", "source", "target", "pages", "downtime_s"),
     #: A migration died at restore; the spec was resubmitted.
     "migration_failed": ("pod", "source", "target", "replacement"),
-    #: The global dispatcher re-routed a pod to another cell.
+    #: A pod re-routed across scheduling cells.  Only ledgers written
+    #: by 2.x (sharded scheduling) carry it; kept so they stay
+    #: readable.
     "spillover": ("pod", "from_cell", "to_cell", "cause"),
     #: A cluster event was published into the scheduling trigger.
     "trigger": ("event", "pod", "node"),

@@ -1,13 +1,12 @@
 """Span recording: Chrome trace-event JSON for Perfetto.
 
 Spans measure the *replay machinery itself* — the whole replay, each
-scheduling pass, each per-cell slice of a sharded pass, view rebuilds,
-preemption planning, rebalance sweeps.  They are wall-time intervals
-(``time.perf_counter``) annotated with the simulated time at which the
-work happened, exported as complete-event (``"ph": "X"``) Chrome
-trace-event JSON: open the file in Perfetto (https://ui.perfetto.dev)
-or ``chrome://tracing`` and the replay's hot path renders as a flame
-timeline.
+scheduling pass, view rebuilds, preemption planning, rebalance sweeps.
+They are wall-time intervals (``time.perf_counter``) annotated with the
+simulated time at which the work happened, exported as complete-event
+(``"ph": "X"``) Chrome trace-event JSON: open the file in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing`` and the replay's hot
+path renders as a flame timeline.
 
 Like the ledger, the disabled recorder is allocation-free: the begin/
 end protocol passes positionally, :data:`NULL_SPANS` returns ``0.0``
@@ -44,20 +43,18 @@ class SpanRecorder:
         """Start a span; pass the returned token to :meth:`end`."""
         return time.perf_counter()
 
-    def end(self, t0: float, name: str, sim_time: Optional[float] = None,
-            cell: Optional[int] = None) -> None:
+    def end(self, t0: float, name: str,
+            sim_time: Optional[float] = None) -> None:
         """Close the span opened at ``t0`` under ``name``.
 
-        ``sim_time`` tags the span with the simulated clock; ``cell``
-        tags per-cell pass slices.  Positional-friendly so the null
-        recorder's call sites never build keyword dicts.
+        ``sim_time`` tags the span with the simulated clock.
+        Positional-friendly so the null recorder's call sites never
+        build keyword dicts.
         """
         now = time.perf_counter()
         args: Dict[str, object] = {}
         if sim_time is not None:
             args["sim_time"] = sim_time
-        if cell is not None:
-            args["cell"] = cell
         self._events.append({
             "name": name,
             "cat": SPAN_CATEGORY,
@@ -99,8 +96,8 @@ class NullSpanRecorder:
     def begin(self) -> float:
         return 0.0
 
-    def end(self, t0: float, name: str, sim_time: Optional[float] = None,
-            cell: Optional[int] = None) -> None:
+    def end(self, t0: float, name: str,
+            sim_time: Optional[float] = None) -> None:
         return None
 
     @property

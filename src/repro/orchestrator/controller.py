@@ -27,7 +27,7 @@ The orchestrator itself is clock-free: every method takes ``now``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.resources import ResourceVector
 from ..cluster.topology import Cluster
@@ -106,7 +106,6 @@ class Orchestrator:
         requeue_backoff_seconds: float = 0.0,
         preemption_policy: Optional[PreemptionPolicy] = None,
         preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD,
-        queue: Optional[PendingQueue] = None,
         observer=None,
     ):
         self.cluster = cluster
@@ -192,14 +191,8 @@ class Orchestrator:
         )
         if preemption_policy is not None:
             preemption_policy.ledger = self.ledger
-        # An injected queue (the sharded runner's cell router) must
-        # duck-type PendingQueue; the default is the flat FCFS queue.
-        self.queue = (
-            queue
-            if queue is not None
-            else PendingQueue(
-                requeue_backoff_seconds=requeue_backoff_seconds
-            )
+        self.queue = PendingQueue(
+            requeue_backoff_seconds=requeue_backoff_seconds
         )
         self.all_pods: List[Pod] = []
         self.migrations = MigrationManager()
@@ -321,10 +314,6 @@ class Orchestrator:
         scheduler: Scheduler,
         now: float,
         only_matching: bool = False,
-        *,
-        pending: Optional[List[Pod]] = None,
-        views: Optional[Sequence[NodeView]] = None,
-        on_unschedulable: Optional[Callable[[Pod], bool]] = None,
     ) -> PassResult:
         """Run one pass of *scheduler* over the pending queue.
 
@@ -335,22 +324,12 @@ class Orchestrator:
         which scheduler it requires" (how the authors ran comparative
         benchmarks).  The default considers the whole queue, as in a
         single-scheduler production deployment.
-
-        The keyword-only hooks exist for the sharded (cells) driver:
-        *pending* and *views* replace the queue snapshot and the
-        state-service build with a cell's slice of each (the defaults
-        recompute both, byte-identically to the historical behaviour),
-        and *on_unschedulable* intercepts pods the scheduler declared
-        permanently unplaceable — returning ``True`` keeps the pod
-        queued (the dispatcher re-routed it to a cell that can host
-        it), ``False`` falls through to the normal rejection.
         """
         result = PassResult()
         # Consume the cluster events this pass serves (coalescing
         # accounting; periodic callers run regardless of events).
         self.trigger.begin_pass(now)
-        if pending is None:
-            pending = self.queue.snapshot(now)
+        pending = self.queue.snapshot(now)
         if only_matching:
             pending = [
                 pod
@@ -360,24 +339,19 @@ class Orchestrator:
         if not pending:
             return result
         ledger = self.ledger
-        if views is None:
-            views = self.state_service.build_views(now)
-        # pass_begin lands *after* the view build so the record order
-        # (cache_rebuild, then pass_begin) matches the sharded runner,
-        # which builds views up front and passes them in — the
-        # cells=1-vs-flat ledger-identity gate depends on it.
+        views = self.state_service.build_views(now)
+        # pass_begin lands *after* the view build, so a pass's records
+        # read cache_rebuild, then pass_begin; committed ledgers (and
+        # ``repro diff`` against them) depend on that order.
         if ledger.enabled:
             ledger.emit(now, "pass_begin", pending=len(pending))
-        # Rebind every pass: cell schedulers all share this ledger.
+        # The scheduler arrives with the pass, so bind it to this
+        # orchestrator's ledger here.
         scheduler.ledger = ledger
         outcome = scheduler.schedule(pending, views, now)
         result.selection = scheduler.last_selection_stats
 
         for pod in outcome.unschedulable:
-            if on_unschedulable is not None and on_unschedulable(pod):
-                # Re-routed to another cell: still pending, not failed.
-                result.deferred.append(pod)
-                continue
             self.queue.remove(pod)
             pod.mark_failed(now, "Unschedulable: fits no node's capacity")
             result.rejected.append(pod)

@@ -132,16 +132,6 @@ PREEMPTION_POLICIES = Registry("preemption policy")
 #: :mod:`repro.trace.adapters`; ``repro traces`` lists the catalogue.
 TRACES = Registry("trace adapter")
 
-#: Cell partition policies addressable by
-#: ``Scenario(cell_policy=...)``.  Factories are called as
-#: ``factory(nodes=Sequence[Node], cells=int, seed=int)`` and must
-#: return a mapping of node name -> cell id covering every node
-#: exactly once with ids in ``[0, cells)`` —
-#: :func:`repro.cells.policies.partition_nodes` enforces the totality
-#: contract on every call.  The built-ins (``balanced``, ``region``,
-#: ``capacity-class``) live in :mod:`repro.cells.policies`.
-CELLS = Registry("cell policy")
-
 
 def register_scheduler(name: str) -> Callable[[Callable], Callable]:
     """Class/function decorator adding a scheduler strategy by name."""
@@ -163,11 +153,6 @@ def register_trace(name: str) -> Callable[[Callable], Callable]:
     return TRACES.register(name)
 
 
-def register_cell_policy(name: str) -> Callable[[Callable], Callable]:
-    """Function decorator adding a cell partition policy by name."""
-    return CELLS.register(name)
-
-
 def scheduler_names() -> Tuple[str, ...]:
     """Sorted names of all registered scheduling strategies."""
     return SCHEDULERS.names()
@@ -187,7 +172,3 @@ def trace_names() -> Tuple[str, ...]:
     """Sorted names of all registered trace adapters."""
     return TRACES.names()
 
-
-def cell_policy_names() -> Tuple[str, ...]:
-    """Sorted names of all registered cell partition policies."""
-    return CELLS.names()

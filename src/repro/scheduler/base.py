@@ -565,8 +565,8 @@ class Scheduler(abc.ABC):
         #: un-placement — while evictions mutate the pass's views.
         self.last_index: Optional[NodeCandidateIndex] = None
         #: The run's decision ledger.  The orchestrator rebinds this at
-        #: the top of every pass (cell schedulers share the cluster's
-        #: ledger that way); standalone schedulers keep the null one.
+        #: the top of every pass; standalone schedulers keep the null
+        #: one.
         self.ledger = NULL_LEDGER
 
     def schedule(

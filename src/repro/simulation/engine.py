@@ -124,7 +124,9 @@ class SimulationEngine:
 
     def schedule_at(self, time: float, action: Action) -> EventHandle:
         """Schedule *action* at absolute simulated *time*."""
-        if time < self._now:
+        # Negated so NaN fails too: ``nan < now`` is False, and a NaN
+        # key would break the heap's ordering.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now={self._now}"
             )
@@ -137,7 +139,7 @@ class SimulationEngine:
 
     def schedule_in(self, delay: float, action: Action) -> EventHandle:
         """Schedule *action* after *delay* seconds of simulated time."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"negative delay: {delay}")
         # Inlined schedule_at: a non-negative delay can never land in
         # the past, so the guard there is redundant on this path.
@@ -162,8 +164,11 @@ class SimulationEngine:
         re-arms it whenever the job's paging slowdown changes.
         Timestamps, sequence numbers and compaction behaviour are
         exactly those of the unfused pair; a live cancel nets out
-        against the new event in the pending count.
+        against the new event in the pending count.  A bad *delay*
+        raises before *handle* is touched.
         """
+        if not delay >= 0:  # NaN fails too
+            raise SimulationError(f"negative delay: {delay}")
         if (
             handle is not None
             and not handle.cancelled
@@ -177,8 +182,6 @@ class SimulationEngine:
                 self._compact()
         else:
             self._pending += 1
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
         time = self._now + delay
         seq = self._next_seq
         self._next_seq = seq + 1

@@ -52,7 +52,6 @@ from ..errors import PolicyError, RegistryError, SimulationError
 from ..obs.observer import build_observer
 from ..orchestrator.controller import Orchestrator
 from ..orchestrator.pod import Pod
-from ..orchestrator.queue import PendingQueue
 from ..policy.classes import priority_class_map, resolve_priority
 from ..policy.preemption import PreemptionPolicy
 from ..registry import PREEMPTION_POLICIES, SCHEDULERS, WORKLOADS
@@ -91,9 +90,6 @@ class ReplayResult:
     #: :data:`repro.scheduler.base.WAIT_REASONS` — why pods waited
     #: (EPC vs memory vs CPU vs fragmentation), not just how long.
     wait_reasons: Dict[str, int] = field(default_factory=dict)
-    #: Pods the dispatcher re-routed across cells (0 in the flat
-    #: oracle and, by construction, in every ``cells=1`` replay).
-    cell_spillovers: int = 0
     #: Where the observability exports landed (``None`` when the
     #: corresponding :class:`~repro.obs.ledger.ObserveConfig` output
     #: was not requested).  Diagnostic only — never part of
@@ -219,7 +215,7 @@ class _Replay:
         "_job_seq", "_sgx_node_names", "_epochs", "unsubmitted", "plans",
         "rebalancer", "queue_series", "migration_count",
         "passes_executed", "passes_skipped", "preemption_count",
-        "eviction_count", "wait_reasons", "spillover_count", "obs",
+        "eviction_count", "wait_reasons", "obs",
     )
 
     def __init__(self, scenario: Scenario):
@@ -245,9 +241,19 @@ class _Replay:
         self.cluster = paper_cluster(**cluster_kwargs)
         self.perf = SgxPerfModel()
         self.obs = build_observer(scenario)
-        self.orchestrator = self._make_orchestrator()
+        self.orchestrator = Orchestrator(
+            self.cluster,
+            perf_model=self.perf,
+            use_state_cache=scenario.use_state_cache,
+            requeue_backoff_seconds=scenario.requeue_backoff_seconds,
+            preemption_policy=make_preemption_policy(scenario),
+            preemption_priority_threshold=(
+                scenario.preemption_priority_threshold
+            ),
+            observer=self.obs,
+        )
         self.scheduler = make_scheduler(scenario)
-        self.engine = self._make_engine()
+        self.engine = SimulationEngine()
         self.log = EventLog()
         self.running: Dict[str, _RunningJob] = {}  # pod uid -> job
         #: Per-node registries (node name -> pod uid -> job), each kept
@@ -294,38 +300,9 @@ class _Replay:
         self.passes_skipped = 0
         self.preemption_count = 0
         self.eviction_count = 0
-        self.spillover_count = 0
         #: Aggregate deferral reasons over every executed pass, keyed
         #: by :data:`repro.scheduler.base.WAIT_REASONS`.
         self.wait_reasons: Dict[str, int] = {}
-
-    # -- construction hooks (the sharded runner overrides these) ----------
-
-    def _make_orchestrator(
-        self, queue: Optional[PendingQueue] = None
-    ) -> Orchestrator:
-        """Build the control plane; runs after the cluster exists.
-
-        *queue* replaces the flat pending queue (the sharded runner
-        passes its cell router).
-        """
-        scenario = self.scenario
-        return Orchestrator(
-            self.cluster,
-            perf_model=self.perf,
-            use_state_cache=scenario.use_state_cache,
-            requeue_backoff_seconds=scenario.requeue_backoff_seconds,
-            preemption_policy=make_preemption_policy(scenario),
-            preemption_priority_threshold=(
-                scenario.preemption_priority_threshold
-            ),
-            queue=queue,
-            observer=self.obs,
-        )
-
-    def _make_engine(self) -> SimulationEngine:
-        """Build the event loop; runs after the orchestrator exists."""
-        return SimulationEngine()
 
     # -- activity tracking -------------------------------------------------
 
@@ -407,27 +384,12 @@ class _Replay:
             )
 
     def _execute_pass(self, now: float) -> None:
-        """One scheduling pass over the whole queue (the flat oracle).
-
-        The sharded runner overrides this with one pass per cell; both
-        paths feed every pass outcome through
-        :meth:`_consume_pass_result`, so the bookkeeping (logging,
-        start events, counters) is shared code.
-        """
+        """One scheduling pass over the whole queue, folded into the
+        replay's log, start events and counters."""
         spans = self.obs.spans
         span_start = spans.begin()
         result = self.orchestrator.scheduling_pass(self.scheduler, now)
         spans.end(span_start, "pass", now)
-        self._consume_pass_result(result, now)
-
-    def _schedule_start(self, pod: Pod, startup_seconds: float) -> None:
-        """Arm a launched pod's start event (cell-routed when sharded)."""
-        self.engine.schedule_in(
-            startup_seconds, lambda p=pod: self._start(p)
-        )
-
-    def _consume_pass_result(self, result, now: float) -> None:
-        """Fold one pass outcome into the replay's log and counters."""
         self.passes_executed += 1
         self.log.record(now, EventKind.SCHEDULING_PASS)
         for pod, startup_seconds in result.launched:
@@ -435,7 +397,9 @@ class _Replay:
                 now, EventKind.BOUND, pod_name=pod.name,
                 node_name=pod.node_name,
             )
-            self._schedule_start(pod, startup_seconds)
+            self.engine.schedule_in(
+                startup_seconds, lambda p=pod: self._start(p)
+            )
         for pod in result.killed:
             self.log.record(
                 now,
@@ -746,7 +710,6 @@ class _Replay:
             preemption_count=self.preemption_count,
             eviction_count=self.eviction_count,
             wait_reasons=dict(self.wait_reasons),
-            cell_spillovers=self.spillover_count,
         )
         self._finish_observation(result)
         return result
@@ -775,7 +738,9 @@ class _Replay:
                 preemptions=result.preemption_count,
                 evictions=result.eviction_count,
                 migrations=result.migration_count,
-                spillovers=result.cell_spillovers,
+                # The frozen v1 schema keeps the field; a flat replay
+                # never spills.
+                spillovers=0,
             )
             ledger.close()
             result.ledger_path = ledger.path
@@ -793,7 +758,6 @@ class _Replay:
             reg.counter("repro_preemptions_total", result.preemption_count)
             reg.counter("repro_evictions_total", result.eviction_count)
             reg.counter("repro_migrations_total", result.migration_count)
-            reg.counter("repro_spillovers_total", result.cell_spillovers)
             for reason in sorted(result.wait_reasons):
                 reg.counter(
                     "repro_wait_reasons_total",
@@ -832,13 +796,5 @@ def run_replay(scenario: Scenario) -> ReplayResult:
     The one engine entry.  :meth:`repro.api.Scenario.run` wraps it
     into a picklable :class:`repro.api.RunResult`; call it directly
     for the live orchestrator, event log and submission plans.
-
-    ``scenario.cells`` forks to the two-level sharded runner
-    (:class:`repro.cells.runner.CellReplay`); ``cells=1`` runs the
-    full sharded machinery and is bit-for-bit the flat oracle.
     """
-    if scenario.cells is not None:
-        from ..cells.runner import CellReplay
-
-        return CellReplay(scenario).run()
     return _Replay(scenario).run()

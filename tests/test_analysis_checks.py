@@ -433,6 +433,9 @@ class TestReg001RegistryConformance:
 
 
 class TestTrace001AdapterConformance:
+    """Trace adapters under REG001: ``register_trace``'s contract is
+    ``factory(spec=..., seed=...)``."""
+
     def test_duplicate_name_fires_with_first_location(self):
         proj = project(
             trace__adapters__a="""
@@ -450,7 +453,7 @@ class TestTrace001AdapterConformance:
                     return None
             """,
         )
-        findings = analyze_project(proj, rules=["TRACE001"])
+        findings = analyze_project(proj, rules=["REG001"])
         duplicates = [f for f in findings if "duplicate" in f.message]
         assert len(duplicates) == 1
         assert "trace/adapters/a.py" in duplicates[0].message
@@ -463,7 +466,7 @@ class TestTrace001AdapterConformance:
             def build(spec):
                 return None
         """)
-        findings = analyze_project(proj, rules=["TRACE001"])
+        findings = analyze_project(proj, rules=["REG001"])
         assert any(
             "does not accept" in f.message and "seed" in f.message
             for f in findings
@@ -477,7 +480,7 @@ class TestTrace001AdapterConformance:
             def build(**kwargs):
                 return None
         """)
-        assert rules_fired(proj, ["TRACE001"]) == []
+        assert rules_fired(proj, ["REG001"]) == []
 
     def test_spec_seed_signature_is_clean(self):
         proj = project(trace__adapters__a="""
@@ -487,7 +490,7 @@ class TestTrace001AdapterConformance:
             def build(spec, seed):
                 return None
         """)
-        assert rules_fired(proj, ["TRACE001"]) == []
+        assert rules_fired(proj, ["REG001"]) == []
 
     def test_non_literal_name_fires(self):
         proj = project(trace__adapters__a="""
@@ -499,7 +502,7 @@ class TestTrace001AdapterConformance:
             def build(spec, seed):
                 return None
         """)
-        findings = analyze_project(proj, rules=["TRACE001"])
+        findings = analyze_project(proj, rules=["REG001"])
         assert any("string literal" in f.message for f in findings)
 
     def test_class_adapter_init_checked(self):
@@ -511,12 +514,12 @@ class TestTrace001AdapterConformance:
                 def __init__(self, spec=None):
                     pass
         """)
-        findings = analyze_project(proj, rules=["TRACE001"])
+        findings = analyze_project(proj, rules=["REG001"])
         assert any("seed" in f.message for f in findings)
 
     def test_other_registries_not_confused(self):
-        # A workload factory has a different contract; TRACE001 must
-        # ignore it even when REG001 would fire.
+        # A conformant workload factory lacks the trace keywords; REG001
+        # holds each decorator to its own contract, not the union.
         proj = project(workload__a="""
             from ..registry import register_workload
 
@@ -524,102 +527,7 @@ class TestTrace001AdapterConformance:
             def plans(cluster, trace, **options):
                 return []
         """)
-        assert rules_fired(proj, ["TRACE001"]) == []
-
-
-class TestCell001PolicyConformance:
-    def test_duplicate_name_fires_with_first_location(self):
-        proj = project(
-            cells__a="""
-                from ..registry import register_cell_policy
-
-                @register_cell_policy("balanced")
-                def split_a(nodes, cells, seed):
-                    return {}
-            """,
-            cells__b="""
-                from ..registry import register_cell_policy
-
-                @register_cell_policy("balanced")
-                def split_b(nodes, cells, seed):
-                    return {}
-            """,
-        )
-        findings = analyze_project(proj, rules=["CELL001"])
-        duplicates = [f for f in findings if "duplicate" in f.message]
-        assert len(duplicates) == 1
-        assert "cells/a.py" in duplicates[0].message
-
-    def test_missing_seed_keyword_fires(self):
-        proj = project(cells__a="""
-            from ..registry import register_cell_policy
-
-            @register_cell_policy("narrow")
-            def split(nodes, cells):
-                return {}
-        """)
-        findings = analyze_project(proj, rules=["CELL001"])
-        assert any(
-            "does not accept" in f.message and "seed" in f.message
-            for f in findings
-        )
-
-    def test_kwargs_catch_all_is_clean(self):
-        proj = project(cells__a="""
-            from ..registry import register_cell_policy
-
-            @register_cell_policy("wide")
-            def split(**kwargs):
-                return {}
-        """)
-        assert rules_fired(proj, ["CELL001"]) == []
-
-    def test_exact_signature_is_clean(self):
-        proj = project(cells__a="""
-            from ..registry import register_cell_policy
-
-            @register_cell_policy("exact")
-            def split(nodes, cells, seed):
-                return {}
-        """)
-        assert rules_fired(proj, ["CELL001"]) == []
-
-    def test_non_literal_name_fires(self):
-        proj = project(cells__a="""
-            from ..registry import register_cell_policy
-
-            NAME = "dynamic"
-
-            @register_cell_policy(NAME)
-            def split(nodes, cells, seed):
-                return {}
-        """)
-        findings = analyze_project(proj, rules=["CELL001"])
-        assert any("string literal" in f.message for f in findings)
-
-    def test_class_policy_init_checked(self):
-        proj = project(cells__a="""
-            from ..registry import register_cell_policy
-
-            @register_cell_policy("classy")
-            class Splitter:
-                def __init__(self, nodes=None, cells=None):
-                    pass
-        """)
-        findings = analyze_project(proj, rules=["CELL001"])
-        assert any("seed" in f.message for f in findings)
-
-    def test_other_registries_not_confused(self):
-        # Trace adapters have a different contract; CELL001 must
-        # ignore them even when TRACE001 would fire.
-        proj = project(trace__adapters__a="""
-            from ....registry import register_trace
-
-            @register_trace("narrow")
-            def build(spec):
-                return None
-        """)
-        assert rules_fired(proj, ["CELL001"]) == []
+        assert rules_fired(proj, ["REG001"]) == []
 
 
 SCENARIO_FIXTURE = """
@@ -894,9 +802,8 @@ class TestObs001LedgerConformance:
 class TestFramework:
     def test_all_rules_registered(self):
         assert list(check_names()) == [
-            "API001", "CELL001", "DET001", "DET002", "DET003",
-            "DET004", "LAYOUT001", "LAYOUT002", "OBS001", "REG001",
-            "TRACE001",
+            "API001", "DET001", "DET002", "DET003", "DET004",
+            "LAYOUT001", "LAYOUT002", "OBS001", "REG001",
         ]
 
     def test_unknown_rule_rejected(self):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import repro
 from repro.analysis import load_baseline, run_checks
+from repro.analysis.config import DEFAULT_CONFIG
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 BASELINE = Path(__file__).parent.parent / "repro-check-baseline.json"
@@ -46,3 +47,30 @@ class TestDogfood:
         document = json.loads(BASELINE.read_text())
         assert document["schema"] == "repro.check/v1"
         assert document["findings"] == []
+
+    def test_scoped_paths_exist(self):
+        # The scopes are membership tests: a stale entry (a deleted or
+        # renamed module or package) silently switches its rules off.
+        config = DEFAULT_CONFIG
+        modules = sorted(
+            config.hot_layout_modules | config.wall_clock_exempt
+        ) + [
+            config.cli_module,
+            config.scenario_module,
+            config.ledger_module,
+        ]
+        packages = sorted(
+            config.simulated_time_packages
+            | config.decision_path_packages
+        )
+        missing = [
+            path for path in modules
+            if not (PACKAGE_ROOT / path).is_file()
+        ] + [
+            package + "/" for package in packages
+            if not (PACKAGE_ROOT / package).is_dir()
+        ]
+        assert missing == [], (
+            f"CheckConfig names paths absent from {PACKAGE_ROOT}: "
+            f"{missing}"
+        )

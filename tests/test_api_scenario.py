@@ -46,13 +46,34 @@ class TestValidation:
             {"rebalance_period": 0.0},
             {"standard_workers": 0},
             {"sgx_workers": -2},
+            # Integer knobs: floats and bools die here, not mid-replay
+            # in range() or numpy's SeedSequence.
+            {"standard_workers": 2.5},
+            {"sgx_workers": True},
+            {"seed": 1.5},
+            {"seed": True},
             {"preemption_priority_threshold": 1.5},
             {"observe": "ledger.jsonl"},
+            # Crash entries: a NaN time would reach the event heap and
+            # corrupt its ordering; each must be a finite (time, name).
+            {"node_failures": ((math.nan, "sgx-worker-0"),)},
+            {"node_failures": ((-1.0, "sgx-worker-0"),)},
+            {"node_failures": ((math.inf, "sgx-worker-0"),)},
+            {"node_failures": ((True, "sgx-worker-0"),)},
+            {"node_failures": ((300.0, 0),)},
+            {"node_failures": ((300.0,),)},
+            {"node_failures": ((300.0, "sgx-worker-0", "x"),)},
+            {"node_failures": ("sgx-worker-0",)},
+            {"node_failures": (300.0,)},
         ],
     )
     def test_out_of_range_knobs(self, kwargs):
         with pytest.raises(SimulationError):
             Scenario(**kwargs)
+
+    def test_node_failures_normalised_to_tuples(self):
+        scenario = Scenario(node_failures=[[300, "sgx-worker-0"]])
+        assert scenario.node_failures == ((300, "sgx-worker-0"),)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(

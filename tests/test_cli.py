@@ -160,6 +160,19 @@ class TestScenarioCommands:
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_sweep_fractional_worker_count_exits_2(self, capsys):
+        # A float reaching an integer knob must die at construction,
+        # not as a TypeError from range() mid-replay.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "sweep", "--jobs", "12",
+                    "--grid", "standard_workers=2.5",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "standard_workers" in capsys.readouterr().err
+
     def test_sweep_duplicate_grid_axis_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -336,73 +349,6 @@ class TestExecution:
         assert main(["fig5", "--trace-seed", "5"]) == 0
         second = capsys.readouterr().out
         assert first == second
-
-
-class TestCellFlags:
-    def test_run_with_cells_prints_spillovers(self, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "--jobs",
-                    "12",
-                    "--cells",
-                    "2",
-                    "--cell-policy",
-                    "balanced",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cells"] == 2
-        assert payload["cell_policy"] == "balanced"
-        assert "cell_spillovers" in payload
-
-    def test_run_without_cells_reports_single_cell(self, capsys):
-        assert main(["run", "--jobs", "12", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cells"] == 1
-
-    def test_run_zero_cells_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--jobs", "12", "--cells", "0"])
-        assert excinfo.value.code == 2
-        assert "cells must be >= 1" in capsys.readouterr().err
-
-    def test_run_unknown_cell_policy_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "run",
-                    "--jobs",
-                    "12",
-                    "--cells",
-                    "2",
-                    "--cell-policy",
-                    "nope",
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "unknown cell policy" in capsys.readouterr().err
-
-    def test_sweep_over_cells_axis(self, capsys):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--jobs",
-                    "12",
-                    "--grid",
-                    "cells=1,2",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert [r["cells"] for r in payload["results"]] == [1, 2]
 
 
 def _record(tmp_path, name, *extra):

@@ -14,7 +14,6 @@ import gc
 import pytest
 
 from repro.api import Scenario
-from repro.cells.runner import CellReplay
 from repro.scheduler.rebalancer import EpcRebalancer
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.runner import _Replay, _RunningJob, run_replay
@@ -38,8 +37,8 @@ REBALANCED = Scenario(
 )
 
 
-class _PerTick:
-    """Per-tick progress, mixed into a flat or sharded replay class."""
+class PerTickReplay(_Replay):
+    """Per-tick progress: every job re-armed at every chance."""
 
     __slots__ = ()
 
@@ -80,20 +79,6 @@ class _PerTick:
         self._refresh_sgx_nodes()
 
 
-class PerTickReplay(_PerTick, _Replay):
-    __slots__ = ()
-
-
-class PerTickCellReplay(_PerTick, CellReplay):
-    __slots__ = ()
-
-
-def run_per_tick(scenario):
-    if scenario.cells is not None:
-        return PerTickCellReplay(scenario).run()
-    return PerTickReplay(scenario).run()
-
-
 def decisions(result):
     return [
         (p.name, p.phase, p.node_name, p.bound_at, p.started_at)
@@ -109,7 +94,6 @@ def counters(result):
         result.eviction_count,
         result.preemption_count,
         result.wait_reasons,
-        result.cell_spillovers,
     )
 
 
@@ -120,11 +104,10 @@ ORACLE_SCENARIOS = {
     ),
     "event-driven": Scenario(**CONTENDED, event_driven=True),
     "indexed": Scenario(**CONTENDED, indexed_scheduling=True),
-    "cells-crash": Scenario(
+    "crash": Scenario(
         trace=CONTENDED["trace"],
         sgx_fraction=0.5,
         seed=1,
-        cells=2,
         node_failures=((300.0, "sgx-worker-0"),),
     ),
     "rebalancer": REBALANCED,
@@ -139,7 +122,7 @@ class TestPerTickOracle:
     )
     def test_epochs_match_per_tick_engine(self, scenario):
         epochs = run_replay(scenario)
-        oracle = run_per_tick(scenario)
+        oracle = PerTickReplay(scenario).run()
         assert decisions(epochs) == decisions(oracle)
         assert epochs.metrics.queue_series == oracle.metrics.queue_series
         assert counters(epochs) == counters(oracle)

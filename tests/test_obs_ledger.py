@@ -1,16 +1,11 @@
 """The observability subsystem's equivalence gate.
 
-Three claims, the first two hypothesis-checked on random bursty
-traces:
+Two claims, the first hypothesis-checked on random bursty traces:
 
 * **observed == unobserved** — turning the decision ledger on changes
   nothing: whole-replay signatures are bit-for-bit identical with and
-  without a ledger, across the periodic, event-driven, indexed and
-  sharded (cells) engines, with preemption on and off.
-* **cells=1 == flat, decision for decision** — the sharded runner at
-  one cell emits the *identical* event stream the flat oracle emits
-  (:func:`repro.obs.diff.diff_ledgers` reports zero divergences), not
-  just the same outcomes.
+  without a ledger, across the periodic, event-driven and indexed
+  engines, with preemption on and off.
 * **the file format is deterministic** — replaying one scenario twice
   produces byte-identical ledgers, ordered by sim time with a dense
   sequence counter, under the declared ``repro.ledger/v1`` header.
@@ -31,7 +26,6 @@ from repro.obs import (
     LEDGER_SCHEMA,
     NULL_LEDGER,
     DecisionLedger,
-    diff_ledgers,
     load_ledger,
 )
 from repro.trace.borg import synthetic_scaled_trace
@@ -69,7 +63,7 @@ def record(scenario, directory, name):
     n_jobs=st.integers(min_value=10, max_value=30),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
     engine=st.sampled_from(
-        ["periodic", "event", "indexed", "cells", "preempting"]
+        ["periodic", "event", "indexed", "preempting"]
     ),
 )
 @replay_settings
@@ -80,7 +74,6 @@ def test_observation_never_changes_the_run(
         "periodic": {},
         "event": {"event_driven": True},
         "indexed": {"indexed_scheduling": True},
-        "cells": {"cells": 2},
         "preempting": {
             "epc_total_bytes": mib(64),
             "workload": "priority-mix",
@@ -104,41 +97,11 @@ def test_observation_never_changes_the_run(
     assert plain.ledger_path is None
 
 
-@given(
-    trace_seed=st.integers(min_value=0, max_value=1_000),
-    seed=st.integers(min_value=0, max_value=1_000),
-    n_jobs=st.integers(min_value=10, max_value=30),
-)
-@replay_settings
-def test_cells1_ledger_is_decision_for_decision_the_oracle(
-    trace_seed, seed, n_jobs
-):
-    scenario = Scenario(
-        trace=bursty_trace(trace_seed, n_jobs),
-        sgx_fraction=0.5,
-        seed=seed,
-    )
-    with tempfile.TemporaryDirectory() as directory:
-        flat_path, _ = record(scenario, directory, "flat")
-        cells_path, _ = record(
-            scenario.with_(cells=1), directory, "cells1"
-        )
-        diff = diff_ledgers(
-            load_ledger(flat_path), load_ledger(cells_path)
-        )
-    # The headers differ (the cells knob); the decisions must not.
-    assert diff.identical, diff.first_divergence
-    assert diff.diffs == 0
-    assert diff.only_left == 0 and diff.only_right == 0
-    assert ("config.cells", None, 1) in diff.header_diffs
-
-
 #: The engine knobs the header's ``config`` snapshots: every scenario
 #: field except ``name``, ``trace`` and ``observe``.
 HEADER_CONFIG_KEYS = frozenset((
-    "cell_policy", "cell_spillover_after", "cells", "enforce_epc_limits",
-    "epc_allow_overcommit", "epc_total_bytes", "event_driven",
-    "indexed_scheduling", "malicious", "max_sim_seconds",
+    "enforce_epc_limits", "epc_allow_overcommit", "epc_total_bytes",
+    "event_driven", "indexed_scheduling", "malicious", "max_sim_seconds",
     "metrics_period", "node_failures", "preemption_policy",
     "preemption_priority_threshold", "preserve_sgx_nodes",
     "priority_classes", "rebalance_period", "requeue_backoff_seconds",

@@ -200,6 +200,23 @@ class TestExplain:
         )
         assert "deferred in" in format_explain(report)
 
+    def test_2x_spillover_records_still_render(self, tmp_path):
+        # No 3.x replay emits ``spillover``; ledgers written by 2.x's
+        # sharded runner carry it and stay readable.
+        path = tmp_path / "v2.jsonl"
+        path.write_text(
+            '{"schema": "repro.ledger/v1"}\n'
+            '{"t": 1.0, "i": 0, "kind": "trigger", '
+            '"event": "pod-submitted", "pod": "job-1", "node": null}\n'
+            '{"t": 20.0, "i": 1, "kind": "spillover", "pod": "job-1", '
+            '"from_cell": 0, "to_cell": 1, "cause": "deferred"}\n'
+        )
+        report = explain_pod(load_ledger(str(path)), "job-1")
+        assert report["spillovers"] == [
+            {"t": 20.0, "from_cell": 0, "to_cell": 1, "cause": "deferred"}
+        ]
+        assert "spilled cell 0 -> 1 (deferred)" in format_explain(report)
+
     def test_unknown_pod_raises(self, tmp_path, base_scenario):
         ledger, _ = record(base_scenario, tmp_path, "run")
         with pytest.raises(SimulationError, match="no event"):
@@ -228,25 +245,6 @@ class TestSpans:
             assert event["ts"] >= 0.0 and event["dur"] >= 0.0
         (replay_span,) = [e for e in events if e["name"] == "replay"]
         assert replay_span["args"]["sim_time"] > 0.0
-
-    def test_cell_spans_carry_cell_ids(self, tmp_path, base_scenario):
-        result = base_scenario.with_(
-            cells=2,
-            observe=ObserveConfig(
-                trace_path=str(tmp_path / "cells.trace.json")
-            ),
-        ).run()
-        import json
-
-        events = json.loads(open(result.trace_path).read())[
-            "traceEvents"
-        ]
-        cell_ids = {
-            event["args"]["cell"]
-            for event in events
-            if event["name"] == "cell_pass"
-        }
-        assert cell_ids == {0, 1}
 
     def test_recorder_api(self):
         recorder = SpanRecorder()

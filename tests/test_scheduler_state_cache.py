@@ -35,9 +35,8 @@ from repro.units import gib, mib
 #: The replay engines whose results must not depend on the state cache.
 ENGINE_MODES = pytest.mark.parametrize(
     "mode",
-    [{}, {"event_driven": True}, {"indexed_scheduling": True},
-     {"cells": 2}],
-    ids=["periodic", "event_driven", "indexed", "cells2"],
+    [{}, {"event_driven": True}, {"indexed_scheduling": True}],
+    ids=["periodic", "event_driven", "indexed"],
 )
 
 
@@ -198,7 +197,6 @@ class TestBuildViewsEquivalence:
                 result.migration_count,
                 result.preemption_count,
                 result.eviction_count,
-                result.cell_spillovers,
             )
 
         assert outcome(cached) == outcome(uncached)

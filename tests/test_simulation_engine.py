@@ -1,5 +1,7 @@
 """Discrete-event engine: ordering, cancellation, termination."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -62,6 +64,32 @@ class TestValidation:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             SimulationEngine().schedule_in(-1.0, lambda: None)
+
+    # Every comparison with NaN is False, so ``time < now`` and
+    # ``delay < 0`` let it through and its key breaks the heap order.
+    def test_nan_time_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(math.nan, lambda: None)
+        assert engine.pending_events == 0
+
+    def test_nan_delay_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_in(math.nan, lambda: None)
+        assert engine.pending_events == 0
+
+    def test_nan_reschedule_rejected_before_cancelling(self):
+        engine = SimulationEngine()
+        fired = []
+        handle = engine.schedule_in(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError):
+            engine.reschedule_in(handle, math.nan, lambda: None)
+        # The old event is untouched: still live, still counted.
+        assert not handle.cancelled
+        assert engine.pending_events == 1
+        engine.run()
+        assert fired == [1]
 
     def test_runaway_loop_detected(self):
         engine = SimulationEngine()
