@@ -4,8 +4,8 @@
 figure (:class:`repro.trace.borg.BorgTraceGenerator`, its over-allocator
 share scaled with ``jobs``);
 ``borg-csv`` replays a prepared four-metric CSV — the shape
-:func:`repro.trace.loader.load_borg_csv` documents — streamed through
-the shared windowing/downsampling pipeline.
+:func:`repro.trace.loader.load_borg_csv` documents — parsed in chunks
+into columns and windowed/downsampled before any record is built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from ..borg import BorgTraceGenerator
 from ..loader import iter_borg_csv
 from ..schema import Trace
 from ..spec import TraceSpec
-from .common import apply_scaling, materialise, read_scaling
+from .common import materialise, read_scaling
 
 
 def default_overallocators(n_jobs: int) -> int:
@@ -78,7 +78,8 @@ def build_borg_csv(spec: TraceSpec, seed: int) -> Trace:
     renumber = options.flag("renumber", scaling.active)
     options.finish()
     return materialise(
-        apply_scaling(iter_borg_csv(path), scaling), renumber
+        iter_borg_csv(path, scaling.bounds, scaling.stride, scaling.limit),
+        renumber,
     )
 
 

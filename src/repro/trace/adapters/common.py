@@ -3,17 +3,20 @@
 File-backed adapters all answer the same four knobs — ``start``,
 ``window``, ``sample``/``stride`` and ``limit`` — by threading the
 record stream through the windowing/downsampling combinators of
-:mod:`repro.trace.scaling` before anything is materialised.  The
-window is *relative to the first record's submit time* (``start=0``
-is the beginning of the trace), which is the only sane reading for
-public traces timestamped in epoch microseconds.
+:mod:`repro.trace.scaling` before anything is materialised
+(``borg-csv`` applies the same knobs to its parsed columns, in
+:func:`repro.trace.loader.iter_borg_csv`).  The window is *relative
+to the first record's submit time* (``start=0`` is the beginning of
+the trace), which is the only sane reading for public traces
+timestamped in epoch microseconds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ...errors import TraceError
 from ..scaling import iter_stride, renumber_from_zero
@@ -29,6 +32,15 @@ class StreamScaling:
     window: Optional[float] = None
     stride: int = 1
     limit: Optional[int] = None
+
+    @property
+    def bounds(self) -> Optional[Tuple[float, float]]:
+        """The relative window ``[start, end)``, or ``None`` if unclipped."""
+        if self.start is None and self.window is None:
+            return None
+        start = self.start or 0.0
+        end = start + self.window if self.window is not None else math.inf
+        return start, end
 
     @property
     def active(self) -> bool:
@@ -102,14 +114,9 @@ def apply_scaling(
     records: Iterable[JobRecord], scaling: StreamScaling
 ) -> Iterator[JobRecord]:
     """Window → downsample → limit, all streaming."""
-    if scaling.start is not None or scaling.window is not None:
-        start = scaling.start or 0.0
-        end = (
-            start + scaling.window
-            if scaling.window is not None
-            else float("inf")
-        )
-        records = iter_relative_window(records, start, end)
+    bounds = scaling.bounds
+    if bounds is not None:
+        records = iter_relative_window(records, *bounds)
     if scaling.stride != 1:
         records = iter_stride(records, scaling.stride)
     if scaling.limit is not None:

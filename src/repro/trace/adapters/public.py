@@ -28,7 +28,7 @@ multi-GB file replays in bounded memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from ...errors import TraceError
 from ...registry import register_trace
@@ -51,6 +51,14 @@ def _fraction_field(
             f"{name}={value:g} outside [0, 1]",
         )
     return value
+
+
+def _job_record(path: str, line_number: int, **fields: Any) -> JobRecord:
+    """A :class:`JobRecord` whose rejection carries ``path:line``."""
+    try:
+        return JobRecord(**fields)
+    except TraceError as exc:
+        raise row_error(path, line_number, exc) from None
 
 
 def _iter_google2019(path: str) -> Iterator[JobRecord]:
@@ -103,7 +111,9 @@ def _iter_google2019(path: str) -> Iterator[JobRecord]:
             _fraction_field(
                 path, line_number, "maximum_usage.memory", max_memory
             )
-            yield JobRecord(
+            yield _job_record(
+                path,
+                line_number,
                 job_id=job_id,
                 submit_time=submit_us / _MICROS,
                 duration=duration,
@@ -175,7 +185,9 @@ def _iter_alibaba2018(path: str, usage_scale: float) -> Iterator[JobRecord]:
                 f"plan_mem={plan_mem:g} outside [0, 100]",
             )
         assigned = plan_mem / 100.0
-        yield JobRecord(
+        yield _job_record(
+            path,
+            line_number,
             job_id=job_id,
             submit_time=start,
             duration=duration,
@@ -254,7 +266,9 @@ def _iter_azure(
         if duration <= 0.0 or created < 0.0:
             continue
         assigned = min(memory_gib / machine_memory_gib, 1.0)
-        yield JobRecord(
+        yield _job_record(
+            path,
+            line_number,
             job_id=job_id,
             submit_time=created,
             duration=duration,

@@ -30,10 +30,17 @@ class JobRecord:
     max_memory: float
 
     def __post_init__(self):
-        if self.submit_time < 0:
-            raise TraceError(f"job {self.job_id}: negative submit time")
-        if self.duration <= 0:
-            raise TraceError(f"job {self.job_id}: non-positive duration")
+        # One chained comparison each: NaN fails it too.
+        if not 0.0 <= self.submit_time < math.inf:
+            raise TraceError(
+                f"job {self.job_id}: negative or non-finite submit time "
+                f"({self.submit_time})"
+            )
+        if not 0.0 < self.duration < math.inf:
+            raise TraceError(
+                f"job {self.job_id}: non-positive or non-finite duration "
+                f"({self.duration})"
+            )
         for name in ("assigned_memory", "max_memory"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -64,12 +71,13 @@ class Trace:
     """An ordered collection of job records.
 
     Construction validates the submit-time axis **once**: every
-    submit time and duration must be finite.  :class:`JobRecord`'s own
-    guards use comparisons, which NaN slips past (``NaN < 0`` is
-    false) — and a NaN submit time would silently corrupt the sort
-    that everything downstream (replay order, windowing, renumbering)
-    relies on.  After the sort, submit times are monotone and the
-    first record's non-negativity guarantee covers the rest.
+    submit time and duration must be finite.  :class:`JobRecord`
+    rejects both at construction; this re-check guards records built
+    around ``__post_init__`` — a NaN submit time would silently
+    corrupt the sort that everything downstream (replay order,
+    windowing, renumbering) relies on.  After the sort, submit times
+    are monotone and the first record's non-negativity guarantee
+    covers the rest.
     """
 
     def __init__(self, jobs: Iterable[JobRecord] = ()):

@@ -27,6 +27,7 @@ key, making the formatted form canonical).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple, Union
@@ -195,9 +196,12 @@ class SpecOptions:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise self._error(key, f"must be a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise self._error(key, f"must be finite, got {raw!r}")
+        return value
 
     def fraction(
         self, key: str, default: Optional[float] = None

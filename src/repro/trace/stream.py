@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..errors import TraceError
 
@@ -39,6 +39,16 @@ def _is_numeric(text: str) -> bool:
     return True
 
 
+def is_blank_or_comment(row: List[str]) -> bool:
+    """Whether a csv row is a blank line or a ``#`` comment."""
+    return not row or row[0].lstrip().startswith("#")
+
+
+def is_header(row: List[str], numeric_probe: int = 0) -> bool:
+    """Whether the first data row is a header: no numeric probe field."""
+    return numeric_probe >= len(row) or not _is_numeric(row[numeric_probe])
+
+
 def csv_rows(
     path: PathLike,
     columns: Optional[int] = None,
@@ -56,23 +66,34 @@ def csv_rows(
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-    first_data_row = True
     with path.open(newline="") as handle:
-        for line_number, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].lstrip().startswith("#"):
+        yield from csv_records(path, handle, columns, numeric_probe)
+
+
+def csv_records(
+    path: PathLike,
+    lines: Iterable[str],
+    columns: Optional[int] = None,
+    numeric_probe: int = 0,
+    first_line: int = 1,
+    header: bool = True,
+) -> Iterator[Tuple[int, List[str]]]:
+    """:func:`csv_rows` over *lines*, read from *path* from its line
+    *first_line* on; *header* says whether the header may still come."""
+    for line_number, row in enumerate(csv.reader(lines), start=first_line):
+        if is_blank_or_comment(row):
+            continue
+        if header:
+            header = False
+            if is_header(row, numeric_probe):
                 continue
-            if first_data_row:
-                first_data_row = False
-                probe_ok = numeric_probe < len(row)
-                if not probe_ok or not _is_numeric(row[numeric_probe]):
-                    continue  # header
-            if columns is not None and len(row) != columns:
-                raise row_error(
-                    path,
-                    line_number,
-                    f"expected {columns} columns, got {len(row)}",
-                )
-            yield line_number, row
+        if columns is not None and len(row) != columns:
+            raise row_error(
+                path,
+                line_number,
+                f"expected {columns} columns, got {len(row)}",
+            )
+        yield line_number, row
 
 
 def jsonl_rows(path: PathLike) -> Iterator[Tuple[int, Dict]]:

@@ -192,6 +192,10 @@ class TestSynthShapes:
             ("synth-heavytail:sigma=0", "sigma"),
             ("synth-ramp:factor=0.5", "factor"),
             ("synth-bursty:window=0", "window"),
+            ("synth-heavytail:sigma=inf", "sigma"),
+            ("synth-heavytail:sigma=nan", "sigma"),
+            ("synth-ramp:factor=inf", "factor"),
+            ("synth-ramp:factor=nan", "factor"),
         ],
     )
     def test_option_validation(self, spec, detail):
@@ -358,6 +362,13 @@ class TestAlibaba2018:
         with pytest.raises(TraceError, match=r"batch_task\.csv:2"):
             resolve_trace(f"alibaba2018:path={path}")
 
+    def test_non_finite_usage_scale_rejected_before_reading(
+        self, tmp_path
+    ):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(TraceError, match="'usage_scale' must be finite"):
+            resolve_trace(f"alibaba2018:path={path},usage_scale=nan")
+
     def test_plan_mem_out_of_range(self, tmp_path):
         path = tmp_path / "batch_task.csv"
         path.write_text(
@@ -404,6 +415,21 @@ class TestAzurePacking:
         )
         assert trace[0].assigned_memory == 0.25
         assert trace[0].max_memory == 0.125
+
+    def test_non_finite_machine_memory_rejected_before_reading(
+        self, tmp_path
+    ):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(
+            TraceError, match="'machine_memory_gib' must be finite"
+        ):
+            resolve_trace(f"azure-packing:path={path},machine_memory_gib=inf")
+
+    def test_infinite_timestamp_dies_with_line(self, tmp_path):
+        path = tmp_path / "vmtable.csv"
+        path.write_text(self.rows("vm1,s1,d1,0,1e400,50,10,40,X,4,32"))
+        with pytest.raises(TraceError, match=r"vmtable\.csv:2: .*finite"):
+            resolve_trace(f"azure-packing:path={path}")
 
     def test_short_row_dies_with_line(self, tmp_path):
         path = tmp_path / "vmtable.csv"

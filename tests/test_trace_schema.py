@@ -42,6 +42,19 @@ class TestJobRecord:
         with pytest.raises(TraceError):
             job(used=-0.1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"submit": float("nan")},
+            {"submit": float("inf")},
+            {"duration": float("nan")},
+            {"duration": float("inf")},
+        ],
+    )
+    def test_non_finite_submit_or_duration_rejected(self, fields):
+        with pytest.raises(TraceError, match="finite"):
+            job(**fields)
+
 
 class TestTrace:
     def test_sorted_by_submit_time(self):

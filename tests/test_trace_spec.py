@@ -157,6 +157,11 @@ class TestSpecOptions:
         assert options.flag("renumber", True) is True
         assert options.string("mode") is None
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    def test_number_rejects_non_finite(self, raw):
+        with pytest.raises(TraceError, match="'sigma' must be finite"):
+            self.reader(f"x:sigma={raw}").number("sigma")
+
     def test_fraction_bounds(self):
         assert self.reader("x:f=0.5").fraction("f") == 0.5
         with pytest.raises(TraceError, match="fraction"):

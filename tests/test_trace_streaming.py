@@ -57,6 +57,56 @@ class TestBoundedMemory:
         assert peak < 2_000_000  # a 100k-record list is far larger
 
 
+    def test_windowed_load_peaks_under_a_mib(self, tmp_path):
+        """The columnar reader holds one 64 KiB chunk at a time."""
+        path = tmp_path / "big.csv"
+        _write_big_borg_csv(path, 100_000)
+        tracemalloc.start()
+        windowed = resolve_trace(f"borg-csv:path={path},window=500")
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(windowed) == 500
+        assert peak <= 2**20
+
+
+class TestLimitAndChunks:
+    HEADER = (
+        "job_id,submit_time_seconds,duration_seconds,"
+        "assigned_memory_fraction,max_memory_fraction\n"
+    )
+
+    def test_malformed_row_after_limit_is_never_checked(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            self.HEADER
+            + "0,0.0,60.0,0.01,0.02\n"
+            + "1,1.0,60.0,0.01,0.02\n"
+            + "2,zap,60.0,0.01,0.02\n"
+        )
+        limited = resolve_trace(f"borg-csv:path={path},limit=2")
+        assert [job.job_id for job in limited] == [0, 1]
+        with pytest.raises(TraceError, match=r"t\.csv:4: bad job record"):
+            resolve_trace(f"borg-csv:path={path},limit=3")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_malformed_row_in_a_later_chunk_names_its_line(
+        self, tmp_path, newline
+    ):
+        path = tmp_path / "big.csv"
+        rows = [f"{i},{i}.0,60.0,0.01,0.02" for i in range(20_000)]
+        rows[15_000] = "15000,15000.0,-60.0,0.01,0.02"
+        path.write_bytes(
+            (self.HEADER + newline.join(rows) + newline).encode()
+        )
+        assert path.stat().st_size > 5 * 64 * 1024
+        with pytest.raises(
+            TraceError,
+            match=r"big\.csv:15002: bad job record: job 15000: "
+            "non-positive",
+        ):
+            load_borg_csv(path)
+
+
 class TestCsvRows:
     def test_header_comments_blanks_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -132,6 +182,35 @@ class TestLoaderErrors:
             "0,nan,60.0,0.01,0.02\n"
         )
         with pytest.raises(TraceError, match="finite"):
+            load_borg_csv(path)
+
+    NON_FINITE = (
+        "job_id,submit_time_seconds,duration_seconds,"
+        "assigned_memory_fraction,max_memory_fraction\n"
+        "0,0.0,60.0,0.1,0.1\n"
+        "1,5000.0,60.0,0.1,0.1\n"
+        "2,nan,60.0,0.1,0.1\n"
+    )
+
+    @pytest.mark.parametrize("options", ["", ",window=1h", ",window=2h"])
+    @pytest.mark.parametrize("tail", ["", "3,10.0,inf,0.1,0.1\n"])
+    def test_nan_submit_time_names_its_line(self, tmp_path, options, tail):
+        path = tmp_path / "t.csv"
+        path.write_text(self.NON_FINITE + tail)
+        with pytest.raises(
+            TraceError, match=r"t\.csv:4: bad job record: job 2: .*finite"
+        ):
+            resolve_trace(f"borg-csv:path={path}{options}")
+
+    def test_infinite_duration_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            self.NON_FINITE.replace("2,nan", "2,10.0")
+            + "3,10.0,inf,0.1,0.1\n"
+        )
+        with pytest.raises(
+            TraceError, match=r"t\.csv:5: bad job record: job 3: .*finite"
+        ):
             load_borg_csv(path)
 
     def test_trace_rejects_nan_duration(self):
