@@ -4,22 +4,21 @@ Re-runs the ``run_bench`` sweeps and compares each row's headline
 metric against the matching row of the committed ``BENCH_*.json``:
 
 * ``state_cache``  — ``speedup``  (cached vs full-scan snapshot);
-* ``event_sched``  — ``pass_reduction`` (passes skipped by triggers);
 * ``sched_scale``  — ``speedup``  (indexed vs full-scan placement);
 * ``api_sweep``    — ``completed`` (scenario-layer sweep outcomes),
   with the ``parallel_identical`` pool-vs-serial equivalence flag;
 * ``preemption``   — ``p50_reduction`` (high-priority-tier waiting
   time, non-preemptive vs ``cheapest-victims``), with the
   ``disabled_identical`` flag proving priority-disabled runs stay
-  bit-for-bit the oracle across engines;
+  bit-for-bit the full-scan oracle;
 * ``traces``       — ``completed`` (windowed-ingestion kept rows and
   synthetic-replay outcomes), with the ``deterministic`` flag proving
   every registered spec resolves and replays reproducibly;
 * ``wall``         — ``speedup`` (whole-replay wall clock vs the
-  pre-refactor baselines), with the ``engines_identical``
-  cross-engine identity flag.  Unlike the advisory sweeps this gate
-  runs as a *required* CI job: the hot-path rebuild's headline must
-  not silently erode;
+  pre-refactor baselines), with the ``engines_identical`` flag
+  (indexed and full-scan runs agree on the whole signature).  Unlike
+  the advisory sweeps this gate runs as a *required* CI job: the
+  hot-path rebuild's headline must not silently erode;
 * ``obs``          — ``events`` (the decision ledger's deterministic
   record count at the gated trace size), with the ``identical`` flag
   proving a recorded run stays bit-for-bit the unobserved run.
@@ -32,7 +31,7 @@ as emitted by ``repro sweep --json`` and ``SweepResult.to_json``).
 A fresh metric may fall below its baseline by at most the tolerance
 band (relative, default 50% — CI machines are noisy; the gate is after
 order-of-magnitude regressions, not single-digit jitter).  Correctness
-flags (``identical`` / ``bit_for_bit_identical``) must hold outright.
+flags (``identical``, ``engines_identical``, ...) must hold outright.
 
 Exit status: 0 all good, 1 regression or broken equivalence, 2 usage
 or missing baseline.  CI runs this as an *advisory* job::
@@ -40,7 +39,7 @@ or missing baseline.  CI runs this as an *advisory* job::
     PYTHONPATH=src python benchmarks/check_regression.py --quick
 
 ``--quick`` restricts every sweep to its cheapest baseline-comparable
-configuration (smallest sizes for state_cache/event_sched, a single
+configuration (smallest size for state_cache, a single
 repeat of the headline sched_scale point), which keeps the job under a
 minute while still catching the regressions that matter — an
 accidental fallback to the slow path shows up at any size.
@@ -62,12 +61,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GATES = {
     "state_cache": (
         "BENCH_state_cache.json", "speedup", ("pods",), None
-    ),
-    "event_sched": (
-        "BENCH_event_sched.json",
-        "pass_reduction",
-        ("pods",),
-        "bit_for_bit_identical",
     ),
     "sched_scale": (
         "BENCH_sched_scale.json",
@@ -136,10 +129,6 @@ def fresh_reports(names, quick: bool) -> dict:
                 run_bench.run(sizes=(250,), repeats=5)
                 if quick
                 else run_bench.run()
-            )
-        elif name == "event_sched":
-            reports[name] = run_bench.run_event_sched(
-                sizes=(250,) if quick else (250, 1000, 2000)
             )
         elif name == "preemption":
             # Quick mode keeps the 1000-pod headline row only; the

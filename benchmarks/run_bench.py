@@ -1,20 +1,15 @@
 """Benchmark runner: emits ``BENCH_state_cache.json``,
-``BENCH_event_sched.json``, ``BENCH_sched_scale.json``,
-``BENCH_api_sweep.json``, ``BENCH_preemption.json``,
-``BENCH_traces.json``, ``BENCH_wall.json`` and ``BENCH_obs.json``.
+``BENCH_sched_scale.json``, ``BENCH_api_sweep.json``,
+``BENCH_preemption.json``, ``BENCH_traces.json``, ``BENCH_wall.json``
+and ``BENCH_obs.json``.
 
-Eight sweeps over the scheduling hot path:
+Seven sweeps over the scheduling hot path:
 
 * **state_cache** — the scheduler's per-pass snapshot latency (the two
   Listing-1 sliding-window queries behind
   ``ClusterStateService.build_views``) with the full InfluxQL window
   scan versus the incremental
   :class:`~repro.monitoring.aggregate.WindowedAggregateCache`;
-* **event_sched** — whole trace replays, the paper's periodic
-  scheduling loop versus the event-driven trigger mode
-  (``Scenario(event_driven=True)``): scheduling passes executed,
-  wall-clock, and a bit-for-bit equivalence check of every pod's
-  lifecycle timestamps, at 250–2000 pods;
 * **sched_scale** — the placement loop *inside* one pass: a pending
   batch scheduled against a large cluster with the per-pod full scan
   versus the incremental node-candidate index
@@ -30,20 +25,19 @@ Eight sweeps over the scheduling hot path:
   ``cheapest-victims`` planner, reporting the high-priority tier's
   p50/mean waiting-time reduction and the eviction counts — plus a
   ``disabled_identical`` flag proving the priority-disabled run is
-  bit-for-bit the oracle across the periodic, event-driven and
-  indexed engines;
+  bit-for-bit the oracle on the full-scan and the indexed pass;
 * **traces** — the trace ecosystem: streaming ``borg-csv`` ingestion
   throughput over a 100k-row file with a peak-memory comparison of a
   windowed load versus the full load (the window must stay O(kept
   rows)), plus EPC-contended replays of two registered synthetic
   shapes (``synth-bursty``, ``synth-heavytail``) under binpack and
   spread with a spec-level determinism check;
-* **wall** — whole-replay wall clock at 250–2000 pods for all three
-  engines, reported as a speedup against the hard-coded pre-refactor
-  baselines (:data:`WALL_BASELINES`, measured at the seed commit of
-  the hot-path rebuild), with an ``engines_identical`` flag comparing
-  pod lifecycles, makespan and the queue series across the periodic,
-  event-driven and indexed runs;
+* **wall** — whole-replay wall clock at 250–2000 pods for the
+  full-scan and the indexed engine, reported as a speedup against the
+  hard-coded pre-refactor baselines (:data:`WALL_BASELINES`, measured
+  at the seed commit of the hot-path rebuild), with an
+  ``engines_identical`` flag comparing the two runs' whole
+  signatures;
 * **obs** — the observability contract: the periodic wall sweep's
   1000/2000-pod points replayed with the decision ledger off and on
   (``Scenario(observe=ObserveConfig(ledger_path=...))``), reporting
@@ -58,8 +52,8 @@ Run from the repo root::
 
 The JSON lands next to this repo's README so the perf trajectory of the
 hot path is tracked from PR to PR.  The pytest wrappers
-(``test_ext_state_cache.py``, ``test_ext_event_sched.py``,
-``test_ext_sched_scale.py``) reuse the same builders on tiny
+(``test_ext_state_cache.py``, ``test_ext_sched_scale.py``,
+``test_ext_wall.py``, ...) reuse the same builders on tiny
 configurations, and ``benchmarks/check_regression.py`` replays the
 sweeps against the committed JSON baselines as a regression gate.
 """
@@ -184,77 +178,10 @@ def run(sizes=(250, 1000, 2000), repeats=9) -> dict:
     }
 
 
-#: Reconcile interval of the sweep: a production control plane reacts
-#: within ~a second, not the paper testbed's relaxed default — and the
-#: tighter the loop, the more of its wake-ups find nothing changed,
-#: which is precisely the waste the trigger subsystem removes.
-EVENT_SCHED_PERIOD_SECONDS = 1.0
-
-
-def event_sched_config(n_pods: int, event_driven: bool) -> Scenario:
-    """One scenario of the periodic-vs-event sweep (sans trace).
-
-    The cluster scales with the workload (roughly one worker pair per
-    125 pods) so the sweep measures scheduling-loop cost, not a
-    5-node testbed grinding through a month-long backlog.
-    """
-    workers = max(2, n_pods // 125)
-    return Scenario(
-        scheduler="binpack",
-        sgx_fraction=SGX_FRACTION,
-        seed=1,
-        event_driven=event_driven,
-        scheduler_period=EVENT_SCHED_PERIOD_SECONDS,
-        standard_workers=workers,
-        sgx_workers=workers,
-    )
-
-
-def run_event_sched(sizes=(250, 1000, 2000)) -> dict:
-    """Replay each size periodically and event-driven; compare."""
-    results = []
-    for n_pods in sizes:
-        trace = synthetic_scaled_trace(
-            seed=7, n_jobs=n_pods, overallocators=n_pods // 10
-        )
-        start = time.perf_counter()
-        periodic = event_sched_config(n_pods, False).with_(
-            trace=trace
-        ).run()
-        periodic_s = time.perf_counter() - start
-        start = time.perf_counter()
-        event = event_sched_config(n_pods, True).with_(trace=trace).run()
-        event_s = time.perf_counter() - start
-        results.append(
-            {
-                "pods": n_pods,
-                "periodic_passes": periodic.passes_executed,
-                "event_passes": event.passes_executed,
-                "passes_skipped": event.passes_skipped,
-                "pass_reduction": round(
-                    periodic.passes_executed
-                    / max(1, event.passes_executed),
-                    2,
-                ),
-                "periodic_wall_s": round(periodic_s, 3),
-                "event_wall_s": round(event_s, 3),
-                "wall_speedup": round(periodic_s / event_s, 2),
-                "events_published": event.events_published,
-                "events_coalesced": event.events_coalesced,
-                "makespan_s": round(periodic.metrics.makespan_seconds, 3),
-                "bit_for_bit_identical": (
-                    periodic.pod_signature() == event.pod_signature()
-                    and periodic.metrics.makespan_seconds
-                    == event.metrics.makespan_seconds
-                ),
-            }
-        )
-    return {
-        "benchmark": "event_sched",
-        "sgx_fraction": SGX_FRACTION,
-        "scheduler_period_seconds": EVENT_SCHED_PERIOD_SECONDS,
-        "results": results,
-    }
+#: Reconcile interval of the wall and obs sweeps: a production
+#: control plane reacts within ~a second, not the paper testbed's
+#: relaxed default.
+RECONCILE_PERIOD_SECONDS = 1.0
 
 
 #: Every Nth node in the sched_scale cluster carries SGX.
@@ -522,13 +449,11 @@ def run_preemption(sizes=PREEMPTION_SIZES) -> dict:
             n_pods, "cheapest-victims"
         ).with_(trace=trace).run()
         # Equivalence fact: the priority-disabled run equals the
-        # periodic full-scan oracle (and the event-driven engine) bit
-        # for bit — the policy layer costs disabled replays nothing.
+        # full-scan oracle bit for bit — the policy layer costs
+        # disabled replays nothing.
         oracle = baseline.with_(indexed_scheduling=False).run()
-        event = baseline.with_(event_driven=True).run()
         disabled_identical = (
             disabled.pod_signature() == oracle.pod_signature()
-            and event.pod_signature() == oracle.pod_signature()
             and disabled.metrics.makespan_seconds
             == oracle.metrics.makespan_seconds
         )
@@ -697,29 +622,26 @@ def run_traces(csv_rows=TRACES_CSV_ROWS) -> dict:
 #: gate compares it against the *committed* BENCH_wall.json row with a
 #: generous tolerance rather than against these constants directly.
 WALL_BASELINES = {
-    250: {"periodic": 0.304, "event": 0.281, "indexed": 0.307},
-    1000: {"periodic": 1.497, "event": 1.545, "indexed": 1.526},
-    2000: {"periodic": 3.966, "event": 3.914, "indexed": 4.045},
+    250: {"periodic": 0.304, "indexed": 0.307},
+    1000: {"periodic": 1.497, "indexed": 1.526},
+    2000: {"periodic": 3.966, "indexed": 4.045},
 }
 
 
-def wall_config(
-    n_pods: int, event_driven: bool = False, indexed: bool = False
-) -> Scenario:
+def wall_config(n_pods: int, indexed: bool = False) -> Scenario:
     """One engine variant of the wall sweep (sans trace).
 
-    Identical shape to :func:`event_sched_config` — the wall sweep
-    times the same scenarios the equivalence sweep verifies — plus the
-    indexed-batch engine as a third variant.
+    The cluster scales with the workload (roughly one worker pair per
+    125 pods) so the sweep measures scheduling-loop cost, not a
+    5-node testbed grinding through a month-long backlog.
     """
     workers = max(2, n_pods // 125)
     return Scenario(
         scheduler="binpack",
         sgx_fraction=SGX_FRACTION,
         seed=1,
-        event_driven=event_driven,
         indexed_scheduling=indexed,
-        scheduler_period=EVENT_SCHED_PERIOD_SECONDS,
+        scheduler_period=RECONCILE_PERIOD_SECONDS,
         standard_workers=workers,
         sgx_workers=workers,
     )
@@ -736,7 +658,6 @@ def run_wall(sizes=(250, 1000, 2000), repeats=1) -> dict:
         runs = {}
         for engine, kwargs in (
             ("periodic", {}),
-            ("event", {"event_driven": True}),
             ("indexed", {"indexed": True}),
         ):
             scenario = wall_config(n_pods, **kwargs).with_(trace=trace)
@@ -749,33 +670,21 @@ def run_wall(sizes=(250, 1000, 2000), repeats=1) -> dict:
                     best = elapsed
                 runs[engine] = result
             walls[engine] = best
-        periodic, event, indexed = (
-            runs["periodic"], runs["event"], runs["indexed"]
-        )
         # The cross-engine identity the replay layers must preserve:
-        # pod lifecycles, makespan and the queue series.  Pass/skip
-        # counters legitimately differ between periodic and
-        # event-driven engines, but the indexed engine must match the
-        # periodic oracle on the *full* signature.
+        # the indexed engine matches the full-scan one on the *full*
+        # signature.
         engines_identical = (
-            event.pod_signature() == periodic.pod_signature()
-            and event.metrics.makespan_seconds
-            == periodic.metrics.makespan_seconds
-            and tuple(event.metrics.queue_series)
-            == tuple(periodic.metrics.queue_series)
-            and indexed.signature() == periodic.signature()
+            runs["indexed"].signature() == runs["periodic"].signature()
         )
         baseline = WALL_BASELINES.get(n_pods)
         row = {
             "pods": n_pods,
             "periodic_wall_s": round(walls["periodic"], 3),
-            "event_wall_s": round(walls["event"], 3),
             "indexed_wall_s": round(walls["indexed"], 3),
             "engines_identical": engines_identical,
         }
         if baseline is not None:
             row["baseline_periodic_s"] = baseline["periodic"]
-            row["baseline_event_s"] = baseline["event"]
             row["baseline_indexed_s"] = baseline["indexed"]
             row["speedup"] = round(
                 baseline["periodic"] / walls["periodic"], 2
@@ -784,7 +693,7 @@ def run_wall(sizes=(250, 1000, 2000), repeats=1) -> dict:
     return {
         "benchmark": "wall",
         "sgx_fraction": SGX_FRACTION,
-        "scheduler_period_seconds": EVENT_SCHED_PERIOD_SECONDS,
+        "scheduler_period_seconds": RECONCILE_PERIOD_SECONDS,
         "baseline": "pre-refactor seed (see WALL_BASELINES)",
         "results": results,
     }
@@ -855,7 +764,7 @@ def run_obs(sizes=(1000, 2000), repeats=9) -> dict:
     return {
         "benchmark": "obs",
         "sgx_fraction": SGX_FRACTION,
-        "scheduler_period_seconds": EVENT_SCHED_PERIOD_SECONDS,
+        "scheduler_period_seconds": RECONCILE_PERIOD_SECONDS,
         "results": results,
     }
 
@@ -873,22 +782,6 @@ def main() -> None:
             f"speedup {row['speedup']:.1f}x"
         )
     print(f"wrote {out_path}")
-
-    event_report = run_event_sched()
-    event_path = Path(__file__).resolve().parent.parent / (
-        "BENCH_event_sched.json"
-    )
-    event_path.write_text(json.dumps(event_report, indent=2) + "\n")
-    for row in event_report["results"]:
-        print(
-            f"{row['pods']:>6} pods: periodic {row['periodic_passes']} "
-            f"passes / {row['periodic_wall_s']:.2f} s  "
-            f"event {row['event_passes']} passes / "
-            f"{row['event_wall_s']:.2f} s  "
-            f"({row['pass_reduction']:.1f}x fewer passes, "
-            f"identical={row['bit_for_bit_identical']})"
-        )
-    print(f"wrote {event_path}")
 
     scale_report = run_sched_scale()
     scale_path = Path(__file__).resolve().parent.parent / (
@@ -974,7 +867,6 @@ def main() -> None:
     for row in wall_report["results"]:
         print(
             f"{row['pods']:>6} pods: periodic {row['periodic_wall_s']:.2f} s  "
-            f"event {row['event_wall_s']:.2f} s  "
             f"indexed {row['indexed_wall_s']:.2f} s  "
             f"(baseline {row.get('baseline_periodic_s', '-')} s, "
             f"speedup {row.get('speedup', '-')}x, "

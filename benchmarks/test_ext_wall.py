@@ -2,8 +2,8 @@
 
 The full sweep (250–2000 pods, the ``BENCH_wall.json`` baselines) is
 ``run_bench.py``'s job; tier-1 only proves the harness works on one
-tiny configuration and that its headline invariant — the three engines
-agree bit for bit on pod lifecycles, makespan and the queue series —
+tiny configuration and that its headline invariant — the full-scan
+and the indexed engine agree bit for bit on the whole signature —
 holds there too.
 """
 
@@ -18,7 +18,6 @@ class TestWallBench:
         assert row["pods"] == 40
         assert row["engines_identical"] is True
         assert row["periodic_wall_s"] > 0
-        assert row["event_wall_s"] > 0
         assert row["indexed_wall_s"] > 0
         # 40 pods has no pre-refactor baseline: no speedup claimed.
         assert "speedup" not in row
@@ -28,18 +27,12 @@ class TestWallBench:
         # every BENCH_wall.json row carries the gated metric.
         assert set(WALL_BASELINES) == {250, 1000, 2000}
         for timings in WALL_BASELINES.values():
-            assert set(timings) == {"periodic", "event", "indexed"}
+            assert set(timings) == {"periodic", "indexed"}
             assert all(value > 0 for value in timings.values())
 
     def test_config_variants_differ_only_by_engine(self):
         periodic = wall_config(500)
-        event = wall_config(500, event_driven=True)
         indexed = wall_config(500, indexed=True)
-        assert not periodic.event_driven and not periodic.indexed_scheduling
-        assert event.event_driven and not event.indexed_scheduling
-        assert indexed.indexed_scheduling and not indexed.event_driven
-        assert (
-            periodic.standard_workers
-            == event.standard_workers
-            == indexed.standard_workers
-        )
+        assert not periodic.indexed_scheduling
+        assert indexed.indexed_scheduling
+        assert periodic == indexed.with_(indexed_scheduling=False)

@@ -4,7 +4,7 @@ The paper's evaluation is one sentence — "replay one scaled Borg trace
 under many configurations" — and a :class:`Scenario` is that sentence
 as a value: cluster shape, trace source and seed, workload, scheduler
 name plus options, and the feature toggles the later PRs added
-(``event_driven``, ``indexed_scheduling``, ``use_state_cache``).  It
+(``indexed_scheduling``, ``use_state_cache``).  It
 validates at construction (unknown scheduler/workload names die here
 with the list of registered names), is immutable and picklable (so
 sweeps can ship it to worker processes), and is the only configuration
@@ -248,10 +248,6 @@ class Scenario:
     preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD
 
     # -- feature toggles (later PRs' fast paths) ---------------------------
-    #: Fire scheduling passes on cluster events instead of
-    #: unconditionally every period; bit-for-bit equivalent to the
-    #: periodic default, which stays the oracle for that claim.
-    event_driven: bool = False
     #: Answer each pass from the incremental node-candidate index
     #: instead of the per-pod full scan; bit-for-bit identical.
     indexed_scheduling: bool = False
@@ -422,15 +418,12 @@ class Scenario:
     def run(self) -> "RunResult":
         """Execute the scenario; fully deterministic per its seeds."""
         replay = run_replay(self)
-        trigger = replay.orchestrator.trigger
         return RunResult(
             scenario=self,
             metrics=replay.metrics,
             passes_executed=replay.passes_executed,
-            passes_skipped=replay.passes_skipped,
             migration_count=replay.migration_count,
-            events_published=trigger.events_published,
-            events_coalesced=trigger.events_coalesced,
+            events_published=replay.orchestrator.trigger.events_published,
             preemption_count=replay.preemption_count,
             eviction_count=replay.eviction_count,
             wait_reasons=replay.wait_reasons,
@@ -455,10 +448,8 @@ class RunResult:
     scenario: Scenario
     metrics: ReplayMetrics
     passes_executed: int = 0
-    passes_skipped: int = 0
     migration_count: int = 0
     events_published: int = 0
-    events_coalesced: int = 0
     #: Pods placed by evicting victims (0 under the ``none`` policy).
     preemption_count: int = 0
     #: Victims evicted (killed and resubmitted) for those placements.
@@ -503,7 +494,9 @@ class RunResult:
             self.metrics.makespan_seconds,
             tuple(self.metrics.queue_series),
             self.passes_executed,
-            self.passes_skipped,
+            # Where 3.x counted event-driven skipped passes; a constant,
+            # like the spillover slot below.
+            0,
             self.migration_count,
             self.preemption_count,
             self.eviction_count,
@@ -524,7 +517,6 @@ class RunResult:
             "sgx_fraction": scenario.sgx_fraction,
             "seed": scenario.seed,
             "epc_mib": round(scenario.epc_total_bytes / 2**20, 3),
-            "event_driven": scenario.event_driven,
             "indexed": scenario.indexed_scheduling,
             "submitted": len(metrics.pods),
             "completed": len(metrics.succeeded),
@@ -534,7 +526,6 @@ class RunResult:
             "max_wait_s": round(metrics.max_waiting_seconds(), 3),
             "turnaround_h": round(metrics.total_turnaround_hours(), 3),
             "passes_executed": self.passes_executed,
-            "passes_skipped": self.passes_skipped,
             "migrations": self.migration_count,
             "preemptions": self.preemption_count,
             "evictions": self.eviction_count,

@@ -235,11 +235,6 @@ def _scenario_flags() -> argparse.ArgumentParser:
         "(default %(default)s)",
     )
     parent.add_argument(
-        "--event-driven",
-        action="store_true",
-        help="fire scheduling passes on cluster events",
-    )
-    parent.add_argument(
         "--indexed",
         action="store_true",
         help="schedule batches against the node-candidate index",
@@ -587,7 +582,6 @@ def _base_scenario(args: argparse.Namespace) -> Scenario:
         workload=args.workload,
         sgx_fraction=args.sgx_fraction,
         seed=args.seed,
-        event_driven=args.event_driven,
         indexed_scheduling=args.indexed,
         use_state_cache=not args.no_state_cache,
         preemption_policy=args.preemption_policy,

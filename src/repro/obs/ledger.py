@@ -66,7 +66,8 @@ LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
         "evicted", "preemptions", "feasibility_checks", "bound_skips",
         "score_cutoffs", "statics_reused",
     ),
-    #: An event-driven wake-up proved clean and skipped its pass.
+    #: A wake-up skipped its pass.  Never emitted since 4.0.0; kept so
+    #: 3.x ledgers stay readable.
     "pass_skipped": (),
     #: The strategy bound a pod to a node.
     "placement": ("pod", "node", "runner_ups"),

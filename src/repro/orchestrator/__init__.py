@@ -8,7 +8,7 @@ agents that admit pods, set up cgroups and relay EPC limits to the driver
 each EPC page as a resource item (:mod:`repro.orchestrator.device_plugin`)
 over a gRPC-like channel (:mod:`repro.orchestrator.rpc`), DaemonSets that
 keep one probe per SGX node (:mod:`repro.orchestrator.daemonset`), the
-event hub that turns cluster transitions into scheduling-pass triggers
+hub that counts and records cluster transitions
 (:mod:`repro.orchestrator.triggers`) and the orchestrator facade tying
 everything together (:mod:`repro.orchestrator.controller`).
 """
@@ -27,7 +27,7 @@ from .kubelet import Kubelet
 from .pod import Pod
 from .queue import PendingQueue
 from .rpc import RpcChannel, RpcServer
-from .triggers import ClusterEvent, SchedulingTrigger, TriggerEvent
+from .triggers import ClusterEvent, SchedulingTrigger
 
 __all__ = [
     "ClusterEvent",
@@ -46,6 +46,5 @@ __all__ = [
     "SGX_EPC_RESOURCE",
     "SchedulingTrigger",
     "SgxDevicePlugin",
-    "TriggerEvent",
     "WorkloadProfile",
 ]

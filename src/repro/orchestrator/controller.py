@@ -27,7 +27,7 @@ The orchestrator itself is clock-free: every method takes ``now``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.resources import ResourceVector
 from ..cluster.topology import Cluster
@@ -41,7 +41,12 @@ from ..obs.observer import NULL_OBSERVER
 from ..policy.classes import DEFAULT_PREEMPTION_THRESHOLD
 from ..policy.preemption import EvictionCandidate, PreemptionPolicy
 from ..policy.qos import is_evictable_by
-from ..scheduler.base import ClusterStateService, NodeView, Scheduler
+from ..scheduler.base import (
+    ClusterStateService,
+    NodeView,
+    Scheduler,
+    SchedulingOutcome,
+)
 from ..scheduler.index import SelectionStats
 from ..sgx.migration import MigrationManager
 from ..sgx.perf import SgxPerfModel
@@ -89,6 +94,16 @@ class PassResult:
     #: Counters of the indexed candidate selection, when the scheduler
     #: ran this pass in indexed mode (``None`` for the oracle path).
     selection: Optional[SelectionStats] = None
+
+
+class _KeptPass(NamedTuple):
+    """An all-deferred outcome and the inputs it was computed from."""
+
+    scheduler: Scheduler
+    knobs: Tuple[bool, ...]
+    snapshot: Optional[List[NodeView]]
+    pending: List[Pod]
+    outcome: SchedulingOutcome
 
 
 class Orchestrator:
@@ -196,12 +211,19 @@ class Orchestrator:
         )
         self.all_pods: List[Pod] = []
         self.migrations = MigrationManager()
-        #: Event hub: every cluster transition that could make a
-        #: scheduling pass useful is published here, so event-driven
-        #: drivers react to state changes instead of polling on a
-        #: timer (the periodic mode simply never consults it).
+        #: Every cluster transition that could make a scheduling pass
+        #: useful is published here and recorded as a ``trigger``
+        #: ledger record.
         self.trigger = SchedulingTrigger()
         self.trigger.ledger = self.ledger
+        #: The last pass's all-deferred outcome and what it was computed
+        #: from (see :meth:`_schedule`); ``None`` when that pass placed
+        #: or rejected a pod, or ran indexed.
+        self._kept: Optional[_KeptPass] = None
+        #: Passes answered from the kept outcome instead of
+        #: :meth:`Scheduler.schedule` (observability; they still count
+        #: as executed).
+        self.passes_reused = 0
 
     def _make_probe(self, kubelet: Kubelet) -> SgxMetricsProbe:
         driver = kubelet.node.driver
@@ -324,11 +346,13 @@ class Orchestrator:
         which scheduler it requires" (how the authors ran comparative
         benchmarks).  The default considers the whole queue, as in a
         single-scheduler production deployment.
+
+        A pass over the same queue and cluster state as the previous
+        all-deferred one returns that pass's outcome instead of
+        recomputing it (see :meth:`_schedule`); nothing else about the
+        pass changes.
         """
         result = PassResult()
-        # Consume the cluster events this pass serves (coalescing
-        # accounting; periodic callers run regardless of events).
-        self.trigger.begin_pass(now)
         pending = self.queue.snapshot(now)
         if only_matching:
             pending = [
@@ -348,7 +372,7 @@ class Orchestrator:
         # The scheduler arrives with the pass, so bind it to this
         # orchestrator's ledger here.
         scheduler.ledger = ledger
-        outcome = scheduler.schedule(pending, views, now)
+        outcome = self._schedule(scheduler, pending, views, now)
         result.selection = scheduler.last_selection_stats
 
         for pod in outcome.unschedulable:
@@ -365,41 +389,7 @@ class Orchestrator:
             pod = assignment.pod
             self.queue.remove(pod)
             pod.mark_bound(assignment.node_name, now)
-            kubelet = self.kubelets[assignment.node_name]
-            admission = kubelet.admit(pod)
-            if admission.success:
-                result.launched.append((pod, admission.startup_seconds))
-            elif admission.retryable:
-                # Transient failure (e.g. the EPC filled between the
-                # metrics snapshot and launch): back to the queue, like
-                # a Kubernetes crash-looping pod.  The requeue keeps
-                # the pod's original submission order — FCFS priority
-                # survives the retry instead of demoting the pod to
-                # the tail, where the oldest pod could starve forever.
-                pod.mark_unbound()
-                ready_at = self.queue.requeue(pod, now)
-                result.requeued.append(pod)
-                if ledger.enabled:
-                    ledger.emit(
-                        now, "requeue",
-                        pod=pod.name, ready_at=ready_at,
-                    )
-                self.trigger.publish(
-                    ClusterEvent.POD_REQUEUED,
-                    now,
-                    pod_name=pod.name,
-                    ready_at=ready_at,
-                )
-            else:
-                pod.mark_failed(now, admission.failure_reason or "killed")
-                result.killed.append(pod)
-                if ledger.enabled:
-                    ledger.emit(
-                        now, "launch_killed",
-                        pod=pod.name,
-                        node=assignment.node_name,
-                        reason=admission.failure_reason or "killed",
-                    )
+            self._launch(pod, assignment.node_name, result, now)
 
         result.wait_reasons = dict(outcome.wait_reasons)
         deferred = list(outcome.deferred)
@@ -435,6 +425,120 @@ class Orchestrator:
                 ),
             )
         return result
+
+    def _schedule(
+        self,
+        scheduler: Scheduler,
+        pending: List[Pod],
+        views: List[NodeView],
+        now: float,
+    ) -> SchedulingOutcome:
+        """``scheduler.schedule(pending, views, now)``, or the previous
+        pass's outcome when recomputing it provably gives the same.
+
+        In a backlog most passes see the same queue against the same
+        measured state and defer all of it again; this is Borg's score
+        cache applied to a whole pass.  The kept outcome is returned
+        when the previous pass that built views
+
+        * ran this scheduler object, full-scan, with the same
+          ``use_measured``, ``strict_fcfs`` and ``preserve_sgx_nodes``;
+        * deferred every pod it considered (a placement or rejection
+          keeps nothing);
+        * considered the same ``Pod`` objects in the same order;
+        * saw the snapshot :meth:`ClusterStateService.build_views` has
+          just served again: its fingerprint test proved the state
+          unchanged, and no rebuild replaced the snapshot since.
+
+        A full-scan pass is a function of exactly those inputs because
+        strategies are pure (see :meth:`Scheduler._select`).  A reused
+        pass leaves the views, the scheduler's selection fields and the
+        ledger as :meth:`Scheduler.schedule` would: ``used =
+        committed`` without measured usage, and every ``deferral``
+        record again, in order, at *now*.  The preemption step and
+        ``pass_end`` run as on any pass.
+        """
+        # The retained snapshot: a rebuild replaces the list, serving
+        # it again hands out clones and leaves it in place.
+        snapshot = self.state_service._last_views
+        knobs = (
+            scheduler.use_measured,
+            scheduler.strict_fcfs,
+            scheduler.preserve_sgx_nodes,
+            scheduler.indexed,
+        )
+        kept = self._kept
+        if (
+            kept is not None
+            and kept.scheduler is scheduler
+            and kept.knobs == knobs
+            and kept.snapshot is snapshot
+            and kept.pending == pending
+        ):
+            self.passes_reused += 1
+            outcome = kept.outcome
+            scheduler.last_selection_stats = None
+            scheduler.last_index = None
+            if not scheduler.use_measured:
+                for view in views:
+                    view.used = view.committed
+            ledger = self.ledger
+            if ledger.enabled:
+                for pod, reason in zip(
+                    outcome.deferred, outcome.deferred_reasons, strict=True
+                ):
+                    ledger.emit(
+                        now, "deferral", pod=pod.name, reason=reason
+                    )
+            return outcome
+        outcome = scheduler.schedule(pending, views, now)
+        self._kept = (
+            _KeptPass(scheduler, knobs, snapshot, pending, outcome)
+            if not (
+                scheduler.indexed
+                or outcome.assignments
+                or outcome.unschedulable
+            )
+            else None
+        )
+        return outcome
+
+    def _launch(
+        self, pod: Pod, node_name: str, result: PassResult, now: float
+    ) -> None:
+        """Admit *pod*, just bound to *node_name*, and file the outcome.
+
+        Shared by regular placements and the preemption step.  A
+        transient failure (e.g. the EPC filled between the metrics
+        snapshot and launch) sends the pod back to the queue, like a
+        Kubernetes crash-looping pod; the requeue keeps the pod's
+        original submission order, so FCFS priority survives the retry
+        instead of demoting the pod to the tail, where the oldest pod
+        could starve forever.  Any other failure kills the pod.
+        """
+        admission = self.kubelets[node_name].admit(pod)
+        if admission.success:
+            result.launched.append((pod, admission.startup_seconds))
+            return
+        ledger = self.ledger
+        if admission.retryable:
+            pod.mark_unbound()
+            ready_at = self.queue.requeue(pod, now)
+            result.requeued.append(pod)
+            if ledger.enabled:
+                ledger.emit(now, "requeue", pod=pod.name, ready_at=ready_at)
+            self.trigger.publish(
+                ClusterEvent.POD_REQUEUED, now, pod_name=pod.name
+            )
+            return
+        reason = admission.failure_reason or "killed"
+        pod.mark_failed(now, reason)
+        result.killed.append(pod)
+        if ledger.enabled:
+            ledger.emit(
+                now, "launch_killed",
+                pod=pod.name, node=node_name, reason=reason,
+            )
 
     # -- preemption (the policy layer's in-pass hook) ----------------------
 
@@ -610,30 +714,9 @@ class Orchestrator:
             if index is not None:
                 index.note_reserved(view)
             result.preemptions += 1
-            admission = self.kubelets[plan.node_name].admit(pod)
-            if admission.success:
-                result.launched.append((pod, admission.startup_seconds))
-            elif admission.retryable:
-                # The freed EPC can still race a concurrent allocation
-                # in principle; the requeue machinery covers it exactly
-                # like a regular transient launch failure.
-                pod.mark_unbound()
-                ready_at = self.queue.requeue(pod, now)
-                result.requeued.append(pod)
-                if ledger.enabled:
-                    ledger.emit(
-                        now, "requeue",
-                        pod=pod.name, ready_at=ready_at,
-                    )
-                self.trigger.publish(
-                    ClusterEvent.POD_REQUEUED,
-                    now,
-                    pod_name=pod.name,
-                    ready_at=ready_at,
-                )
-            else:
-                pod.mark_failed(now, admission.failure_reason or "killed")
-                result.killed.append(pod)
+            # The freed EPC can still race a concurrent allocation in
+            # principle; a failed launch is filed like a regular one.
+            self._launch(pod, plan.node_name, result, now)
         spans.end(span_start, "preempt", now)
         return still_deferred
 

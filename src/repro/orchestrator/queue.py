@@ -157,21 +157,6 @@ class PendingQueue:
             if ready_at.get(pod.uid, now) <= now
         ]
 
-    def ready_count(self, now: float) -> int:
-        """Pods eligible for scheduling at *now*."""
-        if not self._ready_at:
-            return len(self._pods)
-        return sum(
-            1
-            for uid in self._pods
-            if self._ready_at.get(uid, now) <= now
-        )
-
-    def next_ready_at(self, now: float) -> Optional[float]:
-        """Earliest backoff expiry still in the future, if any."""
-        future = [t for t in self._ready_at.values() if t > now]
-        return min(future) if future else None
-
     # -- aggregates --------------------------------------------------------
 
     def total_requested_epc_pages(self) -> int:

@@ -32,7 +32,7 @@ Three planners ship:
 
 Determinism: every ordering ends in the victim's ``uid`` and every
 node score ends in the node name, so plans are identical across the
-periodic, event-driven and indexed engines — the property the
+full-scan and indexed passes, reused or not — the property the
 equivalence suite pins.
 """
 

@@ -132,6 +132,8 @@ class SchedulingOutcome:
     unschedulable: List[Pod] = field(default_factory=list)
     #: Pods left pending this pass (no room right now).
     deferred: List[Pod] = field(default_factory=list)
+    #: Each deferred pod's reason, parallel to :attr:`deferred`.
+    deferred_reasons: List[str] = field(default_factory=list)
     #: Why deferred pods waited, keyed by :data:`WAIT_REASONS` entries
     #: — the blocked dimension (no node has enough of it free), or
     #: ``fragmentation`` (each dimension fits somewhere, no single node
@@ -142,6 +144,7 @@ class SchedulingOutcome:
     def defer(self, pod: Pod, reason: str) -> None:
         """Record *pod* as deferred for *reason*."""
         self.deferred.append(pod)
+        self.deferred_reasons.append(reason)
         self.wait_reasons[reason] = self.wait_reasons.get(reason, 0) + 1
 
 
@@ -409,10 +412,10 @@ class ClusterStateService:
     def state_unchanged(self, now: float) -> bool:
         """Whether views built at *now* would equal the previous pass's.
 
-        The event-driven replay uses this to skip whole passes: if no
-        cluster event fired and the measured state is provably
-        unchanged, the pass would recompute the previous pass's exact
-        all-deferred outcome.
+        :meth:`build_views` serves the retained snapshot when this
+        holds, and the orchestrator then reuses the previous pass's
+        all-deferred outcome as well (see
+        :meth:`repro.orchestrator.controller.Orchestrator._schedule`).
         """
         if self._last_views is None:
             return False
@@ -766,4 +769,13 @@ class Scheduler(abc.ABC):
         candidates: Sequence[NodeView],
         views: Sequence[NodeView],
     ) -> Optional[NodeView]:
-        """Pick one of *candidates* for *pod*; ``None`` defers the pod."""
+        """Pick one of *candidates* for *pod*; ``None`` defers the pod.
+
+        Must be a pure function of ``(pod, candidates, views)``: no
+        state kept between calls, no clock, no randomness of its own.
+        Knobs it reads beyond ``use_measured``, ``strict_fcfs`` and
+        ``preserve_sgx_nodes`` must stay fixed during a run.  The
+        orchestrator relies on both when it answers a pass over an
+        unchanged queue and cluster with the previous pass's outcome
+        instead of calling :meth:`schedule` again.
+        """

@@ -19,9 +19,6 @@ class EventKind(enum.Enum):
     SUBMITTED = "submitted"
     METRICS_COLLECTED = "metrics-collected"
     SCHEDULING_PASS = "scheduling-pass"
-    #: Event-driven replay proved the pass would repeat the previous
-    #: outcome and skipped it (never logged in periodic mode).
-    PASS_SKIPPED = "pass-skipped"
     BOUND = "bound"
     LAUNCH_KILLED = "launch-killed"
     REJECTED = "rejected"

@@ -21,25 +21,18 @@ starts or finishes on it; only an epoch change (or a migration) banks
 and re-arms jobs.  A finish event is otherwise armed once, at start, and
 standard jobs are never re-armed.
 
-**Event-driven scheduling** (``Scenario(event_driven=True)``): the
-scheduler wakes on the same periodic grid — the grid stays as the
-min-interval guard and as the cadence of Fig. 7's queue samples — but
-each wake-up consults the orchestrator's
-:class:`~repro.orchestrator.triggers.SchedulingTrigger` and the
-state-service fingerprint, and *skips* the pass when no cluster event
-fired and the measured view is provably unchanged: the pass would
-recompute the previous all-deferred outcome.  Because only provable
-no-ops are skipped, event-driven replay is bit-for-bit identical to the
-periodic oracle (same bindings, same timestamps, same makespan) while
-executing a fraction of its scheduling passes.  The default,
-``event_driven=False``, is the paper's Sec. IV behaviour unchanged.
+The scheduler wakes on the paper's periodic grid and every wake-up
+with pods queued runs a pass.  In a backlog most of those passes would
+recompute the previous pass's all-deferred outcome; the orchestrator
+returns that outcome instead when it provably matches (see
+:meth:`repro.orchestrator.controller.Orchestrator._schedule`), so a
+reused pass is indistinguishable from a recomputed one.
 
 **Indexed scheduling** (``Scenario(indexed_scheduling=True)``):
-inside each executed pass, the scheduler consults the incremental
+inside each pass, the scheduler consults the incremental
 :class:`~repro.scheduler.index.NodeCandidateIndex` instead of scanning
 every node for every pod — same outcomes bit for bit, O(pods × nodes)
-work removed from the pass itself.  Composes freely with
-``event_driven`` (fewer passes × cheaper passes).
+work removed from the pass itself.  Indexed passes are never reused.
 """
 
 from __future__ import annotations
@@ -78,10 +71,8 @@ class ReplayResult:
     plans: List[SubmissionPlan] = field(default_factory=list)
     #: Live migrations executed by the rebalancer (0 when disabled).
     migration_count: int = 0
-    #: Scheduling passes actually executed.
+    #: Scheduling passes executed (reused ones included).
     passes_executed: int = 0
-    #: Wake-ups proven clean and skipped (0 in periodic mode).
-    passes_skipped: int = 0
     #: Pods placed by evicting victims (0 under the ``none`` policy).
     preemption_count: int = 0
     #: Victims killed (and resubmitted) by the preemption step.
@@ -214,7 +205,7 @@ class _Replay:
         "scheduler", "engine", "log", "running", "_node_jobs",
         "_job_seq", "_sgx_node_names", "_epochs", "unsubmitted", "plans",
         "rebalancer", "queue_series", "migration_count",
-        "passes_executed", "passes_skipped", "preemption_count",
+        "passes_executed", "preemption_count",
         "eviction_count", "wait_reasons", "obs",
     )
 
@@ -297,7 +288,6 @@ class _Replay:
         self.queue_series: List[QueueSample] = []
         self.migration_count = 0
         self.passes_executed = 0
-        self.passes_skipped = 0
         self.preemption_count = 0
         self.eviction_count = 0
         #: Aggregate deferral reasons over every executed pass, keyed
@@ -342,41 +332,11 @@ class _Replay:
             )
         )
 
-    def _pass_skippable(self, now: float) -> bool:
-        """Whether a pass at *now* would provably repeat the last one.
-
-        Three facts make a wake-up clean: (1) the visible queue is
-        empty — nothing to place, events can only matter to future
-        pods, which arrive with events of their own; (2) no cluster
-        event is ready at *now*; (3) the measured cluster state is
-        fingerprint-identical to the previous pass, so the same pending
-        pods against the same views would defer the same way.
-        """
-        orchestrator = self.orchestrator
-        if orchestrator.queue.ready_count(now) == 0:
-            orchestrator.trigger.discard_ready(now)
-            return True
-        if orchestrator.trigger.has_work(now):
-            return False
-        return orchestrator.state_service.state_unchanged(now)
-
     def _scheduler_tick(self) -> None:
         now = self.engine.now
-        if self.scenario.event_driven and self._pass_skippable(now):
-            # Skip the pass, not the wake-up: the grid stays the
-            # min-interval guard, and the queue is still sampled — a
-            # skipped pass leaves it untouched, so the sample equals
-            # the periodic replay's and Fig. 7's series match.  No
-            # occupancy moved, so no slowdown epoch can have either.
-            self.passes_skipped += 1
-            self.log.record(now, EventKind.PASS_SKIPPED)
-            ledger = self.obs.ledger
-            if ledger.enabled:
-                ledger.emit(now, "pass_skipped")
-        else:
-            self._execute_pass(now)
-            # Admissions, kills and evictions moved EPC occupancy.
-            self._check_sgx_nodes(now)
+        self._execute_pass(now)
+        # Admissions, kills and evictions moved EPC occupancy.
+        self._check_sgx_nodes(now)
         self._sample_queue(now)
         if self._active():
             self.engine.schedule_in(
@@ -706,7 +666,6 @@ class _Replay:
             plans=self.plans,
             migration_count=self.migration_count,
             passes_executed=self.passes_executed,
-            passes_skipped=self.passes_skipped,
             preemption_count=self.preemption_count,
             eviction_count=self.eviction_count,
             wait_reasons=dict(self.wait_reasons),
@@ -734,7 +693,9 @@ class _Replay:
                 now, "run_end",
                 makespan_s=result.metrics.makespan_seconds,
                 passes=result.passes_executed,
-                skipped=result.passes_skipped,
+                # The frozen v1 schema keeps the field; no pass has
+                # been skipped since 4.0.0.
+                skipped=0,
                 preemptions=result.preemption_count,
                 evictions=result.eviction_count,
                 migrations=result.migration_count,
@@ -752,8 +713,8 @@ class _Replay:
                 outcome="executed",
             )
             reg.counter(
-                "repro_passes_total", result.passes_skipped,
-                outcome="skipped",
+                "repro_passes_reused_total",
+                result.orchestrator.passes_reused,
             )
             reg.counter("repro_preemptions_total", result.preemption_count)
             reg.counter("repro_evictions_total", result.eviction_count)

@@ -1,15 +1,30 @@
-"""Event-driven replay: bit-for-bit equivalence with the periodic oracle.
+"""Pass reuse: bit-for-bit equivalence with the recomputing oracle.
 
-The tentpole claim of the trigger subsystem: firing scheduling passes on
-cluster events (with clean wake-ups skipped) reproduces the periodic
-replay exactly — same pod phases, same bindings, same timestamps, same
-makespan and turnaround distribution — while executing far fewer passes.
+In a backlog most periodic passes see the same queue against the same
+measured state, and the orchestrator answers them from the previous
+pass's all-deferred outcome (``Orchestrator._schedule``).  A reused
+pass must be indistinguishable from a recomputed one: the same pod
+lifecycles, queue series and pass counters (the whole
+``RunResult.signature()``) and a byte-identical ledger body, against
+the non-reusing pass kept in ``tests/pass_reuse_reference.py``.  The
+configurations are the ones the event-driven skip, which reuse
+replaced, was checked on.
 """
+
+import contextlib
+import os
 
 import pytest
 
-from repro.api import Scenario
+from pass_reuse_reference import (
+    fresh_uids,
+    ledger_body,
+    recomputing,
+    run_with_replay,
+)
+from repro.api import ObserveConfig, Scenario
 from repro.errors import EpcExhaustedError
+from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase
 from repro.sgx.migration import MigrationManager
 from repro.simulation.events import EventKind
@@ -26,25 +41,32 @@ def small_trace():
 @pytest.fixture(scope="module")
 def saturated_trace():
     # Burst submissions: the queue stays backed up for a long stretch,
-    # exercising the fingerprint-based (state-unchanged) skip path.
+    # so many passes see an unchanged queue and cluster.
     return synthetic_scaled_trace(
         seed=7, n_jobs=60, overallocators=6, window_seconds=60.0
     )
 
 
-def pod_signature(result):
-    return [
-        (
-            pod.name,
-            pod.phase.value,
-            pod.submitted_at,
-            pod.bound_at,
-            pod.started_at,
-            pod.finished_at,
-            pod.node_name,
-        )
-        for pod in result.metrics.pods
-    ]
+def assert_matches_oracle(scenario, directory):
+    """Run *scenario* reusing and recomputing, both with a ledger on;
+    require equal signatures, queue series and ledger bodies.  Returns
+    the reusing run's live replay."""
+
+    def record(name, engine):
+        path = os.path.join(str(directory), name + ".jsonl")
+        observed = scenario.with_(observe=ObserveConfig(ledger_path=path))
+        with fresh_uids(), engine:
+            result, replay = run_with_replay(observed)
+        return result, ledger_body(path), replay
+
+    reused, reused_ledger, replay = record(
+        "reusing", contextlib.nullcontext()
+    )
+    oracle, oracle_ledger, _ = record("recomputing", recomputing())
+    assert reused.signature() == oracle.signature()
+    assert reused.metrics.queue_series == oracle.metrics.queue_series
+    assert reused_ledger == oracle_ledger
+    return replay
 
 
 EQUIVALENCE_CONFIGS = [
@@ -73,104 +95,80 @@ class TestEquivalence:
         "kwargs", EQUIVALENCE_CONFIGS,
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )
-    def test_bit_for_bit_with_fewer_passes(self, small_trace, kwargs):
-        periodic = run_replay(
-            Scenario(trace=small_trace, scheduler="binpack", **kwargs)
-        )
-        event = run_replay(
-            Scenario(
-                trace=small_trace,
-                scheduler="binpack",
-                event_driven=True,
-                **kwargs,
+    def test_bit_for_bit_with_fewer_passes(
+        self, small_trace, saturated_trace, kwargs, tmp_path
+    ):
+        # The 40-job trace never backs up (every pass places or finds
+        # the queue empty); the burst trace does, and reuses passes.
+        for trace in (small_trace, saturated_trace):
+            replay = assert_matches_oracle(
+                Scenario(trace=trace, scheduler="binpack", **kwargs),
+                tmp_path,
             )
-        )
-        assert pod_signature(event) == pod_signature(periodic)
-        assert (
-            event.metrics.makespan_seconds
-            == periodic.metrics.makespan_seconds
-        )
-        assert sorted(event.metrics.turnaround_times()) == sorted(
-            periodic.metrics.turnaround_times()
-        )
-        assert event.metrics.queue_series == periodic.metrics.queue_series
-        assert event.passes_executed < periodic.passes_executed
-        assert event.passes_skipped > 0
-        assert (
-            event.passes_executed + event.passes_skipped
-            == periodic.passes_executed
-        )
+        reused = replay.orchestrator.passes_reused
+        assert 0 < reused < replay.passes_executed
 
-    def test_saturated_queue_equivalence(self, saturated_trace):
-        kwargs = dict(sgx_fraction=1.0, seed=1, epc_total_bytes=mib(64))
-        periodic = run_replay(
-            Scenario(trace=saturated_trace, scheduler="binpack", **kwargs)
-        )
-        event = run_replay(
+    def test_saturated_queue_equivalence(self, saturated_trace, tmp_path):
+        replay = assert_matches_oracle(
             Scenario(
                 trace=saturated_trace,
                 scheduler="binpack",
-                event_driven=True,
-                **kwargs,
-            )
-        )
-        assert pod_signature(event) == pod_signature(periodic)
-        assert event.passes_executed < periodic.passes_executed
-        # The backlog keeps the queue non-empty for a long stretch;
-        # skips there come from the state-unchanged proof, not just
-        # queue emptiness.
-        assert periodic.metrics.max_waiting_seconds() > 100.0
-
-    def test_spread_scheduler_equivalence(self, small_trace):
-        kwargs = dict(scheduler="spread", sgx_fraction=0.5, seed=4)
-        periodic = run_replay(Scenario(trace=small_trace, **kwargs))
-        event = run_replay(
-            Scenario(trace=small_trace, event_driven=True, **kwargs)
-        )
-        assert pod_signature(event) == pod_signature(periodic)
-
-    def test_periodic_mode_logs_no_skips(self, small_trace):
-        result = run_replay(
-            Scenario(
-                trace=small_trace,
-                scheduler="binpack",
-                sgx_fraction=0.5,
+                sgx_fraction=1.0,
                 seed=1,
-            )
+                epc_total_bytes=mib(64),
+            ),
+            tmp_path,
         )
-        assert result.passes_skipped == 0
-        assert result.log.of_kind(EventKind.PASS_SKIPPED) == []
+        assert replay.orchestrator.passes_reused > 0
+        # The backlog keeps the queue non-empty for a long stretch;
+        # reuse there comes from the state-unchanged proof.
+        assert replay.metrics.max_waiting_seconds() > 100.0
 
-    def test_event_mode_is_deterministic(self, small_trace):
-        scenario = Scenario(
-            trace=small_trace,
-            scheduler="binpack",
-            sgx_fraction=1.0,
-            seed=5,
-            event_driven=True,
+    def test_spread_scheduler_equivalence(self, small_trace, tmp_path):
+        assert_matches_oracle(
+            Scenario(
+                trace=small_trace, scheduler="spread",
+                sgx_fraction=0.5, seed=4,
+            ),
+            tmp_path,
         )
-        a = run_replay(scenario)
-        b = run_replay(scenario)
-        assert pod_signature(a) == pod_signature(b)
-        assert a.passes_executed == b.passes_executed
 
-
-class TestTriggerAccounting:
-    def test_events_coalesce_into_fewer_passes(self, small_trace):
+    def test_periodic_mode_logs_no_skips(self, saturated_trace, tmp_path):
+        """Every wake-up runs its pass: reused passes are executed
+        passes, and nothing is recorded as skipped."""
+        path = str(tmp_path / "run.jsonl")
         result = run_replay(
             Scenario(
-                trace=small_trace,
+                trace=saturated_trace,
                 scheduler="binpack",
                 sgx_fraction=1.0,
                 seed=1,
-                event_driven=True,
+                observe=ObserveConfig(ledger_path=path),
             )
         )
-        trigger = result.orchestrator.trigger
-        # 40 submissions + 40 completions at minimum.
-        assert trigger.events_published >= 80
-        assert result.passes_executed < trigger.events_published
-        assert trigger.events_coalesced > 0
+        assert result.orchestrator.passes_reused > 0
+        assert len(result.log.of_kind(EventKind.SCHEDULING_PASS)) == (
+            result.passes_executed
+        )
+        events = load_ledger(path).events
+        assert not [e for e in events if e["kind"] == "pass_skipped"]
+        assert events[-1]["kind"] == "run_end"
+        assert events[-1]["skipped"] == 0
+        assert events[-1]["passes"] == result.passes_executed
+
+    def test_reuse_is_deterministic(self, saturated_trace):
+        scenario = Scenario(
+            trace=saturated_trace,
+            scheduler="binpack",
+            sgx_fraction=1.0,
+            seed=5,
+        )
+        a, a_replay = run_with_replay(scenario)
+        b, b_replay = run_with_replay(scenario)
+        assert a.signature() == b.signature()
+        assert a_replay.orchestrator.passes_reused == (
+            b_replay.orchestrator.passes_reused
+        ) > 0
 
 
 class TestFailedMigrationInReplay:

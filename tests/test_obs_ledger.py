@@ -4,13 +4,14 @@ Two claims, the first hypothesis-checked on random bursty traces:
 
 * **observed == unobserved** — turning the decision ledger on changes
   nothing: whole-replay signatures are bit-for-bit identical with and
-  without a ledger, across the periodic, event-driven and indexed
-  engines, with preemption on and off.
+  without a ledger, on the default (pass-reusing), the recomputing
+  and the indexed pass, with preemption on and off.
 * **the file format is deterministic** — replaying one scenario twice
   produces byte-identical ledgers, ordered by sim time with a dense
   sequence counter, under the declared ``repro.ledger/v1`` header.
 """
 
+import contextlib
 import json
 import os
 import tempfile
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pass_reuse_reference import recomputing
 from repro.api import ObserveConfig, Scenario
 from repro.errors import SimulationError
 from repro.obs import (
@@ -63,7 +65,7 @@ def record(scenario, directory, name):
     n_jobs=st.integers(min_value=10, max_value=30),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
     engine=st.sampled_from(
-        ["periodic", "event", "indexed", "preempting"]
+        ["periodic", "recomputing", "indexed", "preempting"]
     ),
 )
 @replay_settings
@@ -72,7 +74,7 @@ def test_observation_never_changes_the_run(
 ):
     toggles = {
         "periodic": {},
-        "event": {"event_driven": True},
+        "recomputing": {},
         "indexed": {"indexed_scheduling": True},
         "preempting": {
             "epc_total_bytes": mib(64),
@@ -90,8 +92,13 @@ def test_observation_never_changes_the_run(
         seed=seed,
         **toggles,
     )
-    plain = scenario.run()
-    with tempfile.TemporaryDirectory() as directory:
+    engine_context = (
+        recomputing()
+        if engine == "recomputing"
+        else contextlib.nullcontext()
+    )
+    with engine_context, tempfile.TemporaryDirectory() as directory:
+        plain = scenario.run()
         _, observed = record(scenario, directory, "run")
     assert observed.signature() == plain.signature()
     assert plain.ledger_path is None
@@ -101,7 +108,7 @@ def test_observation_never_changes_the_run(
 #: field except ``name``, ``trace`` and ``observe``.
 HEADER_CONFIG_KEYS = frozenset((
     "enforce_epc_limits", "epc_allow_overcommit", "epc_total_bytes",
-    "event_driven", "indexed_scheduling", "malicious", "max_sim_seconds",
+    "indexed_scheduling", "malicious", "max_sim_seconds",
     "metrics_period", "node_failures", "preemption_policy",
     "preemption_priority_threshold", "preserve_sgx_nodes",
     "priority_classes", "rebalance_period", "requeue_backoff_seconds",
@@ -167,21 +174,6 @@ def test_ledger_header_and_ordering(tmp_path):
             assert value is None or isinstance(
                 value, (str, int, float, bool)
             )
-
-
-def test_event_driven_ledger_records_skips(tmp_path):
-    scenario = Scenario(
-        trace="borg-synth:seed=7,jobs=40", sgx_fraction=0.5, seed=3
-    )
-    path, result = record(
-        scenario.with_(event_driven=True), str(tmp_path), "event"
-    )
-    skips = [
-        event
-        for event in load_ledger(path).events
-        if event["kind"] == "pass_skipped"
-    ]
-    assert len(skips) == result.passes_skipped > 0
 
 
 def test_emit_validates_against_the_schema_table(tmp_path):

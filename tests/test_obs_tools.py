@@ -2,14 +2,14 @@
 
 The diff fixtures pin the *true first divergence* for run pairs that
 differ in exactly one knob: a seed pair must split on the first
-record the reshuffled workload changes, the event-driven ledger must
-first diverge from the periodic one at a ``pass_skipped`` record (the
-only decision the two engines make differently), and a preemption
-on/off pair must split at the planner's first verdict.
+record the reshuffled workload changes, a preemption on/off pair must
+split at the planner's first verdict, and a run that reuses passes
+must not diverge at all from one that recomputes every pass.
 """
 
 import pytest
 
+from pass_reuse_reference import fresh_uids, recomputing, run_with_replay
 from repro.api import ObserveConfig, Scenario
 from repro.errors import SimulationError
 from repro.obs import (
@@ -46,6 +46,15 @@ def record(scenario, directory, name):
     return load_ledger(path), result
 
 
+def record_replay(scenario, directory, name):
+    """Like :func:`record`, with the live replay instead of the result."""
+    path = str(directory / (name + ".jsonl"))
+    _, replay = run_with_replay(
+        scenario.with_(observe=ObserveConfig(ledger_path=path))
+    )
+    return load_ledger(path), replay
+
+
 @pytest.fixture
 def base_scenario():
     return Scenario(
@@ -77,29 +86,23 @@ class TestDiffDivergenceHunt:
         # first record naming a redesignated pod.
         assert first.left["t"] == first.right["t"]
 
-    def test_event_driven_first_diverges_on_a_skipped_pass(
+    def test_reused_passes_never_diverge_from_recomputed_ones(
         self, tmp_path, base_scenario
     ):
-        periodic, _ = record(base_scenario, tmp_path, "periodic")
-        event, result = record(
-            base_scenario.with_(event_driven=True), tmp_path, "event"
+        contended = base_scenario.with_(
+            sgx_fraction=1.0, epc_total_bytes=mib(64)
         )
-        assert result.passes_skipped > 0
-        diff = diff_ledgers(periodic, event)
-        assert not diff.identical
-        assert (
-            "config.event_driven", False, True
-        ) in diff.header_diffs
-        first = diff.first_divergence
-        assert periodic.events[: first.index] == (
-            event.events[: first.index]
-        )
-        # The engines take identical decisions until the first wake-up
-        # the event-driven mode proves clean: the event-driven ledger
-        # records the skip where the periodic oracle's stream carries
-        # whatever its (no-op) pass recorded next.
-        assert first.right["kind"] == "pass_skipped"
-        assert first.left["kind"] != "pass_skipped"
+        with fresh_uids(), recomputing():
+            recomputed, _ = record(contended, tmp_path, "recomputed")
+        with fresh_uids():
+            reused, replay = record_replay(contended, tmp_path, "reused")
+        assert replay.orchestrator.passes_reused > 0
+        diff = diff_ledgers(recomputed, reused)
+        # Reuse decides nothing differently: not one record, and not
+        # the header either (both runs share one scenario).
+        assert diff.identical
+        assert diff.first_divergence is None
+        assert diff.header_diffs == []
 
     def test_preemption_pair_diverges_at_the_first_plan(
         self, tmp_path
@@ -275,6 +278,8 @@ class TestMetrics:
             f'repro_passes_total{{outcome="executed"}} '
             f"{result.passes_executed}" in text
         )
+        assert 'outcome="skipped"' not in text
+        assert "# TYPE repro_passes_reused_total counter" in text
         assert "# TYPE repro_pod_wait_seconds histogram" in text
         assert 'le="+Inf"' in text
         assert (

@@ -115,10 +115,11 @@ class TestRequeueBoundary:
         ready_at = queue.requeue(pod, now=5.0)
         assert ready_at == 15.0
         assert queue.snapshot(14.999) == []
-        assert queue.ready_count(14.999) == 0
+        assert len(queue.snapshot(14.999)) == 0
         assert queue.snapshot(15.0) == [pod]
-        assert queue.ready_count(15.0) == 1
-        assert queue.next_ready_at(15.0) is None
+        assert len(queue.snapshot(15.0)) == 1
+        # No backoff left: every queued pod is visible.
+        assert queue.snapshot(15.0) == queue.snapshot()
 
     @given(
         st.lists(

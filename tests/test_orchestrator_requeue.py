@@ -155,8 +155,10 @@ class TestControllerRequeue:
         mid = orchestrator.scheduling_pass(scheduler, now=20.0)
         assert mid.launched == []
         assert requeued in orchestrator.queue
-        assert orchestrator.queue.ready_count(20.0) == 0
-        assert orchestrator.queue.next_ready_at(20.0) == pytest.approx(61.0)
+        assert orchestrator.queue.snapshot(20.0) == []
+        # The backoff (60 s from the failed launch at t=1) ends at 61.
+        assert orchestrator.queue.snapshot(60.999) == []
+        assert orchestrator.queue.snapshot(61.0) == [requeued]
         # ...eligible again once the backoff expires.
         late = orchestrator.scheduling_pass(scheduler, now=61.0)
         assert [p for p, _ in late.launched] == [requeued]

@@ -1,147 +1,91 @@
-"""SchedulingTrigger: pub/sub, coalescing, min-interval, backoff."""
+"""SchedulingTrigger: every cluster transition is counted and recorded.
 
-import pytest
+The orchestrator publishes each transition that could make a
+scheduling pass useful; on an observed run each one becomes a
+``trigger`` ledger record (``repro explain`` reads a pod's submission
+and end from them).
+"""
 
+from pass_reuse_reference import RecordingObserver
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
-from repro.orchestrator.triggers import (
-    ClusterEvent,
-    SchedulingTrigger,
-    TriggerEvent,
-)
+from repro.orchestrator.triggers import ClusterEvent, SchedulingTrigger
 from repro.scheduler.binpack import BinpackScheduler
 from repro.units import mib
+from scheduling_reference import RecordingLedger
+
+
+def triggers(ledger):
+    """The ``trigger`` records of *ledger*, as (t, event, pod, node)."""
+    return [
+        (now, payload["event"], payload["pod"], payload["node"])
+        for now, kind, payload in ledger.records
+        if kind == "trigger"
+    ]
 
 
 class TestPublishSubscribe:
-    def test_listener_sees_every_publish(self):
-        trigger = SchedulingTrigger()
-        seen = []
-        trigger.subscribe(seen.append)
-        trigger.publish(ClusterEvent.POD_SUBMITTED, 1.0, pod_name="a")
-        trigger.publish(ClusterEvent.POD_COMPLETED, 2.0, pod_name="a")
-        assert [e.kind for e in seen] == [
-            ClusterEvent.POD_SUBMITTED,
-            ClusterEvent.POD_COMPLETED,
-        ]
-        assert all(isinstance(e, TriggerEvent) for e in seen)
+    """``publish`` counts and records; listeners are gone since 4.0.0."""
 
     def test_counters(self):
         trigger = SchedulingTrigger()
+        trigger.ledger = RecordingLedger()
         trigger.publish(ClusterEvent.POD_SUBMITTED, 1.0)
         trigger.publish(ClusterEvent.POD_SUBMITTED, 1.5)
         assert trigger.events_published == 2
-        assert trigger.pending_events == 2
-
-
-class TestPassGating:
-    def test_no_events_no_pass(self):
-        trigger = SchedulingTrigger()
-        assert not trigger.has_work(0.0)
-        assert trigger.next_pass_due(0.0) is None
-
-    def test_event_makes_pass_due_immediately(self):
-        trigger = SchedulingTrigger()
-        trigger.publish(ClusterEvent.POD_SUBMITTED, 3.0)
-        assert trigger.next_pass_due(3.0) == 3.0
-
-    def test_coalescing_many_events_one_pass(self):
-        trigger = SchedulingTrigger()
-        for i in range(5):
-            trigger.publish(ClusterEvent.POD_SUBMITTED, 1.0 + i)
-        consumed = trigger.begin_pass(10.0)
-        assert len(consumed) == 5
-        assert trigger.events_coalesced == 4
-        assert not trigger.has_work(10.0)
-
-    def test_min_interval_guard(self):
-        trigger = SchedulingTrigger(min_interval_seconds=5.0)
-        trigger.publish(ClusterEvent.POD_SUBMITTED, 0.0)
-        trigger.begin_pass(0.0)
-        trigger.publish(ClusterEvent.POD_SUBMITTED, 1.0)
-        # Due no sooner than last pass + min interval.
-        assert trigger.next_pass_due(1.0) == 5.0
-        # Once the guard has elapsed, due immediately.
-        assert trigger.next_pass_due(7.0) == 7.0
-
-
-class TestBackoff:
-    def test_deferred_until_ready_at(self):
-        trigger = SchedulingTrigger()
-        trigger.publish(
-            ClusterEvent.POD_REQUEUED, 10.0, pod_name="p", ready_at=40.0
-        )
-        assert not trigger.has_work(20.0)
-        assert trigger.next_wake(20.0) == 40.0
-        assert trigger.has_work(40.0)
-
-    def test_promotion_publishes_requeue_ready(self):
-        trigger = SchedulingTrigger()
-        seen = []
-        trigger.subscribe(seen.append)
-        trigger.publish(
-            ClusterEvent.POD_REQUEUED, 10.0, pod_name="p", ready_at=40.0
-        )
-        trigger.has_work(41.0)
-        assert seen[-1].kind is ClusterEvent.REQUEUE_READY
-        assert seen[-1].pod_name == "p"
-        assert seen[-1].time == 40.0
-
-    def test_ready_at_in_past_is_ready_now(self):
-        trigger = SchedulingTrigger()
-        trigger.publish(
-            ClusterEvent.POD_REQUEUED, 10.0, pod_name="p", ready_at=5.0
-        )
-        assert trigger.has_work(10.0)
-
-    def test_discard_ready_keeps_future_backoffs(self):
-        trigger = SchedulingTrigger()
-        trigger.publish(ClusterEvent.POD_COMPLETED, 10.0)
-        trigger.publish(
-            ClusterEvent.POD_REQUEUED, 10.0, pod_name="p", ready_at=40.0
-        )
-        assert trigger.discard_ready(10.0) == 1
-        assert not trigger.has_work(20.0)
-        assert trigger.has_work(40.0)
+        assert triggers(trigger.ledger) == [
+            (1.0, "pod-submitted", None, None),
+            (1.5, "pod-submitted", None, None),
+        ]
 
 
 class TestOrchestratorPublishes:
     """The controller publishes each lifecycle transition."""
 
-    def kinds(self, trigger):
-        return [e.kind for e in trigger._ready]
+    def events(self, orchestrator):
+        return [event for _, event, _, _ in triggers(orchestrator.ledger)]
 
     def test_submit_complete_kill(self):
-        orchestrator = Orchestrator(paper_cluster())
-        trigger = orchestrator.trigger
+        orchestrator = Orchestrator(
+            paper_cluster(), observer=RecordingObserver()
+        )
         scheduler = BinpackScheduler()
         pod = orchestrator.submit(
             make_pod_spec("p", duration_seconds=60.0,
                           declared_epc_bytes=mib(10)),
             now=0.0,
         )
-        assert ClusterEvent.POD_SUBMITTED in self.kinds(trigger)
+        assert triggers(orchestrator.ledger) == [
+            (0.0, "pod-submitted", "p", None)
+        ]
         orchestrator.scheduling_pass(scheduler, now=1.0)
-        assert not trigger.has_work(1.0)  # pass consumed the submission
         orchestrator.start_pod(pod, now=2.0)
         orchestrator.complete_pod(pod, now=50.0)
-        assert ClusterEvent.POD_COMPLETED in self.kinds(trigger)
+        assert triggers(orchestrator.ledger)[-1] == (
+            50.0, "pod-completed", "p", pod.node_name
+        )
 
         victim = orchestrator.submit(
             make_pod_spec("v", duration_seconds=60.0), now=51.0
         )
         orchestrator.kill_pod(victim, now=52.0, reason="test")
-        assert ClusterEvent.POD_KILLED in self.kinds(trigger)
+        assert self.events(orchestrator)[-2:] == [
+            "pod-submitted", "pod-killed",
+        ]
+        assert orchestrator.trigger.events_published == 4
 
     def test_node_add_remove(self):
-        orchestrator = Orchestrator(paper_cluster())
-        trigger = orchestrator.trigger
+        orchestrator = Orchestrator(
+            paper_cluster(), observer=RecordingObserver()
+        )
         orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=5.0)
-        assert ClusterEvent.NODE_ADDED in self.kinds(trigger)
         orchestrator.remove_node("sgx-worker-9", now=6.0)
-        assert ClusterEvent.NODE_REMOVED in self.kinds(trigger)
+        assert triggers(orchestrator.ledger) == [
+            (5.0, "node-added", None, "sgx-worker-9"),
+            (6.0, "node-removed", None, "sgx-worker-9"),
+        ]
 
     def test_requeue_publishes_ready_at(self):
         orchestrator = Orchestrator(
@@ -151,9 +95,8 @@ class TestOrchestratorPublishes:
                 sgx_workers=1,
             ),
             requeue_backoff_seconds=30.0,
+            observer=RecordingObserver(),
         )
-        events = []
-        orchestrator.trigger.subscribe(events.append)
         for index in range(2):
             orchestrator.submit(
                 make_pod_spec(
@@ -166,8 +109,15 @@ class TestOrchestratorPublishes:
             )
         result = orchestrator.scheduling_pass(BinpackScheduler(), now=1.0)
         assert len(result.requeued) == 1
+        requeued = result.requeued[0].name
+        assert self.events(orchestrator).count("pod-requeued") == 1
+        assert (1.0, "pod-requeued", requeued, None) in triggers(
+            orchestrator.ledger
+        )
+        # The ``requeue`` record carries when the backoff ends.
         requeues = [
-            e for e in events if e.kind is ClusterEvent.POD_REQUEUED
+            payload
+            for _, kind, payload in orchestrator.ledger.records
+            if kind == "requeue"
         ]
-        assert len(requeues) == 1
-        assert requeues[0].ready_at == pytest.approx(31.0)
+        assert requeues == [{"pod": requeued, "ready_at": 31.0}]

@@ -5,17 +5,19 @@ Two claims, both hypothesis-checked on random bursty traces:
 * **disabled == oracle** — with ``preemption_policy="none"`` (the
   default) and all pods at the default priority, whole-replay results
   are bit-for-bit identical to a scenario that never mentions the
-  policy knobs at all, across the periodic, event-driven and indexed
-  engines.  The policy layer costs the paper's replays nothing.
+  policy knobs at all, on the default (pass-reusing), the recomputing
+  and the indexed pass.  The policy layer costs the paper's replays
+  nothing.
 * **engines agree under preemption** — with real priorities and the
-  ``cheapest-victims`` planner enabled, the periodic, event-driven and
-  indexed engines still produce identical pod lifecycles, eviction
+  ``cheapest-victims`` planner enabled, the default, recomputing and
+  indexed passes still produce identical pod lifecycles, eviction
   counts and pass outcomes: preemption composes with every engine.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pass_reuse_reference import recomputing, run_recomputing
 from repro.api import Scenario
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import mib
@@ -60,16 +62,16 @@ def test_disabled_policy_is_bit_for_bit_the_oracle(
     )
     baseline = plain.run().signature()
     assert inert.run().signature() == baseline
-    for toggle in (
-        {"event_driven": True},
-        {"indexed_scheduling": True},
-    ):
-        assert plain.with_(**toggle).run().pod_signature() == (
-            plain.run().pod_signature()
-        )
-        assert inert.with_(**toggle).run().pod_signature() == (
-            plain.run().pod_signature()
-        )
+    with recomputing():
+        assert plain.run().signature() == baseline
+        assert inert.run().signature() == baseline
+    toggle = {"indexed_scheduling": True}
+    assert plain.with_(**toggle).run().pod_signature() == (
+        plain.run().pod_signature()
+    )
+    assert inert.with_(**toggle).run().pod_signature() == (
+        plain.run().pod_signature()
+    )
 
 
 @given(
@@ -98,23 +100,23 @@ def test_engines_agree_under_preemption(
         preemption_policy=policy,
     )
     periodic = base.run()
-    event = base.with_(event_driven=True).run()
+    recomputed = run_recomputing(base)
     indexed = base.with_(indexed_scheduling=True).run()
-    both = base.with_(
-        event_driven=True, indexed_scheduling=True
-    ).run()
+    both = run_recomputing(base.with_(indexed_scheduling=True))
     reference = periodic.signature()
-    for other in (event, indexed, both):
+    for other in (recomputed, indexed, both):
         assert other.pod_signature() == periodic.pod_signature()
         assert other.eviction_count == periodic.eviction_count
         assert other.preemption_count == periodic.preemption_count
-    # Indexed mode shares the periodic pass grid, so its whole
+    # Every engine shares the periodic pass grid, so the whole
     # signature — pass counts and the per-executed-pass wait-reason
-    # aggregates included — must match outright.  (Event-driven modes
-    # legitimately record fewer deferrals: skipped passes observe
-    # nothing, exactly like their passes_executed counter.)
+    # aggregates included — must match outright; reused passes count
+    # their deferrals again.
     assert indexed.wait_reasons == periodic.wait_reasons
+    assert recomputed.wait_reasons == periodic.wait_reasons
     assert indexed.signature() == reference
+    assert recomputed.signature() == reference
+    assert both.signature() == reference
 
 
 def test_preemption_actually_fires_in_the_suite_regime():

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.api import ObserveConfig, Scenario
 from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import paper_cluster
+from repro.obs import load_ledger
 from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.orchestrator.pod import Pod
@@ -16,7 +18,10 @@ from repro.policy import (
 from repro.registry import PREEMPTION_POLICIES
 from repro.scheduler.base import NodeView
 from repro.scheduler.binpack import BinpackScheduler
+from repro.simulation.events import EventKind
+from repro.simulation.runner import run_replay
 from repro.units import gib, mib, pages
+from scheduling_reference import RecordingLedger
 
 
 def view(name, mem_capacity, mem_used, sgx=False, epc_capacity=0, epc_used=0):
@@ -285,21 +290,23 @@ class TestOrchestratorPreemption:
 
     def test_eviction_publishes_trigger_events(self, contended):
         orchestrator, scheduler, _ = contended
-        orchestrator.trigger.begin_pass(5.0)  # drain submit events
         orchestrator.submit(
             make_pod_spec(
                 "vip", 60.0, declared_epc_bytes=mib(80), priority=100
             ),
             now=5.0,
         )
+        # Record only what the pass publishes.
+        ledger = orchestrator.trigger.ledger = RecordingLedger()
         before = orchestrator.trigger.events_published
         orchestrator.scheduling_pass(scheduler, now=6.0)
         kinds = {
-            event.kind.value
-            for event in orchestrator.trigger.begin_pass(7.0)
+            payload["event"]
+            for _, kind, payload in ledger.records
+            if kind == "trigger"
         }
-        # The eviction published kill + resubmission events, so an
-        # event-driven driver cannot skip the follow-up pass.
+        # The eviction published kill + resubmission events, each a
+        # ``trigger`` ledger record.
         assert "pod-killed" in kinds
         assert "pod-submitted" in kinds
         assert orchestrator.trigger.events_published > before
@@ -432,3 +439,42 @@ class TestOrchestratorPreemption:
         result = orchestrator.scheduling_pass(scheduler, now=4.0)
         assert result.evicted == []
         assert [pod.name for pod in result.deferred] == ["vip"]
+
+
+class TestLaunchOutcomesInTheLedger:
+    def test_a_preemptor_killed_at_launch_is_recorded(self, tmp_path):
+        """Regression: a pod placed by preemption and then killed by
+        EPC limit enforcement at launch left no ``launch_killed``
+        record (10 of 60 kills were missing at seed 1)."""
+        path = str(tmp_path / "run.jsonl")
+        replay = run_replay(
+            Scenario(
+                trace=(
+                    "borg-synth:seed=7,jobs=300,overallocators=60,"
+                    "window=900"
+                ),
+                sgx_fraction=1.0,
+                epc_total_bytes=mib(64),
+                workload="priority-mix",
+                workload_options={
+                    "high_fraction": 0.3,
+                    "high_priority": "latency-critical",
+                },
+                preemption_policy="cheapest-victims",
+                enforce_epc_limits=True,
+                standard_workers=2,
+                sgx_workers=2,
+                seed=1,
+                observe=ObserveConfig(ledger_path=path),
+            )
+        )
+        events = load_ledger(path).events
+        records = [e for e in events if e["kind"] == "launch_killed"]
+        killed = sum(e["killed"] for e in events if e["kind"] == "pass_end")
+        assert len(records) == killed == 60
+        kills = replay.log.of_kind(EventKind.LAUNCH_KILLED)
+        assert [(e.pod_name, e.node_name) for e in kills] == [
+            (r["pod"], r["node"]) for r in records
+        ]
+        preemptors = {e["pod"] for e in events if e["kind"] == "preemption"}
+        assert preemptors & {r["pod"] for r in records}

@@ -446,20 +446,6 @@ class TestReplayEquivalence:
         assert indexed.metrics.queue_series == oracle.metrics.queue_series
         assert indexed.passes_executed == oracle.passes_executed
 
-    def test_composes_with_event_driven(self, small_trace):
-        kwargs = dict(scheduler="binpack", sgx_fraction=1.0, seed=1)
-        oracle = run_replay(Scenario(trace=small_trace, **kwargs))
-        both = run_replay(
-            Scenario(
-                trace=small_trace,
-                event_driven=True,
-                indexed_scheduling=True,
-                **kwargs,
-            )
-        )
-        assert pod_signature(both) == pod_signature(oracle)
-        assert both.passes_executed < oracle.passes_executed
-
     def test_indexed_replay_is_deterministic(self, small_trace):
         scenario = Scenario(
             trace=small_trace,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pass_reuse_reference import run_recomputing
 from repro.api import Scenario
 from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import paper_cluster
@@ -32,12 +33,21 @@ from repro.simulation.runner import run_replay
 from repro.units import gib, mib
 
 
-#: The replay engines whose results must not depend on the state cache.
+#: The replay engines whose results must not depend on the state cache:
+#: the default pass (which reuses provably unchanged passes), the
+#: recomputing oracle and the indexed pass.
 ENGINE_MODES = pytest.mark.parametrize(
-    "mode",
-    [{}, {"event_driven": True}, {"indexed_scheduling": True}],
-    ids=["periodic", "event_driven", "indexed"],
+    "engine", ["periodic", "recomputing", "indexed"]
 )
+
+
+def run_engine(scenario, engine):
+    """``scenario.run()`` on *engine* (see :data:`ENGINE_MODES`)."""
+    if engine == "recomputing":
+        return run_recomputing(scenario)
+    if engine == "indexed":
+        scenario = scenario.with_(indexed_scheduling=True)
+    return scenario.run()
 
 
 def raw_series(**kwargs):
@@ -145,61 +155,48 @@ class TestBuildViewsEquivalence:
         assert cached_path == service.build_views(15.0)
 
     @ENGINE_MODES
-    def test_signature_identical_with_and_without_cache(self, mode):
+    def test_signature_identical_with_and_without_cache(self, engine):
         """Window-max store (default) vs TSDB + full InfluxQL scans."""
         signatures = [
-            Scenario(
-                trace="borg-synth:seed=7,jobs=120,overallocators=12",
-                sgx_fraction=0.5,
-                seed=3,
-                use_state_cache=use_cache,
-                **mode,
-            ).run().signature()
+            run_engine(
+                Scenario(
+                    trace="borg-synth:seed=7,jobs=120,overallocators=12",
+                    sgx_fraction=0.5,
+                    seed=3,
+                    use_state_cache=use_cache,
+                ),
+                engine,
+            ).signature()
             for use_cache in (True, False)
         ]
         assert signatures[0] == signatures[1]
 
     @ENGINE_MODES
-    def test_contended_replay_identical_with_and_without_cache(self, mode):
+    def test_contended_replay_identical_with_and_without_cache(
+        self, engine
+    ):
         """A standing EPC backlog, so passes really read the window.
 
-        Event-driven replays skip a pass only when the store proves the
-        cluster state unchanged; without the store nothing is proven
-        and those passes run, repeating the previous outcome.  So there
-        the executed/skipped split and the deferral tallies those extra
-        passes add may differ — pods, makespan, the queue series and
-        the other counters must not.
+        With the store, the default pass reuses the passes whose state
+        it proves unchanged; without it nothing is proven and every
+        pass recomputes.  The whole signature must match either way.
         """
         cached, uncached = (
-            Scenario(
-                trace="borg-synth:seed=42,jobs=60,window=5m",
-                sgx_fraction=0.9,
-                epc_total_bytes=mib(64),
-                standard_workers=1,
-                sgx_workers=1,
-                seed=1,
-                use_state_cache=use_cache,
-                **mode,
-            ).run()
+            run_engine(
+                Scenario(
+                    trace="borg-synth:seed=42,jobs=60,window=5m",
+                    sgx_fraction=0.9,
+                    epc_total_bytes=mib(64),
+                    standard_workers=1,
+                    sgx_workers=1,
+                    seed=1,
+                    use_state_cache=use_cache,
+                ),
+                engine,
+            )
             for use_cache in (True, False)
         )
-        if not mode.get("event_driven"):
-            assert cached.signature() == uncached.signature()
-            return
-        assert cached.passes_executed < uncached.passes_executed
-
-        def outcome(result):
-            return (
-                result.pod_signature(),
-                result.metrics.makespan_seconds,
-                tuple(result.metrics.queue_series),
-                result.passes_executed + result.passes_skipped,
-                result.migration_count,
-                result.preemption_count,
-                result.eviction_count,
-            )
-
-        assert outcome(cached) == outcome(uncached)
+        assert cached.signature() == uncached.signature()
 
     def test_replay_identical_with_and_without_cache(self, small_trace):
         """End to end: the cache changes latency, never behaviour."""
