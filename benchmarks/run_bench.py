@@ -143,12 +143,32 @@ def build_state(n_pods: int, use_cache: bool):
     return db, service
 
 
+def measured_usage(service: ClusterStateService, now: float) -> tuple:
+    """Memory and EPC window maxima at *now*, nested by node then pod.
+
+    With a window-max store, each node's maxima are read from the
+    store's node states, as a pass reads a node whose inputs moved (so
+    this is a pass where every node moved); without one, from the full
+    Listing 1 scan.
+    """
+    store = service.cache
+    if store is None:
+        return service._measured_usage(now)
+    return tuple(
+        {
+            name: node.maxima()
+            for name, node in store.node_states(measurement, now).items()
+        }
+        for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC)
+    )
+
+
 def time_snapshot(service: ClusterStateService, repeats: int) -> float:
     """Median seconds of one measured-usage snapshot at ``NOW``."""
     timings = []
     for _ in range(repeats):
         start = time.perf_counter()
-        service._measured_usage(NOW)
+        measured_usage(service, NOW)
         timings.append(time.perf_counter() - start)
     return statistics.median(timings)
 
@@ -236,7 +256,7 @@ def build_sched_pass(n_pods: int, n_nodes: int, seed: int = 3):
                 duration_seconds=60.0,
                 declared_memory_bytes=gib(rng.choice((1, 2, 4, 8))),
             )
-        pods.append(Pod(spec, submitted_at=float(i)))
+        pods.append(Pod(spec, submitted_at=float(i), uid=f"{i:08d}"))
     return views, pods
 
 

@@ -16,10 +16,10 @@ a ``grid`` (field -> values, expanded as a cartesian product)::
     print(result.to_table())
 
 ``run(workers=N)`` fans the scenarios out over a ``multiprocessing``
-pool.  Replays are deterministic functions of the scenario alone (the
-only cross-run process state, the pod-uid counter, feeds nothing
-observable), so parallel results are bit-for-bit identical to serial
-execution — the test suite proves it on every run.
+pool.  Replays are deterministic functions of the scenario alone (no
+state crosses runs: each orchestrator numbers its own pods), so
+parallel results are bit-for-bit identical to serial execution — the
+test suite proves it on every run.
 """
 
 from __future__ import annotations

@@ -10,7 +10,20 @@ monotonic-deque algorithm:
 * each sample is absorbed in O(1) amortised time;
 * a :meth:`~WindowedAggregateCache.snapshot` answers the query in
   O(live series), never touching stored raw points;
-* expiry is lazy (front-of-deque pops at snapshot time).
+* expiry is lazy (front-of-deque pops at query time).
+
+Series are grouped by node, and every node carries two things that let
+the scheduler rebuild only the node views whose rows moved:
+
+* a **version**: the store's monotone
+  :attr:`~WindowedAggregateCache.content_version` at the node's last
+  reported-row change (a new series, a rising maximum, an expiry that
+  surfaces a smaller value or kills a series, or a rebuild);
+* a **stability horizon**: the oldest window maximum among the node's
+  series.  While a query's cutoff stays at or below it, expiry can
+  change none of the node's rows, so
+  :meth:`~WindowedAggregateCache.node_states` walks only the nodes
+  whose horizon lapsed.
 
 The store runs in one of two modes.
 
@@ -30,14 +43,13 @@ database's writes (``on_write``) and mirrors its retention
 (``on_vacuum``), so cache and store never disagree.  Inputs the
 incremental algorithm cannot handle keep bit-for-bit equivalence with
 the full scan: out-of-order writes mark the measurement dirty (rebuilt
-from one scan on the next snapshot), and queries whose ``now`` lies
-before absorbed data or already-expired state return ``None`` from
-:meth:`~WindowedAggregateCache.snapshot`, telling the caller to run the
-ordinary full scan.
+from one scan on the next query), and queries whose ``now`` lies
+before absorbed data or already-expired state return ``None``, telling
+the caller to run the ordinary full scan.
 
 Both modes apply the same absorption rules, so they report identical
-rows, content versions and stability horizons for the same samples.
-The simulation's monotone clock never takes a fallback path.
+rows, node versions and horizons for the same samples.  The
+simulation's monotone clock never takes a fallback path.
 """
 
 from __future__ import annotations
@@ -52,9 +64,10 @@ from .tsdb import Point, SampleRow, TimeSeriesDatabase
 
 logger = logging.getLogger(__name__)
 
-#: Series key: ``(nodename, pod_name)`` tag values (either may be None
-#: when a point lacks the tag, mirroring the executor's GROUP BY).
-SeriesKey = Tuple[Optional[str], Optional[str]]
+_INF = float("inf")
+
+#: Equal to no node name (``None`` included).
+_NO_NODE = object()
 
 
 @dataclass(frozen=True)
@@ -88,40 +101,93 @@ class _SeriesState:
         self.times: Deque[Tuple[float, int]] = deque()
         self.maxdeque: Deque[Tuple[float, float]] = deque()
 
-    def expire(self, cutoff: float) -> None:
-        """Drop points with ``time < cutoff`` from both deques."""
-        times = self.times
-        while times and times[0][0] < cutoff:
-            times.popleft()
-        maxdeque = self.maxdeque
-        while maxdeque and maxdeque[0][0] < cutoff:
-            maxdeque.popleft()
+
+class _NodeState:
+    """One node's series of one measurement, keyed by pod name.
+
+    ``version`` is the store's content version at the node's last
+    reported-row change.  The counter never goes back and starts at 0,
+    so a node state deleted and created again never repeats a version,
+    and callers may read a node without state as version 0 (no rows).
+    ``horizon`` is at most the time of every series' window maximum
+    (its max-deque head): expiry at a cutoff at or below it pops no
+    head and kills no series.  A walk (:meth:`expire`) sets it exactly;
+    between walks, a sample that becomes a series' maximum lowers it.
+    """
+
+    __slots__ = ("series", "version", "horizon")
+
+    def __init__(self) -> None:
+        self.series: Dict[Optional[str], _SeriesState] = {}
+        self.version = 0
+        self.horizon = _INF
+
+    def expire(self, cutoff: float) -> bool:
+        """Drop every point older than *cutoff*, and every series left
+        without one, and recompute the horizon; ``True`` when a
+        reported row changed (a smaller maximum surfaced or a series
+        died).
+
+        Max-deque values strictly decrease, so a popped head always
+        surfaces a smaller maximum; the deque's back is the series'
+        newest point, so an emptied deque is a dead series.
+        """
+        changed = False
+        horizon = _INF
+        dead: List[Optional[str]] = []
+        for pod_name, series in self.series.items():
+            maxdeque = series.maxdeque
+            if maxdeque[0][0] < cutoff:
+                changed = True
+                maxdeque.popleft()
+                while maxdeque and maxdeque[0][0] < cutoff:
+                    maxdeque.popleft()
+                if not maxdeque:
+                    dead.append(pod_name)
+                    continue
+            times = series.times
+            while times[0][0] < cutoff:
+                times.popleft()
+            head_time = maxdeque[0][0]
+            if head_time < horizon:
+                horizon = head_time
+        for pod_name in dead:
+            del self.series[pod_name]
+        self.horizon = horizon
+        return changed
+
+    def maxima(self) -> Dict[Optional[str], float]:
+        """Each series' window maximum, by pod name (valid right after
+        :meth:`WindowedAggregateCache.node_states`)."""
+        return {
+            pod_name: series.maxdeque[0][1]
+            for pod_name, series in self.series.items()
+        }
 
 
 class _MeasurementState:
-    """All series of one measurement plus the validity watermarks."""
+    """All series of one measurement, by node, plus the validity
+    watermarks."""
 
     __slots__ = (
-        "series", "max_time", "hwm", "vacuum_floor", "dirty", "stable_until"
+        "nodes", "horizon", "max_time", "hwm", "vacuum_floor", "dirty"
     )
 
     def __init__(self, dirty: bool = False) -> None:
-        self.series: Dict[SeriesKey, _SeriesState] = {}
+        self.nodes: Dict[Optional[str], _NodeState] = {}
+        #: At most every node's horizon: while a query's cutoff stays
+        #: at or below it, no node needs a walk.
+        self.horizon = _INF
         #: Newest non-zero point time absorbed; queries earlier than
         #: this would wrongly see "future" points, so they fall back.
         self.max_time = float("-inf")
-        #: Highest snapshot ``now`` whose expiry mutated the deques;
-        #: queries earlier than this may need already-expired points.
+        #: Highest query ``now`` served; queries earlier than this may
+        #: need already-expired points.
         self.hwm = float("-inf")
         #: Highest retention-vacuum cutoff seen; points below it are
-        #: gone from the store, so snapshots must not serve them.
+        #: gone from the store, so queries must not serve them.
         self.vacuum_floor = float("-inf")
         self.dirty = dirty
-        #: Earliest future instant at which window expiry alone could
-        #: change this measurement's reported rows (a masked smaller
-        #: value surfacing, or a series aging out entirely).  Computed
-        #: by each snapshot; ``-inf`` means "unknown — don't trust it".
-        self.stable_until = float("-inf")
 
 
 class WindowedAggregateCache:
@@ -154,19 +220,14 @@ class WindowedAggregateCache:
         self._measurements: Dict[str, _MeasurementState] = {}
         self._seq = 0
         self._detached = False
-        # Stats: snapshots answered, fallbacks to full scan, rebuilds.
+        # Stats: queries answered, fallbacks to full scan, rebuilds.
         self.hits = 0
         self.fallbacks = 0
         self.rebuilds = 0
-        #: Bumped whenever absorbed writes could change the rows a
-        #: future snapshot reports: a new series, a write raising a
-        #: series' window max, anything that marks state dirty, a
-        #: rebuild, a drop, or a vacuum cutting into an observed
-        #: window.  Together with :meth:`stable_until` this lets the
-        #: scheduler's skip-clean check prove "the measured view is
-        #: identical to the previous pass" in O(1) — writes that merely
-        #: refresh an unchanged maximum (steady-state probes) do not
-        #: bump it.
+        #: Bumped at every reported-row change of any node (see
+        #: :class:`_NodeState`); each node keeps the value of its last
+        #: one as its version.  Writes that merely refresh an unchanged
+        #: maximum (steady-state probes) bump nothing.
         self.content_version = 0
         if db is None:
             return
@@ -192,7 +253,7 @@ class WindowedAggregateCache:
         """Stop mirroring the database and stop answering queries.
 
         Idempotent.  Holders of a detached cache fall back to the full
-        scan on every query (snapshots return ``None``), which stays
+        scan on every query (queries return ``None``), which stays
         correct — a detached cache never serves stale windows.  A
         detached standalone store has nothing to fall back to, so its
         queries raise instead.
@@ -200,7 +261,6 @@ class WindowedAggregateCache:
         if self._detached:
             return
         self._detached = True
-        self.content_version += 1
         if self.db is not None:
             self.db.unsubscribe(self)
         self._measurements.clear()
@@ -215,15 +275,16 @@ class WindowedAggregateCache:
 
         Applies exactly :meth:`on_write`'s absorption rules row by row
         (zero values are not retained, each retained row takes one
-        ``seq``, a new series or a rising maximum bumps
-        :attr:`content_version`), so the store reports what per-point
-        absorption through a database would.  On top, samples no query
-        can reach again are trimmed: queries earlier than absorbed data
-        are refused, so nothing older than ``now - window`` is ever
-        served.  The maximum deque keeps its head (the head decides the
-        rising-max bumps and :meth:`revalidate`'s change test) and drops
-        only the expired entries behind it, so what every query reports
-        is unchanged while memory stays bounded by the window.
+        ``seq``, a new series or a rising maximum is a change of its
+        node, a new maximum lowers the horizons), so the store reports
+        what per-point absorption through a database would.  On top,
+        samples no query can reach again are trimmed: queries earlier
+        than absorbed data are refused, so nothing older than ``now -
+        window`` is ever served.  The maximum deque keeps its head (the
+        head decides the rising-max changes and the expiry walks'
+        change test) and drops only the expired entries behind it, so
+        what every query reports is unchanged while memory stays
+        bounded by the window.
         """
         if self.db is not None:
             raise MonitoringError(
@@ -234,34 +295,53 @@ class WindowedAggregateCache:
         state = self._measurements.get(measurement)
         if state is None:
             state = self._measurements[measurement] = _MeasurementState()
-        all_series = state.series
+        nodes = state.nodes
         cutoff = now - self.window_seconds
         seq = self._seq
         version = self.content_version
+        node_name: object = _NO_NODE
+        # The batch's rows share one time, so the batch lowers a node's
+        # horizon at most once: to *now*, if that is below it.
+        lowers = False
         try:
             for nodename, pod_name, value in rows:
                 if value == 0.0:
                     # Listing 1 filters ``value <> 0``: never a max.
                     continue
-                key = (nodename, pod_name)
-                series = all_series.get(key)
+                if nodename != node_name:
+                    # A batch is one node's: look it up once.
+                    node = nodes.get(nodename)
+                    if node is None:
+                        node = nodes[nodename] = _NodeState()
+                    node_name = nodename
+                    node_series = node.series
+                    lowers = now < node.horizon
+                series = node_series.get(pod_name)
                 if series is None:
-                    series = all_series[key] = _SeriesState()
+                    series = node_series[pod_name] = _SeriesState()
                     version += 1
+                    node.version = version
                 times = series.times
                 if times and now < times[-1][0]:
                     raise MonitoringError(
-                        f"{measurement!r} sample for {key} at t={now} is "
-                        f"older than the series' newest at "
-                        f"t={times[-1][0]}"
+                        f"{measurement!r} sample for "
+                        f"{(nodename, pod_name)} at t={now} is older "
+                        f"than the series' newest at t={times[-1][0]}"
                     )
                 maxdeque = series.maxdeque
                 if maxdeque and value > maxdeque[0][1]:
                     version += 1
+                    node.version = version
                 times.append((now, seq))
                 seq += 1
                 while maxdeque and maxdeque[-1][1] <= value:
                     maxdeque.pop()
+                if lowers and not maxdeque:
+                    # The sample is the series' new window maximum.
+                    node.horizon = now
+                    lowers = False
+                    if now < state.horizon:
+                        state.horizon = now
                 maxdeque.append((now, value))
                 while times[0][0] < cutoff:
                     times.popleft()
@@ -283,20 +363,20 @@ class WindowedAggregateCache:
         """Absorb one appended point.  O(1) amortised."""
         state = self._measurements.get(measurement)
         if state is None:
-            state = _MeasurementState()
-            self._measurements[measurement] = state
-        if point.value == 0.0:
+            state = self._measurements[measurement] = _MeasurementState()
+        value = point.value
+        if value == 0.0:
             # Listing 1 filters ``value <> 0``; zero samples can never
             # contribute to a window max, so they are not retained.
             return
-        if point.time > state.max_time:
-            state.max_time = point.time
-        if point.time < state.vacuum_floor:
+        time = point.time
+        if time > state.max_time:
+            state.max_time = time
+        if time < state.vacuum_floor:
             # The store keeps this point (vacuums only drop what was
             # present at vacuum time) but the lazy floor would expire
             # it; rebuild from the store rather than serve a mismatch.
             state.dirty = True
-            self.content_version += 1
             return
         tags = point.tags
         if (
@@ -306,75 +386,81 @@ class WindowedAggregateCache:
         ):
             # The collectors' exact tag shape, pre-sorted: skip the
             # two linear tag() scans on the per-write path.
-            key = (tags[0][1], tags[1][1])
+            nodename, pod_name = tags[0][1], tags[1][1]
         else:
-            key = (point.tag("nodename"), point.tag("pod_name"))
-        series = state.series.get(key)
+            nodename = point.tag("nodename")
+            pod_name = point.tag("pod_name")
+        node = state.nodes.get(nodename)
+        if node is None:
+            node = state.nodes[nodename] = _NodeState()
+        series = node.series.get(pod_name)
         if series is None:
-            series = _SeriesState()
-            state.series[key] = series
+            series = node.series[pod_name] = _SeriesState()
             self.content_version += 1
-        if series.times and point.time < series.times[-1][0]:
+            node.version = self.content_version
+        elif series.times and time < series.times[-1][0]:
             # Out-of-order arrival: the monotonic deque cannot absorb
             # it incrementally; rebuild lazily from the store.
             state.dirty = True
-            self.content_version += 1
             return
-        if series.maxdeque and point.value > series.maxdeque[0][1]:
+        maxdeque = series.maxdeque
+        if maxdeque and value > maxdeque[0][1]:
             # The window maximum rises: reported rows change.  A write
             # at or below the current max only refreshes the deque.
             self.content_version += 1
-        self._push(series, point)
+            node.version = self.content_version
+        seq = self._seq
+        self._seq = seq + 1
+        series.times.append((time, seq))
+        while maxdeque and maxdeque[-1][1] <= value:
+            maxdeque.pop()
+        if not maxdeque and time < node.horizon:
+            node.horizon = time
+            if time < state.horizon:
+                state.horizon = time
+        maxdeque.append((time, value))
 
     def on_vacuum(self, cutoff: float) -> None:
         """Mirror a retention vacuum — lazily.
 
         Auto-vacuums fire every 256 writes; walking every series each
         time would swamp the O(1)-per-write absorption.  Instead the
-        cutoff is recorded and folded into the next snapshot's expiry,
-        which already walks exactly the live series once.
+        cutoff is recorded and raises every later query's cutoff: a cut
+        into the window lies above the horizon of each node it reaches,
+        so the next query walks exactly those nodes.
         """
         for state in self._measurements.values():
             if cutoff > state.vacuum_floor:
                 state.vacuum_floor = cutoff
-                if cutoff > state.hwm - self.window_seconds:
-                    # The cut reaches into windows at or after the last
-                    # observed snapshot: reported rows may change.
-                    self.content_version += 1
 
     def on_drop(self, measurement: str) -> None:
         """Mirror a dropped measurement."""
-        if self._measurements.pop(measurement, None) is not None:
-            self.content_version += 1
+        self._measurements.pop(measurement, None)
 
     # -- queries ---------------------------------------------------------
 
-    def _live_series(
-        self, measurement: str, now: float, ordered: bool
-    ) -> Optional[List[Tuple[SeriesKey, _SeriesState]]]:
-        """Expire and return the series alive in ``[now - window, now]``.
+    def _serve(
+        self, measurement: str, now: float
+    ) -> Optional[Tuple[_MeasurementState, float]]:
+        """The measurement's state and the query cutoff at *now*.
 
         ``None`` means the cache cannot guarantee equivalence with a
         full scan — *now* earlier than absorbed data or than a previous
-        snapshot's expiry — and the caller must fall back.  With
-        ``ordered`` the result follows full-scan group-discovery order
-        (by each series' oldest in-window point).
+        query — and the caller must fall back.
         """
         if self._detached:
             return self._decline(measurement, "the store is detached")
         state = self._measurements.get(measurement)
         if state is None:
-            if self.db is None or self.db.count(measurement) == 0:
-                self.hits += 1
-                return []
-            # Data exists the cache never saw (defensive; construction
-            # marks pre-existing measurements dirty).
-            self.fallbacks += 1
-            return None
+            if self.db is not None and self.db.count(measurement) != 0:
+                # Data exists the cache never saw (defensive;
+                # construction marks pre-existing measurements dirty).
+                self.fallbacks += 1
+                return None
+            state = _MeasurementState()  # nothing absorbed: no rows
         if state.dirty:
             self._rebuild(measurement, state)
         if now < state.max_time or now < state.hwm:
-            state.stable_until = float("-inf")
             if now < state.max_time:
                 reason = f"data was absorbed up to t={state.max_time}"
             else:
@@ -382,34 +468,56 @@ class WindowedAggregateCache:
             return self._decline(
                 measurement, f"query at t={now} is too early: {reason}"
             )
+        state.hwm = now
+        self.hits += 1
         cutoff = now - self.window_seconds
         if state.vacuum_floor > cutoff:
             # Retention cut inside the window: the store no longer has
             # those points, so the cache must not serve them either.
             cutoff = state.vacuum_floor
-        state.hwm = now
-        live: List[Tuple[SeriesKey, _SeriesState]] = []
-        dead: List[SeriesKey] = []
-        # Reported rows stay byte-identical until the earliest window
-        # maximum ages out: its expiry either surfaces a smaller masked
-        # value or (single-entry deque) removes the series entirely.
-        stable_until = float("inf")
-        for key, series in state.series.items():
-            series.expire(cutoff)
-            if not series.times:
-                dead.append(key)
-                continue
-            live.append((key, series))
-            head_expiry = series.maxdeque[0][0] + self.window_seconds
-            if head_expiry < stable_until:
-                stable_until = head_expiry
-        state.stable_until = stable_until
-        for key in dead:
-            del state.series[key]
-        if ordered:
-            live.sort(key=lambda entry: entry[1].times[0])
-        self.hits += 1
-        return live
+        return state, cutoff
+
+    def _expire(
+        self, state: _MeasurementState, cutoff: float, every_node: bool
+    ) -> None:
+        """Walk the nodes whose horizon lapsed (or *every_node*) at
+        *cutoff*, giving each changed node a new version, dropping
+        emptied nodes and recomputing the measurement's horizon."""
+        horizon = _INF
+        empty: List[Optional[str]] = []
+        for nodename, node in state.nodes.items():
+            if every_node or node.horizon < cutoff:
+                if node.expire(cutoff):
+                    self.content_version += 1
+                    node.version = self.content_version
+                if not node.series:
+                    empty.append(nodename)
+                    continue
+            if node.horizon < horizon:
+                horizon = node.horizon
+        for nodename in empty:
+            del state.nodes[nodename]
+        state.horizon = horizon
+
+    def node_states(
+        self, measurement: str, now: float
+    ) -> Optional[Dict[Optional[str], _NodeState]]:
+        """*measurement*'s node states, by node name, valid at *now*.
+
+        Walks only the nodes whose horizon lapsed, so every node's
+        series are then exactly those alive in ``[now - window, now]``
+        and its :meth:`_NodeState.maxima` are Listing 1's rows for it;
+        a node absent from the mapping has no rows.  The mapping is the
+        store's own: read it before the next write, never change it.
+        ``None`` means fall back to the full scan (see :meth:`_serve`).
+        """
+        served = self._serve(measurement, now)
+        if served is None:
+            return None
+        state, cutoff = served
+        if state.horizon < cutoff:
+            self._expire(state, cutoff, every_node=False)
+        return state.nodes
 
     def snapshot(
         self, measurement: str, now: float
@@ -418,109 +526,38 @@ class WindowedAggregateCache:
 
         Returns one :class:`SeriesAggregate` per series with at least
         one non-zero point in ``[now - window, now]``, ordered exactly
-        as a full InfluxQL scan discovers the groups.  ``None`` tells
-        the caller to run the full scan instead (see
-        :meth:`_live_series`).
+        as a full InfluxQL scan discovers the groups (by each series'
+        oldest in-window point, so every series is expired).  ``None``
+        tells the caller to run the full scan instead (see
+        :meth:`_serve`).
         """
-        live = self._live_series(measurement, now, ordered=True)
-        if live is None:
+        served = self._serve(measurement, now)
+        if served is None:
             return None
+        state, cutoff = served
+        self._expire(state, cutoff, every_node=True)
+        live = [
+            (nodename, pod_name, series)
+            for nodename, node in state.nodes.items()
+            for pod_name, series in node.series.items()
+        ]
+        live.sort(key=lambda entry: entry[2].times[0])
         return [
             SeriesAggregate(
-                nodename=key[0],
-                pod_name=key[1],
+                nodename=nodename,
+                pod_name=pod_name,
                 max_value=series.maxdeque[0][1],
                 latest_time=series.times[-1][0],
             )
-            for key, series in live
-        ]
-
-    def window_maxima(
-        self, measurement: str, now: float
-    ) -> Optional[List[Tuple[Optional[str], Optional[str], float]]]:
-        """Lean ``(nodename, pod_name, max_value)`` rows at *now*.
-
-        The scheduler's per-pass hot path: same liveness and values as
-        :meth:`snapshot`, but plain tuples and no ordering guarantee —
-        callers that reduce into a map (one entry per series, keys are
-        unique) don't pay for discovery-order sorting or dataclasses.
-        ``None`` means fall back to the full scan.
-        """
-        live = self._live_series(measurement, now, ordered=False)
-        if live is None:
-            return None
-        return [
-            (key[0], key[1], series.maxdeque[0][1]) for key, series in live
+            for nodename, pod_name, series in live
         ]
 
     def live_series(self, measurement: str) -> int:
         """Number of series currently tracked for *measurement*."""
         state = self._measurements.get(measurement)
-        return len(state.series) if state else 0
-
-    def revalidate(self, measurement: str, now: float) -> None:
-        """Advance *measurement*'s stability horizon to *now* cheaply.
-
-        The horizon computed by a snapshot goes stale as steady-state
-        writes refresh unchanged maxima (they extend real stability but
-        bump nothing).  This walk applies window expiry exactly as a
-        snapshot would — O(live series), no row building — and either
-        extends :attr:`_MeasurementState.stable_until` or, when expiry
-        really changed a reported row (a masked smaller value surfaced,
-        a series died), bumps :attr:`content_version` so fingerprint
-        comparisons fail as they must.  No-op whenever the cache could
-        not serve *now* incrementally.
-        """
-        if self._detached:
-            return
-        state = self._measurements.get(measurement)
-        if state is None or state.dirty:
-            return
-        if now < state.max_time or now < state.hwm:
-            return
-        cutoff = now - self.window_seconds
-        if state.vacuum_floor > cutoff:
-            cutoff = state.vacuum_floor
-        state.hwm = now
-        stable = float("inf")
-        changed = False
-        dead: List[SeriesKey] = []
-        for key, series in state.series.items():
-            front = series.maxdeque[0][1]
-            series.expire(cutoff)
-            if not series.times:
-                dead.append(key)
-                changed = True
-                continue
-            if series.maxdeque[0][1] != front:
-                changed = True
-            head_expiry = series.maxdeque[0][0] + self.window_seconds
-            if head_expiry < stable:
-                stable = head_expiry
-        for key in dead:
-            del state.series[key]
-        state.stable_until = stable
-        if changed:
-            self.content_version += 1
-
-    def stable_until(self, measurement: str) -> float:
-        """Until when *measurement*'s last-reported rows cannot change.
-
-        Valid only between the last successful snapshot and the next
-        write (writes that could alter rows bump
-        :attr:`content_version`, which callers must check alongside).
-        A measurement the cache has never served reports ``-inf``
-        (unknown); one with no absorbed points reports ``+inf`` (no
-        rows, and any appearing row bumps the version).
-        """
-        if self._detached:
-            return float("-inf")
-        state = self._measurements.get(measurement)
         if state is None:
-            return float("inf")
-        if state.dirty:
-            return float("-inf")
-        return state.stable_until
+            return 0
+        return sum(len(node.series) for node in state.nodes.values())
 
     # -- internals -------------------------------------------------------
 
@@ -535,23 +572,16 @@ class WindowedAggregateCache:
         self.fallbacks += 1
         return None
 
-    def _push(self, series: _SeriesState, point: Point) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        series.times.append((point.time, seq))
-        maxdeque = series.maxdeque
-        while maxdeque and maxdeque[-1][1] <= point.value:
-            maxdeque.pop()
-        maxdeque.append((point.time, point.value))
-
     def _rebuild(self, measurement: str, state: _MeasurementState) -> None:
         """Reconstruct a measurement's deques from one full scan.
 
         Replays the stored points through :meth:`on_write` so rebuilt
-        state follows exactly the incremental absorption rules; the
-        scan is time-sorted, so the out-of-order branch never fires.
+        state follows exactly the incremental absorption rules (every
+        node comes back with a new version); the scan is time-sorted,
+        so the out-of-order branch never fires.
         """
-        state.series = {}
+        state.nodes = {}
+        state.horizon = _INF
         state.max_time = float("-inf")
         state.hwm = float("-inf")
         # The store is ground truth: whatever a past vacuum dropped is

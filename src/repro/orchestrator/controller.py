@@ -26,6 +26,7 @@ The orchestrator itself is clock-free: every method takes ``now``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -210,6 +211,8 @@ class Orchestrator:
             requeue_backoff_seconds=requeue_backoff_seconds
         )
         self.all_pods: List[Pod] = []
+        #: Numbers this orchestrator's pods (see :attr:`Pod.uid`).
+        self._pod_numbers = itertools.count(1)
         self.migrations = MigrationManager()
         #: Every cluster transition that could make a scheduling pass
         #: useful is published here and recorded as a ``trigger``
@@ -310,7 +313,9 @@ class Orchestrator:
         victim instead of being demoted to the tier's tail.
         """
         pod = Pod(
-            spec, submitted_at=now if submitted_at is None else submitted_at
+            spec,
+            submitted_at=now if submitted_at is None else submitted_at,
+            uid=f"{next(self._pod_numbers):08d}",
         )
         self.queue.push(pod)
         self.all_pods.append(pod)
@@ -447,8 +452,10 @@ class Orchestrator:
           keeps nothing);
         * considered the same ``Pod`` objects in the same order;
         * saw the snapshot :meth:`ClusterStateService.build_views` has
-          just served again: its fingerprint test proved the state
-          unchanged, and no rebuild replaced the snapshot since.
+          just served again: every node's token (its window-max store
+          versions and its kubelet's commitment version) is the one
+          its retained view was built from, and no build replaced the
+          snapshot since.
 
         A full-scan pass is a function of exactly those inputs because
         strategies are pure (see :meth:`Scheduler._select`).  A reused
@@ -458,8 +465,8 @@ class Orchestrator:
         record again, in order, at *now*.  The preemption step and
         ``pass_end`` run as on any pass.
         """
-        # The retained snapshot: a rebuild replaces the list, serving
-        # it again hands out clones and leaves it in place.
+        # The retained snapshot: a build replaces the list, serving it
+        # again hands out clones and leaves it in place.
         snapshot = self.state_service._last_views
         knobs = (
             scheduler.use_measured,

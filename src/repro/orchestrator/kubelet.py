@@ -104,8 +104,9 @@ class Kubelet:
         )
         self._records: Dict[str, _PodRecord] = {}
         #: Bumped whenever the admitted-pod set (and hence this node's
-        #: committed requests) changes; the scheduler's skip-clean check
-        #: compares it across passes to reuse node views.
+        #: committed requests) changes; the scheduler's state service
+        #: keys this node's view on it, with the node's monitoring
+        #: versions, and rebuilds the view when the key moves.
         self.commitment_version = 0
         # Running total of admitted requests, maintained at the two
         # points records enter/leave ``_records``.  Requests are

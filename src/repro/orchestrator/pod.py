@@ -8,13 +8,10 @@ The timestamps record the exact quantities the evaluation reports:
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from ..errors import OrchestrationError
 from .api import PodPhase, PodSpec
-
-_UIDS = itertools.count(1)
 
 
 class Pod:
@@ -23,6 +20,13 @@ class Pod:
     Slotted: replays hold thousands of these alive at once, and the
     default identity equality/hash is exactly what the orchestrator's
     bookkeeping relies on (slots change neither).
+
+    ``uid`` must be unique among the pods one orchestrator handles: the
+    queue and the kubelets key pods by it, it breaks FCFS ties, and the
+    pod's cgroup (named in ``launch_killed`` ledger records) carries it.
+    :meth:`repro.orchestrator.controller.Orchestrator.submit` numbers
+    its pods from 1, so a replay's uids do not depend on what else ran
+    in the process.
     """
 
     __slots__ = (
@@ -38,9 +42,9 @@ class Pod:
         "failure_reason",
     )
 
-    def __init__(self, spec: PodSpec, submitted_at: float):
+    def __init__(self, spec: PodSpec, submitted_at: float, uid: str):
         self.spec = spec
-        self.uid = f"{next(_UIDS):08d}"
+        self.uid = uid
         self.phase = PodPhase.PENDING
         self.submitted_at = submitted_at
         self.bound_at: Optional[float] = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.resources import ResourceVector
 from ..constants import METRICS_WINDOW_SECONDS
@@ -207,32 +207,97 @@ _PER_POD_QUERY = (
     "GROUP BY pod_name, nodename"
 )
 
+#: What one node view is built from: the kubelet, the node's memory and
+#: EPC versions in the window-max store (0 while it has no rows there)
+#: and the kubelet's commitment version.
+NodeKey = Tuple[Kubelet, int, int, int]
+
+#: Per pod, one measurement's window maximum on one node.
+_Maxima = Mapping[Optional[str], float]
+
+#: One measurement's window maxima, by node name then pod name.
+_ByNode = Dict[str, Dict[Optional[str], float]]
+
+#: Every kubelet's key, plus the store's memory and EPC node states the
+#: keys were read from.
+_StoreInputs = Tuple[List[NodeKey], Dict, Dict]
+
+_NO_ROWS: Dict[Optional[str], float] = {}
+
+
+def _node_view(kubelet: Kubelet, memory: _Maxima, epc: _Maxima) -> NodeView:
+    """One node's view, given its pods' window maxima per measurement.
+
+    Each admitted pod contributes its measured usage when the window
+    holds a sample for it (a pod measured in one measurement only
+    counts 0 in the other), and its declared requests otherwise (pods
+    younger than one probe period would be invisible to a purely
+    measured view — this is the reservation that prevents stampedes
+    between a bind and its first sample).
+    """
+    node = kubelet.node
+    # Accumulate on plain ints: the per-pod vector adds were the
+    # hottest allocation site of the pass, and integer accumulation is
+    # exactly the same sum.
+    cpu = memory_bytes = epc_pages = 0
+    for record in kubelet.admitted_records():
+        # CPU is not measured; carry the declared value.  The record
+        # denormalises the request components so this loop never
+        # dereferences the pod at all.
+        cpu += record.req_cpu
+        pod_memory = memory.get(record.pod_name)
+        pod_epc = epc.get(record.pod_name)
+        if pod_memory is None and pod_epc is None:
+            memory_bytes += record.req_mem
+            epc_pages += record.req_epc
+            continue
+        if pod_memory is not None:
+            memory_bytes += int(pod_memory)
+        if pod_epc is not None:
+            epc_pages += int(pod_epc)
+    return NodeView(
+        name=node.name,
+        sgx_capable=kubelet.advertised_epc_pages() > 0,
+        capacity=node.capacity,
+        used=ResourceVector._unchecked(cpu, memory_bytes, epc_pages),
+        committed=kubelet.committed_requests(),
+    )
+
+
+def _untagged_series(nodes: Mapping) -> int:
+    """Series of one store measurement that name no node or no pod."""
+    return sum(
+        len(node.series) if nodename is None else int(None in node.series)
+        for nodename, node in nodes.items()
+    )
+
 
 class ClusterStateService:
     """Builds :class:`NodeView` snapshots from Kubelets plus monitoring.
 
-    The measured view comes from Listing 1's inner query, one run per
-    measurement per pass.  When a
+    The measured view is Listing 1's inner query: each pod's maximum
+    over the sliding window.  When a
     :class:`~repro.monitoring.aggregate.WindowedAggregateCache` is
-    supplied (the orchestrator wires one by default), each pass consumes
-    an incremental cache snapshot — O(live series) — instead of
-    re-scanning every point in the window; the cache window must equal
-    ``window_seconds`` so both paths answer the identical query.  Passes
-    the cache cannot serve (non-monotone clocks, cold state) fall back
-    to the full InfluxQL scan over *db*, which produces bit-for-bit the
-    same rows.  A standalone cache (``db=None``) has no scan to fall back
-    to and raises instead; without a cache, *db* is required.
+    supplied (the orchestrator wires one by default), each pass reads
+    it node by node and rebuilds only the views whose inputs moved (see
+    :meth:`build_views`); the cache window must equal
+    ``window_seconds`` so both paths answer the identical query.
+    Passes the cache cannot serve (non-monotone clocks, cold state)
+    rebuild every node from the full InfluxQL scan over *db*, which
+    produces bit-for-bit the same rows.  A standalone cache
+    (``db=None``) has no scan to fall back to and raises instead;
+    without a cache, *db* is required.
 
     Rows missing the ``nodename`` or ``pod_name`` tag cannot be
-    attributed to a pod; they are skipped and counted in
+    attributed to a pod; no view reads them, and they are counted in
     :attr:`malformed_rows_skipped` rather than silently folded into a
     shared ``(None, ...)`` bucket.
     """
 
     __slots__ = (
         "kubelets", "db", "window_seconds", "cache",
-        "allow_query_cache", "_last_views",
-        "_last_fingerprint", "snapshots_reused",
+        "allow_query_cache", "_node_views", "_last_views", "_last_keys",
+        "_inputs", "snapshots_reused", "nodes_rebuilt",
         "malformed_rows_skipped", "_epc_query", "_memory_query",
         "ledger", "spans",
     )
@@ -264,21 +329,31 @@ class ClusterStateService:
         #: a shared db may carry a cache attached by another owner, and
         #: a caller that disabled caching must really measure the scan.
         self.allow_query_cache = allow_query_cache
-        #: Skip-clean passes: when the aggregate cache and the kubelet
-        #: commitments report no change since the previous pass, reuse
-        #: the previous pass's node views instead of rebuilding them.
+        #: Each kubelet's pristine view and the key it was built from
+        #: (empty after a full-scan build, which proves nothing).
+        self._node_views: Dict[Kubelet, Tuple[NodeKey, NodeView]] = {}
+        #: The retained snapshot: the last build's pristine views in
+        #: kubelet order.  Served again, as clones, while no key moved;
+        #: every build replaces the list.
         self._last_views: Optional[List[NodeView]] = None
-        self._last_fingerprint: Optional[Tuple] = None
-        #: Passes answered from the retained views (observability).
+        #: The keys of the retained snapshot's views, or ``None`` when
+        #: it came from a full scan.
+        self._last_keys: Optional[List[NodeKey]] = None
+        #: What :meth:`state_unchanged` read, for :meth:`build_views`.
+        self._inputs: Optional[_StoreInputs] = None
+        #: Passes answered from the retained snapshot (observability).
         self.snapshots_reused = 0
+        #: Node views built (observability): one per moved key, and
+        #: every node on a full-scan pass.
+        self.nodes_rebuilt = 0
         #: Malformed-row *observations*: a row missing its
-        #: ``nodename``/``pod_name`` tags is counted on every pass it
-        #: stays inside the window, so this tracks exposure, not
-        #: distinct rows.
+        #: ``nodename``/``pod_name`` tags is counted on every pass that
+        #: builds views while it stays inside the window, so this
+        #: tracks exposure, not distinct rows.
         self.malformed_rows_skipped = 0
         #: The run's decision ledger / span recorder (null when the
         #: replay is unobserved); :meth:`build_views` records whether
-        #: each pass rebuilt its views or reused the clean snapshot.
+        #: each pass rebuilt views or served the retained snapshot.
         self.ledger = observer.ledger if observer is not None else NULL_LEDGER
         self.spans = observer.spans if observer is not None else NULL_SPANS
         self._epc_query = parse_query(
@@ -292,138 +367,97 @@ class ClusterStateService:
             )
         )
 
-    def _window_maxima(
-        self, measurement: str, query, now: float
-    ) -> List[Tuple[Optional[str], Optional[str], float]]:
-        """Per-series ``(nodename, pod_name, max)`` over the window."""
-        allow_fast_path = self.allow_query_cache
-        if self.cache is not None and self.allow_query_cache:
-            maxima = self.cache.window_maxima(measurement, now)
-            if maxima is not None:
-                return maxima
-            # The cache just declined this (measurement, now); don't
-            # let execute_query's fast path ask it again (it would
-            # decline identically, double-counting the fallback).
-            allow_fast_path = False
-        return [
-            (row.get("nodename"), row.get("pod_name"), row.get("usage", 0.0))
-            for row in execute_query(
-                query, self.db, now,
-                allow_fast_path=allow_fast_path,
-            )
-        ]
+    def _measured_usage(self, now: float) -> Tuple[_ByNode, _ByNode]:
+        """Memory and EPC window maxima, each nested by node then pod,
+        from one full InfluxQL scan per measurement.
 
-    def _measured_usage(
-        self, now: float
-    ) -> Dict[str, Dict[str, Tuple[int, int]]]:
-        """Measured ``(memory_bytes, epc_pages)`` nested by node, pod.
-
-        Runs once per pass over every live series, so the reduction
-        stays on plain ints — :meth:`build_views` folds the pairs into
-        its per-node vectors.  Each measurement yields one row per
-        ``(node, pod)`` group, so plain assignment per measurement is a
-        correct accumulation.  The nesting (node -> pod -> sample)
-        spares the view builder one tuple-key allocation per admitted
-        pod per pass.
+        The rebuild of last resort, when no window-max store can answer
+        *now*.
         """
-        measured: Dict[str, Dict[str, Tuple[int, int]]] = {}
+        # A store that exists here has just declined *now*; don't let
+        # execute_query's fast path ask it again (it would decline
+        # identically, double-counting the fallback).  Without a store
+        # of its own the service may use one another owner attached.
+        allow_fast_path = self.allow_query_cache and self.cache is None
+        maxima = []
         skipped = 0
-        for node, pod, usage in self._window_maxima(
-            MEASUREMENT_MEMORY, self._memory_query, now
-        ):
-            if node is None or pod is None:
-                skipped += 1
-                continue
-            node_measured = measured.get(node)
-            if node_measured is None:
-                node_measured = measured[node] = {}
-            node_measured[pod] = (int(usage), 0)
-        for node, pod, usage in self._window_maxima(
-            MEASUREMENT_EPC, self._epc_query, now
-        ):
-            if node is None or pod is None:
-                skipped += 1
-                continue
-            node_measured = measured.get(node)
-            if node_measured is None:
-                node_measured = measured[node] = {}
-            entry = node_measured.get(pod)
-            node_measured[pod] = (entry[0] if entry else 0, int(usage))
-        if skipped:
-            # Malformed rows persist in the window across passes; warn
-            # on first sight only so the scheduling loop cannot flood
-            # the log, then keep the running count at debug level.
-            level = (
-                logging.WARNING
-                if self.malformed_rows_skipped == 0
-                else logging.DEBUG
-            )
-            self.malformed_rows_skipped += skipped
-            logger.log(
-                level,
-                "dropped %d monitoring row(s) missing nodename/pod_name "
-                "tags at t=%.1f (%d total)",
-                skipped, now, self.malformed_rows_skipped,
-            )
-        return measured
+        for query in (self._memory_query, self._epc_query):
+            by_node: _ByNode = {}
+            for row in execute_query(
+                query, self.db, now, allow_fast_path=allow_fast_path
+            ):
+                node, pod = row.get("nodename"), row.get("pod_name")
+                if node is None or pod is None:
+                    skipped += 1
+                    continue
+                by_node.setdefault(node, {})[pod] = row.get("usage", 0.0)
+            maxima.append(by_node)
+        self._count_malformed(skipped, now)
+        return maxima[0], maxima[1]
 
-    # -- skip-clean passes -------------------------------------------------
+    def _count_malformed(self, skipped: int, now: float) -> None:
+        """Count *skipped* untagged rows seen by a build at *now*."""
+        if not skipped:
+            return
+        # Malformed rows persist in the window across passes; warn on
+        # first sight only so the scheduling loop cannot flood the log,
+        # then keep the running count at debug level.
+        level = (
+            logging.WARNING
+            if self.malformed_rows_skipped == 0
+            else logging.DEBUG
+        )
+        self.malformed_rows_skipped += skipped
+        logger.log(
+            level,
+            "dropped %d monitoring row(s) missing nodename/pod_name "
+            "tags at t=%.1f (%d total)",
+            skipped, now, self.malformed_rows_skipped,
+        )
 
-    def _state_fingerprint(self, now: float) -> Optional[Tuple]:
-        """O(nodes) token identifying the inputs of :meth:`build_views`.
+    # -- per-node builds ---------------------------------------------------
 
-        Two equal, non-``None`` fingerprints guarantee byte-identical
-        views: the aggregate cache's content version covers every
-        monitoring write that could alter a window maximum, its
-        stability horizon covers expiry-by-time-passage, and the kubelet
-        commitment versions cover the admitted-pod sets.  ``None``
-        means "cannot prove anything" (no cache, cache fell back, or
-        the window has drifted past the stability horizon) and forces a
-        rebuild.
+    def _read_inputs(self, now: float) -> Optional[_StoreInputs]:
+        """Every kubelet's key at *now*, with the store's node states.
+
+        ``None`` means the store cannot prove anything at *now* — there
+        is none, it may not be queried, or it declined — and every node
+        must be rebuilt from a full scan.
         """
         cache = self.cache
         if cache is None or not self.allow_query_cache:
             return None
-        stable = min(
-            cache.stable_until(MEASUREMENT_MEMORY),
-            cache.stable_until(MEASUREMENT_EPC),
-        )
-        if now > stable:
-            # The horizon lapsed, most often because steady-state
-            # writes kept refreshing unchanged maxima; advance it with
-            # one cheap walk (rows that really changed bump the
-            # version, failing the comparison below as they must).
-            cache.revalidate(MEASUREMENT_MEMORY, now)
-            cache.revalidate(MEASUREMENT_EPC, now)
-            stable = min(
-                cache.stable_until(MEASUREMENT_MEMORY),
-                cache.stable_until(MEASUREMENT_EPC),
-            )
-            if now > stable:
-                return None
-        return (
-            cache.content_version,
-            tuple(
-                (kubelet.node.name, kubelet.commitment_version)
-                for kubelet in self.kubelets
-            ),
-        )
+        memory = cache.node_states(MEASUREMENT_MEMORY, now)
+        epc = cache.node_states(MEASUREMENT_EPC, now)
+        if memory is None or epc is None:
+            return None
+        keys: List[NodeKey] = []
+        for kubelet in self.kubelets:
+            name = kubelet.node.name
+            memory_node = memory.get(name)
+            epc_node = epc.get(name)
+            keys.append((
+                kubelet,
+                0 if memory_node is None else memory_node.version,
+                0 if epc_node is None else epc_node.version,
+                kubelet.commitment_version,
+            ))
+        return keys, memory, epc
 
     def state_unchanged(self, now: float) -> bool:
         """Whether views built at *now* would equal the previous pass's.
 
+        The O(nodes) comparison :meth:`build_views` makes first: the
+        same kubelets, in the same order, each with the key its
+        retained view was built from.  Reading the keys walks only the
+        store's nodes whose stability horizon lapsed.
         :meth:`build_views` serves the retained snapshot when this
         holds, and the orchestrator then reuses the previous pass's
         all-deferred outcome as well (see
         :meth:`repro.orchestrator.controller.Orchestrator._schedule`).
         """
-        if self._last_views is None:
-            return False
-        fingerprint = self._state_fingerprint(now)
-        return (
-            fingerprint is not None
-            and fingerprint == self._last_fingerprint
-        )
+        self._inputs = inputs = self._read_inputs(now)
+        return inputs is not None and inputs[0] == self._last_keys
 
     @staticmethod
     def _clone_views(views: Sequence[NodeView]) -> List[NodeView]:
@@ -435,11 +469,11 @@ class ClusterStateService:
         """
         return [
             NodeView(
-                name=view.name,
-                sgx_capable=view.sgx_capable,
-                capacity=view.capacity,
-                used=view.used,
-                committed=view.committed,
+                view.name,
+                view.sgx_capable,
+                view.capacity,
+                view.used,
+                view.committed,
             )
             for view in views
         ]
@@ -447,15 +481,13 @@ class ClusterStateService:
     def build_views(self, now: float) -> List[NodeView]:
         """One :class:`NodeView` per node, in Kubelet registration order.
 
-        Each admitted pod contributes its measured usage when the window
-        holds a sample for it, and its declared requests otherwise (pods
-        younger than one probe period would be invisible to a purely
-        measured view — this is the reservation that prevents stampedes
-        between a bind and its first sample).
-
-        A pass whose fingerprint matches the previous pass's reuses
-        the retained views (the malformed-row counter then reflects
-        rebuilt passes only).
+        Each kubelet's pristine view is kept with its key (see
+        :data:`NodeKey`) and rebuilt only when the key moved —
+        Firmament's rule: re-solve from the changes since the last run.
+        When no key moved (:meth:`state_unchanged`), the retained
+        snapshot itself is served again.  Without a store that can
+        answer *now*, every node is rebuilt from a full scan.  Callers
+        get fresh views to mutate either way.
         """
         ledger = self.ledger
         if self.state_unchanged(now):
@@ -468,43 +500,66 @@ class ClusterStateService:
             ledger.emit(now, "cache_rebuild", reused=False)
         spans = self.spans
         span_start = spans.begin()
-        measured = self._measured_usage(now)
-        empty: Dict[str, Tuple[int, int]] = {}
-        views: List[NodeView] = []
+        inputs = self._inputs
+        if inputs is None:
+            views = self._build_from_scan(now)
+        else:
+            views = self._build_moved(now, *inputs)
+        self._last_views = views
+        spans.end(span_start, "view_rebuild", now)
+        return self._clone_views(views)
+
+    def _build_moved(
+        self, now: float, keys: List[NodeKey], memory: Dict, epc: Dict
+    ) -> List[NodeView]:
+        """Views from the store, rebuilding the nodes whose key moved
+        and keeping the rest; a removed kubelet's view is dropped."""
+        built = self._node_views
+        node_views: Dict[Kubelet, Tuple[NodeKey, NodeView]] = {}
+        views = []
+        for key in keys:
+            kubelet = key[0]
+            entry = built.get(kubelet)
+            if entry is None or entry[0] != key:
+                name = kubelet.node.name
+                memory_node = memory.get(name)
+                epc_node = epc.get(name)
+                view = _node_view(
+                    kubelet,
+                    _NO_ROWS if memory_node is None else memory_node.maxima(),
+                    _NO_ROWS if epc_node is None else epc_node.maxima(),
+                )
+                entry = (key, view)
+                self.nodes_rebuilt += 1
+            node_views[kubelet] = entry
+            views.append(entry[1])
+        self._node_views = node_views
+        self._last_keys = keys
+        if self.db is not None:
+            # Only writes into a database can lack tags; the collectors
+            # that feed a standalone store always name node and pod.
+            self._count_malformed(
+                _untagged_series(memory) + _untagged_series(epc), now
+            )
+        return views
+
+    def _build_from_scan(self, now: float) -> List[NodeView]:
+        """Every node's view from a full scan; proves nothing for the
+        next pass."""
+        memory, epc = self._measured_usage(now)
+        views = []
         for kubelet in self.kubelets:
-            node = kubelet.node
-            node_name = node.name
-            node_measured = measured.get(node_name, empty)
-            # Accumulate on plain ints: the per-pod vector adds were
-            # the hottest allocation site of the pass, and integer
-            # accumulation is exactly the same sum.
-            cpu = memory = epc = 0
-            for record in kubelet.admitted_records():
-                sample = node_measured.get(record.pod_name)
-                # CPU is not measured; carry the declared value.  The
-                # record denormalises the request components so this
-                # loop never dereferences the pod at all.
-                cpu += record.req_cpu
-                if sample is not None:
-                    memory += sample[0]
-                    epc += sample[1]
-                else:
-                    memory += record.req_mem
-                    epc += record.req_epc
+            name = kubelet.node.name
             views.append(
-                NodeView(
-                    name=node_name,
-                    sgx_capable=kubelet.advertised_epc_pages() > 0,
-                    capacity=node.capacity,
-                    used=ResourceVector._unchecked(cpu, memory, epc),
-                    committed=kubelet.committed_requests(),
+                _node_view(
+                    kubelet,
+                    memory.get(name, _NO_ROWS),
+                    epc.get(name, _NO_ROWS),
                 )
             )
-        # Fingerprint AFTER the build: the snapshot above refreshed the
-        # cache's stability horizon for the window at *now*.
-        self._last_views = self._clone_views(views)
-        self._last_fingerprint = self._state_fingerprint(now)
-        spans.end(span_start, "view_rebuild", now)
+        self.nodes_rebuilt += len(views)
+        self._node_views = {}
+        self._last_keys = None
         return views
 
 

@@ -30,9 +30,9 @@ instead of re-scanning every node:
 The statics (sort orders, capacity classes, positions) depend only on
 node *membership* — name, SGX capability, capacity — so the scheduler
 caches them across passes and rebuilds them only on node churn, the
-same reuse discipline as PR 2's snapshot fingerprints (a pass whose
-views were served from the state service's clean-snapshot cache hits
-this cache by construction).  The dynamic structures (availability
+same reuse discipline as the state service's per-node view keys (a
+pass whose views were served from the retained snapshot hits this
+cache by construction).  The dynamic structures (availability
 trees, loads) are refreshed incrementally after each in-batch
 placement via :meth:`NodeCandidateIndex.note_reserved`.
 

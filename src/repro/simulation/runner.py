@@ -716,6 +716,13 @@ class _Replay:
                 "repro_passes_reused_total",
                 result.orchestrator.passes_reused,
             )
+            views = result.orchestrator.state_service
+            reg.counter(
+                "repro_view_nodes_rebuilt_total", views.nodes_rebuilt
+            )
+            reg.counter(
+                "repro_view_snapshots_reused_total", views.snapshots_reused
+            )
             reg.counter("repro_preemptions_total", result.preemption_count)
             reg.counter("repro_evictions_total", result.eviction_count)
             reg.counter("repro_migrations_total", result.migration_count)

@@ -11,13 +11,11 @@ for bit (signature, queue series, ledger body).
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import Iterator
 from unittest import mock
 
 from repro.api import scenario as scenario_module
 from repro.obs.spans import NULL_SPANS
-from repro.orchestrator import pod as pod_module
 from repro.orchestrator.controller import Orchestrator
 from repro.simulation.runner import run_replay
 from scheduling_reference import RecordingLedger
@@ -57,17 +55,6 @@ def run_recomputing(scenario):
     """``scenario.run()`` on the non-reusing pass."""
     with recomputing():
         return scenario.run()
-
-
-def fresh_uids():
-    """Number pods from 1 again, as a fresh process does.
-
-    Pod uids come from one process-wide counter, and a
-    ``launch_killed`` reason names the pod's cgroup, which carries the
-    uid; two ledgers written in one process compare byte for byte only
-    when both runs start the count at the same place.
-    """
-    return mock.patch.object(pod_module, "_UIDS", itertools.count(1))
 
 
 def ledger_body(path) -> bytes:

@@ -17,7 +17,6 @@ import os
 import pytest
 
 from pass_reuse_reference import (
-    fresh_uids,
     ledger_body,
     recomputing,
     run_with_replay,
@@ -55,7 +54,7 @@ def assert_matches_oracle(scenario, directory):
     def record(name, engine):
         path = os.path.join(str(directory), name + ".jsonl")
         observed = scenario.with_(observe=ObserveConfig(ledger_path=path))
-        with fresh_uids(), engine:
+        with engine:
             result, replay = run_with_replay(observed)
         return result, ledger_body(path), replay
 

@@ -39,7 +39,7 @@ class TestKubeletResize:
             declared_epc_bytes=mib(declared_mib),
             actual_epc_bytes=mib(actual_mib),
         )
-        pod = Pod(spec, submitted_at=0.0)
+        pod = Pod(spec, submitted_at=0.0, uid="1")
         pod.mark_bound("s0", 1.0)
         assert kubelet.admit(pod).success
         return pod
@@ -68,6 +68,7 @@ class TestKubeletResize:
             make_pod_spec("x", duration_seconds=1.0,
                           declared_epc_bytes=mib(1)),
             submitted_at=0.0,
+            uid="2",
         )
         with pytest.raises(NodeError):
             kubelet.grow_pod_epc(stranger, 10)

@@ -52,17 +52,17 @@ class TestPickleRoundTrips:
 class TestPodIdentitySemantics:
     def test_equality_is_identity(self):
         spec = make_pod_spec("twin", duration_seconds=10.0)
-        first, second = Pod(spec, 0.0), Pod(spec, 0.0)
+        first, second = Pod(spec, 0.0, "1"), Pod(spec, 0.0, "2")
         assert first == first
         assert first != second  # same spec, distinct pods
 
     def test_hash_is_identity_and_set_usable(self):
         spec = make_pod_spec("twin", duration_seconds=10.0)
-        pods = {Pod(spec, 0.0) for _ in range(3)}
+        pods = {Pod(spec, 0.0, str(uid)) for uid in range(3)}
         assert len(pods) == 3
 
     def test_slots_prevent_stray_attributes(self):
-        pod = Pod(make_pod_spec("p", duration_seconds=1.0), 0.0)
+        pod = Pod(make_pod_spec("p", duration_seconds=1.0), 0.0, "1")
         with pytest.raises(AttributeError):
             pod.scratch = 1
 

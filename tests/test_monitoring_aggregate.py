@@ -47,6 +47,14 @@ def full_scan(query, db, now):
         db.aggregate_cache = cache
 
 
+def window_maxima(store, measurement, now):
+    """``(nodename, pod_name, max)`` per live series, in scan order."""
+    return [
+        (row.nodename, row.pod_name, row.max_value)
+        for row in store.snapshot(measurement, now)
+    ]
+
+
 def write(db, time, value, pod="pod-1", node="node-a"):
     tags = {}
     if pod is not None:
@@ -231,10 +239,10 @@ class TestStandaloneStore:
         store = WindowedAggregateCache(None, window_seconds=WINDOW)
         store.ingest("sgx/epc", 1.0, [("n1", "a", 4.0), ("n1", "b", 0.0)])
         store.ingest("sgx/epc", 11.0, [("n1", "a", 2.0), ("n2", "c", 7.0)])
-        assert sorted(store.window_maxima("sgx/epc", now=12.0)) == [
+        assert window_maxima(store, "sgx/epc", now=12.0) == [
             ("n1", "a", 4.0), ("n2", "c", 7.0),
         ]
-        assert store.window_maxima("sgx/epc", now=30.0) == [
+        assert window_maxima(store, "sgx/epc", now=30.0) == [
             ("n1", "a", 2.0), ("n2", "c", 7.0),
         ]
         assert store.fallbacks == 0
@@ -245,7 +253,7 @@ class TestStandaloneStore:
         with pytest.raises(MonitoringError, match=r"'sgx/epc'.*t=5.0.*t=10"):
             store.snapshot("sgx/epc", now=5.0)
         with pytest.raises(MonitoringError, match="t=9.0"):
-            store.window_maxima("sgx/epc", now=9.0)
+            store.node_states("sgx/epc", now=9.0)
 
     def test_query_before_an_earlier_expiry_raises(self):
         store = WindowedAggregateCache(None, window_seconds=WINDOW)
@@ -280,7 +288,7 @@ class TestStandaloneStore:
             Point.make(3.0, 4.0, {"nodename": "n1", "pod_name": "a"}),
             Point.make(3.0, 0.0, {"nodename": "n2", "pod_name": "b"}),
         ]
-        assert cache.window_maxima("sgx/epc", now=3.0) == [
+        assert window_maxima(cache, "sgx/epc", now=3.0) == [
             ("n1", "a", 4.0)
         ]
 
@@ -430,11 +438,32 @@ _INGEST_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("ingest"), _STEPS, _MEASUREMENTS, _ROWS),
         st.tuples(st.just("snapshot"), _OFFSETS, _MEASUREMENTS),
-        st.tuples(st.just("window_maxima"), _OFFSETS, _MEASUREMENTS),
-        st.tuples(st.just("revalidate"), _OFFSETS, _MEASUREMENTS),
+        st.tuples(st.just("node_states"), _OFFSETS, _MEASUREMENTS),
     ),
     max_size=60,
 )
+
+
+def node_table(cache, measurement):
+    """The measurement's horizon and every node's (version, horizon)."""
+    state = cache._measurements.get(measurement)
+    if state is None:
+        return None
+    return state.horizon, {
+        name: (node.version, node.horizon)
+        for name, node in state.nodes.items()
+    }
+
+
+def query(cache, kind, measurement, now):
+    """A query's answer, with node states read as their maxima."""
+    answer = getattr(cache, kind)(measurement, now)
+    if kind == "node_states" and answer is not None:
+        return {
+            name: (node.version, node.maxima())
+            for name, node in answer.items()
+        }
+    return answer
 
 
 class TestBatchedIngestEquivalence:
@@ -458,7 +487,8 @@ class TestBatchedIngestEquivalence:
     def test_batched_ingest_equals_per_point_absorption(self, ops):
         """Collector batches into a standalone store == one database
         write per sample mirrored by ``on_write``, at every step:
-        maxima, snapshot rows and order, content version, horizon."""
+        snapshot rows and order, per-node maxima, the content version,
+        every node's version and horizon, the measurement horizons."""
         store = WindowedAggregateCache(None, window_seconds=WINDOW)
         db = TimeSeriesDatabase()
         mirror = WindowedAggregateCache(db, window_seconds=WINDOW)
@@ -473,22 +503,19 @@ class TestBatchedIngestEquivalence:
                         measurement, value=value, time=clock,
                         tags={"nodename": node, "pod_name": pod},
                     )
-            elif kind == "revalidate":
-                store.revalidate(measurement, clock + offset)
-                mirror.revalidate(measurement, clock + offset)
             else:
                 now = clock + offset
-                expected = getattr(mirror, kind)(measurement, now)
+                expected = query(mirror, kind, measurement, now)
                 if expected is None:
                     # The mirror falls back to a scan; the store, with
                     # nothing to scan, must refuse loudly instead.
                     with pytest.raises(MonitoringError):
                         getattr(store, kind)(measurement, now)
                 else:
-                    assert getattr(store, kind)(measurement, now) == expected
+                    assert query(store, kind, measurement, now) == expected
             assert store.content_version == mirror.content_version
             for name in ("sgx/epc", "memory/usage"):
-                assert store.stable_until(name) == mirror.stable_until(name)
+                assert node_table(store, name) == node_table(mirror, name)
                 assert store.live_series(name) == mirror.live_series(name)
 
 

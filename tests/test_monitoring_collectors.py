@@ -14,6 +14,14 @@ from repro.sgx.epc import EnclavePageCache
 from repro.units import mib, pages
 
 
+def window_maxima(store, measurement, now):
+    """``(nodename, pod_name, max)`` per live series, in scan order."""
+    return [
+        (row.nodename, row.pod_name, row.max_value)
+        for row in store.snapshot(measurement, now)
+    ]
+
+
 class StubSource:
     """A fixed-usage Kubelet stand-in."""
 
@@ -61,7 +69,7 @@ class TestHeapster:
         assert heapster.collect(now=1.0) == 2  # zero samples count
         source._rows = [("n1", "a", 3.0)]
         heapster.collect(now=11.0)
-        assert store.window_maxima(MEASUREMENT_MEMORY, now=12.0) == [
+        assert window_maxima(store, MEASUREMENT_MEMORY, now=12.0) == [
             ("n1", "a", 5.0)
         ]
 
@@ -141,7 +149,7 @@ class TestSgxProbe:
         # Samples taken: one pod plus the two node gauges, which only a
         # raw-series database stores.
         assert probe.collect(now=3.0) == 3
-        assert store.window_maxima(MEASUREMENT_EPC, now=3.0) == [
+        assert window_maxima(store, MEASUREMENT_EPC, now=3.0) == [
             ("sgx-0", "pod-x", float(pages(mib(4))))
         ]
         assert store.live_series(MEASUREMENT_EPC_NODE) == 0

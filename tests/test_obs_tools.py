@@ -9,7 +9,7 @@ must not diverge at all from one that recomputes every pass.
 
 import pytest
 
-from pass_reuse_reference import fresh_uids, recomputing, run_with_replay
+from pass_reuse_reference import ledger_body, recomputing, run_with_replay
 from repro.api import ObserveConfig, Scenario
 from repro.errors import SimulationError
 from repro.obs import (
@@ -92,10 +92,9 @@ class TestDiffDivergenceHunt:
         contended = base_scenario.with_(
             sgx_fraction=1.0, epc_total_bytes=mib(64)
         )
-        with fresh_uids(), recomputing():
+        with recomputing():
             recomputed, _ = record(contended, tmp_path, "recomputed")
-        with fresh_uids():
-            reused, replay = record_replay(contended, tmp_path, "reused")
+        reused, replay = record_replay(contended, tmp_path, "reused")
         assert replay.orchestrator.passes_reused > 0
         diff = diff_ledgers(recomputed, reused)
         # Reuse decides nothing differently: not one record, and not
@@ -103,6 +102,27 @@ class TestDiffDivergenceHunt:
         assert diff.identical
         assert diff.first_divergence is None
         assert diff.header_diffs == []
+
+    def test_two_recordings_in_one_process_are_identical(self, tmp_path):
+        """Each orchestrator numbers its own pods, so a run recorded
+        twice in one process writes the same bytes; a ``launch_killed``
+        reason names the pod's cgroup, which carries the pod's uid."""
+        scenario = Scenario(
+            trace=synthetic_scaled_trace(
+                seed=7, n_jobs=40, overallocators=4
+            ),
+            sgx_fraction=1.0,
+            enforce_epc_limits=True,
+            epc_allow_overcommit=False,
+            seed=1,
+        )
+        bodies = []
+        for name in ("first", "second"):
+            path = str(tmp_path / (name + ".jsonl"))
+            scenario.with_(observe=ObserveConfig(ledger_path=path)).run()
+            bodies.append(ledger_body(path))
+        assert b'"launch_killed"' in bodies[0]
+        assert bodies[0] == bodies[1]
 
     def test_preemption_pair_diverges_at_the_first_plan(
         self, tmp_path
@@ -280,6 +300,25 @@ class TestMetrics:
         )
         assert 'outcome="skipped"' not in text
         assert "# TYPE repro_passes_reused_total counter" in text
+        # The view counters agree with the ledger's cache_rebuild
+        # records: each served snapshot is one reused record, and each
+        # rebuilding pass rebuilt between one and every node's view.
+        builds = [
+            event["reused"]
+            for event in load_ledger(result.ledger_path).events
+            if event["kind"] == "cache_rebuild"
+        ]
+        assert (
+            f"repro_view_snapshots_reused_total {builds.count(True)}\n"
+            in text
+        )
+        (rebuilt,) = (
+            int(line.split()[1])
+            for line in text.splitlines()
+            if line.startswith("repro_view_nodes_rebuilt_total ")
+        )
+        nodes = 4  # the paper's cluster
+        assert builds.count(False) <= rebuilt <= nodes * builds.count(False)
         assert "# TYPE repro_pod_wait_seconds histogram" in text
         assert 'le="+Inf"' in text
         assert (

@@ -170,10 +170,12 @@ class TestMetricsPath:
         # Heapster: one pod's memory; each SGX probe: its pods plus the
         # two node gauges (taken, though only a database stores them).
         assert orchestrator.collect_metrics(now=2.0) == 1 + (1 + 2) + 2
-        maxima = orchestrator.aggregate_cache.window_maxima(
+        (row,) = orchestrator.aggregate_cache.snapshot(
             MEASUREMENT_EPC, now=2.0
         )
-        assert maxima == [(pod.node_name, pod.name, float(pages(mib(10))))]
+        assert (row.nodename, row.pod_name, row.max_value) == (
+            pod.node_name, pod.name, float(pages(mib(10)))
+        )
 
     def test_measured_usage_informs_next_pass(self):
         # A pod declaring little but using much: after metrics arrive,

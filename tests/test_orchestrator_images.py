@@ -82,7 +82,7 @@ class TestKubeletIntegration:
         spec = make_pod_spec(
             "job", duration_seconds=10.0, declared_epc_bytes=mib(10)
         )
-        pod = Pod(spec, submitted_at=0.0)
+        pod = Pod(spec, submitted_at=0.0, uid="1")
         pod.mark_bound("s0", 1.0)
         result = kubelet.admit(pod)
         pull = mib(390) / 125_000_000
@@ -99,7 +99,7 @@ class TestKubeletIntegration:
                 duration_seconds=10.0,
                 declared_epc_bytes=mib(10),
             )
-            pod = Pod(spec, submitted_at=0.0)
+            pod = Pod(spec, submitted_at=0.0, uid=str(index))
             pod.mark_bound("s0", 1.0)
             startups.append(kubelet.admit(pod).startup_seconds)
         assert startups[1] < startups[0]
@@ -109,7 +109,7 @@ class TestKubeletIntegration:
         spec = make_pod_spec(
             "job", duration_seconds=10.0, declared_memory_bytes=mib(100)
         )
-        pod = Pod(spec, submitted_at=0.0)
+        pod = Pod(spec, submitted_at=0.0, uid="1")
         pod.mark_bound("w0", 1.0)
         assert kubelet.admit(pod).startup_seconds <= 0.001
 

@@ -1,5 +1,7 @@
 """Kubelet: admission pipeline, limit relay, usage reporting."""
 
+import itertools
+
 import pytest
 
 from repro.cluster.node import Node, NodeSpec
@@ -7,6 +9,10 @@ from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.kubelet import Kubelet
 from repro.orchestrator.pod import Pod
 from repro.units import gib, mib, pages
+
+
+#: Pod uids in creation order, as an orchestrator numbers its pods.
+_uids = itertools.count(1)
 
 
 def make_kubelet(node=None, **kwargs) -> Kubelet:
@@ -25,7 +31,7 @@ def sgx_pod(
         declared_epc_bytes=mib(declared_mib),
         actual_epc_bytes=mib(actual_mib if actual_mib else declared_mib),
     )
-    return Pod(spec, submitted_at=0.0)
+    return Pod(spec, submitted_at=0.0, uid=f"{next(_uids):08d}")
 
 
 def standard_pod(name="p", declared_gib=1.0, actual_gib=None) -> Pod:
@@ -35,7 +41,7 @@ def standard_pod(name="p", declared_gib=1.0, actual_gib=None) -> Pod:
         declared_memory_bytes=gib(declared_gib),
         actual_memory_bytes=gib(actual_gib if actual_gib else declared_gib),
     )
-    return Pod(spec, submitted_at=0.0)
+    return Pod(spec, submitted_at=0.0, uid=f"{next(_uids):08d}")
 
 
 class TestAdmission:
@@ -98,7 +104,7 @@ class TestAdmission:
         from repro.orchestrator.api import PodSpec
 
         kubelet = make_kubelet()
-        pod = Pod(PodSpec(name="bare"), submitted_at=0.0)
+        pod = Pod(PodSpec(name="bare"), submitted_at=0.0, uid="1")
         pod.mark_bound("sgx-0", 1.0)
         with pytest.raises(NodeError):
             kubelet.admit(pod)

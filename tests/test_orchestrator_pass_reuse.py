@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from pass_reuse_reference import (
     RecomputingOrchestrator,
     RecordingObserver,
-    fresh_uids,
     ledger_body,
     recomputing,
     run_with_replay,
@@ -398,7 +397,7 @@ def test_reusing_replay_is_the_recomputing_replay(**knobs):
             observed = scenario.with_(
                 observe=ObserveConfig(ledger_path=path)
             )
-            with fresh_uids(), engine:
+            with engine:
                 result = observed.run()
             runs.append((result.signature(), ledger_body(path)))
     (reused, reused_ledger), (oracle, oracle_ledger) = runs

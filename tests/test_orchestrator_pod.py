@@ -1,14 +1,25 @@
 """Pod lifecycle transitions and reported metrics."""
 
+import itertools
+
 import pytest
 
+from repro.cluster.topology import paper_cluster
 from repro.errors import OrchestrationError
 from repro.orchestrator.api import PodPhase, PodSpec
+from repro.orchestrator.controller import Orchestrator
 from repro.orchestrator.pod import Pod
+
+#: Pod uids in creation order, as an orchestrator numbers its pods.
+_uids = itertools.count(1)
 
 
 def make_pod(submitted_at=10.0) -> Pod:
-    return Pod(PodSpec(name="p"), submitted_at=submitted_at)
+    return Pod(
+        PodSpec(name="p"),
+        submitted_at=submitted_at,
+        uid=f"{next(_uids):08d}",
+    )
 
 
 class TestTransitions:
@@ -78,4 +89,13 @@ class TestMetrics:
         assert pod.turnaround_seconds == 5.0
 
     def test_uids_unique(self):
-        assert make_pod().uid != make_pod().uid
+        """Each orchestrator numbers its own pods from 1, whatever else
+        runs in the process."""
+        first = Orchestrator(paper_cluster())
+        second = Orchestrator(paper_cluster())
+        spec = PodSpec(name="p")
+        uids = [
+            orchestrator.submit(spec, now=0.0).uid
+            for orchestrator in (first, first, second)
+        ]
+        assert uids == ["00000001", "00000002", "00000001"]

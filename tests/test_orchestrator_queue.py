@@ -1,5 +1,7 @@
 """FCFS pending queue semantics (priority tiers, FCFS within each)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,10 @@ from repro.orchestrator.queue import PendingQueue
 from repro.units import gib
 
 
+#: Pod uids in creation order, as an orchestrator numbers its pods.
+_uids = itertools.count(1)
+
+
 def make_pod(
     name: str, submitted_at: float, epc=0, mem=0, priority=0
 ) -> Pod:
@@ -22,7 +28,7 @@ def make_pod(
         ),
         priority=priority,
     )
-    return Pod(spec, submitted_at=submitted_at)
+    return Pod(spec, submitted_at=submitted_at, uid=f"{next(_uids):08d}")
 
 
 class TestFcfsOrder:
@@ -99,7 +105,11 @@ class TestPriorityTiers:
         queue = PendingQueue()
         victim = make_pod("victim", 1.0, priority=10)
         queue.push(make_pod("peer-young", 2.0, priority=10))
-        replacement = Pod(victim.spec, submitted_at=victim.submitted_at)
+        replacement = Pod(
+            victim.spec,
+            submitted_at=victim.submitted_at,
+            uid=f"{next(_uids):08d}",
+        )
         queue.push(replacement)
         assert [p.name for p in queue] == ["victim", "peer-young"]
 

@@ -13,7 +13,7 @@ from repro.units import mib
 
 class TestMarkUnbound:
     def test_unbind_resets_binding_state(self):
-        pod = Pod(PodSpec(name="p"), submitted_at=0.0)
+        pod = Pod(PodSpec(name="p"), submitted_at=0.0, uid="1")
         pod.mark_bound("node", 1.0)
         pod.mark_unbound()
         assert pod.phase is PodPhase.PENDING
@@ -21,12 +21,12 @@ class TestMarkUnbound:
         assert pod.bound_at is None
 
     def test_unbind_requires_bound(self):
-        pod = Pod(PodSpec(name="p"), submitted_at=0.0)
+        pod = Pod(PodSpec(name="p"), submitted_at=0.0, uid="1")
         with pytest.raises(OrchestrationError):
             pod.mark_unbound()
 
     def test_rebind_after_unbind(self):
-        pod = Pod(PodSpec(name="p"), submitted_at=0.0)
+        pod = Pod(PodSpec(name="p"), submitted_at=0.0, uid="1")
         pod.mark_bound("a", 1.0)
         pod.mark_unbound()
         pod.mark_bound("b", 2.0)

@@ -1,5 +1,7 @@
 """Preemption planners and the orchestrator's eviction wiring."""
 
+import itertools
+
 import pytest
 
 from repro.api import ObserveConfig, Scenario
@@ -24,6 +26,10 @@ from repro.units import gib, mib, pages
 from scheduling_reference import RecordingLedger
 
 
+#: Pod uids in creation order, as an orchestrator numbers its pods.
+_uids = itertools.count(1)
+
+
 def view(name, mem_capacity, mem_used, sgx=False, epc_capacity=0, epc_used=0):
     return NodeView(
         name=name,
@@ -44,6 +50,7 @@ def candidate(name, node, mem=0, epc_pages=0, priority=0,
         make_pod_spec(name, 60.0, declared_memory_bytes=mem,
                       priority=priority),
         submitted_at=submitted_at,
+        uid=f"{next(_uids):08d}",
     )
     return EvictionCandidate(
         pod=pod,
@@ -59,6 +66,7 @@ def preemptor(name="vip", mem=0, epc=0, priority=100):
         make_pod_spec(name, 60.0, declared_memory_bytes=mem,
                       declared_epc_bytes=epc, priority=priority),
         submitted_at=10.0,
+        uid=f"{next(_uids):08d}",
     )
 
 

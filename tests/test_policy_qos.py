@@ -1,5 +1,7 @@
 """Priority classes and QoS derivation: the policy layer's vocabulary."""
 
+import itertools
+
 import pytest
 
 from repro.cluster.resources import ResourceVector
@@ -18,6 +20,10 @@ from repro.policy import (
 from repro.units import gib, mib
 
 
+#: Pod uids in creation order, as an orchestrator numbers its pods.
+_uids = itertools.count(1)
+
+
 def pod(name, priority=0, epc=0, mem=0, limits=None, submitted_at=0.0):
     requests = ResourceVector(memory_bytes=mem, epc_pages=epc)
     spec = PodSpec(
@@ -25,7 +31,7 @@ def pod(name, priority=0, epc=0, mem=0, limits=None, submitted_at=0.0):
         resources=ResourceRequirements(requests=requests, limits=limits),
         priority=priority,
     )
-    return Pod(spec, submitted_at=submitted_at)
+    return Pod(spec, submitted_at=submitted_at, uid=f"{next(_uids):08d}")
 
 
 class TestPriorityClasses:

@@ -28,6 +28,7 @@ pod_strategy = st.builds(
             ),
         ),
         submitted_at=0.0,
+        uid=name,
     ),
     name=st.uuids().map(str),
     mem_gib=st.integers(min_value=0, max_value=70),

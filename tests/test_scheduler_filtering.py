@@ -20,7 +20,7 @@ def make_pod(epc=0, mem=0) -> Pod:
             requests=ResourceVector(memory_bytes=mem, epc_pages=epc)
         ),
     )
-    return Pod(spec, submitted_at=0.0)
+    return Pod(spec, submitted_at=0.0, uid="1")
 
 
 def make_view(name, sgx, mem_cap=gib(64), epc_cap=0, mem_used=0, epc_used=0):

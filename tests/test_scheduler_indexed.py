@@ -52,7 +52,7 @@ def make_pod(name, cpu=0, mem=0, epc=0, submitted_at=0.0):
             requests=ResourceVector(cpu, mem, epc)
         ),
     )
-    return Pod(spec, submitted_at=submitted_at)
+    return Pod(spec, submitted_at=submitted_at, uid=name)
 
 
 def clone_views(views):

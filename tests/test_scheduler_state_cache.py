@@ -305,11 +305,14 @@ class TestBoundedMemory:
             assert orchestrator.db is None
             live = retained = 0
             for state in store._measurements.values():
-                for series in state.series.values():
-                    assert len(series.times) <= bound
-                    assert len(series.maxdeque) <= len(series.times) + 1
-                    live += 1
-                    retained += len(series.times)
+                for node in state.nodes.values():
+                    for series in node.series.values():
+                        assert len(series.times) <= bound
+                        assert (
+                            len(series.maxdeque) <= len(series.times) + 1
+                        )
+                        live += 1
+                        retained += len(series.times)
             assert retained <= live * bound
             checked.append(live)
             return result
@@ -338,9 +341,39 @@ class TestMalformedRows:
         )
         with caplog.at_level(logging.WARNING, logger="repro.scheduler.base"):
             measured = service._measured_usage(now=2.0)
-        assert measured == {}
+        assert measured == ({}, {})
         assert service.malformed_rows_skipped == 3
         assert "missing nodename/pod_name" in caplog.text
+
+    def test_untagged_series_are_counted_by_store_builds(self, caplog):
+        """Through a write-through store no view reads an untagged
+        series either; each build that rebuilds from the store counts
+        them, and serving the retained snapshot counts nothing."""
+        db = TimeSeriesDatabase()
+        service = ClusterStateService(
+            [], db, window_seconds=25.0,
+            cache=WindowedAggregateCache(db, window_seconds=25.0),
+        )
+        db.write(MEASUREMENT_MEMORY, value=100.0, time=1.0, tags={})
+        db.write(
+            MEASUREMENT_MEMORY, value=200.0, time=1.0,
+            tags={"pod_name": "p"},
+        )
+        db.write(
+            MEASUREMENT_EPC, value=50.0, time=1.0, tags={"nodename": "n"}
+        )
+        db.write(
+            MEASUREMENT_EPC, value=60.0, time=1.0,
+            tags={"nodename": "n", "pod_name": "q"},
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.scheduler.base"):
+            service.build_views(now=2.0)
+        assert service.malformed_rows_skipped == 3
+        assert "missing nodename/pod_name" in caplog.text
+        service.build_views(now=3.0)
+        assert service.snapshots_reused == 1
+        assert service.malformed_rows_skipped == 3
+        assert service.cache.fallbacks == 0
 
     def test_well_tagged_rows_unaffected(self):
         db = TimeSeriesDatabase()
@@ -352,7 +385,7 @@ class TestMalformedRows:
             tags={"pod_name": "p", "nodename": "n"},
         )
         measured = service._measured_usage(now=2.0)
-        assert measured == {"n": {"p": (100, 0)}}
+        assert measured == ({"n": {"p": 100.0}}, {})
         assert service.malformed_rows_skipped == 0
 
 

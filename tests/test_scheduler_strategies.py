@@ -20,7 +20,7 @@ def make_pod(name="p", epc=0, mem=0) -> Pod:
             requests=ResourceVector(memory_bytes=mem, epc_pages=epc)
         ),
     )
-    return Pod(spec, submitted_at=0.0)
+    return Pod(spec, submitted_at=0.0, uid=name)
 
 
 def std_view(name, used_mem=0):

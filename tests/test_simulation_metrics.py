@@ -35,7 +35,7 @@ def finished_pod(
             epc_pages=epc_pages_count,
         ),
     )
-    pod = Pod(spec, submitted_at=submit)
+    pod = Pod(spec, submitted_at=submit, uid=name)
     pod.mark_bound("node", submit + 1.0)
     pod.mark_running(start)
     pod.mark_succeeded(finish)
@@ -43,7 +43,7 @@ def finished_pod(
 
 
 def failed_pod(name) -> Pod:
-    pod = Pod(PodSpec(name=name), submitted_at=0.0)
+    pod = Pod(PodSpec(name=name), submitted_at=0.0, uid=name)
     pod.mark_failed(5.0, "killed")
     return pod
 

@@ -1,0 +1,445 @@
+"""Per-node view rebuilds equal the whole-cluster build.
+
+``ClusterStateService.build_views`` keeps each kubelet's view with the
+token it was built from (the node's memory and EPC versions in the
+window-max store, the kubelet's commitment version) and rebuilds only
+the views whose token moved.  Every build here is compared, field for
+field and in kubelet order, with ``tests/view_reference.py``, which
+rebuilds every view from a full Listing 1 scan: over replays that
+crash nodes, requeue, migrate and evict, and over orchestrators driven
+op by op through node churn, out-of-order and vacuum-cutting writes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pass_reuse_reference import run_with_replay
+from repro.api import Scenario
+from repro.cluster.node import Node, NodeSpec
+from repro.cluster.topology import paper_cluster
+from repro.monitoring.heapster import MEASUREMENT_MEMORY
+from repro.monitoring.probe import MEASUREMENT_EPC
+from repro.monitoring.tsdb import TimeSeriesDatabase
+from repro.orchestrator.api import PodPhase, make_pod_spec
+from repro.orchestrator.controller import Orchestrator
+from repro.scheduler.binpack import BinpackScheduler
+from repro.scheduler.spread import SpreadScheduler
+from repro.simulation import runner as runner_module
+from repro.trace.borg import synthetic_scaled_trace
+from repro.units import gib, mib
+from view_reference import checking
+
+#: Shorter than Listing 1's 25 s window, so retention vacuums cut into
+#: the windows the scheduler reads.
+CUTTING_RETENTION = 20.0
+
+
+@contextlib.contextmanager
+def write_through(retention):
+    """Replays inside the block monitor through a database of
+    *retention* seconds, mirrored by a write-through store."""
+
+    def build(cluster, **kwargs):
+        db = TimeSeriesDatabase(retention_seconds=retention)
+        return Orchestrator(cluster, db=db, **kwargs)
+
+    with mock.patch.object(runner_module, "Orchestrator", build):
+        yield
+
+
+def replay_scenario(
+    trace_seed, seed, n_jobs, sgx_fraction, scheduler, use_measured,
+    preempting, backoff, limits, overcommit, crash, rebalance,
+):
+    """A small contended replay on two SGX nodes and one standard one."""
+    knobs = dict(
+        trace=synthetic_scaled_trace(
+            seed=trace_seed,
+            n_jobs=n_jobs,
+            overallocators=max(1, n_jobs // 10),
+            window_seconds=120.0,
+        ),
+        sgx_fraction=sgx_fraction,
+        seed=seed,
+        scheduler=scheduler,
+        use_measured=use_measured,
+        epc_total_bytes=mib(64),
+        standard_workers=1,
+        sgx_workers=2,
+        requeue_backoff_seconds=backoff,
+        enforce_epc_limits=limits,
+        epc_allow_overcommit=overcommit,
+    )
+    if preempting:
+        knobs.update(
+            workload="priority-mix",
+            workload_options={
+                "high_fraction": 0.25,
+                "high_priority": "latency-critical",
+            },
+            preemption_policy="cheapest-victims",
+        )
+    if crash:
+        knobs["node_failures"] = ((300.0, "sgx-worker-0"),)
+    if rebalance:
+        knobs["rebalance_period"] = 15.0
+    return Scenario(**knobs)
+
+
+REPLAYS = dict(
+    trace_seed=st.integers(min_value=0, max_value=1_000),
+    seed=st.integers(min_value=0, max_value=1_000),
+    n_jobs=st.integers(min_value=8, max_value=24),
+    sgx_fraction=st.sampled_from([0.5, 1.0]),
+    scheduler=st.sampled_from(["binpack", "spread"]),
+    use_measured=st.booleans(),
+    preempting=st.booleans(),
+    backoff=st.sampled_from([0.0, 30.0]),
+    limits=st.booleans(),
+    overcommit=st.booleans(),
+    crash=st.booleans(),
+    rebalance=st.booleans(),
+)
+
+
+def checked_replay(scenario, store):
+    """Replay *scenario* with every view build checked; returns the
+    live replay and the number of builds checked."""
+    engine = (
+        write_through(CUTTING_RETENTION)
+        if store == "write-through"
+        else contextlib.nullcontext()
+    )
+    with checking() as checked, engine:
+        _, replay = run_with_replay(scenario)
+    return replay, checked[0]
+
+
+@given(
+    store=st.sampled_from(["standalone", "write-through"]), **REPLAYS
+)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_replayed_builds_equal_the_reference(store, **knobs):
+    _, checked = checked_replay(replay_scenario(**knobs), store)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("store", ["standalone", "write-through"])
+def test_the_replay_regime_exercises_every_input(store):
+    """Guard: the regime above really requeues, migrates, evicts and
+    crashes a node, and rebuilds only some of the nodes per build."""
+    knobs = dict(
+        trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0,
+        scheduler="binpack", use_measured=True, backoff=30.0,
+        crash=True,
+    )
+    requeuing, _ = checked_replay(
+        replay_scenario(
+            **knobs, preempting=False, limits=True, overcommit=False,
+            rebalance=False,
+        ),
+        store,
+    )
+    assert any(
+        pod.phase is PodPhase.FAILED and "lost" in pod.failure_reason
+        for pod in requeuing.orchestrator.all_pods
+    )
+    moving, builds = checked_replay(
+        replay_scenario(
+            **knobs, preempting=True, limits=False, overcommit=True,
+            rebalance=True,
+        ),
+        store,
+    )
+    assert moving.migration_count > 0
+    assert moving.eviction_count > 0
+    service = moving.orchestrator.state_service
+    rebuilding = builds - service.snapshots_reused
+    assert rebuilding > 0
+    assert service.nodes_rebuilt < 3 * rebuilding
+
+
+def test_requeues_happen_without_overcommit():
+    """Guard for the ``overcommit=False`` half of the regime."""
+    replay, _ = checked_replay(
+        replay_scenario(
+            trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0,
+            scheduler="binpack", use_measured=True, preempting=False,
+            backoff=0.0, limits=True, overcommit=False, crash=False,
+            rebalance=False,
+        ),
+        "standalone",
+    )
+    requeued = sum(
+        1
+        for event in replay.log
+        if event.kind.value == "requeued"
+    )
+    assert requeued > 0
+
+
+# -- orchestrators driven op by op -------------------------------------------
+
+#: Node names ops may add; ``sgx-worker-0`` is also in the initial
+#: inventory, so adding it after its removal re-adds a name.
+_NAMES = ["sgx-worker-0", "sgx-worker-9", "worker-9"]
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.booleans(), st.integers(1, 40)),
+        st.tuples(st.just("tick"), st.sampled_from([2.5, 5.0, 10.0, 30.0])),
+        st.tuples(st.just("pass"), st.integers(0, 3)),
+        st.tuples(st.just("views")),
+        st.tuples(st.just("finish"), st.integers(0, 50)),
+        st.tuples(st.just("remove"), st.integers(0, 5)),
+        st.tuples(st.just("add"), st.sampled_from(_NAMES)),
+        st.tuples(st.just("spike"), st.integers(0, 50)),
+        st.tuples(st.just("late_write"), st.integers(0, 50)),
+        st.tuples(st.just("vacuum")),
+    ),
+    max_size=40,
+)
+
+
+def _new_node(name):
+    if name.startswith("sgx"):
+        return Node(NodeSpec.sgx(name, epc_total_bytes=mib(64)))
+    return Node(NodeSpec.standard(name))
+
+
+@given(store=st.sampled_from(["standalone", "write-through"]), ops=_OPS)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_driven_builds_equal_the_reference(store, ops):
+    db = (
+        TimeSeriesDatabase(retention_seconds=CUTTING_RETENTION)
+        if store == "write-through"
+        else None
+    )
+    orchestrator = Orchestrator(
+        paper_cluster(epc_total_bytes=mib(64), standard_workers=1),
+        db=db,
+    )
+    schedulers = [
+        BinpackScheduler(),
+        BinpackScheduler(use_measured=False),
+        SpreadScheduler(),
+        SpreadScheduler(use_measured=False),
+    ]
+    now = 0.0
+    submitted = 0
+    with checking() as checked:
+        for op in ops:
+            kind = op[0]
+            if kind == "submit":
+                submitted += 1
+                spec = (
+                    make_pod_spec(
+                        f"sgx-{submitted}",
+                        duration_seconds=60.0,
+                        declared_epc_bytes=mib(op[2]),
+                        actual_epc_bytes=mib(op[2] // 2 + 1),
+                    )
+                    if op[1]
+                    else make_pod_spec(
+                        f"std-{submitted}",
+                        duration_seconds=60.0,
+                        declared_memory_bytes=gib(op[2] % 8 + 1),
+                    )
+                )
+                orchestrator.submit(spec, now)
+            elif kind == "tick":
+                now += op[1]
+                orchestrator.collect_metrics(now)
+            elif kind == "pass":
+                orchestrator.scheduling_pass(schedulers[op[1]], now)
+            elif kind == "views":
+                orchestrator.state_service.build_views(now)
+            elif kind == "finish":
+                placed = [
+                    pod
+                    for pod in orchestrator.all_pods
+                    if pod.phase in (PodPhase.BOUND, PodPhase.RUNNING)
+                ]
+                if placed:
+                    pod = placed[op[1] % len(placed)]
+                    if pod.phase is PodPhase.BOUND:
+                        orchestrator.start_pod(pod, now)
+                    orchestrator.complete_pod(pod, now)
+            elif kind == "remove":
+                names = sorted(orchestrator.kubelets)
+                if len(names) > 1:
+                    orchestrator.remove_node(
+                        names[op[1] % len(names)], now
+                    )
+            elif kind == "add":
+                if op[1] not in orchestrator.kubelets:
+                    orchestrator.add_node(_new_node(op[1]), now)
+            elif kind == "spike":
+                # A short-lived maximum for an admitted pod: when it
+                # ages out of the window, the smaller value resurfaces.
+                placed = [
+                    pod
+                    for pod in orchestrator.all_pods
+                    if pod.phase in (PodPhase.BOUND, PodPhase.RUNNING)
+                ]
+                if placed:
+                    pod = placed[op[1] % len(placed)]
+                    measurement = (
+                        MEASUREMENT_EPC
+                        if pod.requires_sgx
+                        else MEASUREMENT_MEMORY
+                    )
+                    row = (pod.node_name, pod.name, 1e6 * (op[1] + 1))
+                    if db is None:
+                        orchestrator.aggregate_cache.ingest(
+                            measurement, now, [row]
+                        )
+                    else:
+                        db.ingest(measurement, now, [row])
+            elif kind == "late_write" and db is not None:
+                # Out of order for a live series: the store must go
+                # dirty and rebuild, or (below the vacuum floor) not
+                # trust its lazily recorded floor.
+                rows = [
+                    row
+                    for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC)
+                    for row in orchestrator.aggregate_cache.snapshot(
+                        measurement, now
+                    ) or []
+                ]
+                if rows:
+                    row = rows[op[1] % len(rows)]
+                    db.write(
+                        MEASUREMENT_EPC
+                        if row.pod_name.startswith("sgx")
+                        else MEASUREMENT_MEMORY,
+                        value=row.max_value + 1.0,
+                        time=row.latest_time - 1.0,
+                        tags={
+                            "nodename": row.nodename,
+                            "pod_name": row.pod_name,
+                        },
+                    )
+            elif kind == "vacuum" and db is not None:
+                db.vacuum(now)
+        # Let every sample taken so far age out of the window.
+        for _ in range(3):
+            orchestrator.state_service.build_views(now)
+            now += 15.0
+            orchestrator.collect_metrics(now)
+    assert checked[0] > 0
+
+
+# -- exactly the moved nodes ------------------------------------------------
+
+
+@pytest.fixture
+def placed():
+    """An orchestrator with one running pod on each of two SGX nodes
+    and a first build behind it; every build is checked."""
+    with checking():
+        orchestrator = Orchestrator(paper_cluster())
+        for index in range(2):
+            orchestrator.submit(
+                make_pod_spec(
+                    f"sgx-{index}",
+                    duration_seconds=600.0,
+                    declared_epc_bytes=mib(8),
+                ),
+                now=0.0,
+            )
+        orchestrator.scheduling_pass(SpreadScheduler(), now=0.0)
+        pods = orchestrator.all_pods
+        for pod in pods:
+            orchestrator.start_pod(pod, now=0.5)
+        assert pods[0].node_name != pods[1].node_name
+        orchestrator.collect_metrics(now=1.0)
+        orchestrator.state_service.build_views(1.0)
+        yield orchestrator, pods
+
+
+def test_a_change_to_one_node_rebuilds_exactly_that_node(placed):
+    orchestrator, (kept, finished) = placed
+    service = orchestrator.state_service
+    before = {view.name: view for view in service._last_views}
+    rebuilt = service.nodes_rebuilt
+
+    # Nothing moved: the retained snapshot is served again.
+    service.build_views(2.0)
+    assert service.snapshots_reused == 1
+    assert service.nodes_rebuilt == rebuilt
+
+    # One commitment moved: only its node is rebuilt.
+    orchestrator.complete_pod(finished, now=3.0)
+    service.build_views(3.0)
+    assert service.nodes_rebuilt == rebuilt + 1
+    after = {view.name: view for view in service._last_views}
+    assert after[finished.node_name] is not before[finished.node_name]
+    assert all(
+        after[name] is before[name]
+        for name in before
+        if name != finished.node_name
+    )
+
+    # One window maximum rose: only its node is rebuilt.
+    orchestrator.aggregate_cache.ingest(
+        MEASUREMENT_EPC, 4.0, [(kept.node_name, kept.name, 1e6)]
+    )
+    service.build_views(4.0)
+    assert service.nodes_rebuilt == rebuilt + 2
+    latest = {view.name: view for view in service._last_views}
+    assert latest[kept.node_name].used.epc_pages == 10**6
+    assert all(
+        latest[name] is after[name]
+        for name in after
+        if name != kept.node_name
+    )
+
+    # The spike ages out of the window and the finished pod's series
+    # die: exactly those two nodes are rebuilt, at a walk.
+    for now in (10.0, 20.0, 30.0):
+        orchestrator.collect_metrics(now)
+    service.build_views(30.0)
+    assert service.nodes_rebuilt == rebuilt + 4
+    final = {view.name: view for view in service._last_views}
+    assert final[kept.node_name].used == after[kept.node_name].used
+    moved = {kept.node_name, finished.node_name}
+    assert all(
+        final[name] is latest[name] for name in latest if name not in moved
+    )
+
+
+def test_a_removed_kubelet_leaves_the_views(placed):
+    orchestrator, (_, pod) = placed
+    service = orchestrator.state_service
+    rebuilt = service.nodes_rebuilt
+    orchestrator.remove_node(pod.node_name, now=2.0)
+    views = service.build_views(2.0)
+    assert pod.node_name not in {view.name for view in views}
+    # No remaining node moved, yet the snapshot is a new one.
+    assert service.nodes_rebuilt == rebuilt
+    assert service.snapshots_reused == 0
+
+
+def test_a_name_added_again_gets_a_fresh_view(placed):
+    orchestrator, (_, pod) = placed
+    name = pod.node_name
+    orchestrator.remove_node(name, now=2.0)
+    orchestrator.add_node(_new_node(name), now=2.0)
+    views = orchestrator.state_service.build_views(2.0)
+    (view,) = (view for view in views if view.name == name)
+    assert view.committed.epc_pages == 0

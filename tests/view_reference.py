@@ -1,0 +1,143 @@
+"""The whole-cluster view build: the reference for per-node rebuilds.
+
+:meth:`repro.scheduler.base.ClusterStateService.build_views` keeps one
+view per kubelet and rebuilds only the views whose inputs moved.  The
+reference builds every view from scratch, as the service did before:
+it runs Listing 1's inner query as a full InfluxQL scan over a
+database holding the samples, then folds each kubelet's admitted pods
+into one :class:`~repro.scheduler.base.NodeView`.  It reads nothing
+from the window-max store (no fast path, no node states), so it cannot
+share the store's mistakes; for a standalone store, :func:`checking`
+feeds a shadow database the same collector batches.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Dict, Iterator, List, Tuple
+from unittest import mock
+
+from repro.cluster.resources import ResourceVector
+from repro.monitoring.aggregate import WindowedAggregateCache
+from repro.monitoring.heapster import MEASUREMENT_MEMORY
+from repro.monitoring.influxql import execute_query, parse_query
+from repro.monitoring.probe import MEASUREMENT_EPC
+from repro.monitoring.tsdb import TimeSeriesDatabase
+from repro.scheduler.base import ClusterStateService, NodeView
+
+_PER_POD_QUERY = (
+    'SELECT MAX(value) AS usage FROM "{measurement}" '
+    "WHERE value <> 0 AND time >= now() - {window}s "
+    "GROUP BY pod_name, nodename"
+)
+
+
+def measured_usage(
+    db: TimeSeriesDatabase, now: float, window: float
+) -> Dict[str, Dict[str, Tuple[int, int]]]:
+    """Measured ``(memory_bytes, epc_pages)`` nested by node, pod.
+
+    A pod with a window maximum in one measurement only counts 0 in
+    the other; rows missing a tag are skipped.
+    """
+    measured: Dict[str, Dict[str, Tuple[int, int]]] = {}
+    for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC):
+        query = parse_query(
+            _PER_POD_QUERY.format(measurement=measurement, window=window)
+        )
+        for row in execute_query(query, db, now, allow_fast_path=False):
+            node, pod = row.get("nodename"), row.get("pod_name")
+            if node is None or pod is None:
+                continue
+            usage = int(row.get("usage", 0.0))
+            pods = measured.setdefault(node, {})
+            if measurement == MEASUREMENT_MEMORY:
+                pods[pod] = (usage, 0)
+            else:
+                pods[pod] = (pods.get(pod, (0, 0))[0], usage)
+    return measured
+
+
+def reference_views(
+    kubelets, db: TimeSeriesDatabase, now: float, window: float
+) -> List[NodeView]:
+    """One view per kubelet, in order, built from scratch.
+
+    Each admitted pod counts its measured usage when the window holds
+    a sample for it and its declared requests otherwise (CPU is never
+    measured); committed is the sum of the declared requests.
+    """
+    measured = measured_usage(db, now, window)
+    views = []
+    for kubelet in kubelets:
+        node = kubelet.node
+        samples = measured.get(node.name, {})
+        used = committed = ResourceVector.zero()
+        for pod in kubelet.admitted_pods():
+            requests = pod.spec.resources.requests
+            committed = committed + requests
+            sample = samples.get(pod.name)
+            if sample is None:
+                used = used + requests
+            else:
+                used = used + ResourceVector(
+                    cpu_millicores=requests.cpu_millicores,
+                    memory_bytes=sample[0],
+                    epc_pages=sample[1],
+                )
+        views.append(
+            NodeView(
+                name=node.name,
+                sgx_capable=kubelet.advertised_epc_pages() > 0,
+                capacity=node.capacity,
+                used=used,
+                committed=committed,
+            )
+        )
+    return views
+
+
+@contextlib.contextmanager
+def checking() -> Iterator[List[int]]:
+    """Inside the block, every ``build_views`` result must equal
+    :func:`reference_views`, field for field and in kubelet order.
+
+    A service over a database is checked against a full scan of that
+    database; a standalone store against a shadow database that
+    receives every batch the store ingests.  Yields a one-item list
+    counting the builds checked.
+    """
+    shadows: Dict[WindowedAggregateCache, TimeSeriesDatabase] = {}
+    ingest = WindowedAggregateCache.ingest
+    build_views = ClusterStateService.build_views
+    checked = [0]
+
+    def shadowed_ingest(store, measurement, now, rows):
+        ingest(store, measurement, now, rows)
+        shadow = shadows.get(store)
+        if shadow is None:
+            shadow = shadows[store] = TimeSeriesDatabase(
+                retention_seconds=3600.0
+            )
+        shadow.ingest(measurement, now, rows)
+
+    def checked_build_views(service, now):
+        views = build_views(service, now)
+        db = service.db
+        if db is None:
+            db = shadows.get(service.cache)
+            if db is None:  # nothing ingested yet
+                db = TimeSeriesDatabase()
+        expected = reference_views(
+            service.kubelets, db, now, service.window_seconds
+        )
+        assert views == expected, f"views differ at t={now}"
+        checked[0] += 1
+        return views
+
+    with mock.patch.object(
+        WindowedAggregateCache, "ingest", shadowed_ingest
+    ), mock.patch.object(
+        ClusterStateService, "build_views", checked_build_views
+    ):
+        yield checked
