@@ -4,21 +4,17 @@ Re-runs the ``run_bench`` sweeps and compares each row's headline
 metric against the matching row of the committed ``BENCH_*.json``:
 
 * ``state_cache``  — ``speedup``  (cached vs full-scan snapshot);
-* ``sched_scale``  — ``speedup``  (indexed vs full-scan placement);
 * ``api_sweep``    — ``completed`` (scenario-layer sweep outcomes),
   with the ``parallel_identical`` pool-vs-serial equivalence flag;
 * ``preemption``   — ``p50_reduction`` (high-priority-tier waiting
-  time, non-preemptive vs ``cheapest-victims``), with the
-  ``disabled_identical`` flag proving priority-disabled runs stay
-  bit-for-bit the full-scan oracle;
+  time, non-preemptive vs ``cheapest-victims``);
 * ``traces``       — ``completed`` (windowed-ingestion kept rows and
   synthetic-replay outcomes), with the ``deterministic`` flag proving
   every registered spec resolves and replays reproducibly;
 * ``wall``         — ``speedup`` (whole-replay wall clock vs the
-  pre-refactor baselines), with the ``engines_identical`` flag
-  (indexed and full-scan runs agree on the whole signature).  Unlike
-  the advisory sweeps this gate runs as a *required* CI job: the
-  hot-path rebuild's headline must not silently erode;
+  pre-refactor baselines).  Unlike the advisory sweeps this gate runs
+  as a *required* CI job: the hot-path rebuild's headline must not
+  silently erode;
 * ``obs``          — ``events`` (the decision ledger's deterministic
   record count at the gated trace size), with the ``identical`` flag
   proving a recorded run stays bit-for-bit the unobserved run.
@@ -31,7 +27,7 @@ as emitted by ``repro sweep --json`` and ``SweepResult.to_json``).
 A fresh metric may fall below its baseline by at most the tolerance
 band (relative, default 50% — CI machines are noisy; the gate is after
 order-of-magnitude regressions, not single-digit jitter).  Correctness
-flags (``identical``, ``engines_identical``, ...) must hold outright.
+flags (``identical``, ``parallel_identical``, ...) must hold outright.
 
 Exit status: 0 all good, 1 regression or broken equivalence, 2 usage
 or missing baseline.  CI runs this as an *advisory* job::
@@ -39,10 +35,10 @@ or missing baseline.  CI runs this as an *advisory* job::
     PYTHONPATH=src python benchmarks/check_regression.py --quick
 
 ``--quick`` restricts every sweep to its cheapest baseline-comparable
-configuration (smallest size for state_cache, a single
-repeat of the headline sched_scale point), which keeps the job under a
-minute while still catching the regressions that matter — an
-accidental fallback to the slow path shows up at any size.
+configuration (e.g. the smallest size for state_cache and wall),
+which keeps the job under a minute while still catching the
+regressions that matter — an accidental fallback to the slow path
+shows up at any size.
 """
 
 from __future__ import annotations
@@ -62,12 +58,6 @@ GATES = {
     "state_cache": (
         "BENCH_state_cache.json", "speedup", ("pods",), None
     ),
-    "sched_scale": (
-        "BENCH_sched_scale.json",
-        "speedup",
-        ("scheduler", "pods", "nodes"),
-        "identical",
-    ),
     "api_sweep": (
         "BENCH_api_sweep.json",
         "completed",
@@ -75,10 +65,7 @@ GATES = {
         "parallel_identical",
     ),
     "preemption": (
-        "BENCH_preemption.json",
-        "p50_reduction",
-        ("pods",),
-        "disabled_identical",
+        "BENCH_preemption.json", "p50_reduction", ("pods",), None
     ),
     "traces": (
         "BENCH_traces.json",
@@ -86,12 +73,7 @@ GATES = {
         ("case",),
         "deterministic",
     ),
-    "wall": (
-        "BENCH_wall.json",
-        "speedup",
-        ("pods",),
-        "engines_identical",
-    ),
+    "wall": ("BENCH_wall.json", "speedup", ("pods",), None),
     "obs": (
         "BENCH_obs.json",
         "events",
@@ -173,18 +155,6 @@ def fresh_reports(names, quick: bool) -> dict:
                     if quick
                     else None
                 ),
-            )
-        else:
-            # Quick mode still runs the headline 2000x200 binpack point
-            # (a smaller one would have no baseline row to compare
-            # against) but with a single repeat instead of five.
-            scheduler, pods, nodes, _ = run_bench.SCHED_SCALE_POINTS[0]
-            reports[name] = run_bench.run_sched_scale(
-                points=(
-                    ((scheduler, pods, nodes, 1),)
-                    if quick
-                    else run_bench.SCHED_SCALE_POINTS
-                )
             )
     return reports
 

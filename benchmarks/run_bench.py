@@ -1,20 +1,14 @@
 """Benchmark runner: emits ``BENCH_state_cache.json``,
-``BENCH_sched_scale.json``, ``BENCH_api_sweep.json``,
-``BENCH_preemption.json``, ``BENCH_traces.json``, ``BENCH_wall.json``
-and ``BENCH_obs.json``.
+``BENCH_api_sweep.json``, ``BENCH_preemption.json``,
+``BENCH_traces.json``, ``BENCH_wall.json`` and ``BENCH_obs.json``.
 
-Seven sweeps over the scheduling hot path:
+Six sweeps over the scheduling hot path:
 
 * **state_cache** — the scheduler's per-pass snapshot latency (the two
   Listing-1 sliding-window queries behind
   ``ClusterStateService.build_views``) with the full InfluxQL window
   scan versus the incremental
   :class:`~repro.monitoring.aggregate.WindowedAggregateCache`;
-* **sched_scale** — the placement loop *inside* one pass: a pending
-  batch scheduled against a large cluster with the per-pod full scan
-  versus the incremental node-candidate index
-  (``Scheduler(indexed=True)``), with an outcome-identity check, at up
-  to 5000 pods over 200 nodes;
 * **api_sweep** — a scenario-layer sweep (``repro.api.Sweep``) run
   serially and over a 4-worker process pool, with a per-scenario
   bit-for-bit identity check, emitted in the structured
@@ -23,21 +17,17 @@ Seven sweeps over the scheduling hot path:
   tenant mix (``priority-mix`` workload) on a contended cluster,
   replayed with ``preemption_policy="none"`` versus the EPC-aware
   ``cheapest-victims`` planner, reporting the high-priority tier's
-  p50/mean waiting-time reduction and the eviction counts — plus a
-  ``disabled_identical`` flag proving the priority-disabled run is
-  bit-for-bit the oracle on the full-scan and the indexed pass;
+  p50/mean waiting-time reduction and the eviction counts;
 * **traces** — the trace ecosystem: streaming ``borg-csv`` ingestion
   throughput over a 100k-row file with a peak-memory comparison of a
   windowed load versus the full load (the window must stay O(kept
   rows)), plus EPC-contended replays of two registered synthetic
   shapes (``synth-bursty``, ``synth-heavytail``) under binpack and
   spread with a spec-level determinism check;
-* **wall** — whole-replay wall clock at 250–2000 pods for the
-  full-scan and the indexed engine, reported as a speedup against the
-  hard-coded pre-refactor baselines (:data:`WALL_BASELINES`, measured
-  at the seed commit of the hot-path rebuild), with an
-  ``engines_identical`` flag comparing the two runs' whole
-  signatures;
+* **wall** — whole-replay wall clock at 250–2000 pods, reported as a
+  speedup against the hard-coded pre-refactor baselines
+  (:data:`WALL_BASELINES`, measured at the seed commit of the hot-path
+  rebuild);
 * **obs** — the observability contract: the periodic wall sweep's
   1000/2000-pod points replayed with the decision ledger off and on
   (``Scenario(observe=ObserveConfig(ledger_path=...))``), reporting
@@ -52,17 +42,16 @@ Run from the repo root::
 
 The JSON lands next to this repo's README so the perf trajectory of the
 hot path is tracked from PR to PR.  The pytest wrappers
-(``test_ext_state_cache.py``, ``test_ext_sched_scale.py``,
-``test_ext_wall.py``, ...) reuse the same builders on tiny
-configurations, and ``benchmarks/check_regression.py`` replays the
-sweeps against the committed JSON baselines as a regression gate.
+(``test_ext_state_cache.py``, ``test_ext_wall.py``, ...) reuse the
+same builders on tiny configurations, and
+``benchmarks/check_regression.py`` replays the sweeps against the
+committed JSON baselines as a regression gate.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import statistics
 import sys
 import tempfile
@@ -73,24 +62,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import Scenario, Sweep, rows_to_json  # noqa: E402
-from repro.cluster.resources import ResourceVector  # noqa: E402
-from repro.constants import (  # noqa: E402
-    EPC_TOTAL_BYTES,
-    METRICS_WINDOW_SECONDS,
-)
+from repro.constants import METRICS_WINDOW_SECONDS  # noqa: E402
 from repro.monitoring.aggregate import WindowedAggregateCache  # noqa: E402
 from repro.monitoring.heapster import MEASUREMENT_MEMORY  # noqa: E402
 from repro.monitoring.probe import MEASUREMENT_EPC  # noqa: E402
 from repro.monitoring.tsdb import TimeSeriesDatabase  # noqa: E402
-from repro.orchestrator.api import make_pod_spec  # noqa: E402
-from repro.orchestrator.pod import Pod  # noqa: E402
-from repro.scheduler.base import (  # noqa: E402
-    ClusterStateService,
-    NodeView,
-)
+from repro.scheduler.base import ClusterStateService  # noqa: E402
 from repro.trace import resolve_trace  # noqa: E402
 from repro.trace.borg import synthetic_scaled_trace  # noqa: E402
-from repro.units import gib, mib, pages  # noqa: E402
+from repro.units import mib  # noqa: E402
 
 #: Simulated pass time; all windows are evaluated at this instant.
 NOW = 600.0
@@ -204,145 +184,6 @@ def run(sizes=(250, 1000, 2000), repeats=9) -> dict:
 RECONCILE_PERIOD_SECONDS = 1.0
 
 
-#: Every Nth node in the sched_scale cluster carries SGX.
-SCHED_SCALE_SGX_STRIDE = 4
-
-
-def build_sched_pass(n_pods: int, n_nodes: int, seed: int = 3):
-    """One pass's inputs: *n_nodes* views and a *n_pods* pending batch.
-
-    Mirrors a scaled cluster mid-replay: a quarter of the nodes carry
-    SGX, every node already runs a random measured load, and the
-    pending queue mixes standard pods (memory-bound) with enclave pods
-    (EPC-bound).  The batch intentionally oversubscribes the cluster so
-    the sweep exercises both the placement path and the
-    everything-deferred tail of a saturated pass.
-    """
-    rng = random.Random(seed)
-    epc_pages = pages(EPC_TOTAL_BYTES)
-    views = []
-    for i in range(n_nodes):
-        sgx = i % SCHED_SCALE_SGX_STRIDE == 0
-        capacity = ResourceVector(
-            cpu_millicores=16000,
-            memory_bytes=gib(32) if sgx else gib(64),
-            epc_pages=epc_pages if sgx else 0,
-        )
-        used = ResourceVector(
-            cpu_millicores=rng.randrange(0, 4000),
-            memory_bytes=rng.randrange(0, gib(8)),
-            epc_pages=rng.randrange(0, epc_pages // 4) if sgx else 0,
-        )
-        views.append(
-            NodeView(
-                name=f"node-{i:04d}",
-                sgx_capable=sgx,
-                capacity=capacity,
-                used=used,
-                committed=used,
-            )
-        )
-    pods = []
-    for i in range(n_pods):
-        if rng.random() < SGX_FRACTION:
-            spec = make_pod_spec(
-                f"enclave-{i:05d}",
-                duration_seconds=60.0,
-                declared_epc_bytes=mib(rng.choice((8, 16, 32, 64))),
-            )
-        else:
-            spec = make_pod_spec(
-                f"standard-{i:05d}",
-                duration_seconds=60.0,
-                declared_memory_bytes=gib(rng.choice((1, 2, 4, 8))),
-            )
-        pods.append(Pod(spec, submitted_at=float(i), uid=f"{i:08d}"))
-    return views, pods
-
-
-def _clone_views(views):
-    return [
-        NodeView(
-            name=view.name,
-            sgx_capable=view.sgx_capable,
-            capacity=view.capacity,
-            used=view.used,
-            committed=view.committed,
-        )
-        for view in views
-    ]
-
-
-def _outcome_signature(outcome):
-    return (
-        [(a.pod.name, a.node_name) for a in outcome.assignments],
-        [pod.name for pod in outcome.unschedulable],
-        [pod.name for pod in outcome.deferred],
-    )
-
-
-def time_sched_pass(scheduler_name, indexed, views, pods, repeats):
-    """Median seconds of one full batch pass, plus its outcome."""
-    scheduler = Scenario(
-        scheduler=scheduler_name, indexed_scheduling=indexed
-    ).build_scheduler()
-    timings = []
-    outcome = None
-    for _ in range(repeats):
-        pass_views = _clone_views(views)
-        start = time.perf_counter()
-        outcome = scheduler.schedule(pods, pass_views, now=600.0)
-        timings.append(time.perf_counter() - start)
-    return statistics.median(timings), outcome
-
-
-#: (scheduler, pods, nodes, repeats): the headline row is binpack at
-#: 2000×200 (the ISSUE's ≥5x target); 5000 pods shows the trend and the
-#: spread/kube rows show the index helps every strategy.  Spread stays
-#: smaller because the *oracle* is quadratic in nodes per pod.
-SCHED_SCALE_POINTS = (
-    ("binpack", 2000, 200, 5),
-    ("binpack", 5000, 200, 3),
-    ("kube-default", 2000, 200, 5),
-    ("spread", 600, 60, 3),
-)
-
-
-def run_sched_scale(points=SCHED_SCALE_POINTS) -> dict:
-    """Per-pass placement latency: full scan vs candidate index."""
-    results = []
-    for scheduler_name, n_pods, n_nodes, repeats in points:
-        views, pods = build_sched_pass(n_pods, n_nodes)
-        full_s, full_outcome = time_sched_pass(
-            scheduler_name, False, views, pods, repeats
-        )
-        indexed_s, indexed_outcome = time_sched_pass(
-            scheduler_name, True, views, pods, repeats
-        )
-        results.append(
-            {
-                "scheduler": scheduler_name,
-                "pods": n_pods,
-                "nodes": n_nodes,
-                "placed": len(full_outcome.assignments),
-                "deferred": len(full_outcome.deferred),
-                "full_scan_ms": round(full_s * 1e3, 3),
-                "indexed_ms": round(indexed_s * 1e3, 3),
-                "speedup": round(full_s / indexed_s, 2),
-                "identical": (
-                    _outcome_signature(full_outcome)
-                    == _outcome_signature(indexed_outcome)
-                ),
-            }
-        )
-    return {
-        "benchmark": "sched_scale",
-        "sgx_fraction": SGX_FRACTION,
-        "sgx_node_fraction": round(1 / SCHED_SCALE_SGX_STRIDE, 4),
-        "results": results,
-    }
-
-
 #: The api_sweep configuration: a 2x2 scheduler x SGX-share grid over
 #: a scaled trace, executed serially and with a 4-worker pool.  The
 #: trace is sized so each replay takes ~1-2 s: long enough that the
@@ -441,7 +282,6 @@ def preemption_scenario(n_pods: int, policy: str) -> Scenario:
         epc_total_bytes=mib(PREEMPTION_EPC_MIB),
         standard_workers=workers,
         sgx_workers=workers,
-        indexed_scheduling=True,
         workload="priority-mix",
         workload_options={
             "high_fraction": PREEMPTION_HIGH_FRACTION,
@@ -468,15 +308,6 @@ def run_preemption(sizes=PREEMPTION_SIZES) -> dict:
         preempting = preemption_scenario(
             n_pods, "cheapest-victims"
         ).with_(trace=trace).run()
-        # Equivalence fact: the priority-disabled run equals the
-        # full-scan oracle bit for bit — the policy layer costs
-        # disabled replays nothing.
-        oracle = baseline.with_(indexed_scheduling=False).run()
-        disabled_identical = (
-            disabled.pod_signature() == oracle.pod_signature()
-            and disabled.metrics.makespan_seconds
-            == oracle.metrics.makespan_seconds
-        )
         base_high = _tier_waits(disabled, "high")
         fast_high = _tier_waits(preempting, "high")
         base_p50 = statistics.median(base_high)
@@ -500,7 +331,6 @@ def run_preemption(sizes=PREEMPTION_SIZES) -> dict:
                 "preemptions": preempting.preemption_count,
                 "evictions": preempting.eviction_count,
                 "completed": len(preempting.metrics.succeeded),
-                "disabled_identical": disabled_identical,
             }
         )
     return {
@@ -557,7 +387,6 @@ def traces_scenario(spec: str) -> Scenario:
         scheduler="binpack",
         sgx_fraction=SGX_FRACTION,
         seed=1,
-        indexed_scheduling=True,
         standard_workers=4,
         sgx_workers=4,
     )
@@ -635,21 +464,17 @@ def run_traces(csv_rows=TRACES_CSV_ROWS) -> dict:
 #: Pre-refactor whole-replay wall clock in seconds, measured on the
 #: reference machine immediately before the hot-path rebuild (tuple
 #: heap, slotted layouts, lean scheduler loops, TSDB write diet).  The
-#: keys are trace sizes of :func:`wall_config`; the values are
-#: per-engine timings of the identical scenarios.  ``speedup`` in the
-#: wall report is the periodic baseline over the fresh periodic wall:
+#: keys are trace sizes of :func:`wall_config`; the values are the
+#: seconds of those scenarios.  ``speedup`` in the wall report is the
+#: baseline over the fresh periodic wall:
 #: machine-dependent in absolute terms, which is why the regression
 #: gate compares it against the *committed* BENCH_wall.json row with a
 #: generous tolerance rather than against these constants directly.
-WALL_BASELINES = {
-    250: {"periodic": 0.304, "indexed": 0.307},
-    1000: {"periodic": 1.497, "indexed": 1.526},
-    2000: {"periodic": 3.966, "indexed": 4.045},
-}
+WALL_BASELINES = {250: 0.304, 1000: 1.497, 2000: 3.966}
 
 
-def wall_config(n_pods: int, indexed: bool = False) -> Scenario:
-    """One engine variant of the wall sweep (sans trace).
+def wall_config(n_pods: int) -> Scenario:
+    """The wall sweep's scenario (sans trace).
 
     The cluster scales with the workload (roughly one worker pair per
     125 pods) so the sweep measures scheduling-loop cost, not a
@@ -660,7 +485,6 @@ def wall_config(n_pods: int, indexed: bool = False) -> Scenario:
         scheduler="binpack",
         sgx_fraction=SGX_FRACTION,
         seed=1,
-        indexed_scheduling=indexed,
         scheduler_period=RECONCILE_PERIOD_SECONDS,
         standard_workers=workers,
         sgx_workers=workers,
@@ -668,47 +492,25 @@ def wall_config(n_pods: int, indexed: bool = False) -> Scenario:
 
 
 def run_wall(sizes=(250, 1000, 2000), repeats=1) -> dict:
-    """Whole-replay wall clock per engine vs pre-refactor baselines."""
+    """Whole-replay wall clock vs the pre-refactor baselines."""
     results = []
     for n_pods in sizes:
         trace = synthetic_scaled_trace(
             seed=7, n_jobs=n_pods, overallocators=n_pods // 10
         )
-        walls = {}
-        runs = {}
-        for engine, kwargs in (
-            ("periodic", {}),
-            ("indexed", {"indexed": True}),
-        ):
-            scenario = wall_config(n_pods, **kwargs).with_(trace=trace)
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = scenario.run()
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-                runs[engine] = result
-            walls[engine] = best
-        # The cross-engine identity the replay layers must preserve:
-        # the indexed engine matches the full-scan one on the *full*
-        # signature.
-        engines_identical = (
-            runs["indexed"].signature() == runs["periodic"].signature()
-        )
+        scenario = wall_config(n_pods).with_(trace=trace)
+        best = None
+        for _ in range(repeats):
+            start = time.perf_counter()
+            scenario.run()
+            elapsed = time.perf_counter() - start
+            if best is None or elapsed < best:
+                best = elapsed
+        row = {"pods": n_pods, "periodic_wall_s": round(best, 3)}
         baseline = WALL_BASELINES.get(n_pods)
-        row = {
-            "pods": n_pods,
-            "periodic_wall_s": round(walls["periodic"], 3),
-            "indexed_wall_s": round(walls["indexed"], 3),
-            "engines_identical": engines_identical,
-        }
         if baseline is not None:
-            row["baseline_periodic_s"] = baseline["periodic"]
-            row["baseline_indexed_s"] = baseline["indexed"]
-            row["speedup"] = round(
-                baseline["periodic"] / walls["periodic"], 2
-            )
+            row["baseline_periodic_s"] = baseline
+            row["speedup"] = round(baseline / best, 2)
         results.append(row)
     return {
         "benchmark": "wall",
@@ -803,21 +605,6 @@ def main() -> None:
         )
     print(f"wrote {out_path}")
 
-    scale_report = run_sched_scale()
-    scale_path = Path(__file__).resolve().parent.parent / (
-        "BENCH_sched_scale.json"
-    )
-    scale_path.write_text(json.dumps(scale_report, indent=2) + "\n")
-    for row in scale_report["results"]:
-        print(
-            f"{row['scheduler']:>12} {row['pods']:>5} pods / "
-            f"{row['nodes']:>3} nodes: full {row['full_scan_ms']:.1f} ms  "
-            f"indexed {row['indexed_ms']:.1f} ms  "
-            f"speedup {row['speedup']:.1f}x  "
-            f"identical={row['identical']}"
-        )
-    print(f"wrote {scale_path}")
-
     api_report = run_api_sweep()
     api_path = Path(__file__).resolve().parent.parent / (
         "BENCH_api_sweep.json"
@@ -850,8 +637,7 @@ def main() -> None:
             f"{row['preempt_high_p50_s']:.1f} s "
             f"({row['p50_reduction']:.1f}x), "
             f"{row['preemptions']} preemptions / "
-            f"{row['evictions']} evictions, "
-            f"disabled_identical={row['disabled_identical']}"
+            f"{row['evictions']} evictions"
         )
     print(f"wrote {preemption_path}")
 
@@ -887,10 +673,8 @@ def main() -> None:
     for row in wall_report["results"]:
         print(
             f"{row['pods']:>6} pods: periodic {row['periodic_wall_s']:.2f} s  "
-            f"indexed {row['indexed_wall_s']:.2f} s  "
             f"(baseline {row.get('baseline_periodic_s', '-')} s, "
-            f"speedup {row.get('speedup', '-')}x, "
-            f"identical={row['engines_identical']})"
+            f"speedup {row.get('speedup', '-')}x)"
         )
     print(f"wrote {wall_path}")
 

@@ -28,18 +28,16 @@ class TestArguments:
         assert check_regression.main(["--quick"]) == 2
 
 
-def write_baseline(tmp_path, speedup):
-    (tmp_path / "BENCH_sched_scale.json").write_text(
+def write_baseline(tmp_path, completed):
+    (tmp_path / "BENCH_traces.json").write_text(
         json.dumps(
             {
-                "benchmark": "sched_scale",
+                "benchmark": "traces",
                 "results": [
                     {
-                        "scheduler": "binpack",
-                        "pods": 100,
-                        "nodes": 10,
-                        "speedup": speedup,
-                        "identical": True,
+                        "case": "synth-bursty",
+                        "completed": completed,
+                        "deterministic": True,
                     }
                 ],
             }
@@ -47,15 +45,13 @@ def write_baseline(tmp_path, speedup):
     )
 
 
-def fresh_row(speedup, identical=True):
+def fresh_row(completed, deterministic=True):
     return {
         "results": [
             {
-                "scheduler": "binpack",
-                "pods": 100,
-                "nodes": 10,
-                "speedup": speedup,
-                "identical": identical,
+                "case": "synth-bursty",
+                "completed": completed,
+                "deterministic": deterministic,
             }
         ]
     }
@@ -64,41 +60,41 @@ def fresh_row(speedup, identical=True):
 class TestCompare:
     def test_within_tolerance_passes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
+        write_baseline(tmp_path, completed=10)
         failures = check_regression.compare(
-            "sched_scale", fresh_row(6.0), tolerance=0.5
+            "traces", fresh_row(6), tolerance=0.5
         )
         assert failures == []
 
     def test_below_floor_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
+        write_baseline(tmp_path, completed=10)
         failures = check_regression.compare(
-            "sched_scale", fresh_row(4.0), tolerance=0.5
+            "traces", fresh_row(4), tolerance=0.5
         )
         assert len(failures) == 1
-        assert "speedup 4.00" in failures[0]
+        assert "completed 4.00" in failures[0]
         assert "floor 5.00" in failures[0]
 
     def test_broken_equivalence_always_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
+        write_baseline(tmp_path, completed=10)
         failures = check_regression.compare(
-            "sched_scale",
-            fresh_row(100.0, identical=False),
+            "traces",
+            fresh_row(100, deterministic=False),
             tolerance=0.5,
         )
-        assert failures and "identical" in failures[0]
+        assert failures and "deterministic" in failures[0]
 
     def test_unknown_row_is_skipped_not_failed(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(check_regression, "REPO_ROOT", tmp_path)
-        write_baseline(tmp_path, speedup=10.0)
-        fresh = fresh_row(6.0)
-        fresh["results"][0]["pods"] = 999
+        write_baseline(tmp_path, completed=10)
+        fresh = fresh_row(6)
+        fresh["results"][0]["case"] = "synth-unknown"
         failures = check_regression.compare(
-            "sched_scale", fresh, tolerance=0.5
+            "traces", fresh, tolerance=0.5
         )
         assert failures == []
 

@@ -52,7 +52,6 @@ class CheckConfig:
         "orchestrator/pod.py",
         "scheduler/base.py",
         "scheduler/binpack.py",
-        "scheduler/index.py",
         "monitoring/tsdb.py",
         "monitoring/probe.py",
         "monitoring/heapster.py",
@@ -81,7 +80,6 @@ class CheckConfig:
             "jobs": "trace",
             "trace_seed": "trace",
             "epc_mib": "epc_total_bytes",
-            "indexed": "indexed_scheduling",
             "no_state_cache": "use_state_cache",
             "priority_threshold": "preemption_priority_threshold",
             "cluster_workers": "standard_workers",
@@ -99,8 +97,7 @@ class CheckConfig:
     registry_decorators: Dict[str, Tuple[Tuple[str, ...], int]] = field(
         default_factory=lambda: {
             "register_scheduler": (
-                ("use_measured", "strict_fcfs",
-                 "preserve_sgx_nodes", "indexed"),
+                ("use_measured", "strict_fcfs", "preserve_sgx_nodes"),
                 0,
             ),
             "register_workload": (

@@ -3,8 +3,7 @@
 The paper's evaluation is one sentence — "replay one scaled Borg trace
 under many configurations" — and a :class:`Scenario` is that sentence
 as a value: cluster shape, trace source and seed, workload, scheduler
-name plus options, and the feature toggles the later PRs added
-(``indexed_scheduling``, ``use_state_cache``).  It
+name plus options, and the state-cache toggle (``use_state_cache``).  It
 validates at construction (unknown scheduler/workload names die here
 with the list of registered names), is immutable and picklable (so
 sweeps can ship it to worker processes), and is the only configuration
@@ -247,10 +246,7 @@ class Scenario:
     #: Deferred pods at or above this priority may trigger evictions.
     preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD
 
-    # -- feature toggles (later PRs' fast paths) ---------------------------
-    #: Answer each pass from the incremental node-candidate index
-    #: instead of the per-pod full scan; bit-for-bit identical.
-    indexed_scheduling: bool = False
+    # -- feature toggles ---------------------------------------------------
     #: Answer the sliding-window queries from the window-max store
     #: instead of re-scanning raw series; identical results.
     use_state_cache: bool = True
@@ -332,7 +328,6 @@ class Scenario:
                 "use_measured": self.use_measured,
                 "strict_fcfs": self.strict_fcfs,
                 "preserve_sgx_nodes": self.preserve_sgx_nodes,
-                "indexed": self.indexed_scheduling,
             },
             self.scheduler_options,
         )
@@ -517,7 +512,6 @@ class RunResult:
             "sgx_fraction": scenario.sgx_fraction,
             "seed": scenario.seed,
             "epc_mib": round(scenario.epc_total_bytes / 2**20, 3),
-            "indexed": scenario.indexed_scheduling,
             "submitted": len(metrics.pods),
             "completed": len(metrics.succeeded),
             "failed": len(metrics.failed),

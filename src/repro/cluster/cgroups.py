@@ -104,10 +104,15 @@ class CgroupHierarchy:
 
     def get(self, path: str) -> Cgroup:
         """Look a cgroup up by path."""
-        path = self._normalize(path)
+        # The keys are exactly the normalised paths, so the canonical
+        # path a caller usually holds (``pod_cgroup_path``'s) is found
+        # without normalising it again; anything else takes the miss.
         group = self._by_path.get(path)
         if group is None:
-            raise CgroupError(f"no such cgroup: {path!r}")
+            path = self._normalize(path)
+            group = self._by_path.get(path)
+            if group is None:
+                raise CgroupError(f"no such cgroup: {path!r}")
         return group
 
     # -- process attachment --------------------------------------------------

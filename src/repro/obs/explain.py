@@ -150,6 +150,8 @@ def format_explain(report: Dict[str, object]) -> str:
     for placement in report["placements"]:
         runner_ups = placement["runner_ups"]
         if runner_ups is None or runner_ups < 0:
+            # Only 4.x ledgers recorded with the indexed pass (removed
+            # in 5.0.0) carry ``runner_ups=-1``.
             against = "via indexed fast path"
         else:
             against = f"against {runner_ups} runner-up candidate(s)"

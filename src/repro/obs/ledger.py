@@ -52,15 +52,15 @@ LEDGER_SCHEMA = "repro.ledger/v1"
 #: payload fields that kind may carry (beyond the implicit ``t``
 #: sim-time, ``i`` sequence number and ``kind`` discriminator).  Emit
 #: sites must stay inside this table — OBS001 checks statically,
-#: :meth:`DecisionLedger.emit` at run time.  ``runner_ups`` is ``-1``
-#: when a pass ran on an indexed fast path that never materialises the
-#: full candidate list; ``feasibility_checks``/``bound_skips``/
-#: ``score_cutoffs``/``statics_reused`` are ``-1`` on oracle passes
-#: (no :class:`~repro.scheduler.index.SelectionStats` collected).
+#: :meth:`DecisionLedger.emit` at run time.  ``pass_end``'s
+#: ``feasibility_checks``/``bound_skips``/``score_cutoffs``/
+#: ``statics_reused`` counted the indexed pass removed in 5.0.0 and are
+#: always ``-1`` since; a ``runner_ups`` of ``-1`` only appears in 4.x
+#: ledgers recorded with that pass.
 LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     #: A scheduling pass started over a non-empty pending snapshot.
     "pass_begin": ("pending",),
-    #: The pass finished: outcome counts plus the selection stats.
+    #: The pass finished: outcome counts, then four constant ``-1``s.
     "pass_end": (
         "placed", "deferred", "rejected", "requeued", "killed",
         "evicted", "preemptions", "feasibility_checks", "bound_skips",

@@ -48,7 +48,6 @@ from ..scheduler.base import (
     Scheduler,
     SchedulingOutcome,
 )
-from ..scheduler.index import SelectionStats
 from ..sgx.migration import MigrationManager
 from ..sgx.perf import SgxPerfModel
 from .api import PodSpec
@@ -92,9 +91,6 @@ class PassResult:
     #: :data:`repro.scheduler.base.WAIT_REASONS`.  Pods later placed
     #: by preemption still count: they did fail regular placement.
     wait_reasons: Dict[str, int] = field(default_factory=dict)
-    #: Counters of the indexed candidate selection, when the scheduler
-    #: ran this pass in indexed mode (``None`` for the oracle path).
-    selection: Optional[SelectionStats] = None
 
 
 class _KeptPass(NamedTuple):
@@ -221,7 +217,7 @@ class Orchestrator:
         self.trigger.ledger = self.ledger
         #: The last pass's all-deferred outcome and what it was computed
         #: from (see :meth:`_schedule`); ``None`` when that pass placed
-        #: or rejected a pod, or ran indexed.
+        #: or rejected a pod.
         self._kept: Optional[_KeptPass] = None
         #: Passes answered from the kept outcome instead of
         #: :meth:`Scheduler.schedule` (observability; they still count
@@ -378,7 +374,6 @@ class Orchestrator:
         # orchestrator's ledger here.
         scheduler.ledger = ledger
         outcome = self._schedule(scheduler, pending, views, now)
-        result.selection = scheduler.last_selection_stats
 
         for pod in outcome.unschedulable:
             self.queue.remove(pod)
@@ -408,7 +403,6 @@ class Orchestrator:
             )
         result.deferred.extend(deferred)
         if ledger.enabled:
-            stats = result.selection
             ledger.emit(
                 now, "pass_end",
                 placed=len(result.launched),
@@ -418,16 +412,10 @@ class Orchestrator:
                 killed=len(result.killed),
                 evicted=len(result.evicted),
                 preemptions=result.preemptions,
-                feasibility_checks=(
-                    stats.feasibility_checks if stats is not None else -1
-                ),
-                bound_skips=stats.bound_skips if stats is not None else -1,
-                score_cutoffs=(
-                    stats.score_cutoffs if stats is not None else -1
-                ),
-                statics_reused=(
-                    stats.statics_reused if stats is not None else -1
-                ),
+                feasibility_checks=-1,
+                bound_skips=-1,
+                score_cutoffs=-1,
+                statics_reused=-1,
             )
         return result
 
@@ -446,8 +434,8 @@ class Orchestrator:
         cache applied to a whole pass.  The kept outcome is returned
         when the previous pass that built views
 
-        * ran this scheduler object, full-scan, with the same
-          ``use_measured``, ``strict_fcfs`` and ``preserve_sgx_nodes``;
+        * ran this scheduler object with the same ``use_measured``,
+          ``strict_fcfs`` and ``preserve_sgx_nodes``;
         * deferred every pod it considered (a placement or rejection
           keeps nothing);
         * considered the same ``Pod`` objects in the same order;
@@ -457,13 +445,12 @@ class Orchestrator:
           its retained view was built from, and no build replaced the
           snapshot since.
 
-        A full-scan pass is a function of exactly those inputs because
-        strategies are pure (see :meth:`Scheduler._select`).  A reused
-        pass leaves the views, the scheduler's selection fields and the
-        ledger as :meth:`Scheduler.schedule` would: ``used =
-        committed`` without measured usage, and every ``deferral``
-        record again, in order, at *now*.  The preemption step and
-        ``pass_end`` run as on any pass.
+        A pass is a function of exactly those inputs because strategies
+        are pure (see :meth:`Scheduler._select`).  A reused pass leaves
+        the views and the ledger as :meth:`Scheduler.schedule` would:
+        ``used = committed`` without measured usage, and every
+        ``deferral`` record again, in order, at *now*.  The preemption
+        step and ``pass_end`` run as on any pass.
         """
         # The retained snapshot: a build replaces the list, serving it
         # again hands out clones and leaves it in place.
@@ -472,7 +459,6 @@ class Orchestrator:
             scheduler.use_measured,
             scheduler.strict_fcfs,
             scheduler.preserve_sgx_nodes,
-            scheduler.indexed,
         )
         kept = self._kept
         if (
@@ -484,8 +470,6 @@ class Orchestrator:
         ):
             self.passes_reused += 1
             outcome = kept.outcome
-            scheduler.last_selection_stats = None
-            scheduler.last_index = None
             if not scheduler.use_measured:
                 for view in views:
                     view.used = view.committed
@@ -501,11 +485,7 @@ class Orchestrator:
         outcome = scheduler.schedule(pending, views, now)
         self._kept = (
             _KeptPass(scheduler, knobs, snapshot, pending, outcome)
-            if not (
-                scheduler.indexed
-                or outcome.assignments
-                or outcome.unschedulable
-            )
+            if not (outcome.assignments or outcome.unschedulable)
             else None
         )
         return outcome
@@ -645,11 +625,9 @@ class Orchestrator:
         planner picks the cheapest feasible eviction set; victims are
         killed through the normal kill path, their specs resubmitted
         with the original ``submitted_at``, and the pod is bound and
-        launched *in this same pass*.  The pass's views (and, when the
-        pass ran indexed, the candidate index — O(log n) per update)
-        track every release and reservation, so later preemptors plan
-        against the pass's true in-flight state.  Returns the pods
-        still deferred.
+        launched *in this same pass*.  The pass's views track every
+        release and reservation, so later preemptors plan against the
+        pass's true in-flight state.  Returns the pods still deferred.
         """
         policy = self.preemption_policy
         assert policy is not None
@@ -657,7 +635,6 @@ class Orchestrator:
         spans = self.spans
         span_start = spans.begin()
         views_by_name = {view.name: view for view in views}
-        index = scheduler.last_index
         facts = self._collect_eviction_facts(now)
         still_deferred: List[Pod] = []
         for position, pod in enumerate(deferred):
@@ -706,8 +683,6 @@ class Orchestrator:
                 view.release(
                     candidate.freed, victim.spec.resources.requests
                 )
-                if index is not None:
-                    index.note_released(view)
                 facts[plan.node_name].remove(candidate)
                 result.evicted.append((victim, replacement))
             if not pod.spec.resources.requests.fits_within(view.available):
@@ -718,8 +693,6 @@ class Orchestrator:
             self.queue.remove(pod)
             pod.mark_bound(plan.node_name, now)
             view.reserve(pod.spec.resources.requests)
-            if index is not None:
-                index.note_reserved(view)
             result.preemptions += 1
             # The freed EPC can still race a concurrent allocation in
             # principle; a failed launch is filed like a regular one.

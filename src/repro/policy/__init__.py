@@ -15,8 +15,8 @@ preempted", made schedulable):
   could not place.
 
 The default policy is ``none``: with it, every replay is bit-for-bit
-identical to the pre-policy orchestrator on the full-scan and the
-indexed pass.
+identical to the pre-policy orchestrator, on reused and recomputed
+passes alike.
 """
 
 from .classes import (

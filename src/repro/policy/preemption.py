@@ -31,9 +31,9 @@ Three planners ship:
   runtime.
 
 Determinism: every ordering ends in the victim's ``uid`` and every
-node score ends in the node name, so plans are identical across the
-full-scan and indexed passes, reused or not — the property the
-equivalence suite pins.
+node score ends in the node name, so plans are identical whether the
+pass was reused or recomputed — the property the equivalence suite
+pins.
 """
 
 from __future__ import annotations

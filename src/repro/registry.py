@@ -104,8 +104,8 @@ class Registry:
 
 #: Scheduling strategies addressable by ``Scenario(scheduler=...)``.
 #: Factories are called with the standard knobs (``use_measured``,
-#: ``strict_fcfs``, ``preserve_sgx_nodes``, ``indexed``) plus any
-#: scenario-level ``scheduler_options`` and must return a
+#: ``strict_fcfs``, ``preserve_sgx_nodes``) plus any scenario-level
+#: ``scheduler_options`` and must return a
 #: :class:`repro.scheduler.base.Scheduler`.
 SCHEDULERS = Registry("scheduler")
 

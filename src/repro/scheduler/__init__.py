@@ -23,7 +23,6 @@ from .base import (
 )
 from .binpack import BinpackScheduler
 from .filtering import FilterReason, feasible_candidates, feasible_nodes
-from .index import NodeCandidateIndex, SelectionStats
 from .kube_default import KubeDefaultScheduler
 from .spread import SpreadScheduler
 
@@ -33,11 +32,9 @@ __all__ = [
     "ClusterStateService",
     "FilterReason",
     "KubeDefaultScheduler",
-    "NodeCandidateIndex",
     "NodeView",
     "Scheduler",
     "SchedulingOutcome",
-    "SelectionStats",
     "SpreadScheduler",
     "feasible_candidates",
     "feasible_nodes",

@@ -31,7 +31,6 @@ from ..obs.spans import NULL_SPANS
 from ..orchestrator.kubelet import Kubelet
 from ..orchestrator.pod import Pod
 from .filtering import can_ever_fit, feasible_candidates, prefer_non_sgx
-from .index import NodeCandidateIndex, SelectionStats
 
 logger = logging.getLogger(__name__)
 
@@ -581,47 +580,23 @@ class Scheduler(abc.ABC):
         The paper's node-preservation rule: standard jobs only land on
         SGX nodes when no other node fits (Section IV).  Exposed as a
         toggle for the ablation benchmark.
-    indexed:
-        When ``True``, the pass batches the pending queue against the
-        incremental :class:`~repro.scheduler.index.NodeCandidateIndex`
-        instead of re-scanning every node for every pod.  Selections
-        are bit-for-bit identical to the default full-scan pass; the
-        toggle exists for A/B benchmarking.  The equivalence suite
-        checks both passes against the literal per-pod scan kept in
-        ``tests/scheduling_reference.py``.
     """
 
     name = "abstract"
 
     # ``name`` stays a class attribute (strategies override it), so it
     # must not appear in the slot tuple.
-    __slots__ = (
-        "use_measured", "strict_fcfs", "preserve_sgx_nodes", "indexed",
-        "_index_statics_cache", "last_selection_stats", "last_index",
-        "ledger",
-    )
+    __slots__ = ("use_measured", "strict_fcfs", "preserve_sgx_nodes", "ledger")
 
     def __init__(
         self,
         use_measured: bool = True,
         strict_fcfs: bool = False,
         preserve_sgx_nodes: bool = True,
-        indexed: bool = False,
     ):
         self.use_measured = use_measured
         self.strict_fcfs = strict_fcfs
         self.preserve_sgx_nodes = preserve_sgx_nodes
-        self.indexed = indexed
-        #: Membership statics reused across passes until node churn.
-        self._index_statics_cache: Dict = {}
-        #: Counters of the most recent indexed pass (``None`` after a
-        #: full-scan pass); the orchestrator copies this into PassResult.
-        self.last_selection_stats: Optional[SelectionStats] = None
-        #: The candidate index of the most recent indexed pass
-        #: (``None`` after a full-scan pass).  The orchestrator's
-        #: preemption step keeps it consistent — O(log n) per
-        #: un-placement — while evictions mutate the pass's views.
-        self.last_index: Optional[NodeCandidateIndex] = None
         #: The run's decision ledger.  The orchestrator rebinds this at
         #: the top of every pass; standalone schedulers keep the null
         #: one.
@@ -641,10 +616,6 @@ class Scheduler(abc.ABC):
         at zero, so that request exceeds every eligible view's headroom
         and the filter could only return no candidates.
         """
-        if self.indexed:
-            return self._schedule_indexed(pending, views, now)
-        self.last_selection_stats = None
-        self.last_index = None
         ledger = self.ledger
         outcome = SchedulingOutcome()
         views = list(views)
@@ -704,70 +675,6 @@ class Scheduler(abc.ABC):
                 )
         return outcome
 
-    def _schedule_indexed(
-        self, pending: Sequence[Pod], views: Sequence[NodeView], now: float
-    ) -> SchedulingOutcome:
-        """The batched pass: one index, incremental updates per placement.
-
-        Mirrors :meth:`schedule` step for step — same unschedulable
-        test, same deferral semantics (including the strict-FCFS tail),
-        same saturation sanity check, same ``reserve`` mutation order —
-        but answers each step from the candidate index.  For the
-        built-in strategies a ``None`` selection can only mean "no
-        feasible candidate", which is exactly the full-scan pass's
-        empty-candidates branch, so the outcomes coincide bit for bit.
-        Deferrals are classified from the index's tree roots, which
-        hold the same free maxima the full-scan pass computes.
-        """
-        outcome = SchedulingOutcome()
-        ledger = self.ledger
-        views = list(views)
-        if not self.use_measured:
-            for view in views:
-                view.used = view.committed
-        stats = SelectionStats(pods=len(pending))
-        index = NodeCandidateIndex(
-            views, statics_cache=self._index_statics_cache, stats=stats
-        )
-        self.last_selection_stats = stats
-        self.last_index = index
-        for position, pod in enumerate(pending):
-            if not index.can_ever_fit(pod):
-                outcome.unschedulable.append(pod)
-                continue
-            had_candidates, chosen = self._select_indexed(pod, index)
-            if chosen is None:
-                reason = classify_wait(
-                    pod.spec.resources.requests,
-                    *index.availability_maxima(pod),
-                )
-                if self._defer(
-                    outcome, pending, position, reason, now,
-                    blocks=not had_candidates,
-                ):
-                    break
-                continue
-            if not pod.spec.resources.requests.fits_within(chosen.available):
-                raise SchedulingError(
-                    f"{self.name} selected saturated node {chosen.name} "
-                    f"for pod {pod.name}"
-                )
-            chosen.reserve(pod.spec.resources.requests)
-            index.note_reserved(chosen)
-            stats.placements += 1
-            outcome.assignments.append(
-                Assignment(pod=pod, node_name=chosen.name)
-            )
-            if ledger.enabled:
-                # The indexed fast paths never materialise the full
-                # candidate list; -1 marks the count as unavailable.
-                ledger.emit(
-                    now, "placement",
-                    pod=pod.name, node=chosen.name, runner_ups=-1,
-                )
-        stats.wait_reasons = dict(outcome.wait_reasons)
-        return outcome
-
     def _defer(
         self,
         outcome: SchedulingOutcome,
@@ -798,24 +705,6 @@ class Scheduler(abc.ABC):
                     pod=blocked.name, reason="head_of_line",
                 )
         return True
-
-    def _select_indexed(
-        self, pod: Pod, index: NodeCandidateIndex
-    ) -> Tuple[bool, Optional[NodeView]]:
-        """Indexed-path selection; strategies override for fast paths.
-
-        Returns ``(had_candidates, chosen)``.  This default reproduces
-        the oracle literally — materialise the candidate list (same
-        membership, same input order) and delegate to :meth:`_select` —
-        so any subclass is indexed-correct without opting in to a
-        strategy-specific walk.
-        """
-        candidates = index.candidates(
-            pod, self.preserve_sgx_nodes, in_input_order=True
-        )
-        if not candidates:
-            return False, None
-        return True, self._select(pod, candidates, index.views)
 
     @abc.abstractmethod
     def _select(

@@ -15,12 +15,11 @@ keeps the order consistent within each group.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..orchestrator.pod import Pod
 from ..registry import register_scheduler
 from .base import NodeView, Scheduler
-from .index import NodeCandidateIndex
 
 
 @register_scheduler("binpack")
@@ -30,18 +29,6 @@ class BinpackScheduler(Scheduler):
     name = "sgx-aware-binpack"
 
     __slots__ = ()
-
-    def _select_indexed(
-        self, pod: Pod, index: NodeCandidateIndex
-    ) -> Tuple[bool, Optional[NodeView]]:
-        """First fit straight off the index's precomputed name orders.
-
-        Every feasible candidate fits by definition, so "no fit found"
-        and "no candidates" are the same event — the walk needs neither
-        the candidate list nor the per-pod sort the oracle pays for.
-        """
-        chosen = index.first_fit(pod, self.preserve_sgx_nodes)
-        return chosen is not None, chosen
 
     def _select(
         self,

@@ -16,12 +16,11 @@ not of EPC awareness per se.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..orchestrator.pod import Pod
 from ..registry import register_scheduler
 from .base import NodeView, Scheduler
-from .index import NodeCandidateIndex
 
 
 class KubeDefaultScheduler(Scheduler):
@@ -29,54 +28,8 @@ class KubeDefaultScheduler(Scheduler):
 
     name = "kube-default"
 
-    def __init__(self, strict_fcfs: bool = False, indexed: bool = False):
-        super().__init__(
-            use_measured=False, strict_fcfs=strict_fcfs, indexed=indexed
-        )
-
-    def _select_indexed(
-        self, pod: Pod, index: NodeCandidateIndex
-    ) -> Tuple[bool, Optional[NodeView]]:
-        """Least-requested walk over the dominant-utilisation order.
-
-        A node's current load lower-bounds its post-placement load for
-        non-negative requests, so walking candidates ascending by
-        ``(load, name)`` lets the scan stop as soon as the next
-        candidate's load strictly exceeds the best score found: no
-        later candidate's key can compare smaller.  Ties on the score
-        still fall through to the oracle's ``(sgx, name)``
-        tie-breakers, which is why the cutoff must be strict.
-        """
-        sequence = index.group_sequence(pod, self.preserve_sgx_nodes)
-        if sequence is None:
-            # Preservation off: both groups form one scoring pool; the
-            # generic oracle-shaped path stays exact without a merge.
-            return super()._select_indexed(pod, index)
-        requests = pod.spec.resources.requests
-        for group in sequence:
-            if group.cannot_fit(requests):
-                index.stats.bound_skips += 1
-                continue
-            best: Optional[NodeView] = None
-            best_key = None
-            for load, view in group.iter_by_load():
-                if best_key is not None and load > best_key[0]:
-                    index.stats.score_cutoffs += 1
-                    break
-                index.stats.feasibility_checks += 1
-                if not requests.fits_within(view.available):
-                    continue
-                key = (
-                    view.load_after(requests),
-                    view.sgx_capable,
-                    view.name,
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = view
-            if best is not None:
-                return True, best
-        return False, None
+    def __init__(self, strict_fcfs: bool = False):
+        super().__init__(use_measured=False, strict_fcfs=strict_fcfs)
 
     def _select(
         self,
@@ -99,7 +52,6 @@ def _kube_default_factory(
     use_measured: bool = False,
     strict_fcfs: bool = False,
     preserve_sgx_nodes: bool = True,
-    indexed: bool = False,
 ) -> KubeDefaultScheduler:
     """Registry factory: the baseline ignores the SGX-aware knobs.
 
@@ -108,4 +60,4 @@ def _kube_default_factory(
     feasibility, so a scenario cannot accidentally turn the baseline
     into a measured-usage scheduler by flipping a shared toggle.
     """
-    return KubeDefaultScheduler(strict_fcfs=strict_fcfs, indexed=indexed)
+    return KubeDefaultScheduler(strict_fcfs=strict_fcfs)

@@ -15,12 +15,11 @@ its busiest dimension, an SGX node additionally counts its EPC.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..orchestrator.pod import Pod
 from ..registry import register_scheduler
 from .base import NodeView, Scheduler
-from .index import NodeCandidateIndex
 
 
 def _stddev(values: List[float]) -> float:
@@ -36,39 +35,6 @@ class SpreadScheduler(Scheduler):
     """Minimise the standard deviation of node loads after placement."""
 
     name = "sgx-aware-spread"
-
-    def _select_indexed(
-        self, pod: Pod, index: NodeCandidateIndex
-    ) -> Tuple[bool, Optional[NodeView]]:
-        """Score candidates against the index's cached load list.
-
-        The oracle recomputes every node's load for every candidate;
-        here the base loads come from the index (kept fresh between
-        batch placements), and each candidate substitutes its own
-        post-placement load into the shared working list.  The list
-        passed to :func:`_stddev` holds the identical values in the
-        identical positions, so every key — and hence the argmin, which
-        is unique because names are — matches the oracle bit for bit.
-        """
-        candidates = index.candidates(pod, self.preserve_sgx_nodes)
-        if not candidates:
-            return False, None
-        requests = pod.spec.resources.requests
-        loads = index.working_loads()
-        best: Optional[NodeView] = None
-        best_key = None
-        for candidate in candidates:
-            position = index.position_of(candidate)
-            saved = loads[position]
-            loads[position] = candidate.load_after(requests)
-            key = (
-                _stddev(loads), candidate.sgx_capable, candidate.name
-            )
-            loads[position] = saved
-            if best_key is None or key < best_key:
-                best_key = key
-                best = candidate
-        return True, best
 
     def _select(
         self,

@@ -27,12 +27,6 @@ recompute the previous pass's all-deferred outcome; the orchestrator
 returns that outcome instead when it provably matches (see
 :meth:`repro.orchestrator.controller.Orchestrator._schedule`), so a
 reused pass is indistinguishable from a recomputed one.
-
-**Indexed scheduling** (``Scenario(indexed_scheduling=True)``):
-inside each pass, the scheduler consults the incremental
-:class:`~repro.scheduler.index.NodeCandidateIndex` instead of scanning
-every node for every pod — same outcomes bit for bit, O(pods × nodes)
-work removed from the pass itself.  Indexed passes are never reused.
 """
 
 from __future__ import annotations
@@ -108,7 +102,6 @@ def make_scheduler(scenario: Scenario) -> Scheduler:
         use_measured=scenario.use_measured,
         strict_fcfs=scenario.strict_fcfs,
         preserve_sgx_nodes=scenario.preserve_sgx_nodes,
-        indexed=scenario.indexed_scheduling,
         **dict(scenario.scheduler_options),
     )
 

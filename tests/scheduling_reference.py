@@ -1,4 +1,4 @@
-"""The literal full-scan scheduling pass: the reference both passes match.
+"""The literal full-scan scheduling pass: the reference the pass matches.
 
 Per pod, in queue order: the unschedulable test (``can_ever_fit``), the
 feasibility filter, the node-preservation rule, the strategy's pick,
@@ -6,9 +6,9 @@ and, for a pod left without a node, a scan of its eligible views for
 the free maxima that name the binding dimension.  Nothing carries over
 from one pod to the next except the views' in-pass reservations.
 
-``Scheduler.schedule`` keeps free maxima across deferrals and the
-indexed pass answers from its candidate index; both must reproduce this
-pass's outcome, view mutations and ledger records exactly.
+``Scheduler.schedule`` keeps free maxima across deferrals; it must
+reproduce this pass's outcome, view mutations and ledger records
+exactly (``test_scheduler_pass.py``).
 """
 
 from repro.errors import SchedulingError

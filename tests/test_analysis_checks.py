@@ -391,8 +391,7 @@ class TestReg001RegistryConformance:
                 class Scheduler:
                     def __init__(self, use_measured=True,
                                  strict_fcfs=False,
-                                 preserve_sgx_nodes=True,
-                                 indexed=False):
+                                 preserve_sgx_nodes=True):
                         pass
             """,
             scheduler__mine="""

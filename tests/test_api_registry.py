@@ -96,10 +96,11 @@ class TestBuiltins:
 
     def test_kube_default_drops_sgx_aware_knobs(self):
         scheduler = SCHEDULERS.get("kube-default")(
-            use_measured=True, preserve_sgx_nodes=False, indexed=True
+            use_measured=True, preserve_sgx_nodes=False, strict_fcfs=True
         )
         assert scheduler.use_measured is False
-        assert scheduler.indexed is True
+        assert scheduler.preserve_sgx_nodes is True
+        assert scheduler.strict_fcfs is True
 
 
 class TestPluginScheduler:
@@ -140,7 +141,6 @@ class TestPluginScheduler:
             use_measured=True,
             strict_fcfs=False,
             preserve_sgx_nodes=True,
-            indexed=False,
             flavour="plain",
         ):
             seen["flavour"] = flavour
@@ -148,7 +148,6 @@ class TestPluginScheduler:
                 use_measured=use_measured,
                 strict_fcfs=strict_fcfs,
                 preserve_sgx_nodes=preserve_sgx_nodes,
-                indexed=indexed,
             )
 
         try:

@@ -178,10 +178,10 @@ class TestDerived:
             BinpackScheduler,
         )
         spread = Scenario(
-            scheduler="spread", indexed_scheduling=True, strict_fcfs=True
+            scheduler="spread", preserve_sgx_nodes=False, strict_fcfs=True
         ).build_scheduler()
         assert isinstance(spread, SpreadScheduler)
-        assert spread.indexed is True
+        assert spread.preserve_sgx_nodes is False
         assert spread.strict_fcfs is True
 
     def test_build_trace_scales_overallocators(self):

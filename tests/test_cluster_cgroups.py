@@ -30,6 +30,9 @@ class TestTree:
     def test_relative_path_rejected(self, hierarchy):
         with pytest.raises(CgroupError):
             hierarchy.create("relative/path")
+        hierarchy.create("/relative/path")
+        with pytest.raises(CgroupError, match="absolute"):
+            hierarchy.get("relative/path")
 
     def test_remove_empty_subtree(self, hierarchy):
         hierarchy.create("/x/y")
@@ -54,6 +57,11 @@ class TestTree:
     def test_get_unknown_rejected(self, hierarchy):
         with pytest.raises(CgroupError):
             hierarchy.get("/nope")
+
+    def test_get_trailing_slash_finds_the_group(self, hierarchy):
+        group = hierarchy.create("/x")
+        assert hierarchy.get("/x/") is group
+        assert hierarchy.get("/") is hierarchy.root
 
 
 class TestAttachment:

@@ -105,7 +105,6 @@ ORACLE_SCENARIOS = {
     ),
     # Both engines on the pass that recomputes every outcome.
     "recomputing": Scenario(**CONTENDED),
-    "indexed": Scenario(**CONTENDED, indexed_scheduling=True),
     "crash": Scenario(
         trace=CONTENDED["trace"],
         sgx_fraction=0.5,

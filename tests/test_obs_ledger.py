@@ -4,8 +4,8 @@ Two claims, the first hypothesis-checked on random bursty traces:
 
 * **observed == unobserved** — turning the decision ledger on changes
   nothing: whole-replay signatures are bit-for-bit identical with and
-  without a ledger, on the default (pass-reusing), the recomputing
-  and the indexed pass, with preemption on and off.
+  without a ledger, on the default (pass-reusing) and the recomputing
+  pass, with preemption on and off.
 * **the file format is deterministic** — replaying one scenario twice
   produces byte-identical ledgers, ordered by sim time with a dense
   sequence counter, under the declared ``repro.ledger/v1`` header.
@@ -65,7 +65,7 @@ def record(scenario, directory, name):
     n_jobs=st.integers(min_value=10, max_value=30),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
     engine=st.sampled_from(
-        ["periodic", "recomputing", "indexed", "preempting"]
+        ["periodic", "recomputing", "preempting"]
     ),
 )
 @replay_settings
@@ -75,7 +75,6 @@ def test_observation_never_changes_the_run(
     toggles = {
         "periodic": {},
         "recomputing": {},
-        "indexed": {"indexed_scheduling": True},
         "preempting": {
             "epc_total_bytes": mib(64),
             "workload": "priority-mix",
@@ -108,13 +107,13 @@ def test_observation_never_changes_the_run(
 #: field except ``name``, ``trace`` and ``observe``.
 HEADER_CONFIG_KEYS = frozenset((
     "enforce_epc_limits", "epc_allow_overcommit", "epc_total_bytes",
-    "indexed_scheduling", "malicious", "max_sim_seconds",
-    "metrics_period", "node_failures", "preemption_policy",
-    "preemption_priority_threshold", "preserve_sgx_nodes",
-    "priority_classes", "rebalance_period", "requeue_backoff_seconds",
-    "scheduler", "scheduler_options", "scheduler_period", "seed",
-    "sgx_fraction", "sgx_workers", "standard_workers", "strict_fcfs",
-    "use_measured", "use_state_cache", "workload", "workload_options",
+    "malicious", "max_sim_seconds", "metrics_period", "node_failures",
+    "preemption_policy", "preemption_priority_threshold",
+    "preserve_sgx_nodes", "priority_classes", "rebalance_period",
+    "requeue_backoff_seconds", "scheduler", "scheduler_options",
+    "scheduler_period", "seed", "sgx_fraction", "sgx_workers",
+    "standard_workers", "strict_fcfs", "use_measured", "use_state_cache",
+    "workload", "workload_options",
 ))
 
 

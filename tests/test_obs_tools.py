@@ -240,6 +240,21 @@ class TestExplain:
         ]
         assert "spilled cell 0 -> 1 (deferred)" in format_explain(report)
 
+    def test_4x_indexed_placements_still_render(self, tmp_path):
+        # No 5.x pass writes ``runner_ups=-1``; ledgers recorded with
+        # 4.x's indexed pass carry it and stay readable.
+        path = tmp_path / "v4.jsonl"
+        path.write_text(
+            '{"schema": "repro.ledger/v1"}\n'
+            '{"t": 1.0, "i": 0, "kind": "placement", "pod": "job-1", '
+            '"node": "sgx-worker-0", "runner_ups": -1}\n'
+        )
+        report = explain_pod(load_ledger(str(path)), "job-1")
+        assert (
+            "placed on sgx-worker-0 via indexed fast path"
+            in format_explain(report)
+        )
+
     def test_unknown_pod_raises(self, tmp_path, base_scenario):
         ledger, _ = record(base_scenario, tmp_path, "run")
         with pytest.raises(SimulationError, match="no event"):

@@ -207,24 +207,6 @@ class TestReuseConditions:
         result = twin.run_pass((BinpackScheduler(), BinpackScheduler()), 5.0)
         assert [pod.name for pod, _ in result.launched] == ["small"]
 
-    def test_indexed_passes_are_never_reused(self):
-        twin = Twin()
-        backlog(twin)
-        schedulers = (
-            BinpackScheduler(indexed=True), BinpackScheduler(indexed=True)
-        )
-        for now in (3.0, 4.0, 5.0):
-            twin.run_pass(schedulers, now)
-        assert twin.reusing.passes_reused == 0
-        # Back on the full scan: the first pass recomputes, the next
-        # one reuses it.
-        for scheduler in schedulers:
-            scheduler.indexed = False
-        twin.run_pass(schedulers, 6.0)
-        assert twin.reusing.passes_reused == 0
-        twin.run_pass(schedulers, 7.0)
-        assert twin.reusing.passes_reused == 1
-
     def test_a_rebuilt_snapshot_is_never_reused(self):
         twin = Twin()
         backlog(twin)

@@ -5,13 +5,13 @@ Two claims, both hypothesis-checked on random bursty traces:
 * **disabled == oracle** — with ``preemption_policy="none"`` (the
   default) and all pods at the default priority, whole-replay results
   are bit-for-bit identical to a scenario that never mentions the
-  policy knobs at all, on the default (pass-reusing), the recomputing
-  and the indexed pass.  The policy layer costs the paper's replays
+  policy knobs at all, on the default (pass-reusing) and the
+  recomputing pass.  The policy layer costs the paper's replays
   nothing.
 * **engines agree under preemption** — with real priorities and the
-  ``cheapest-victims`` planner enabled, the default, recomputing and
-  indexed passes still produce identical pod lifecycles, eviction
-  counts and pass outcomes: preemption composes with every engine.
+  ``cheapest-victims`` planner enabled, the default and the
+  recomputing pass still produce identical pod lifecycles, eviction
+  counts and pass outcomes: preemption composes with pass reuse.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -65,13 +65,6 @@ def test_disabled_policy_is_bit_for_bit_the_oracle(
     with recomputing():
         assert plain.run().signature() == baseline
         assert inert.run().signature() == baseline
-    toggle = {"indexed_scheduling": True}
-    assert plain.with_(**toggle).run().pod_signature() == (
-        plain.run().pod_signature()
-    )
-    assert inert.with_(**toggle).run().pod_signature() == (
-        plain.run().pod_signature()
-    )
 
 
 @given(
@@ -101,22 +94,15 @@ def test_engines_agree_under_preemption(
     )
     periodic = base.run()
     recomputed = run_recomputing(base)
-    indexed = base.with_(indexed_scheduling=True).run()
-    both = run_recomputing(base.with_(indexed_scheduling=True))
-    reference = periodic.signature()
-    for other in (recomputed, indexed, both):
-        assert other.pod_signature() == periodic.pod_signature()
-        assert other.eviction_count == periodic.eviction_count
-        assert other.preemption_count == periodic.preemption_count
-    # Every engine shares the periodic pass grid, so the whole
+    assert recomputed.pod_signature() == periodic.pod_signature()
+    assert recomputed.eviction_count == periodic.eviction_count
+    assert recomputed.preemption_count == periodic.preemption_count
+    # Both engines share the periodic pass grid, so the whole
     # signature — pass counts and the per-executed-pass wait-reason
     # aggregates included — must match outright; reused passes count
     # their deferrals again.
-    assert indexed.wait_reasons == periodic.wait_reasons
     assert recomputed.wait_reasons == periodic.wait_reasons
-    assert indexed.signature() == reference
-    assert recomputed.signature() == reference
-    assert both.signature() == reference
+    assert recomputed.signature() == periodic.signature()
 
 
 def test_preemption_actually_fires_in_the_suite_regime():

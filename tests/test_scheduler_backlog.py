@@ -15,7 +15,7 @@ from repro.cluster.resources import ResourceVector
 from repro.scheduler import BinpackScheduler
 from repro.units import gib
 from scheduling_reference import RecordingLedger, reference_schedule
-from test_scheduler_indexed import clone_views, make_pod, make_view
+from test_scheduler_pass import clone_views, make_pod, make_view
 
 
 def run_both(pods, views):

@@ -34,10 +34,10 @@ from repro.units import gib, mib
 
 
 #: The replay engines whose results must not depend on the state cache:
-#: the default pass (which reuses provably unchanged passes), the
-#: recomputing oracle and the indexed pass.
+#: the default pass (which reuses provably unchanged passes) and the
+#: recomputing oracle.
 ENGINE_MODES = pytest.mark.parametrize(
-    "engine", ["periodic", "recomputing", "indexed"]
+    "engine", ["periodic", "recomputing"]
 )
 
 
@@ -45,8 +45,6 @@ def run_engine(scenario, engine):
     """``scenario.run()`` on *engine* (see :data:`ENGINE_MODES`)."""
     if engine == "recomputing":
         return run_recomputing(scenario)
-    if engine == "indexed":
-        scenario = scenario.with_(indexed_scheduling=True)
     return scenario.run()
 
 
