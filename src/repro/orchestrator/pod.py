@@ -31,6 +31,8 @@ class Pod:
 
     __slots__ = (
         "spec",
+        "requires_sgx",
+        "fit_shape",
         "uid",
         "phase",
         "submitted_at",
@@ -44,6 +46,14 @@ class Pod:
 
     def __init__(self, spec: PodSpec, submitted_at: float, uid: str):
         self.spec = spec
+        #: Whether this pod can only run on SGX nodes; read per pod per
+        #: scheduling pass, so kept here rather than derived from the
+        #: frozen spec each time.
+        self.requires_sgx: bool = spec.requires_sgx
+        #: The cluster shape under which this pod last passed
+        #: ``can_ever_fit``, so a pass over the same shape skips the
+        #: check (see ``Scheduler.schedule``); ``None`` until then.
+        self.fit_shape: Optional[tuple] = None
         self.uid = uid
         self.phase = PodPhase.PENDING
         self.submitted_at = submitted_at
@@ -60,11 +70,6 @@ class Pod:
     def name(self) -> str:
         """The pod's name (unique per experiment by construction)."""
         return self.spec.name
-
-    @property
-    def requires_sgx(self) -> bool:
-        """Whether this pod can only run on SGX nodes."""
-        return self.spec.requires_sgx
 
     @property
     def qos_class(self):

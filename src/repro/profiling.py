@@ -17,7 +17,7 @@ run), so sampled stacks carry cProfile's tracing overhead.  That skews
 absolute times but not the *shape* of the flame graph, which is what
 the collapsed output is for; the ``wall_seconds`` figure in the report
 is measured around the traced run and should not be quoted as the
-scenario's native speed — ``benchmarks/run_bench.py`` owns that number.
+scenario's native speed — ``bench/run.py`` owns that number.
 
 The CLI front-end is ``repro profile`` (see :mod:`repro.cli`), which
 accepts every scenario flag ``repro run`` does and is wired into CI as

@@ -140,14 +140,8 @@ class SchedulingOutcome:
     #: examined).
     wait_reasons: Dict[str, int] = field(default_factory=dict)
 
-    def defer(self, pod: Pod, reason: str) -> None:
-        """Record *pod* as deferred for *reason*."""
-        self.deferred.append(pod)
-        self.deferred_reasons.append(reason)
-        self.wait_reasons[reason] = self.wait_reasons.get(reason, 0) + 1
 
-
-#: The deferral-reason keys :meth:`SchedulingOutcome.defer` uses.
+#: The deferral reasons, the keys of :attr:`SchedulingOutcome.wait_reasons`.
 WAIT_REASONS = ("epc", "memory", "cpu", "fragmentation", "head_of_line")
 
 
@@ -586,7 +580,10 @@ class Scheduler(abc.ABC):
 
     # ``name`` stays a class attribute (strategies override it), so it
     # must not appear in the slot tuple.
-    __slots__ = ("use_measured", "strict_fcfs", "preserve_sgx_nodes", "ledger")
+    __slots__ = (
+        "use_measured", "strict_fcfs", "preserve_sgx_nodes", "ledger",
+        "_shape",
+    )
 
     def __init__(
         self,
@@ -601,110 +598,128 @@ class Scheduler(abc.ABC):
         #: the top of every pass; standalone schedulers keep the null
         #: one.
         self.ledger = NULL_LEDGER
+        #: The cluster shape of the previous pass (see :meth:`schedule`).
+        self._shape: Optional[tuple] = None
 
     def schedule(
         self, pending: Sequence[Pod], views: Sequence[NodeView], now: float
     ) -> SchedulingOutcome:
         """Run one pass over *pending* (oldest first) against *views*.
 
-        Only a placement changes the views within a pass, so the free
-        maxima a deferral is classified by stay valid until the next
-        :meth:`NodeView.reserve`.  They are kept per eligibility class
-        (enclave pods see the SGX-capable views, standard pods all of
-        them), and a pod requesting more than a kept maximum in some
-        dimension is deferred without filtering: free capacity floors
-        at zero, so that request exceeds every eligible view's headroom
-        and the filter could only return no candidates.
+        A backlogged pass costs one cheap step per deferred pod:
+
+        * Whether a pod can ever fit depends only on the cluster shape,
+          each view's ``sgx_capable`` and capacity in order.  The pass
+          keeps the previous pass's shape object while the shape stays
+          equal, and a pod that fits records the shape it fitted under
+          (:attr:`Pod.fit_shape`), so ``can_ever_fit`` runs once per pod
+          per shape.  A queued pod that no longer fits is rejected by
+          the first pass that sees the new shape, as without the record.
+        * Only a placement changes the views within a pass, so the free
+          maxima a deferral is classified by stay valid until the next
+          :meth:`NodeView.reserve`.  They are kept per eligibility class
+          (enclave pods see the SGX-capable views, standard pods all of
+          them), and a pod requesting more than a kept maximum in some
+          dimension is deferred without filtering: free capacity floors
+          at zero, so that request exceeds every eligible view's
+          headroom and the filter could only return no candidates.
         """
-        ledger = self.ledger
         outcome = SchedulingOutcome()
         views = list(views)
         if not self.use_measured:
             for view in views:
                 view.used = view.committed
-        # requires_sgx -> free maxima over that class's eligible views.
-        free_maxima: Dict[bool, Tuple[int, int, int]] = {}
+        shape = tuple([(view.sgx_capable, view.capacity) for view in views])
+        if shape == self._shape:
+            shape = self._shape
+        else:
+            self._shape = shape
+        ledger = self.ledger
+        recording = ledger.enabled
+        deferred = outcome.deferred
+        deferred_reasons = outcome.deferred_reasons
+        wait_reasons = outcome.wait_reasons
+        # Free maxima of each eligibility class, until the next placement.
+        sgx_maxima = standard_maxima = None
         for position, pod in enumerate(pending):
-            if not can_ever_fit(pod, views):
-                outcome.unschedulable.append(pod)
-                continue
+            if pod.fit_shape is not shape:
+                if not can_ever_fit(pod, views):
+                    outcome.unschedulable.append(pod)
+                    continue
+                pod.fit_shape = shape
             requests = pod.spec.resources.requests
             needs_sgx = pod.requires_sgx
-            maxima = free_maxima.get(needs_sgx)
+            maxima = sgx_maxima if needs_sgx else standard_maxima
+            reason = None
             if maxima is not None:
-                reason = classify_wait(requests, *maxima)
-                if reason != "fragmentation":
-                    if self._defer(
-                        outcome, pending, position, reason, now, blocks=True
-                    ):
-                        break
-                    continue
-            candidates = feasible_candidates(pod, views)
-            if self.preserve_sgx_nodes:
-                candidates = prefer_non_sgx(pod, candidates)
-            chosen = (
-                self._select(pod, candidates, views) if candidates else None
-            )
-            if chosen is None:
-                if maxima is None:
-                    maxima = free_maxima[needs_sgx] = _free_maxima(
-                        views, needs_sgx
+                # classify_wait, inlined: a request above a kept maximum.
+                cpu_max, memory_max, epc_max = maxima
+                if requests.epc_pages > epc_max:
+                    reason = "epc"
+                elif requests.memory_bytes > memory_max:
+                    reason = "memory"
+                elif requests.cpu_millicores > cpu_max:
+                    reason = "cpu"
+            blocks = True
+            if reason is None:
+                candidates = feasible_candidates(pod, views)
+                if self.preserve_sgx_nodes:
+                    candidates = prefer_non_sgx(pod, candidates)
+                chosen = (
+                    self._select(pod, candidates, views)
+                    if candidates
+                    else None
+                )
+                if chosen is not None:
+                    if not requests.fits_within(chosen.available):
+                        raise SchedulingError(
+                            f"{self.name} selected saturated node "
+                            f"{chosen.name} for pod {pod.name}"
+                        )
+                    chosen.reserve(requests)
+                    sgx_maxima = standard_maxima = None
+                    outcome.assignments.append(
+                        Assignment(pod=pod, node_name=chosen.name)
                     )
-                reason = classify_wait(requests, *maxima)
-                if self._defer(
-                    outcome, pending, position, reason, now,
-                    blocks=not candidates,
-                ):
-                    break
-                continue
-            if not requests.fits_within(chosen.available):
-                raise SchedulingError(
-                    f"{self.name} selected saturated node {chosen.name} "
-                    f"for pod {pod.name}"
-                )
-            chosen.reserve(requests)
-            free_maxima.clear()
-            outcome.assignments.append(
-                Assignment(pod=pod, node_name=chosen.name)
-            )
-            if ledger.enabled:
-                ledger.emit(
-                    now, "placement",
-                    pod=pod.name, node=chosen.name,
-                    runner_ups=len(candidates) - 1,
-                )
+                    if recording:
+                        ledger.emit(
+                            now, "placement",
+                            pod=pod.name, node=chosen.name,
+                            runner_ups=len(candidates) - 1,
+                        )
+                    continue
+                blocks = not candidates
+                if maxima is None:
+                    maxima = _free_maxima(views, needs_sgx)
+                    if needs_sgx:
+                        sgx_maxima = maxima
+                    else:
+                        standard_maxima = maxima
+                    reason = classify_wait(requests, *maxima)
+                else:
+                    # Within every kept maximum, yet no node took it.
+                    reason = "fragmentation"
+            deferred.append(pod)
+            deferred_reasons.append(reason)
+            wait_reasons[reason] = wait_reasons.get(reason, 0) + 1
+            if recording:
+                ledger.emit(now, "deferral", pod=pod.name, reason=reason)
+            if blocks and self.strict_fcfs:
+                # Head-of-line blocking: a pod no node could take holds
+                # back every younger pod, deferred without examination.
+                for waiting in pending[position + 1:]:
+                    deferred.append(waiting)
+                    deferred_reasons.append("head_of_line")
+                    wait_reasons["head_of_line"] = (
+                        wait_reasons.get("head_of_line", 0) + 1
+                    )
+                    if recording:
+                        ledger.emit(
+                            now, "deferral",
+                            pod=waiting.name, reason="head_of_line",
+                        )
+                break
         return outcome
-
-    def _defer(
-        self,
-        outcome: SchedulingOutcome,
-        pending: Sequence[Pod],
-        position: int,
-        reason: str,
-        now: float,
-        blocks: bool,
-    ) -> bool:
-        """Defer ``pending[position]`` for *reason*; ``True`` ends the pass.
-
-        *blocks* marks a pod that had no feasible candidate at all:
-        under strict FCFS it holds back every younger pod, and those
-        are deferred as ``head_of_line`` without being examined.
-        """
-        ledger = self.ledger
-        pod = pending[position]
-        outcome.defer(pod, reason)
-        if ledger.enabled:
-            ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-        if not (blocks and self.strict_fcfs):
-            return False
-        for blocked in pending[position + 1:]:
-            outcome.defer(blocked, "head_of_line")
-            if ledger.enabled:
-                ledger.emit(
-                    now, "deferral",
-                    pod=blocked.name, reason="head_of_line",
-                )
-        return True
 
     @abc.abstractmethod
     def _select(

@@ -6,8 +6,9 @@ and, for a pod left without a node, a scan of its eligible views for
 the free maxima that name the binding dimension.  Nothing carries over
 from one pod to the next except the views' in-pass reservations.
 
-``Scheduler.schedule`` keeps free maxima across deferrals; it must
-reproduce this pass's outcome, view mutations and ledger records
+``Scheduler.schedule`` keeps free maxima across deferrals and each
+pod's ``can_ever_fit`` answer across passes over one cluster shape; it
+must reproduce this pass's outcome, view mutations and ledger records
 exactly (``test_scheduler_pass.py``).
 """
 
@@ -61,7 +62,9 @@ def reference_schedule(scheduler, pending, views, now):
             view.used = view.committed
 
     def defer(pod, reason):
-        outcome.defer(pod, reason)
+        outcome.deferred.append(pod)
+        outcome.deferred_reasons.append(reason)
+        outcome.wait_reasons[reason] = outcome.wait_reasons.get(reason, 0) + 1
         if ledger.enabled:
             ledger.emit(now, "deferral", pod=pod.name, reason=reason)
 

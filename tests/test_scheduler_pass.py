@@ -1,13 +1,17 @@
 """The default scheduling pass against the literal per-pod scan.
 
 ``Scheduler.schedule`` keeps per-class free maxima across deferrals
-within a pass; ``scheduling_reference.py`` scans every node afresh for
-every pod.  Over adversarial views and queues, every strategy and every
-combination of ``use_measured``, ``strict_fcfs`` and
-``preserve_sgx_nodes``, the two must agree exactly: same assignments,
-rejections, deferrals and wait reasons, same view mutations, same
-ledger records.
+within a pass, and each pod's ``can_ever_fit`` answer across passes
+over one cluster shape; ``scheduling_reference.py`` scans every node
+afresh for every pod.  Over adversarial views and queues, every
+strategy and every combination of ``use_measured``, ``strict_fcfs``
+and ``preserve_sgx_nodes``, the two must agree exactly: same
+assignments, rejections, deferrals and wait reasons, same view
+mutations, same ledger records — in one pass, and over passes with
+nodes joining, leaving, resized or losing SGX between them.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,3 +181,99 @@ class TestPassEquivalence:
             reference_views
         )
         assert scheduler.ledger.records == reference.ledger.records
+
+
+def apply_change(configs, change, names):
+    """Apply one drawn cluster change to the view *configs* in place."""
+    op, *args = change
+    if op == "add":
+        configs.append(dict(args[0], name=next(names)))
+        return
+    targets = (
+        [c for c in configs if c["sgx"]] if op == "lose_sgx" else configs
+    )
+    if not targets:
+        return
+    target = targets[args[0] % len(targets)]
+    if op == "remove":
+        configs.remove(target)
+    elif op == "resize":
+        target["capacity"] = args[1]
+    else:
+        target["sgx"] = False
+
+
+def views_from(configs):
+    """Fresh views over the configs, as a pass's view build gives."""
+    return [
+        NodeView(
+            name=c["name"],
+            sgx_capable=c["sgx"],
+            capacity=c["capacity"],
+            used=c["used"],
+            committed=c["committed"],
+        )
+        for c in configs
+    ]
+
+
+_index = st.integers(0, 7)
+
+_change_strategy = st.one_of(
+    st.tuples(st.just("add"), _view_strategy),
+    st.tuples(st.just("remove"), _index),
+    st.tuples(st.just("resize"), _index, _vec),
+    st.tuples(st.just("lose_sgx"), _index),
+)
+
+
+class TestPassesOverClusterChanges:
+    """One scheduler over the same pods while the cluster changes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["binpack", "spread", "kube-default", "declining"]
+        ),
+        use_measured=st.booleans(),
+        strict=st.booleans(),
+        preserve=st.booleans(),
+        raw_views=st.lists(_view_strategy, min_size=0, max_size=6),
+        raw_pods=st.lists(_pod_strategy, min_size=1, max_size=10),
+        changes=st.lists(
+            st.lists(_change_strategy, min_size=0, max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_every_pass_matches_the_reference(
+        self, kind, use_measured, strict, preserve, raw_views, raw_pods,
+        changes,
+    ):
+        names = (f"n{i:03d}" for i in itertools.count())
+        configs = [dict(raw, name=next(names)) for raw in raw_views]
+        pending = [
+            make_pod(f"p{i:03d}", submitted_at=float(i), **raw)
+            for i, raw in enumerate(raw_pods)
+        ]
+        # One scheduler for every pass: what it keeps between passes is
+        # what this property is about.
+        scheduler = build_scheduler(kind, use_measured, strict, preserve)
+        for number, between in enumerate([[]] + changes):
+            for change in between:
+                apply_change(configs, change, names)
+            views = views_from(configs)
+            reference = build_scheduler(kind, use_measured, strict, preserve)
+            reference.ledger = RecordingLedger()
+            reference_views = clone_views(views)
+            now = 100.0 * (number + 1)
+            expected = reference_schedule(
+                reference, pending, reference_views, now=now
+            )
+            scheduler.ledger = RecordingLedger()
+            outcome = scheduler.schedule(pending, views, now=now)
+            assert outcome_signature(outcome) == outcome_signature(expected)
+            assert views_signature(views) == views_signature(reference_views)
+            assert scheduler.ledger.records == reference.ledger.records
+            # Placed and rejected pods leave the queue; the rest wait.
+            pending = outcome.deferred
