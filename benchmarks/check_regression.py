@@ -3,7 +3,6 @@
 Re-runs the ``run_bench`` sweeps and compares each row's headline
 metric against the matching row of the committed ``BENCH_*.json``:
 
-* ``state_cache``  — ``speedup``  (cached vs full-scan snapshot);
 * ``api_sweep``    — ``completed`` (scenario-layer sweep outcomes),
   with the ``parallel_identical`` pool-vs-serial equivalence flag;
 * ``preemption``   — ``p50_reduction`` (high-priority-tier waiting
@@ -35,7 +34,7 @@ or missing baseline.  CI runs this as an *advisory* job::
     PYTHONPATH=src python benchmarks/check_regression.py --quick
 
 ``--quick`` restricts every sweep to its cheapest baseline-comparable
-configuration (e.g. the smallest size for state_cache and wall),
+configuration (e.g. the smallest size for wall),
 which keeps the job under a minute while still catching the
 regressions that matter — an accidental fallback to the slow path
 shows up at any size.
@@ -55,9 +54,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: benchmark name -> (baseline file, headline metric, row key fields,
 #: correctness flag or None)
 GATES = {
-    "state_cache": (
-        "BENCH_state_cache.json", "speedup", ("pods",), None
-    ),
     "api_sweep": (
         "BENCH_api_sweep.json",
         "completed",
@@ -106,13 +102,7 @@ def fresh_reports(names, quick: bool) -> dict:
     the others can cost minutes at full size."""
     reports = {}
     for name in names:
-        if name == "state_cache":
-            reports[name] = (
-                run_bench.run(sizes=(250,), repeats=5)
-                if quick
-                else run_bench.run()
-            )
-        elif name == "preemption":
+        if name == "preemption":
             # Quick mode keeps the 1000-pod headline row only; the
             # gated reduction must stay comparable to its baseline.
             reports[name] = run_bench.run_preemption(

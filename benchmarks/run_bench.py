@@ -1,14 +1,9 @@
-"""Benchmark runner: emits ``BENCH_state_cache.json``,
-``BENCH_api_sweep.json``, ``BENCH_preemption.json``,
-``BENCH_traces.json``, ``BENCH_wall.json`` and ``BENCH_obs.json``.
+"""Benchmark runner: emits ``BENCH_api_sweep.json``,
+``BENCH_preemption.json``, ``BENCH_traces.json``, ``BENCH_wall.json``
+and ``BENCH_obs.json``.
 
-Six sweeps over the scheduling hot path:
+Five sweeps over the scheduling hot path:
 
-* **state_cache** — the scheduler's per-pass snapshot latency (the two
-  Listing-1 sliding-window queries behind
-  ``ClusterStateService.build_views``) with the full InfluxQL window
-  scan versus the incremental
-  :class:`~repro.monitoring.aggregate.WindowedAggregateCache`;
 * **api_sweep** — a scenario-layer sweep (``repro.api.Sweep``) run
   serially and over a 4-worker process pool, with a per-scenario
   bit-for-bit identity check, emitted in the structured
@@ -42,7 +37,7 @@ Run from the repo root::
 
 The JSON lands next to this repo's README so the perf trajectory of the
 hot path is tracked from PR to PR.  The pytest wrappers
-(``test_ext_state_cache.py``, ``test_ext_wall.py``, ...) reuse the
+(``test_ext_api_sweep.py``, ``test_ext_wall.py``, ...) reuse the
 same builders on tiny configurations, and
 ``benchmarks/check_regression.py`` replays the sweeps against the
 committed JSON baselines as a regression gate.
@@ -62,120 +57,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import Scenario, Sweep, rows_to_json  # noqa: E402
-from repro.constants import METRICS_WINDOW_SECONDS  # noqa: E402
-from repro.monitoring.aggregate import WindowedAggregateCache  # noqa: E402
-from repro.monitoring.heapster import MEASUREMENT_MEMORY  # noqa: E402
-from repro.monitoring.probe import MEASUREMENT_EPC  # noqa: E402
-from repro.monitoring.tsdb import TimeSeriesDatabase  # noqa: E402
-from repro.scheduler.base import ClusterStateService  # noqa: E402
 from repro.trace import resolve_trace  # noqa: E402
 from repro.trace.borg import synthetic_scaled_trace  # noqa: E402
 from repro.units import mib  # noqa: E402
 
-#: Simulated pass time; all windows are evaluated at this instant.
-NOW = 600.0
-#: In-window samples per pod per measurement (25 s window, ~6 s apart —
-#: a denser probe cadence than the paper's 10 s default, as a scaled
-#: deployment would configure).
-SAMPLES_PER_POD = 5
-#: History points per pod outside the window (pruned by the time bound).
-HISTORY_PER_POD = 2
-#: Fraction of pods that are SGX jobs with EPC samples.
+#: Fraction of SGX jobs in the sweeps' scenarios.
 SGX_FRACTION = 0.5
-
-
-def build_state(n_pods: int, use_cache: bool):
-    """A TSDB populated like a cluster of *n_pods* mid-replay."""
-    db = TimeSeriesDatabase(retention_seconds=3600.0)
-    cache = (
-        WindowedAggregateCache(db, window_seconds=METRICS_WINDOW_SECONDS)
-        if use_cache
-        else None
-    )
-    n_nodes = max(4, n_pods // 100)
-    for index in range(n_pods):
-        tags = {
-            "pod_name": f"pod-{index}",
-            "nodename": f"node-{index % n_nodes}",
-        }
-        is_sgx = index < n_pods * SGX_FRACTION
-        for h in range(HISTORY_PER_POD):
-            t = NOW - 120.0 + 30.0 * h
-            db.write(MEASUREMENT_MEMORY, value=1e6 + index, time=t, tags=tags)
-        for s in range(SAMPLES_PER_POD):
-            t = NOW - 24.0 + 6.0 * s
-            db.write(
-                MEASUREMENT_MEMORY,
-                value=1e6 + index * 10.0 + s,
-                time=t,
-                tags=tags,
-            )
-            if is_sgx:
-                db.write(
-                    MEASUREMENT_EPC,
-                    value=100.0 + index + s,
-                    time=t,
-                    tags=tags,
-                )
-    service = ClusterStateService(
-        [], db, window_seconds=METRICS_WINDOW_SECONDS, cache=cache
-    )
-    return db, service
-
-
-def measured_usage(service: ClusterStateService, now: float) -> tuple:
-    """Memory and EPC window maxima at *now*, nested by node then pod.
-
-    With a window-max store, each node's maxima are read from the
-    store's node states, as a pass reads a node whose inputs moved (so
-    this is a pass where every node moved); without one, from the full
-    Listing 1 scan.
-    """
-    store = service.cache
-    if store is None:
-        return service._measured_usage(now)
-    return tuple(
-        {
-            name: node.maxima()
-            for name, node in store.node_states(measurement, now).items()
-        }
-        for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC)
-    )
-
-
-def time_snapshot(service: ClusterStateService, repeats: int) -> float:
-    """Median seconds of one measured-usage snapshot at ``NOW``."""
-    timings = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        measured_usage(service, NOW)
-        timings.append(time.perf_counter() - start)
-    return statistics.median(timings)
-
-
-def run(sizes=(250, 1000, 2000), repeats=9) -> dict:
-    results = []
-    for n_pods in sizes:
-        _, full_service = build_state(n_pods, use_cache=False)
-        _, cached_service = build_state(n_pods, use_cache=True)
-        full_s = time_snapshot(full_service, repeats)
-        cached_s = time_snapshot(cached_service, repeats)
-        results.append(
-            {
-                "pods": n_pods,
-                "series": n_pods + int(n_pods * SGX_FRACTION),
-                "full_scan_ms": round(full_s * 1e3, 4),
-                "cached_ms": round(cached_s * 1e3, 4),
-                "speedup": round(full_s / cached_s, 2),
-            }
-        )
-    return {
-        "benchmark": "state_cache",
-        "window_seconds": METRICS_WINDOW_SECONDS,
-        "samples_per_pod": SAMPLES_PER_POD,
-        "sgx_fraction": SGX_FRACTION,
-        "results": results,
-    }
 
 
 #: Reconcile interval of the wall and obs sweeps: a production
@@ -592,19 +479,6 @@ def run_obs(sizes=(1000, 2000), repeats=9) -> dict:
 
 
 def main() -> None:
-    report = run()
-    out_path = Path(__file__).resolve().parent.parent / (
-        "BENCH_state_cache.json"
-    )
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        print(
-            f"{row['pods']:>6} pods: full {row['full_scan_ms']:.3f} ms  "
-            f"cached {row['cached_ms']:.3f} ms  "
-            f"speedup {row['speedup']:.1f}x"
-        )
-    print(f"wrote {out_path}")
-
     api_report = run_api_sweep()
     api_path = Path(__file__).resolve().parent.parent / (
         "BENCH_api_sweep.json"

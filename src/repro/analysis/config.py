@@ -80,7 +80,6 @@ class CheckConfig:
             "jobs": "trace",
             "trace_seed": "trace",
             "epc_mib": "epc_total_bytes",
-            "no_state_cache": "use_state_cache",
             "priority_threshold": "preemption_priority_threshold",
             "cluster_workers": "standard_workers",
         }

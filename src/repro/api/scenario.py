@@ -3,12 +3,11 @@
 The paper's evaluation is one sentence — "replay one scaled Borg trace
 under many configurations" — and a :class:`Scenario` is that sentence
 as a value: cluster shape, trace source and seed, workload, scheduler
-name plus options, and the state-cache toggle (``use_state_cache``).  It
-validates at construction (unknown scheduler/workload names die here
-with the list of registered names), is immutable and picklable (so
-sweeps can ship it to worker processes), and is the only configuration
-the replay engine reads: ``.run()`` wraps
-:func:`repro.simulation.runner.run_replay`::
+name plus options.  It validates at construction (unknown
+scheduler/workload names die here with the list of registered names),
+is immutable and picklable (so sweeps can ship it to worker
+processes), and is the only configuration the replay engine reads:
+``.run()`` wraps :func:`repro.simulation.runner.run_replay`::
 
     from repro.api import Scenario
 
@@ -245,11 +244,6 @@ class Scenario:
     preemption_policy: str = "none"
     #: Deferred pods at or above this priority may trigger evictions.
     preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD
-
-    # -- feature toggles ---------------------------------------------------
-    #: Answer the sliding-window queries from the window-max store
-    #: instead of re-scanning raw series; identical results.
-    use_state_cache: bool = True
 
     # -- observability -----------------------------------------------------
     #: Export targets for the decision ledger (JSONL), span trace

@@ -235,11 +235,6 @@ def _scenario_flags() -> argparse.ArgumentParser:
         "(default %(default)s)",
     )
     parent.add_argument(
-        "--no-state-cache",
-        action="store_true",
-        help="rescan the TSDB window instead of the aggregate cache",
-    )
-    parent.add_argument(
         "--cluster-workers",
         type=int,
         default=None,
@@ -577,7 +572,6 @@ def _base_scenario(args: argparse.Namespace) -> Scenario:
         workload=args.workload,
         sgx_fraction=args.sgx_fraction,
         seed=args.seed,
-        use_state_cache=not args.no_state_cache,
         preemption_policy=args.preemption_policy,
         preemption_priority_threshold=args.priority_threshold,
     )

@@ -3,19 +3,17 @@
 The paper configures Heapster to gather per-pod memory usage on every
 node and push it into InfluxDB (Section V-C).  Our collector polls
 registered *sources* (the Kubelets, in practice) and hands each node's
-samples to a :class:`~repro.monitoring.tsdb.MetricsSink` as one batch
-of ``(nodename, pod_name, value)`` rows per collection pass.  By default
-the sink is the scheduler's sliding-window MAX store; with a
-:class:`~repro.monitoring.tsdb.TimeSeriesDatabase` sink every row
-becomes a point tagged ``pod_name`` and ``nodename``, exactly as the
-paper's Listing 1 expects.
+samples to a :class:`~repro.monitoring.aggregate.MetricsSink` (the
+scheduler's sliding-window MAX store) as one batch of ``(nodename,
+pod_name, value)`` rows per collection pass: the ``pod_name`` and
+``nodename`` tags the paper's Listing 1 groups by.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Protocol
 
-from .tsdb import MetricsSink, SampleRow
+from .aggregate import MetricsSink, SampleRow
 
 #: Measurement name for standard memory, Heapster-style.
 MEASUREMENT_MEMORY = "memory/usage"

@@ -7,9 +7,8 @@ the per-process occupancy ioctl rolled up by cgroup — and hands per-pod
 EPC usage to the same sink Heapster uses, as one batch of ``(nodename,
 pod_name, pages)`` rows under the ``sgx/epc`` measurement, so the
 scheduler's Listing 1 query covers both resource kinds with one shape.
-The node-level gauges are stored only when the sink is a
-:class:`~repro.monitoring.tsdb.TimeSeriesDatabase` (the raw-series
-path): the scheduler never reads them.
+The driver's node-level gauges (total and free pages) are read with
+the counters but stored nowhere: the scheduler never reads them.
 
 Values are written in **EPC pages**, the unit the whole accounting chain
 (device plugin, driver, scheduler) shares.
@@ -20,13 +19,10 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sgx.driver import SgxDriver
-from .tsdb import MetricsSink, TimeSeriesDatabase
+from .aggregate import MetricsSink
 
 #: Measurement name for EPC usage, as in the paper's Listing 1.
 MEASUREMENT_EPC = "sgx/epc"
-
-#: Measurement for node-level EPC gauges (total/free pages).
-MEASUREMENT_EPC_NODE = "sgx/epc_node"
 
 
 class SgxMetricsProbe:
@@ -39,8 +35,7 @@ class SgxMetricsProbe:
     driver:
         The node's :class:`~repro.sgx.driver.SgxDriver`.
     sink:
-        Where samples go: the window-max store or a time-series
-        database.
+        Where samples go: the window-max store.
     pod_name_resolver:
         Maps a cgroup path to the owning pod's name.  Supplied by the
         Kubelet, which owns the cgroup-to-pod mapping.  Unresolvable
@@ -62,8 +57,8 @@ class SgxMetricsProbe:
         self.pod_name_resolver = pod_name_resolver
 
     def collect(self, now: float) -> int:
-        """Take one measurement pass; returns the samples taken,
-        including the two node gauges."""
+        """Take one measurement pass; returns the samples taken: one
+        per resolved pod plus the two node gauges."""
         snapshot = self.driver.snapshot()
         node_name = self.node_name
         resolve = self.pod_name_resolver
@@ -72,15 +67,5 @@ class SgxMetricsProbe:
             pod_name = resolve(cgroup_path)
             if pod_name is not None:
                 rows.append((node_name, pod_name, float(pages)))
-        sink = self.sink
-        sink.ingest(MEASUREMENT_EPC, now, rows)
-        if isinstance(sink, TimeSeriesDatabase):
-            for label, value in (
-                ("total", snapshot.total_pages),
-                ("free", snapshot.free_pages),
-            ):
-                sink.write_tagged(
-                    MEASUREMENT_EPC_NODE, float(value), now,
-                    (("gauge", label), ("nodename", node_name)),
-                )
+        self.sink.ingest(MEASUREMENT_EPC, now, rows)
         return len(rows) + 2

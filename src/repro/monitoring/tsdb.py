@@ -1,58 +1,32 @@
-"""In-memory time-series database.
+"""In-memory time-series database: the reference store for Listing 1.
 
 A deliberately small InfluxDB stand-in: measurements hold *points*, each
-with a timestamp, a float value and a tag set.  The scheduler's queries
-only need range scans over recent windows, so points are kept per
-measurement in append (time) order and old points can be vacuumed with a
-retention policy.
+with a timestamp, a float value and a tag set, kept per measurement in
+append (time) order; range scans read them back and a retention policy
+vacuums old ones.  Run through an InfluxQL engine, it answers the
+paper's Listing 1 verbatim.
+
+No module of the package imports it: the scheduler reads only the
+window-max store (:class:`~repro.monitoring.aggregate.
+WindowedAggregateCache`).  The tests feed a database the same collector
+batches (it is a :class:`~repro.monitoring.aggregate.MetricsSink`) and
+compare every view build with a full Listing 1 scan over it, and
+``bench/run.py`` times :meth:`TimeSeriesDatabase.write_tagged` as a
+layer of its own.
 
 Timestamps are simulation-time ``float`` seconds — the database never
 consults the wall clock; callers pass ``now`` explicitly, which keeps the
 discrete-event simulation deterministic.
-
-Collectors hand over one batch of ``(nodename, pod_name, value)``
-:data:`SampleRow` tuples per node per tick to a :class:`MetricsSink`:
-this database (the raw-series path, kept for Listing 1 fidelity) or a
-standalone :class:`~repro.monitoring.aggregate.WindowedAggregateCache`
-(the orchestrator's default, which keeps only window maxima).
-
-Mutations can be observed: :meth:`TimeSeriesDatabase.subscribe` registers
-a subscriber notified of every appended point (``on_write``), every
-retention vacuum (``on_vacuum``) and every dropped measurement
-(``on_drop``).  The windowed-aggregate cache uses this to stay
-write-through consistent without the database knowing anything about
-aggregation.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import MonitoringError
-
-#: One collected sample: ``(nodename, pod_name, value)``.
-SampleRow = Tuple[str, str, float]
-
-
-class MetricsSink(Protocol):
-    """Where collectors send samples, one batch per node per tick."""
-
-    def ingest(
-        self, measurement: str, now: float, rows: Sequence[SampleRow]
-    ) -> None:
-        """Absorb *rows*, all sampled at *now*, into *measurement*."""
-        ...  # pragma: no cover - protocol
+from .aggregate import SampleRow
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,22 +106,6 @@ class _Series:
         return removed
 
 
-class DatabaseSubscriber(Protocol):
-    """Observer of database mutations (see :meth:`subscribe`)."""
-
-    def on_write(self, measurement: str, point: Point) -> None:
-        """One point was appended to *measurement*."""
-        ...  # pragma: no cover - protocol
-
-    def on_vacuum(self, cutoff: float) -> None:
-        """Retention dropped all points with ``time < cutoff``."""
-        ...  # pragma: no cover - protocol
-
-    def on_drop(self, measurement: str) -> None:
-        """*measurement* was removed entirely."""
-        ...  # pragma: no cover - protocol
-
-
 class TimeSeriesDatabase:
     """Tagged time-series store with range scans and retention.
 
@@ -158,10 +116,7 @@ class TimeSeriesDatabase:
         drops points older than ``now - retention_seconds``.
     """
 
-    __slots__ = (
-        "retention_seconds", "_series", "_writes", "_subscribers",
-        "scan_count", "aggregate_cache",
-    )
+    __slots__ = ("retention_seconds", "_series", "_writes")
 
     def __init__(self, retention_seconds: Optional[float] = None):
         if retention_seconds is not None and retention_seconds <= 0:
@@ -171,37 +126,6 @@ class TimeSeriesDatabase:
         self.retention_seconds = retention_seconds
         self._series: Dict[str, _Series] = {}
         self._writes = 0
-        self._subscribers: List[DatabaseSubscriber] = []
-        #: Range scans served (reads of stored points); lets tests and
-        #: benchmarks assert the aggregate cache's zero-scan property.
-        self.scan_count = 0
-        #: The attached :class:`~repro.monitoring.aggregate.
-        #: WindowedAggregateCache`, if any — the InfluxQL executor's
-        #: fast path looks here.
-        self.aggregate_cache = None
-
-    # -- observation ---------------------------------------------------------
-
-    def subscribe(self, subscriber: DatabaseSubscriber) -> None:
-        """Notify *subscriber* of every write, vacuum and drop."""
-        self._subscribers.append(subscriber)
-
-    def unsubscribe(self, subscriber: DatabaseSubscriber) -> bool:
-        """Stop notifying *subscriber*; returns whether it was found.
-
-        A subscriber exposing ``detach()`` (the aggregate cache) is
-        detached as well, so holders of a removed cache fall back to
-        full scans instead of silently serving frozen state.
-        """
-        if subscriber in self._subscribers:
-            self._subscribers.remove(subscriber)
-            if self.aggregate_cache is subscriber:
-                self.aggregate_cache = None
-            detach = getattr(subscriber, "detach", None)
-            if detach is not None:
-                detach()
-            return True
-        return False
 
     # -- writes -------------------------------------------------------------
 
@@ -237,18 +161,9 @@ class TimeSeriesDatabase:
         """
         if not measurement:
             raise MonitoringError("empty measurement name")
-        # _append inlined: this is the per-sample collector path and the
-        # extra frame showed up in profiles.
-        point = Point(time=time, value=float(value), tags=tags)
-        series = self._series.get(measurement)
-        if series is None:
-            series = self._series.setdefault(measurement, _Series())
-        series.insert(point)
-        self._writes += 1
-        for subscriber in self._subscribers:
-            subscriber.on_write(measurement, point)
-        if self.retention_seconds is not None and self._writes % 256 == 0:
-            self.vacuum(now=time)
+        self._append(
+            measurement, Point(time=time, value=float(value), tags=tags)
+        )
 
     def ingest(
         self, measurement: str, now: float, rows: Sequence[SampleRow]
@@ -256,9 +171,7 @@ class TimeSeriesDatabase:
         """Append one collector batch (the :class:`MetricsSink` write).
 
         Each ``(nodename, pod_name, value)`` row becomes one point at
-        *now*, tagged as Listing 1 expects, through :meth:`write_tagged`
-        — so subscribers, the aggregate cache included, absorb it via
-        ``on_write`` like any other write.
+        *now*, tagged as Listing 1 expects, through :meth:`write_tagged`.
         """
         write_tagged = self.write_tagged
         for nodename, pod_name, value in rows:
@@ -274,8 +187,6 @@ class TimeSeriesDatabase:
             series = self._series.setdefault(measurement, _Series())
         series.insert(point)
         self._writes += 1
-        for subscriber in self._subscribers:
-            subscriber.on_write(measurement, point)
         if self.retention_seconds is not None and self._writes % 256 == 0:
             self.vacuum(now=point.time)
 
@@ -287,8 +198,6 @@ class TimeSeriesDatabase:
         for point in points:
             series.insert(point)
             self._writes += 1
-            for subscriber in self._subscribers:
-                subscriber.on_write(measurement, point)
 
     # -- reads --------------------------------------------------------------
 
@@ -306,7 +215,6 @@ class TimeSeriesDatabase:
 
         Unknown measurements scan as empty, mirroring InfluxDB.
         """
-        self.scan_count += 1
         series = self._series.get(measurement)
         if series is None:
             return []
@@ -337,19 +245,14 @@ class TimeSeriesDatabase:
         if self.retention_seconds is None:
             return 0
         cutoff = now - self.retention_seconds
-        removed = sum(
+        return sum(
             series.vacuum_before(cutoff)
             for series in self._series.values()
         )
-        for subscriber in self._subscribers:
-            subscriber.on_vacuum(cutoff)
-        return removed
 
     def drop_measurement(self, measurement: str) -> None:
         """Remove a measurement entirely."""
         self._series.pop(measurement, None)
-        for subscriber in self._subscribers:
-            subscriber.on_drop(measurement)
 
     def __len__(self) -> int:
         return sum(len(s.points) for s in self._series.values())

@@ -12,14 +12,10 @@ queue, and exposes the operations the event loop drives:
 * :meth:`Orchestrator.start_pod` / :meth:`complete_pod` / meth:`kill_pod`
   — lifecycle transitions driven by the simulation clock.
 
-The monitoring sink follows from the constructor's inputs.  By default
-(no ``db``, state cache on) it is a standalone
-:class:`~repro.monitoring.aggregate.WindowedAggregateCache` holding only
-Listing 1's window maxima, and :attr:`Orchestrator.db` is ``None``.  A
-caller-supplied ``db`` — or ``use_state_cache=False``, which builds a
-3600 s-retention database — keeps the paper's raw-series path: samples
-land in the TSDB as tagged points and the scheduler reads them through
-InfluxQL (accelerated by a write-through cache unless disabled).
+The monitoring sink is a
+:class:`~repro.monitoring.aggregate.WindowedAggregateCache`
+(:attr:`Orchestrator.aggregate_cache`) holding only Listing 1's window
+maxima; every scheduling pass reads its node views from it.
 
 The orchestrator itself is clock-free: every method takes ``now``.
 """
@@ -32,12 +28,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.resources import ResourceVector
 from ..cluster.topology import Cluster
-from ..constants import METRICS_WINDOW_SECONDS
 from ..errors import OrchestrationError, SchedulingError
 from ..monitoring.aggregate import WindowedAggregateCache
 from ..monitoring.heapster import Heapster
 from ..monitoring.probe import SgxMetricsProbe
-from ..monitoring.tsdb import TimeSeriesDatabase
 from ..obs.observer import NULL_OBSERVER
 from ..policy.classes import DEFAULT_PREEMPTION_THRESHOLD
 from ..policy.preemption import EvictionCandidate, PreemptionPolicy
@@ -109,12 +103,9 @@ class Orchestrator:
     def __init__(
         self,
         cluster: Cluster,
-        db: Optional[TimeSeriesDatabase] = None,
         perf_model: Optional[SgxPerfModel] = None,
-        metrics_window_seconds: float = METRICS_WINDOW_SECONDS,
         enforce_memory_limits: bool = False,
         registry: Optional[ImageRegistry] = None,
-        use_state_cache: bool = True,
         requeue_backoff_seconds: float = 0.0,
         preemption_policy: Optional[PreemptionPolicy] = None,
         preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD,
@@ -133,34 +124,9 @@ class Orchestrator:
         #: the paper's strictly non-preemptive scheduling.
         self.preemption_policy = preemption_policy
         self.preemption_priority_threshold = preemption_priority_threshold
-        # Explicit None checks: an empty TimeSeriesDatabase is falsy
-        # (len == 0), and ``db or ...`` would silently discard it.
-        if db is None and not use_state_cache:
-            db = TimeSeriesDatabase(retention_seconds=3600.0)
-        #: The raw-series database, or ``None`` when the window-max
-        #: store is the only monitoring sink (the default).
-        self.db = db
-        # The sliding-window maxima the scheduling pass reads, kept
-        # current on every metrics sample so build_views never scans a
-        # window.  A caller-supplied db may already carry a cache (e.g.
-        # two orchestrators sharing one database); reuse it rather than
-        # stacking a second subscriber over the same window.
-        self.aggregate_cache: Optional[WindowedAggregateCache] = None
-        if db is None:
-            self.aggregate_cache = WindowedAggregateCache(
-                None, window_seconds=metrics_window_seconds
-            )
-        elif use_state_cache:
-            existing = getattr(db, "aggregate_cache", None)
-            if (
-                existing is not None
-                and existing.window_seconds == metrics_window_seconds
-            ):
-                self.aggregate_cache = existing
-            else:
-                self.aggregate_cache = WindowedAggregateCache(
-                    db, window_seconds=metrics_window_seconds
-                )
+        #: The monitoring sink: the sliding-window maxima the scheduling
+        #: pass reads, kept current on every metrics sample.
+        self.aggregate_cache = WindowedAggregateCache()
         self.perf_model = perf_model or SgxPerfModel()
         self.registry = registry
         self.enforce_memory_limits = enforce_memory_limits
@@ -180,9 +146,7 @@ class Orchestrator:
             # Device plugin discovers /dev/isgx and registers over RPC.
             SgxDevicePlugin(node).register(RpcChannel(kubelet.rpc_server))
 
-        self.heapster = Heapster(
-            db if db is not None else self.aggregate_cache
-        )
+        self.heapster = Heapster(self.aggregate_cache)
         self.heapster.register_all(self.kubelets.values())
 
         self.daemonsets = DaemonSetController()
@@ -195,10 +159,7 @@ class Orchestrator:
 
         self.state_service = ClusterStateService(
             list(self.kubelets.values()),
-            self.db,
-            window_seconds=metrics_window_seconds,
-            cache=self.aggregate_cache,
-            allow_query_cache=use_state_cache,
+            self.aggregate_cache,
             observer=self.observer,
         )
         if preemption_policy is not None:
@@ -233,7 +194,7 @@ class Orchestrator:
         return SgxMetricsProbe(
             node_name=kubelet.node.name,
             driver=driver,
-            sink=self.heapster.sink,
+            sink=self.aggregate_cache,
             pod_name_resolver=kubelet.resolve_pod_name,
         )
 

@@ -31,7 +31,7 @@ from ..errors import (
     EpcExhaustedError,
     NodeError,
 )
-from ..monitoring.tsdb import SampleRow
+from ..monitoring.aggregate import SampleRow
 from ..sgx.aesm import PlatformSoftware
 from ..sgx.enclave import Enclave
 from ..sgx.perf import SgxPerfModel

@@ -5,9 +5,9 @@ The pieces every strategy shares:
 * :class:`NodeView` — the scheduler's picture of one node: capacity,
   *measured* usage (from monitoring) and *committed* declared requests.
 * :class:`ClusterStateService` — builds node views from Listing 1's
-  per-pod sliding-window maxima (read from the window-max store, or by
-  running the InfluxQL query against a monitoring database), falling
-  back to declared requests for pods too young to have samples.
+  per-pod sliding-window maxima, read from the window-max store,
+  falling back to declared requests for pods too young to have
+  samples.
 * :class:`Scheduler` — the non-preemptive FCFS scheduling pass shared by
   all strategies; concrete strategies implement :meth:`Scheduler._select`.
 """
@@ -15,24 +15,19 @@ The pieces every strategy shares:
 from __future__ import annotations
 
 import abc
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.resources import ResourceVector
-from ..constants import METRICS_WINDOW_SECONDS
 from ..errors import SchedulingError
 from ..monitoring.aggregate import WindowedAggregateCache
 from ..monitoring.heapster import MEASUREMENT_MEMORY
-from ..monitoring.influxql import execute_query, parse_query
 from ..monitoring.probe import MEASUREMENT_EPC
 from ..obs.ledger import NULL_LEDGER
 from ..obs.spans import NULL_SPANS
 from ..orchestrator.kubelet import Kubelet
 from ..orchestrator.pod import Pod
 from .filtering import can_ever_fit, feasible_candidates, prefer_non_sgx
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
@@ -192,14 +187,6 @@ def _free_maxima(
     return cpu_max, memory_max, epc_max
 
 
-#: Inner query of the paper's Listing 1, parameterised by measurement:
-#: the per-pod maximum over the sliding window, tagged by node.
-_PER_POD_QUERY = (
-    'SELECT MAX(value) AS usage FROM "{measurement}" '
-    "WHERE value <> 0 AND time >= now() - {window}s "
-    "GROUP BY pod_name, nodename"
-)
-
 #: What one node view is built from: the kubelet, the node's memory and
 #: EPC versions in the window-max store (0 while it has no rows there)
 #: and the kubelet's commitment version.
@@ -207,9 +194,6 @@ NodeKey = Tuple[Kubelet, int, int, int]
 
 #: Per pod, one measurement's window maximum on one node.
 _Maxima = Mapping[Optional[str], float]
-
-#: One measurement's window maxima, by node name then pod name.
-_ByNode = Dict[str, Dict[Optional[str], float]]
 
 #: Every kubelet's key, plus the store's memory and EPC node states the
 #: keys were read from.
@@ -257,173 +241,56 @@ def _node_view(kubelet: Kubelet, memory: _Maxima, epc: _Maxima) -> NodeView:
     )
 
 
-def _untagged_series(nodes: Mapping) -> int:
-    """Series of one store measurement that name no node or no pod."""
-    return sum(
-        len(node.series) if nodename is None else int(None in node.series)
-        for nodename, node in nodes.items()
-    )
-
-
 class ClusterStateService:
     """Builds :class:`NodeView` snapshots from Kubelets plus monitoring.
 
     The measured view is Listing 1's inner query: each pod's maximum
-    over the sliding window.  When a
-    :class:`~repro.monitoring.aggregate.WindowedAggregateCache` is
-    supplied (the orchestrator wires one by default), each pass reads
-    it node by node and rebuilds only the views whose inputs moved (see
-    :meth:`build_views`); the cache window must equal
-    ``window_seconds`` so both paths answer the identical query.
-    Passes the cache cannot serve (non-monotone clocks, cold state)
-    rebuild every node from the full InfluxQL scan over *db*, which
-    produces bit-for-bit the same rows.  A standalone cache
-    (``db=None``) has no scan to fall back to and raises instead;
-    without a cache, *db* is required.
-
-    Rows missing the ``nodename`` or ``pod_name`` tag cannot be
-    attributed to a pod; no view reads them, and they are counted in
-    :attr:`malformed_rows_skipped` rather than silently folded into a
-    shared ``(None, ...)`` bucket.
+    over the sliding window, read from the window-max *store* node by
+    node.  Each pass rebuilds only the views whose inputs moved (see
+    :meth:`build_views`).
     """
 
     __slots__ = (
-        "kubelets", "db", "window_seconds", "cache",
-        "allow_query_cache", "_node_views", "_last_views", "_last_keys",
-        "_inputs", "snapshots_reused", "nodes_rebuilt",
-        "malformed_rows_skipped", "_epc_query", "_memory_query",
-        "ledger", "spans",
+        "kubelets", "store", "_node_views", "_last_views", "_last_keys",
+        "_inputs", "snapshots_reused", "nodes_rebuilt", "ledger", "spans",
     )
 
     def __init__(
         self,
         kubelets: Sequence[Kubelet],
-        db,
-        window_seconds: float = METRICS_WINDOW_SECONDS,
-        cache: Optional[WindowedAggregateCache] = None,
-        allow_query_cache: bool = True,
+        store: WindowedAggregateCache,
         observer=None,
     ):
-        if db is None and (cache is None or not allow_query_cache):
-            raise SchedulingError(
-                "no monitoring source: pass a database, a window-max "
-                "store with allow_query_cache=True, or both"
-            )
-        if cache is not None and cache.window_seconds != window_seconds:
-            raise SchedulingError(
-                f"state cache window {cache.window_seconds}s does not "
-                f"match the query window {window_seconds}s"
-            )
         self.kubelets = list(kubelets)
-        self.db = db
-        self.window_seconds = window_seconds
-        self.cache = cache
-        #: When False, full scans bypass the InfluxQL fast path too —
-        #: a shared db may carry a cache attached by another owner, and
-        #: a caller that disabled caching must really measure the scan.
-        self.allow_query_cache = allow_query_cache
-        #: Each kubelet's pristine view and the key it was built from
-        #: (empty after a full-scan build, which proves nothing).
+        self.store = store
+        #: Each kubelet's pristine view and the key it was built from.
         self._node_views: Dict[Kubelet, Tuple[NodeKey, NodeView]] = {}
         #: The retained snapshot: the last build's pristine views in
         #: kubelet order.  Served again, as clones, while no key moved;
         #: every build replaces the list.
         self._last_views: Optional[List[NodeView]] = None
-        #: The keys of the retained snapshot's views, or ``None`` when
-        #: it came from a full scan.
+        #: The keys of the retained snapshot's views (``None`` before
+        #: the first build).
         self._last_keys: Optional[List[NodeKey]] = None
         #: What :meth:`state_unchanged` read, for :meth:`build_views`.
         self._inputs: Optional[_StoreInputs] = None
         #: Passes answered from the retained snapshot (observability).
         self.snapshots_reused = 0
-        #: Node views built (observability): one per moved key, and
-        #: every node on a full-scan pass.
+        #: Node views built (observability): one per moved key.
         self.nodes_rebuilt = 0
-        #: Malformed-row *observations*: a row missing its
-        #: ``nodename``/``pod_name`` tags is counted on every pass that
-        #: builds views while it stays inside the window, so this
-        #: tracks exposure, not distinct rows.
-        self.malformed_rows_skipped = 0
         #: The run's decision ledger / span recorder (null when the
         #: replay is unobserved); :meth:`build_views` records whether
         #: each pass rebuilt views or served the retained snapshot.
         self.ledger = observer.ledger if observer is not None else NULL_LEDGER
         self.spans = observer.spans if observer is not None else NULL_SPANS
-        self._epc_query = parse_query(
-            _PER_POD_QUERY.format(
-                measurement=MEASUREMENT_EPC, window=window_seconds
-            )
-        )
-        self._memory_query = parse_query(
-            _PER_POD_QUERY.format(
-                measurement=MEASUREMENT_MEMORY, window=window_seconds
-            )
-        )
-
-    def _measured_usage(self, now: float) -> Tuple[_ByNode, _ByNode]:
-        """Memory and EPC window maxima, each nested by node then pod,
-        from one full InfluxQL scan per measurement.
-
-        The rebuild of last resort, when no window-max store can answer
-        *now*.
-        """
-        # A store that exists here has just declined *now*; don't let
-        # execute_query's fast path ask it again (it would decline
-        # identically, double-counting the fallback).  Without a store
-        # of its own the service may use one another owner attached.
-        allow_fast_path = self.allow_query_cache and self.cache is None
-        maxima = []
-        skipped = 0
-        for query in (self._memory_query, self._epc_query):
-            by_node: _ByNode = {}
-            for row in execute_query(
-                query, self.db, now, allow_fast_path=allow_fast_path
-            ):
-                node, pod = row.get("nodename"), row.get("pod_name")
-                if node is None or pod is None:
-                    skipped += 1
-                    continue
-                by_node.setdefault(node, {})[pod] = row.get("usage", 0.0)
-            maxima.append(by_node)
-        self._count_malformed(skipped, now)
-        return maxima[0], maxima[1]
-
-    def _count_malformed(self, skipped: int, now: float) -> None:
-        """Count *skipped* untagged rows seen by a build at *now*."""
-        if not skipped:
-            return
-        # Malformed rows persist in the window across passes; warn on
-        # first sight only so the scheduling loop cannot flood the log,
-        # then keep the running count at debug level.
-        level = (
-            logging.WARNING
-            if self.malformed_rows_skipped == 0
-            else logging.DEBUG
-        )
-        self.malformed_rows_skipped += skipped
-        logger.log(
-            level,
-            "dropped %d monitoring row(s) missing nodename/pod_name "
-            "tags at t=%.1f (%d total)",
-            skipped, now, self.malformed_rows_skipped,
-        )
 
     # -- per-node builds ---------------------------------------------------
 
-    def _read_inputs(self, now: float) -> Optional[_StoreInputs]:
-        """Every kubelet's key at *now*, with the store's node states.
-
-        ``None`` means the store cannot prove anything at *now* — there
-        is none, it may not be queried, or it declined — and every node
-        must be rebuilt from a full scan.
-        """
-        cache = self.cache
-        if cache is None or not self.allow_query_cache:
-            return None
-        memory = cache.node_states(MEASUREMENT_MEMORY, now)
-        epc = cache.node_states(MEASUREMENT_EPC, now)
-        if memory is None or epc is None:
-            return None
+    def _read_inputs(self, now: float) -> _StoreInputs:
+        """Every kubelet's key at *now*, with the store's node states."""
+        store = self.store
+        memory = store.node_states(MEASUREMENT_MEMORY, now)
+        epc = store.node_states(MEASUREMENT_EPC, now)
         keys: List[NodeKey] = []
         for kubelet in self.kubelets:
             name = kubelet.node.name
@@ -450,7 +317,7 @@ class ClusterStateService:
         :meth:`repro.orchestrator.controller.Orchestrator._schedule`).
         """
         self._inputs = inputs = self._read_inputs(now)
-        return inputs is not None and inputs[0] == self._last_keys
+        return inputs[0] == self._last_keys
 
     @staticmethod
     def _clone_views(views: Sequence[NodeView]) -> List[NodeView]:
@@ -478,9 +345,8 @@ class ClusterStateService:
         :data:`NodeKey`) and rebuilt only when the key moved —
         Firmament's rule: re-solve from the changes since the last run.
         When no key moved (:meth:`state_unchanged`), the retained
-        snapshot itself is served again.  Without a store that can
-        answer *now*, every node is rebuilt from a full scan.  Callers
-        get fresh views to mutate either way.
+        snapshot itself is served again.  Callers get fresh views to
+        mutate either way.
         """
         ledger = self.ledger
         if self.state_unchanged(now):
@@ -493,17 +359,14 @@ class ClusterStateService:
             ledger.emit(now, "cache_rebuild", reused=False)
         spans = self.spans
         span_start = spans.begin()
-        inputs = self._inputs
-        if inputs is None:
-            views = self._build_from_scan(now)
-        else:
-            views = self._build_moved(now, *inputs)
+        assert self._inputs is not None
+        views = self._build_moved(*self._inputs)
         self._last_views = views
         spans.end(span_start, "view_rebuild", now)
         return self._clone_views(views)
 
     def _build_moved(
-        self, now: float, keys: List[NodeKey], memory: Dict, epc: Dict
+        self, keys: List[NodeKey], memory: Dict, epc: Dict
     ) -> List[NodeView]:
         """Views from the store, rebuilding the nodes whose key moved
         and keeping the rest; a removed kubelet's view is dropped."""
@@ -528,31 +391,6 @@ class ClusterStateService:
             views.append(entry[1])
         self._node_views = node_views
         self._last_keys = keys
-        if self.db is not None:
-            # Only writes into a database can lack tags; the collectors
-            # that feed a standalone store always name node and pod.
-            self._count_malformed(
-                _untagged_series(memory) + _untagged_series(epc), now
-            )
-        return views
-
-    def _build_from_scan(self, now: float) -> List[NodeView]:
-        """Every node's view from a full scan; proves nothing for the
-        next pass."""
-        memory, epc = self._measured_usage(now)
-        views = []
-        for kubelet in self.kubelets:
-            name = kubelet.node.name
-            views.append(
-                _node_view(
-                    kubelet,
-                    memory.get(name, _NO_ROWS),
-                    epc.get(name, _NO_ROWS),
-                )
-            )
-        self.nodes_rebuilt += len(views)
-        self._node_views = {}
-        self._last_keys = None
         return views
 
 

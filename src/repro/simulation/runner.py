@@ -228,7 +228,6 @@ class _Replay:
         self.orchestrator = Orchestrator(
             self.cluster,
             perf_model=self.perf,
-            use_state_cache=scenario.use_state_cache,
             requeue_backoff_seconds=scenario.requeue_backoff_seconds,
             preemption_policy=make_preemption_policy(scenario),
             preemption_priority_threshold=(

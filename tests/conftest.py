@@ -38,17 +38,8 @@ def orchestrator(cluster) -> Orchestrator:
 
 
 @pytest.fixture
-def raw_series_orchestrator(cluster) -> Orchestrator:
-    """A control plane on the paper's raw-series path: samples land in a
-    3600 s-retention TSDB instead of only the window-max store."""
-    return Orchestrator(
-        cluster, db=TimeSeriesDatabase(retention_seconds=3600.0)
-    )
-
-
-@pytest.fixture
 def db() -> TimeSeriesDatabase:
-    """An empty time-series database."""
+    """An empty time-series database (the reference store)."""
     return TimeSeriesDatabase()
 
 

@@ -20,6 +20,10 @@ conjunctive ``WHERE`` clauses with ``now() - <duration>`` arithmetic, and
 * :func:`execute_query` evaluates the AST against a
   :class:`~repro.monitoring.tsdb.TimeSeriesDatabase` at an explicit
   ``now`` timestamp (the simulator's clock, never the wall clock).
+
+It is the test oracle for the scheduler's monitoring input: the
+window-max store must report exactly the rows Listing 1's inner query
+returns from a full scan of the same samples (``view_reference.py``).
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..errors import QueryError
-from .tsdb import TimeSeriesDatabase
+from repro.errors import QueryError
+from repro.monitoring.tsdb import TimeSeriesDatabase
 
 
 class InfluxQLError(QueryError):
@@ -425,10 +429,9 @@ def _source_rows(
     db: TimeSeriesDatabase,
     now: float,
     time_hint: Optional[float],
-    allow_fast_path: bool,
 ) -> List[Row]:
     if isinstance(source, SelectQuery):
-        return _execute(source, db, now, allow_fast_path)
+        return _execute(source, db, now)
     start = time_hint  # pruned scan when WHERE gives a lower bound
     rows: List[Row] = []
     for point in db.scan(source, start=start, end=now):
@@ -489,88 +492,11 @@ def _finalize(query: SelectQuery, rows: List[Row]) -> List[Row]:
     return rows
 
 
-def _cache_fast_path(
-    query: SelectQuery, db: TimeSeriesDatabase, now: float
-) -> Optional[List[Row]]:
-    """Answer Listing 1's inner query shape from the aggregate cache.
-
-    The recognised shape is exactly the per-pod sliding-window maximum
-    the paper's scheduler issues every pass::
-
-        SELECT MAX(value) [AS alias] FROM <measurement>
-        WHERE value <> 0 AND time >= now() - <window>
-        GROUP BY pod_name, nodename
-
-    (conditions and group tags in either order), where ``<window>``
-    equals the attached cache's ``window_seconds``.  Returns ``None``
-    when the query does not match, no cache is attached, or the cache
-    declines (non-monotone ``now``) — the caller then runs the full
-    scan.  A returned row list is bit-for-bit what the full scan
-    produces, including group-discovery order and the ``time`` column.
-    """
-    cache = getattr(db, "aggregate_cache", None)
-    if cache is None or not isinstance(query.source, str):
-        return None
-    if len(query.items) != 1:
-        return None
-    item = query.items[0]
-    if item.aggregate != "MAX" or item.column != "value":
-        return None
-    if tuple(query.group_by) not in (
-        ("pod_name", "nodename"),
-        ("nodename", "pod_name"),
-    ):
-        return None
-    if len(query.conditions) != 2:
-        return None
-    nonzero = False
-    window: Optional[float] = None
-    for cond in query.conditions:
-        if (
-            cond.column == "value"
-            and cond.op in ("<>", "!=")
-            and isinstance(cond.literal, float)
-            and cond.literal == 0.0
-        ):
-            nonzero = True
-        elif (
-            cond.column == "time"
-            and cond.op == ">="
-            and isinstance(cond.literal, TimeExpr)
-        ):
-            window = -cond.literal.offset_seconds
-        else:
-            return None
-    if not nonzero or window is None or window != cache.window_seconds:
-        return None
-    aggregates = cache.snapshot(query.source, now)
-    if aggregates is None:
-        return None
-    name = item.output_name
-    rows: List[Row] = [
-        {
-            "pod_name": agg.pod_name,
-            "nodename": agg.nodename,
-            "time": agg.latest_time,
-            name: agg.max_value,
-        }
-        for agg in aggregates
-    ]
-    return _finalize(query, rows)
-
-
 def _execute(
-    query: SelectQuery,
-    db: TimeSeriesDatabase,
-    now: float,
-    allow_fast_path: bool = True,
+    query: SelectQuery, db: TimeSeriesDatabase, now: float
 ) -> List[Row]:
-    if allow_fast_path:
-        fast = _cache_fast_path(query, db, now)
-        if fast is not None:
-            return fast
     time_hint = _time_lower_bound(query.conditions, now)
-    rows = _source_rows(query.source, db, now, time_hint, allow_fast_path)
+    rows = _source_rows(query.source, db, now, time_hint)
     rows = [r for r in rows if _matches(r, query.conditions, now)]
 
     has_aggregates = any(item.aggregate for item in query.items)
@@ -635,28 +561,16 @@ def execute_query(
     query: Union[str, SelectQuery, ShowMeasurements],
     db: TimeSeriesDatabase,
     now: float,
-    allow_fast_path: bool = True,
 ) -> List[Row]:
     """Run *query* against *db* with the clock fixed at *now*.
 
     Returns a list of result rows (dicts mixing group tags and aggregated
     fields), in group-discovery order unless ``ORDER BY time`` applies.
     ``SHOW MEASUREMENTS`` returns one ``{"name": ...}`` row per
-    measurement.
-
-    When *db* has a :class:`~repro.monitoring.aggregate.
-    WindowedAggregateCache` attached and the query matches Listing 1's
-    inner shape (``SELECT MAX(value) ... WHERE value <> 0 AND time >=
-    now() - W GROUP BY pod_name, nodename`` with ``W`` equal to the
-    cache window), the result is answered from the cache in O(live
-    series) instead of scanning the window's points.  Any other query —
-    or a ``now`` the cache cannot serve — takes the full scan; both
-    paths return identical rows (see :func:`_cache_fast_path`).
-    ``allow_fast_path=False`` forces the full scan regardless, for
-    callers that must measure or validate the uncached path.
+    measurement.  Every query scans the stored points.
     """
     if isinstance(query, str):
         query = parse_query(query)
     if isinstance(query, ShowMeasurements):
         return [{"name": name} for name in db.measurements()]
-    return _execute(query, db, now, allow_fast_path)
+    return _execute(query, db, now)

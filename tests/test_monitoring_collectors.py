@@ -4,22 +4,19 @@ import pytest
 
 from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.heapster import MEASUREMENT_MEMORY, Heapster
-from repro.monitoring.probe import (
-    MEASUREMENT_EPC,
-    MEASUREMENT_EPC_NODE,
-    SgxMetricsProbe,
-)
+from repro.monitoring.probe import MEASUREMENT_EPC, SgxMetricsProbe
 from repro.sgx.driver import SgxDriver
 from repro.sgx.epc import EnclavePageCache
 from repro.units import mib, pages
 
 
 def window_maxima(store, measurement, now):
-    """``(nodename, pod_name, max)`` per live series, in scan order."""
-    return [
-        (row.nodename, row.pod_name, row.max_value)
-        for row in store.snapshot(measurement, now)
-    ]
+    """``(nodename, pod_name, max)`` per live series, sorted."""
+    return sorted(
+        (nodename, pod_name, value)
+        for nodename, node in store.node_states(measurement, now).items()
+        for pod_name, value in node.maxima().items()
+    )
 
 
 class StubSource:
@@ -62,7 +59,7 @@ class TestHeapster:
         assert heapster.collect(now=1.0) == 0
 
     def test_window_store_sink_keeps_only_maxima(self):
-        store = WindowedAggregateCache(None, window_seconds=25.0)
+        store = WindowedAggregateCache()
         heapster = Heapster(store)
         source = StubSource([("n1", "a", 5.0), ("n1", "b", 0.0)])
         heapster.register(source)
@@ -106,50 +103,20 @@ class TestSgxProbe:
         probe.collect(now=1.0)
         assert db.scan(MEASUREMENT_EPC) == []
 
-    def test_probe_reports_node_gauges(self, db, driver):
-        probe = SgxMetricsProbe(
-            node_name="sgx-0",
-            driver=driver,
-            sink=db,
-            pod_name_resolver=lambda path: None,
-        )
-        probe.collect(now=1.0)
-        gauges = {
-            p.tag("gauge"): p.value for p in db.scan(MEASUREMENT_EPC_NODE)
-        }
-        assert gauges == {"total": 23_936.0, "free": 23_936.0}
-
-    def test_gauges_track_allocations(self, db, driver):
-        driver.register_process(1, "/kubepods/burstable/podx")
-        driver.create_enclave(1, size_bytes=mib(8))
-        probe = SgxMetricsProbe(
-            node_name="sgx-0",
-            driver=driver,
-            sink=db,
-            pod_name_resolver=lambda path: "x",
-        )
-        probe.collect(now=1.0)
-        free = next(
-            p
-            for p in db.scan(MEASUREMENT_EPC_NODE)
-            if p.tag("gauge") == "free"
-        )
-        assert free.value == 23_936.0 - pages(mib(8))
-
     def test_window_store_sink_gets_pods_but_no_gauges(self, driver):
         driver.register_process(1, "/kubepods/burstable/podx")
         driver.create_enclave(1, size_bytes=mib(4))
-        store = WindowedAggregateCache(None, window_seconds=25.0)
+        store = WindowedAggregateCache()
         probe = SgxMetricsProbe(
             node_name="sgx-0",
             driver=driver,
             sink=store,
             pod_name_resolver=lambda path: "pod-x",
         )
-        # Samples taken: one pod plus the two node gauges, which only a
-        # raw-series database stores.
+        # Samples taken: one pod plus the two node gauges, which the
+        # probe reads from the driver but no sink stores.
         assert probe.collect(now=3.0) == 3
         assert window_maxima(store, MEASUREMENT_EPC, now=3.0) == [
             ("sgx-0", "pod-x", float(pages(mib(4))))
         ]
-        assert store.live_series(MEASUREMENT_EPC_NODE) == 0
+        assert list(store._measurements) == [MEASUREMENT_EPC]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.monitoring.influxql import (
+from influxql import (
     InfluxQLError,
     SelectQuery,
     TimeExpr,
@@ -130,6 +130,29 @@ class TestExecutor:
         by_node = {row["nodename"]: row["epc"] for row in rows}
         # node-1: max(pod-a)=120 + max(pod-b)=50; node-2: max(pod-c)=70
         assert by_node == {"node-1": 170.0, "node-2": 70.0}
+
+    def test_listing_1_under_a_probe_load(self, db):
+        """Two SGX nodes of 30 pods, each probed every 10 s for 600 s:
+        one row per node, summing its pods' window maxima."""
+        for node in ("sgx-worker-0", "sgx-worker-1"):
+            for pod in range(30):
+                for sample in range(60):
+                    db.write(
+                        "sgx/epc",
+                        value=float(100 + pod),
+                        time=sample * 10.0,
+                        tags={
+                            "pod_name": f"pod-{node}-{pod}",
+                            "nodename": node,
+                        },
+                    )
+        rows = execute_query(parse_query(LISTING_1), db, 600.0)
+        assert {row["nodename"] for row in rows} == {
+            "sgx-worker-0",
+            "sgx-worker-1",
+        }
+        for row in rows:
+            assert row["epc"] == sum(range(100, 130))
 
     def test_window_excludes_old_samples(self, populated):
         rows = execute_query(LISTING_1, populated, now=100.0)

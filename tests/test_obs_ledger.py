@@ -112,8 +112,8 @@ HEADER_CONFIG_KEYS = frozenset((
     "preserve_sgx_nodes", "priority_classes", "rebalance_period",
     "requeue_backoff_seconds", "scheduler", "scheduler_options",
     "scheduler_period", "seed", "sgx_fraction", "sgx_workers",
-    "standard_workers", "strict_fcfs", "use_measured", "use_state_cache",
-    "workload", "workload_options",
+    "standard_workers", "strict_fcfs", "use_measured", "workload",
+    "workload_options",
 ))
 
 

@@ -146,36 +146,39 @@ class TestLifecycle:
 
 class TestMetricsPath:
     def test_collect_metrics_feeds_probe_data(
-        self, raw_series_orchestrator, scheduler, sgx_pod_spec
+        self, orchestrator, scheduler, sgx_pod_spec
     ):
-        orchestrator = raw_series_orchestrator
         pod = orchestrator.submit(sgx_pod_spec, now=0.0)
         orchestrator.scheduling_pass(scheduler, now=1.0)
         orchestrator.start_pod(pod, now=1.5)
         written = orchestrator.collect_metrics(now=2.0)
         assert written > 0
-        point = orchestrator.db.latest(
-            MEASUREMENT_EPC, tags={"pod_name": pod.name}
+        nodes = orchestrator.aggregate_cache.node_states(
+            MEASUREMENT_EPC, now=2.0
         )
-        assert point is not None
-        assert point.value == pages(mib(10))
+        assert nodes[pod.node_name].maxima() == {
+            pod.name: float(pages(mib(10)))
+        }
 
     def test_default_sink_is_the_window_store(
         self, orchestrator, scheduler, sgx_pod_spec
     ):
-        assert orchestrator.db is None
+        store = orchestrator.aggregate_cache
+        assert orchestrator.heapster.sink is store
+        assert orchestrator.state_service.store is store
         pod = orchestrator.submit(sgx_pod_spec, now=0.0)
         orchestrator.scheduling_pass(scheduler, now=1.0)
         orchestrator.start_pod(pod, now=1.5)
         # Heapster: one pod's memory; each SGX probe: its pods plus the
-        # two node gauges (taken, though only a database stores them).
+        # two node gauges (read from the driver, stored nowhere).
         assert orchestrator.collect_metrics(now=2.0) == 1 + (1 + 2) + 2
-        (row,) = orchestrator.aggregate_cache.snapshot(
-            MEASUREMENT_EPC, now=2.0
-        )
-        assert (row.nodename, row.pod_name, row.max_value) == (
-            pod.node_name, pod.name, float(pages(mib(10)))
-        )
+        assert {
+            (name, pod_name, value)
+            for name, node in store.node_states(
+                MEASUREMENT_EPC, now=2.0
+            ).items()
+            for pod_name, value in node.maxima().items()
+        } == {(pod.node_name, pod.name, float(pages(mib(10))))}
 
     def test_measured_usage_informs_next_pass(self):
         # A pod declaring little but using much: after metrics arrive,

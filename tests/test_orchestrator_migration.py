@@ -65,19 +65,23 @@ class TestMigration:
         assert pod.phase is PodPhase.SUCCEEDED
         assert pod.turnaround_seconds == 700.0
 
-    def test_monitoring_follows_the_pod(self, raw_series_orchestrator):
+    def test_monitoring_follows_the_pod(self, orchestrator):
         from repro.monitoring.probe import MEASUREMENT_EPC
 
-        orchestrator = raw_series_orchestrator
         pod = running_sgx_pod(orchestrator)
+        source = pod.node_name
         target = other_sgx_node(pod)
+        orchestrator.collect_metrics(now=99.0)
         orchestrator.migrate_pod(pod, target, now=100.0)
         orchestrator.collect_metrics(now=101.0)
-        point = orchestrator.db.latest(
-            MEASUREMENT_EPC, tags={"pod_name": pod.name}
-        )
-        assert point is not None
-        assert point.tag("nodename") == target
+        store = orchestrator.aggregate_cache
+        nodes = store.node_states(MEASUREMENT_EPC, now=101.0)
+        assert pod.name in nodes[target].maxima()
+        # The source's last sample ages out of the window.
+        orchestrator.collect_metrics(now=130.0)
+        nodes = store.node_states(MEASUREMENT_EPC, now=130.0)
+        assert pod.name in nodes[target].maxima()
+        assert source not in nodes
 
     def test_limits_travel_with_the_pod(self, orchestrator):
         pod = running_sgx_pod(orchestrator)

@@ -8,7 +8,7 @@ from repro.errors import OrchestrationError
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import PROBE_DAEMONSET, Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
-from repro.units import mib
+from repro.units import mib, pages
 
 
 @pytest.fixture
@@ -58,18 +58,31 @@ class TestAddNode:
         assert any(p is late for p, _ in second.launched)
         assert late.node_name == "sgx-worker-9"
 
-    def test_new_node_feeds_metrics(self, raw_series_orchestrator):
-        orchestrator = raw_series_orchestrator
-        orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=0.0)
-        # Metrics collection polls the new node without error and its
-        # node gauges appear.
-        orchestrator.collect_metrics(now=1.0)
-        from repro.monitoring.probe import MEASUREMENT_EPC_NODE
+    def test_new_node_feeds_metrics(self):
+        from repro.monitoring.probe import MEASUREMENT_EPC
 
-        points = orchestrator.db.scan(MEASUREMENT_EPC_NODE)
-        assert any(
-            p.tag("nodename") == "sgx-worker-9" for p in points
+        orchestrator = Orchestrator(paper_cluster(sgx_workers=0))
+        assert orchestrator.collect_metrics(now=0.5) == 0
+        orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=0.5)
+        # Metrics collection polls the new node's probe: its two node
+        # gauges count as taken ...
+        assert orchestrator.collect_metrics(now=1.0) == 2
+        pod = orchestrator.submit(
+            make_pod_spec(
+                "late", duration_seconds=60.0, declared_epc_bytes=mib(8)
+            ),
+            now=1.0,
         )
+        orchestrator.scheduling_pass(BinpackScheduler(), now=2.0)
+        orchestrator.start_pod(pod, now=2.5)
+        # ... and its pods' samples reach the store.
+        orchestrator.collect_metrics(now=3.0)
+        nodes = orchestrator.aggregate_cache.node_states(
+            MEASUREMENT_EPC, now=3.0
+        )
+        assert nodes["sgx-worker-9"].maxima() == {
+            "late": float(pages(mib(8)))
+        }
 
 
 class TestLateJoinPolicyInheritance:

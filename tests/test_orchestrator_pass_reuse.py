@@ -270,14 +270,6 @@ class TestPassesReused:
         assert reused == calls["build_views"] - calls["schedule"]
         assert calls["build_views"] <= replay.passes_executed
 
-    def test_nothing_is_reused_without_the_window_max_store(
-        self, monkeypatch
-    ):
-        calls = self.count_calls(monkeypatch)
-        replay = run_replay(Scenario(**CONTENDED, use_state_cache=False))
-        assert replay.orchestrator.passes_reused == 0
-        assert calls["schedule"] == calls["build_views"] > 0
-
     def test_exported_as_a_counter(self, tmp_path):
         path = tmp_path / "run.prom"
         result, replay = run_with_replay(
@@ -309,7 +301,7 @@ def bursty_trace(trace_seed, n_jobs):
 def contended_scenario(
     trace_seed, seed, n_jobs, sgx_fraction, scheduler, strict_fcfs,
     use_measured, preserve_sgx_nodes, preempting, backoff, limits,
-    crash, rebalance, use_state_cache,
+    crash, rebalance,
 ):
     """One point of the hypothesis regime: a small backlogged replay."""
     knobs = dict(
@@ -325,7 +317,6 @@ def contended_scenario(
         sgx_workers=2,
         requeue_backoff_seconds=backoff,
         enforce_epc_limits=limits,
-        use_state_cache=use_state_cache,
     )
     if preempting:
         knobs.update(
@@ -357,7 +348,6 @@ REGIME = dict(
     limits=st.booleans(),
     crash=st.booleans(),
     rebalance=st.booleans(),
-    use_state_cache=st.booleans(),
 )
 
 
@@ -394,7 +384,6 @@ def test_the_regime_reuses_passes():
         trace_seed=7, seed=1, n_jobs=30, sgx_fraction=1.0,
         strict_fcfs=False, use_measured=True, preserve_sgx_nodes=True,
         backoff=0.0, limits=False, crash=False, rebalance=False,
-        use_state_cache=True,
     )
     for scheduler in ("binpack", "spread", "kube-default"):
         for preempting in (False, True):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring.influxql import execute_query, parse_query
+from influxql import execute_query, parse_query
 from repro.monitoring.tsdb import TimeSeriesDatabase
 
 sample_strategy = st.lists(

@@ -1,15 +1,18 @@
 """Cluster-state cache through the scheduler stack.
 
-Covers the acceptance properties of the incremental state cache:
-cached ``build_views`` equals the full-scan path, the default
-orchestrator keeps no raw series and serves every pass from the
-window-max store, replays are identical with and without the cache,
-the store's memory stays bounded by the window, malformed monitoring
-rows are skipped visibly, and ``load_after`` matches ``load`` without
-allocating hypothetical views.
+Covers the acceptance properties of the window-max store as the
+scheduler's only monitoring input: every ``build_views`` of whole
+replays and of a driven orchestrator equals a full Listing 1 scan
+(``tests/view_reference.py``), a replay never imports the raw-series
+database, the store's memory stays bounded by the window, and
+``load_after`` matches ``load`` without allocating hypothetical views.
 """
 
-import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,22 +23,16 @@ from repro.api import Scenario
 from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import paper_cluster
 from repro.constants import METRICS_WINDOW_SECONDS
-from repro.errors import SchedulingError
-from repro.monitoring.aggregate import WindowedAggregateCache
-from repro.monitoring.heapster import MEASUREMENT_MEMORY
-from repro.monitoring.probe import MEASUREMENT_EPC
-from repro.monitoring.tsdb import TimeSeriesDatabase
 from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
-from repro.scheduler.base import ClusterStateService, NodeView
+from repro.scheduler.base import NodeView
 from repro.scheduler.binpack import BinpackScheduler
 from repro.simulation.runner import run_replay
 from repro.units import gib, mib
+from view_reference import checking
 
-
-#: The replay engines whose results must not depend on the state cache:
-#: the default pass (which reuses provably unchanged passes) and the
-#: recomputing oracle.
+#: The replay engines checked against the reference: the default pass
+#: (which reuses provably unchanged passes) and the recomputing oracle.
 ENGINE_MODES = pytest.mark.parametrize(
     "engine", ["periodic", "recomputing"]
 )
@@ -46,15 +43,6 @@ def run_engine(scenario, engine):
     if engine == "recomputing":
         return run_recomputing(scenario)
     return scenario.run()
-
-
-def raw_series(**kwargs):
-    """An orchestrator on the paper's TSDB -> InfluxQL path."""
-    return Orchestrator(
-        paper_cluster(),
-        db=TimeSeriesDatabase(retention_seconds=3600.0),
-        **kwargs,
-    )
 
 
 def drive(orchestrator, n_pods=6, until=30.0):
@@ -82,151 +70,110 @@ def drive(orchestrator, n_pods=6, until=30.0):
     return now
 
 
+def checked_run(scenario, engine):
+    """*scenario* on *engine* with every view build compared with the
+    full Listing 1 scan; the result and the builds checked."""
+    with checking() as checked:
+        result = run_engine(scenario, engine)
+    return result, checked[0]
+
+
 class TestBuildViewsEquivalence:
     def test_cached_views_equal_full_scan_views(self):
-        orchestrator = raw_series()
-        now = drive(orchestrator)
-        service = orchestrator.state_service
-        cached = service.build_views(now)
-        # Disable both the service-level snapshot path and the InfluxQL
-        # fast path, forcing the original full window scan.
-        service.cache = None
-        orchestrator.db.aggregate_cache = None
-        full = service.build_views(now)
-        assert cached == full
-        assert any(view.used != ResourceVector.zero() for view in cached)
+        """A driven orchestrator: every build, including one after the
+        last pass, equals the full scan over the same samples."""
+        with checking() as checked:
+            orchestrator = Orchestrator(paper_cluster())
+            now = drive(orchestrator)
+            views = orchestrator.state_service.build_views(now)
+        assert checked[0] > 1
+        assert any(view.used != ResourceVector.zero() for view in views)
 
     def test_window_store_views_equal_raw_series_full_scan(self):
         """The default sink keeps no raw series, yet its views equal a
-        full Listing 1 scan over the same samples stored in a TSDB."""
-        default, raw = Orchestrator(paper_cluster()), raw_series()
-        now = drive(default)
-        assert drive(raw) == now
-        raw.state_service.cache = None
-        raw.db.aggregate_cache = None
-        stored = default.state_service.build_views(now)
-        assert stored == raw.state_service.build_views(now)
-        assert any(view.used != ResourceVector.zero() for view in stored)
+        full Listing 1 scan over the same samples stored in a TSDB,
+        also while half the pods finish and their samples age out of
+        the window."""
+        with checking() as checked:
+            orchestrator = Orchestrator(paper_cluster())
+            now = drive(orchestrator, n_pods=8)
+            service = orchestrator.state_service
+            measured = service.build_views(now)
+            running = [
+                pod for pod in orchestrator.all_pods if pod.node_name
+            ]
+            for pod in running[::2]:
+                if pod.started_at is None:
+                    orchestrator.start_pod(pod, now)
+                orchestrator.complete_pod(pod, now)
+            for _ in range(8):
+                now += 5.0
+                orchestrator.collect_metrics(now)
+                drained = service.build_views(now)
+        assert checked[0] > 8
+        assert measured != drained
+        assert any(view.used != ResourceVector.zero() for view in drained)
 
-    def test_cache_disabled_orchestrator_has_no_cache(self):
-        orchestrator = Orchestrator(paper_cluster(), use_state_cache=False)
-        assert orchestrator.aggregate_cache is None
-        assert orchestrator.state_service.cache is None
-        assert orchestrator.db.aggregate_cache is None
-
-    def test_service_without_a_monitoring_source_is_rejected(self):
-        with pytest.raises(SchedulingError, match="monitoring source"):
-            ClusterStateService([], None, window_seconds=25.0)
-        store = WindowedAggregateCache(None, window_seconds=25.0)
-        with pytest.raises(SchedulingError, match="monitoring source"):
-            ClusterStateService(
-                [], None, window_seconds=25.0, cache=store,
-                allow_query_cache=False,
-            )
-
-    def test_mismatched_cache_window_is_rejected(self):
-        db = TimeSeriesDatabase()
-        cache = WindowedAggregateCache(db, window_seconds=300.0)
-        with pytest.raises(SchedulingError, match="window"):
-            ClusterStateService([], db, window_seconds=25.0, cache=cache)
-
-    def test_shared_db_reuses_one_cache(self):
-        db = TimeSeriesDatabase(retention_seconds=3600.0)
-        first = Orchestrator(paper_cluster(), db=db)
-        second = Orchestrator(paper_cluster(), db=db)
-        assert second.aggregate_cache is first.aggregate_cache
-        assert len(db._subscribers) == 1
-
-    def test_shared_db_window_mismatch_detaches_older_cache(self):
-        db = TimeSeriesDatabase(retention_seconds=3600.0)
-        first = Orchestrator(paper_cluster(), db=db)
-        second = Orchestrator(
-            paper_cluster(), db=db, metrics_window_seconds=60.0
+    @ENGINE_MODES
+    def test_signature_replay_equals_the_reference(self, engine):
+        scenario = Scenario(
+            trace="borg-synth:seed=7,jobs=120,overallocators=12",
+            sgx_fraction=0.5,
+            seed=3,
         )
-        assert second.aggregate_cache is not first.aggregate_cache
-        assert len(db._subscribers) == 1  # old cache detached, not stacked
-        # The displaced orchestrator stays correct via the full scan.
-        drive(first, until=15.0)
-        service = first.state_service
-        cached_path = service.build_views(15.0)
-        service.cache = None
-        assert cached_path == service.build_views(15.0)
+        result, checked = checked_run(scenario, engine)
+        assert checked > 0
+        if engine == "recomputing":
+            assert result.signature() == scenario.run().signature()
 
     @ENGINE_MODES
-    def test_signature_identical_with_and_without_cache(self, engine):
-        """Window-max store (default) vs TSDB + full InfluxQL scans."""
-        signatures = [
-            run_engine(
-                Scenario(
-                    trace="borg-synth:seed=7,jobs=120,overallocators=12",
-                    sgx_fraction=0.5,
-                    seed=3,
-                    use_state_cache=use_cache,
-                ),
-                engine,
-            ).signature()
-            for use_cache in (True, False)
-        ]
-        assert signatures[0] == signatures[1]
-
-    @ENGINE_MODES
-    def test_contended_replay_identical_with_and_without_cache(
-        self, engine
-    ):
+    def test_contended_replay_equals_the_reference(self, engine):
         """A standing EPC backlog, so passes really read the window.
 
-        With the store, the default pass reuses the passes whose state
-        it proves unchanged; without it nothing is proven and every
-        pass recomputes.  The whole signature must match either way.
+        The default pass reuses the passes whose state the store proves
+        unchanged; the recomputing oracle reuses none.  Both read views
+        equal to the full scan, and their signatures match.
         """
-        cached, uncached = (
-            run_engine(
-                Scenario(
-                    trace="borg-synth:seed=42,jobs=60,window=5m",
-                    sgx_fraction=0.9,
-                    epc_total_bytes=mib(64),
-                    standard_workers=1,
-                    sgx_workers=1,
-                    seed=1,
-                    use_state_cache=use_cache,
-                ),
-                engine,
-            )
-            for use_cache in (True, False)
+        scenario = Scenario(
+            trace="borg-synth:seed=42,jobs=60,window=5m",
+            sgx_fraction=0.9,
+            epc_total_bytes=mib(64),
+            standard_workers=1,
+            sgx_workers=1,
+            seed=1,
         )
-        assert cached.signature() == uncached.signature()
+        result, checked = checked_run(scenario, engine)
+        assert checked > 0
+        if engine == "recomputing":
+            assert result.signature() == scenario.run().signature()
 
-    def test_replay_identical_with_and_without_cache(self, small_trace):
-        """End to end: the cache changes latency, never behaviour."""
-        results = {}
-        for use_cache in (True, False):
+    def test_replay_equals_the_reference(self, small_trace):
+        """End to end, through the live replay."""
+        with checking() as checked:
             outcome = run_replay(
                 Scenario(
                     trace=small_trace,
                     scheduler="binpack",
                     sgx_fraction=0.5,
                     seed=11,
-                    use_state_cache=use_cache,
                 )
             )
-            results[use_cache] = (
-                outcome.metrics.makespan_seconds,
-                sorted(
-                    (pod.name, pod.phase.value, pod.node_name)
-                    for pod in outcome.orchestrator.all_pods
-                ),
-                len(outcome.log),
-            )
-        assert results[True] == results[False]
+        assert checked[0] > 0
+        assert outcome.orchestrator.all_pods
 
 
 class TestZeroScanRegression:
-    def test_scheduling_pass_issues_no_window_scans(self):
-        """The default orchestrator has no TSDB to scan at all: every
-        pass is served by the window-max store, never a fallback."""
+    def test_scheduling_pass_issues_no_window_scans(self, monkeypatch):
+        """Every pass is served by the window-max store: nothing scans
+        a raw series."""
+        from repro.monitoring.tsdb import TimeSeriesDatabase
+
+        def scan(*args, **kwargs):
+            raise AssertionError("a pass scanned a raw series")
+
+        monkeypatch.setattr(TimeSeriesDatabase, "scan", scan)
         orchestrator = Orchestrator(paper_cluster())
-        assert orchestrator.db is None
-        assert orchestrator.state_service.db is None
+        assert not hasattr(orchestrator, "db")
         drive(orchestrator, until=20.0)
         orchestrator.submit(
             make_pod_spec(
@@ -236,45 +183,34 @@ class TestZeroScanRegression:
         )
         orchestrator.collect_metrics(20.0)
         orchestrator.scheduling_pass(BinpackScheduler(), now=20.0)
-        store = orchestrator.aggregate_cache
-        assert store.hits > 0
-        assert store.fallbacks == 0
-        assert store.rebuilds == 0
+        service = orchestrator.state_service
+        assert service.store is orchestrator.aggregate_cache
+        assert service.nodes_rebuilt > 0
 
-    def test_raw_series_pass_issues_no_window_scans(self):
-        orchestrator = raw_series()
-        drive(orchestrator, until=20.0)
-        scheduler = BinpackScheduler()
-        orchestrator.submit(
-            make_pod_spec(
-                "late", duration_seconds=60.0, declared_epc_bytes=mib(4)
-            ),
-            now=20.0,
+    def test_a_replay_never_imports_the_raw_series_database(self):
+        """The window-max store is the only sink: a replay, the
+        scenario API and the CLI leave ``repro.monitoring.tsdb``
+        unimported."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro.cli
+            from repro.api import Scenario
+            Scenario(
+                trace="borg-synth:seed=7,jobs=40", sgx_fraction=0.5, seed=3
+            ).run()
+            print("repro.monitoring.tsdb" in sys.modules)
+            """
         )
-        orchestrator.collect_metrics(20.0)
-        before = orchestrator.db.scan_count
-        orchestrator.scheduling_pass(scheduler, now=20.0)
-        assert orchestrator.db.scan_count == before
-
-    def test_full_scan_path_does_scan(self):
-        orchestrator = Orchestrator(paper_cluster(), use_state_cache=False)
-        drive(orchestrator, until=20.0)
-        before = orchestrator.db.scan_count
-        orchestrator.state_service.build_views(20.0)
-        assert orchestrator.db.scan_count > before
-
-    def test_disabled_cache_really_scans_on_a_shared_db(self):
-        """use_state_cache=False must bypass the InfluxQL fast path even
-        when another orchestrator attached a cache to the shared db."""
-        db = TimeSeriesDatabase(retention_seconds=3600.0)
-        cached = Orchestrator(paper_cluster(), db=db)
-        uncached = Orchestrator(paper_cluster(), db=db, use_state_cache=False)
-        drive(cached, until=10.0)
-        hits_before = cached.aggregate_cache.hits
-        scans_before = db.scan_count
-        uncached.state_service.build_views(10.0)
-        assert db.scan_count > scans_before
-        assert cached.aggregate_cache.hits == hits_before
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestBoundedMemory:
@@ -285,8 +221,9 @@ class TestBoundedMemory:
         Checked after every scheduling pass of a replay, including the
         passes that return early on an empty queue (they query
         nothing, so only trimming on ingest bounds the store there).
-        The max deques index those samples plus at most one expired
-        head each, which decides whether a later sample raises the max.
+        A max deque holds samples the window can still use plus at
+        most one expired head, which decides whether a later sample
+        raises the max.
         """
         scenario = Scenario(
             trace="borg-synth:seed=7,jobs=120,overallocators=12",
@@ -300,91 +237,18 @@ class TestBoundedMemory:
         def checked_pass(orchestrator, *args, **kwargs):
             result = original(orchestrator, *args, **kwargs)
             store = orchestrator.aggregate_cache
-            assert orchestrator.db is None
-            live = retained = 0
+            live = 0
             for state in store._measurements.values():
                 for node in state.nodes.values():
-                    for series in node.series.values():
-                        assert len(series.times) <= bound
-                        assert (
-                            len(series.maxdeque) <= len(series.times) + 1
-                        )
+                    for maxdeque in node.series.values():
+                        assert len(maxdeque) <= bound + 1
                         live += 1
-                        retained += len(series.times)
-            assert retained <= live * bound
             checked.append(live)
             return result
 
         monkeypatch.setattr(Orchestrator, "scheduling_pass", checked_pass)
         scenario.run()
         assert len(checked) > 100 and max(checked) > 0
-
-
-class TestMalformedRows:
-    def test_untagged_rows_are_skipped_and_counted(self, caplog):
-        db = TimeSeriesDatabase()
-        service = ClusterStateService([], db, window_seconds=25.0)
-        db.write(MEASUREMENT_MEMORY, value=100.0, time=1.0, tags={})
-        db.write(
-            MEASUREMENT_MEMORY,
-            value=200.0,
-            time=1.0,
-            tags={"pod_name": "p"},  # nodename missing
-        )
-        db.write(
-            MEASUREMENT_EPC,
-            value=50.0,
-            time=1.0,
-            tags={"nodename": "n"},  # pod_name missing
-        )
-        with caplog.at_level(logging.WARNING, logger="repro.scheduler.base"):
-            measured = service._measured_usage(now=2.0)
-        assert measured == ({}, {})
-        assert service.malformed_rows_skipped == 3
-        assert "missing nodename/pod_name" in caplog.text
-
-    def test_untagged_series_are_counted_by_store_builds(self, caplog):
-        """Through a write-through store no view reads an untagged
-        series either; each build that rebuilds from the store counts
-        them, and serving the retained snapshot counts nothing."""
-        db = TimeSeriesDatabase()
-        service = ClusterStateService(
-            [], db, window_seconds=25.0,
-            cache=WindowedAggregateCache(db, window_seconds=25.0),
-        )
-        db.write(MEASUREMENT_MEMORY, value=100.0, time=1.0, tags={})
-        db.write(
-            MEASUREMENT_MEMORY, value=200.0, time=1.0,
-            tags={"pod_name": "p"},
-        )
-        db.write(
-            MEASUREMENT_EPC, value=50.0, time=1.0, tags={"nodename": "n"}
-        )
-        db.write(
-            MEASUREMENT_EPC, value=60.0, time=1.0,
-            tags={"nodename": "n", "pod_name": "q"},
-        )
-        with caplog.at_level(logging.WARNING, logger="repro.scheduler.base"):
-            service.build_views(now=2.0)
-        assert service.malformed_rows_skipped == 3
-        assert "missing nodename/pod_name" in caplog.text
-        service.build_views(now=3.0)
-        assert service.snapshots_reused == 1
-        assert service.malformed_rows_skipped == 3
-        assert service.cache.fallbacks == 0
-
-    def test_well_tagged_rows_unaffected(self):
-        db = TimeSeriesDatabase()
-        service = ClusterStateService([], db, window_seconds=25.0)
-        db.write(
-            MEASUREMENT_MEMORY,
-            value=100.0,
-            time=1.0,
-            tags={"pod_name": "p", "nodename": "n"},
-        )
-        measured = service._measured_usage(now=2.0)
-        assert measured == ({"n": {"p": 100.0}}, {})
-        assert service.malformed_rows_skipped == 0
 
 
 _DIMS = st.integers(min_value=0, max_value=5000)

@@ -7,13 +7,10 @@ the views whose token moved.  Every build here is compared, field for
 field and in kubelet order, with ``tests/view_reference.py``, which
 rebuilds every view from a full Listing 1 scan: over replays that
 crash nodes, requeue, migrate and evict, and over orchestrators driven
-op by op through node churn, out-of-order and vacuum-cutting writes.
+op by op through node churn and short-lived maxima.
 """
 
 from __future__ import annotations
-
-import contextlib
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,33 +22,13 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.monitoring.heapster import MEASUREMENT_MEMORY
 from repro.monitoring.probe import MEASUREMENT_EPC
-from repro.monitoring.tsdb import TimeSeriesDatabase
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
 from repro.scheduler.spread import SpreadScheduler
-from repro.simulation import runner as runner_module
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib
 from view_reference import checking
-
-#: Shorter than Listing 1's 25 s window, so retention vacuums cut into
-#: the windows the scheduler reads.
-CUTTING_RETENTION = 20.0
-
-
-@contextlib.contextmanager
-def write_through(retention):
-    """Replays inside the block monitor through a database of
-    *retention* seconds, mirrored by a write-through store."""
-
-    def build(cluster, **kwargs):
-        db = TimeSeriesDatabase(retention_seconds=retention)
-        return Orchestrator(cluster, db=db, **kwargs)
-
-    with mock.patch.object(runner_module, "Orchestrator", build):
-        yield
-
 
 def replay_scenario(
     trace_seed, seed, n_jobs, sgx_fraction, scheduler, use_measured,
@@ -108,34 +85,26 @@ REPLAYS = dict(
 )
 
 
-def checked_replay(scenario, store):
+def checked_replay(scenario):
     """Replay *scenario* with every view build checked; returns the
     live replay and the number of builds checked."""
-    engine = (
-        write_through(CUTTING_RETENTION)
-        if store == "write-through"
-        else contextlib.nullcontext()
-    )
-    with checking() as checked, engine:
+    with checking() as checked:
         _, replay = run_with_replay(scenario)
     return replay, checked[0]
 
 
-@given(
-    store=st.sampled_from(["standalone", "write-through"]), **REPLAYS
-)
+@given(**REPLAYS)
 @settings(
     max_examples=100,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_replayed_builds_equal_the_reference(store, **knobs):
-    _, checked = checked_replay(replay_scenario(**knobs), store)
+def test_replayed_builds_equal_the_reference(**knobs):
+    _, checked = checked_replay(replay_scenario(**knobs))
     assert checked > 0
 
 
-@pytest.mark.parametrize("store", ["standalone", "write-through"])
-def test_the_replay_regime_exercises_every_input(store):
+def test_the_replay_regime_exercises_every_input():
     """Guard: the regime above really requeues, migrates, evicts and
     crashes a node, and rebuilds only some of the nodes per build."""
     knobs = dict(
@@ -148,7 +117,6 @@ def test_the_replay_regime_exercises_every_input(store):
             **knobs, preempting=False, limits=True, overcommit=False,
             rebalance=False,
         ),
-        store,
     )
     assert any(
         pod.phase is PodPhase.FAILED and "lost" in pod.failure_reason
@@ -159,7 +127,6 @@ def test_the_replay_regime_exercises_every_input(store):
             **knobs, preempting=True, limits=False, overcommit=True,
             rebalance=True,
         ),
-        store,
     )
     assert moving.migration_count > 0
     assert moving.eviction_count > 0
@@ -178,7 +145,6 @@ def test_requeues_happen_without_overcommit():
             backoff=0.0, limits=True, overcommit=False, crash=False,
             rebalance=False,
         ),
-        "standalone",
     )
     requeued = sum(
         1
@@ -204,8 +170,6 @@ _OPS = st.lists(
         st.tuples(st.just("remove"), st.integers(0, 5)),
         st.tuples(st.just("add"), st.sampled_from(_NAMES)),
         st.tuples(st.just("spike"), st.integers(0, 50)),
-        st.tuples(st.just("late_write"), st.integers(0, 50)),
-        st.tuples(st.just("vacuum")),
     ),
     max_size=40,
 )
@@ -217,21 +181,15 @@ def _new_node(name):
     return Node(NodeSpec.standard(name))
 
 
-@given(store=st.sampled_from(["standalone", "write-through"]), ops=_OPS)
+@given(ops=_OPS)
 @settings(
     max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_driven_builds_equal_the_reference(store, ops):
-    db = (
-        TimeSeriesDatabase(retention_seconds=CUTTING_RETENTION)
-        if store == "write-through"
-        else None
-    )
+def test_driven_builds_equal_the_reference(ops):
     orchestrator = Orchestrator(
-        paper_cluster(epc_total_bytes=mib(64), standard_workers=1),
-        db=db,
+        paper_cluster(epc_total_bytes=mib(64), standard_workers=1)
     )
     schedulers = [
         BinpackScheduler(),
@@ -303,39 +261,11 @@ def test_driven_builds_equal_the_reference(store, ops):
                         if pod.requires_sgx
                         else MEASUREMENT_MEMORY
                     )
-                    row = (pod.node_name, pod.name, 1e6 * (op[1] + 1))
-                    if db is None:
-                        orchestrator.aggregate_cache.ingest(
-                            measurement, now, [row]
-                        )
-                    else:
-                        db.ingest(measurement, now, [row])
-            elif kind == "late_write" and db is not None:
-                # Out of order for a live series: the store must go
-                # dirty and rebuild, or (below the vacuum floor) not
-                # trust its lazily recorded floor.
-                rows = [
-                    row
-                    for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC)
-                    for row in orchestrator.aggregate_cache.snapshot(
-                        measurement, now
-                    ) or []
-                ]
-                if rows:
-                    row = rows[op[1] % len(rows)]
-                    db.write(
-                        MEASUREMENT_EPC
-                        if row.pod_name.startswith("sgx")
-                        else MEASUREMENT_MEMORY,
-                        value=row.max_value + 1.0,
-                        time=row.latest_time - 1.0,
-                        tags={
-                            "nodename": row.nodename,
-                            "pod_name": row.pod_name,
-                        },
+                    orchestrator.aggregate_cache.ingest(
+                        measurement,
+                        now,
+                        [(pod.node_name, pod.name, 1e6 * (op[1] + 1))],
                     )
-            elif kind == "vacuum" and db is not None:
-                db.vacuum(now)
         # Let every sample taken so far age out of the window.
         for _ in range(3):
             orchestrator.state_service.build_views(now)

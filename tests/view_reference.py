@@ -6,9 +6,9 @@ reference builds every view from scratch, as the service did before:
 it runs Listing 1's inner query as a full InfluxQL scan over a
 database holding the samples, then folds each kubelet's admitted pods
 into one :class:`~repro.scheduler.base.NodeView`.  It reads nothing
-from the window-max store (no fast path, no node states), so it cannot
-share the store's mistakes; for a standalone store, :func:`checking`
-feeds a shadow database the same collector batches.
+from the window-max store, so it cannot share the store's mistakes:
+:func:`checking` feeds a shadow database every collector batch the
+store ingests.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import contextlib
 from typing import Dict, Iterator, List, Tuple
 from unittest import mock
 
+from influxql import execute_query, parse_query
 from repro.cluster.resources import ResourceVector
+from repro.constants import METRICS_WINDOW_SECONDS
 from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.heapster import MEASUREMENT_MEMORY
-from repro.monitoring.influxql import execute_query, parse_query
 from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.monitoring.tsdb import TimeSeriesDatabase
 from repro.scheduler.base import ClusterStateService, NodeView
@@ -33,7 +34,7 @@ _PER_POD_QUERY = (
 
 
 def measured_usage(
-    db: TimeSeriesDatabase, now: float, window: float
+    db: TimeSeriesDatabase, now: float
 ) -> Dict[str, Dict[str, Tuple[int, int]]]:
     """Measured ``(memory_bytes, epc_pages)`` nested by node, pod.
 
@@ -43,9 +44,11 @@ def measured_usage(
     measured: Dict[str, Dict[str, Tuple[int, int]]] = {}
     for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC):
         query = parse_query(
-            _PER_POD_QUERY.format(measurement=measurement, window=window)
+            _PER_POD_QUERY.format(
+                measurement=measurement, window=METRICS_WINDOW_SECONDS
+            )
         )
-        for row in execute_query(query, db, now, allow_fast_path=False):
+        for row in execute_query(query, db, now):
             node, pod = row.get("nodename"), row.get("pod_name")
             if node is None or pod is None:
                 continue
@@ -59,7 +62,7 @@ def measured_usage(
 
 
 def reference_views(
-    kubelets, db: TimeSeriesDatabase, now: float, window: float
+    kubelets, db: TimeSeriesDatabase, now: float
 ) -> List[NodeView]:
     """One view per kubelet, in order, built from scratch.
 
@@ -67,7 +70,7 @@ def reference_views(
     a sample for it and its declared requests otherwise (CPU is never
     measured); committed is the sum of the declared requests.
     """
-    measured = measured_usage(db, now, window)
+    measured = measured_usage(db, now)
     views = []
     for kubelet in kubelets:
         node = kubelet.node
@@ -102,10 +105,9 @@ def checking() -> Iterator[List[int]]:
     """Inside the block, every ``build_views`` result must equal
     :func:`reference_views`, field for field and in kubelet order.
 
-    A service over a database is checked against a full scan of that
-    database; a standalone store against a shadow database that
-    receives every batch the store ingests.  Yields a one-item list
-    counting the builds checked.
+    The full scan reads a shadow database that receives every batch
+    the service's store ingests.  Yields a one-item list counting the
+    builds checked.
     """
     shadows: Dict[WindowedAggregateCache, TimeSeriesDatabase] = {}
     ingest = WindowedAggregateCache.ingest
@@ -123,14 +125,10 @@ def checking() -> Iterator[List[int]]:
 
     def checked_build_views(service, now):
         views = build_views(service, now)
-        db = service.db
-        if db is None:
-            db = shadows.get(service.cache)
-            if db is None:  # nothing ingested yet
-                db = TimeSeriesDatabase()
-        expected = reference_views(
-            service.kubelets, db, now, service.window_seconds
-        )
+        db = shadows.get(service.store)
+        if db is None:  # nothing ingested yet
+            db = TimeSeriesDatabase()
+        expected = reference_views(service.kubelets, db, now)
         assert views == expected, f"views differ at t={now}"
         checked[0] += 1
         return views
