@@ -12,9 +12,16 @@ regenerating it.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import default_trace
+
+# The InfluxQL engine is the monitoring test oracle and lives in tests/;
+# the Listing 1 bench imports it from there.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def pytest_addoption(parser):

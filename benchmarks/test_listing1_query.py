@@ -1,13 +1,13 @@
-"""Listing 1 bench: the scheduler's sliding-window InfluxQL query.
+"""Listing 1 bench: parsing the paper's sliding-window InfluxQL query.
 
-Measures the hot-path query of the paper's Listing 1 against a TSDB
-populated with a realistic probe load (two SGX nodes, dozens of pods,
-25 s window).  This is a true throughput benchmark (many rounds), unlike
-the figure benches which replay once.
+Times the InfluxQL parser on Listing 1 over many rounds.  The engine is
+the monitoring test oracle (``tests/influxql.py``); no replay runs it,
+since the window-max store answers the scheduler's query.  Executing
+Listing 1 against a probe load is checked by
+``tests/test_monitoring_influxql.py``.
 """
 
-from repro.monitoring.influxql import execute_query, parse_query
-from repro.monitoring.tsdb import TimeSeriesDatabase
+from influxql import parse_query
 
 LISTING_1 = (
     "SELECT SUM(epc) AS epc FROM "
@@ -17,36 +17,6 @@ LISTING_1 = (
 )
 
 
-def make_db(pods_per_node=30, samples_per_pod=60) -> TimeSeriesDatabase:
-    db = TimeSeriesDatabase()
-    for node in ("sgx-worker-0", "sgx-worker-1"):
-        for pod in range(pods_per_node):
-            for sample in range(samples_per_pod):
-                db.write(
-                    "sgx/epc",
-                    value=float(100 + pod),
-                    time=sample * 10.0,
-                    tags={
-                        "pod_name": f"pod-{node}-{pod}",
-                        "nodename": node,
-                    },
-                )
-    return db
-
-
 def test_listing1_parse(benchmark):
     query = benchmark(parse_query, LISTING_1)
     assert query.group_by == ("nodename",)
-
-
-def test_listing1_execute(benchmark):
-    db = make_db()
-    parsed = parse_query(LISTING_1)
-    rows = benchmark(execute_query, parsed, db, 600.0)
-    assert {row["nodename"] for row in rows} == {
-        "sgx-worker-0",
-        "sgx-worker-1",
-    }
-    # Each node sums its 30 pods' per-pod maxima.
-    for row in rows:
-        assert row["epc"] == sum(range(100, 130))
