@@ -1,6 +1,6 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one table/figure of the paper and prints the
+Every figure bench regenerates one table/figure of the paper and prints the
 same rows/series the paper reports (run pytest with ``-s`` to see them;
 they are also attached to the pytest-benchmark ``extra_info``).
 
@@ -22,16 +22,6 @@ from repro.experiments.common import default_trace
 # The InfluxQL engine is the monitoring test oracle and lives in tests/;
 # the Listing 1 bench imports it from there.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full-figures",
-        action="store_true",
-        default=False,
-        help="run figure benches on the full 663-job workload "
-        "(default: also full; kept for symmetry with future scaling)",
-    )
 
 
 @pytest.fixture(scope="session")

@@ -62,7 +62,7 @@ from .trace.borg import BorgTraceGenerator, synthetic_scaled_trace
 from .trace.loader import load_borg_csv
 from .workload.malicious import MaliciousConfig
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 # The scenario layer sits on top of everything above; importing it
 # after the core packages keeps the orchestrator <-> scheduler import

@@ -52,7 +52,7 @@ class CheckConfig:
         "orchestrator/pod.py",
         "scheduler/base.py",
         "scheduler/binpack.py",
-        "monitoring/tsdb.py",
+        "monitoring/aggregate.py",
         "monitoring/probe.py",
         "monitoring/heapster.py",
         "obs/ledger.py",

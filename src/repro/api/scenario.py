@@ -412,7 +412,6 @@ class Scenario:
             metrics=replay.metrics,
             passes_executed=replay.passes_executed,
             migration_count=replay.migration_count,
-            events_published=replay.orchestrator.trigger.events_published,
             preemption_count=replay.preemption_count,
             eviction_count=replay.eviction_count,
             wait_reasons=replay.wait_reasons,
@@ -438,7 +437,6 @@ class RunResult:
     metrics: ReplayMetrics
     passes_executed: int = 0
     migration_count: int = 0
-    events_published: int = 0
     #: Pods placed by evicting victims (0 under the ``none`` policy).
     preemption_count: int = 0
     #: Victims evicted (killed and resubmitted) for those placements.

@@ -151,6 +151,8 @@ class WindowedAggregateCache:
     (:data:`~repro.constants.METRICS_WINDOW_SECONDS`), fed by
     :meth:`ingest`."""
 
+    __slots__ = ("_measurements", "content_version")
+
     def __init__(self) -> None:
         self._measurements: Dict[str, _MeasurementState] = {}
         #: Bumped at every reported-row change of any node (see

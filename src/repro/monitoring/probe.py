@@ -57,8 +57,8 @@ class SgxMetricsProbe:
         self.pod_name_resolver = pod_name_resolver
 
     def collect(self, now: float) -> int:
-        """Take one measurement pass; returns the samples taken: one
-        per resolved pod plus the two node gauges."""
+        """Take one measurement pass; returns the samples taken, one
+        per resolved pod."""
         snapshot = self.driver.snapshot()
         node_name = self.node_name
         resolve = self.pod_name_resolver
@@ -68,4 +68,4 @@ class SgxMetricsProbe:
             if pod_name is not None:
                 rows.append((node_name, pod_name, float(pages)))
         self.sink.ingest(MEASUREMENT_EPC, now, rows)
-        return len(rows) + 2
+        return len(rows)

@@ -32,7 +32,7 @@ idiom::
 
 :data:`NULL_LEDGER` answers ``enabled`` with a plain ``False`` class
 attribute, so a disabled replay pays one attribute read per site and
-never builds the keyword dict — the ``BENCH_wall.json`` numbers hold.
+never builds the keyword dict.
 """
 
 from __future__ import annotations
@@ -95,7 +95,10 @@ LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     #: by 2.x (sharded scheduling) carry it; kept so they stay
     #: readable.
     "spillover": ("pod", "from_cell", "to_cell", "cause"),
-    #: A cluster event was published into the scheduling trigger.
+    #: A cluster transition that could make a scheduling pass useful
+    #: (``event`` is ``pod-submitted``, ``pod-requeued``,
+    #: ``pod-completed``, ``pod-killed``, ``node-added``,
+    #: ``node-removed`` or ``capacity-freed``).
     "trigger": ("event", "pod", "node"),
     #: The state service served node views (rebuilt or reused).
     "cache_rebuild": ("reused",),

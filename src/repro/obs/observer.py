@@ -2,8 +2,8 @@
 
 A :class:`RunObserver` groups the three exporters — decision ledger,
 span recorder, metrics registry — behind one object the replay hands
-to the orchestrator, state service, trigger, schedulers, preemption
-policy and rebalancer.  Each component keeps only the piece it emits
+to the orchestrator, state service, schedulers, preemption policy
+and rebalancer.  Each component keeps only the piece it emits
 to and guards every emission on that piece's ``enabled`` flag.
 
 An unobserved replay carries :data:`NULL_OBSERVER` instead: a single

@@ -7,10 +7,9 @@ agents that admit pods, set up cgroups and relay EPC limits to the driver
 (:mod:`repro.orchestrator.kubelet`), the SGX device plugin advertising
 each EPC page as a resource item (:mod:`repro.orchestrator.device_plugin`)
 over a gRPC-like channel (:mod:`repro.orchestrator.rpc`), DaemonSets that
-keep one probe per SGX node (:mod:`repro.orchestrator.daemonset`), the
-hub that counts and records cluster transitions
-(:mod:`repro.orchestrator.triggers`) and the orchestrator facade tying
-everything together (:mod:`repro.orchestrator.controller`).
+keep one probe per SGX node (:mod:`repro.orchestrator.daemonset`) and
+the orchestrator facade tying everything together
+(:mod:`repro.orchestrator.controller`).
 """
 
 from .api import (
@@ -27,10 +26,8 @@ from .kubelet import Kubelet
 from .pod import Pod
 from .queue import PendingQueue
 from .rpc import RpcChannel, RpcServer
-from .triggers import ClusterEvent, SchedulingTrigger
 
 __all__ = [
-    "ClusterEvent",
     "DaemonSet",
     "DaemonSetController",
     "DevicePluginRegistry",
@@ -44,7 +41,6 @@ __all__ = [
     "RpcChannel",
     "RpcServer",
     "SGX_EPC_RESOURCE",
-    "SchedulingTrigger",
     "SgxDevicePlugin",
     "WorkloadProfile",
 ]

@@ -52,7 +52,6 @@ from .kubelet import Kubelet
 from .pod import Pod
 from .queue import PendingQueue
 from .rpc import RpcChannel
-from .triggers import ClusterEvent, SchedulingTrigger
 
 #: Name of the DaemonSet that keeps one SGX probe per SGX node.
 PROBE_DAEMONSET = "sgx-metrics-probe"
@@ -114,8 +113,12 @@ class Orchestrator:
         self.cluster = cluster
         #: The run's observer bundle (null when the replay is
         #: unobserved); the ledger and span recorder are threaded into
-        #: the state service, trigger hub, schedulers and preemption
-        #: policy from here.
+        #: the state service, schedulers and preemption policy from
+        #: here.  Every cluster transition that could make a scheduling
+        #: pass useful (pod submitted, requeued, completed or killed,
+        #: node added or removed, capacity freed by a migration) is a
+        #: ``trigger`` ledger record; ``repro explain`` reads a pod's
+        #: submission and end from them.
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.ledger = self.observer.ledger
         self.spans = self.observer.spans
@@ -171,11 +174,6 @@ class Orchestrator:
         #: Numbers this orchestrator's pods (see :attr:`Pod.uid`).
         self._pod_numbers = itertools.count(1)
         self.migrations = MigrationManager()
-        #: Every cluster transition that could make a scheduling pass
-        #: useful is published here and recorded as a ``trigger``
-        #: ledger record.
-        self.trigger = SchedulingTrigger()
-        self.trigger.ledger = self.ledger
         #: The last pass's all-deferred outcome and what it was computed
         #: from (see :meth:`_schedule`); ``None`` when that pass placed
         #: or rejected a pod.
@@ -218,9 +216,11 @@ class Orchestrator:
         self.heapster.register(kubelet)
         self.daemonsets.reconcile(self.kubelets.values())
         self.state_service.kubelets.append(kubelet)
-        self.trigger.publish(
-            ClusterEvent.NODE_ADDED, now, node_name=node.name
-        )
+        ledger = self.ledger
+        if ledger.enabled:
+            ledger.emit(
+                now, "trigger", event="node-added", pod=None, node=node.name
+            )
         return kubelet
 
     def remove_node(self, node_name: str, now: float) -> List[Pod]:
@@ -248,9 +248,11 @@ class Orchestrator:
             k for k in self.state_service.kubelets if k is not kubelet
         ]
         self.daemonsets.reconcile(self.kubelets.values())
-        self.trigger.publish(
-            ClusterEvent.NODE_REMOVED, now, node_name=node_name
-        )
+        ledger = self.ledger
+        if ledger.enabled:
+            ledger.emit(
+                now, "trigger", event="node-removed", pod=None, node=node_name
+            )
         return requeued
 
     # -- submission --------------------------------------------------------
@@ -276,9 +278,11 @@ class Orchestrator:
         )
         self.queue.push(pod)
         self.all_pods.append(pod)
-        self.trigger.publish(
-            ClusterEvent.POD_SUBMITTED, now, pod_name=pod.name
-        )
+        ledger = self.ledger
+        if ledger.enabled:
+            ledger.emit(
+                now, "trigger", event="pod-submitted", pod=pod.name, node=None
+            )
         return pod
 
     # -- monitoring --------------------------------------------------------
@@ -475,9 +479,10 @@ class Orchestrator:
             result.requeued.append(pod)
             if ledger.enabled:
                 ledger.emit(now, "requeue", pod=pod.name, ready_at=ready_at)
-            self.trigger.publish(
-                ClusterEvent.POD_REQUEUED, now, pod_name=pod.name
-            )
+                ledger.emit(
+                    now, "trigger",
+                    event="pod-requeued", pod=pod.name, node=None,
+                )
             return
         reason = admission.failure_reason or "killed"
         pod.mark_failed(now, reason)
@@ -672,12 +677,12 @@ class Orchestrator:
         kubelet = self._kubelet_of(pod)
         kubelet.terminate(pod)
         pod.mark_succeeded(now)
-        self.trigger.publish(
-            ClusterEvent.POD_COMPLETED,
-            now,
-            pod_name=pod.name,
-            node_name=pod.node_name,
-        )
+        ledger = self.ledger
+        if ledger.enabled:
+            ledger.emit(
+                now, "trigger",
+                event="pod-completed", pod=pod.name, node=pod.node_name,
+            )
 
     def migrate_pod(
         self, pod: Pod, target_node_name: str, now: float
@@ -718,12 +723,12 @@ class Orchestrator:
         source.finish_migration_out(pod)
         # The source's EPC pages are free from here on, whatever the
         # restore outcome: deferred pods may now fit there.
-        self.trigger.publish(
-            ClusterEvent.CAPACITY_FREED,
-            now,
-            pod_name=pod.name,
-            node_name=source_node_name,
-        )
+        ledger = self.ledger
+        if ledger.enabled:
+            ledger.emit(
+                now, "trigger",
+                event="capacity-freed", pod=pod.name, node=source_node_name,
+            )
 
         def restore(new_pid, target_aesm):
             # The key binds to the probe's platform id; rebind the
@@ -755,12 +760,12 @@ class Orchestrator:
         if pod.node_name is not None:
             self._kubelet_of(pod).terminate(pod)
         pod.mark_failed(now, reason)
-        self.trigger.publish(
-            ClusterEvent.POD_KILLED,
-            now,
-            pod_name=pod.name,
-            node_name=pod.node_name,
-        )
+        ledger = self.ledger
+        if ledger.enabled:
+            ledger.emit(
+                now, "trigger",
+                event="pod-killed", pod=pod.name, node=pod.node_name,
+            )
 
     def _kubelet_of(self, pod: Pod) -> Kubelet:
         if pod.node_name is None:

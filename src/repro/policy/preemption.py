@@ -12,7 +12,7 @@ no eviction set helps.
 
 Planners only plan.  Execution (killing victims through the kubelet
 kill path, resubmitting their specs with the original ``submitted_at``
-so FCFS holds within each tier, publishing trigger events) lives in
+so FCFS holds within each tier, recording trigger events) lives in
 :meth:`repro.orchestrator.controller.Orchestrator.scheduling_pass`.
 
 Three planners ship:

@@ -22,7 +22,7 @@ from .base import (
     SchedulingOutcome,
 )
 from .binpack import BinpackScheduler
-from .filtering import FilterReason, feasible_candidates, feasible_nodes
+from .filtering import feasible_candidates
 from .kube_default import KubeDefaultScheduler
 from .spread import SpreadScheduler
 
@@ -30,12 +30,10 @@ __all__ = [
     "Assignment",
     "BinpackScheduler",
     "ClusterStateService",
-    "FilterReason",
     "KubeDefaultScheduler",
     "NodeView",
     "Scheduler",
     "SchedulingOutcome",
     "SpreadScheduler",
     "feasible_candidates",
-    "feasible_nodes",
 ]

@@ -8,8 +8,7 @@ the job requests would saturate a node."
 
 from __future__ import annotations
 
-import enum
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 from ..orchestrator.pod import Pod
 
@@ -17,48 +16,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .base import NodeView
 
 
-class FilterReason(enum.Enum):
-    """Why a node was rejected for a pod."""
-
-    HARDWARE_INCOMPATIBLE = "sgx job on a non-sgx node"
-    WOULD_SATURATE = "requests exceed available resources"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-def feasible_nodes(
-    pod: Pod, views: Sequence["NodeView"]
-) -> Tuple[List["NodeView"], Dict[str, FilterReason]]:
-    """Split *views* into feasible candidates and rejections for *pod*.
-
-    Returns the candidates (in input order) and a map of node name to
-    rejection reason for the rest.  Callers that only need the
-    candidates should use :func:`feasible_candidates`, which skips the
-    per-node rejection bookkeeping.
-    """
-    requests = pod.spec.resources.requests
-    candidates: List["NodeView"] = []
-    rejections: Dict[str, FilterReason] = {}
-    for view in views:
-        if pod.requires_sgx and not view.sgx_capable:
-            rejections[view.name] = FilterReason.HARDWARE_INCOMPATIBLE
-            continue
-        if not requests.fits_within(view.available):
-            rejections[view.name] = FilterReason.WOULD_SATURATE
-            continue
-        candidates.append(view)
-    return candidates, rejections
-
-
 def feasible_candidates(
     pod: Pod, views: Sequence["NodeView"]
 ) -> List["NodeView"]:
-    """The feasible candidates of :func:`feasible_nodes`, and only them.
+    """The views that can host *pod* now, in input order.
 
-    Identical membership and order, without building the rejection map
-    the scheduling pass immediately discards — the diagnostic variant
-    exists for API users who want to explain a deferral.
+    A view is filtered out when the pod needs SGX and the node has
+    none (hardware incompatibility), or when any request exceeds the
+    node's capacity minus its used resources (the request would
+    saturate the node).  Why a pod that fits nowhere waits is
+    :func:`~repro.scheduler.base.classify_wait`'s answer, which the
+    ledger's ``deferral`` record carries.
     """
     requests = pod.spec.resources.requests
     needs_sgx = pod.requires_sgx

@@ -5,8 +5,7 @@ same scaled Borg trace the paper replays, split into a small
 *latency-critical* tenant and a bulk *best-effort* tenant.  Without a
 preemption policy the high tier queues behind whatever the batch tier
 already committed to the nodes; with one (e.g. ``cheapest-victims``)
-its pods evict the cheapest burstable victims and start immediately —
-the ``BENCH_preemption.json`` sweep quantifies the waiting-time gap.
+its pods evict the cheapest burstable victims and start immediately.
 
 Tier mechanics:
 

@@ -113,9 +113,10 @@ class TestSgxProbe:
             sink=store,
             pod_name_resolver=lambda path: "pod-x",
         )
-        # Samples taken: one pod plus the two node gauges, which the
-        # probe reads from the driver but no sink stores.
-        assert probe.collect(now=3.0) == 3
+        # Samples taken: the one pod.  The probe reads the driver's two
+        # node gauges too, but no sink stores them, so they are not
+        # samples.
+        assert probe.collect(now=3.0) == 1
         assert window_maxima(store, MEASUREMENT_EPC, now=3.0) == [
             ("sgx-0", "pod-x", float(pages(mib(4))))
         ]

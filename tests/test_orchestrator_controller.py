@@ -169,9 +169,10 @@ class TestMetricsPath:
         pod = orchestrator.submit(sgx_pod_spec, now=0.0)
         orchestrator.scheduling_pass(scheduler, now=1.0)
         orchestrator.start_pod(pod, now=1.5)
-        # Heapster: one pod's memory; each SGX probe: its pods plus the
-        # two node gauges (read from the driver, stored nowhere).
-        assert orchestrator.collect_metrics(now=2.0) == 1 + (1 + 2) + 2
+        # Heapster: one pod's memory; the SGX probes: that pod's EPC
+        # (the driver's node gauges are read but stored nowhere, so
+        # they are not samples).
+        assert orchestrator.collect_metrics(now=2.0) == 1 + 1
         assert {
             (name, pod_name, value)
             for name, node in store.node_states(

@@ -64,9 +64,9 @@ class TestAddNode:
         orchestrator = Orchestrator(paper_cluster(sgx_workers=0))
         assert orchestrator.collect_metrics(now=0.5) == 0
         orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=0.5)
-        # Metrics collection polls the new node's probe: its two node
-        # gauges count as taken ...
-        assert orchestrator.collect_metrics(now=1.0) == 2
+        # The new node runs no pod yet, so its probe takes no sample
+        # ...
+        assert orchestrator.collect_metrics(now=1.0) == 0
         pod = orchestrator.submit(
             make_pod_spec(
                 "late", duration_seconds=60.0, declared_epc_bytes=mib(8)

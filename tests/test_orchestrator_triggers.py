@@ -1,9 +1,8 @@
-"""SchedulingTrigger: every cluster transition is counted and recorded.
+"""Trigger records: every cluster transition is in the ledger.
 
-The orchestrator publishes each transition that could make a
-scheduling pass useful; on an observed run each one becomes a
-``trigger`` ledger record (``repro explain`` reads a pod's submission
-and end from them).
+On an observed run the orchestrator records each transition that
+could make a scheduling pass useful as a ``trigger`` ledger record
+(``repro explain`` reads a pod's submission and end from them).
 """
 
 from pass_reuse_reference import RecordingObserver
@@ -11,7 +10,6 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
-from repro.orchestrator.triggers import ClusterEvent, SchedulingTrigger
 from repro.scheduler.binpack import BinpackScheduler
 from repro.units import mib
 from scheduling_reference import RecordingLedger
@@ -26,23 +24,8 @@ def triggers(ledger):
     ]
 
 
-class TestPublishSubscribe:
-    """``publish`` counts and records; listeners are gone since 4.0.0."""
-
-    def test_counters(self):
-        trigger = SchedulingTrigger()
-        trigger.ledger = RecordingLedger()
-        trigger.publish(ClusterEvent.POD_SUBMITTED, 1.0)
-        trigger.publish(ClusterEvent.POD_SUBMITTED, 1.5)
-        assert trigger.events_published == 2
-        assert triggers(trigger.ledger) == [
-            (1.0, "pod-submitted", None, None),
-            (1.5, "pod-submitted", None, None),
-        ]
-
-
 class TestOrchestratorPublishes:
-    """The controller publishes each lifecycle transition."""
+    """The controller records each lifecycle transition."""
 
     def events(self, orchestrator):
         return [event for _, event, _, _ in triggers(orchestrator.ledger)]
@@ -74,7 +57,6 @@ class TestOrchestratorPublishes:
         assert self.events(orchestrator)[-2:] == [
             "pod-submitted", "pod-killed",
         ]
-        assert orchestrator.trigger.events_published == 4
 
     def test_node_add_remove(self):
         orchestrator = Orchestrator(
@@ -86,6 +68,26 @@ class TestOrchestratorPublishes:
             (5.0, "node-added", None, "sgx-worker-9"),
             (6.0, "node-removed", None, "sgx-worker-9"),
         ]
+
+    def test_migration_frees_capacity_on_the_source(self):
+        orchestrator = Orchestrator(
+            paper_cluster(), observer=RecordingObserver()
+        )
+        pod = orchestrator.submit(
+            make_pod_spec("svc", duration_seconds=600.0,
+                          declared_epc_bytes=mib(20)),
+            now=0.0,
+        )
+        orchestrator.scheduling_pass(BinpackScheduler(), now=1.0)
+        orchestrator.start_pod(pod, now=1.5)
+        source = pod.node_name
+        target = (
+            "sgx-worker-1" if source == "sgx-worker-0" else "sgx-worker-0"
+        )
+        orchestrator.migrate_pod(pod, target, now=100.0)
+        assert triggers(orchestrator.ledger)[-1] == (
+            100.0, "capacity-freed", "svc", source
+        )
 
     def test_requeue_publishes_ready_at(self):
         orchestrator = Orchestrator(

@@ -5,9 +5,8 @@ from repro.orchestrator.api import PodSpec, ResourceRequirements
 from repro.orchestrator.pod import Pod
 from repro.scheduler.base import NodeView
 from repro.scheduler.filtering import (
-    FilterReason,
     can_ever_fit,
-    feasible_nodes,
+    feasible_candidates,
     prefer_non_sgx,
 )
 from repro.units import gib
@@ -38,26 +37,49 @@ STD = make_view("std", sgx=False)
 SGX = make_view("sgx", sgx=True, mem_cap=gib(8), epc_cap=23_936)
 
 
+def names(views):
+    return [view.name for view in views]
+
+
 class TestFeasibility:
     def test_sgx_pod_filtered_from_standard_node(self):
-        candidates, rejections = feasible_nodes(make_pod(epc=10), [STD, SGX])
-        assert [v.name for v in candidates] == ["sgx"]
-        assert rejections == {"std": FilterReason.HARDWARE_INCOMPATIBLE}
+        candidates = feasible_candidates(make_pod(epc=10), [STD, SGX])
+        assert names(candidates) == ["sgx"]
 
     def test_saturating_request_filtered(self):
         view = make_view("busy", sgx=True, epc_cap=100, epc_used=95)
-        candidates, rejections = feasible_nodes(make_pod(epc=10), [view])
-        assert candidates == []
-        assert rejections == {"busy": FilterReason.WOULD_SATURATE}
+        assert feasible_candidates(make_pod(epc=10), [view]) == []
 
     def test_exact_fit_is_feasible(self):
         view = make_view("node", sgx=True, epc_cap=100, epc_used=90)
-        candidates, _ = feasible_nodes(make_pod(epc=10), [view])
-        assert [v.name for v in candidates] == ["node"]
+        assert names(feasible_candidates(make_pod(epc=10), [view])) == [
+            "node"
+        ]
 
     def test_standard_pod_sees_both_kinds(self):
-        candidates, _ = feasible_nodes(make_pod(mem=gib(1)), [STD, SGX])
-        assert [v.name for v in candidates] == ["std", "sgx"]
+        candidates = feasible_candidates(make_pod(mem=gib(1)), [STD, SGX])
+        assert names(candidates) == ["std", "sgx"]
+
+    def test_zero_request_fits_an_overcommitted_dimension(self):
+        # Measured usage can exceed capacity (a job allocating more
+        # than it declared); a request of zero in that dimension still
+        # fits, while any positive request there does not.
+        memory_over = make_view(
+            "memory-over", sgx=True, mem_cap=gib(8), epc_cap=100,
+            mem_used=gib(9),
+        )
+        epc_over = make_view("epc-over", sgx=True, epc_cap=100, epc_used=101)
+        views = [memory_over, epc_over]
+        assert names(feasible_candidates(make_pod(epc=10), views)) == [
+            "memory-over"
+        ]
+        assert names(feasible_candidates(make_pod(mem=gib(1)), views)) == [
+            "epc-over"
+        ]
+        assert names(feasible_candidates(make_pod(), views)) == [
+            "memory-over", "epc-over",
+        ]
+        assert feasible_candidates(make_pod(epc=10, mem=1), views) == []
 
 
 class TestCanEverFit:

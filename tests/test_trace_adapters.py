@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import Scenario
 from repro.constants import DEFAULT_TRACE_SEED
 from repro.errors import RegistryError, TraceError
 from repro.registry import TRACES, register_trace, trace_names
@@ -121,6 +122,32 @@ class TestDeterminism:
         times = [job.submit_time for job in trace]
         assert times == sorted(times)
         assert times[0] >= 0.0
+
+
+class TestReplay:
+    """Every path-free adapter replays deterministically to the end."""
+
+    @staticmethod
+    def replay(name):
+        return Scenario(
+            trace=f"{name}:seed=3,jobs=60",
+            sgx_fraction=0.5,
+            seed=1,
+            standard_workers=4,
+            sgx_workers=4,
+        ).run()
+
+    @pytest.mark.parametrize("name", PATHLESS)
+    def test_replays_twice_identically_and_completes(self, name):
+        first = self.replay(name)
+        assert first.signature() == self.replay(name).signature()
+        assert len(first.metrics.succeeded) == 60
+
+    def test_synth_replays_differ_between_shapes(self):
+        """The shapes are real workload variety, not renamed copies."""
+        bursty = self.replay("synth-bursty")
+        heavytail = self.replay("synth-heavytail")
+        assert bursty.pod_signature() != heavytail.pod_signature()
 
 
 class TestBorgSynth:
