@@ -28,7 +28,7 @@ Quickstart::
 
 ``Scenario`` is also the replay engine's only configuration: call
 :func:`repro.simulation.runner.run_replay` with one when the live
-orchestrator and event log are needed.
+orchestrator is needed.
 """
 
 from ..registry import (

@@ -428,9 +428,9 @@ class RunResult:
     Carries the scenario, the full :class:`ReplayMetrics` (per-pod
     lifecycles, the Fig. 7 queue series, makespan) and the engine's
     pass/migration counters — everything picklable, so parallel sweep
-    workers can ship results back whole.  The live orchestrator and
-    event log intentionally stay behind in the worker; scenarios that
-    need them should drive the engine directly.
+    workers can ship results back whole.  The live orchestrator
+    intentionally stays behind in the worker; scenarios that need it
+    should drive the engine directly.
     """
 
     scenario: Scenario

@@ -22,6 +22,7 @@ The orchestrator itself is clock-free: every method takes ``now``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -84,6 +85,29 @@ class PassResult:
     #: :data:`repro.scheduler.base.WAIT_REASONS`.  Pods later placed
     #: by preemption still count: they did fail regular placement.
     wait_reasons: Dict[str, int] = field(default_factory=dict)
+
+
+def _make_probe(
+    sink: WindowedAggregateCache, kubelet: Kubelet
+) -> SgxMetricsProbe:
+    """The probe DaemonSet's payload: an SGX probe pushing into *sink*.
+
+    A module-level function bound to the sink alone: a bound method of
+    the orchestrator would close the cycle orchestrator -> DaemonSet ->
+    factory -> orchestrator and keep a finished replay's pods and
+    kubelets alive until a full garbage collection.
+    """
+    driver = kubelet.node.driver
+    if driver is None:
+        raise OrchestrationError(
+            f"probe requested for non-SGX node {kubelet.node.name}"
+        )
+    return SgxMetricsProbe(
+        node_name=kubelet.node.name,
+        driver=driver,
+        sink=sink,
+        pod_name_resolver=kubelet.resolve_pod_name,
+    )
 
 
 class _KeptPass(NamedTuple):
@@ -156,7 +180,7 @@ class Orchestrator:
         self.daemonsets.create(
             PROBE_DAEMONSET,
             selector=sgx_node_selector,
-            factory=self._make_probe,
+            factory=functools.partial(_make_probe, self.aggregate_cache),
         )
         self.daemonsets.reconcile(self.kubelets.values())
 
@@ -182,19 +206,6 @@ class Orchestrator:
         #: :meth:`Scheduler.schedule` (observability; they still count
         #: as executed).
         self.passes_reused = 0
-
-    def _make_probe(self, kubelet: Kubelet) -> SgxMetricsProbe:
-        driver = kubelet.node.driver
-        if driver is None:
-            raise OrchestrationError(
-                f"probe requested for non-SGX node {kubelet.node.name}"
-            )
-        return SgxMetricsProbe(
-            node_name=kubelet.node.name,
-            driver=driver,
-            sink=self.aggregate_cache,
-            pod_name_resolver=kubelet.resolve_pod_name,
-        )
 
     # -- node lifecycle (Sec. V-C: probes follow nodes automatically) ----
 

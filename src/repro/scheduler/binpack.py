@@ -15,6 +15,7 @@ keeps the order consistent within each group.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ..orchestrator.pod import Pod
@@ -36,38 +37,9 @@ class BinpackScheduler(Scheduler):
         candidates: Sequence[NodeView],
         views: Sequence[NodeView],
     ) -> Optional[NodeView]:
-        # First fit over the consistent order == the minimum-keyed
-        # fitting candidate; a single min-scan replaces the historical
-        # per-pod sort (node names are unique, so the minimum — and
-        # hence the selection — is exactly the sorted walk's).
-        preserve = self.preserve_sgx_nodes
-        requests = pod.spec.resources.requests
-        req_cpu = requests.cpu_millicores
-        req_mem = requests.memory_bytes
-        req_epc = requests.epc_pages
-        best: Optional[NodeView] = None
-        best_key = None
-        for view in candidates:
-            # Component-wise ``requests.fits_within(view.available)``
-            # without materialising the available vector per candidate:
-            # a zero request always fits (available floors at zero), a
-            # positive one needs headroom in that dimension.
-            cap = view.capacity
-            used = view.used
-            if (
-                req_cpu > cap.cpu_millicores - used.cpu_millicores
-                and req_cpu != 0
-            ):
-                continue
-            if (
-                req_mem > cap.memory_bytes - used.memory_bytes
-                and req_mem != 0
-            ):
-                continue
-            if req_epc > cap.epc_pages - used.epc_pages and req_epc != 0:
-                continue
-            key = (view.sgx_capable if preserve else False, view.name)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = view
-        return best
+        # First fit over the consistent order is the first name.  The
+        # pass hands over only views the pod fits, so no fit test is
+        # left; with ``preserve_sgx_nodes``, ``prefer_non_sgx`` has
+        # already narrowed them to one SGX-ness (SGX nodes last), and
+        # without it SGX-ness is no part of the order.
+        return min(candidates, key=attrgetter("name"))

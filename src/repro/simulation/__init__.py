@@ -10,15 +10,11 @@ wall-clock daemons.
 """
 
 from .engine import EventHandle, SimulationEngine
-from .events import EventKind, EventLog, LoggedEvent
 from .metrics import QueueSample, ReplayMetrics
 from .runner import ReplayResult, make_scheduler, run_replay
 
 __all__ = [
     "EventHandle",
-    "EventKind",
-    "EventLog",
-    "LoggedEvent",
     "QueueSample",
     "ReplayMetrics",
     "ReplayResult",

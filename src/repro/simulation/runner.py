@@ -47,7 +47,6 @@ from ..scheduler.rebalancer import EpcRebalancer
 from ..sgx.perf import SgxPerfModel
 from ..workload.stress import SubmissionPlan
 from .engine import EventHandle, SimulationEngine
-from .events import EventKind, EventLog
 from .metrics import QueueSample, ReplayMetrics
 
 if TYPE_CHECKING:  # the scenario layer imports this module
@@ -60,7 +59,6 @@ class ReplayResult:
 
     scenario: Scenario
     metrics: ReplayMetrics
-    log: EventLog
     orchestrator: Orchestrator
     plans: List[SubmissionPlan] = field(default_factory=list)
     #: Live migrations executed by the rebalancer (0 when disabled).
@@ -195,7 +193,7 @@ class _Replay:
 
     __slots__ = (
         "scenario", "cluster", "perf", "orchestrator",
-        "scheduler", "engine", "log", "running", "_node_jobs",
+        "scheduler", "engine", "running", "_node_jobs",
         "_job_seq", "_sgx_node_names", "_epochs", "unsubmitted", "plans",
         "rebalancer", "queue_series", "migration_count",
         "passes_executed", "preemption_count",
@@ -237,7 +235,6 @@ class _Replay:
         )
         self.scheduler = make_scheduler(scenario)
         self.engine = SimulationEngine()
-        self.log = EventLog()
         self.running: Dict[str, _RunningJob] = {}  # pod uid -> job
         #: Per-node registries (node name -> pod uid -> job), each kept
         #: in global start order (``_RunningJob.seq``); an epoch change
@@ -301,12 +298,10 @@ class _Replay:
         now = self.engine.now
         self.unsubmitted -= 1
         self.orchestrator.submit(plan.spec, now)
-        self.log.record(now, EventKind.SUBMITTED, pod_name=plan.spec.name)
 
     def _metrics_tick(self) -> None:
         now = self.engine.now
         self.orchestrator.collect_metrics(now)
-        self.log.record(now, EventKind.METRICS_COLLECTED)
         if self._active():
             self.engine.schedule_in(
                 self.scenario.metrics_period, self._metrics_tick
@@ -337,39 +332,17 @@ class _Replay:
 
     def _execute_pass(self, now: float) -> None:
         """One scheduling pass over the whole queue, folded into the
-        replay's log, start events and counters."""
+        replay's start events and counters."""
         spans = self.obs.spans
         span_start = spans.begin()
         result = self.orchestrator.scheduling_pass(self.scheduler, now)
         spans.end(span_start, "pass", now)
         self.passes_executed += 1
-        self.log.record(now, EventKind.SCHEDULING_PASS)
         for pod, startup_seconds in result.launched:
-            self.log.record(
-                now, EventKind.BOUND, pod_name=pod.name,
-                node_name=pod.node_name,
-            )
             self.engine.schedule_in(
                 startup_seconds, lambda p=pod: self._start(p)
             )
-        for pod in result.killed:
-            self.log.record(
-                now,
-                EventKind.LAUNCH_KILLED,
-                pod_name=pod.name,
-                node_name=pod.node_name,
-                detail=pod.failure_reason or "",
-            )
-        for pod in result.rejected:
-            self.log.record(
-                now,
-                EventKind.REJECTED,
-                pod_name=pod.name,
-                detail=pod.failure_reason or "",
-            )
-        for pod in result.requeued:
-            self.log.record(now, EventKind.REQUEUED, pod_name=pod.name)
-        for victim, replacement in result.evicted:
+        for victim, _ in result.evicted:
             # The preemption step killed the victim mid-pass; purge its
             # running-job entry (and dangling finish event) exactly
             # like a failed migration, keyed by uid because the
@@ -377,19 +350,6 @@ class _Replay:
             job = self.running.get(victim.uid)
             if job is not None:
                 self._drop_job(job)
-            self.log.record(
-                now,
-                EventKind.EVICTED,
-                pod_name=victim.name,
-                node_name=victim.node_name,
-                detail=victim.failure_reason or "",
-            )
-            self.log.record(
-                now,
-                EventKind.SUBMITTED,
-                pod_name=replacement.name,
-                detail="resubmitted after eviction",
-            )
         self.eviction_count += len(result.evicted)
         self.preemption_count += result.preemptions
         for reason, count in result.wait_reasons.items():
@@ -417,9 +377,6 @@ class _Replay:
             job.slowdown = self._check_node(node_name, now)
         self.running[pod.uid] = job
         self._node_jobs.setdefault(node_name, {})[pod.uid] = job
-        self.log.record(
-            now, EventKind.STARTED, pod_name=pod.name, node_name=node_name
-        )
         self._arm(job, job.remaining_work * job.slowdown)
 
     def _rebalance_tick(self) -> None:
@@ -443,13 +400,6 @@ class _Replay:
                 self._move_job(
                     job, action.target_node, now, action.downtime_seconds
                 )
-            self.log.record(
-                now,
-                EventKind.SLOWDOWN_CHANGED,
-                pod_name=action.pod_name,
-                node_name=action.target_node,
-                detail=f"migrated from {action.source_node}",
-            )
         for failure in report.failed:
             # The source-side pod died at checkpoint and its spec was
             # resubmitted by the rebalancer; purge the dead pod's job
@@ -459,22 +409,6 @@ class _Replay:
             job = self.running.get(failure.pod_uid)
             if job is not None:
                 self._drop_job(job)
-            self.log.record(
-                now,
-                EventKind.MIGRATION_FAILED,
-                pod_name=failure.pod_name,
-                node_name=failure.target_node,
-                detail=f"restore on {failure.target_node} failed",
-            )
-            self.log.record(
-                now,
-                EventKind.SUBMITTED,
-                pod_name=failure.replacement.name,
-                detail=(
-                    f"resubmitted after failed migration from "
-                    f"{failure.source_node}"
-                ),
-            )
         # The sources' occupancy fell (and failed restores freed pages).
         self._check_sgx_nodes(now)
         if self._active():
@@ -489,33 +423,14 @@ class _Replay:
         # moves, so no other job is touched.
         for job in list(self._node_jobs.get(node_name, {}).values()):
             self._drop_job(job)
-        replacements = self.orchestrator.remove_node(node_name, now)
+        self.orchestrator.remove_node(node_name, now)
         self._sgx_node_names = [n.name for n in self.cluster.sgx_nodes]
-        for pod in replacements:
-            self.log.record(
-                now,
-                EventKind.SUBMITTED,
-                pod_name=pod.name,
-                detail=f"resubmitted after {node_name} crash",
-            )
-        self.log.record(
-            now,
-            EventKind.SLOWDOWN_CHANGED,
-            node_name=node_name,
-            detail="node crashed",
-        )
 
     def _finish(self, job: _RunningJob) -> None:
         # Every slowdown change re-armed this event: the work is done.
         now = self.engine.now
         self._drop_job(job)
         self.orchestrator.complete_pod(job.pod, now)
-        self.log.record(
-            now,
-            EventKind.COMPLETED,
-            pod_name=job.pod.name,
-            node_name=job.node_name,
-        )
         if job.uses_epc:
             # Completion may end an over-commit episode on the node.
             self._check_node(job.node_name, now)
@@ -653,7 +568,6 @@ class _Replay:
         result = ReplayResult(
             scenario=self.scenario,
             metrics=metrics,
-            log=self.log,
             orchestrator=self.orchestrator,
             plans=self.plans,
             migration_count=self.migration_count,
@@ -755,6 +669,6 @@ def run_replay(scenario: Scenario) -> ReplayResult:
 
     The one engine entry.  :meth:`repro.api.Scenario.run` wraps it
     into a picklable :class:`repro.api.RunResult`; call it directly
-    for the live orchestrator, event log and submission plans.
+    for the live orchestrator and submission plans.
     """
     return _Replay(scenario).run()

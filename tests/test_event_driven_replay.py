@@ -26,7 +26,6 @@ from repro.errors import EpcExhaustedError
 from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase
 from repro.sgx.migration import MigrationManager
-from repro.simulation.events import EventKind
 from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import mib
@@ -146,9 +145,8 @@ class TestEquivalence:
             )
         )
         assert result.orchestrator.passes_reused > 0
-        assert len(result.log.of_kind(EventKind.SCHEDULING_PASS)) == (
-            result.passes_executed
-        )
+        # One queue sample per wake-up, taken right after its pass.
+        assert len(result.metrics.queue_series) == result.passes_executed
         events = load_ledger(path).events
         assert not [e for e in events if e["kind"] == "pass_skipped"]
         assert events[-1]["kind"] == "run_end"
@@ -172,7 +170,7 @@ class TestEquivalence:
 
 class TestFailedMigrationInReplay:
     def test_restore_outage_loses_no_work(
-        self, monkeypatch, saturated_trace
+        self, monkeypatch, saturated_trace, tmp_path
     ):
         """Regression: a failed rebalancer migration left the replay
         holding a running-job entry and a live finish event for a pod
@@ -191,6 +189,7 @@ class TestFailedMigrationInReplay:
             return real_restore(self, driver, pid, checkpoint, key, aesm)
 
         monkeypatch.setattr(MigrationManager, "restore", flaky_restore)
+        path = str(tmp_path / "run.jsonl")
         result = run_replay(
             Scenario(
                 trace=saturated_trace,
@@ -198,9 +197,14 @@ class TestFailedMigrationInReplay:
                 sgx_fraction=1.0,
                 seed=1,
                 rebalance_period=15.0,
+                observe=ObserveConfig(ledger_path=path),
             )
         )
-        migration_failures = result.log.of_kind(EventKind.MIGRATION_FAILED)
+        migration_failures = [
+            event
+            for event in load_ledger(path).events
+            if event["kind"] == "migration_failed"
+        ]
         assert migration_failures, "outage never exercised the fix"
         # Every workload name still completes (via the resubmission).
         completed = {p.name for p in result.metrics.succeeded}
@@ -211,7 +215,7 @@ class TestFailedMigrationInReplay:
             twins = [
                 p
                 for p in result.metrics.pods
-                if p.name == event.pod_name
+                if p.name == event["pod"]
             ]
             assert any(p.phase is PodPhase.FAILED for p in twins)
             assert any(p.phase is PodPhase.SUCCEEDED for p in twins)

@@ -21,7 +21,6 @@ from repro.policy import (
 from repro.registry import PREEMPTION_POLICIES
 from repro.scheduler.base import NodeView
 from repro.scheduler.binpack import BinpackScheduler
-from repro.simulation.events import EventKind
 from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib, pages
@@ -480,10 +479,15 @@ class TestLaunchOutcomesInTheLedger:
         records = [e for e in events if e["kind"] == "launch_killed"]
         killed = sum(e["killed"] for e in events if e["kind"] == "pass_end")
         assert len(records) == killed == 60
-        kills = replay.log.of_kind(EventKind.LAUNCH_KILLED)
-        assert [(e.pod_name, e.node_name) for e in kills] == [
-            (r["pod"], r["node"]) for r in records
-        ]
+        # A pod killed at launch failed in the pass that bound it.
+        failed_at_launch = sorted(
+            (pod.name, pod.node_name, pod.failure_reason)
+            for pod in replay.metrics.failed
+            if pod.started_at is None and pod.finished_at == pod.bound_at
+        )
+        assert failed_at_launch == sorted(
+            (r["pod"], r["node"], r["reason"]) for r in records
+        )
         preemptors = {e["pod"] for e in events if e["kind"] == "preemption"}
         assert preemptors & {r["pod"] for r in records}
 

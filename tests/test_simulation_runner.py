@@ -1,14 +1,22 @@
 """Trace replay: end-to-end behaviour on a small trace."""
 
-import pytest
+import gc
+import tempfile
+import weakref
+from collections import Counter
+from pathlib import Path
 
-from repro.api import Scenario
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.api import ObserveConfig, Scenario
 from repro.errors import SimulationError
+from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase
-from repro.simulation.events import EventKind
 from repro.simulation.runner import make_scheduler, run_replay
 from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
+from test_view_rebuild import REPLAYS, replay_scenario
 
 
 @pytest.fixture(scope="module")
@@ -63,28 +71,138 @@ class TestReplayCompleteness:
         assert small_result.metrics.queue_series[-1].queued_pods == 0
 
 
+_PLAIN = dict(
+    trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0, scheduler="binpack",
+    use_measured=True, preempting=False, backoff=0.0, limits=False,
+    overcommit=True, crash=False, rebalance=False,
+)
+#: One contended replay per regime ``replay_scenario`` draws: a node
+#: crash, rebalancer migrations, preemption, and EPC limits without
+#: over-commit (launches then fail transiently and requeue).
+REGIMES = {
+    "crash": dict(_PLAIN, crash=True),
+    "rebalance": dict(_PLAIN, rebalance=True),
+    "preemption": dict(_PLAIN, preempting=True),
+    "limits-without-overcommit": dict(_PLAIN, limits=True, overcommit=False),
+}
+
+
+def recorded_replay(scenario, directory):
+    """Replay *scenario* with a ledger on; the live replay and the
+    ledger's records."""
+    path = str(Path(directory) / "run.jsonl")
+    observed = scenario.with_(observe=ObserveConfig(ledger_path=path))
+    return run_replay(observed), load_ledger(path).events
+
+
+def assert_lifecycles_ordered(pods):
+    """Each pod's timestamps come in lifecycle order, and a pod that
+    succeeded has all four."""
+    for pod in pods:
+        stamps = [pod.submitted_at, pod.bound_at, pod.started_at,
+                  pod.finished_at]
+        if pod.phase is PodPhase.SUCCEEDED:
+            assert None not in stamps, pod
+        present = [t for t in stamps if t is not None]
+        assert present == sorted(present), pod
+
+
+def assert_times_non_decreasing(records):
+    times = [record["t"] for record in records]
+    assert times == sorted(times)
+
+
+def assert_one_terminal_pod_per_submission(pods, records):
+    """Every ``pod-submitted`` trigger made exactly one pod, and every
+    pod ended (replacements reuse their spec's name)."""
+    submitted = Counter(
+        record["pod"]
+        for record in records
+        if record["kind"] == "trigger" and record["event"] == "pod-submitted"
+    )
+    assert submitted == Counter(pod.name for pod in pods)
+    assert all(pod.phase.is_terminal for pod in pods)
+
+
+@pytest.fixture(scope="module")
+def recorded(small_trace_module, tmp_path_factory):
+    """The 40-job replay and one replay per regime, each with its
+    ledger records."""
+    scenarios = {
+        "40-jobs": Scenario(
+            trace=small_trace_module, scheduler="binpack",
+            sgx_fraction=0.5, seed=1,
+        ),
+        **{name: replay_scenario(**knobs) for name, knobs in REGIMES.items()},
+    }
+    return {
+        name: recorded_replay(scenario, tmp_path_factory.mktemp(name))
+        for name, scenario in scenarios.items()
+    }
+
+
 class TestEventLogInvariants:
-    def test_every_pod_flows_submit_bind_start_complete(self, small_result):
-        for pod in small_result.metrics.succeeded:
-            kinds = [e.kind for e in small_result.log.for_pod(pod.name)]
-            assert kinds.index(EventKind.SUBMITTED) < kinds.index(
-                EventKind.BOUND
-            )
-            assert kinds.index(EventKind.BOUND) < kinds.index(
-                EventKind.STARTED
-            )
-            assert kinds.index(EventKind.STARTED) < kinds.index(
-                EventKind.COMPLETED
-            )
+    """What a run records, its pods' timestamps and its ledger, obeys
+    the pod lifecycle."""
 
-    def test_log_times_non_decreasing(self, small_result):
-        times = [e.time for e in small_result.log]
-        assert times == sorted(times)
+    def test_every_pod_flows_submit_bind_start_complete(self, recorded):
+        for replay, _ in recorded.values():
+            assert_lifecycles_ordered(replay.metrics.pods)
 
-    def test_counts_tally(self, small_result):
-        counts = small_result.log.counts()
-        assert counts[EventKind.SUBMITTED] == 40
-        assert counts[EventKind.COMPLETED] == 40
+    def test_log_times_non_decreasing(self, recorded):
+        for _, records in recorded.values():
+            assert_times_non_decreasing(records)
+
+    def test_counts_tally(self, recorded):
+        for replay, records in recorded.values():
+            assert_one_terminal_pod_per_submission(
+                replay.metrics.pods, records
+            )
+        replay, _ = recorded["40-jobs"]
+        assert len(replay.metrics.pods) == 40
+
+    def test_each_regime_exercises_its_transition(self, recorded):
+        crashed, _ = recorded["crash"]
+        assert any(
+            "lost" in (pod.failure_reason or "")
+            for pod in crashed.metrics.pods
+        )
+        assert recorded["rebalance"][0].migration_count > 0
+        assert recorded["preemption"][0].eviction_count > 0
+        _, records = recorded["limits-without-overcommit"]
+        assert any(record["kind"] == "requeue" for record in records)
+
+
+@given(**REPLAYS)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_drawn_replays_keep_the_lifecycle_invariants(**knobs):
+    with tempfile.TemporaryDirectory() as directory:
+        replay, records = recorded_replay(replay_scenario(**knobs), directory)
+    assert_lifecycles_ordered(replay.metrics.pods)
+    assert_times_non_decreasing(records)
+    assert_one_terminal_pod_per_submission(replay.metrics.pods, records)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_a_dropped_replay_is_freed_without_the_collector(regime):
+    """A converged replay keeps no reference cycle through its
+    orchestrator, so dropping the result frees it at once instead of
+    at the next full garbage collection (which would then land inside
+    whatever runs next)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_replay(replay_scenario(**REGIMES[regime]))
+        orchestrator = weakref.ref(result.orchestrator)
+        del result
+        assert orchestrator() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestTimingSemantics:

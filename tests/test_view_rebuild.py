@@ -17,11 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pass_reuse_reference import run_with_replay
-from repro.api import Scenario
+from repro.api import ObserveConfig, Scenario
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.monitoring.heapster import MEASUREMENT_MEMORY
 from repro.monitoring.probe import MEASUREMENT_EPC
+from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
@@ -136,22 +137,19 @@ def test_the_replay_regime_exercises_every_input():
     assert service.nodes_rebuilt < 3 * rebuilding
 
 
-def test_requeues_happen_without_overcommit():
+def test_requeues_happen_without_overcommit(tmp_path):
     """Guard for the ``overcommit=False`` half of the regime."""
-    replay, _ = checked_replay(
+    path = str(tmp_path / "run.jsonl")
+    checked_replay(
         replay_scenario(
             trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0,
             scheduler="binpack", use_measured=True, preempting=False,
             backoff=0.0, limits=True, overcommit=False, crash=False,
             rebalance=False,
-        ),
+        ).with_(observe=ObserveConfig(ledger_path=path)),
     )
-    requeued = sum(
-        1
-        for event in replay.log
-        if event.kind.value == "requeued"
-    )
-    assert requeued > 0
+    events = load_ledger(path).events
+    assert any(event["kind"] == "requeue" for event in events)
 
 
 # -- orchestrators driven op by op -------------------------------------------
