@@ -288,17 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     scenario_flags = _scenario_flags()
-    run_parser = subparsers.add_parser(
+    subparsers.add_parser(
         "run",
         parents=[scenario_flags],
         help="run one scenario built from flags",
-    )
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shorthand for --cluster-workers (on sweep, --workers "
-        "is the process-pool size instead)",
     )
     sweep_parser = subparsers.add_parser(
         "sweep",
@@ -323,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         parents=[scenario_flags],
         help="profile one scenario: top frames + collapsed stacks",
-    )
-    profile_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shorthand for --cluster-workers (as on run)",
     )
     profile_parser.add_argument(
         "--top",
@@ -361,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
             "snapshot.  The run itself is bit-for-bit identical to "
             "the unobserved one."
         ),
-    )
-    record_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shorthand for --cluster-workers (as on run)",
     )
     record_parser.add_argument(
         "--ledger",
@@ -580,17 +561,9 @@ def _base_scenario(args: argparse.Namespace) -> Scenario:
         kwargs["trace"] = trace
     if args.epc_mib is not None:
         kwargs["epc_total_bytes"] = int(mib(args.epc_mib))
-    cluster_workers = args.cluster_workers
-    if cluster_workers is None and args.command in (
-        "run", "profile", "record"
-    ):
-        # ``repro run --workers`` is the documented shorthand (and
-        # ``profile`` mirrors ``run``); on sweep, --workers is the
-        # process-pool size instead.
-        cluster_workers = getattr(args, "workers", None)
-    if cluster_workers is not None:
-        kwargs["standard_workers"] = cluster_workers
-        kwargs["sgx_workers"] = cluster_workers
+    if args.cluster_workers is not None:
+        kwargs["standard_workers"] = args.cluster_workers
+        kwargs["sgx_workers"] = args.cluster_workers
     return Scenario(**kwargs)
 
 

@@ -26,10 +26,14 @@ QOS_CLASSES = ("guaranteed", "burstable", "besteffort")
 
 @dataclass
 class Cgroup:
-    """One node in the cgroup tree."""
+    """One node in the cgroup tree.
+
+    Links point down only: the hierarchy finds a group's parent by
+    path, so a tree holds no reference cycle and is freed with its
+    node.
+    """
 
     path: str
-    parent: Optional["Cgroup"] = None
     children: Dict[str, "Cgroup"] = field(default_factory=dict)
     pids: Set[int] = field(default_factory=set)
 
@@ -72,7 +76,7 @@ class CgroupHierarchy:
             return self._by_path[path]
         parent_path, _, name = path.rpartition("/")
         parent = self.create(parent_path) if parent_path else self.root
-        group = Cgroup(path=path, parent=parent)
+        group = Cgroup(path=path)
         parent.children[name] = group
         self._by_path[path] = group
         return group
@@ -95,8 +99,8 @@ class CgroupHierarchy:
             )
         for descendant in group.walk():
             self._by_path.pop(descendant.path, None)
-        assert group.parent is not None
-        group.parent.children.pop(group.name, None)
+        parent_path, _, name = path.rpartition("/")
+        self._by_path[parent_path].children.pop(name, None)
 
     def exists(self, path: str) -> bool:
         """Whether *path* names a live cgroup."""

@@ -151,14 +151,6 @@ class Node:
             self.driver.register_process(pid, cgroup_path)
         return pid
 
-    def set_process_memory(self, pid: int, memory_bytes: int) -> None:
-        """Update a process's resident standard memory."""
-        if pid not in self._process_memory:
-            raise NodeError(f"unknown pid {pid} on {self.name}")
-        if memory_bytes < 0:
-            raise NodeError(f"negative memory: {memory_bytes}")
-        self._process_memory[pid] = memory_bytes
-
     def kill_process(self, pid: int) -> None:
         """Terminate a process, tearing down its enclaves. Idempotent."""
         if pid not in self._process_memory:

@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..cluster.topology import paper_cluster
-from ..orchestrator.controller import Orchestrator
+from ..api import Scenario
 from ..orchestrator.pod import Pod
-from ..registry import SCHEDULERS, WORKLOADS
-from ..simulation.engine import SimulationEngine
+from ..simulation.runner import _Replay
 from ..units import gib
 from .common import format_table
 
@@ -56,114 +54,65 @@ class ExtHybridResult:
     runs: Dict[float, HybridRun]
 
 
-class _HybridRun:
-    """Mini event-driven run of one hybrid job population."""
+class _HybridReplay(_Replay):
+    """A replay that also records the SGX nodes' peak EPC and RAM use,
+    sampled after every metrics tick and every pod start."""
 
-    def __init__(self, memory_bytes: int, n_jobs: int, seed: int):
-        self.cluster = paper_cluster()
-        self.orchestrator = Orchestrator(self.cluster)
-        self.scheduler = SCHEDULERS.get("binpack")()
-        self.engine = SimulationEngine()
-        # The population comes from the registered hybrid workload, the
-        # same plans a Scenario(workload="hybrid") replays.
-        plans = WORKLOADS.get("hybrid")(
-            self.cluster,
-            None,
-            seed=seed,
-            n_jobs=n_jobs,
-            memory_bytes=memory_bytes,
-        )
-        self.specs = [(plan.submit_time, plan.spec) for plan in plans]
-        self.durations: Dict[str, float] = {
-            plan.spec.name: plan.spec.workload.duration_seconds
-            for plan in plans
-        }
-        self.unsubmitted = n_jobs
-        self.running = 0
+    __slots__ = ("peak_epc", "peak_mem")
+
+    def __init__(self, scenario: Scenario):
+        super().__init__(scenario)
         self.peak_epc = 0.0
         self.peak_mem = 0.0
-
-    def _active(self) -> bool:
-        return (
-            self.unsubmitted > 0
-            or self.running > 0
-            or len(self.orchestrator.queue) > 0
-        )
 
     def _observe_peaks(self) -> None:
         for node in self.cluster.sgx_nodes:
             assert node.epc is not None
             epc_util = node.used_epc_pages() / node.epc.total_pages
-            mem_util = (
-                node.used_memory_bytes() / node.spec.memory_bytes
-            )
+            mem_util = node.used_memory_bytes() / node.spec.memory_bytes
             self.peak_epc = max(self.peak_epc, epc_util)
             self.peak_mem = max(self.peak_mem, mem_util)
 
     def _metrics_tick(self) -> None:
-        self.orchestrator.collect_metrics(self.engine.now)
+        super()._metrics_tick()
         self._observe_peaks()
-        if self._active():
-            self.engine.schedule_in(10.0, self._metrics_tick)
-
-    def _scheduler_tick(self) -> None:
-        result = self.orchestrator.scheduling_pass(
-            self.scheduler, self.engine.now
-        )
-        for pod, startup in result.launched:
-            self.running += 1
-            self.engine.schedule_in(startup, lambda p=pod: self._start(p))
-        if self._active():
-            self.engine.schedule_in(5.0, self._scheduler_tick)
 
     def _start(self, pod: Pod) -> None:
-        self.orchestrator.start_pod(pod, self.engine.now)
+        super()._start(pod)
         self._observe_peaks()
-        self.engine.schedule_in(
-            self.durations[pod.name], lambda: self._finish(pod)
-        )
-
-    def _finish(self, pod: Pod) -> None:
-        self.running -= 1
-        self.orchestrator.complete_pod(pod, self.engine.now)
-
-    def _submit(self, spec) -> None:
-        self.unsubmitted -= 1
-        self.orchestrator.submit(spec, self.engine.now)
-
-    def run(self, memory_gib: float) -> HybridRun:
-        for submit_time, spec in self.specs:
-            self.engine.schedule_at(
-                submit_time, lambda s=spec: self._submit(s)
-            )
-        self.engine.schedule_at(0.0, self._metrics_tick)
-        self.engine.schedule_at(2.5, self._scheduler_tick)
-        self.engine.run(until=24 * 3600.0)
-        pods = self.orchestrator.all_pods
-        waits = [
-            p.waiting_seconds for p in pods if p.waiting_seconds is not None
-        ]
-        return HybridRun(
-            memory_gib=memory_gib,
-            makespan_seconds=max(
-                (p.finished_at for p in pods if p.finished_at), default=0.0
-            ),
-            mean_wait_seconds=sum(waits) / len(waits) if waits else 0.0,
-            peak_epc_utilization=self.peak_epc,
-            peak_memory_utilization=self.peak_mem,
-        )
 
 
 def run_ext_hybrid(
     n_jobs: int = 60, seed: int = 0, shares_gib=MEMORY_SHARES_GIB
 ) -> ExtHybridResult:
-    """Sweep the untrusted-memory share of a hybrid job population."""
+    """Sweep the untrusted-memory share of a hybrid job population.
+
+    Each share replays the registered ``hybrid`` workload on the
+    paper's testbed with its driver defaults: limits enforced, no EPC
+    over-commit.
+    """
     runs: Dict[float, HybridRun] = {}
     for share in shares_gib:
-        runner = _HybridRun(
-            memory_bytes=int(gib(share)), n_jobs=n_jobs, seed=seed
+        replay = _HybridReplay(
+            Scenario(
+                workload="hybrid",
+                workload_options={
+                    "n_jobs": n_jobs, "memory_bytes": int(gib(share)),
+                },
+                seed=seed,
+                enforce_epc_limits=True,
+                epc_allow_overcommit=False,
+            )
         )
-        runs[share] = runner.run(share)
+        metrics = replay.run().metrics
+        waits = metrics.waiting_times(metrics.pods)
+        runs[share] = HybridRun(
+            memory_gib=share,
+            makespan_seconds=metrics.makespan_seconds,
+            mean_wait_seconds=sum(waits) / len(waits) if waits else 0.0,
+            peak_epc_utilization=replay.peak_epc,
+            peak_memory_utilization=replay.peak_mem,
+        )
     return ExtHybridResult(runs=runs)
 
 

@@ -48,6 +48,9 @@ from ..errors import SimulationError
 #: Schema tag written into every ledger header.
 LEDGER_SCHEMA = "repro.ledger/v1"
 
+#: Ledger records buffered before a stream flush.
+BUFFER_RECORDS = 4096
+
 #: The frozen ``repro.ledger/v1`` schema table: event kind -> the
 #: payload fields that kind may carry (beyond the implicit ``t``
 #: sim-time, ``i`` sequence number and ``kind`` discriminator).  Emit
@@ -242,18 +245,6 @@ class ObserveConfig:
     trace_path: Optional[str] = None
     #: Prometheus text-exposition snapshot of the run's metrics.
     metrics_path: Optional[str] = None
-    #: Ledger records buffered before a stream flush.
-    buffer_records: int = 4096
-
-    def __post_init__(self) -> None:
-        if (
-            not isinstance(self.buffer_records, int)
-            or isinstance(self.buffer_records, bool)
-            or self.buffer_records < 1
-        ):
-            raise SimulationError(
-                f"buffer_records must be >= 1: {self.buffer_records!r}"
-            )
 
     @property
     def active(self) -> bool:
@@ -269,21 +260,19 @@ class DecisionLedger:
     """Bounded-memory event buffer streaming to a JSONL file.
 
     Records are validated at emit time and serialised in batches
-    (sorted keys, compact separators) at every ``buffer_records``-th
-    event, so memory stays bounded however long the replay runs, the
-    serialisation cost stays off the scheduler's hot loop, and the
-    on-disk order is exactly emission order — sim-time ordered,
-    sequence-tagged.
+    (sorted keys, compact separators) at every
+    :data:`BUFFER_RECORDS`-th event, so memory stays bounded however
+    long the replay runs, the serialisation cost stays off the
+    scheduler's hot loop, and the on-disk order is exactly emission
+    order — sim-time ordered, sequence-tagged.
     """
 
     enabled = True
 
-    __slots__ = ("path", "buffer_records", "_buffer", "_seq",
-                 "_handle", "_counts")
+    __slots__ = ("path", "_buffer", "_seq", "_handle", "_counts")
 
-    def __init__(self, path: str, buffer_records: int = 4096):
+    def __init__(self, path: str):
         self.path = path
-        self.buffer_records = buffer_records
         self._buffer: list = []
         self._seq = 0
         self._handle = None
@@ -320,7 +309,7 @@ class DecisionLedger:
         # The kwargs dict is ours; completing it in place saves a
         # copy per record on the emit hot path.  Serialisation is
         # deferred to the flush so its cache footprint lands in one
-        # burst every ``buffer_records`` events instead of interleaved
+        # burst every BUFFER_RECORDS events instead of interleaved
         # with the scheduler's hot loop.
         payload["t"] = now
         payload["i"] = self._seq
@@ -328,7 +317,7 @@ class DecisionLedger:
         self._seq += 1
         buffer = self._buffer
         buffer.append(payload)
-        if len(buffer) >= self.buffer_records:
+        if len(buffer) >= BUFFER_RECORDS:
             self._flush()
 
     def _flush(self) -> None:

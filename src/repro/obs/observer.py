@@ -36,9 +36,7 @@ class RunObserver:
     def __init__(self, config: ObserveConfig):
         self.config = config
         if config.ledger_path is not None:
-            self.ledger = DecisionLedger(
-                config.ledger_path, config.buffer_records
-            )
+            self.ledger = DecisionLedger(config.ledger_path)
         else:
             self.ledger = NULL_LEDGER
         self.spans = SpanRecorder() if config.trace_path else NULL_SPANS

@@ -103,7 +103,7 @@ class WorkloadProfile:
 
 @dataclass(frozen=True, slots=True)
 class PodSpec:
-    """A pod manifest: image, resources, scheduler selection, workload.
+    """A pod manifest: resources, scheduler selection, workload.
 
     ``priority`` is the resolved integer of a
     :class:`repro.policy.classes.PriorityClass`: the pending queue
@@ -114,7 +114,6 @@ class PodSpec:
     """
 
     name: str
-    image: str = "sebvaucher/sgx-base"
     resources: ResourceRequirements = field(
         default_factory=ResourceRequirements
     )
@@ -151,7 +150,6 @@ def make_pod_spec(
     actual_memory_bytes: Optional[int] = None,
     actual_epc_bytes: Optional[int] = None,
     scheduler_name: str = DEFAULT_SCHEDULER,
-    image: str = "sebvaucher/sgx-base",
     priority: int = 0,
 ) -> PodSpec:
     """Convenience constructor used by the trace materialiser.
@@ -176,7 +174,6 @@ def make_pod_spec(
     )
     return PodSpec(
         name=name,
-        image=image,
         resources=ResourceRequirements(requests=requests),
         scheduler_name=scheduler_name,
         workload=workload,

@@ -48,7 +48,6 @@ from ..sgx.perf import SgxPerfModel
 from .api import PodSpec
 from .daemonset import DaemonSetController, sgx_node_selector
 from .device_plugin import SgxDevicePlugin
-from .images import ImageRegistry
 from .kubelet import Kubelet
 from .pod import Pod
 from .queue import PendingQueue
@@ -127,8 +126,6 @@ class Orchestrator:
         self,
         cluster: Cluster,
         perf_model: Optional[SgxPerfModel] = None,
-        enforce_memory_limits: bool = False,
-        registry: Optional[ImageRegistry] = None,
         requeue_backoff_seconds: float = 0.0,
         preemption_policy: Optional[PreemptionPolicy] = None,
         preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD,
@@ -154,21 +151,11 @@ class Orchestrator:
         #: The monitoring sink: the sliding-window maxima the scheduling
         #: pass reads, kept current on every metrics sample.
         self.aggregate_cache = WindowedAggregateCache()
+        #: Shared by every kubelet, bootstrap and late-joined alike.
         self.perf_model = perf_model or SgxPerfModel()
-        self.registry = registry
-        self.enforce_memory_limits = enforce_memory_limits
-        # One set of Kubelet construction kwargs, used for the initial
-        # inventory AND for nodes joined later via add_node — a kubelet
-        # must behave identically whether its node was present at
-        # bootstrap or joined mid-run.
-        self._kubelet_kwargs = dict(
-            perf_model=self.perf_model,
-            enforce_memory_limits=enforce_memory_limits,
-            registry=registry,
-        )
         self.kubelets: Dict[str, Kubelet] = {}
         for node in cluster:
-            kubelet = Kubelet(node, **self._kubelet_kwargs)
+            kubelet = Kubelet(node, self.perf_model)
             self.kubelets[node.name] = kubelet
             # Device plugin discovers /dev/isgx and registers over RPC.
             SgxDevicePlugin(node).register(RpcChannel(kubelet.rpc_server))
@@ -216,12 +203,10 @@ class Orchestrator:
         and lets the DaemonSet controller deploy a probe if the node
         advertises SGX — the paper's "automatically handle the
         deployment of new probes when adding physical nodes".  The
-        Kubelet is built with the same kwargs as the bootstrap
-        inventory, so policies like memory-limit enforcement apply to
-        late-joined nodes too.
+        Kubelet shares the bootstrap inventory's performance model.
         """
         self.cluster.add_node(node)
-        kubelet = Kubelet(node, **self._kubelet_kwargs)
+        kubelet = Kubelet(node, self.perf_model)
         self.kubelets[node.name] = kubelet
         SgxDevicePlugin(node).register(RpcChannel(kubelet.rpc_server))
         self.heapster.register(kubelet)
@@ -731,7 +716,7 @@ class Orchestrator:
             source.node.driver, pid, enclave, source_aesm, target_probe
         )
         source_node_name = pod.node_name
-        source.finish_migration_out(pod)
+        source.terminate(pod)
         # The source's EPC pages are free from here on, whatever the
         # restore outcome: deferred pods may now fit there.
         ledger = self.ledger
@@ -749,7 +734,7 @@ class Orchestrator:
                 target.node.driver, new_pid, checkpoint, key, target_probe
             )
 
-        admission = target.admit_migrated(pod, restore)
+        admission = target.admit(pod, restore)
         if not admission.success:
             pod.mark_failed(
                 now, admission.failure_reason or "migration failed"

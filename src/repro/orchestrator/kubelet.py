@@ -12,7 +12,8 @@ On pod admission the Kubelet reproduces the paper's node-side pipeline
    container: boot the per-container PSW, create the enclave — committing
    the workload's *actual* EPC pages, which is where under-declared
    malicious pods get caught — and EINIT it through the driver, which
-   applies the limit check;
+   applies the limit check (a live-migrated pod restores its enclave
+   instead, on the same path);
 4. report per-pod measured usage to the monitoring layer (it is both a
    Heapster source and the probe's cgroup-to-pod resolver).
 
@@ -38,7 +39,6 @@ from ..sgx.perf import SgxPerfModel
 from ..units import pages_to_bytes
 from .api import SGX_EPC_RESOURCE
 from .device_plugin import DevicePluginRegistry
-from .images import ImageRegistry, NodeImageCache
 from .pod import Pod
 from .rpc import RpcServer
 
@@ -80,23 +80,15 @@ class Kubelet:
     """Node agent: admission, container launch, usage reporting."""
 
     __slots__ = (
-        "node", "perf_model", "enforce_memory_limits", "registry",
-        "image_cache", "devices", "rpc_server", "_records",
+        "node", "perf_model", "devices", "rpc_server", "_records",
         "commitment_version", "_committed", "_pod_name_by_cgroup",
     )
 
     def __init__(
-        self,
-        node: Node,
-        perf_model: Optional[SgxPerfModel] = None,
-        enforce_memory_limits: bool = False,
-        registry: Optional[ImageRegistry] = None,
+        self, node: Node, perf_model: Optional[SgxPerfModel] = None
     ):
         self.node = node
         self.perf_model = perf_model or SgxPerfModel()
-        self.enforce_memory_limits = enforce_memory_limits
-        self.registry = registry
-        self.image_cache = NodeImageCache(node_name=node.name)
         self.devices = DevicePluginRegistry()
         self.rpc_server = RpcServer(f"kubelet@{node.name}")
         self.rpc_server.register_method(
@@ -104,7 +96,8 @@ class Kubelet:
         )
         self._records: Dict[str, _PodRecord] = {}
         #: Bumped whenever the admitted-pod set (and hence this node's
-        #: committed requests) changes; the scheduler's state service
+        #: committed requests) changes — once per record inserted and
+        #: once per record removed; the scheduler's state service
         #: keys this node's view on it, with the node's monitoring
         #: versions, and rebuilds the view when the key moves.
         self.commitment_version = 0
@@ -154,15 +147,12 @@ class Kubelet:
         self._committed = self._committed + requests
         self._pod_name_by_cgroup[record.cgroup_path] = pod.name
 
-    def _remove_record(self, uid: str) -> Optional[_PodRecord]:
-        """Unregister a pod; no-op (None) if already gone."""
-        record = self._records.pop(uid, None)
-        if record is not None:
-            self._committed = (
-                self._committed - record.pod.spec.resources.requests
-            )
-            self._pod_name_by_cgroup.pop(record.cgroup_path, None)
-        return record
+    def _remove_record(self, record: _PodRecord) -> None:
+        """Unregister an admitted pod from the ledger and indexes."""
+        del self._records[record.pod.uid]
+        self.commitment_version += 1
+        self._committed = self._committed - record.pod.spec.resources.requests
+        del self._pod_name_by_cgroup[record.cgroup_path]
 
     def advertised_epc_pages(self) -> int:
         """EPC page items advertised by the device plugin (0 if none)."""
@@ -188,12 +178,18 @@ class Kubelet:
 
     # -- pod lifecycle ----------------------------------------------------
 
-    def admit(self, pod: Pod) -> AdmissionResult:
+    def admit(self, pod: Pod, restore=None) -> AdmissionResult:
         """Launch *pod* on this node; returns the startup outcome.
 
         The caller (orchestrator) has already bound the pod; admission
         failures here surface as immediate pod kills, exactly like the
         paper's "immediately killed after launch" over-allocators.
+
+        *restore* admits a live-migrated pod: a callable ``(pid, aesm)
+        -> enclave`` supplied by the orchestrator, closing over the
+        migration manager, the checkpoint and the key.  It replaces
+        ECREATE/EINIT and runs inside this node's context, so the
+        restored enclave lands in this node's EPC.
         """
         if pod.uid in self._records:
             raise NodeError(
@@ -217,27 +213,6 @@ class Kubelet:
                 limit_pages=limits.epc_pages,
             )
 
-        # cgroup memory limit (stock Kubernetes behaviour, optional here
-        # because the paper's trace runs declare requests only).
-        if (
-            self.enforce_memory_limits
-            and limits.memory_bytes > 0
-            and workload.memory_bytes > limits.memory_bytes
-        ):
-            self._teardown(record)
-            return AdmissionResult(
-                success=False,
-                failure_reason="OOMKilled: memory limit exceeded",
-            )
-
-        # Pull the image first (Fig. 2: fetched from a registry); a
-        # cache hit — every placement after a node's first — is free.
-        pull_seconds = 0.0
-        if self.registry is not None:
-            pull_seconds = self.image_cache.pull(
-                self.registry, pod.spec.image
-            )
-
         record.pid = self.node.spawn_process(
             cgroup_path, memory_bytes=workload.memory_bytes
         )
@@ -245,55 +220,66 @@ class Kubelet:
         if not workload.uses_sgx:
             startup = self.perf_model.standard_startup()
             return AdmissionResult(
-                success=True,
-                startup_seconds=pull_seconds + startup.total_seconds,
+                success=True, startup_seconds=startup.total_seconds
             )
-        result = self._launch_sgx(record)
-        if result.success:
-            result.startup_seconds += pull_seconds
-        return result
+        return self._launch_sgx(record, restore)
 
-    def _launch_sgx(self, record: _PodRecord) -> AdmissionResult:
-        """SGX container launch: PSW boot, ECREATE, limit-checked EINIT."""
+    def _launch_sgx(self, record: _PodRecord, restore) -> AdmissionResult:
+        """SGX container launch: PSW boot, then ECREATE and a
+        limit-checked EINIT, or the migrated enclave's *restore*."""
         pod = record.pod
         workload = pod.spec.workload
         assert workload is not None and record.pid is not None
-        if self.node.driver is None:
-            self._teardown(record)
-            return AdmissionResult(
-                success=False,
-                failure_reason="SGX workload on a node without /dev/isgx",
+        driver = self.node.driver
+        if driver is None:
+            return self._abort(
+                record, "SGX workload on a node without /dev/isgx"
             )
         psw = PlatformSoftware(container_id=pod.uid)
         psw_seconds = psw.boot()
         record.psw = psw
-        epc_bytes = pages_to_bytes(workload.epc_pages)
-        dynamic = self.node.driver.sgx_version >= 2
-        try:
-            enclave = self.node.driver.create_enclave(
-                record.pid, size_bytes=epc_bytes, dynamic=dynamic
-            )
-        except EpcExhaustedError as exc:
-            self._teardown(record)
-            return AdmissionResult(
-                success=False,
-                failure_reason=f"enclave creation failed: {exc}",
-                retryable=True,
-            )
-        try:
-            self.node.driver.initialize_enclave(
-                record.pid, enclave, psw.aesm
-            )
-        except EnclaveLimitExceededError as exc:
-            self._teardown(record)
-            return AdmissionResult(
-                success=False,
-                failure_reason=f"EPC limit enforcement: {exc}",
-            )
+        if restore is not None:
+            try:
+                enclave = restore(record.pid, psw.aesm)
+            except EpcExhaustedError as exc:
+                return self._abort(
+                    record,
+                    f"migration restore failed: {exc}",
+                    retryable=True,
+                )
+            epc_bytes = pages_to_bytes(enclave.pages)
+        else:
+            epc_bytes = pages_to_bytes(workload.epc_pages)
+            try:
+                enclave = driver.create_enclave(
+                    record.pid,
+                    size_bytes=epc_bytes,
+                    dynamic=driver.sgx_version >= 2,
+                )
+            except EpcExhaustedError as exc:
+                return self._abort(
+                    record,
+                    f"enclave creation failed: {exc}",
+                    retryable=True,
+                )
+            try:
+                driver.initialize_enclave(record.pid, enclave, psw.aesm)
+            except EnclaveLimitExceededError as exc:
+                return self._abort(record, f"EPC limit enforcement: {exc}")
         record.enclave = enclave
         alloc_seconds = self.perf_model.allocation_seconds(epc_bytes)
         return AdmissionResult(
             success=True, startup_seconds=psw_seconds + alloc_seconds
+        )
+
+    def _abort(
+        self, record: _PodRecord, reason: str, retryable: bool = False
+    ) -> AdmissionResult:
+        """Undo a launch that failed part-way and report why; a
+        retryable failure is transient (the orchestrator requeues)."""
+        self._teardown(record)
+        return AdmissionResult(
+            success=False, failure_reason=reason, retryable=retryable
         )
 
     def grow_pod_epc(self, pod: Pod, extra_pages: int) -> int:
@@ -335,7 +321,8 @@ class Kubelet:
 
         Returns ``(pid, enclave, aesm)`` for the pod's container; the
         caller checkpoints through the driver (which self-destroys the
-        enclave) and must then call :meth:`finish_migration_out`.
+        enclave), then tears the source side down with :meth:`terminate`
+        and admits the pod on the target with ``admit(pod, restore)``.
         """
         record = self._require_record(pod)
         if record.enclave is None or record.psw is None:
@@ -344,67 +331,13 @@ class Kubelet:
             raise NodeError(f"pod {pod.name} has no process")
         return record.pid, record.enclave, record.psw.aesm
 
-    def finish_migration_out(self, pod: Pod) -> None:
-        """Tear down the source-side container after a checkpoint."""
-        self.terminate(pod)
-
-    def admit_migrated(self, pod: Pod, restore) -> AdmissionResult:
-        """Admit a migrated pod, restoring its enclave via *restore*.
-
-        *restore* is a callable ``(pid, aesm) -> enclave`` supplied by
-        the orchestrator, closing over the migration manager, the
-        checkpoint and the key; it runs inside this node's context so
-        the restored enclave lands in this node's EPC.
-        """
-        if pod.uid in self._records:
-            raise NodeError(
-                f"pod {pod.name} already admitted on {self.node.name}"
-            )
-        workload = pod.spec.workload
-        if workload is None:
-            raise NodeError(f"pod {pod.name} has no workload profile")
-        cgroup_path = self.node.cgroups.create_pod_cgroup(pod.uid)
-        pod.cgroup_path = cgroup_path
-        record = _PodRecord(pod=pod, cgroup_path=cgroup_path)
-        self._insert_record(record)
-        limits = pod.spec.resources.effective_limits
-        if self.node.driver is not None and limits.epc_pages > 0:
-            self.node.driver.ioctl(
-                0xA1,
-                cgroup_path=cgroup_path,
-                limit_pages=limits.epc_pages,
-            )
-        record.pid = self.node.spawn_process(
-            cgroup_path, memory_bytes=workload.memory_bytes
-        )
-        psw = PlatformSoftware(container_id=pod.uid)
-        psw_seconds = psw.boot()
-        record.psw = psw
-        try:
-            record.enclave = restore(record.pid, psw.aesm)
-        except EpcExhaustedError as exc:
-            self._teardown(record)
-            return AdmissionResult(
-                success=False,
-                failure_reason=f"migration restore failed: {exc}",
-                retryable=True,
-            )
-        alloc_seconds = self.perf_model.allocation_seconds(
-            pages_to_bytes(record.enclave.pages)
-        )
-        return AdmissionResult(
-            success=True, startup_seconds=psw_seconds + alloc_seconds
-        )
-
     def terminate(self, pod: Pod) -> None:
         """Tear a pod down (normal completion or kill). Idempotent."""
-        record = self._remove_record(pod.uid)
-        if record is None:
-            return
-        self._teardown(record)
+        record = self._records.get(pod.uid)
+        if record is not None:
+            self._teardown(record)
 
     def _teardown(self, record: _PodRecord) -> None:
-        self.commitment_version += 1
         if record.pid is not None:
             self.node.kill_process(record.pid)  # destroys enclaves too
             record.pid = None
@@ -415,7 +348,7 @@ class Kubelet:
             self.node.driver.clear_pod(record.cgroup_path)
         if self.node.cgroups.exists(record.cgroup_path):
             self.node.cgroups.remove(record.cgroup_path)
-        self._remove_record(record.pod.uid)
+        self._remove_record(record)
 
     # -- monitoring interfaces --------------------------------------------
 

@@ -101,15 +101,15 @@ class EpcRebalancer:
     def _victims(self, node_name: str) -> List[Tuple[int, Pod]]:
         """``(pages, pod)`` running on *node_name*, smallest first.
 
-        Uses the driver's per-process occupancy ioctl — the paper's
-        stated mechanism for identifying migration candidates.  The
+        Uses the driver's per-process occupancy ioctl
+        (:meth:`Kubelet.measured_epc_pages`, as the preemption step
+        does) — the paper's stated mechanism for identifying migration
+        candidates.  The
         measured page count is what the move must fit into the target:
         an enclave grown past its declared size (SGX2 EAUG) occupies
         its *measured* pages, not ``spec.workload.epc_pages``.
         """
         kubelet = self.orchestrator.kubelets[node_name]
-        driver = kubelet.node.driver
-        assert driver is not None
         candidates = []
         for pod in kubelet.admitted_pods():
             if not pod.requires_sgx and not (
@@ -118,10 +118,7 @@ class EpcRebalancer:
                 continue
             if pod.phase.value != "Running":
                 continue
-            record = kubelet._records.get(pod.uid)
-            if record is None or record.pid is None:
-                continue
-            pages = driver.process_epc_pages(record.pid)
+            pages = kubelet.measured_epc_pages(pod)
             if pages > 0:
                 candidates.append((pages, pod))
         candidates.sort(key=lambda item: (item[0], item[1].uid))

@@ -61,9 +61,6 @@ class EventHandle:
             ):
                 engine._compact()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class SimulationEngine:
     """Event loop with a simulated clock."""
@@ -104,17 +101,6 @@ class SimulationEngine:
     def fired_events(self) -> int:
         """Events executed so far."""
         return self._fired
-
-    def _note_cancel(self) -> None:
-        """Bookkeeping for one handle transitioning to cancelled."""
-        self._pending -= 1
-        self._cancelled += 1
-        queue = self._queue
-        if (
-            len(queue) >= self.COMPACT_MIN_QUEUE
-            and self._cancelled * 2 >= len(queue)
-        ):
-            self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify the survivors."""
@@ -230,21 +216,3 @@ class SimulationEngine:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def step(self) -> bool:
-        """Fire exactly one (non-cancelled) event; ``False`` if drained."""
-        while self._queue:
-            entry = heappop(self._queue)
-            handle = entry[2]
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = entry[0]
-            action = handle.action
-            handle.action = None
-            self._pending -= 1
-            self._fired += 1
-            if action is not None:
-                action()
-            return True
-        return False

@@ -264,10 +264,9 @@ class TestScenarioCommands:
         assert serial == parallel
 
     def test_cluster_workers_agree_between_run_and_sweep(self, capsys):
-        # `run --workers N` is shorthand for --cluster-workers N; a
-        # sweep over a single point with the same cluster scale must
-        # reproduce the run exactly (pool --workers never changes the
-        # simulated cluster).
+        # A sweep over a single point with the run's --cluster-workers
+        # must reproduce the run exactly (the sweep's pool --workers
+        # never changes the simulated cluster).
         assert (
             main(
                 [
@@ -276,7 +275,7 @@ class TestScenarioCommands:
                     "12",
                     "--sgx-fraction",
                     "0.5",
-                    "--workers",
+                    "--cluster-workers",
                     "3",
                     "--json",
                 ]
@@ -304,6 +303,19 @@ class TestScenarioCommands:
         sweep_row = json.loads(capsys.readouterr().out)["results"][0]
         assert sweep_row["makespan_s"] == run_row["makespan_s"]
         assert sweep_row["mean_wait_s"] == run_row["mean_wait_s"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["profile"], ["record", "--ledger", "unwritten.jsonl"]],
+        ids=["run", "profile", "record"],
+    )
+    def test_workers_sizes_only_the_sweep_pool(self, command, capsys):
+        # The cluster scale has one flag, --cluster-workers; --workers
+        # exists only on sweep, where it sizes the process pool.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--jobs", "12", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_epc_mib_alias(self, capsys):
         assert (

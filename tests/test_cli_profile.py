@@ -14,7 +14,9 @@ from repro.profiling import (
 )
 
 #: Small-but-real scenario flags shared by the smoke tests.
-TINY = ["--jobs", "12", "--workers", "2", "--sample-interval", "0"]
+TINY = [
+    "--jobs", "12", "--cluster-workers", "2", "--sample-interval", "0",
+]
 
 
 class TestUsageErrors:
@@ -72,7 +74,7 @@ class TestSmoke:
         # line *format* are asserted, not a minimum sample count.
         assert (
             main(
-                ["profile", "--jobs", "12", "--workers", "2"]
+                ["profile", "--jobs", "12", "--cluster-workers", "2"]
                 + ["--collapsed-out", str(path)]
             )
             == 0

@@ -55,17 +55,14 @@ class TestProcesses:
         pid = standard_node.spawn_process(path, memory_bytes=gib(1))
         assert standard_node.used_memory_bytes() == gib(1)
         assert standard_node.cgroup_memory_bytes(path) == gib(1)
-        standard_node.set_process_memory(pid, gib(2))
-        assert standard_node.used_memory_bytes() == gib(2)
+        standard_node.kill_process(pid)
+        assert standard_node.used_memory_bytes() == 0
+        assert standard_node.cgroup_memory_bytes(path) == 0
 
     def test_negative_memory_rejected(self, standard_node):
         path = standard_node.cgroups.create_pod_cgroup("p1")
         with pytest.raises(NodeError):
             standard_node.spawn_process(path, memory_bytes=-1)
-
-    def test_set_memory_unknown_pid_rejected(self, standard_node):
-        with pytest.raises(NodeError):
-            standard_node.set_process_memory(999, 0)
 
     def test_kill_releases_enclaves(self, sgx_node):
         path = sgx_node.cgroups.create_pod_cgroup("p1")

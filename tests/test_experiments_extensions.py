@@ -1,9 +1,13 @@
-"""Extension experiments: SGX 2 dynamic memory and kubelet resizing."""
+"""Extension experiments: SGX 2 dynamic memory and kubelet resizing,
+and the two extension tables at their defaults."""
+
+import hashlib
 
 import pytest
 
 from repro.cluster.node import Node, NodeSpec
 from repro.errors import DriverError
+from repro.experiments.ext_hybrid import format_ext_hybrid, run_ext_hybrid
 from repro.experiments.ext_sgx2 import (
     format_ext_sgx2,
     generate_bursty_jobs,
@@ -105,3 +109,28 @@ class TestExtSgx2Experiment:
     def test_format(self, result):
         text = format_ext_sgx2(result)
         assert "SGX 1" in text and "SGX 2" in text
+
+
+#: sha256 of each extension table with its experiment's default
+#: arguments (seed 0); a change that means to move a table updates its
+#: digest here and says so.
+EXTENSION_TABLE_DIGESTS = {
+    "ext-hybrid": (
+        "6a8c922940bd2f3aa6d1765a248d5bb5ebe2b481f421fd37b1077b31dde76f56"
+    ),
+    "ext-sgx2": (
+        "f30d4bd99c4b8b6de0437f7ef5856c9eeb554a523fac5260a75a0cc7729979c6"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, table",
+    [
+        ("ext-hybrid", lambda: format_ext_hybrid(run_ext_hybrid())),
+        ("ext-sgx2", lambda: format_ext_sgx2(run_ext_sgx2())),
+    ],
+)
+def test_extension_table_is_pinned(name, table):
+    digest = hashlib.sha256(table().encode()).hexdigest()
+    assert digest == EXTENSION_TABLE_DIGESTS[name]

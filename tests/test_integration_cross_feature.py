@@ -1,4 +1,4 @@
-"""Cross-feature integration: images + hybrid + migration + SGX 2.
+"""Cross-feature integration: hybrid + migration + SGX 2.
 
 Exercises feature combinations no single-module test touches, on one
 orchestrator instance — the kind of interleaving a real deployment
@@ -10,52 +10,14 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
-from repro.orchestrator.images import ImageRegistry
 from repro.scheduler.binpack import BinpackScheduler
 from repro.units import gib, mib, pages
 from repro.workload.hybrid import hybrid_pod_spec
 
 
-class TestImagesPlusMigration:
-    def test_migrated_pod_needs_no_image_repull_if_cached(self):
-        registry = ImageRegistry.with_paper_images()
-        orchestrator = Orchestrator(paper_cluster(), registry=registry)
-        scheduler = BinpackScheduler()
-
-        # Warm both SGX nodes' caches with one pod each.
-        warmers = []
-        for index in range(2):
-            warmers.append(
-                orchestrator.submit(
-                    make_pod_spec(
-                        f"warm-{index}",
-                        duration_seconds=30.0,
-                        # 60 MiB each: binpack must split them across
-                        # the two SGX nodes (2 x 60 > 93.5).
-                        declared_epc_bytes=mib(60),
-                    ),
-                    now=0.0,
-                )
-            )
-        result = orchestrator.scheduling_pass(scheduler, now=1.0)
-        assert len(result.launched) == 2
-        nodes_used = {pod.node_name for pod in warmers}
-        assert len(nodes_used) == 2  # one warmer per SGX node
-        for pod, _ in result.launched:
-            orchestrator.start_pod(pod, now=1.5)
-        pulls_after_warmup = registry.pull_count
-
-        # Free the target by completing its warmer (the image cache
-        # outlives the pod), then migrate the survivor across.
-        survivor, leaver = warmers
-        orchestrator.complete_pod(leaver, now=31.5)
-        orchestrator.migrate_pod(survivor, leaver.node_name, now=40.0)
-        assert survivor.node_name == leaver.node_name
-        assert registry.pull_count == pulls_after_warmup
-
-    def test_migration_preserves_epc_books_with_images_enabled(self):
-        registry = ImageRegistry.with_paper_images()
-        orchestrator = Orchestrator(paper_cluster(), registry=registry)
+class TestMigrationBooks:
+    def test_migration_preserves_epc_books(self):
+        orchestrator = Orchestrator(paper_cluster())
         pod = orchestrator.submit(
             make_pod_spec(
                 "svc", duration_seconds=600.0, declared_epc_bytes=mib(30)

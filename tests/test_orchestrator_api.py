@@ -64,9 +64,6 @@ class TestPodSpec:
         assert other.scheduler_name == "sgx-aware-spread"
         assert spec.scheduler_name != other.scheduler_name
 
-    def test_default_image_is_papers_base(self):
-        assert PodSpec(name="p").image == "sebvaucher/sgx-base"
-
 
 class TestMakePodSpec:
     def test_sgx_spec_round_trip(self):

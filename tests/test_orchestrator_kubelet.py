@@ -145,16 +145,6 @@ class TestLimitEnforcement:
         assert not result.success
         assert "enclave creation failed" in result.failure_reason
 
-    def test_memory_limit_enforcement_optional(self):
-        kubelet = make_kubelet(
-            Node(NodeSpec.standard("w0")), enforce_memory_limits=True
-        )
-        pod = standard_pod(declared_gib=1, actual_gib=2)
-        pod.mark_bound("w0", 1.0)
-        result = kubelet.admit(pod)
-        assert not result.success
-        assert "OOMKilled" in result.failure_reason
-
 
 class TestTermination:
     def test_terminate_frees_everything(self):

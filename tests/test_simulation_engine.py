@@ -143,16 +143,6 @@ class TestRunUntil:
         engine.run(until=100.0)
         assert engine.now == 100.0
 
-    def test_step(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule_at(1.0, lambda: fired.append(1))
-        engine.schedule_at(2.0, lambda: fired.append(2))
-        assert engine.step()
-        assert fired == [1]
-        assert engine.step()
-        assert not engine.step()
-
     def test_fired_events_counter(self):
         engine = SimulationEngine()
         engine.schedule_at(1.0, lambda: None)

@@ -190,17 +190,24 @@ def test_drawn_replays_keep_the_lifecycle_invariants(**knobs):
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_a_dropped_replay_is_freed_without_the_collector(regime):
     """A converged replay keeps no reference cycle through its
-    orchestrator, so dropping the result frees it at once instead of
-    at the next full garbage collection (which would then land inside
-    whatever runs next)."""
-    enabled = gc.isenabled()
+    orchestrator or its nodes' cgroup trees, so dropping the result
+    frees it at once instead of at the next full garbage collection
+    (which would then land inside whatever runs next)."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
     gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         result = run_replay(replay_scenario(**REGIMES[regime]))
         orchestrator = weakref.ref(result.orchestrator)
         del result
         assert orchestrator() is None
+        gc.collect()
+        found = Counter(type(obj).__name__ for obj in gc.garbage)
+        assert not found["Cgroup"], found
     finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
         if enabled:
             gc.enable()
 
