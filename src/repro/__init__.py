@@ -4,9 +4,13 @@ A from-scratch Python reproduction of Vaucher et al., "SGX-Aware
 Container Orchestration for Heterogeneous Clusters" (ICDCS 2018),
 including every substrate the paper's system stands on: an SGX/EPC model
 with the patched Linux driver interface, a Kubernetes-like control plane
-with device plugins and DaemonSets, a time-series database with an
-InfluxQL subset, the Google Borg trace pipeline, and a discrete-event
-simulator that replays the paper's entire evaluation.
+with device plugins and DaemonSets, Heapster and SGX-probe monitoring
+into a window-max store that answers Listing 1's query, the Google Borg
+trace pipeline, and a discrete-event simulator that replays the paper's
+entire evaluation.  The InfluxQL engine that runs Listing 1 verbatim is
+a test oracle in ``tests/``; its time-series database
+(:mod:`repro.monitoring.tsdb`) stays in the package only because
+``bench/run.py`` imports it to time its write path.
 
 Quick start::
 
@@ -62,7 +66,7 @@ from .trace.borg import BorgTraceGenerator, synthetic_scaled_trace
 from .trace.loader import load_borg_csv
 from .workload.malicious import MaliciousConfig
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 # The scenario layer sits on top of everything above; importing it
 # after the core packages keeps the orchestrator <-> scheduler import

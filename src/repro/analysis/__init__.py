@@ -1,21 +1,25 @@
-"""Static analysis: determinism & invariant checks over the source tree.
+"""Static analysis: the determinism hazards only the source shows.
 
 The reproduction's load-bearing guarantee is bit-for-bit determinism:
-every optimisation since PR 1 is accepted only because replays are
-byte-identical to the full-scan oracle.  The hypothesis equivalence
-suites enforce that *at runtime*; this package enforces the hazards
-they catch — unseeded RNG, wall-clock reads, iteration over unordered
-sets, identity-based tie-breakers, ``__dict__`` resurrection on the
-PR 6 slotted hot classes, registry drift — *at lint time*, before a
-flaky equivalence failure ships.
+every optimisation is accepted only because replays are byte-identical
+to the full-scan oracle.  The equivalence suites enforce that at
+runtime; this package finds the hazards they can miss in the source
+itself, before a flaky equivalence failure ships: unseeded RNG
+(DET001), wall-clock reads in simulated time (DET002), iteration over
+unordered sets (DET003) and identity-based tie-breakers (DET004) in
+decision paths, and ledger emit sites off the frozen
+``repro.ledger/v1`` table (OBS001).  Invariants the interpreter can
+check itself (slotted layouts, registry call contracts, CLI flags
+mapping onto ``Scenario`` fields) are left to runtime tests of their
+subjects, which read the live objects.
 
-The framework mirrors the PR 4 registries: a check plugs in with
-``@register_check`` and is immediately part of ``repro check``::
+A check plugs in with ``@register_check`` and is immediately part of
+``repro check``::
 
-    from repro.analysis import Check, Finding, register_check
+    from repro.analysis import ModuleCheck, register_check
 
     @register_check("DET999")
-    class MyCheck(Check):
+    class MyCheck(ModuleCheck):
         rule = "DET999"
         description = "..."
         hint = "..."
@@ -24,13 +28,11 @@ The framework mirrors the PR 4 registries: a check plugs in with
             yield from ()
 
 Run the suite with :func:`run_checks` (the ``repro check`` CLI
-subcommand is a thin wrapper), scope rules per package via
-:class:`CheckConfig`, suppress individual lines with
-``repro: noqa[RULE]`` comments and grandfather reviewed findings in a JSON
-baseline (schema ``repro.check/v1``).
+subcommand is a thin wrapper) and scope rules per package via
+:class:`CheckConfig`.  Every finding fails the gate: there are no
+per-line suppressions and no baseline.
 """
 
-from .baseline import load_baseline, write_baseline
 from .base import Check, ModuleCheck, ProjectCheck, register_check
 from .config import CheckConfig, DEFAULT_CONFIG
 from .findings import Finding
@@ -56,9 +58,7 @@ __all__ = [
     "ProjectCheck",
     "analyze_project",
     "check_names",
-    "load_baseline",
     "load_project",
     "register_check",
     "run_checks",
-    "write_baseline",
 ]

@@ -63,9 +63,9 @@ class ModuleCheck(Check):
 
 
 class ProjectCheck(Check):
-    """A check that needs the whole project at once (cross-module
-    class resolution, duplicate detection).  Purely a marker base —
-    the contract is :meth:`Check.run` unchanged."""
+    """A check that needs the whole project at once (OBS001 reads the
+    schema table from one module and emit sites from all).  Purely a
+    marker base — the contract is :meth:`Check.run` unchanged."""
 
 
 def register_check(rule: str) -> Callable[[type], type]:

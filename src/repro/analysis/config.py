@@ -10,8 +10,8 @@ fixture trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet
 
 
 def _frozen(*items: str) -> FrozenSet[str]:
@@ -39,76 +39,6 @@ class CheckConfig:
         "monitoring", "cluster",
     )
 
-    #: LAYOUT001/LAYOUT002: the PR 6 lean-layout modules.  Every class
-    #: here must stay ``__slots__``-declared (directly or via
-    #: ``@dataclass(slots=True)``); a stray attribute or a non-slotted
-    #: base silently resurrects ``__dict__`` and the per-pod memory it
-    #: was rebuilt to shed.
-    hot_layout_modules: FrozenSet[str] = _frozen(
-        "simulation/engine.py",
-        "simulation/runner.py",
-        "orchestrator/kubelet.py",
-        "orchestrator/queue.py",
-        "orchestrator/pod.py",
-        "scheduler/base.py",
-        "scheduler/binpack.py",
-        "monitoring/aggregate.py",
-        "monitoring/probe.py",
-        "monitoring/heapster.py",
-        "obs/ledger.py",
-        "obs/spans.py",
-        "obs/metrics.py",
-        "obs/observer.py",
-    )
-    #: LAYOUT: base classes known to be slot-free-safe (empty slots).
-    slotted_external_bases: FrozenSet[str] = _frozen(
-        "object", "abc.ABC", "ABC", "Protocol", "typing.Protocol",
-        "Generic", "typing.Generic",
-    )
-
-    #: API001: the CLI module, the function whose ``add_argument``
-    #: calls define the shared run/sweep scenario flags, and the module
-    #: holding the ``Scenario`` dataclass those flags must map onto.
-    cli_module: str = "cli.py"
-    cli_flag_functions: FrozenSet[str] = _frozen("_scenario_flags")
-    scenario_module: str = "api/scenario.py"
-    scenario_class: str = "Scenario"
-    #: Flag dest -> scenario field, where the names differ.
-    cli_field_aliases: Dict[str, str] = field(
-        default_factory=lambda: {
-            # --trace-seed/--jobs fold into a borg-synth trace spec.
-            "jobs": "trace",
-            "trace_seed": "trace",
-            "epc_mib": "epc_total_bytes",
-            "priority_threshold": "preemption_priority_threshold",
-            "cluster_workers": "standard_workers",
-        }
-    )
-    #: Flags that deliberately have no scenario field (output shape,
-    #: pool sizing); extending the CLI with a new non-scenario flag
-    #: means reviewing it onto this list.
-    cli_only_flags: FrozenSet[str] = _frozen("json",)
-
-    #: REG001: registration decorators and the keywords each factory
-    #: must accept (directly or via ``**options``).  Positional minima
-    #: ride with the keyword tuple: workload factories take
-    #: ``(cluster, trace, ...)``.
-    registry_decorators: Dict[str, Tuple[Tuple[str, ...], int]] = field(
-        default_factory=lambda: {
-            "register_scheduler": (
-                ("use_measured", "strict_fcfs", "preserve_sgx_nodes"),
-                0,
-            ),
-            "register_workload": (
-                ("sgx_fraction", "seed", "scheduler_name"),
-                2,
-            ),
-            "register_preemption_policy": ((), 0),
-            # resolve_trace calls factory(spec=..., seed=...).
-            "register_trace": (("spec", "seed"), 0),
-        }
-    )
-
     #: OBS001: the module holding the frozen ``repro.ledger/v1`` schema
     #: table and the table's name.  Every ``<ledger>.emit(now, kind,
     #: **payload)`` call anywhere in the tree must use a string-literal
@@ -134,10 +64,6 @@ class CheckConfig:
     def decision_path(self, package: str) -> bool:
         """Whether DET003/DET004 apply to *package*."""
         return package in self.decision_path_packages
-
-    def hot_layout(self, relpath: str) -> bool:
-        """Whether LAYOUT001/LAYOUT002 apply to *relpath*."""
-        return relpath in self.hot_layout_modules
 
 
 #: The configuration describing this repository's own source tree.

@@ -11,8 +11,8 @@ class Finding:
     """One violation: rule + location + message + how to fix it.
 
     ``path`` is relative to the analysed package root (e.g.
-    ``scheduler/binpack.py``), so findings — and the baseline entries
-    made from them — are stable across checkouts and installs.
+    ``scheduler/binpack.py``), so findings are stable across checkouts
+    and installs.
     """
 
     rule: str
@@ -24,16 +24,6 @@ class Finding:
     def sort_key(self) -> Tuple[str, int, str]:
         """Stable report order: by file, then line, then rule."""
         return (self.path, self.line, self.rule)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity for baseline matching.
-
-        Line numbers churn with every edit above a finding, so the
-        baseline matches on ``(path, rule, message)`` instead — a
-        grandfathered finding stays grandfathered until the offending
-        code itself changes.
-        """
-        return (self.path, self.rule, self.message)
 
     def location(self) -> str:
         """``path:line`` as editors and CI annotations expect."""

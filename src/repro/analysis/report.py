@@ -15,7 +15,7 @@ from typing import Dict, List
 from ..api.format import format_table
 from .findings import Finding
 
-#: Schema tag stamped into the JSON report (and the baseline file).
+#: Schema tag stamped into the JSON report.
 CHECK_SCHEMA = "repro.check/v1"
 
 
@@ -23,19 +23,16 @@ CHECK_SCHEMA = "repro.check/v1"
 class CheckReport:
     """Everything one ``repro check`` run determined.
 
-    ``findings`` are the gate: new, unsuppressed, non-baselined
-    violations (including ``NOQA001`` unused suppressions and
-    ``BASE001`` stale baseline entries — bookkeeping rot is a finding
-    too).  The counters exist so a clean run is distinguishable from a
-    run that scanned nothing.
+    ``findings`` are the gate: every violation of the rules run
+    (DET001-DET004 and OBS001 by default); nothing is suppressed or
+    grandfathered.  The counters exist so a clean run is
+    distinguishable from a run that scanned nothing.
     """
 
     root: str
     findings: List[Finding] = field(default_factory=list)
     modules_checked: int = 0
     rules_run: List[str] = field(default_factory=list)
-    suppressed_count: int = 0
-    baselined_count: int = 0
 
     @property
     def clean(self) -> bool:
@@ -58,8 +55,6 @@ class CheckReport:
             "root": self.root,
             "modules_checked": self.modules_checked,
             "rules_run": list(self.rules_run),
-            "suppressed": self.suppressed_count,
-            "baselined": self.baselined_count,
             "count": len(self.findings),
             "counts_by_rule": self.counts_by_rule(),
             "findings": [
@@ -75,9 +70,7 @@ class CheckReport:
         ordered = sorted(self.findings, key=Finding.sort_key)
         summary = (
             f"{len(ordered)} finding(s) in {self.modules_checked} "
-            f"module(s) [{len(self.rules_run)} rule(s); "
-            f"{self.suppressed_count} suppressed, "
-            f"{self.baselined_count} baselined]"
+            f"module(s) [{len(self.rules_run)} rule(s)]"
         )
         if not ordered:
             return f"OK: 0 findings — {summary}"

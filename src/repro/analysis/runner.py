@@ -1,21 +1,15 @@
-"""The check runner: parse once, run every rule, filter, report.
+"""The check runner: parse once, run every selected rule, report.
 
-Pipeline: load the tree, run each registered check, drop findings the
-code suppresses with ``repro: noqa[RULE]`` comments, grandfather what the
-baseline covers, then add the two bookkeeping rules — ``NOQA001`` for
-suppressions that suppressed nothing and ``BASE001`` for baseline
-entries that matched nothing — so neither escape hatch accumulates
-silently.
+Every finding is part of the gate: the tree carries no per-line
+suppressions and no baseline of grandfathered findings.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import SimulationError
-from .baseline import BaselineKey, apply_baseline
 from .config import DEFAULT_CONFIG, CheckConfig
 from .findings import Finding
 from .registry import CHECKS, check_names
@@ -41,8 +35,7 @@ def analyze_project(
     config: CheckConfig = DEFAULT_CONFIG,
     rules: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Raw findings from every selected rule — before suppression and
-    baseline filtering (those are :func:`run_checks` policy)."""
+    """Every selected rule's findings over *project*, in report order."""
     findings: List[Finding] = []
     for name in _selected_checks(rules):
         check = CHECKS.get(name)()
@@ -51,70 +44,17 @@ def analyze_project(
     return findings
 
 
-def _filter_suppressed(
-    project: Project, findings: Iterable[Finding]
-) -> Tuple[List[Finding], int, Set[Tuple[str, int, str]]]:
-    """(kept, suppressed_count, used (path, line, rule) suppressions)."""
-    kept: List[Finding] = []
-    used: Set[Tuple[str, int, str]] = set()
-    suppressed = 0
-    for finding in findings:
-        module = project.get(finding.path)
-        if module is not None and module.suppressed(
-            finding.line, finding.rule
-        ):
-            suppressed += 1
-            used.add((finding.path, finding.line, finding.rule))
-        else:
-            kept.append(finding)
-    return kept, suppressed, used
-
-
-def _unused_suppressions(
-    project: Project, used: Set[Tuple[str, int, str]]
-) -> List[Finding]:
-    """NOQA001 findings for suppressions that suppressed nothing."""
-    return [
-        Finding(
-            rule="NOQA001",
-            path=module.relpath,
-            line=line,
-            message=f"unused suppression: noqa[{rule}] on this line "
-            "suppresses nothing",
-            hint="delete the stale # repro: noqa comment",
-        )
-        for module, line, rule in project.all_suppressions()
-        if (module.relpath, line, rule) not in used
-    ]
-
-
 def run_checks(
     root: Path,
     config: CheckConfig = DEFAULT_CONFIG,
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional["Counter[BaselineKey]"] = None,
 ) -> CheckReport:
-    """Run the full pipeline over the tree at *root*.
-
-    The report's ``findings`` are what the gate sees: new violations,
-    plus ``NOQA001``/``BASE001`` bookkeeping rot.  Baseline matching
-    applies only to rule findings — the bookkeeping rules exist to
-    shrink the escape hatches, so they cannot be baselined away.
-    """
+    """Run the selected rules over the tree at *root*."""
     project = load_project(Path(root))
     selected = _selected_checks(rules)
-    raw = analyze_project(project, config, selected)
-    kept, suppressed_count, used = _filter_suppressed(project, raw)
-    new, baselined_count, stale = apply_baseline(
-        kept, baseline if baseline is not None else Counter()
-    )
-    findings = new + stale + _unused_suppressions(project, used)
-    findings.sort(key=Finding.sort_key)
     return CheckReport(
         root=str(root),
-        findings=findings,
+        findings=analyze_project(project, config, selected),
         modules_checked=len(project),
         rules_run=selected,
-        suppressed_count=suppressed_count,
-        baselined_count=baselined_count,
     )

@@ -1,65 +1,36 @@
-"""Source model: parsed modules, the project tree, noqa suppressions.
+"""Source model: parsed modules and the project tree.
 
 Checks never touch the filesystem; they see :class:`ModuleSource`
-objects (path + text + AST + per-line suppressions) grouped into a
-:class:`Project`.  Parsing happens once per file regardless of how
-many rules run.
+objects (path + AST) grouped into a :class:`Project`.  Parsing happens
+once per file regardless of how many rules run.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List
 
 from ..errors import SimulationError
-
-#: A ``repro: noqa[DET001]`` (or ``noqa[DET001,LAYOUT002]``) comment
-#: suppresses the listed rules on its physical line.
-_NOQA_PATTERN = re.compile(
-    r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s]+)\]"
-)
-
-
-def parse_suppressions(text: str) -> Dict[int, Set[str]]:
-    """Per-line suppressed rule codes (1-based line numbers)."""
-    suppressions: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "noqa" not in line:
-            continue
-        match = _NOQA_PATTERN.search(line)
-        if match is None:
-            continue
-        rules = {
-            rule.strip()
-            for rule in match.group(1).split(",")
-            if rule.strip()
-        }
-        if rules:
-            suppressions[lineno] = rules
-    return suppressions
 
 
 class ModuleSource:
     """One parsed source file.
 
     ``relpath`` uses forward slashes relative to the package root, so
-    findings and baselines are portable across platforms and installs.
+    findings are portable across platforms and installs.
     """
 
-    __slots__ = ("relpath", "text", "tree", "suppressions")
+    __slots__ = ("relpath", "tree")
 
     def __init__(self, relpath: str, text: str):
         self.relpath = relpath
-        self.text = text
         try:
             self.tree = ast.parse(text)
         except SyntaxError as exc:  # pragma: no cover - broken tree
             raise SimulationError(
                 f"cannot parse {relpath}: {exc}"
             ) from exc
-        self.suppressions = parse_suppressions(text)
 
     @property
     def package(self) -> str:
@@ -68,40 +39,21 @@ class ModuleSource:
         head, _, tail = self.relpath.partition("/")
         return head if tail else ""
 
-    def suppressed(self, line: int, rule: str) -> bool:
-        """Whether *rule* is noqa'd on *line*."""
-        rules = self.suppressions.get(line)
-        return rules is not None and rule in rules
-
 
 class Project:
     """All modules of one analysed tree, in sorted path order."""
 
-    __slots__ = ("root", "modules", "_by_path")
+    __slots__ = ("root", "modules")
 
     def __init__(self, root: Path, modules: List[ModuleSource]):
         self.root = root
         self.modules = sorted(modules, key=lambda m: m.relpath)
-        self._by_path: Dict[str, ModuleSource] = {
-            module.relpath: module for module in self.modules
-        }
-
-    def get(self, relpath: str) -> Optional[ModuleSource]:
-        """The module at *relpath*, or ``None``."""
-        return self._by_path.get(relpath)
 
     def __iter__(self) -> Iterator[ModuleSource]:
         return iter(self.modules)
 
     def __len__(self) -> int:
         return len(self.modules)
-
-    def all_suppressions(self) -> Iterator[Tuple[ModuleSource, int, str]]:
-        """Every ``(module, line, rule)`` suppression in the tree."""
-        for module in self.modules:
-            for line in sorted(module.suppressions):
-                for rule in sorted(module.suppressions[line]):
-                    yield module, line, rule
 
 
 def load_project(root: Path) -> Project:

@@ -10,7 +10,7 @@ Usage::
     python -m repro traces
     python -m repro sweep --grid sgx_fraction=0,0.5,1 --workers 4
     python -m repro profile --jobs 1000 --top 30 --collapsed-out out.txt
-    python -m repro check --format json --baseline repro-check-baseline.json
+    python -m repro check --format json
     python -m repro record --seed 3 --ledger run.ledger.jsonl
     python -m repro diff a.ledger.jsonl b.ledger.jsonl
     python -m repro explain --ledger run.ledger.jsonl --pod sgx-job-4
@@ -65,35 +65,30 @@ from .trace.adapters import trace_catalogue
 from .trace.spec import make_trace_spec
 from .units import mib
 
-#: name -> (description, needs_trace, run, format)
-_FIGURES: Dict[str, Tuple[str, bool, Callable, Callable]] = {
+#: name -> (description, run, format)
+_FIGURES: Dict[str, Tuple[str, Callable, Callable]] = {
     "fig3": (
         "Borg trace: max memory usage CDF",
-        False,
         lambda seeds: run_fig3(seed=seeds[0]),
         format_fig3,
     ),
     "fig4": (
         "Borg trace: job duration CDF",
-        False,
         lambda seeds: run_fig4(seed=seeds[0]),
         format_fig4,
     ),
     "fig5": (
         "Borg trace: concurrent jobs over the first 24 h",
-        False,
         lambda seeds: run_fig5(seed=seeds[0]),
         format_fig5,
     ),
     "fig6": (
         "SGX process startup vs requested EPC size",
-        False,
         lambda seeds: run_fig6(),
         format_fig6,
     ),
     "fig7": (
         "pending queue vs simulated EPC size (32..256 MiB)",
-        True,
         lambda seeds: run_fig7(
             trace=common.default_trace(seeds[0]), seed=seeds[1]
         ),
@@ -101,7 +96,6 @@ _FIGURES: Dict[str, Tuple[str, bool, Callable, Callable]] = {
     ),
     "fig8": (
         "waiting-time CDF for 0..100 % SGX job shares",
-        True,
         lambda seeds: run_fig8(
             trace=common.default_trace(seeds[0]), seed=seeds[1]
         ),
@@ -109,7 +103,6 @@ _FIGURES: Dict[str, Tuple[str, bool, Callable, Callable]] = {
     ),
     "fig9": (
         "waiting time vs requested memory, spread vs binpack",
-        True,
         lambda seeds: run_fig9(
             trace=common.default_trace(seeds[0]), seed=seeds[1]
         ),
@@ -117,7 +110,6 @@ _FIGURES: Dict[str, Tuple[str, bool, Callable, Callable]] = {
     ),
     "fig10": (
         "total turnaround per strategy and job type",
-        True,
         lambda seeds: run_fig10(
             trace=common.default_trace(seeds[0]), seed=seeds[1]
         ),
@@ -125,7 +117,6 @@ _FIGURES: Dict[str, Tuple[str, bool, Callable, Callable]] = {
     ),
     "fig11": (
         "malicious containers with and without EPC limits",
-        True,
         lambda seeds: run_fig11(
             trace=common.default_trace(seeds[0]), seed=seeds[1]
         ),
@@ -133,13 +124,11 @@ _FIGURES: Dict[str, Tuple[str, bool, Callable, Callable]] = {
     ),
     "ext-sgx2": (
         "extension: SGX 1 vs SGX 2 on a bursty enclave workload",
-        False,
         lambda seeds: run_ext_sgx2(seed=seeds[1]),
         format_ext_sgx2,
     ),
     "ext-hybrid": (
         "extension: hybrid trusted/untrusted jobs, binding resource",
-        False,
         lambda seeds: run_ext_hybrid(seed=seeds[1]),
         format_ext_hybrid,
     ),
@@ -442,18 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("table", "json"),
         default="table",
         help="output format (json follows schema repro.check/v1)",
-    )
-    check_parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="JSON baseline of reviewed findings to grandfather",
-    )
-    check_parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="write the current findings as the new baseline and exit 0",
     )
     check_parser.add_argument(
         "--rules",
@@ -760,7 +737,7 @@ def _cmd_check(
 ) -> int:
     # Imported here: the analysis machinery is pure stdlib, but no
     # other command needs it in its import graph.
-    from .analysis import load_baseline, run_checks, write_baseline
+    from .analysis import run_checks
 
     root = (
         Path(args.root) if args.root is not None else Path(__file__).parent
@@ -774,28 +751,10 @@ def _cmd_check(
         ]
         if not rules:
             parser.error(f"--rules got no rule codes: {args.rules!r}")
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except SimulationError as exc:
-            parser.error(str(exc))
     try:
-        report = run_checks(root, rules=rules, baseline=baseline)
+        report = run_checks(root, rules=rules)
     except SimulationError as exc:
         parser.error(str(exc))
-    if args.write_baseline is not None:
-        reviewed = [
-            finding
-            for finding in report.findings
-            if finding.rule not in ("NOQA001", "BASE001")
-        ]
-        write_baseline(Path(args.write_baseline), reviewed)
-        print(
-            f"baseline written: {len(reviewed)} finding(s) -> "
-            f"{args.write_baseline}"
-        )
-        return 0
     print(
         report.to_json() if args.format == "json" else report.to_table()
     )
@@ -803,7 +762,7 @@ def _cmd_check(
 
 
 def _run_one(name: str, seeds: Tuple[int, int]) -> None:
-    description, _needs_trace, run, formatter = _FIGURES[name]
+    description, run, formatter = _FIGURES[name]
     print(f"== {name}: {description} ==")
     print(formatter(run(seeds)))
     print()

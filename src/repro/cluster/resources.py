@@ -10,7 +10,7 @@ against a capacity, and utilisation ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..errors import ResourceError
 from ..units import fmt_bytes, pages_to_mib
@@ -104,28 +104,6 @@ class ResourceVector:
         return self.epc_pages > 0
 
     # -- derived metrics ---------------------------------------------------
-
-    def utilization_of(self, capacity: "ResourceVector") -> Dict[str, float]:
-        """Per-dimension utilisation ratios against *capacity*.
-
-        Dimensions with zero capacity are reported as 0.0 when unused and
-        ``inf`` when used — a demand on a dimension a node lacks.
-        """
-
-        def ratio(used: int, cap: int) -> float:
-            if cap == 0:
-                return float("inf") if used > 0 else 0.0
-            return used / cap
-
-        return {
-            "cpu": ratio(self.cpu_millicores, capacity.cpu_millicores),
-            "memory": ratio(self.memory_bytes, capacity.memory_bytes),
-            "epc": ratio(self.epc_pages, capacity.epc_pages),
-        }
-
-    def dominant_utilization(self, capacity: "ResourceVector") -> float:
-        """The max utilisation ratio across dimensions (binpack score)."""
-        return max(self.utilization_of(capacity).values())
 
     def dominant_finite_utilization(
         self,

@@ -19,7 +19,6 @@ from ..constants import (
 )
 from ..errors import ClusterError
 from .node import Node, NodeSpec
-from .resources import ResourceVector
 
 
 class Cluster:
@@ -77,13 +76,6 @@ class Cluster:
         return [n for n in self._nodes.values() if not n.sgx_capable]
 
     # -- aggregate capacity -----------------------------------------------
-
-    def total_capacity(self) -> ResourceVector:
-        """Sum of node capacities."""
-        total = ResourceVector.zero()
-        for node in self._nodes.values():
-            total = total + node.capacity
-        return total
 
     def total_epc_pages(self) -> int:
         """Total usable EPC pages across SGX nodes."""

@@ -52,11 +52,6 @@ class Heapster:
             return True
         return False
 
-    @property
-    def source_count(self) -> int:
-        """Number of registered sources."""
-        return len(self._sources)
-
     def collect(self, now: float) -> int:
         """Poll every source once; returns the number of samples taken."""
         taken = 0

@@ -774,9 +774,3 @@ class Orchestrator:
         """EPC pages requested by queued pods (Fig. 7's y-axis)."""
         return self.queue.total_requested_epc_pages()
 
-    def pods_by_phase(self) -> Dict[str, List[Pod]]:
-        """All pods grouped by phase value (reporting convenience)."""
-        grouped: Dict[str, List[Pod]] = {}
-        for pod in self.all_pods:
-            grouped.setdefault(pod.phase.value, []).append(pod)
-        return grouped

@@ -11,7 +11,7 @@ creating payloads for new nodes and reaping them for departed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, TypeVar
+from typing import Callable, Dict, Iterable, List, TypeVar
 
 from .kubelet import Kubelet
 
@@ -40,10 +40,6 @@ class DaemonSet:
     selector: NodeSelector
     factory: PayloadFactory
     payloads: Dict[str, object] = field(default_factory=dict)
-
-    def payload_for(self, node_name: str) -> Optional[object]:
-        """The live payload on *node_name*, if any."""
-        return self.payloads.get(node_name)
 
 
 class DaemonSetController:

@@ -93,8 +93,3 @@ class DevicePluginRegistry:
         """Device pseudo-file to mount into pods using this resource."""
         advertisement = self._resources.get(resource_name)
         return advertisement.device_path if advertisement else None
-
-    @property
-    def resource_names(self) -> list:
-        """All advertised resource names."""
-        return sorted(self._resources)

@@ -137,10 +137,6 @@ class PendingQueue:
         """Highest-tier-oldest-first iteration over a queue snapshot."""
         return iter(self._ordered())
 
-    def peek(self) -> Optional[Pod]:
-        """The frontmost pending pod (backed off or not), or ``None``."""
-        return self._sorted[0] if self._sorted else None
-
     def snapshot(self, now: Optional[float] = None) -> List[Pod]:
         """Scheduling-ordered list of pods eligible for scheduling.
 

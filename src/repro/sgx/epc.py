@@ -128,10 +128,6 @@ class EnclavePageCache:
             usage[alloc.owner] = usage.get(alloc.owner, 0) + alloc.pages
         return usage
 
-    def owner_pages(self, owner: str) -> int:
-        """Pages owned by *owner* (0 if the owner has no allocation)."""
-        return self.usage_by_owner().get(owner, 0)
-
     # -- allocation lifecycle -----------------------------------------------
 
     def allocate(self, owner: str, n_pages: int) -> EpcAllocation:

@@ -30,7 +30,7 @@ from ..constants import (
     STANDARD_STARTUP_SECONDS,
 )
 from ..errors import SgxError
-from ..units import MIB, bytes_to_mib
+from ..units import bytes_to_mib
 
 
 @dataclass(frozen=True)
@@ -125,21 +125,3 @@ class SgxPerfModel:
         # "orders of magnitude" phrasing of the sources the paper cites.
         return self.paging_max_slowdown ** progress
 
-    def effective_runtime(
-        self, base_runtime_seconds: float, overcommit_ratio: float
-    ) -> float:
-        """Runtime of a job under a given over-commit ratio."""
-        if base_runtime_seconds < 0:
-            raise SgxError("negative runtime")
-        return base_runtime_seconds * self.paging_slowdown(overcommit_ratio)
-
-    # -- convenience ------------------------------------------------------
-
-    def startup_curve(self, step_bytes: int = 8 * MIB, max_bytes: int = 0):
-        """Yield ``(epc_bytes, StartupBreakdown)`` along Fig. 6's x-axis."""
-        if max_bytes <= 0:
-            max_bytes = 128 * MIB
-        size = 0
-        while size <= max_bytes:
-            yield size, self.startup(size)
-            size += step_bytes

@@ -25,8 +25,8 @@ built-ins use::
 
 Adapters are called as ``factory(spec=TraceSpec, seed=int)`` where
 ``seed`` is the spec's ``seed`` option resolved against
-``DEFAULT_TRACE_SEED`` — the REG001 static-analysis rule holds
-registered factories to that signature.
+``DEFAULT_TRACE_SEED``; a registry test holds every registered
+factory to that signature.
 """
 
 from __future__ import annotations

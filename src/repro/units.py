@@ -39,11 +39,6 @@ def bytes_to_mib(n: int) -> float:
     return n / MIB
 
 
-def bytes_to_gib(n: int) -> float:
-    """Return *n* bytes expressed in (fractional) GiB."""
-    return n / GIB
-
-
 def pages(n_bytes: int) -> int:
     """Number of whole EPC pages needed to hold *n_bytes* (round up).
 

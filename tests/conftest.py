@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.monitoring.tsdb import TimeSeriesDatabase
@@ -11,6 +15,19 @@ from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib
+
+
+@pytest.fixture(scope="session")
+def repro_modules():
+    """Every module of the ``repro`` package, imported, in path order.
+
+    Importing them all runs every ``@register_*`` decorator in the
+    tree, so a name registered twice raises ``RegistryError`` here.
+    """
+    return [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
 
 
 @pytest.fixture

@@ -1,12 +1,9 @@
 """Per-rule fire / no-fire fixtures for the static-analysis checks.
 
 Every rule gets at least one fixture that must fire and one that must
-stay silent; the suppression, baseline and bookkeeping (NOQA001 /
-BASE001) machinery is exercised over real temporary trees through
-:func:`repro.analysis.run_checks`.
+stay silent.
 """
 
-import json
 import textwrap
 
 import pytest
@@ -17,12 +14,7 @@ from repro.analysis import (
     Project,
     analyze_project,
     check_names,
-    load_baseline,
-    run_checks,
-    write_baseline,
 )
-from repro.analysis.baseline import apply_baseline
-from repro.analysis.findings import Finding
 from repro.errors import SimulationError
 
 
@@ -250,434 +242,6 @@ class TestDet004IdentityOrder:
         assert rules_fired(proj, ["DET004"]) == []
 
 
-HOT = CheckConfig(hot_layout_modules=frozenset({"scheduler/hot.py"}))
-
-
-class TestLayout001Slots:
-    def test_plain_class_fires(self):
-        proj = project(scheduler__hot="""
-            class Pod:
-                def __init__(self):
-                    self.name = "p"
-        """)
-        assert rules_fired(proj, ["LAYOUT001"], HOT) == ["LAYOUT001"]
-
-    def test_dataclass_without_slots_fires(self):
-        proj = project(scheduler__hot="""
-            from dataclasses import dataclass
-
-            @dataclass
-            class Pod:
-                name: str
-        """)
-        assert rules_fired(proj, ["LAYOUT001"], HOT) == ["LAYOUT001"]
-
-    def test_slotted_variants_are_clean(self):
-        proj = project(scheduler__hot="""
-            from dataclasses import dataclass
-            from typing import Protocol
-
-            class Pod:
-                __slots__ = ("name",)
-
-            @dataclass(frozen=True, slots=True)
-            class Spec:
-                name: str
-
-            class Source(Protocol):
-                def read(self) -> str: ...
-        """)
-        assert rules_fired(proj, ["LAYOUT001"], HOT) == []
-
-    def test_non_hot_module_is_clean(self):
-        proj = project(scheduler__cold="""
-            class Pod:
-                pass
-        """)
-        assert rules_fired(proj, ["LAYOUT001"], HOT) == []
-
-
-class TestLayout002SlottedBase:
-    def test_non_slotted_project_base_fires(self):
-        proj = project(scheduler__core="""
-            class Base:
-                pass
-
-            class Hot(Base):
-                __slots__ = ("x",)
-        """)
-        assert rules_fired(proj, ["LAYOUT002"]) == ["LAYOUT002"]
-
-    def test_empty_slots_base_is_clean(self):
-        proj = project(scheduler__core="""
-            class Base:
-                __slots__ = ()
-
-            class Hot(Base):
-                __slots__ = ("x",)
-        """)
-        assert rules_fired(proj, ["LAYOUT002"]) == []
-
-    def test_abc_and_unknown_bases_are_clean(self):
-        proj = project(scheduler__core="""
-            import abc
-            from elsewhere import External
-
-            class Hot(abc.ABC):
-                __slots__ = ("x",)
-
-            class Other(External):
-                __slots__ = ("y",)
-        """)
-        assert rules_fired(proj, ["LAYOUT002"]) == []
-
-
-class TestReg001RegistryConformance:
-    def test_duplicate_name_across_modules_fires(self):
-        proj = project(
-            workload__a="""
-                from ..registry import register_workload
-
-                @register_workload("stress")
-                def plans_a(cluster, trace, **options):
-                    return []
-            """,
-            workload__b="""
-                from ..registry import register_workload
-
-                @register_workload("stress")
-                def plans_b(cluster, trace, **options):
-                    return []
-            """,
-        )
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any("duplicate" in f.message for f in findings)
-
-    def test_missing_keyword_fires(self):
-        proj = project(workload__a="""
-            from ..registry import register_workload
-
-            @register_workload("narrow")
-            def plans(cluster, trace, sgx_fraction=0.0):
-                return []
-        """)
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any("does not accept" in f.message for f in findings)
-
-    def test_missing_positional_fires(self):
-        proj = project(workload__a="""
-            from ..registry import register_workload
-
-            @register_workload("armless")
-            def plans(**options):
-                return []
-        """)
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any("positional" in f.message for f in findings)
-
-    def test_kwargs_catch_all_is_clean(self):
-        proj = project(workload__a="""
-            from ..registry import register_workload
-
-            @register_workload("wide")
-            def plans(cluster, trace, **options):
-                return []
-        """)
-        assert rules_fired(proj, ["REG001"]) == []
-
-    def test_class_factory_resolves_inherited_init(self):
-        proj = project(
-            scheduler__base="""
-                class Scheduler:
-                    def __init__(self, use_measured=True,
-                                 strict_fcfs=False,
-                                 preserve_sgx_nodes=True):
-                        pass
-            """,
-            scheduler__mine="""
-                from ..registry import register_scheduler
-                from .base import Scheduler
-
-                @register_scheduler("mine")
-                class MyScheduler(Scheduler):
-                    pass
-            """,
-        )
-        assert rules_fired(proj, ["REG001"]) == []
-
-    def test_class_factory_missing_keyword_fires(self):
-        proj = project(scheduler__mine="""
-            from ..registry import register_scheduler
-
-            @register_scheduler("mine")
-            class MyScheduler:
-                def __init__(self, use_measured=True):
-                    pass
-        """)
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any("does not accept" in f.message for f in findings)
-
-    def test_non_literal_name_fires(self):
-        proj = project(workload__a="""
-            from ..registry import register_workload
-
-            NAME = "dynamic"
-
-            @register_workload(NAME)
-            def plans(cluster, trace, **options):
-                return []
-        """)
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any("string literal" in f.message for f in findings)
-
-
-class TestTrace001AdapterConformance:
-    """Trace adapters under REG001: ``register_trace``'s contract is
-    ``factory(spec=..., seed=...)``."""
-
-    def test_duplicate_name_fires_with_first_location(self):
-        proj = project(
-            trace__adapters__a="""
-                from ....registry import register_trace
-
-                @register_trace("borg-synth")
-                def build_a(spec, seed):
-                    return None
-            """,
-            trace__adapters__b="""
-                from ....registry import register_trace
-
-                @register_trace("borg-synth")
-                def build_b(spec, seed):
-                    return None
-            """,
-        )
-        findings = analyze_project(proj, rules=["REG001"])
-        duplicates = [f for f in findings if "duplicate" in f.message]
-        assert len(duplicates) == 1
-        assert "trace/adapters/a.py" in duplicates[0].message
-
-    def test_missing_seed_keyword_fires(self):
-        proj = project(trace__adapters__a="""
-            from ....registry import register_trace
-
-            @register_trace("narrow")
-            def build(spec):
-                return None
-        """)
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any(
-            "does not accept" in f.message and "seed" in f.message
-            for f in findings
-        )
-
-    def test_kwargs_catch_all_is_clean(self):
-        proj = project(trace__adapters__a="""
-            from ....registry import register_trace
-
-            @register_trace("wide")
-            def build(**kwargs):
-                return None
-        """)
-        assert rules_fired(proj, ["REG001"]) == []
-
-    def test_spec_seed_signature_is_clean(self):
-        proj = project(trace__adapters__a="""
-            from ....registry import register_trace
-
-            @register_trace("exact")
-            def build(spec, seed):
-                return None
-        """)
-        assert rules_fired(proj, ["REG001"]) == []
-
-    def test_non_literal_name_fires(self):
-        proj = project(trace__adapters__a="""
-            from ....registry import register_trace
-
-            NAME = "dynamic"
-
-            @register_trace(NAME)
-            def build(spec, seed):
-                return None
-        """)
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any("string literal" in f.message for f in findings)
-
-    def test_class_adapter_init_checked(self):
-        proj = project(trace__adapters__a="""
-            from ....registry import register_trace
-
-            @register_trace("classy")
-            class Adapter:
-                def __init__(self, spec=None):
-                    pass
-        """)
-        findings = analyze_project(proj, rules=["REG001"])
-        assert any("seed" in f.message for f in findings)
-
-    def test_other_registries_not_confused(self):
-        # A conformant workload factory lacks the trace keywords; REG001
-        # holds each decorator to its own contract, not the union.
-        proj = project(workload__a="""
-            from ..registry import register_workload
-
-            @register_workload("stress")
-            def plans(cluster, trace, **options):
-                return []
-        """)
-        assert rules_fired(proj, ["REG001"]) == []
-
-
-SCENARIO_FIXTURE = """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class Scenario:
-        scheduler: str = "binpack"
-        seed: int = 0
-        trace: object = None
-"""
-
-
-class TestApi001CliDrift:
-    def test_unmapped_flag_fires(self):
-        proj = project(
-            cli="""
-                def _scenario_flags():
-                    parser.add_argument("--scheduler")
-                    parser.add_argument("--bogus-knob")
-            """,
-            api__scenario=SCENARIO_FIXTURE,
-        )
-        findings = analyze_project(proj, rules=["API001"])
-        assert [f.rule for f in findings] == ["API001"]
-        assert "bogus_knob" in findings[0].message.replace("-", "_")
-
-    def test_aliases_and_cli_only_flags_are_clean(self):
-        proj = project(
-            cli="""
-                def _scenario_flags():
-                    parser.add_argument("--scheduler")
-                    parser.add_argument("--jobs")
-                    parser.add_argument("--json", action="store_true")
-            """,
-            api__scenario=SCENARIO_FIXTURE,
-        )
-        assert rules_fired(proj, ["API001"]) == []
-
-    def test_flags_outside_the_shared_function_ignored(self):
-        proj = project(
-            cli="""
-                def _other_flags():
-                    parser.add_argument("--unrelated")
-            """,
-            api__scenario=SCENARIO_FIXTURE,
-        )
-        assert rules_fired(proj, ["API001"]) == []
-
-
-def write_tree(root, files):
-    for relpath, text in files.items():
-        path = root / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(text))
-
-
-class TestSuppressionsAndBaseline:
-    def test_noqa_suppresses_and_counts(self, tmp_path):
-        write_tree(tmp_path, {
-            "scheduler/core.py": """
-                for n in {"a", "b"}:  # repro: noqa[DET003]
-                    print(n)
-            """,
-        })
-        report = run_checks(tmp_path)
-        assert report.clean
-        assert report.suppressed_count == 1
-
-    def test_noqa_for_wrong_rule_does_not_suppress(self, tmp_path):
-        write_tree(tmp_path, {
-            "scheduler/core.py": """
-                for n in {"a", "b"}:  # repro: noqa[DET001]
-                    print(n)
-            """,
-        })
-        report = run_checks(tmp_path)
-        rules = sorted(f.rule for f in report.findings)
-        # The real finding survives AND the useless noqa is reported.
-        assert rules == ["DET003", "NOQA001"]
-
-    def test_unused_noqa_reported(self, tmp_path):
-        write_tree(tmp_path, {
-            "scheduler/core.py": """
-                x = 1  # repro: noqa[DET003]
-            """,
-        })
-        report = run_checks(tmp_path)
-        assert [f.rule for f in report.findings] == ["NOQA001"]
-
-    def test_baseline_grandfathers_by_message_not_line(self, tmp_path):
-        write_tree(tmp_path, {
-            "scheduler/core.py": """
-                for n in {"a", "b"}:
-                    print(n)
-            """,
-        })
-        baseline_path = tmp_path / "baseline.json"
-        report = run_checks(tmp_path)
-        write_baseline(baseline_path, report.findings)
-        # Shift the finding to a different line: still baselined.
-        write_tree(tmp_path, {
-            "scheduler/core.py": """
-                padding = 0
-
-                for n in {"a", "b"}:
-                    print(n)
-            """,
-        })
-        report = run_checks(
-            tmp_path, baseline=load_baseline(baseline_path)
-        )
-        assert report.clean
-        assert report.baselined_count == 1
-
-    def test_stale_baseline_entry_reported(self, tmp_path):
-        write_tree(tmp_path, {"scheduler/core.py": "x = 1\n"})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(
-            baseline_path,
-            [Finding("DET003", "scheduler/core.py", 1, "gone")],
-        )
-        report = run_checks(
-            tmp_path, baseline=load_baseline(baseline_path)
-        )
-        assert [f.rule for f in report.findings] == ["BASE001"]
-
-    def test_baseline_multiset_semantics(self):
-        finding = Finding("DET003", "a.py", 3, "same message")
-        twin = Finding("DET003", "a.py", 9, "same message")
-        baseline = {finding.baseline_key(): 1}
-        new, baselined, stale = apply_baseline([finding, twin], baseline)
-        assert baselined == 1
-        assert len(new) == 1 and not stale
-
-    def test_missing_baseline_file_raises(self, tmp_path):
-        with pytest.raises(SimulationError):
-            load_baseline(tmp_path / "absent.json")
-
-    def test_baseline_round_trip_schema(self, tmp_path):
-        path = tmp_path / "b.json"
-        write_baseline(
-            path, [Finding("DET001", "x.py", 1, "m", "h")]
-        )
-        document = json.loads(path.read_text())
-        assert document["schema"] == "repro.check/v1"
-        assert document["findings"] == [
-            {"path": "x.py", "rule": "DET001", "message": "m"}
-        ]
-
-
 #: A minimal repro.ledger/v1 schema table fixture (the real one lives
 #: in repro.obs.ledger; OBS001 reads whatever the configured module
 #: declares, so fixtures carry their own).
@@ -801,8 +365,7 @@ class TestObs001LedgerConformance:
 class TestFramework:
     def test_all_rules_registered(self):
         assert list(check_names()) == [
-            "API001", "DET001", "DET002", "DET003", "DET004",
-            "LAYOUT001", "LAYOUT002", "OBS001", "REG001",
+            "DET001", "DET002", "DET003", "DET004", "OBS001",
         ]
 
     def test_unknown_rule_rejected(self):

@@ -1,12 +1,16 @@
 """Scheduler/workload registries: round-trips and fail-fast errors."""
 
+import inspect
+
 import pytest
 
 from repro.api import Scenario
 from repro.errors import RegistryError
 from repro.orchestrator.api import make_pod_spec
 from repro.registry import (
+    PREEMPTION_POLICIES,
     SCHEDULERS,
+    TRACES,
     WORKLOADS,
     Registry,
     register_scheduler,
@@ -101,6 +105,48 @@ class TestBuiltins:
         assert scheduler.use_measured is False
         assert scheduler.preserve_sgx_nodes is True
         assert scheduler.strict_fcfs is True
+
+
+def unbindable(registry, *args, **kwargs):
+    """``name: error`` for each factory ``(*args, **kwargs)`` cannot
+    call."""
+    failures = []
+    for name in registry.names():
+        try:
+            inspect.signature(registry.get(name)).bind(*args, **kwargs)
+        except TypeError as exc:
+            failures.append(f"{name}: {exc}")
+    return failures
+
+
+class TestRegisteredFactories:
+    """Every registered factory accepts the call its registry makes.
+
+    ``repro_modules`` imports the whole package first, so every
+    ``@register_*`` decorator has run and a duplicate name has raised.
+    """
+
+    def test_every_scheduler_builds_a_scenario(self, repro_modules):
+        for name in SCHEDULERS.names():
+            Scenario(scheduler=name)
+
+    def test_every_preemption_policy_builds_a_scenario(
+        self, repro_modules
+    ):
+        for name in PREEMPTION_POLICIES.names():
+            Scenario(preemption_policy=name)
+        assert unbindable(PREEMPTION_POLICIES) == []
+
+    def test_every_workload_binds_cluster_and_trace(self, repro_modules):
+        for name in WORKLOADS.names():
+            Scenario(workload=name)
+        assert unbindable(
+            WORKLOADS, "cluster", "trace",
+            sgx_fraction=0.5, seed=1, scheduler_name="binpack",
+        ) == []
+
+    def test_every_trace_adapter_binds_spec_and_seed(self, repro_modules):
+        assert unbindable(TRACES, spec="spec", seed=1) == []
 
 
 class TestPluginScheduler:

@@ -1,12 +1,14 @@
 """Experiment CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import _FIGURES, build_parser, main
+from repro.api import Scenario
+from repro.cli import _FIGURES, _scenario_flags, build_parser, main
 
 
 class TestParser:
@@ -92,6 +94,28 @@ class TestFailurePaths:
         )
         assert completed.returncode == 0
         assert "fig7" in completed.stdout
+
+
+class TestScenarioFlags:
+    #: Flag destinations that set a Scenario field of another name
+    #: (``--trace-seed`` and ``--jobs`` fold into a borg-synth spec).
+    ALIASES = {
+        "jobs": "trace",
+        "trace_seed": "trace",
+        "epc_mib": "epc_total_bytes",
+        "priority_threshold": "preemption_priority_threshold",
+        "cluster_workers": "standard_workers",
+    }
+
+    def test_every_flag_names_a_scenario_field(self):
+        fields = {field.name for field in dataclasses.fields(Scenario)}
+        dests = vars(_scenario_flags().parse_args([]))
+        unmapped = [
+            dest for dest in dests
+            if dest != "json"  # output shape, not a scenario knob
+            and self.ALIASES.get(dest, dest) not in fields
+        ]
+        assert unmapped == []
 
 
 class TestScenarioCommands:

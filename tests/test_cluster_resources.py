@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import ResourceError
-from repro.units import gib, mib
+from repro.units import gib
 
 
 def vec(cpu=0, mem=0, epc=0) -> ResourceVector:
@@ -60,24 +60,5 @@ class TestComparisons:
 
 
 class TestUtilization:
-    def test_ratios(self):
-        used = vec(cpu=500, mem=gib(1), epc=100)
-        cap = vec(cpu=1000, mem=gib(2), epc=200)
-        ratios = used.utilization_of(cap)
-        assert ratios == {"cpu": 0.5, "memory": 0.5, "epc": 0.5}
-
-    def test_zero_capacity_unused_is_zero(self):
-        ratios = vec(mem=gib(1)).utilization_of(vec(mem=gib(2)))
-        assert ratios["epc"] == 0.0
-
-    def test_zero_capacity_used_is_inf(self):
-        ratios = vec(epc=1).utilization_of(vec(mem=gib(2)))
-        assert ratios["epc"] == float("inf")
-
-    def test_dominant_utilization(self):
-        used = vec(cpu=100, mem=mib(512), epc=150)
-        cap = vec(cpu=1000, mem=gib(1), epc=200)
-        assert used.dominant_utilization(cap) == pytest.approx(0.75)
-
     def test_repr_is_readable(self):
         assert "MiB" in repr(vec(epc=256))

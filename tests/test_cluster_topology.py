@@ -24,7 +24,9 @@ class TestPaperCluster:
     def test_total_memory_matches_paper_arithmetic(self):
         # Workers contribute 2 x 64 GiB + 2 x 8 GiB = 144 GiB.
         cluster = paper_cluster()
-        assert cluster.total_capacity().memory_bytes == gib(144)
+        assert sum(
+            node.capacity.memory_bytes for node in cluster.nodes
+        ) == gib(144)
 
     def test_epc_size_parameter(self):
         cluster = paper_cluster(epc_total_bytes=mib(256))

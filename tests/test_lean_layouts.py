@@ -1,11 +1,14 @@
 """Object-layout regressions for the hot-path rebuild.
 
-The lean layouts (``__slots__`` on pods, records, node views and TSDB
-points) must not change any observable semantics: pickling of the
-public API types keeps working, Pod keeps identity equality/hash, and
-NodeView keeps generated field-wise equality while staying unhashable.
+Every class in the hot-path modules is slotted, and no slotted class
+in the package gets a ``__dict__`` back from a base.  The lean layouts
+(``__slots__`` on pods, records, node views and TSDB points) must not
+change any observable semantics: pickling of the public API types
+keeps working, Pod keeps identity equality/hash, and NodeView keeps
+generated field-wise equality while staying unhashable.
 """
 
+import importlib
 import pickle
 
 import pytest
@@ -20,6 +23,66 @@ from repro.scheduler.base import NodeView
 from repro.simulation.engine import SimulationEngine
 
 TINY = dict(trace="borg-synth:jobs=20", sgx_fraction=0.5, seed=3)
+
+#: Modules a replay runs per pod, per event or per monitoring sample.
+#: A class here without ``__slots__`` (or ``@dataclass(slots=True)``)
+#: gives every instance a ``__dict__`` again.
+HOT_LAYOUT_MODULES = (
+    "repro.monitoring.aggregate",
+    "repro.monitoring.heapster",
+    "repro.monitoring.probe",
+    "repro.obs.ledger",
+    "repro.obs.metrics",
+    "repro.obs.observer",
+    "repro.obs.spans",
+    "repro.orchestrator.kubelet",
+    "repro.orchestrator.pod",
+    "repro.orchestrator.queue",
+    "repro.scheduler.base",
+    "repro.scheduler.binpack",
+    "repro.simulation.engine",
+    "repro.simulation.runner",
+)
+
+
+def classes_of(module):
+    """Every class *module* defines, nested classes included."""
+    def own(namespace):
+        return [
+            value for value in namespace.values()
+            if isinstance(value, type)
+            and value.__module__ == module.__name__
+        ]
+
+    found, pending = [], own(vars(module))
+    while pending:
+        cls = pending.pop()
+        if cls not in found:
+            found.append(cls)
+            pending.extend(own(vars(cls)))
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+class TestSlottedLayouts:
+    @pytest.mark.parametrize("name", HOT_LAYOUT_MODULES)
+    def test_every_hot_class_is_slotted(self, name):
+        module = importlib.import_module(name)
+        unslotted = [
+            cls.__qualname__ for cls in classes_of(module)
+            # Protocols are structural types, never instantiated.
+            if not getattr(cls, "_is_protocol", False)
+            and ("__slots__" not in vars(cls) or cls.__dictoffset__)
+        ]
+        assert unslotted == [], f"{name}: classes with a __dict__"
+
+    def test_no_slotted_class_inherits_a_dict(self, repro_modules):
+        leaky = [
+            f"{module.__name__}.{cls.__qualname__}"
+            for module in repro_modules
+            for cls in classes_of(module)
+            if "__slots__" in vars(cls) and cls.__dictoffset__
+        ]
+        assert leaky == [], "slotted classes whose bases add a __dict__"
 
 
 class TestPickleRoundTrips:

@@ -50,7 +50,6 @@ class TestHeapster:
                 StubSource([("n2", "b", 2.0)]),
             ]
         )
-        assert heapster.source_count == 2
         assert heapster.collect(now=1.0) == 2
 
     def test_empty_sources_write_nothing(self, db):

@@ -217,11 +217,6 @@ class TestMetricsPath:
         assert len(result.launched) == 1
         assert len(result.deferred) == 1
 
-    def test_pods_by_phase(self, orchestrator, scheduler, sgx_pod_spec):
-        pod = orchestrator.submit(sgx_pod_spec, now=0.0)
-        grouped = orchestrator.pods_by_phase()
-        assert grouped == {"Pending": [pod]}
-
     def test_pending_epc_pages(self, orchestrator, sgx_pod_spec):
         orchestrator.submit(sgx_pod_spec, now=0.0)
         assert orchestrator.pending_epc_pages() == pages(mib(10))

@@ -78,13 +78,6 @@ class TestDevicePlugin:
         with pytest.raises(RpcError):
             registry.register("x", -1, "/dev/x")
 
-    def test_registry_listing(self):
-        registry = DevicePluginRegistry()
-        registry.register("b", 1, "/dev/b")
-        registry.register("a", 2, "/dev/a")
-        assert registry.resource_names == ["a", "b"]
-
-
 class TestDaemonSet:
     def make_kubelets(self):
         sgx = Kubelet(Node(NodeSpec.sgx("sgx-0")))
@@ -108,8 +101,7 @@ class TestDaemonSet:
         )
         changes = controller.reconcile([sgx, std])
         assert changes == 1
-        assert daemonset.payload_for("sgx-0") == "probe@sgx-0"
-        assert daemonset.payload_for("std-0") is None
+        assert daemonset.payloads == {"sgx-0": "probe@sgx-0"}
 
     def test_reconcile_is_idempotent(self):
         sgx, std = self.make_kubelets()

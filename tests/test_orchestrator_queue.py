@@ -39,15 +39,6 @@ class TestFcfsOrder:
             queue.push(pod)
         assert [p.name for p in queue] == [p.name for p in pods]
 
-    def test_peek_returns_oldest(self):
-        queue = PendingQueue()
-        queue.push(make_pod("old", 1.0))
-        queue.push(make_pod("new", 2.0))
-        assert queue.peek().name == "old"
-
-    def test_peek_empty(self):
-        assert PendingQueue().peek() is None
-
     def test_removal_preserves_relative_order(self):
         queue = PendingQueue()
         pods = [make_pod(f"p{i}", float(i)) for i in range(4)]

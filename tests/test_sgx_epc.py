@@ -95,10 +95,6 @@ class TestStrictAllocation:
         epc.allocate("pod-a", 50)
         assert epc.usage_by_owner() == {"pod-a": 150, "pod-b": 200}
 
-    def test_owner_pages_unknown_owner(self):
-        assert make_epc().owner_pages("ghost") == 0
-
-
 class TestOvercommit:
     def test_overcommit_allowed_when_enabled(self):
         epc = make_epc(allow_overcommit=True)

@@ -53,12 +53,6 @@ class TestStartupCurve:
     def test_standard_startup_below_1ms(self, model):
         assert model.standard_startup().total_seconds <= 0.001
 
-    def test_startup_curve_iterates_to_max(self, model):
-        points = list(model.startup_curve(step_bytes=mib(32)))
-        sizes = [size for size, _ in points]
-        assert sizes[0] == 0
-        assert sizes[-1] == mib(128)
-
 
 class TestPagingSlowdown:
     def test_no_slowdown_at_or_below_capacity(self, model):
@@ -79,17 +73,6 @@ class TestPagingSlowdown:
     def test_geometric_midpoint(self, model):
         # Halfway to saturation in ratio gives sqrt(1000) in slowdown.
         assert model.paging_slowdown(1.5) == pytest.approx(1000.0**0.5)
-
-    def test_effective_runtime_scales(self, model):
-        assert model.effective_runtime(10.0, 2.0) == pytest.approx(10_000.0)
-
-    def test_effective_runtime_identity_when_healthy(self, model):
-        assert model.effective_runtime(10.0, 0.9) == 10.0
-
-    def test_negative_runtime_rejected(self, model):
-        with pytest.raises(SgxError):
-            model.effective_runtime(-1.0, 1.0)
-
 
 class TestValidation:
     def test_bad_slowdown_rejected(self):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.units import (
     EPC_PAGE_BYTES,
-    bytes_to_gib,
     bytes_to_mib,
     fmt_bytes,
     fmt_duration,
@@ -34,10 +33,6 @@ class TestSizes:
 
     def test_bytes_to_mib_roundtrip(self):
         assert bytes_to_mib(mib(12)) == pytest.approx(12.0)
-
-    def test_bytes_to_gib_roundtrip(self):
-        assert bytes_to_gib(gib(3)) == pytest.approx(3.0)
-
 
 class TestPages:
     def test_page_size_is_4kib(self):
