@@ -13,52 +13,84 @@ check itself (slotted layouts, registry call contracts, CLI flags
 mapping onto ``Scenario`` fields) are left to runtime tests of their
 subjects, which read the live objects.
 
-A check plugs in with ``@register_check`` and is immediately part of
-``repro check``::
-
-    from repro.analysis import ModuleCheck, register_check
-
-    @register_check("DET999")
-    class MyCheck(ModuleCheck):
-        rule = "DET999"
-        description = "..."
-        hint = "..."
-
-        def check_module(self, module, config):
-            yield from ()
-
-Run the suite with :func:`run_checks` (the ``repro check`` CLI
-subcommand is a thin wrapper) and scope rules per package via
-:class:`CheckConfig`.  Every finding fails the gate: there are no
-per-line suppressions and no baseline.
+Each rule is a function from the parsed modules to ``(path, line,
+message)`` violations; :data:`RULES` maps its code to it and to the
+fix hint every finding carries.  :func:`run_checks` (behind ``repro
+check``) parses the tree once and runs every rule.  Every finding
+fails the gate: there are no per-line suppressions and no baseline.
 """
 
-from .base import Check, ModuleCheck, ProjectCheck, register_check
-from .config import CheckConfig, DEFAULT_CONFIG
-from .findings import Finding
-from .registry import CHECKS, check_names
-from .report import CHECK_SCHEMA, CheckReport
-from .runner import analyze_project, run_checks
-from .source import ModuleSource, Project, load_project
+from __future__ import annotations
 
-# Importing the rule modules registers every built-in check.
-from . import checks as _builtin_checks  # noqa: F401  isort: skip
+from pathlib import Path
+from typing import Callable, Dict, Iterable, Sequence, Tuple
+
+from .determinism import (
+    identity_order,
+    set_iteration,
+    unseeded_random,
+    wall_clock,
+)
+from .findings import Finding
+from .obs_conformance import ledger_conformance
+from .report import CHECK_SCHEMA, CheckReport
+from .source import ModuleSource, Violation, load_modules
+
+Rule = Callable[[Sequence[ModuleSource]], Iterable[Violation]]
+
+#: Rule code -> (the rule, the fix hint on each of its findings).
+RULES: Dict[str, Tuple[Rule, str]] = {
+    "DET001": (
+        unseeded_random,
+        "thread an explicit seeded generator through instead: "
+        "rng = np.random.default_rng(seed) / random.Random(seed)",
+    ),
+    "DET002": (
+        wall_clock,
+        "take `now` from the simulation engine (engine.now) or thread "
+        "it in as a parameter",
+    ),
+    "DET003": (
+        set_iteration,
+        "wrap the set in sorted(...) to pin the iteration order",
+    ),
+    "DET004": (
+        identity_order,
+        "order by a stable field (name, uid, sequence number) instead "
+        "of id()",
+    ),
+    "OBS001": (
+        ledger_conformance,
+        "declare every event kind and its fields in the "
+        "repro.ledger/v1 table (LEDGER_EVENT_KINDS) and emit only "
+        "primitives: ledger.emit(now, \"kind\", field=pod.name, ...)",
+    ),
+}
+
+
+def run_checks(root: Path) -> CheckReport:
+    """Run every rule over the tree at *root*."""
+    modules = load_modules(root)
+    findings = [
+        Finding(rule, path, line, message, hint)
+        for rule, (check, hint) in RULES.items()
+        for path, line, message in check(modules)
+    ]
+    findings.sort(key=Finding.sort_key)
+    return CheckReport(
+        root=str(root),
+        findings=findings,
+        modules_checked=len(modules),
+        rules_run=list(RULES),
+    )
+
 
 __all__ = [
-    "CHECKS",
     "CHECK_SCHEMA",
-    "Check",
-    "CheckConfig",
+    "RULES",
     "CheckReport",
-    "DEFAULT_CONFIG",
     "Finding",
-    "ModuleCheck",
     "ModuleSource",
-    "Project",
-    "ProjectCheck",
-    "analyze_project",
-    "check_names",
-    "load_project",
-    "register_check",
+    "load_modules",
     "run_checks",
 ]

@@ -4,18 +4,30 @@ Each rule statically catches one way a change can break the bit-for-bit
 replay guarantee: drawing from global RNG state (DET001), reading the
 wall clock where only simulated time may flow (DET002), letting set
 iteration order leak into decisions (DET003) and ordering by object
-identity (DET004).
+identity (DET004).  Each is a function from the parsed modules to the
+``(path, line, message)`` violations it finds.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..base import ModuleCheck, register_check
-from ..config import CheckConfig
-from ..findings import Finding
-from ..source import ModuleSource
+from .source import ModuleSource, Violation
+
+#: DET002: packages where the simulated clock is the only clock.
+#: Wall-clock reads (``time.time``, ``datetime.now``, ...) anywhere
+#: here would desynchronise replays from the oracle.
+SIMULATED_TIME_PACKAGES = frozenset({
+    "simulation", "orchestrator", "scheduler", "sgx", "monitoring",
+})
+
+#: DET003/DET004: packages whose control flow decides placements,
+#: evictions or event order: iteration order is behaviour there.
+DECISION_PATH_PACKAGES = frozenset({
+    "simulation", "orchestrator", "scheduler", "sgx", "policy",
+    "monitoring", "cluster",
+})
 
 
 class ImportMap:
@@ -99,23 +111,14 @@ _WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 _SEEDED_NUMPY_FACTORIES = frozenset({"default_rng", "SeedSequence"})
 
 
-@register_check("DET001")
-class UnseededRandomCheck(ModuleCheck):
-    """Module-global or unseeded RNG anywhere in the tree."""
+def unseeded_random(modules: Sequence[ModuleSource]) -> Iterator[Violation]:
+    """DET001: module-global or unseeded RNG anywhere in the tree.
 
-    rule = "DET001"
-    description = (
-        "unseeded or module-global RNG: only random.Random(seed) and "
-        "np.random.default_rng(seed) draw reproducibly"
-    )
-    hint = (
-        "thread an explicit seeded generator through instead: "
-        "rng = np.random.default_rng(seed) / random.Random(seed)"
-    )
-
-    def check_module(
-        self, module: ModuleSource, config: CheckConfig
-    ) -> Iterable[Finding]:
+    Only ``random.Random(seed)`` and ``np.random.default_rng(seed)``
+    draw reproducibly.
+    """
+    for module in modules:
+        path = module.relpath
         imports = ImportMap(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "random":
@@ -129,8 +132,8 @@ class UnseededRandomCheck(ModuleCheck):
                     if alias.name != "Random"
                 )
                 if bad:
-                    yield self.finding(
-                        module,
+                    yield (
+                        path,
                         node.lineno,
                         "from random import "
                         f"{', '.join(bad)} binds the module-global "
@@ -149,8 +152,8 @@ class UnseededRandomCheck(ModuleCheck):
             ):
                 if func.attr == "Random" and (node.args or node.keywords):
                     continue  # random.Random(seed): seeded instance
-                yield self.finding(
-                    module,
+                yield (
+                    path,
                     node.lineno,
                     f"random.{func.attr}(...) uses the module-global "
                     "generator" if func.attr != "Random"
@@ -167,28 +170,16 @@ class UnseededRandomCheck(ModuleCheck):
                     else f"np.random.{func.attr}(...) draws from numpy's "
                     "global state"
                 )
-                yield self.finding(module, node.lineno, message)
+                yield path, node.lineno, message
 
 
-@register_check("DET002")
-class WallClockCheck(ModuleCheck):
-    """Wall-clock reads inside simulated-time packages."""
-
-    rule = "DET002"
-    description = (
-        "wall-clock read in a simulated-time package: the engine's "
-        "clock is the only clock"
-    )
-    hint = (
-        "take `now` from the simulation engine (engine.now) or thread "
-        "it in as a parameter"
-    )
-
-    def check_module(
-        self, module: ModuleSource, config: CheckConfig
-    ) -> Iterable[Finding]:
-        if not config.wall_clock_scoped(module.relpath, module.package):
-            return
+def wall_clock(modules: Sequence[ModuleSource]) -> Iterator[Violation]:
+    """DET002: wall-clock reads inside simulated-time packages; the
+    engine's clock is the only clock there."""
+    for module in modules:
+        if module.package not in SIMULATED_TIME_PACKAGES:
+            continue
+        path = module.relpath
         imports = ImportMap(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "time":
@@ -198,19 +189,17 @@ class WallClockCheck(ModuleCheck):
                     if alias.name in _WALL_CLOCK_TIME_ATTRS
                 )
                 if bad:
-                    yield self.finding(
-                        module,
+                    yield (
+                        path,
                         node.lineno,
                         f"from time import {', '.join(bad)} in a "
                         "simulated-time package",
                     )
                 continue
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, ast.Load
-            ):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in imports.clock_names:
-                    yield self.finding(
-                        module,
+                    yield (
+                        path,
                         node.lineno,
                         f"wall-clock function {node.id}() referenced",
                     )
@@ -226,8 +215,8 @@ class WallClockCheck(ModuleCheck):
                 and value.id in imports.time_modules
                 and node.attr in _WALL_CLOCK_TIME_ATTRS
             ):
-                yield self.finding(
-                    module,
+                yield (
+                    path,
                     node.lineno,
                     f"time.{node.attr} read in a simulated-time package",
                 )
@@ -243,11 +232,10 @@ class WallClockCheck(ModuleCheck):
                     and value.value.id in imports.datetime_modules
                 )
             ):
-                yield self.finding(
-                    module,
+                yield (
+                    path,
                     node.lineno,
-                    f"datetime.{node.attr} read in a simulated-time "
-                    "package",
+                    f"datetime.{node.attr} read in a simulated-time package",
                 )
 
 
@@ -366,106 +354,87 @@ class _SetTracker:
                 self.locals.discard(node.target.id)
 
 
-@register_check("DET003")
-class SetIterationCheck(ModuleCheck):
-    """Iteration-order hazards over sets in decision-path packages."""
-
-    rule = "DET003"
-    description = (
-        "iteration over an unordered set in a decision-path package "
-        "without an enclosing sorted()"
-    )
-    hint = "wrap the set in sorted(...) to pin the iteration order"
-
-    def check_module(
-        self, module: ModuleSource, config: CheckConfig
-    ) -> Iterable[Finding]:
-        if not config.decision_path(module.package):
-            return
+def set_iteration(modules: Sequence[ModuleSource]) -> Iterator[Violation]:
+    """DET003: iteration over an unordered set in a decision-path
+    package without an enclosing ``sorted()``."""
+    for module in modules:
+        if module.package not in DECISION_PATH_PACKAGES:
+            continue
         attrs = _set_typed_attributes(module.tree)
         # Module body counts as one scope; each function gets its own.
         scopes: List[Tuple[Iterable[ast.stmt], _SetTracker]] = [
             (module.tree.body, _SetTracker(attrs))
         ]
         for node in ast.walk(module.tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scopes.append((node.body, _SetTracker(attrs)))
         for body, tracker in scopes:
-            yield from self._scan_scope(module, body, tracker)
+            yield from _scan_scope(module.relpath, body, tracker)
 
-    def _scan_scope(
-        self,
-        module: ModuleSource,
-        body: Iterable[ast.stmt],
-        tracker: _SetTracker,
-    ) -> Iterator[Finding]:
-        """Walk one scope in statement order, tracking assignments.
 
-        Nested statements (loop bodies, conditionals) are visited in
-        source order via ``ast.walk`` per top-level statement, which
-        keeps assignment tracking approximately flow-ordered; nested
-        function bodies are scanned as their own scopes, so they are
-        skipped here.
-        """
-        for statement in body:
-            for node in ast.walk(statement):
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and node is not statement:
-                    break
-                if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    tracker.note_assign(node)
-                yield from self._check_node(module, node, tracker)
+def _scan_scope(
+    path: str, body: Iterable[ast.stmt], tracker: _SetTracker
+) -> Iterator[Violation]:
+    """Walk one scope in statement order, tracking assignments.
 
-    def _check_node(
-        self, module: ModuleSource, node: ast.AST, tracker: _SetTracker
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            if tracker.is_set(node.iter):
-                yield self.finding(
-                    module,
+    Nested statements (loop bodies, conditionals) are visited in
+    source order via ``ast.walk`` per top-level statement, which
+    keeps assignment tracking approximately flow-ordered; nested
+    function bodies are scanned as their own scopes, so they are
+    skipped here.
+    """
+    for statement in body:
+        for node in ast.walk(statement):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and node is not statement:
+                break
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                tracker.note_assign(node)
+            yield from _set_order_leaks(path, node, tracker)
+
+
+def _set_order_leaks(
+    path: str, node: ast.AST, tracker: _SetTracker
+) -> Iterator[Violation]:
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        if tracker.is_set(node.iter):
+            yield (
+                path,
+                node.lineno,
+                "for-loop iterates a set in arbitrary order",
+            )
+    elif isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    ):
+        for generator in node.generators:
+            if tracker.is_set(generator.iter):
+                yield (
+                    path,
                     node.lineno,
-                    "for-loop iterates a set in arbitrary order",
+                    "comprehension iterates a set in arbitrary order",
                 )
-        elif isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-                   ast.DictComp)
-        ):
-            for generator in node.generators:
-                if tracker.is_set(generator.iter):
-                    yield self.finding(
-                        module,
+    elif isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _ORDER_SENSITIVE_CALLS:
+            for arg in node.args:
+                if tracker.is_set(arg):
+                    yield (
+                        path,
                         node.lineno,
-                        "comprehension iterates a set in arbitrary "
-                        "order",
+                        f"{func.id}() consumes a set in arbitrary order",
                     )
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Name)
-                and func.id in _ORDER_SENSITIVE_CALLS
-            ):
-                for arg in node.args:
-                    if tracker.is_set(arg):
-                        yield self.finding(
-                            module,
-                            node.lineno,
-                            f"{func.id}() consumes a set in arbitrary "
-                            "order",
-                        )
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "join"
-                and node.args
-                and tracker.is_set(node.args[0])
-            ):
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    "str.join() consumes a set in arbitrary order",
-                )
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == "join"
+            and node.args
+            and tracker.is_set(node.args[0])
+        ):
+            yield (
+                path,
+                node.lineno,
+                "str.join() consumes a set in arbitrary order",
+            )
 
 
 # -- DET004: identity-based ordering -------------------------------------
@@ -485,31 +454,19 @@ def _contains_id_call(node: ast.AST) -> Optional[int]:
     return None
 
 
-@register_check("DET004")
-class IdentityOrderCheck(ModuleCheck):
-    """``id(...)`` in sort keys, heap tuples or comparisons."""
-
-    rule = "DET004"
-    description = (
-        "object identity used as an ordering key: id() values vary "
-        "across runs"
-    )
-    hint = (
-        "order by a stable field (name, uid, sequence number) instead "
-        "of id()"
-    )
-
-    def check_module(
-        self, module: ModuleSource, config: CheckConfig
-    ) -> Iterable[Finding]:
-        if not config.decision_path(module.package):
-            return
+def identity_order(modules: Sequence[ModuleSource]) -> Iterator[Violation]:
+    """DET004: ``id(...)`` in sort keys, heap tuples or comparisons in
+    a decision-path package; ``id()`` values vary across runs."""
+    for module in modules:
+        if module.package not in DECISION_PATH_PACKAGES:
+            continue
+        path = module.relpath
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Compare):
                 line = _contains_id_call(node)
                 if line is not None:
-                    yield self.finding(
-                        module,
+                    yield (
+                        path,
                         line,
                         "id() inside a comparison acts as an "
                         "identity tie-breaker",
@@ -529,17 +486,13 @@ class IdentityOrderCheck(ModuleCheck):
                             continue
                         line = _contains_id_call(keyword.value)
                         if line is not None:
-                            yield self.finding(
-                                module,
-                                line,
-                                f"id() inside a {name}() key",
-                            )
+                            yield path, line, f"id() inside a {name}() key"
                 elif name in _HEAP_PUSH_FUNCS:
                     for arg in node.args[1:]:
                         line = _contains_id_call(arg)
                         if line is not None:
-                            yield self.finding(
-                                module,
+                            yield (
+                                path,
                                 line,
                                 "id() inside a heap entry orders by "
                                 "object identity",

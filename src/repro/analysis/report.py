@@ -24,7 +24,7 @@ class CheckReport:
     """Everything one ``repro check`` run determined.
 
     ``findings`` are the gate: every violation of the rules run
-    (DET001-DET004 and OBS001 by default); nothing is suppressed or
+    (DET001-DET004 and OBS001); nothing is suppressed or
     grandfathered.  The counters exist so a clean run is
     distinguishable from a run that scanned nothing.
     """

@@ -1,17 +1,21 @@
-"""Source model: parsed modules and the project tree.
+"""Source model: the parsed modules every rule reads.
 
-Checks never touch the filesystem; they see :class:`ModuleSource`
-objects (path + AST) grouped into a :class:`Project`.  Parsing happens
-once per file regardless of how many rules run.
+Rules never touch the filesystem; they see :class:`ModuleSource`
+objects (path + AST).  Parsing happens once per file regardless of how
+many rules run.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List
+from typing import List, Tuple
 
 from ..errors import SimulationError
+
+#: One rule violation before it becomes a finding: ``(path, line,
+#: message)``, the path relative to the analysed root.
+Violation = Tuple[str, int, str]
 
 
 class ModuleSource:
@@ -40,36 +44,15 @@ class ModuleSource:
         return head if tail else ""
 
 
-class Project:
-    """All modules of one analysed tree, in sorted path order."""
-
-    __slots__ = ("root", "modules")
-
-    def __init__(self, root: Path, modules: List[ModuleSource]):
-        self.root = root
-        self.modules = sorted(modules, key=lambda m: m.relpath)
-
-    def __iter__(self) -> Iterator[ModuleSource]:
-        return iter(self.modules)
-
-    def __len__(self) -> int:
-        return len(self.modules)
-
-
-def load_project(root: Path) -> Project:
-    """Parse every ``*.py`` under *root* (recursively) into a Project."""
+def load_modules(root: Path) -> List[ModuleSource]:
+    """Parse every ``*.py`` under *root* (recursively), in path order."""
     root = Path(root)
     if root.is_file():
-        return Project(
-            root.parent,
-            [ModuleSource(root.name, root.read_text())],
-        )
+        return [ModuleSource(root.name, root.read_text())]
     if not root.is_dir():
         raise SimulationError(f"no such source tree: {root}")
-    modules = []
-    for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        relpath = path.relative_to(root).as_posix()
-        modules.append(ModuleSource(relpath, path.read_text()))
-    return Project(root, modules)
+    return [
+        ModuleSource(path.relative_to(root).as_posix(), path.read_text())
+        for path in sorted(root.rglob("*.py"))
+        if "__pycache__" not in path.parts
+    ]

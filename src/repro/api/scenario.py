@@ -29,6 +29,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -39,10 +40,13 @@ from typing import (
 from .. import policy as _policy_builtins  # noqa: F401
 from .. import scheduler as _scheduler_builtins  # noqa: F401
 from .. import workload as _workload_builtins  # noqa: F401
+from ..cluster.topology import worker_names
 from ..constants import (
     EPC_TOTAL_BYTES,
     METRICS_PUSH_PERIOD_SECONDS,
     SCHEDULER_PERIOD_SECONDS,
+    SGX_WORKER_COUNT,
+    STANDARD_WORKER_COUNT,
 )
 from ..errors import PolicyError, RegistryError, SimulationError
 from ..obs.ledger import ObserveConfig
@@ -168,9 +172,10 @@ class Scenario:
         Scenario(trace=my_trace)          # an explicit Trace object
 
     Invalid knobs are rejected here — a bad SGX fraction, a
-    non-positive or non-finite period or an unknown scheduler name
-    dies at construction with a :class:`SimulationError`, not minutes
-    into a replay.
+    non-positive or non-finite period, an unknown scheduler name or a
+    crash of a node the cluster lacks (or already lost) dies at
+    construction with a :class:`SimulationError`, not minutes into a
+    replay.
     """
 
     #: Optional display name; shows up as the row label in tables.
@@ -363,6 +368,27 @@ class Scenario:
                 raise SimulationError(
                     f"{worker_field} must be an int >= 1: {value!r}"
                 )
+        standard_names, sgx_names = worker_names(
+            STANDARD_WORKER_COUNT
+            if self.standard_workers is None
+            else self.standard_workers,
+            SGX_WORKER_COUNT if self.sgx_workers is None else self.sgx_workers,
+        )
+        workers = standard_names + sgx_names
+        crashed: Set[str] = set()
+        for failure in self.node_failures:
+            node_name = failure[1]
+            if node_name not in workers:
+                raise SimulationError(
+                    f"node_failures entry {failure!r} names no worker of "
+                    f"this cluster ({', '.join(workers)})"
+                )
+            if node_name in crashed:
+                raise SimulationError(
+                    f"node_failures entry {failure!r} crashes "
+                    f"{node_name!r} a second time"
+                )
+            crashed.add(node_name)
 
     # -- derived views -----------------------------------------------------
 

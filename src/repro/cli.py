@@ -432,12 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (json follows schema repro.check/v1)",
     )
-    check_parser.add_argument(
-        "--rules",
-        metavar="RULE1,RULE2,...",
-        default=None,
-        help="run only these rule codes (default: all registered)",
-    )
     return parser
 
 
@@ -742,17 +736,8 @@ def _cmd_check(
     root = (
         Path(args.root) if args.root is not None else Path(__file__).parent
     )
-    rules = None
-    if args.rules is not None:
-        rules = [
-            rule.strip()
-            for rule in args.rules.split(",")
-            if rule.strip()
-        ]
-        if not rules:
-            parser.error(f"--rules got no rule codes: {args.rules!r}")
     try:
-        report = run_checks(root, rules=rules)
+        report = run_checks(root)
     except SimulationError as exc:
         parser.error(str(exc))
     print(

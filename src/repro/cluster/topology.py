@@ -10,7 +10,7 @@ therefore not part of the schedulable cluster.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..constants import (
     EPC_TOTAL_BYTES,
@@ -82,6 +82,18 @@ class Cluster:
         return sum(n.capacity.epc_pages for n in self.sgx_nodes)
 
 
+def worker_names(
+    standard_workers: int = STANDARD_WORKER_COUNT,
+    sgx_workers: int = SGX_WORKER_COUNT,
+) -> Tuple[List[str], List[str]]:
+    """The standard and the SGX worker names :func:`paper_cluster`
+    gives an inventory of that size."""
+    return (
+        [f"worker-{i}" for i in range(standard_workers)],
+        [f"sgx-worker-{i}" for i in range(sgx_workers)],
+    )
+
+
 def paper_cluster(
     epc_total_bytes: int = EPC_TOTAL_BYTES,
     enforce_epc_limits: bool = True,
@@ -95,14 +107,13 @@ def paper_cluster(
     ``epc_total_bytes`` parameterises the PRM size for Fig. 7's what-if
     sweep over hypothetical SGX 2 hardware.
     """
-    nodes: List[Node] = []
-    for i in range(standard_workers):
-        nodes.append(Node(NodeSpec.standard(f"worker-{i}")))
-    for i in range(sgx_workers):
+    standard_names, sgx_names = worker_names(standard_workers, sgx_workers)
+    nodes = [Node(NodeSpec.standard(name)) for name in standard_names]
+    for name in sgx_names:
         nodes.append(
             Node(
                 NodeSpec.sgx(
-                    f"sgx-worker-{i}",
+                    name,
                     epc_total_bytes=epc_total_bytes,
                     enforce_epc_limits=enforce_epc_limits,
                     epc_allow_overcommit=epc_allow_overcommit,

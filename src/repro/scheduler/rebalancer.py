@@ -192,7 +192,6 @@ class EpcRebalancer:
                             target=target,
                             replacement=replacement.name,
                         )
-                    node.epc.rebalance_residency()
                     continue
                 relieved = True
                 report.actions.append(
@@ -211,7 +210,6 @@ class EpcRebalancer:
                         pod=pod.name, source=node_name, target=target,
                         pages=pages, downtime_s=downtime,
                     )
-                node.epc.rebalance_residency()
             if node.epc.overcommitted and not relieved:
                 report.unrelieved_nodes.append(node_name)
         return report

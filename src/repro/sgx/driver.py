@@ -22,11 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..errors import (
-    DriverError,
-    EnclaveLimitExceededError,
-    EpcExhaustedError,
-)
+from ..errors import DriverError, EnclaveLimitExceededError
 from .aesm import AesmService
 from .enclave import Enclave
 from .epc import EnclavePageCache, EpcSnapshot
@@ -191,15 +187,12 @@ class SgxDriver:
                 "runs in SGX 1 mode"
             )
         enclave_cls = Sgx2Enclave if dynamic else Enclave
-        try:
-            enclave = enclave_cls(
-                owner=record.cgroup_path,
-                epc=self.epc,
-                size_bytes=size_bytes,
-                signer=signer,
-            )
-        except EpcExhaustedError:
-            raise
+        enclave = enclave_cls(
+            owner=record.cgroup_path,
+            epc=self.epc,
+            size_bytes=size_bytes,
+            signer=signer,
+        )
         record.enclaves.append(enclave)
         return enclave
 

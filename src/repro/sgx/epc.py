@@ -26,7 +26,6 @@ from typing import Dict, Iterator, Optional
 from ..constants import EPC_TOTAL_BYTES, EPC_USABLE_BYTES
 from ..errors import EpcExhaustedError, SgxError
 from ..units import pages as bytes_to_pages
-from ..units import pages_to_mib
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,18 +35,6 @@ class EpcAllocation:
     allocation_id: int
     owner: str
     pages: int
-    #: Pages currently resident in the EPC; the remainder is paged out.
-    resident_pages: int
-
-    @property
-    def paged_out_pages(self) -> int:
-        """Pages evicted to (encrypted) system memory."""
-        return self.pages - self.resident_pages
-
-    @property
-    def mib(self) -> float:
-        """Size of the allocation in MiB."""
-        return pages_to_mib(self.pages)
 
 
 class EnclavePageCache:
@@ -63,8 +50,8 @@ class EnclavePageCache:
         93.5/128 ratio of SGX 1 hardware.
     allow_overcommit:
         When ``False`` (the paper's choice), allocations that do not fit
-        raise :class:`EpcExhaustedError`.  When ``True``, excess pages are
-        accounted as paged-out, and :meth:`overcommit_ratio` feeds the
+        raise :class:`EpcExhaustedError`.  When ``True``, every
+        allocation succeeds, and :meth:`overcommit_ratio` feeds the
         paging slowdown model.
     """
 
@@ -101,11 +88,6 @@ class EnclavePageCache:
         return self._allocated_pages
 
     @property
-    def resident_pages(self) -> int:
-        """Pages currently resident in the EPC."""
-        return sum(a.resident_pages for a in self._allocations.values())
-
-    @property
     def free_pages(self) -> int:
         """Pages not owned by any allocation (never negative)."""
         return max(0, self.total_pages - self.allocated_pages)
@@ -134,22 +116,15 @@ class EnclavePageCache:
         """Reserve *n_pages* for *owner*.
 
         In strict mode the whole request must fit in free pages.  In
-        overcommit mode the request always succeeds; pages that do not fit
-        are recorded as paged out and later allocations steal residency
-        from nobody (residency is recomputed proportionally on demand via
-        :meth:`rebalance_residency`).
+        overcommit mode the request always succeeds.
         """
         if n_pages <= 0:
             raise SgxError(f"allocation must be positive, got {n_pages}")
         free = self.total_pages - self.allocated_pages
         if n_pages > free and not self.allow_overcommit:
             raise EpcExhaustedError(n_pages, max(0, free))
-        resident = min(n_pages, max(0, free))
         alloc = EpcAllocation(
-            allocation_id=next(self._ids),
-            owner=owner,
-            pages=n_pages,
-            resident_pages=resident,
+            allocation_id=next(self._ids), owner=owner, pages=n_pages
         )
         self._allocations[alloc.allocation_id] = alloc
         self._allocated_pages += n_pages
@@ -161,8 +136,8 @@ class EnclavePageCache:
         """Extend a live allocation by *extra_pages* (SGX 2 EAUG path).
 
         Strict mode requires the extra pages to be free; overcommit mode
-        marks the overflow as paged out.  Returns the replacement record
-        (the old one is retired).
+        always grows.  Returns the replacement record (the old one is
+        retired).
         """
         if extra_pages <= 0:
             raise SgxError(f"growth must be positive, got {extra_pages}")
@@ -174,12 +149,10 @@ class EnclavePageCache:
         free = self.total_pages - self.allocated_pages
         if extra_pages > free and not self.allow_overcommit:
             raise EpcExhaustedError(extra_pages, max(0, free))
-        extra_resident = min(extra_pages, max(0, free))
         grown = EpcAllocation(
             allocation_id=current.allocation_id,
             owner=current.owner,
             pages=current.pages + extra_pages,
-            resident_pages=current.resident_pages + extra_resident,
         )
         self._allocations[grown.allocation_id] = grown
         self._allocated_pages += extra_pages
@@ -205,13 +178,10 @@ class EnclavePageCache:
                 f"cannot shrink {current.pages}-page allocation by "
                 f"{fewer_pages}; destroy the enclave instead"
             )
-        # Drop paged-out pages first; residency never goes negative.
-        remaining = current.pages - fewer_pages
         shrunk = EpcAllocation(
             allocation_id=current.allocation_id,
             owner=current.owner,
-            pages=remaining,
-            resident_pages=min(current.resident_pages, remaining),
+            pages=current.pages - fewer_pages,
         )
         self._allocations[shrunk.allocation_id] = shrunk
         self._allocated_pages -= fewer_pages
@@ -240,31 +210,6 @@ class EnclavePageCache:
             freed += alloc.pages
         self._allocated_pages -= freed
         return freed
-
-    def rebalance_residency(self) -> None:
-        """Recompute which pages are resident after over-commit churn.
-
-        The real driver evicts pages on demand; for scheduling purposes
-        only the *aggregate* residency matters, so we give each allocation
-        a proportional share of the usable EPC.
-        """
-        if not self.overcommitted:
-            for alloc in list(self._allocations.values()):
-                self._allocations[alloc.allocation_id] = EpcAllocation(
-                    allocation_id=alloc.allocation_id,
-                    owner=alloc.owner,
-                    pages=alloc.pages,
-                    resident_pages=alloc.pages,
-                )
-            return
-        scale = self.total_pages / self.allocated_pages
-        for alloc in list(self._allocations.values()):
-            self._allocations[alloc.allocation_id] = EpcAllocation(
-                allocation_id=alloc.allocation_id,
-                owner=alloc.owner,
-                pages=alloc.pages,
-                resident_pages=int(alloc.pages * scale),
-            )
 
     def allocations(self) -> Iterator[EpcAllocation]:
         """Iterate over live allocations (snapshot order is insertion)."""

@@ -544,7 +544,12 @@ class _Replay:
             )
         spans = self.obs.spans
         span_start = spans.begin()
-        self.engine.run(until=self.scenario.max_sim_seconds)
+        try:
+            self.engine.run(until=self.scenario.max_sim_seconds)
+        except BaseException:
+            # Flush what the run recorded up to the failure.
+            self.obs.ledger.close()
+            raise
         spans.end(span_start, "replay", self.engine.now)
         if self._active():
             self.obs.ledger.close()

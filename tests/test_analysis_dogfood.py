@@ -9,7 +9,10 @@ from pathlib import Path
 
 import repro
 from repro.analysis import run_checks
-from repro.analysis.config import DEFAULT_CONFIG
+from repro.analysis.determinism import (
+    DECISION_PATH_PACKAGES,
+    SIMULATED_TIME_PACKAGES,
+)
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 
@@ -39,23 +42,13 @@ class TestDogfood:
 
     def test_scoped_paths_exist(self):
         # The scopes are membership tests: a stale entry (a deleted or
-        # renamed module or package) silently switches its rules off.
-        config = DEFAULT_CONFIG
-        modules = sorted(config.wall_clock_exempt) + [
-            config.ledger_module,
-        ]
-        packages = sorted(
-            config.simulated_time_packages
-            | config.decision_path_packages
-        )
+        # renamed package) silently switches its rules off.
+        packages = sorted(SIMULATED_TIME_PACKAGES | DECISION_PATH_PACKAGES)
         missing = [
-            path for path in modules
-            if not (PACKAGE_ROOT / path).is_file()
-        ] + [
             package + "/" for package in packages
             if not (PACKAGE_ROOT / package).is_dir()
         ]
         assert missing == [], (
-            f"CheckConfig names paths absent from {PACKAGE_ROOT}: "
+            f"rule scopes name packages absent from {PACKAGE_ROOT}: "
             f"{missing}"
         )

@@ -75,6 +75,28 @@ class TestValidation:
         scenario = Scenario(node_failures=[[300, "sgx-worker-0"]])
         assert scenario.node_failures == ((300, "sgx-worker-0"),)
 
+    @pytest.mark.parametrize(
+        "failures",
+        [
+            ((10.0, "nope"),),
+            # The default inventory has two SGX workers.
+            ((10.0, "sgx-worker-2"),),
+            ((10.0, "sgx-worker-0"), (20.0, "sgx-worker-0")),
+        ],
+    )
+    def test_node_failures_name_workers_still_up(self, failures):
+        # Each would otherwise die mid-replay with "no such node".
+        with pytest.raises(SimulationError) as excinfo:
+            Scenario(trace="borg-synth:jobs=30", node_failures=failures)
+        assert repr(failures[-1]) in str(excinfo.value)
+
+    def test_node_failures_follow_the_worker_counts(self):
+        failures = ((5.0, "sgx-worker-2"), (6.0, "worker-2"))
+        scenario = Scenario(
+            standard_workers=3, sgx_workers=3, node_failures=failures
+        )
+        assert scenario.node_failures == failures
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field",

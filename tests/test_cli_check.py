@@ -43,13 +43,6 @@ class TestExitCodes:
         assert "DET003" in out
         assert "scheduler/core.py:2" in out
 
-    def test_unknown_rule_exits_2(self, clean_tree):
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "check", "--root", str(clean_tree), "--rules", "NOPE",
-            ])
-        assert excinfo.value.code == 2
-
     def test_missing_root_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["check", "--root", str(tmp_path / "nowhere")])
@@ -83,14 +76,6 @@ class TestJsonDocument:
         assert finding["line"] == 2
         assert finding["message"]
         assert finding["hint"]
-
-    def test_rules_filter(self, dirty_tree, capsys):
-        assert main([
-            "check", "--root", str(dirty_tree),
-            "--rules", "DET001,DET002", "--format", "json",
-        ]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["rules_run"] == ["DET001", "DET002"]
 
 
 class TestListIntegration:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.api import Scenario
 from repro.cluster.resources import ResourceVector
-from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.tsdb import Point
 from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.pod import Pod
@@ -153,12 +152,6 @@ class TestNodeViewSemantics:
     def test_slots_prevent_stray_attributes(self):
         with pytest.raises(AttributeError):
             self.make_view().scratch = 1
-
-
-class TestWindowStoreLayout:
-    def test_has_no_instance_dict(self):
-        # The store every replay feeds on every monitoring tick.
-        assert not hasattr(WindowedAggregateCache(), "__dict__")
 
 
 class TestRescheduleFusion:

@@ -30,6 +30,8 @@ from repro.obs import (
     DecisionLedger,
     load_ledger,
 )
+from repro.registry import SCHEDULERS, register_scheduler
+from repro.scheduler.binpack import BinpackScheduler
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import mib
 
@@ -173,6 +175,41 @@ def test_ledger_header_and_ordering(tmp_path):
             assert value is None or isinstance(
                 value, (str, int, float, bool)
             )
+
+
+def test_a_replay_that_raises_keeps_its_records(tmp_path):
+    # Everything emitted before the failure is flushed, not left in
+    # the ledger's buffer (or the header in the file object's).
+    @register_scheduler("test-fails-at-pass-40")
+    class FailsAtPass40(BinpackScheduler):
+        passes = 0
+
+        def schedule(self, pending, views, now):
+            self.passes += 1
+            if self.passes == 40:
+                raise RuntimeError("scheduler failed at pass 40")
+            return super().schedule(pending, views, now)
+
+    path = tmp_path / "failed.jsonl"
+    try:
+        with pytest.raises(RuntimeError, match="pass 40"):
+            Scenario(
+                scheduler="test-fails-at-pass-40",
+                trace="borg-synth:jobs=200",
+                sgx_fraction=0.5,
+                seed=1,
+                observe=ObserveConfig(ledger_path=str(path)),
+            ).run()
+    finally:
+        SCHEDULERS.unregister("test-fails-at-pass-40")
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["schema"] == LEDGER_SCHEMA
+    records = [json.loads(line) for line in lines[1:]]
+    # The file ends in the failing pass's pass_begin; a reused pass
+    # also begins without calling the scheduler.
+    assert records[-1]["kind"] == "pass_begin"
+    assert sum(r["kind"] == "pass_begin" for r in records) >= 40
+    assert [r["i"] for r in records] == list(range(len(records)))
 
 
 def test_emit_validates_against_the_schema_table(tmp_path):

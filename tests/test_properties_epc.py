@@ -1,6 +1,6 @@
 """Property-based tests: EPC accounting invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -62,17 +62,6 @@ class TestAllocationProperties:
         for owner, pages in zip(owners, requests, strict=True):
             epc.allocate(owner, pages)
         assert sum(epc.usage_by_owner().values()) == epc.allocated_pages
-
-    @given(requests=st.lists(page_counts, min_size=1, max_size=20))
-    @settings(max_examples=50)
-    def test_rebalance_residency_never_exceeds_capacity(self, requests):
-        epc = EnclavePageCache(allow_overcommit=True)
-        for index, pages in enumerate(requests):
-            epc.allocate(f"pod-{index}", pages)
-        epc.rebalance_residency()
-        assert epc.resident_pages <= epc.total_pages
-        for allocation in epc.allocations():
-            assert 0 <= allocation.resident_pages <= allocation.pages
 
 
 class EpcMachine(RuleBasedStateMachine):

@@ -35,12 +35,6 @@ class TestStrictAllocation:
         epc.allocate("pod-a", 1000)
         assert epc.free_pages == epc.total_pages - 1000
 
-    def test_allocation_is_fully_resident_in_strict_mode(self):
-        epc = make_epc()
-        alloc = epc.allocate("pod-a", 1000)
-        assert alloc.resident_pages == 1000
-        assert alloc.paged_out_pages == 0
-
     def test_exhaustion_raises(self):
         epc = make_epc()
         with pytest.raises(EpcExhaustedError) as excinfo:
@@ -100,8 +94,9 @@ class TestOvercommit:
         epc = make_epc(allow_overcommit=True)
         epc.allocate("pod-a", epc.total_pages)
         alloc = epc.allocate("pod-b", 1000)
-        assert alloc.resident_pages == 0
-        assert alloc.paged_out_pages == 1000
+        assert alloc.pages == 1000
+        assert epc.overcommitted
+        assert epc.allocated_pages == epc.total_pages + 1000
 
     def test_overcommit_ratio(self):
         epc = make_epc(allow_overcommit=True)
@@ -119,29 +114,6 @@ class TestOvercommit:
         epc = make_epc(allow_overcommit=True)
         epc.allocate("pod-a", epc.total_pages + 5000)
         assert epc.free_pages == 0
-
-    def test_rebalance_residency_proportional(self):
-        epc = make_epc(allow_overcommit=True)
-        a = epc.allocate("pod-a", epc.total_pages)
-        b = epc.allocate("pod-b", epc.total_pages)
-        epc.rebalance_residency()
-        allocations = {x.owner: x for x in epc.allocations()}
-        assert allocations["pod-a"].resident_pages == pytest.approx(
-            epc.total_pages // 2, abs=1
-        )
-        assert allocations["pod-b"].resident_pages == pytest.approx(
-            epc.total_pages // 2, abs=1
-        )
-        assert a.pages == b.pages  # original records untouched in size
-
-    def test_rebalance_restores_full_residency_after_release(self):
-        epc = make_epc(allow_overcommit=True)
-        first = epc.allocate("pod-a", epc.total_pages)
-        epc.allocate("pod-b", 100)
-        epc.release(first)
-        epc.rebalance_residency()
-        (remaining,) = list(epc.allocations())
-        assert remaining.resident_pages == 100
 
 
 class TestSnapshotMisc:

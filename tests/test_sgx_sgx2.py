@@ -59,7 +59,9 @@ class TestEpcResizePrimitives:
         epc = EnclavePageCache(allow_overcommit=True)
         alloc = epc.allocate("pod", epc.total_pages)
         grown = epc.grow_allocation(alloc, 100)
-        assert grown.paged_out_pages == 100
+        assert grown.pages == epc.total_pages + 100
+        assert epc.overcommitted
+        assert epc.allocated_pages == epc.total_pages + 100
 
     def test_shrink_allocation(self, epc):
         alloc = epc.allocate("pod", 100)
