@@ -1,10 +1,9 @@
-"""Ablation benches: the design choices DESIGN.md calls out.
+"""Ablation bench: measured usage against declared requests.
 
-1. **Measured usage vs declared requests** — the paper's central design
-   point: live probe data reclaims over-declared headroom.
-2. **SGX-nodes-last ordering** — preserving scarce EPC nodes for the
-   jobs that need them.
-3. **FCFS skip vs strict head-of-line blocking** — the queue discipline.
+The paper's central design point (Section IV): live probe data
+reclaims over-declared headroom.  The declared-only side is the
+``kube-default`` baseline, the one strategy that judges feasibility
+on declared requests alone.
 """
 
 from conftest import run_once
@@ -53,74 +52,3 @@ def test_ablation_measured_vs_declared(benchmark, trace):
     d = _summarise("kube-default (declared)", declared, benchmark)
     assert m.mean_waiting_seconds() < 0.8 * d.mean_waiting_seconds()
     assert m.makespan_seconds < d.makespan_seconds
-
-
-def test_ablation_sgx_nodes_last(benchmark, trace):
-    """Preserving SGX nodes for SGX jobs in a mixed workload."""
-
-    def run():
-        preserved = run_replay(
-            Scenario(
-                trace=trace,
-                scheduler="binpack",
-                sgx_fraction=0.5,
-                seed=1,
-            )
-        )
-        mixed = run_replay(
-            Scenario(
-                trace=trace,
-                scheduler="binpack",
-                sgx_fraction=0.5,
-                seed=1,
-                preserve_sgx_nodes=False,
-            )
-        )
-        return preserved, mixed
-
-    preserved, mixed = run_once(benchmark, run)
-    print("\n[Ablation] SGX-nodes-last node ordering (50% SGX)")
-    p = _summarise("preserve SGX nodes (paper)", preserved, benchmark)
-    n = _summarise("no preservation", mixed, benchmark)
-
-    def sgx_mean(metrics):
-        waits = metrics.waiting_times(
-            [x for x in metrics.succeeded if x.requires_sgx]
-        )
-        return sum(waits) / len(waits)
-
-    # Letting standard jobs squat SGX nodes cannot help SGX jobs.
-    assert sgx_mean(p) <= sgx_mean(n) + 1.0
-
-
-def test_ablation_strict_fcfs(benchmark, trace):
-    """Kubernetes-like skipping vs strict head-of-line blocking."""
-
-    def run():
-        skip = run_replay(
-            Scenario(
-                trace=trace,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-            )
-        )
-        strict = run_replay(
-            Scenario(
-                trace=trace,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-                strict_fcfs=True,
-            )
-        )
-        return skip, strict
-
-    skip, strict = run_once(benchmark, run)
-    print("\n[Ablation] FCFS with skipping vs strict head-of-line")
-    s = _summarise("skip unschedulable (paper)", skip, benchmark)
-    h = _summarise("strict head-of-line", strict, benchmark)
-    # Head-of-line blocking wastes capacity whenever the oldest job is
-    # a large enclave: it can only lengthen the batch.
-    assert h.makespan_seconds >= 0.95 * s.makespan_seconds
-    assert h.mean_waiting_seconds() >= 0.9 * s.mean_waiting_seconds()

@@ -375,23 +375,22 @@ def set_iteration(modules: Sequence[ModuleSource]) -> Iterator[Violation]:
 def _scan_scope(
     path: str, body: Iterable[ast.stmt], tracker: _SetTracker
 ) -> Iterator[Violation]:
-    """Walk one scope in statement order, tracking assignments.
+    """Walk one scope in source order, tracking assignments.
 
-    Nested statements (loop bodies, conditionals) are visited in
-    source order via ``ast.walk`` per top-level statement, which
-    keeps assignment tracking approximately flow-ordered; nested
-    function bodies are scanned as their own scopes, so they are
-    skipped here.
+    Nested statements (loop bodies, conditionals, class bodies) are
+    visited depth first in source order, which keeps assignment
+    tracking approximately flow-ordered.  A nested function's subtree
+    is skipped, not walked: its body is scanned as its own scope.
     """
-    for statement in body:
-        for node in ast.walk(statement):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and node is not statement:
-                break
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                tracker.note_assign(node)
-            yield from _set_order_leaks(path, node, tracker)
+    stack: List[ast.AST] = list(reversed(list(body)))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            tracker.note_assign(node)
+        yield from _set_order_leaks(path, node, tracker)
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
 def _set_order_leaks(

@@ -2,8 +2,8 @@
 
 The paper's evaluation is one sentence — "replay one scaled Borg trace
 under many configurations" — and a :class:`Scenario` is that sentence
-as a value: cluster shape, trace source and seed, workload, scheduler
-name plus options.  It validates at construction (unknown
+as a value: cluster shape, trace source and seed, workload and
+scheduler name.  It validates at construction (unknown
 scheduler/workload names die here with the list of registered names),
 is immutable and picklable (so sweeps can ship it to worker
 processes), and is the only configuration the replay engine reads:
@@ -43,8 +43,6 @@ from .. import workload as _workload_builtins  # noqa: F401
 from ..cluster.topology import worker_names
 from ..constants import (
     EPC_TOTAL_BYTES,
-    METRICS_PUSH_PERIOD_SECONDS,
-    SCHEDULER_PERIOD_SECONDS,
     SGX_WORKER_COUNT,
     STANDARD_WORKER_COUNT,
 )
@@ -61,9 +59,8 @@ from ..registry import (
     WORKLOADS,
     Registry,
 )
-from ..scheduler.base import Scheduler
 from ..simulation.metrics import ReplayMetrics
-from ..simulation.runner import make_scheduler, run_replay
+from ..simulation.runner import run_replay
 from ..trace.adapters import resolve_trace
 from ..trace.schema import Trace
 from ..trace.spec import parse_trace_spec
@@ -92,41 +89,28 @@ def _require_registered(registry: Registry, name: str) -> None:
         raise SimulationError(str(exc)) from None
 
 
-def _validate_factory_options(
-    kind: str,
-    name: str,
+def _check_call(
     factory: Callable[..., object],
-    standard_kwargs: Dict[str, object],
-    options: OptionItems,
+    failure: str,
+    *args: object,
+    **kwargs: object,
 ) -> None:
-    """Fail at construction if *options* cannot reach *factory*.
+    """Fail at construction unless the engine's later call
+    ``factory(*args, **kwargs)`` binds.
 
-    Checks the factory's signature without calling it: an option
-    shadowing a standard knob, or an unknown keyword on a factory
-    without ``**options``, would otherwise die with a bare TypeError
-    deep inside ``.run()`` (possibly in a pool worker).
+    Checks the factory's signature without calling it: a plugin with
+    a bespoke constructor, or an unknown keyword on a factory without
+    ``**options``, would otherwise die with a bare TypeError deep
+    inside ``.run()`` (possibly in a pool worker).
     """
-    extra = dict(options)
-    shadowed = sorted(set(extra) & set(standard_kwargs))
-    if shadowed:
-        raise SimulationError(
-            f"{kind}_options may not shadow the standard knob(s) "
-            f"{', '.join(shadowed)}; set the scenario field instead"
-        )
     try:
         signature = inspect.signature(factory)
     except (TypeError, ValueError):  # pragma: no cover - C callables
         return
     try:
-        signature.bind_partial(**standard_kwargs, **extra)
+        signature.bind(*args, **kwargs)
     except TypeError as exc:
-        detail = (
-            f"invalid {kind}_options for {name!r}"
-            if extra
-            else f"{kind} {name!r} factory cannot accept the "
-            f"standard knobs ({', '.join(standard_kwargs)})"
-        )
-        raise SimulationError(f"{detail}: {exc}") from None
+        raise SimulationError(f"{failure}: {exc}") from None
 
 
 def _is_int(value: object) -> bool:
@@ -160,8 +144,13 @@ class Scenario:
     """One experiment: what to replay, on what cluster, with which knobs.
 
     Defaults reproduce the paper's testbed (2 standard + 2 SGX
-    workers, 128 MiB PRM, periodic full-scan scheduling) replaying the
-    default scaled trace with the binpack strategy and no SGX jobs.
+    workers, 128 MiB PRM) replaying the default scaled trace with the
+    binpack strategy and no SGX jobs.  The scheduling discipline is the
+    paper's alone: a pass every
+    :data:`~repro.constants.SCHEDULER_PERIOD_SECONDS` over the whole
+    queue, FCFS skipping what cannot be placed, against monitoring
+    pushed every :data:`~repro.constants.METRICS_PUSH_PERIOD_SECONDS`;
+    ``scheduler="kube-default"`` is the declared-only baseline.
 
     The workload comes from the ``trace`` spec — any adapter in
     :data:`repro.registry.TRACES` (``repro traces`` lists them)::
@@ -172,21 +161,19 @@ class Scenario:
         Scenario(trace=my_trace)          # an explicit Trace object
 
     Invalid knobs are rejected here — a bad SGX fraction, a
-    non-positive or non-finite period, an unknown scheduler name or a
-    crash of a node the cluster lacks (or already lost) dies at
-    construction with a :class:`SimulationError`, not minutes into a
-    replay.
+    non-positive or non-finite period, an unknown scheduler name, a
+    strategy that cannot be built with no arguments or a crash of a
+    node the cluster lacks (or already lost) dies at construction
+    with a :class:`SimulationError`, not minutes into a replay.
     """
 
     #: Optional display name; shows up as the row label in tables.
     name: str = ""
 
     # -- scheduler ---------------------------------------------------------
-    #: Any name registered in :data:`repro.registry.SCHEDULERS`.
+    #: Any name registered in :data:`repro.registry.SCHEDULERS`; the
+    #: strategy is built with no arguments.
     scheduler: str = "binpack"
-    #: Extra factory keywords for plugin strategies (mapping accepted,
-    #: stored as sorted items).
-    scheduler_options: OptionItems = ()
 
     # -- workload ----------------------------------------------------------
     #: Any name registered in :data:`repro.registry.WORKLOADS`; the
@@ -221,20 +208,10 @@ class Scenario:
     enforce_epc_limits: bool = False
     epc_allow_overcommit: bool = True
 
-    # -- control-plane cadence ---------------------------------------------
-    scheduler_period: float = SCHEDULER_PERIOD_SECONDS
-    metrics_period: float = METRICS_PUSH_PERIOD_SECONDS
-    #: Backoff before a transiently failed (requeued) pod is eligible
-    #: again.  0 retries on the very next pass, like the paper.
-    requeue_backoff_seconds: float = 0.0
+    # -- EPC rebalancer ----------------------------------------------------
     #: Period of the EPC contention rebalancer (Sec. V-E's migration
     #: use case); ``None`` disables it, as in the paper's evaluation.
     rebalance_period: Optional[float] = None
-
-    # -- strategy toggles --------------------------------------------------
-    use_measured: bool = True
-    strict_fcfs: bool = False
-    preserve_sgx_nodes: bool = True
 
     # -- priority & preemption (the policy subsystem) ----------------------
     #: Extra priority classes (name -> int) overlaid on the built-in
@@ -268,9 +245,7 @@ class Scenario:
     def __post_init__(self) -> None:
         # Accept plain dicts for the option fields; store sorted items
         # so the scenario stays frozen, hashable and picklable.
-        for option_field in (
-            "workload_options", "scheduler_options", "priority_classes",
-        ):
+        for option_field in ("workload_options", "priority_classes"):
             value = getattr(self, option_field)
             if not isinstance(value, tuple):
                 object.__setattr__(
@@ -316,35 +291,33 @@ class Scenario:
                 "the malicious= side deployment would duplicate their "
                 "pod names — drop one of the two"
             )
-        # Unconditional: a factory that cannot even accept the
-        # standard knobs (a plugin with a bespoke __init__) must die
-        # here, not with a bare TypeError inside a pool worker.
-        _validate_factory_options(
-            "scheduler",
-            self.scheduler,
+        _check_call(
             SCHEDULERS.get(self.scheduler),
-            {
-                "use_measured": self.use_measured,
-                "strict_fcfs": self.strict_fcfs,
-                "preserve_sgx_nodes": self.preserve_sgx_nodes,
-            },
-            self.scheduler_options,
+            f"scheduler {self.scheduler!r} cannot be built with no "
+            "arguments",
         )
-        _validate_factory_options(
-            "workload",
-            self.workload,
+        standard = {"sgx_fraction": self.sgx_fraction, "seed": self.seed}
+        options = dict(self.workload_options)
+        shadowed = sorted(set(options) & set(standard))
+        if shadowed:
+            raise SimulationError(
+                "workload_options may not shadow the standard knob(s) "
+                f"{', '.join(shadowed)}; set the scenario field instead"
+            )
+        # Placeholders stand in for the cluster and trace the engine
+        # passes first.
+        _check_call(
             WORKLOADS.get(self.workload),
-            {
-                "sgx_fraction": self.sgx_fraction,
-                "seed": self.seed,
-                "scheduler_name": self.scheduler,
-            },
-            self.workload_options,
+            f"invalid workload_options for {self.workload!r}"
+            if options
+            else f"workload {self.workload!r} cannot be called with the "
+            "standard knobs (sgx_fraction, seed)",
+            "cluster",
+            "trace",
+            **standard,
+            **options,
         )
-        positive_fields = [
-            "scheduler_period", "metrics_period", "max_sim_seconds",
-            "epc_total_bytes",
-        ]
+        positive_fields = ["max_sim_seconds", "epc_total_bytes"]
         if self.rebalance_period is not None:
             positive_fields.append("rebalance_period")
         for positive_field in positive_fields:
@@ -355,11 +328,6 @@ class Scenario:
                     f"{positive_field} must be positive and finite: "
                     f"{value}"
                 )
-        if not 0 <= self.requeue_backoff_seconds < math.inf:
-            raise SimulationError(
-                "requeue_backoff_seconds must be >= 0 and finite: "
-                f"{self.requeue_backoff_seconds}"
-            )
         if not _is_int(self.seed):
             raise SimulationError(f"seed must be an int: {self.seed!r}")
         for worker_field in ("standard_workers", "sgx_workers"):
@@ -412,10 +380,6 @@ class Scenario:
         if isinstance(self.trace, Trace):
             return self.trace
         return resolve_trace(self.trace or "borg-synth")
-
-    def build_scheduler(self) -> Scheduler:
-        """The configured strategy instance (for pass-level harnesses)."""
-        return make_scheduler(self)
 
     def with_(self, **changes: object) -> "Scenario":
         """A copy with *changes* applied (re-validated on build)."""
@@ -547,9 +511,6 @@ class RunResult:
             "wait_cpu": self.wait_reasons.get("cpu", 0),
             "wait_fragmentation": self.wait_reasons.get(
                 "fragmentation", 0
-            ),
-            "wait_head_of_line": self.wait_reasons.get(
-                "head_of_line", 0
             ),
         }
 

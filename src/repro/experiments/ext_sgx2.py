@@ -30,6 +30,7 @@ import numpy as np
 
 from ..cluster.resources import ResourceVector
 from ..cluster.topology import paper_cluster
+from ..constants import METRICS_PUSH_PERIOD_SECONDS, SCHEDULER_PERIOD_SECONDS
 from ..errors import EpcExhaustedError
 from ..orchestrator.api import (
     PodSpec,
@@ -163,7 +164,9 @@ class _BurstyRun:
     def _metrics_tick(self) -> None:
         self.orchestrator.collect_metrics(self.engine.now)
         if self._active():
-            self.engine.schedule_in(10.0, self._metrics_tick)
+            self.engine.schedule_in(
+                METRICS_PUSH_PERIOD_SECONDS, self._metrics_tick
+            )
 
     def _scheduler_tick(self) -> None:
         result = self.orchestrator.scheduling_pass(
@@ -173,7 +176,9 @@ class _BurstyRun:
             self.running += 1
             self.engine.schedule_in(startup, lambda p=pod: self._start(p))
         if self._active():
-            self.engine.schedule_in(5.0, self._scheduler_tick)
+            self.engine.schedule_in(
+                SCHEDULER_PERIOD_SECONDS, self._scheduler_tick
+            )
 
     def _start(self, pod: Pod) -> None:
         self.orchestrator.start_pod(pod, self.engine.now)
@@ -228,7 +233,9 @@ class _BurstyRun:
                 job.submit_time, lambda j=job: self._submit(j)
             )
         self.engine.schedule_at(0.0, self._metrics_tick)
-        self.engine.schedule_at(2.5, self._scheduler_tick)
+        self.engine.schedule_at(
+            SCHEDULER_PERIOD_SECONDS / 2.0, self._scheduler_tick
+        )
         self.engine.run(until=24 * 3600.0)
         pods = self.orchestrator.all_pods
         waits = [

@@ -10,7 +10,7 @@ convention for vendored device resources.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..cluster.resources import ResourceVector
@@ -19,10 +19,6 @@ from ..units import pages as bytes_to_pages
 
 #: Resource name under which the device plugin advertises EPC pages.
 SGX_EPC_RESOURCE = "intel.com/sgx-epc-page"
-
-#: The default scheduler name; pods may select a specific scheduler
-#: variant, which is how the paper runs comparative benchmarks (Sec. V-B).
-DEFAULT_SCHEDULER = "sgx-aware-binpack"
 
 
 class PodPhase(enum.Enum):
@@ -103,7 +99,7 @@ class WorkloadProfile:
 
 @dataclass(frozen=True, slots=True)
 class PodSpec:
-    """A pod manifest: resources, scheduler selection, workload.
+    """A pod manifest: resources, labels, workload and priority.
 
     ``priority`` is the resolved integer of a
     :class:`repro.policy.classes.PriorityClass`: the pending queue
@@ -117,7 +113,6 @@ class PodSpec:
     resources: ResourceRequirements = field(
         default_factory=ResourceRequirements
     )
-    scheduler_name: str = DEFAULT_SCHEDULER
     labels: Dict[str, str] = field(default_factory=dict)
     workload: Optional[WorkloadProfile] = None
     priority: int = 0
@@ -137,10 +132,6 @@ class PodSpec:
         """Whether this pod must be placed on an SGX-capable node."""
         return self.resources.requires_sgx
 
-    def with_scheduler(self, scheduler_name: str) -> "PodSpec":
-        """Copy of this spec targeting a different scheduler."""
-        return replace(self, scheduler_name=scheduler_name)
-
 
 def make_pod_spec(
     name: str,
@@ -149,7 +140,6 @@ def make_pod_spec(
     declared_epc_bytes: int = 0,
     actual_memory_bytes: Optional[int] = None,
     actual_epc_bytes: Optional[int] = None,
-    scheduler_name: str = DEFAULT_SCHEDULER,
     priority: int = 0,
 ) -> PodSpec:
     """Convenience constructor used by the trace materialiser.
@@ -175,7 +165,6 @@ def make_pod_spec(
     return PodSpec(
         name=name,
         resources=ResourceRequirements(requests=requests),
-        scheduler_name=scheduler_name,
         workload=workload,
         priority=priority,
     )

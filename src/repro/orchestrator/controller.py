@@ -113,7 +113,6 @@ class _KeptPass(NamedTuple):
     """An all-deferred outcome and the inputs it was computed from."""
 
     scheduler: Scheduler
-    knobs: Tuple[bool, ...]
     snapshot: Optional[List[NodeView]]
     pending: List[Pod]
     outcome: SchedulingOutcome
@@ -126,7 +125,6 @@ class Orchestrator:
         self,
         cluster: Cluster,
         perf_model: Optional[SgxPerfModel] = None,
-        requeue_backoff_seconds: float = 0.0,
         preemption_policy: Optional[PreemptionPolicy] = None,
         preemption_priority_threshold: int = DEFAULT_PREEMPTION_THRESHOLD,
         observer=None,
@@ -178,9 +176,7 @@ class Orchestrator:
         )
         if preemption_policy is not None:
             preemption_policy.ledger = self.ledger
-        self.queue = PendingQueue(
-            requeue_backoff_seconds=requeue_backoff_seconds
-        )
+        self.queue = PendingQueue()
         self.all_pods: List[Pod] = []
         #: Numbers this orchestrator's pods (see :attr:`Pod.uid`).
         self._pod_numbers = itertools.count(1)
@@ -293,21 +289,8 @@ class Orchestrator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def scheduling_pass(
-        self,
-        scheduler: Scheduler,
-        now: float,
-        only_matching: bool = False,
-    ) -> PassResult:
-        """Run one pass of *scheduler* over the pending queue.
-
-        With ``only_matching=True``, the pass considers only pods whose
-        spec names this scheduler — the paper's Sec. V-B deployment
-        where "multiple schedulers concurrently operate over the same
-        cluster" and "each pod deployed to the cluster can specify
-        which scheduler it requires" (how the authors ran comparative
-        benchmarks).  The default considers the whole queue, as in a
-        single-scheduler production deployment.
+    def scheduling_pass(self, scheduler: Scheduler, now: float) -> PassResult:
+        """Run one pass of *scheduler* over the whole pending queue.
 
         A pass over the same queue and cluster state as the previous
         all-deferred one returns that pass's outcome instead of
@@ -315,13 +298,7 @@ class Orchestrator:
         pass changes.
         """
         result = PassResult()
-        pending = self.queue.snapshot(now)
-        if only_matching:
-            pending = [
-                pod
-                for pod in pending
-                if pod.spec.scheduler_name == scheduler.name
-            ]
+        pending = self.queue.snapshot()
         if not pending:
             return result
         ledger = self.ledger
@@ -360,7 +337,7 @@ class Orchestrator:
             and not self.preemption_policy.never_preempts
         ):
             deferred = self._preempt_and_place(
-                scheduler, views, deferred, result, now
+                views, deferred, result, now
             )
         result.deferred.extend(deferred)
         if ledger.enabled:
@@ -395,8 +372,8 @@ class Orchestrator:
         cache applied to a whole pass.  The kept outcome is returned
         when the previous pass that built views
 
-        * ran this scheduler object with the same ``use_measured``,
-          ``strict_fcfs`` and ``preserve_sgx_nodes``;
+        * ran this scheduler object (``use_measured`` is fixed per
+          class);
         * deferred every pod it considered (a placement or rejection
           keeps nothing);
         * considered the same ``Pod`` objects in the same order;
@@ -416,16 +393,10 @@ class Orchestrator:
         # The retained snapshot: a build replaces the list, serving it
         # again hands out clones and leaves it in place.
         snapshot = self.state_service._last_views
-        knobs = (
-            scheduler.use_measured,
-            scheduler.strict_fcfs,
-            scheduler.preserve_sgx_nodes,
-        )
         kept = self._kept
         if (
             kept is not None
             and kept.scheduler is scheduler
-            and kept.knobs == knobs
             and kept.snapshot is snapshot
             and kept.pending == pending
         ):
@@ -445,7 +416,7 @@ class Orchestrator:
             return outcome
         outcome = scheduler.schedule(pending, views, now)
         self._kept = (
-            _KeptPass(scheduler, knobs, snapshot, pending, outcome)
+            _KeptPass(scheduler, snapshot, pending, outcome)
             if not (outcome.assignments or outcome.unschedulable)
             else None
         )
@@ -459,10 +430,10 @@ class Orchestrator:
         Shared by regular placements and the preemption step.  A
         transient failure (e.g. the EPC filled between the metrics
         snapshot and launch) sends the pod back to the queue, like a
-        Kubernetes crash-looping pod; the requeue keeps the pod's
-        original submission order, so FCFS priority survives the retry
-        instead of demoting the pod to the tail, where the oldest pod
-        could starve forever.  Any other failure kills the pod.
+        Kubernetes crash-looping pod, for the next pass; the pod keeps
+        its original submission order, so FCFS priority survives the
+        retry instead of demoting the pod to the tail, where the oldest
+        pod could starve forever.  Any other failure kills the pod.
         """
         admission = self.kubelets[node_name].admit(pod)
         if admission.success:
@@ -471,10 +442,12 @@ class Orchestrator:
         ledger = self.ledger
         if admission.retryable:
             pod.mark_unbound()
-            ready_at = self.queue.requeue(pod, now)
+            self.queue.push(pod)
             result.requeued.append(pod)
             if ledger.enabled:
-                ledger.emit(now, "requeue", pod=pod.name, ready_at=ready_at)
+                # The frozen v1 schema keeps ``ready_at``: the pod is
+                # eligible again at once.
+                ledger.emit(now, "requeue", pod=pod.name, ready_at=now)
                 ledger.emit(
                     now, "trigger",
                     event="pod-requeued", pod=pod.name, node=None,
@@ -574,7 +547,6 @@ class Orchestrator:
 
     def _preempt_and_place(
         self,
-        scheduler: Scheduler,
         views: Sequence[NodeView],
         deferred: List[Pod],
         result: PassResult,
@@ -599,15 +571,7 @@ class Orchestrator:
         views_by_name = {view.name: view for view in views}
         facts = self._collect_eviction_facts(now)
         still_deferred: List[Pod] = []
-        for position, pod in enumerate(deferred):
-            if scheduler.strict_fcfs and position > 0:
-                # Strict FCFS: an unplaceable queue head blocks every
-                # younger pod — including from preempting its way past
-                # it.  The tail (deferred as ``head_of_line``, never
-                # examined) stays deferred; the next pass re-attempts
-                # in order.
-                still_deferred.append(pod)
-                continue
+        for pod in deferred:
             if pod.spec.priority < self.preemption_priority_threshold:
                 still_deferred.append(pod)
                 continue

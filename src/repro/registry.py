@@ -103,15 +103,14 @@ class Registry:
 
 
 #: Scheduling strategies addressable by ``Scenario(scheduler=...)``.
-#: Factories are called with the standard knobs (``use_measured``,
-#: ``strict_fcfs``, ``preserve_sgx_nodes``) plus any scenario-level
-#: ``scheduler_options`` and must return a
-#: :class:`repro.scheduler.base.Scheduler`.
+#: Factories are called with no arguments and must return a
+#: :class:`repro.scheduler.base.Scheduler`; registering the subclass
+#: itself is the usual way.
 SCHEDULERS = Registry("scheduler")
 
 #: Workload materialisers addressable by ``Scenario(workload=...)``.
 #: Factories are called as ``factory(cluster, trace, *, sgx_fraction,
-#: seed, scheduler_name, **options)`` and must return a list of
+#: seed, **options)`` and must return a list of
 #: :class:`repro.workload.stress.SubmissionPlan`.  A factory that
 #: never reads the trace may set ``consumes_trace = False`` on itself;
 #: ``Scenario.run`` then skips the trace synthesis for it.

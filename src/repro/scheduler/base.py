@@ -131,13 +131,12 @@ class SchedulingOutcome:
     #: Why deferred pods waited, keyed by :data:`WAIT_REASONS` entries
     #: — the blocked dimension (no node has enough of it free), or
     #: ``fragmentation`` (each dimension fits somewhere, no single node
-    #: fits all), or ``head_of_line`` (strict-FCFS tail, never
-    #: examined).
+    #: fits all).
     wait_reasons: Dict[str, int] = field(default_factory=dict)
 
 
 #: The deferral reasons, the keys of :attr:`SchedulingOutcome.wait_reasons`.
-WAIT_REASONS = ("epc", "memory", "cpu", "fragmentation", "head_of_line")
+WAIT_REASONS = ("epc", "memory", "cpu", "fragmentation")
 
 
 def classify_wait(
@@ -397,41 +396,25 @@ class ClusterStateService:
 class Scheduler(abc.ABC):
     """Shared FCFS scheduling pass; strategies pick the node.
 
-    Parameters
-    ----------
-    use_measured:
-        When ``True`` (the paper's system), feasibility is judged against
-        the measured view; when ``False``, against declared commitments
-        only (the Kubernetes-default baseline and an ablation toggle).
-    strict_fcfs:
-        When ``True``, a pod that cannot be placed blocks all younger
-        pods (head-of-line blocking).  Defaults to the Kubernetes-like
-        behaviour of skipping unschedulable pods while keeping FCFS
-        *priority*.
-    preserve_sgx_nodes:
-        The paper's node-preservation rule: standard jobs only land on
-        SGX nodes when no other node fits (Section IV).  Exposed as a
-        toggle for the ablation benchmark.
+    The paper's discipline (Section IV), the only one the pass runs:
+    every pass walks the whole queue in its FCFS order and skips a pod
+    it cannot place, like the Kubernetes scheduler it extends; standard
+    pods land on SGX nodes only when no other node fits.  A strategy
+    is built with no arguments and implements :meth:`_select`.
     """
 
     name = "abstract"
 
-    # ``name`` stays a class attribute (strategies override it), so it
-    # must not appear in the slot tuple.
-    __slots__ = (
-        "use_measured", "strict_fcfs", "preserve_sgx_nodes", "ledger",
-        "_shape",
-    )
+    #: Whether feasibility is judged against the measured view (the
+    #: paper's system) or against declared commitments only (the
+    #: Kubernetes-default baseline sets it ``False``).
+    use_measured = True
 
-    def __init__(
-        self,
-        use_measured: bool = True,
-        strict_fcfs: bool = False,
-        preserve_sgx_nodes: bool = True,
-    ):
-        self.use_measured = use_measured
-        self.strict_fcfs = strict_fcfs
-        self.preserve_sgx_nodes = preserve_sgx_nodes
+    # ``name`` and ``use_measured`` stay class attributes (strategies
+    # override them), so they must not appear in the slot tuple.
+    __slots__ = ("ledger", "_shape")
+
+    def __init__(self):
         #: The run's decision ledger.  The orchestrator rebinds this at
         #: the top of every pass; standalone schedulers keep the null
         #: one.
@@ -479,7 +462,7 @@ class Scheduler(abc.ABC):
         wait_reasons = outcome.wait_reasons
         # Free maxima of each eligibility class, until the next placement.
         sgx_maxima = standard_maxima = None
-        for position, pod in enumerate(pending):
+        for pod in pending:
             if pod.fit_shape is not shape:
                 if not can_ever_fit(pod, views):
                     outcome.unschedulable.append(pod)
@@ -498,11 +481,10 @@ class Scheduler(abc.ABC):
                     reason = "memory"
                 elif requests.cpu_millicores > cpu_max:
                     reason = "cpu"
-            blocks = True
             if reason is None:
-                candidates = feasible_candidates(pod, views)
-                if self.preserve_sgx_nodes:
-                    candidates = prefer_non_sgx(pod, candidates)
+                candidates = prefer_non_sgx(
+                    pod, feasible_candidates(pod, views)
+                )
                 chosen = (
                     self._select(pod, candidates, views)
                     if candidates
@@ -526,7 +508,6 @@ class Scheduler(abc.ABC):
                             runner_ups=len(candidates) - 1,
                         )
                     continue
-                blocks = not candidates
                 if maxima is None:
                     maxima = _free_maxima(views, needs_sgx)
                     if needs_sgx:
@@ -542,21 +523,6 @@ class Scheduler(abc.ABC):
             wait_reasons[reason] = wait_reasons.get(reason, 0) + 1
             if recording:
                 ledger.emit(now, "deferral", pod=pod.name, reason=reason)
-            if blocks and self.strict_fcfs:
-                # Head-of-line blocking: a pod no node could take holds
-                # back every younger pod, deferred without examination.
-                for waiting in pending[position + 1:]:
-                    deferred.append(waiting)
-                    deferred_reasons.append("head_of_line")
-                    wait_reasons["head_of_line"] = (
-                        wait_reasons.get("head_of_line", 0) + 1
-                    )
-                    if recording:
-                        ledger.emit(
-                            now, "deferral",
-                            pod=waiting.name, reason="head_of_line",
-                        )
-                break
         return outcome
 
     @abc.abstractmethod
@@ -569,9 +535,8 @@ class Scheduler(abc.ABC):
         """Pick one of *candidates* for *pod*; ``None`` defers the pod.
 
         Must be a pure function of ``(pod, candidates, views)``: no
-        state kept between calls, no clock, no randomness of its own.
-        Knobs it reads beyond ``use_measured``, ``strict_fcfs`` and
-        ``preserve_sgx_nodes`` must stay fixed during a run.  The
+        state kept between calls, no clock, no randomness of its own,
+        and any attribute it reads must stay fixed during a run.  The
         orchestrator relies on both when it answers a pass over an
         unchanged queue and cluster with the previous pass's outcome
         instead of calling :meth:`schedule` again.

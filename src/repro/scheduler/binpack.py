@@ -39,7 +39,6 @@ class BinpackScheduler(Scheduler):
     ) -> Optional[NodeView]:
         # First fit over the consistent order is the first name.  The
         # pass hands over only views the pod fits, so no fit test is
-        # left; with ``preserve_sgx_nodes``, ``prefer_non_sgx`` has
-        # already narrowed them to one SGX-ness (SGX nodes last), and
-        # without it SGX-ness is no part of the order.
+        # left, and ``prefer_non_sgx`` has already narrowed them to
+        # one SGX-ness (SGX nodes last).
         return min(candidates, key=attrgetter("name"))

@@ -6,7 +6,7 @@ malformed or non-conforming to the real usage of the containers, and
 henceforth leading to over- or under-allocations".
 
 This baseline reproduces that behaviour: feasibility and scoring use
-*declared requests only* (``use_measured=False``), and nodes are scored
+*declared requests only* (``use_measured = False``), and nodes are scored
 with a least-requested spreading heuristic in the spirit of Kubernetes'
 ``LeastRequestedPriority``.  It still understands the device-plugin EPC
 resource (a stock scheduler counts extended resources), so the comparison
@@ -23,13 +23,15 @@ from ..registry import register_scheduler
 from .base import NodeView, Scheduler
 
 
+@register_scheduler("kube-default")
 class KubeDefaultScheduler(Scheduler):
     """Declared-requests-only scheduling with least-requested scoring."""
 
     name = "kube-default"
 
-    def __init__(self, strict_fcfs: bool = False):
-        super().__init__(use_measured=False, strict_fcfs=strict_fcfs)
+    #: The stock scheduler is *defined* by declared-requests
+    #: feasibility: the baseline never reads measured usage.
+    use_measured = False
 
     def _select(
         self,
@@ -41,23 +43,9 @@ class KubeDefaultScheduler(Scheduler):
 
         def score(view: NodeView) -> tuple:
             # Lower post-placement load is better (more headroom), which
-            # is LeastRequestedPriority inverted into a minimisation.
-            return (view.load_after(requests), view.sgx_capable, view.name)
+            # is LeastRequestedPriority inverted into a minimisation;
+            # the pass has already narrowed the candidates to one
+            # SGX-ness.
+            return (view.load_after(requests), view.name)
 
         return min(candidates, key=score, default=None)
-
-
-@register_scheduler("kube-default")
-def _kube_default_factory(
-    use_measured: bool = False,
-    strict_fcfs: bool = False,
-    preserve_sgx_nodes: bool = True,
-) -> KubeDefaultScheduler:
-    """Registry factory: the baseline ignores the SGX-aware knobs.
-
-    ``use_measured`` and ``preserve_sgx_nodes`` are accepted and
-    dropped — the stock scheduler is *defined* by declared-requests
-    feasibility, so a scenario cannot accidentally turn the baseline
-    into a measured-usage scheduler by flipping a shared toggle.
-    """
-    return KubeDefaultScheduler(strict_fcfs=strict_fcfs)

@@ -56,9 +56,10 @@ class SpreadScheduler(Scheduler):
             index = position[id(candidate)]
             saved = loads[index]
             loads[index] = candidate.load_after(requests)
-            # Tie-break deterministically: prefer non-SGX, then by name,
-            # so runs are reproducible across dict orderings.
-            key = (_stddev(loads), candidate.sgx_capable, candidate.name)
+            # Tie-break deterministically by name, so runs are
+            # reproducible across dict orderings (the pass has already
+            # narrowed the candidates to one SGX-ness).
+            key = (_stddev(loads), candidate.name)
             loads[index] = saved
             if best_key is None or key < best_key:
                 best_key = key

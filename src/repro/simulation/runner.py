@@ -4,9 +4,11 @@ Drives the *real* control plane — orchestrator, schedulers, device
 plugins, probes, driver — with a deterministic event loop:
 
 * submissions fire at the trace's timestamps;
-* probes push metrics every ``metrics_period`` seconds;
-* the scheduler runs every ``scheduler_period`` seconds over the
-  persistent FCFS queue;
+* probes push metrics every
+  :data:`~repro.constants.METRICS_PUSH_PERIOD_SECONDS` (10 s);
+* the scheduler runs every
+  :data:`~repro.constants.SCHEDULER_PERIOD_SECONDS` (5 s) over the
+  persistent FCFS queue, offset by half a period;
 * launched pods start after their measured startup latency (PSW boot +
   EPC allocation, Fig. 6's model) and run for their trace duration —
   stretched by the EPC paging slowdown while their node is over-
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..cluster.topology import paper_cluster
+from ..constants import METRICS_PUSH_PERIOD_SECONDS, SCHEDULER_PERIOD_SECONDS
 from ..errors import PolicyError, RegistryError, SimulationError
 from ..obs.observer import build_observer
 from ..orchestrator.controller import Orchestrator
@@ -83,25 +86,15 @@ class ReplayResult:
 
 
 def make_scheduler(scenario: Scenario) -> Scheduler:
-    """Instantiate the strategy named by *scenario* via the registry.
-
-    The standard toggles are passed to every factory; registered
-    strategies that do not honour one (the kube-default baseline)
-    accept and drop it.  ``scheduler_options`` rides along for plugin
-    strategies with extra knobs.
-    """
+    """Instantiate the strategy named by *scenario* via the registry
+    (every factory is called with no arguments)."""
     try:
         factory = SCHEDULERS.get(scenario.scheduler)
     except RegistryError as exc:
         # Unreachable through a validated scenario; kept so a plugin
         # unregistered mid-run fails with the same error type.
         raise SimulationError(str(exc)) from exc
-    return factory(
-        use_measured=scenario.use_measured,
-        strict_fcfs=scenario.strict_fcfs,
-        preserve_sgx_nodes=scenario.preserve_sgx_nodes,
-        **dict(scenario.scheduler_options),
-    )
+    return factory()
 
 
 def make_preemption_policy(scenario: Scenario) -> PreemptionPolicy:
@@ -226,7 +219,6 @@ class _Replay:
         self.orchestrator = Orchestrator(
             self.cluster,
             perf_model=self.perf,
-            requeue_backoff_seconds=scenario.requeue_backoff_seconds,
             preemption_policy=make_preemption_policy(scenario),
             preemption_priority_threshold=(
                 scenario.preemption_priority_threshold
@@ -255,7 +247,6 @@ class _Replay:
             trace,
             sgx_fraction=scenario.sgx_fraction,
             seed=scenario.seed,
-            scheduler_name=self.scheduler.name,
             **resolve_workload_priorities(
                 dict(scenario.workload_options),
                 priority_class_map(scenario.priority_classes),
@@ -264,10 +255,7 @@ class _Replay:
         if scenario.malicious is not None:
             self.plans = (
                 WORKLOADS.get("malicious")(
-                    self.cluster,
-                    trace,
-                    scheduler_name=self.scheduler.name,
-                    config=scenario.malicious,
+                    self.cluster, trace, config=scenario.malicious
                 )
                 + self.plans
             )
@@ -304,7 +292,7 @@ class _Replay:
         self.orchestrator.collect_metrics(now)
         if self._active():
             self.engine.schedule_in(
-                self.scenario.metrics_period, self._metrics_tick
+                METRICS_PUSH_PERIOD_SECONDS, self._metrics_tick
             )
 
     def _sample_queue(self, now: float) -> None:
@@ -327,7 +315,7 @@ class _Replay:
         self._sample_queue(now)
         if self._active():
             self.engine.schedule_in(
-                self.scenario.scheduler_period, self._scheduler_tick
+                SCHEDULER_PERIOD_SECONDS, self._scheduler_tick
             )
 
     def _execute_pass(self, now: float) -> None:
@@ -531,7 +519,7 @@ class _Replay:
             )
         self.engine.schedule_at(0.0, self._metrics_tick)
         self.engine.schedule_at(
-            self.scenario.scheduler_period / 2.0, self._scheduler_tick
+            SCHEDULER_PERIOD_SECONDS / 2.0, self._scheduler_tick
         )
         if self.rebalancer is not None:
             assert self.scenario.rebalance_period is not None

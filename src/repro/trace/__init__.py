@@ -25,7 +25,7 @@ a third-party plugin — is addressable through one spec string
 from .adapters import resolve_trace, trace_catalogue
 from .borg import BorgTraceGenerator, synthetic_scaled_trace
 from .loader import load_borg_csv
-from .scaling import renumber_from_zero, sample_stride, slice_window
+from .scaling import renumber_from_zero
 from .schema import JobRecord, Trace
 from .spec import TraceSpec, format_trace_spec, make_trace_spec, parse_trace_spec
 from .stats import cdf_at, empirical_cdf
@@ -43,8 +43,6 @@ __all__ = [
     "parse_trace_spec",
     "renumber_from_zero",
     "resolve_trace",
-    "sample_stride",
-    "slice_window",
     "synthetic_scaled_trace",
     "trace_catalogue",
 ]

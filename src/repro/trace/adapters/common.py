@@ -2,10 +2,10 @@
 
 File-backed adapters all answer the same four knobs — ``start``,
 ``window``, ``sample``/``stride`` and ``limit`` — by threading the
-record stream through the windowing/downsampling combinators of
-:mod:`repro.trace.scaling` before anything is materialised
-(``borg-csv`` applies the same knobs to its parsed columns, in
-:func:`repro.trace.loader.iter_borg_csv`).  The window is *relative
+record stream through :func:`apply_scaling` (a relative window, then
+:func:`repro.trace.scaling.iter_stride`) before anything is
+materialised (``borg-csv`` applies the same knobs to its parsed
+columns, in :func:`repro.trace.loader.iter_borg_csv`).  The window is *relative
 to the first record's submit time* (``start=0`` is the beginning of
 the trace), which is the only sane reading for public traces
 timestamped in epoch microseconds.

@@ -3,9 +3,9 @@
 The 2011 trace ships as CSV tables (Reiss et al., "Google cluster-usage
 traces: format + schema").  The paper joins the *job events* and *task
 usage* tables to extract four per-job metrics; users who have downloaded
-the public trace can produce a four-column CSV in that shape and load it
-here, then push it through :func:`repro.trace.scaling.scale_pipeline` —
-or replay it directly via ``Scenario(trace="borg-csv:path=...")``.
+the public trace can produce a four-column CSV in that shape and replay
+it via ``Scenario(trace="borg-csv:path=…,start=…,window=…,stride=…")``,
+which clips, samples and renumbers it as it streams, or load it here.
 
 Expected columns (header optional, comma-separated)::
 

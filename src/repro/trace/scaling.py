@@ -4,80 +4,36 @@ Google's cluster has ~12 500 machines; the paper's has 4 workers.  The
 trace is scaled down along two dimensions before replay:
 
 * **Time reduction** — keep only the 1-hour slice [6480 s, 10080 s) of
-  the first day (:func:`slice_window`), long enough to stabilise the
-  system because no job exceeds 300 s;
-* **Frequency reduction** — keep every 1200th job
-  (:func:`sample_stride`), leaving enough jobs to cause contention
-  without flooding the cluster.
+  the first day, long enough to stabilise the system because no job
+  exceeds 300 s;
+* **Frequency reduction** — keep every 1200th job (:func:`iter_stride`),
+  leaving enough jobs to cause contention without flooding the
+  cluster.
 
-These operate on any :class:`~repro.trace.schema.Trace`, whether loaded
-from the public CSVs or synthesised.
+Each trace reader applies both as it streams: ``borg-csv`` on its
+columns (``start``/``window``/``stride``), the public adapters through
+:func:`repro.trace.adapters.common.apply_scaling`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..constants import (
-    TRACE_SAMPLING_STRIDE,
-    TRACE_SLICE_END_SECONDS,
-    TRACE_SLICE_START_SECONDS,
-)
 from ..errors import TraceError
 from .schema import JobRecord, Trace
 
 
-def iter_window(
-    jobs: Iterable[JobRecord],
-    start_seconds: float,
-    end_seconds: float,
-) -> Iterator[JobRecord]:
-    """Stream of the jobs *submitted* within ``[start, end)``.
+def iter_stride(jobs: Iterable[JobRecord], stride: int) -> Iterator[JobRecord]:
+    """Every *stride*-th record of a job stream, starting at the first.
 
-    A generator, so the streaming trace adapters can clip a multi-GB
-    file's record stream without materialising the rows outside the
-    window; :func:`slice_window` is this over a whole :class:`Trace`.
-    """
-    if end_seconds <= start_seconds:
-        raise TraceError(
-            f"empty window: [{start_seconds}, {end_seconds})"
-        )
-    for job in jobs:
-        if start_seconds <= job.submit_time < end_seconds:
-            yield job
-
-
-def iter_stride(
-    jobs: Iterable[JobRecord], stride: int, offset: int = 0
-) -> Iterator[JobRecord]:
-    """Every *stride*-th record of a job stream, starting at *offset*.
-
-    The streaming counterpart of :func:`sample_stride`: frequency
-    reduction applied on the fly, holding no more than one record.
+    Frequency reduction applied on the fly, holding no more than one
+    record.
     """
     if stride <= 0:
         raise TraceError(f"stride must be positive, got {stride}")
-    if offset < 0:
-        raise TraceError(f"offset must be non-negative, got {offset}")
     for index, job in enumerate(jobs):
-        if index >= offset and (index - offset) % stride == 0:
+        if index % stride == 0:
             yield job
-
-
-def slice_window(
-    trace: Trace,
-    start_seconds: float = TRACE_SLICE_START_SECONDS,
-    end_seconds: float = TRACE_SLICE_END_SECONDS,
-) -> Trace:
-    """Jobs *submitted* within ``[start, end)``, original timestamps kept."""
-    return Trace(iter_window(trace, start_seconds, end_seconds))
-
-
-def sample_stride(
-    trace: Trace, stride: int = TRACE_SAMPLING_STRIDE, offset: int = 0
-) -> Trace:
-    """Every *stride*-th job of *trace*, starting at *offset*."""
-    return Trace(iter_stride(trace.jobs, stride, offset))
 
 
 def renumber_from_zero(trace: Trace) -> Trace:
@@ -87,17 +43,3 @@ def renumber_from_zero(trace: Trace) -> Trace:
         return Trace()
     origin = jobs[0].submit_time
     return Trace(job.shifted(-origin) for job in jobs)
-
-
-def scale_pipeline(
-    trace: Trace,
-    start_seconds: float = TRACE_SLICE_START_SECONDS,
-    end_seconds: float = TRACE_SLICE_END_SECONDS,
-    stride: int = TRACE_SAMPLING_STRIDE,
-) -> Trace:
-    """The paper's full pipeline: slice, stride-sample, renumber."""
-    return renumber_from_zero(
-        sample_stride(
-            slice_window(trace, start_seconds, end_seconds), stride
-        )
-    )

@@ -24,12 +24,7 @@ import numpy as np
 
 from ..cluster.resources import ResourceVector
 from ..errors import TraceError
-from ..orchestrator.api import (
-    DEFAULT_SCHEDULER,
-    PodSpec,
-    ResourceRequirements,
-    WorkloadProfile,
-)
+from ..orchestrator.api import PodSpec, ResourceRequirements, WorkloadProfile
 from ..registry import register_workload
 from ..units import gib, mib
 from ..units import pages as bytes_to_pages
@@ -65,7 +60,6 @@ def hybrid_pod_spec(
     duration_seconds: float,
     declared_epc_bytes: int,
     declared_memory_bytes: int,
-    scheduler_name: str = DEFAULT_SCHEDULER,
 ) -> PodSpec:
     """A pod requesting both EPC pages and standard memory.
 
@@ -84,7 +78,6 @@ def hybrid_pod_spec(
                 epc_pages=bytes_to_pages(declared_epc_bytes),
             )
         ),
-        scheduler_name=scheduler_name,
         workload=stressor.profile(duration_seconds),
         labels={"origin": "hybrid"},
     )
@@ -97,7 +90,6 @@ def hybrid_plans(
     *,
     sgx_fraction: float = 1.0,
     seed: int = 0,
-    scheduler_name: str = DEFAULT_SCHEDULER,
     n_jobs: int = 60,
     window_seconds: float = 900.0,
     min_duration_seconds: float = 60.0,
@@ -131,7 +123,6 @@ def hybrid_plans(
                 rng.uniform(min_epc_bytes, max_epc_bytes)
             ),
             declared_memory_bytes=memory_bytes,
-            scheduler_name=scheduler_name,
         )
         plans.append(
             SubmissionPlan(

@@ -19,12 +19,7 @@ from typing import List
 from ..cluster.resources import ResourceVector
 from ..cluster.topology import Cluster
 from ..errors import TraceError
-from ..orchestrator.api import (
-    DEFAULT_SCHEDULER,
-    PodSpec,
-    ResourceRequirements,
-    WorkloadProfile,
-)
+from ..orchestrator.api import PodSpec, ResourceRequirements, WorkloadProfile
 from ..registry import register_workload
 from .stress import SubmissionPlan
 
@@ -60,7 +55,6 @@ def malicious_plans(
     *,
     sgx_fraction: float = 0.0,
     seed: int = 0,
-    scheduler_name: str = DEFAULT_SCHEDULER,
     config: MaliciousConfig = None,
     **options,
 ) -> List[SubmissionPlan]:
@@ -81,9 +75,7 @@ def malicious_plans(
         raise TraceError(
             "pass either a MaliciousConfig or its fields, not both"
         )
-    return malicious_submissions(
-        cluster, config, scheduler_name=scheduler_name
-    )
+    return malicious_submissions(cluster, config)
 
 
 #: The deployment is derived from the cluster inventory; Scenario.run
@@ -92,9 +84,7 @@ malicious_plans.consumes_trace = False
 
 
 def malicious_submissions(
-    cluster: Cluster,
-    config: MaliciousConfig,
-    scheduler_name: str = DEFAULT_SCHEDULER,
+    cluster: Cluster, config: MaliciousConfig
 ) -> List[SubmissionPlan]:
     """One malicious pod per SGX node, per the paper's deployment."""
     plans: List[SubmissionPlan] = []
@@ -109,7 +99,6 @@ def malicious_submissions(
             resources=ResourceRequirements(
                 requests=ResourceVector(epc_pages=config.declared_pages)
             ),
-            scheduler_name=scheduler_name,
             workload=WorkloadProfile(
                 duration_seconds=config.duration_seconds,
                 memory_bytes=0,

@@ -25,7 +25,7 @@ from typing import List
 import numpy as np
 
 from ..errors import TraceError
-from ..orchestrator.api import DEFAULT_SCHEDULER, ResourceRequirements
+from ..orchestrator.api import ResourceRequirements
 from ..registry import register_workload
 from ..trace.schema import Trace
 from .stress import SubmissionPlan, materialize_trace
@@ -42,7 +42,6 @@ def priority_mix_plans(
     *,
     sgx_fraction: float = 0.0,
     seed: int = 0,
-    scheduler_name: str = DEFAULT_SCHEDULER,
     high_fraction: float = 0.2,
     high_priority: int = 100,
     low_priority: int = 0,
@@ -70,7 +69,6 @@ def priority_mix_plans(
         trace,
         sgx_fraction=sgx_fraction,
         seed=seed,
-        scheduler_name=scheduler_name,
         priority=low_priority,
         **options,
     )

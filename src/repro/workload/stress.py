@@ -27,12 +27,7 @@ from ..constants import (
     STANDARD_MEMORY_MULTIPLIER_BYTES,
 )
 from ..errors import TraceError
-from ..orchestrator.api import (
-    DEFAULT_SCHEDULER,
-    PodSpec,
-    ResourceRequirements,
-    WorkloadProfile,
-)
+from ..orchestrator.api import PodSpec, ResourceRequirements, WorkloadProfile
 from ..registry import register_workload
 from ..trace.schema import Trace
 from ..units import pages as bytes_to_pages
@@ -85,7 +80,6 @@ def stress_plans(
     *,
     sgx_fraction: float = 0.0,
     seed: int = 0,
-    scheduler_name: str = DEFAULT_SCHEDULER,
     **options,
 ) -> List[SubmissionPlan]:
     """Registry entry: the paper's STRESS-SGX trace materialisation.
@@ -102,7 +96,6 @@ def stress_plans(
         trace,
         sgx_fraction=sgx_fraction,
         seed=seed,
-        scheduler_name=scheduler_name,
         **options,
     )
 
@@ -111,7 +104,6 @@ def materialize_trace(
     trace: Trace,
     sgx_fraction: float = 0.0,
     seed: int = 0,
-    scheduler_name: str = DEFAULT_SCHEDULER,
     standard_multiplier_bytes: int = STANDARD_MEMORY_MULTIPLIER_BYTES,
     sgx_multiplier_bytes: int = SGX_MEMORY_MULTIPLIER_BYTES,
     priority: int = 0,
@@ -162,7 +154,6 @@ def materialize_trace(
         spec = PodSpec(
             name=name,
             resources=ResourceRequirements(requests=declared),
-            scheduler_name=scheduler_name,
             workload=stressor_profile,
             labels={"origin": "borg-trace", "job_id": str(job.job_id)},
             priority=priority,

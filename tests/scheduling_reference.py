@@ -68,22 +68,16 @@ def reference_schedule(scheduler, pending, views, now):
         if ledger.enabled:
             ledger.emit(now, "deferral", pod=pod.name, reason=reason)
 
-    for position, pod in enumerate(pending):
+    for pod in pending:
         if not can_ever_fit(pod, views):
             outcome.unschedulable.append(pod)
             continue
-        candidates = feasible_candidates(pod, views)
-        if scheduler.preserve_sgx_nodes:
-            candidates = prefer_non_sgx(pod, candidates)
+        candidates = prefer_non_sgx(pod, feasible_candidates(pod, views))
         chosen = (
             scheduler._select(pod, candidates, views) if candidates else None
         )
         if chosen is None:
             defer(pod, wait_reason(pod, views))
-            if not candidates and scheduler.strict_fcfs:
-                for blocked in pending[position + 1:]:
-                    defer(blocked, "head_of_line")
-                break
             continue
         requests = pod.spec.resources.requests
         if not requests.fits_within(chosen.available):

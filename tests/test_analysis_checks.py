@@ -182,6 +182,42 @@ class TestDet003SetIteration:
         """)
         assert violations("DET003", proj) == []
 
+    def test_scopes_are_scanned_once_each(self):
+        # The module scope skips the function body (scanned as its own
+        # scope) and still walks the class body past its method.
+        proj = project(scheduler__x="""
+            def f(a):
+                for n in {1, 2}:
+                    print(n)
+
+
+            class C:
+                X = [n for n in {1, 2}]
+
+                def m(self):
+                    return self.X
+        """)
+        # Lines 3 (the loop) and 8 (the comprehension), once each.
+        lines = sorted(line for _, line, _ in violations("DET003", proj))
+        assert lines == [3, 8]
+
+    def test_function_locals_stay_in_their_scope(self):
+        # A set bound inside a function does not make the module's
+        # list of the same name a set.
+        proj = project(scheduler__core="""
+            names = ["a", "b"]
+
+
+            def count():
+                names = {"a", "b"}
+                return len(names)
+
+
+            for name in names:
+                print(name)
+        """)
+        assert violations("DET003", proj) == []
+
 
 class TestDet004IdentityOrder:
     def test_id_in_sort_key_fires(self):

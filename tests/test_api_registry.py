@@ -19,6 +19,7 @@ from repro.registry import (
     workload_names,
 )
 from repro.scheduler.base import Scheduler
+from repro.scheduler.kube_default import KubeDefaultScheduler
 from repro.units import gib
 from repro.workload.stress import SubmissionPlan
 
@@ -99,12 +100,13 @@ class TestBuiltins:
         }
 
     def test_kube_default_drops_sgx_aware_knobs(self):
-        scheduler = SCHEDULERS.get("kube-default")(
-            use_measured=True, preserve_sgx_nodes=False, strict_fcfs=True
-        )
-        assert scheduler.use_measured is False
-        assert scheduler.preserve_sgx_nodes is True
-        assert scheduler.strict_fcfs is True
+        # The baseline is its class: built with no arguments, it judges
+        # feasibility on declared requests only, and nothing a scenario
+        # sets can turn it into a measured-usage scheduler.
+        factory = SCHEDULERS.get("kube-default")
+        assert factory is KubeDefaultScheduler
+        assert factory().use_measured is False
+        assert SCHEDULERS.get("binpack")().use_measured is True
 
 
 def unbindable(registry, *args, **kwargs):
@@ -129,6 +131,7 @@ class TestRegisteredFactories:
     def test_every_scheduler_builds_a_scenario(self, repro_modules):
         for name in SCHEDULERS.names():
             Scenario(scheduler=name)
+        assert unbindable(SCHEDULERS) == []
 
     def test_every_preemption_policy_builds_a_scenario(
         self, repro_modules
@@ -142,7 +145,7 @@ class TestRegisteredFactories:
             Scenario(workload=name)
         assert unbindable(
             WORKLOADS, "cluster", "trace",
-            sgx_fraction=0.5, seed=1, scheduler_name="binpack",
+            sgx_fraction=0.5, seed=1,
         ) == []
 
     def test_every_trace_adapter_binds_spec_and_seed(self, repro_modules):
@@ -179,33 +182,6 @@ class TestPluginScheduler:
         with pytest.raises(Exception, match="test-last-fit"):
             Scenario(scheduler="test-last-fit")
 
-    def test_scheduler_options_reach_plugin(self, small_trace):
-        seen = {}
-
-        @register_scheduler("test-knobbed")
-        def knobbed(
-            use_measured=True,
-            strict_fcfs=False,
-            preserve_sgx_nodes=True,
-            flavour="plain",
-        ):
-            seen["flavour"] = flavour
-            return SCHEDULERS.get("binpack")(
-                use_measured=use_measured,
-                strict_fcfs=strict_fcfs,
-                preserve_sgx_nodes=preserve_sgx_nodes,
-            )
-
-        try:
-            scheduler = Scenario(
-                scheduler="test-knobbed",
-                scheduler_options={"flavour": "spicy"},
-            ).build_scheduler()
-            assert scheduler is not None
-            assert seen["flavour"] == "spicy"
-        finally:
-            SCHEDULERS.unregister("test-knobbed")
-
 
 class TestPluginWorkload:
     def test_plugin_round_trip(self):
@@ -216,7 +192,6 @@ class TestPluginWorkload:
             *,
             sgx_fraction=0.0,
             seed=0,
-            scheduler_name="default-scheduler",
             duration=30.0,
         ):
             plans = []
@@ -225,7 +200,6 @@ class TestPluginWorkload:
                     f"two-{index}",
                     duration_seconds=duration,
                     declared_memory_bytes=gib(1),
-                    scheduler_name=scheduler_name,
                 )
                 plans.append(
                     SubmissionPlan(

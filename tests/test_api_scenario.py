@@ -6,11 +6,22 @@ import math
 
 import pytest
 
-from repro.api import RUN_SCHEMA, Scenario
+from repro.api import RUN_SCHEMA, Scenario, Sweep
+from repro.cli import main
 from repro.errors import SimulationError
-from repro.scheduler.binpack import BinpackScheduler
-from repro.scheduler.spread import SpreadScheduler
 from repro.workload.malicious import MaliciousConfig
+
+#: The scheduling-discipline knobs 12.0.0 removed: the paper's
+#: discipline is the only one a scenario runs.
+REMOVED_DISCIPLINE_FIELDS = (
+    "use_measured",
+    "strict_fcfs",
+    "preserve_sgx_nodes",
+    "scheduler_options",
+    "requeue_backoff_seconds",
+    "scheduler_period",
+    "metrics_period",
+)
 
 
 class TestValidation:
@@ -37,12 +48,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"scheduler_period": 0.0},
-            {"scheduler_period": -1.0},
-            {"metrics_period": 0.0},
             {"epc_total_bytes": 0},
             {"max_sim_seconds": 0.0},
-            {"requeue_backoff_seconds": -1.0},
             {"rebalance_period": 0.0},
             {"standard_workers": 0},
             {"sgx_workers": -2},
@@ -65,6 +72,11 @@ class TestValidation:
             {"node_failures": ((300.0, "sgx-worker-0", "x"),)},
             {"node_failures": ("sgx-worker-0",)},
             {"node_failures": (300.0,)},
+            # Registry names and the priority catalogue.
+            {"preemption_policy": "nope"},
+            {"preemption_priority_threshold": "100"},
+            {"priority_classes": {"gold": 1.5}},
+            {"priority_classes": {"": 5}},
         ],
     )
     def test_out_of_range_knobs(self, kwargs):
@@ -100,14 +112,7 @@ class TestValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field",
-        [
-            "scheduler_period",
-            "metrics_period",
-            "requeue_backoff_seconds",
-            "rebalance_period",
-            "epc_total_bytes",
-            "max_sim_seconds",
-        ],
+        ["rebalance_period", "epc_total_bytes", "max_sim_seconds"],
     )
     def test_non_finite_knobs_rejected(self, field, value):
         # Every comparison with NaN is False, so a lone ``value <= 0``
@@ -123,30 +128,62 @@ class TestValidation:
             Scenario(**{knob: 5})
 
     def test_plugin_without_standard_knobs_dies_at_build(self):
+        # The engine builds every strategy with no arguments; a plugin
+        # whose constructor needs one must die here, not with a bare
+        # TypeError inside a pool worker.
         from repro.registry import SCHEDULERS, register_scheduler
 
         @register_scheduler("test-bespoke")
-        class Bespoke:  # no (use_measured, ...) constructor
-            def __init__(self):
-                pass
+        class Bespoke:
+            def __init__(self, flavour):
+                self.flavour = flavour
 
         try:
             with pytest.raises(
-                SimulationError, match="standard knobs"
+                SimulationError,
+                match="'test-bespoke' cannot be built with no arguments",
             ):
                 Scenario(scheduler="test-bespoke")
         finally:
             SCHEDULERS.unregister("test-bespoke")
 
-    def test_unknown_scheduler_option_dies_at_build(self):
-        with pytest.raises(SimulationError) as excinfo:
-            Scenario(scheduler_options={"bogus": 1})
-        assert "scheduler_options" in str(excinfo.value)
-        assert "bogus" in str(excinfo.value)
+    def test_workload_needing_an_option_dies_at_build(self):
+        # The workload check binds the engine's whole call, so a
+        # required option the scenario does not give dies here too.
+        from repro.registry import WORKLOADS, register_workload
+
+        @register_workload("test-needy")
+        def needy(cluster, trace, *, sgx_fraction=0.0, seed=0, size):
+            return []
+
+        try:
+            with pytest.raises(SimulationError, match="'size'"):
+                Scenario(workload="test-needy")
+            Scenario(workload="test-needy", workload_options={"size": 3})
+        finally:
+            WORKLOADS.unregister("test-needy")
 
     def test_option_shadowing_a_standard_knob_rejected(self):
-        with pytest.raises(SimulationError, match="shadow"):
-            Scenario(scheduler_options={"use_measured": False})
+        with pytest.raises(SimulationError, match="shadow.*seed"):
+            Scenario(workload_options={"seed": 3})
+
+    @pytest.mark.parametrize("field", REMOVED_DISCIPLINE_FIELDS)
+    def test_removed_discipline_knobs_die_with_the_valid_fields(
+        self, field, capsys
+    ):
+        expected = f"unknown scenario field(s) {field}; valid: "
+        for build in (
+            lambda: Scenario().with_(**{field: True}),
+            lambda: Sweep(Scenario(), grid={field: (True,)}),
+        ):
+            with pytest.raises(SimulationError) as excinfo:
+                build()
+            assert expected in str(excinfo.value)
+            assert "sgx_fraction" in str(excinfo.value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--jobs", "10", "--grid", f"{field}=true"])
+        assert excinfo.value.code == 2
+        assert expected in capsys.readouterr().err
 
     def test_unknown_workload_option_dies_at_build(self):
         # hybrid_plans has a closed keyword signature, so a typo'd
@@ -193,18 +230,6 @@ class TestDerived:
             == "spread/stress/sgx=0.5/seed=3"
         )
         assert Scenario(name="my-run").label == "my-run"
-
-    def test_build_scheduler_honours_toggles(self):
-        assert isinstance(
-            Scenario(scheduler="binpack").build_scheduler(),
-            BinpackScheduler,
-        )
-        spread = Scenario(
-            scheduler="spread", preserve_sgx_nodes=False, strict_fcfs=True
-        ).build_scheduler()
-        assert isinstance(spread, SpreadScheduler)
-        assert spread.preserve_sgx_nodes is False
-        assert spread.strict_fcfs is True
 
     def test_build_trace_scales_overallocators(self):
         trace = Scenario(trace="borg-synth:seed=7,jobs=60").build_trace()

@@ -198,7 +198,7 @@ class TestEquivalenceSeeded:
             seed=run_seed,
         )
         sweep = Sweep(
-            base, grid={"strict_fcfs": (False, True)}, name="hyp"
+            base, grid={"enforce_epc_limits": (False, True)}, name="hyp"
         )
         serial = sweep.run(workers=1)
         parallel = sweep.run(workers=4)

@@ -79,12 +79,7 @@ EQUIVALENCE_CONFIGS = [
     dict(sgx_fraction=1.0, seed=1, rebalance_period=15.0),
     dict(sgx_fraction=1.0, seed=1, node_failures=((600.0, "sgx-worker-0"),)),
     dict(sgx_fraction=1.0, seed=2, epc_allow_overcommit=False),
-    dict(
-        sgx_fraction=1.0,
-        seed=1,
-        epc_allow_overcommit=False,
-        requeue_backoff_seconds=30.0,
-    ),
+    dict(sgx_fraction=1.0, seed=1, epc_allow_overcommit=False),
 ]
 
 

@@ -109,12 +109,10 @@ def test_observation_never_changes_the_run(
 #: field except ``name``, ``trace`` and ``observe``.
 HEADER_CONFIG_KEYS = frozenset((
     "enforce_epc_limits", "epc_allow_overcommit", "epc_total_bytes",
-    "malicious", "max_sim_seconds", "metrics_period", "node_failures",
+    "malicious", "max_sim_seconds", "node_failures",
     "preemption_policy", "preemption_priority_threshold",
-    "preserve_sgx_nodes", "priority_classes", "rebalance_period",
-    "requeue_backoff_seconds", "scheduler", "scheduler_options",
-    "scheduler_period", "seed", "sgx_fraction", "sgx_workers",
-    "standard_workers", "strict_fcfs", "use_measured", "workload",
+    "priority_classes", "rebalance_period", "scheduler", "seed",
+    "sgx_fraction", "sgx_workers", "standard_workers", "workload",
     "workload_options",
 ))
 

@@ -58,12 +58,6 @@ class TestPodSpec:
         with pytest.raises(PodSpecError):
             PodSpec(name="")
 
-    def test_with_scheduler_copies(self):
-        spec = PodSpec(name="p")
-        other = spec.with_scheduler("sgx-aware-spread")
-        assert other.scheduler_name == "sgx-aware-spread"
-        assert spec.scheduler_name != other.scheduler_name
-
 
 class TestMakePodSpec:
     def test_sgx_spec_round_trip(self):

@@ -1,9 +1,9 @@
 """Pass reuse: when a pass may return the previous pass's outcome.
 
 ``Orchestrator._schedule`` returns the kept all-deferred outcome only
-when recomputing it provably gives the same: the same scheduler object
-with the same knobs, the same ready pods in the same order, and the
-retained view snapshot served again.  Each test drives a reusing
+when recomputing it provably gives the same: the same scheduler object,
+the same queued pods in the same order, and the retained view snapshot
+served again.  Each test drives a reusing
 orchestrator and the recomputing oracle
 (``tests/pass_reuse_reference.py``) through one sequence of operations
 and requires identical pass results and ledger records; the
@@ -32,6 +32,7 @@ from repro.orchestrator.controller import Orchestrator
 from repro.orchestrator.pod import Pod
 from repro.scheduler.base import ClusterStateService, NodeView, Scheduler
 from repro.scheduler.binpack import BinpackScheduler
+from repro.scheduler.kube_default import KubeDefaultScheduler
 from repro.scheduler.spread import SpreadScheduler
 from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
@@ -62,22 +63,15 @@ class Twin:
             paper_cluster(**cluster_kwargs), observer=RecordingObserver()
         )
 
-    def submit(
-        self, name, now, epc_mib, scheduler_name=BinpackScheduler.name
-    ):
-        spec = make_pod_spec(
-            name, 600.0, declared_epc_bytes=mib(epc_mib),
-            scheduler_name=scheduler_name,
-        )
+    def submit(self, name, now, epc_mib):
+        spec = make_pod_spec(name, 600.0, declared_epc_bytes=mib(epc_mib))
         for orchestrator in (self.reusing, self.oracle):
             orchestrator.submit(spec, now)
 
-    def run_pass(self, schedulers, now, only_matching=False):
+    def run_pass(self, schedulers, now):
         """One pass on each side; *schedulers* is (reusing, oracle)."""
         results = [
-            orchestrator.scheduling_pass(
-                scheduler, now, only_matching=only_matching
-            )
+            orchestrator.scheduling_pass(scheduler, now)
             for orchestrator, scheduler in zip(
                 (self.reusing, self.oracle), schedulers, strict=True
             )
@@ -87,14 +81,14 @@ class Twin:
         return results[0]
 
 
-def backlog(twin, waiting=3, scheduler_name=BinpackScheduler.name):
+def backlog(twin, waiting=3):
     """Fill both SGX nodes, then queue *waiting* pods that fit nowhere
     until the fillers finish."""
     for index in range(2):
         twin.submit(f"fill-{index}", 0.0, 80)
     twin.run_pass((BinpackScheduler(), BinpackScheduler()), 1.0)
     for index in range(waiting):
-        twin.submit(f"wait-{index}", 2.0, 60, scheduler_name)
+        twin.submit(f"wait-{index}", 2.0, 60)
 
 
 class TestReuseConditions:
@@ -107,56 +101,6 @@ class TestReuseConditions:
             assert result.wait_reasons == {"epc": 3}
         assert twin.reusing.passes_reused == 2
 
-    def test_changed_knob_recomputes(self):
-        twin = Twin()
-        backlog(twin)
-        schedulers = (BinpackScheduler(), BinpackScheduler())
-        twin.run_pass(schedulers, 3.0)
-        twin.run_pass(schedulers, 4.0)
-        assert twin.reusing.passes_reused == 1
-        # Same object, same state, one knob flipped: the strict-FCFS
-        # head blocks the tail, so the pass must be recomputed.
-        for scheduler in schedulers:
-            scheduler.strict_fcfs = True
-        result = twin.run_pass(schedulers, 5.0)
-        assert result.wait_reasons == {"epc": 1, "head_of_line": 2}
-        assert twin.reusing.passes_reused == 1
-        for scheduler in schedulers:
-            scheduler.preserve_sgx_nodes = False
-        twin.run_pass(schedulers, 6.0)
-        assert twin.reusing.passes_reused == 1
-        twin.run_pass(schedulers, 7.0)
-        assert twin.reusing.passes_reused == 2
-
-    def test_declared_usage_knob_recomputes(self):
-        # Pods that declare 1 MiB but touch 80 MiB, one per SGX node:
-        # measured views see both nodes full, declared commitments see
-        # room.
-        twin = Twin(enforce_epc_limits=False)
-        for index in range(2):
-            spec = make_pod_spec(
-                f"liar-{index}", 600.0, declared_epc_bytes=mib(1),
-                actual_epc_bytes=mib(80),
-            )
-            for orchestrator in (twin.reusing, twin.oracle):
-                orchestrator.submit(spec, 0.0)
-        schedulers = (SpreadScheduler(), SpreadScheduler())
-        twin.run_pass(schedulers, 1.0)
-        for orchestrator in (twin.reusing, twin.oracle):
-            orchestrator.collect_metrics(2.0)
-        twin.submit("late", 3.0, 60)
-        assert twin.run_pass(schedulers, 4.0).wait_reasons == {"epc": 1}
-        twin.run_pass(schedulers, 5.0)
-        assert twin.reusing.passes_reused == 1
-        for scheduler in schedulers:
-            scheduler.use_measured = False
-        result = twin.run_pass(schedulers, 6.0)
-        # Bound against the declared view (the launch then finds the
-        # EPC really full and requeues the pod).
-        assert result.deferred == []
-        assert [pod.name for pod in result.requeued] == ["late"]
-        assert twin.reusing.passes_reused == 1
-
     def test_only_all_deferred_outcomes_are_kept(self):
         # A pass that places or rejects changes the kubelets or the
         # queue, so its inputs never recur in a replay; hand _schedule
@@ -168,7 +112,7 @@ class TestReuseConditions:
                 make_pod_spec(name, 60.0, declared_epc_bytes=mib(epc_mib)),
                 0.0,
             )
-        pending = orchestrator.queue.snapshot(1.0)
+        pending = orchestrator.queue.snapshot()
         for now in (1.0, 2.0):
             views = orchestrator.state_service.build_views(now)
             outcome = orchestrator._schedule(scheduler, pending, views, now)
@@ -177,22 +121,50 @@ class TestReuseConditions:
         assert orchestrator.state_service.snapshots_reused == 1
         assert orchestrator.passes_reused == 0
 
+    def test_a_reused_declared_only_pass_leaves_declared_views(self):
+        # kube-default judges feasibility on declared commitments; a
+        # reused pass must leave its views as Scheduler.schedule does
+        # (used = committed), since the preemption step plans on them.
+        orchestrator = Orchestrator(paper_cluster())
+        for index in range(2):
+            orchestrator.submit(
+                make_pod_spec(
+                    f"fill-{index}", 600.0, declared_epc_bytes=mib(80),
+                    actual_epc_bytes=mib(10),
+                ),
+                0.0,
+            )
+        scheduler = KubeDefaultScheduler()
+        orchestrator.scheduling_pass(scheduler, 1.0)
+        orchestrator.collect_metrics(2.0)
+        orchestrator.submit(
+            make_pod_spec("wait", 600.0, declared_epc_bytes=mib(60)), 2.0
+        )
+        pending = orchestrator.queue.snapshot()
+        for now in (3.0, 4.0):
+            views = orchestrator.state_service.build_views(now)
+            measured = [view.used for view in views]
+            outcome = orchestrator._schedule(scheduler, pending, views, now)
+            assert outcome.deferred == pending
+            committed = [view.committed for view in views]
+            assert measured != committed
+            assert [view.used for view in views] == committed
+        assert orchestrator.passes_reused == 1
+
     def test_alternating_schedulers_never_share_an_outcome(self):
         twin = Twin()
-        backlog(twin, waiting=2)
-        for index in range(2):
-            twin.submit(f"spread-{index}", 2.0, 60, SpreadScheduler.name)
+        backlog(twin)
         binpack = (BinpackScheduler(), BinpackScheduler())
         spread = (SpreadScheduler(), SpreadScheduler())
         now = 3.0
         for _ in range(3):
             for schedulers in (binpack, spread):
-                result = twin.run_pass(schedulers, now, only_matching=True)
-                assert len(result.deferred) == 2
+                result = twin.run_pass(schedulers, now)
+                assert len(result.deferred) == 3
                 now += 1.0
         # Each pass follows the other scheduler's: nothing to reuse.
         assert twin.reusing.passes_reused == 0
-        twin.run_pass(spread, now, only_matching=True)
+        twin.run_pass(spread, now)
         assert twin.reusing.passes_reused == 1
 
     def test_an_outcome_is_never_lent_to_another_scheduler(self):
@@ -203,7 +175,7 @@ class TestReuseConditions:
         twin.run_pass(picky, 3.0)
         twin.run_pass(picky, 4.0)
         assert twin.reusing.passes_reused == 1
-        # Same knobs, same pods, same snapshot — another scheduler.
+        # Same pods, same snapshot — another scheduler.
         result = twin.run_pass((BinpackScheduler(), BinpackScheduler()), 5.0)
         assert [pod.name for pod, _ in result.launched] == ["small"]
 
@@ -299,8 +271,7 @@ def bursty_trace(trace_seed, n_jobs):
 
 
 def contended_scenario(
-    trace_seed, seed, n_jobs, sgx_fraction, scheduler, strict_fcfs,
-    use_measured, preserve_sgx_nodes, preempting, backoff, limits,
+    trace_seed, seed, n_jobs, sgx_fraction, scheduler, preempting, limits,
     crash, rebalance,
 ):
     """One point of the hypothesis regime: a small backlogged replay."""
@@ -309,13 +280,9 @@ def contended_scenario(
         sgx_fraction=sgx_fraction,
         seed=seed,
         scheduler=scheduler,
-        strict_fcfs=strict_fcfs,
-        use_measured=use_measured,
-        preserve_sgx_nodes=preserve_sgx_nodes,
         epc_total_bytes=mib(64),
         standard_workers=1,
         sgx_workers=2,
-        requeue_backoff_seconds=backoff,
         enforce_epc_limits=limits,
     )
     if preempting:
@@ -340,11 +307,7 @@ REGIME = dict(
     n_jobs=st.integers(min_value=8, max_value=30),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
     scheduler=st.sampled_from(["binpack", "spread", "kube-default"]),
-    strict_fcfs=st.booleans(),
-    use_measured=st.booleans(),
-    preserve_sgx_nodes=st.booleans(),
     preempting=st.booleans(),
-    backoff=st.sampled_from([0.0, 30.0]),
     limits=st.booleans(),
     crash=st.booleans(),
     rebalance=st.booleans(),
@@ -382,8 +345,7 @@ def test_the_regime_reuses_passes():
     every strategy and with preemption on."""
     base = dict(
         trace_seed=7, seed=1, n_jobs=30, sgx_fraction=1.0,
-        strict_fcfs=False, use_measured=True, preserve_sgx_nodes=True,
-        backoff=0.0, limits=False, crash=False, rebalance=False,
+        limits=False, crash=False, rebalance=False,
     )
     for scheduler in ("binpack", "spread", "kube-default"):
         for preempting in (False, True):

@@ -106,22 +106,6 @@ class TestPriorityTiers:
 
 
 class TestRequeueBoundary:
-    def test_ready_at_equal_to_now_is_visible(self):
-        # Off-by-one guard: a requeued pod whose backoff expires at
-        # exactly `now` is eligible — `ready_at <= now`, not `<`.
-        queue = PendingQueue(requeue_backoff_seconds=10.0)
-        pod = make_pod("p", 0.0)
-        queue.push(pod)
-        queue.remove(pod)
-        ready_at = queue.requeue(pod, now=5.0)
-        assert ready_at == 15.0
-        assert queue.snapshot(14.999) == []
-        assert len(queue.snapshot(14.999)) == 0
-        assert queue.snapshot(15.0) == [pod]
-        assert len(queue.snapshot(15.0)) == 1
-        # No backoff left: every queued pod is visible.
-        assert queue.snapshot(15.0) == queue.snapshot()
-
     @given(
         st.lists(
             st.tuples(
@@ -136,9 +120,10 @@ class TestRequeueBoundary:
         """Interleaved push/requeue/pop never reorders the queue.
 
         The model is simply "the queue equals its pods sorted by
-        (-priority, submitted_at, uid)"; a requeue (backoff 0, as in
-        the paper) must put the pod straight back into that order, so
-        the oldest pod can never starve behind younger ones.
+        (-priority, submitted_at, uid)"; a requeue (a failed launch
+        pushed back, as in the paper) must put the pod straight back
+        into that order, so the oldest pod can never starve behind
+        younger ones.
         """
         queue = PendingQueue()
         clock = 0.0
@@ -157,16 +142,16 @@ class TestRequeueBoundary:
             elif op == "requeue" and live:
                 pod = live[priority_index % len(live)]
                 queue.remove(pod)
-                queue.requeue(pod, now=clock)
+                queue.push(pod)
             elif op == "pop" and live:
-                pod = queue.snapshot(clock)[0]
+                pod = queue.snapshot()[0]
                 queue.remove(pod)
                 live.remove(pod)
             expected = sorted(
                 live,
                 key=lambda p: (-p.spec.priority, p.submitted_at, p.uid),
             )
-            assert queue.snapshot(clock) == expected
+            assert queue.snapshot() == expected
 
 
 class TestAggregates:

@@ -96,7 +96,6 @@ class TestOrchestratorPublishes:
                 epc_allow_overcommit=False,
                 sgx_workers=1,
             ),
-            requeue_backoff_seconds=30.0,
             observer=RecordingObserver(),
         )
         for index in range(2):
@@ -116,10 +115,11 @@ class TestOrchestratorPublishes:
         assert (1.0, "pod-requeued", requeued, None) in triggers(
             orchestrator.ledger
         )
-        # The ``requeue`` record carries when the backoff ends.
+        # The ``requeue`` record keeps the v1 schema's ``ready_at``: the
+        # pod is eligible again at once, on the next pass.
         requeues = [
-            payload
-            for _, kind, payload in orchestrator.ledger.records
+            (t, payload)
+            for t, kind, payload in orchestrator.ledger.records
             if kind == "requeue"
         ]
-        assert requeues == [{"pod": requeued, "ready_at": 31.0}]
+        assert requeues == [(1.0, {"pod": requeued, "ready_at": 1.0})]

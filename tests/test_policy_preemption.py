@@ -348,65 +348,6 @@ class TestOrchestratorPreemption:
         launched = {pod.name for pod, _ in result.launched}
         assert launched == {"batch-0", "batch-1"}
 
-    def test_strict_fcfs_head_blocks_younger_preemptors(self):
-        # Under strict FCFS an unplaceable queue head blocks every
-        # younger pod — preemption must not let a younger high-priority
-        # pod (deferred as head_of_line, never examined) jump past it,
-        # not even via a zero-victim plan onto free capacity.
-        from repro.orchestrator.api import (
-            PodSpec,
-            ResourceRequirements,
-            WorkloadProfile,
-        )
-
-        cluster = paper_cluster()
-        orchestrator = Orchestrator(
-            cluster,
-            preemption_policy=CheapestVictims(),
-            preemption_priority_threshold=100,
-        )
-        scheduler = BinpackScheduler(strict_fcfs=True)
-        requests = ResourceVector(epc_pages=pages(mib(80)))
-        for i in range(2):  # guaranteed: nothing is ever evictable
-            orchestrator.submit(
-                PodSpec(
-                    name=f"guaranteed-{i}",
-                    resources=ResourceRequirements(
-                        requests=requests, limits=requests
-                    ),
-                    workload=WorkloadProfile(
-                        duration_seconds=600.0,
-                        epc_pages=pages(mib(80)),
-                    ),
-                ),
-                now=float(i),
-            )
-        orchestrator.scheduling_pass(scheduler, now=2.0)
-        orchestrator.submit(
-            make_pod_spec(
-                "vip-huge", 60.0, declared_epc_bytes=mib(90),
-                priority=100,
-            ),
-            now=3.0,
-        )
-        orchestrator.submit(
-            make_pod_spec(
-                "vip-small", 60.0, declared_epc_bytes=mib(5),
-                priority=100,
-            ),
-            now=4.0,
-        )
-        result = orchestrator.scheduling_pass(scheduler, now=5.0)
-        # The head cannot be helped (victims are guaranteed); the
-        # younger vip-small would fit the leftover EPC, but strict
-        # FCFS keeps it behind the head.
-        assert result.preemptions == 0
-        assert result.evicted == []
-        assert [pod.name for pod in result.deferred] == [
-            "vip-huge", "vip-small",
-        ]
-        assert result.wait_reasons == {"epc": 1, "head_of_line": 1}
-
     def test_guaranteed_victims_are_never_evicted(self):
         cluster = paper_cluster()
         orchestrator = Orchestrator(

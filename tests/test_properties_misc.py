@@ -12,12 +12,13 @@ from hypothesis.stateful import (
 from repro.cluster.cgroups import CgroupHierarchy
 from repro.errors import CgroupError
 from repro.sgx.perf import SgxPerfModel
-from repro.trace.borg import BorgTraceGenerator
-from repro.trace.scaling import (
-    renumber_from_zero,
-    sample_stride,
-    slice_window,
+from repro.trace.adapters.common import (
+    StreamScaling,
+    apply_scaling,
+    materialise,
 )
+from repro.trace.borg import BorgTraceGenerator
+from repro.trace.schema import Trace
 from repro.units import mib
 
 
@@ -90,9 +91,11 @@ class TestTracePipelineProperties:
         trace = BorgTraceGenerator(seed=seed).scaled_trace(
             n_jobs=200, overallocators=10
         )
-        window = slice_window(trace, start, start + length)
-        sampled = sample_stride(window, stride=3)
-        final = renumber_from_zero(sampled)
+        window = Trace(
+            apply_scaling(trace, StreamScaling(start=start, window=length))
+        )
+        sampled = Trace(apply_scaling(window, StreamScaling(stride=3)))
+        final = materialise(sampled, renumber=True)
         # Never grows, preserves order, starts at zero.
         assert len(final) == len(sampled) <= len(window) <= len(trace)
         times = [j.submit_time for j in final]

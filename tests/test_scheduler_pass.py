@@ -3,12 +3,12 @@
 ``Scheduler.schedule`` keeps per-class free maxima across deferrals
 within a pass, and each pod's ``can_ever_fit`` answer across passes
 over one cluster shape; ``scheduling_reference.py`` scans every node
-afresh for every pod.  Over adversarial views and queues, every
-strategy and every combination of ``use_measured``, ``strict_fcfs``
-and ``preserve_sgx_nodes``, the two must agree exactly: same
-assignments, rejections, deferrals and wait reasons, same view
-mutations, same ledger records — in one pass, and over passes with
-nodes joining, leaving, resized or losing SGX between them.
+afresh for every pod.  Over adversarial views and queues and every
+strategy (``kube-default`` covers the declared-only view), the two
+must agree exactly: same assignments, rejections, deferrals and wait
+reasons, same view mutations, same ledger records — in one pass, and
+over passes with nodes joining, leaving, resized or losing SGX between
+them.
 """
 
 import itertools
@@ -113,23 +113,12 @@ class DecliningScheduler(Scheduler):
         return candidates[-1]
 
 
-def build_scheduler(kind, use_measured, strict, preserve):
-    if kind == "kube-default":
-        scheduler = KubeDefaultScheduler(strict_fcfs=strict)
-        # Not a constructor knob of the baseline; toggled so the
-        # property also covers one merged scoring pool.
-        scheduler.preserve_sgx_nodes = preserve
-        return scheduler
-    cls = {
-        "binpack": BinpackScheduler,
-        "spread": SpreadScheduler,
-        "declining": DecliningScheduler,
-    }[kind]
-    return cls(
-        use_measured=use_measured,
-        strict_fcfs=strict,
-        preserve_sgx_nodes=preserve,
-    )
+STRATEGIES = {
+    "binpack": BinpackScheduler,
+    "spread": SpreadScheduler,
+    "kube-default": KubeDefaultScheduler,
+    "declining": DecliningScheduler,
+}
 
 
 class TestPassEquivalence:
@@ -137,18 +126,11 @@ class TestPassEquivalence:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from(
-            ["binpack", "spread", "kube-default", "declining"]
-        ),
-        use_measured=st.booleans(),
-        strict=st.booleans(),
-        preserve=st.booleans(),
+        kind=st.sampled_from(sorted(STRATEGIES)),
         raw_views=st.lists(_view_strategy, min_size=0, max_size=8),
         raw_pods=st.lists(_pod_strategy, min_size=0, max_size=10),
     )
-    def test_single_pass_bit_for_bit(
-        self, kind, use_measured, strict, preserve, raw_views, raw_pods
-    ):
+    def test_single_pass_bit_for_bit(self, kind, raw_views, raw_pods):
         views = [
             NodeView(
                 name=f"n{i:03d}",
@@ -163,13 +145,13 @@ class TestPassEquivalence:
             make_pod(f"p{i:03d}", submitted_at=float(i), **raw)
             for i, raw in enumerate(raw_pods)
         ]
-        reference = build_scheduler(kind, use_measured, strict, preserve)
+        reference = STRATEGIES[kind]()
         reference.ledger = RecordingLedger()
         reference_views = clone_views(views)
         expected = reference_schedule(
             reference, pods, reference_views, now=100.0
         )
-        scheduler = build_scheduler(kind, use_measured, strict, preserve)
+        scheduler = STRATEGIES[kind]()
         scheduler.ledger = RecordingLedger()
         scheduler_views = clone_views(views)
         outcome = scheduler.schedule(pods, scheduler_views, now=100.0)
@@ -232,12 +214,7 @@ class TestPassesOverClusterChanges:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from(
-            ["binpack", "spread", "kube-default", "declining"]
-        ),
-        use_measured=st.booleans(),
-        strict=st.booleans(),
-        preserve=st.booleans(),
+        kind=st.sampled_from(sorted(STRATEGIES)),
         raw_views=st.lists(_view_strategy, min_size=0, max_size=6),
         raw_pods=st.lists(_pod_strategy, min_size=1, max_size=10),
         changes=st.lists(
@@ -247,8 +224,7 @@ class TestPassesOverClusterChanges:
         ),
     )
     def test_every_pass_matches_the_reference(
-        self, kind, use_measured, strict, preserve, raw_views, raw_pods,
-        changes,
+        self, kind, raw_views, raw_pods, changes
     ):
         names = (f"n{i:03d}" for i in itertools.count())
         configs = [dict(raw, name=next(names)) for raw in raw_views]
@@ -258,12 +234,12 @@ class TestPassesOverClusterChanges:
         ]
         # One scheduler for every pass: what it keeps between passes is
         # what this property is about.
-        scheduler = build_scheduler(kind, use_measured, strict, preserve)
+        scheduler = STRATEGIES[kind]()
         for number, between in enumerate([[]] + changes):
             for change in between:
                 apply_change(configs, change, names)
             views = views_from(configs)
-            reference = build_scheduler(kind, use_measured, strict, preserve)
+            reference = STRATEGIES[kind]()
             reference.ledger = RecordingLedger()
             reference_views = clone_views(views)
             now = 100.0 * (number + 1)

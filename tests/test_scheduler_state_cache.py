@@ -22,7 +22,10 @@ from pass_reuse_reference import run_recomputing
 from repro.api import Scenario
 from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import paper_cluster
-from repro.constants import METRICS_WINDOW_SECONDS
+from repro.constants import (
+    METRICS_PUSH_PERIOD_SECONDS,
+    METRICS_WINDOW_SECONDS,
+)
 from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.base import NodeView
@@ -230,7 +233,7 @@ class TestBoundedMemory:
             sgx_fraction=0.5,
             seed=3,
         )
-        bound = METRICS_WINDOW_SECONDS / scenario.metrics_period + 1
+        bound = METRICS_WINDOW_SECONDS / METRICS_PUSH_PERIOD_SECONDS + 1
         checked = []
         original = Orchestrator.scheduling_pass
 

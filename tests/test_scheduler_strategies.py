@@ -81,16 +81,6 @@ class TestBinpack:
         )
         assert outcome.assignments[0].node_name == "sgx-worker-0"
 
-    def test_preserve_toggle_off_mixes_nodes(self):
-        scheduler = BinpackScheduler(preserve_sgx_nodes=False)
-        views = [sgx_view("a-sgx"), std_view("b-std")]
-        outcome = scheduler.schedule(
-            [make_pod(mem=gib(1))], views, now=0.0
-        )
-        # Without preservation, pure name order wins: the SGX node
-        # sorts first and takes the standard pod.
-        assert outcome.assignments[0].node_name == "a-sgx"
-
     def test_never_overcommits_within_one_pass(self):
         scheduler = BinpackScheduler()
         views = [sgx_view("sgx-0")]
@@ -188,22 +178,16 @@ class TestFcfsSemantics:
         outcome = scheduler.schedule([blocked, small], views, now=0.0)
         assert [a.pod.name for a in outcome.assignments] == ["small"]
 
-    def test_strict_fcfs_blocks_younger_jobs(self):
-        scheduler = BinpackScheduler(strict_fcfs=True)
-        views = [sgx_view("s0", used_epc=20_000)]
-        blocked = make_pod("blocked", epc=10_000)
-        small = make_pod("small", epc=1_000)
-        outcome = scheduler.schedule([blocked, small], views, now=0.0)
-        assert outcome.assignments == []
-        assert [p.name for p in outcome.deferred] == ["blocked", "small"]
-
     def test_declared_only_mode_resets_views(self):
-        scheduler = BinpackScheduler(use_measured=False)
+        scheduler = KubeDefaultScheduler()
         view = sgx_view("s0")
         view.used = ResourceVector(epc_pages=23_936)  # measured: full
         view.committed = ResourceVector.zero()  # declared: empty
         outcome = scheduler.schedule([make_pod(epc=100)], [view], now=0.0)
         assert len(outcome.assignments) == 1
+        # The view's usage became its declared commitments plus the
+        # placement: the measured full EPC is gone.
+        assert view.used == ResourceVector(epc_pages=100)
 
 
 class TestInvariantGuard:

@@ -73,8 +73,8 @@ class TestReplayCompleteness:
 
 _PLAIN = dict(
     trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0, scheduler="binpack",
-    use_measured=True, preempting=False, backoff=0.0, limits=False,
-    overcommit=True, crash=False, rebalance=False,
+    preempting=False, limits=False, overcommit=True, crash=False,
+    rebalance=False,
 )
 #: One contended replay per regime ``replay_scenario`` draws: a node
 #: crash, rebalancer migrations, preemption, and EPC limits without

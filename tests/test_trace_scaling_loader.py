@@ -1,15 +1,22 @@
-"""Trace scaling pipeline and the public-CSV loader."""
+"""Trace scaling on the adapter path, and the public-CSV loader.
+
+The public adapters window, stride and renumber a record stream with
+:func:`repro.trace.adapters.common.apply_scaling` and ``materialise``;
+``borg-csv`` does the same on its columns (``test_trace_adapters.py``
+and ``test_trace_columnar.py``).
+"""
 
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.loader import dump_borg_csv, load_borg_csv
-from repro.trace.scaling import (
-    renumber_from_zero,
-    sample_stride,
-    scale_pipeline,
-    slice_window,
+from repro.trace import resolve_trace
+from repro.trace.adapters.common import (
+    StreamScaling,
+    apply_scaling,
+    materialise,
 )
+from repro.trace.loader import dump_borg_csv, load_borg_csv
+from repro.trace.scaling import iter_stride, renumber_from_zero
 from repro.trace.schema import JobRecord, Trace
 
 
@@ -30,49 +37,39 @@ def long_trace() -> Trace:
 
 class TestSliceWindow:
     def test_keeps_only_window_submissions(self, long_trace):
-        window = slice_window(long_trace, 100.0, 200.0)
+        window = Trace(
+            apply_scaling(long_trace, StreamScaling(start=100.0, window=100.0))
+        )
         times = [j.submit_time for j in window]
         assert min(times) >= 100.0
         assert max(times) < 200.0
 
-    def test_default_is_papers_window(self, long_trace):
-        window = slice_window(long_trace)
-        assert all(
-            6480.0 <= j.submit_time < 10_080.0 for j in window
-        )
-
-    def test_empty_window_rejected(self, long_trace):
-        with pytest.raises(TraceError):
-            slice_window(long_trace, 100.0, 100.0)
+    def test_empty_window_rejected(self, tmp_path, long_trace):
+        path = tmp_path / "trace.csv"
+        dump_borg_csv(long_trace, path)
+        with pytest.raises(TraceError, match="window"):
+            resolve_trace(f"borg-csv:path={path},window=0")
 
 
 class TestSampleStride:
     def test_every_nth_job(self, long_trace):
-        sampled = sample_stride(long_trace, stride=100)
+        sampled = list(iter_stride(long_trace, 100))
         assert len(sampled) == 20
         assert [j.job_id for j in sampled][:3] == [0, 100, 200]
 
-    def test_offset(self, long_trace):
-        sampled = sample_stride(long_trace, stride=100, offset=5)
-        assert sampled[0].job_id == 5
-
     def test_bad_stride_rejected(self, long_trace):
         with pytest.raises(TraceError):
-            sample_stride(long_trace, stride=0)
-
-    def test_bad_offset_rejected(self, long_trace):
-        with pytest.raises(TraceError):
-            sample_stride(long_trace, offset=-1)
+            list(iter_stride(long_trace, 0))
 
 
 class TestRenumber:
     def test_first_submission_at_zero(self, long_trace):
-        window = slice_window(long_trace, 100.0, 500.0)
+        window = Trace(long_trace.jobs[10:50])
         renumbered = renumber_from_zero(window)
         assert renumbered[0].submit_time == 0.0
 
     def test_relative_spacing_preserved(self, long_trace):
-        window = slice_window(long_trace, 100.0, 500.0)
+        window = Trace(long_trace.jobs[10:50])
         renumbered = renumber_from_zero(window)
         original_gaps = [
             b.submit_time - a.submit_time
@@ -90,9 +87,8 @@ class TestRenumber:
 
 class TestPipeline:
     def test_full_pipeline(self, long_trace):
-        scaled = scale_pipeline(
-            long_trace, start_seconds=0.0, end_seconds=20_000.0, stride=10
-        )
+        scaling = StreamScaling(start=0.0, window=20_000.0, stride=10)
+        scaled = materialise(apply_scaling(long_trace, scaling), True)
         assert len(scaled) == 200
         assert scaled[0].submit_time == 0.0
 

@@ -26,14 +26,15 @@ from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
+from repro.scheduler.kube_default import KubeDefaultScheduler
 from repro.scheduler.spread import SpreadScheduler
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib
 from view_reference import checking
 
 def replay_scenario(
-    trace_seed, seed, n_jobs, sgx_fraction, scheduler, use_measured,
-    preempting, backoff, limits, overcommit, crash, rebalance,
+    trace_seed, seed, n_jobs, sgx_fraction, scheduler, preempting,
+    limits, overcommit, crash, rebalance,
 ):
     """A small contended replay on two SGX nodes and one standard one."""
     knobs = dict(
@@ -46,11 +47,9 @@ def replay_scenario(
         sgx_fraction=sgx_fraction,
         seed=seed,
         scheduler=scheduler,
-        use_measured=use_measured,
         epc_total_bytes=mib(64),
         standard_workers=1,
         sgx_workers=2,
-        requeue_backoff_seconds=backoff,
         enforce_epc_limits=limits,
         epc_allow_overcommit=overcommit,
     )
@@ -75,10 +74,9 @@ REPLAYS = dict(
     seed=st.integers(min_value=0, max_value=1_000),
     n_jobs=st.integers(min_value=8, max_value=24),
     sgx_fraction=st.sampled_from([0.5, 1.0]),
-    scheduler=st.sampled_from(["binpack", "spread"]),
-    use_measured=st.booleans(),
+    # kube-default builds its passes from declared commitments only.
+    scheduler=st.sampled_from(["binpack", "spread", "kube-default"]),
     preempting=st.booleans(),
-    backoff=st.sampled_from([0.0, 30.0]),
     limits=st.booleans(),
     overcommit=st.booleans(),
     crash=st.booleans(),
@@ -110,8 +108,7 @@ def test_the_replay_regime_exercises_every_input():
     crashes a node, and rebuilds only some of the nodes per build."""
     knobs = dict(
         trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0,
-        scheduler="binpack", use_measured=True, backoff=30.0,
-        crash=True,
+        scheduler="binpack", crash=True,
     )
     requeuing, _ = checked_replay(
         replay_scenario(
@@ -143,9 +140,8 @@ def test_requeues_happen_without_overcommit(tmp_path):
     checked_replay(
         replay_scenario(
             trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0,
-            scheduler="binpack", use_measured=True, preempting=False,
-            backoff=0.0, limits=True, overcommit=False, crash=False,
-            rebalance=False,
+            scheduler="binpack", preempting=False, limits=True,
+            overcommit=False, crash=False, rebalance=False,
         ).with_(observe=ObserveConfig(ledger_path=path)),
     )
     events = load_ledger(path).events
@@ -162,7 +158,7 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.booleans(), st.integers(1, 40)),
         st.tuples(st.just("tick"), st.sampled_from([2.5, 5.0, 10.0, 30.0])),
-        st.tuples(st.just("pass"), st.integers(0, 3)),
+        st.tuples(st.just("pass"), st.integers(0, 2)),
         st.tuples(st.just("views")),
         st.tuples(st.just("finish"), st.integers(0, 50)),
         st.tuples(st.just("remove"), st.integers(0, 5)),
@@ -191,9 +187,8 @@ def test_driven_builds_equal_the_reference(ops):
     )
     schedulers = [
         BinpackScheduler(),
-        BinpackScheduler(use_measured=False),
         SpreadScheduler(),
-        SpreadScheduler(use_measured=False),
+        KubeDefaultScheduler(),
     ]
     now = 0.0
     submitted = 0

@@ -76,12 +76,6 @@ class TestMaterialization:
         b = materialize_trace(trace, sgx_fraction=0.5, seed=9)
         assert [p.is_sgx for p in a] == [p.is_sgx for p in b]
 
-    def test_scheduler_name_propagates(self, trace):
-        plans = materialize_trace(
-            trace, sgx_fraction=0.0, seed=0, scheduler_name="x"
-        )
-        assert all(p.spec.scheduler_name == "x" for p in plans)
-
     def test_bad_fraction_rejected(self, trace):
         with pytest.raises(TraceError):
             materialize_trace(trace, sgx_fraction=1.5)
