@@ -125,8 +125,9 @@ class Node:
     def capacity(self) -> ResourceVector:
         """Allocatable resources, as advertised to the control plane.
 
-        EPC capacity is the *usable* page count the device plugin exposes
-        as individual resource items (Section V-A).
+        EPC capacity is the *usable* page count the paper's device
+        plugin exposes as individual resource items (Section V-A); the
+        node's kubelet advertises exactly this count.
         """
         return self._capacity
 

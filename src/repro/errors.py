@@ -93,19 +93,6 @@ class SchedulingError(OrchestrationError):
     """The scheduler produced an invalid assignment."""
 
 
-class UnschedulablePodError(SchedulingError):
-    """No node in the cluster can ever satisfy the pod's requests."""
-
-    def __init__(self, pod_name: str, reason: str):
-        super().__init__(f"pod {pod_name!r} is unschedulable: {reason}")
-        self.pod_name = pod_name
-        self.reason = reason
-
-
-class RpcError(OrchestrationError):
-    """Simulated gRPC channel failure."""
-
-
 class RegistryError(ReproError):
     """A scheduler/workload registry lookup or registration failed."""
 

@@ -6,8 +6,10 @@ in-memory equivalent.  The scheduler reads one thing from it, Listing
 keeps exactly that:
 
 * :mod:`repro.monitoring.heapster` — the standard-memory collector;
-* :mod:`repro.monitoring.probe` — the SGX EPC probe deployed per node as a
-  DaemonSet payload, reading the patched driver's counters;
+* :mod:`repro.monitoring.probe` — the SGX EPC probe, one per node that
+  advertises EPC (the paper's DaemonSet,
+  :attr:`repro.orchestrator.controller.Orchestrator.probes`), reading
+  the patched driver's counters;
 * :mod:`repro.monitoring.aggregate` — the sliding-window MAX store, the
   collectors' only sink, answering Listing 1's inner query
   incrementally.

@@ -1,17 +1,20 @@
-"""SGX metrics probe: the DaemonSet payload measuring EPC usage.
+"""SGX metrics probe: the per-node agent measuring EPC usage.
 
-One probe runs on every SGX-enabled node (deployed by the DaemonSet
-controller, Section V-C).  It reads the patched driver's counters — the
-``sgx_nr_total_epc_pages`` / ``sgx_nr_free_pages`` module parameters plus
-the per-process occupancy ioctl rolled up by cgroup — and hands per-pod
-EPC usage to the same sink Heapster uses, as one batch of ``(nodename,
-pod_name, pages)`` rows under the ``sgx/epc`` measurement, so the
-scheduler's Listing 1 query covers both resource kinds with one shape.
+One probe runs on every node that advertises EPC pages (the paper
+deploys it as a DaemonSet, Section V-C; here the orchestrator files it
+in :attr:`~repro.orchestrator.controller.Orchestrator.probes` when the
+node joins and drops it when the node leaves).  It reads the patched
+driver's counters — the ``sgx_nr_total_epc_pages`` /
+``sgx_nr_free_pages`` module parameters plus the per-process occupancy
+ioctl rolled up by cgroup — and hands per-pod EPC usage to the same
+sink Heapster uses, as one batch of ``(nodename, pod_name, pages)``
+rows under the ``sgx/epc`` measurement, so the scheduler's Listing 1
+query covers both resource kinds with one shape.
 The driver's node-level gauges (total and free pages) are read with
 the counters but stored nowhere: the scheduler never reads them.
 
 Values are written in **EPC pages**, the unit the whole accounting chain
-(device plugin, driver, scheduler) shares.
+(advertised capacity, driver, scheduler) shares.
 """
 
 from __future__ import annotations

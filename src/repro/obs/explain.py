@@ -160,9 +160,13 @@ def format_explain(report: Dict[str, object]) -> str:
             f"{against}"
         )
     for requeue in report["requeues"]:
+        # Since 12.0.0 a failed launch is retried on the next pass and
+        # ``ready_at`` equals ``t``; older ledgers can carry a backoff.
+        ready = ""
+        if requeue["ready_at"] != requeue["t"]:
+            ready = f" (ready at t={requeue['ready_at']:g})"
         lines.append(
-            f"  t={requeue['t']:g}: launch failed, requeued "
-            f"(ready at t={requeue['ready_at']:g})"
+            f"  t={requeue['t']:g}: launch failed, requeued{ready}"
         )
     for preemption in report["preemptions"]:
         lines.append(

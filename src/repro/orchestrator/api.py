@@ -2,9 +2,9 @@
 
 Follows the Kubernetes resource model the paper plugs into (Section V-A):
 users declare **requests** (what the scheduler reserves) and **limits**
-(what enforcement caps) per resource.  EPC is exposed as a device-plugin
-resource counted in pages; we name it :data:`SGX_EPC_RESOURCE` after the
-convention for vendored device resources.
+(what enforcement caps) per resource.  EPC is a resource counted in
+pages, each usable page one schedulable item (the paper's device
+plugin; a node's count is ``node.capacity.epc_pages``).
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from typing import Dict, Optional
 from ..cluster.resources import ResourceVector
 from ..errors import PodSpecError
 from ..units import pages as bytes_to_pages
-
-#: Resource name under which the device plugin advertises EPC pages.
-SGX_EPC_RESOURCE = "intel.com/sgx-epc-page"
 
 
 class PodPhase(enum.Enum):

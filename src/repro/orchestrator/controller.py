@@ -1,8 +1,10 @@
 """Orchestrator facade: the control plane wired together.
 
-Owns the cluster's Kubelets, the device plugins, the monitoring pipeline
-(Heapster + SGX probes via a DaemonSet) and the persistent pending
-queue, and exposes the operations the event loop drives:
+Owns the cluster's Kubelets, the monitoring pipeline (Heapster over
+every kubelet, plus one SGX probe per node that advertises EPC: the
+paper's probe DaemonSet, :attr:`Orchestrator.probes`) and the
+persistent pending queue, and exposes the operations the event loop
+drives:
 
 * :meth:`Orchestrator.submit` — user submits a pod (Fig. 2, step 1-2);
 * :meth:`Orchestrator.collect_metrics` — probes push usage samples,
@@ -22,7 +24,6 @@ The orchestrator itself is clock-free: every method takes ``now``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -46,15 +47,9 @@ from ..scheduler.base import (
 from ..sgx.migration import MigrationManager
 from ..sgx.perf import SgxPerfModel
 from .api import PodSpec
-from .daemonset import DaemonSetController, sgx_node_selector
-from .device_plugin import SgxDevicePlugin
 from .kubelet import Kubelet
 from .pod import Pod
 from .queue import PendingQueue
-from .rpc import RpcChannel
-
-#: Name of the DaemonSet that keeps one SGX probe per SGX node.
-PROBE_DAEMONSET = "sgx-metrics-probe"
 
 
 @dataclass
@@ -84,29 +79,6 @@ class PassResult:
     #: :data:`repro.scheduler.base.WAIT_REASONS`.  Pods later placed
     #: by preemption still count: they did fail regular placement.
     wait_reasons: Dict[str, int] = field(default_factory=dict)
-
-
-def _make_probe(
-    sink: WindowedAggregateCache, kubelet: Kubelet
-) -> SgxMetricsProbe:
-    """The probe DaemonSet's payload: an SGX probe pushing into *sink*.
-
-    A module-level function bound to the sink alone: a bound method of
-    the orchestrator would close the cycle orchestrator -> DaemonSet ->
-    factory -> orchestrator and keep a finished replay's pods and
-    kubelets alive until a full garbage collection.
-    """
-    driver = kubelet.node.driver
-    if driver is None:
-        raise OrchestrationError(
-            f"probe requested for non-SGX node {kubelet.node.name}"
-        )
-    return SgxMetricsProbe(
-        node_name=kubelet.node.name,
-        driver=driver,
-        sink=sink,
-        pod_name_resolver=kubelet.resolve_pod_name,
-    )
 
 
 class _KeptPass(NamedTuple):
@@ -151,26 +123,18 @@ class Orchestrator:
         self.aggregate_cache = WindowedAggregateCache()
         #: Shared by every kubelet, bootstrap and late-joined alike.
         self.perf_model = perf_model or SgxPerfModel()
+        #: The one node registry, in join order: Heapster and the state
+        #: service read its live values, so a join or removal touches
+        #: only this, :attr:`probes` and the cluster.
         self.kubelets: Dict[str, Kubelet] = {}
+        #: One SGX probe per node that advertises EPC, in join order
+        #: (the paper's probe DaemonSet, Sec. V-C).
+        self.probes: Dict[str, SgxMetricsProbe] = {}
         for node in cluster:
-            kubelet = Kubelet(node, self.perf_model)
-            self.kubelets[node.name] = kubelet
-            # Device plugin discovers /dev/isgx and registers over RPC.
-            SgxDevicePlugin(node).register(RpcChannel(kubelet.rpc_server))
-
-        self.heapster = Heapster(self.aggregate_cache)
-        self.heapster.register_all(self.kubelets.values())
-
-        self.daemonsets = DaemonSetController()
-        self.daemonsets.create(
-            PROBE_DAEMONSET,
-            selector=sgx_node_selector,
-            factory=functools.partial(_make_probe, self.aggregate_cache),
-        )
-        self.daemonsets.reconcile(self.kubelets.values())
-
+            self._join(node)
+        self.heapster = Heapster(self.aggregate_cache, self.kubelets.values())
         self.state_service = ClusterStateService(
-            list(self.kubelets.values()),
+            self.kubelets.values(),
             self.aggregate_cache,
             observer=self.observer,
         )
@@ -192,22 +156,36 @@ class Orchestrator:
 
     # -- node lifecycle (Sec. V-C: probes follow nodes automatically) ----
 
+    def _join(self, node) -> Kubelet:
+        """Register *node*'s kubelet, and its SGX probe when the node
+        advertises EPC pages.
+
+        The probe holds the sink and the kubelet's cgroup resolver,
+        never the orchestrator, so a finished replay is freed by
+        reference counting.
+        """
+        kubelet = Kubelet(node, self.perf_model)
+        self.kubelets[node.name] = kubelet
+        if kubelet.advertised_epc_pages() > 0:
+            self.probes[node.name] = SgxMetricsProbe(
+                node_name=node.name,
+                driver=node.driver,
+                sink=self.aggregate_cache,
+                pod_name_resolver=kubelet.resolve_pod_name,
+            )
+        return kubelet
+
     def add_node(self, node, now: float) -> Kubelet:
         """Join a new physical node to the cluster.
 
-        Registers its Kubelet and device plugin, hooks it into Heapster
-        and lets the DaemonSet controller deploy a probe if the node
-        advertises SGX — the paper's "automatically handle the
-        deployment of new probes when adding physical nodes".  The
-        Kubelet shares the bootstrap inventory's performance model.
+        Its kubelet starts feeding Heapster and the scheduler's views,
+        and a node that advertises SGX gets a probe — the paper's
+        "automatically handle the deployment of new probes when adding
+        physical nodes".  The Kubelet shares the bootstrap inventory's
+        performance model.
         """
         self.cluster.add_node(node)
-        kubelet = Kubelet(node, self.perf_model)
-        self.kubelets[node.name] = kubelet
-        SgxDevicePlugin(node).register(RpcChannel(kubelet.rpc_server))
-        self.heapster.register(kubelet)
-        self.daemonsets.reconcile(self.kubelets.values())
-        self.state_service.kubelets.append(kubelet)
+        kubelet = self._join(node)
         ledger = self.ledger
         if ledger.enabled:
             ledger.emit(
@@ -220,13 +198,13 @@ class Orchestrator:
 
         Pods running there are re-submitted to the queue (their specs
         survive; their progress does not — a crash analogue of the
-        Kubernetes controller recreating lost pods), the node's probe is
-        reaped by the DaemonSet reconciliation and its metrics stop.
-        Returns the requeued pods.
+        Kubernetes controller recreating lost pods), and the node's
+        probe and metrics stop.  Returns the requeued pods.
         """
         kubelet = self.kubelets.pop(node_name, None)
         if kubelet is None:
             raise OrchestrationError(f"no such node {node_name!r}")
+        self.probes.pop(node_name, None)
         orphans = list(kubelet.admitted_pods())
         requeued: List[Pod] = []
         for pod in orphans:
@@ -235,11 +213,6 @@ class Orchestrator:
             replacement = self.submit(pod.spec, now)
             requeued.append(replacement)
         self.cluster.remove_node(node_name)
-        self.heapster.unregister(kubelet)
-        self.state_service.kubelets = [
-            k for k in self.state_service.kubelets if k is not kubelet
-        ]
-        self.daemonsets.reconcile(self.kubelets.values())
         ledger = self.ledger
         if ledger.enabled:
             ledger.emit(
@@ -283,7 +256,7 @@ class Orchestrator:
         """One metrics push from Heapster and every SGX probe; returns
         the number of samples taken."""
         taken = self.heapster.collect(now)
-        for probe in self.daemonsets.payloads(PROBE_DAEMONSET):
+        for probe in self.probes.values():
             taken += probe.collect(now)
         return taken
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cluster.node import Node
+from ..cluster.resources import ResourceVector
 from ..errors import (
     EnclaveLimitExceededError,
     EpcExhaustedError,
@@ -37,10 +38,7 @@ from ..sgx.aesm import PlatformSoftware
 from ..sgx.enclave import Enclave
 from ..sgx.perf import SgxPerfModel
 from ..units import pages_to_bytes
-from .api import SGX_EPC_RESOURCE
-from .device_plugin import DevicePluginRegistry
 from .pod import Pod
-from .rpc import RpcServer
 
 
 @dataclass(slots=True)
@@ -80,8 +78,8 @@ class Kubelet:
     """Node agent: admission, container launch, usage reporting."""
 
     __slots__ = (
-        "node", "perf_model", "devices", "rpc_server", "_records",
-        "commitment_version", "_committed", "_pod_name_by_cgroup",
+        "node", "perf_model", "_records", "commitment_version",
+        "_committed", "_pod_name_by_cgroup",
     )
 
     def __init__(
@@ -89,11 +87,6 @@ class Kubelet:
     ):
         self.node = node
         self.perf_model = perf_model or SgxPerfModel()
-        self.devices = DevicePluginRegistry()
-        self.rpc_server = RpcServer(f"kubelet@{node.name}")
-        self.rpc_server.register_method(
-            "RegisterDevicePlugin", self.devices.register
-        )
         self._records: Dict[str, _PodRecord] = {}
         #: Bumped whenever the admitted-pod set (and hence this node's
         #: committed requests) changes — once per record inserted and
@@ -105,8 +98,6 @@ class Kubelet:
         # points records enter/leave ``_records``.  Requests are
         # integer vectors, so the increments are exact — this is the
         # same number committed_requests() used to re-sum per call.
-        from ..cluster.resources import ResourceVector
-
         self._committed = ResourceVector.zero()
         self._pod_name_by_cgroup: Dict[str, str] = {}
 
@@ -155,8 +146,9 @@ class Kubelet:
         del self._pod_name_by_cgroup[record.cgroup_path]
 
     def advertised_epc_pages(self) -> int:
-        """EPC page items advertised by the device plugin (0 if none)."""
-        return self.devices.capacity(SGX_EPC_RESOURCE)
+        """EPC page items the node advertises, one per usable page
+        (Section V-A's device plugin; 0 on a node without SGX)."""
+        return self.node.capacity.epc_pages
 
     def measured_epc_pages(self, pod: Pod) -> int:
         """Driver-measured EPC occupancy of one admitted pod (0 if none).

@@ -16,7 +16,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..cluster.resources import ResourceVector
 from ..errors import SchedulingError
@@ -256,11 +264,14 @@ class ClusterStateService:
 
     def __init__(
         self,
-        kubelets: Sequence[Kubelet],
+        kubelets: Collection[Kubelet],
         store: WindowedAggregateCache,
         observer=None,
     ):
-        self.kubelets = list(kubelets)
+        #: Read on every build, so a live collection (the
+        #: orchestrator's ``kubelets.values()``) follows nodes as they
+        #: join and leave.
+        self.kubelets = kubelets
         self.store = store
         #: Each kubelet's pristine view and the key it was built from.
         self._node_views: Dict[Kubelet, Tuple[NodeKey, NodeView]] = {}
@@ -338,7 +349,7 @@ class ClusterStateService:
         ]
 
     def build_views(self, now: float) -> List[NodeView]:
-        """One :class:`NodeView` per node, in Kubelet registration order.
+        """One :class:`NodeView` per node, in :attr:`kubelets` order.
 
         Each kubelet's pristine view is kept with its key (see
         :data:`NodeKey`) and rebuilt only when the key moved —

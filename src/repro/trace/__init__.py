@@ -27,7 +27,12 @@ from .borg import BorgTraceGenerator, synthetic_scaled_trace
 from .loader import load_borg_csv
 from .scaling import renumber_from_zero
 from .schema import JobRecord, Trace
-from .spec import TraceSpec, format_trace_spec, make_trace_spec, parse_trace_spec
+from .spec import (
+    TraceSpec,
+    format_trace_spec,
+    make_trace_spec,
+    parse_trace_spec,
+)
 from .stats import cdf_at, empirical_cdf
 
 __all__ = [

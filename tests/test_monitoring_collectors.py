@@ -31,10 +31,7 @@ class StubSource:
 
 class TestHeapster:
     def test_collect_writes_tagged_points(self, db):
-        heapster = Heapster(db)
-        heapster.register(
-            StubSource([("node-1", "pod-a", 1000.0)])
-        )
+        heapster = Heapster(db, [StubSource([("node-1", "pod-a", 1000.0)])])
         written = heapster.collect(now=5.0)
         assert written == 1
         (point,) = db.scan(MEASUREMENT_MEMORY)
@@ -43,25 +40,35 @@ class TestHeapster:
         assert point.tag("nodename") == "node-1"
 
     def test_collect_polls_all_sources(self, db):
-        heapster = Heapster(db)
-        heapster.register_all(
+        heapster = Heapster(
+            db,
             [
                 StubSource([("n1", "a", 1.0)]),
                 StubSource([("n2", "b", 2.0)]),
-            ]
+            ],
         )
         assert heapster.collect(now=1.0) == 2
 
     def test_empty_sources_write_nothing(self, db):
-        heapster = Heapster(db)
-        heapster.register(StubSource([]))
+        heapster = Heapster(db, [StubSource([])])
         assert heapster.collect(now=1.0) == 0
+
+    def test_sources_are_read_on_every_collection(self, db):
+        # The orchestrator hands over its live kubelets.values(): a
+        # node that joins or leaves is polled, or not, from the next
+        # collection on.
+        sources = {"n1": StubSource([("n1", "a", 1.0)])}
+        heapster = Heapster(db, sources.values())
+        assert heapster.collect(now=1.0) == 1
+        sources["n2"] = StubSource([("n2", "b", 2.0), ("n2", "c", 3.0)])
+        assert heapster.collect(now=2.0) == 3
+        del sources["n1"]
+        assert heapster.collect(now=3.0) == 2
 
     def test_window_store_sink_keeps_only_maxima(self):
         store = WindowedAggregateCache()
-        heapster = Heapster(store)
         source = StubSource([("n1", "a", 5.0), ("n1", "b", 0.0)])
-        heapster.register(source)
+        heapster = Heapster(store, [source])
         assert heapster.collect(now=1.0) == 2  # zero samples count
         source._rows = [("n1", "a", 3.0)]
         heapster.collect(now=11.0)

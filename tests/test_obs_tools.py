@@ -255,6 +255,47 @@ class TestExplain:
             in format_explain(report)
         )
 
+    def test_recorded_requeue_omits_its_own_time(self, tmp_path):
+        # Two strict 64 MiB PRMs with limits enforced: placed pods fail
+        # their launch and are retried on the next pass.
+        scenario = Scenario(
+            trace="borg-synth:seed=7,jobs=24,window=120",
+            sgx_fraction=1.0,
+            epc_total_bytes=mib(64),
+            standard_workers=1,
+            sgx_workers=2,
+            seed=1,
+            enforce_epc_limits=True,
+            epc_allow_overcommit=False,
+        )
+        ledger, _ = record(scenario, tmp_path, "run")
+        requeued = [
+            event for event in ledger.events if event["kind"] == "requeue"
+        ]
+        assert requeued, "fixture regime must requeue some pods"
+        report = explain_pod(ledger, requeued[0]["pod"])
+        assert report["requeues"]
+        for requeue in report["requeues"]:
+            assert requeue["ready_at"] == requeue["t"]
+        text = format_explain(report)
+        assert "launch failed, requeued" in text
+        assert "ready at" not in text
+
+    def test_requeue_with_a_backoff_still_renders_it(self, tmp_path):
+        # Ledgers written before 12.0.0 can carry a requeue backoff.
+        path = tmp_path / "v11.jsonl"
+        path.write_text(
+            '{"schema": "repro.ledger/v1"}\n'
+            '{"t": 37.5, "i": 0, "kind": "requeue", "pod": "job-1", '
+            '"ready_at": 47.5}\n'
+        )
+        report = explain_pod(load_ledger(str(path)), "job-1")
+        assert report["requeues"] == [{"t": 37.5, "ready_at": 47.5}]
+        assert (
+            "t=37.5: launch failed, requeued (ready at t=47.5)"
+            in format_explain(report)
+        )
+
     def test_unknown_pod_raises(self, tmp_path, base_scenario):
         ledger, _ = record(base_scenario, tmp_path, "run")
         with pytest.raises(SimulationError, match="no event"):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.orchestrator.api import PodPhase, make_pod_spec
-from repro.orchestrator.controller import PROBE_DAEMONSET, Orchestrator
+from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
 from repro.units import gib, mib, pages
 
@@ -31,12 +31,9 @@ class TestWiring:
         assert orchestrator.kubelets["worker-0"].advertised_epc_pages() == 0
 
     def test_probe_daemonset_covers_sgx_nodes(self, orchestrator):
-        probes = orchestrator.daemonsets.payloads(PROBE_DAEMONSET)
-        assert len(probes) == 2
-        assert {p.node_name for p in probes} == {
-            "sgx-worker-0",
-            "sgx-worker-1",
-        }
+        probes = orchestrator.probes
+        assert list(probes) == ["sgx-worker-0", "sgx-worker-1"]
+        assert [p.node_name for p in probes.values()] == list(probes)
 
 
 class TestSubmissionAndScheduling:

@@ -163,6 +163,14 @@ class TestTermination:
 
 
 class TestReporting:
+    def test_epc_pages_advertised_without_registration(self):
+        # Each usable EPC page is one resource item (Section V-A): a
+        # bare kubelet advertises its node's pages from construction.
+        sgx = Kubelet(Node(NodeSpec.sgx("sgx-0")))
+        standard = Kubelet(Node(NodeSpec.standard("w0")))
+        assert sgx.advertised_epc_pages() == 23_936
+        assert standard.advertised_epc_pages() == 0
+
     def test_committed_requests_sum(self):
         kubelet = make_kubelet()
         for name, size in (("a", 10), ("b", 20)):

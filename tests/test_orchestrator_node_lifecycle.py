@@ -5,10 +5,13 @@ import pytest
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.errors import OrchestrationError
+from repro.monitoring.heapster import MEASUREMENT_MEMORY
+from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.orchestrator.api import PodPhase, make_pod_spec
-from repro.orchestrator.controller import PROBE_DAEMONSET, Orchestrator
+from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
-from repro.units import mib, pages
+from repro.scheduler.spread import SpreadScheduler
+from repro.units import gib, mib, pages
 
 
 @pytest.fixture
@@ -17,10 +20,7 @@ def orchestrator():
 
 
 def probe_nodes(orchestrator):
-    return {
-        p.node_name
-        for p in orchestrator.daemonsets.payloads(PROBE_DAEMONSET)
-    }
+    return {p.node_name for p in orchestrator.probes.values()}
 
 
 class TestAddNode:
@@ -59,8 +59,6 @@ class TestAddNode:
         assert late.node_name == "sgx-worker-9"
 
     def test_new_node_feeds_metrics(self):
-        from repro.monitoring.probe import MEASUREMENT_EPC
-
         orchestrator = Orchestrator(paper_cluster(sgx_workers=0))
         assert orchestrator.collect_metrics(now=0.5) == 0
         orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=0.5)
@@ -135,3 +133,74 @@ class TestRemoveNode:
         orchestrator.remove_node("worker-0", now=1.0)
         assert "worker-0" not in orchestrator.cluster
         assert "worker-0" not in orchestrator.kubelets
+
+
+class TestOneRegistry:
+    """Views, probes and samples all follow ``Orchestrator.kubelets``."""
+
+    def test_churn_leaves_only_live_nodes(self, orchestrator):
+        scheduler = SpreadScheduler()
+        for index in range(2):
+            orchestrator.submit(
+                make_pod_spec(
+                    f"enclave-{index}",
+                    duration_seconds=600.0,
+                    declared_epc_bytes=mib(10),
+                ),
+                now=0.0,
+            )
+            orchestrator.submit(
+                make_pod_spec(
+                    f"plain-{index}",
+                    duration_seconds=600.0,
+                    declared_memory_bytes=gib(1),
+                ),
+                now=0.0,
+            )
+        # Spread puts one pod on every node, so each removal requeues.
+        orchestrator.scheduling_pass(scheduler, now=1.0)
+        assert all(k.pod_count == 1 for k in orchestrator.kubelets.values())
+
+        orchestrator.remove_node("worker-0", now=2.0)
+        orchestrator.remove_node("sgx-worker-1", now=3.0)
+        orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=4.0)
+        orchestrator.add_node(Node(NodeSpec.standard("worker-0")), now=5.0)
+        result = orchestrator.scheduling_pass(scheduler, now=6.0)
+        assert len(result.launched) == 2
+
+        kubelets = orchestrator.kubelets
+        assert list(kubelets) == [
+            "worker-1", "sgx-worker-0", "sgx-worker-9", "worker-0",
+        ]
+        views = orchestrator.state_service.build_views(now=6.5)
+        assert [view.name for view in views] == list(kubelets)
+        assert list(orchestrator.probes) == [
+            name for name, kubelet in kubelets.items()
+            if kubelet.advertised_epc_pages() > 0
+        ]
+
+        live = {
+            (name, pod.name, pod.spec.resources.requests.epc_pages > 0)
+            for name, kubelet in kubelets.items()
+            for pod in kubelet.admitted_pods()
+        }
+        taken = orchestrator.collect_metrics(now=7.0)
+        store = orchestrator.aggregate_cache
+
+        def sampled(measurement):
+            return {
+                (node, pod_name)
+                for node, state in store.node_states(measurement, 7.0).items()
+                for pod_name in state.maxima()
+            }
+
+        # Heapster samples every live pod and the probes every enclave;
+        # an enclave pod's standard memory is 0, which Listing 1's
+        # ``value <> 0`` keeps out of the window maxima.
+        assert taken == len(live) + sum(sgx for _, _, sgx in live)
+        assert sampled(MEASUREMENT_MEMORY) == {
+            (node, pod) for node, pod, sgx in live if not sgx
+        }
+        assert sampled(MEASUREMENT_EPC) == {
+            (node, pod) for node, pod, sgx in live if sgx
+        }

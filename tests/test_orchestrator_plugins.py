@@ -1,133 +1,77 @@
-"""RPC channel, device plugin registration, DaemonSet reconciliation."""
+"""The paper's SGX device plugin (Sec. V-A) and probe DaemonSet (Sec. V-C).
 
-import pytest
+Both live in the orchestrator's node registry: a kubelet advertises its
+node's usable EPC pages, one schedulable item each, and
+:attr:`Orchestrator.probes` holds one SGX probe per node that
+advertises EPC, filed when the node joins and dropped when it leaves.
+"""
 
 from repro.cluster.node import Node, NodeSpec
-from repro.errors import RpcError
-from repro.orchestrator.api import SGX_EPC_RESOURCE
-from repro.orchestrator.daemonset import (
-    DaemonSetController,
-    all_nodes_selector,
-    sgx_node_selector,
-)
-from repro.orchestrator.device_plugin import (
-    DevicePluginRegistry,
-    SgxDevicePlugin,
-)
+from repro.cluster.topology import Cluster
+from repro.orchestrator.controller import Orchestrator
 from repro.orchestrator.kubelet import Kubelet
-from repro.orchestrator.rpc import RpcChannel, RpcServer
-
-
-class TestRpc:
-    def test_call_dispatches(self):
-        server = RpcServer("svc")
-        server.register_method("Echo", lambda text: text.upper())
-        channel = RpcChannel(server)
-        assert channel.call("Echo", text="hi") == "HI"
-
-    def test_unknown_method_rejected(self):
-        channel = RpcChannel(RpcServer("svc"))
-        with pytest.raises(RpcError, match="UNIMPLEMENTED"):
-            channel.call("Nope")
-
-    def test_stopped_server_unavailable(self):
-        server = RpcServer("svc")
-        server.register_method("M", lambda: 1)
-        server.stop()
-        with pytest.raises(RpcError, match="UNAVAILABLE"):
-            RpcChannel(server).call("M")
-
-    def test_duplicate_method_rejected(self):
-        server = RpcServer("svc")
-        server.register_method("M", lambda: 1)
-        with pytest.raises(RpcError):
-            server.register_method("M", lambda: 2)
+from repro.units import mib
 
 
 class TestDevicePlugin:
     def test_detect_on_sgx_node(self, sgx_node):
-        advertisement = SgxDevicePlugin(sgx_node).detect()
-        assert advertisement is not None
-        assert advertisement.resource_name == SGX_EPC_RESOURCE
         # Each EPC page is one resource item (Section V-A).
-        assert advertisement.item_count == 23_936
-        assert advertisement.device_path == "/dev/isgx"
+        assert Kubelet(sgx_node).advertised_epc_pages() == 23_936
+        assert sgx_node.epc.total_pages == 23_936
+        # A larger PRM advertises its own, larger page count.
+        big = Node(NodeSpec.sgx("sgx-big", epc_total_bytes=mib(256)))
+        advertised = Kubelet(big).advertised_epc_pages()
+        assert advertised == big.epc.total_pages > 23_936
 
     def test_detect_on_standard_node(self, standard_node):
-        assert SgxDevicePlugin(standard_node).detect() is None
+        assert standard_node.epc is None
+        assert Kubelet(standard_node).advertised_epc_pages() == 0
 
     def test_register_with_kubelet(self, sgx_node):
-        kubelet = Kubelet(sgx_node)
-        registered = SgxDevicePlugin(sgx_node).register(
-            RpcChannel(kubelet.rpc_server)
-        )
-        assert registered
+        orchestrator = Orchestrator(Cluster([sgx_node]))
+        kubelet = orchestrator.kubelets[sgx_node.name]
         assert kubelet.advertised_epc_pages() == 23_936
-        assert kubelet.devices.device_path(SGX_EPC_RESOURCE) == "/dev/isgx"
+        # The scheduler sees the advertised pages as schedulable EPC.
+        (view,) = orchestrator.state_service.build_views(now=0.0)
+        assert view.sgx_capable
+        assert view.capacity.epc_pages == 23_936
 
     def test_register_skips_non_sgx(self, standard_node):
-        kubelet = Kubelet(standard_node)
-        registered = SgxDevicePlugin(standard_node).register(
-            RpcChannel(kubelet.rpc_server)
-        )
-        assert not registered
+        orchestrator = Orchestrator(Cluster([standard_node]))
+        kubelet = orchestrator.kubelets[standard_node.name]
         assert kubelet.advertised_epc_pages() == 0
+        (view,) = orchestrator.state_service.build_views(now=0.0)
+        assert not view.sgx_capable
+        assert view.capacity.epc_pages == 0
 
-    def test_registry_validates_counts(self):
-        registry = DevicePluginRegistry()
-        with pytest.raises(RpcError):
-            registry.register("x", -1, "/dev/x")
 
 class TestDaemonSet:
-    def make_kubelets(self):
-        sgx = Kubelet(Node(NodeSpec.sgx("sgx-0")))
-        std = Kubelet(Node(NodeSpec.standard("std-0")))
-        for kubelet in (sgx, std):
-            SgxDevicePlugin(kubelet.node).register(
-                RpcChannel(kubelet.rpc_server)
+    def make_orchestrator(self):
+        return Orchestrator(
+            Cluster(
+                [Node(NodeSpec.sgx("sgx-0")), Node(NodeSpec.standard("std-0"))]
             )
-        return sgx, std
-
-    def test_sgx_selector_uses_advertised_epc(self):
-        sgx, std = self.make_kubelets()
-        assert sgx_node_selector(sgx)
-        assert not sgx_node_selector(std)
+        )
 
     def test_reconcile_creates_payload_per_matching_node(self):
-        sgx, std = self.make_kubelets()
-        controller = DaemonSetController()
-        daemonset = controller.create(
-            "probe", sgx_node_selector, lambda k: f"probe@{k.node.name}"
-        )
-        changes = controller.reconcile([sgx, std])
-        assert changes == 1
-        assert daemonset.payloads == {"sgx-0": "probe@sgx-0"}
-
-    def test_reconcile_is_idempotent(self):
-        sgx, std = self.make_kubelets()
-        controller = DaemonSetController()
-        controller.create("probe", sgx_node_selector, lambda k: object())
-        controller.reconcile([sgx, std])
-        assert controller.reconcile([sgx, std]) == 0
+        orchestrator = self.make_orchestrator()
+        assert list(orchestrator.probes) == ["sgx-0"]
+        probe = orchestrator.probes["sgx-0"]
+        kubelet = orchestrator.kubelets["sgx-0"]
+        # The probe reads its own node's driver, resolves pods through
+        # its own kubelet and pushes into the orchestrator's sink.
+        assert probe.node_name == "sgx-0"
+        assert probe.driver is kubelet.node.driver
+        assert probe.pod_name_resolver == kubelet.resolve_pod_name
+        assert probe.sink is orchestrator.aggregate_cache
 
     def test_reconcile_reaps_departed_nodes(self):
-        sgx, std = self.make_kubelets()
-        controller = DaemonSetController()
-        controller.create("probe", sgx_node_selector, lambda k: object())
-        controller.reconcile([sgx, std])
-        changes = controller.reconcile([std])
-        assert changes == 1
-        assert controller.payloads("probe") == []
-
-    def test_all_nodes_selector(self):
-        sgx, std = self.make_kubelets()
-        controller = DaemonSetController()
-        controller.create("agent", all_nodes_selector, lambda k: object())
-        controller.reconcile([sgx, std])
-        assert len(controller.payloads("agent")) == 2
-
-    def test_duplicate_daemonset_rejected(self):
-        controller = DaemonSetController()
-        controller.create("x", all_nodes_selector, lambda k: None)
-        with pytest.raises(ValueError):
-            controller.create("x", all_nodes_selector, lambda k: None)
+        orchestrator = self.make_orchestrator()
+        orchestrator.remove_node("sgx-0", now=1.0)
+        assert orchestrator.probes == {}
+        assert list(orchestrator.kubelets) == ["std-0"]
+        # A node that rejoins gets a fresh probe on its new driver.
+        rejoined = Node(NodeSpec.sgx("sgx-0"))
+        orchestrator.add_node(rejoined, now=2.0)
+        assert list(orchestrator.probes) == ["sgx-0"]
+        assert orchestrator.probes["sgx-0"].driver is rejoined.driver

@@ -12,7 +12,6 @@ from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
 from repro.units import mib
-from scheduling_reference import RecordingLedger
 
 
 def triggers(ledger):

@@ -12,7 +12,7 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "12.0.0"
+        assert repro.__version__ == "13.0.0"
 
     def test_quickstart_from_docstring_works(self):
         from repro import (
@@ -47,8 +47,6 @@ class TestErrorHierarchy:
             errors.CgroupError("x"),
             errors.PodSpecError("x"),
             errors.SchedulingError("x"),
-            errors.UnschedulablePodError("p", "too big"),
-            errors.RpcError("x"),
             errors.QueryError("x"),
             errors.TraceError("x"),
             errors.SimulationError("x"),
@@ -74,8 +72,6 @@ class TestErrorHierarchy:
         assert limit.cgroup_path == "/pod"
         assert limit.owned_pages == 10
         assert limit.limit_pages == 4
-        unsched = errors.UnschedulablePodError("p", "reason")
-        assert unsched.pod_name == "p"
 
     def test_one_except_catches_all(self):
         with pytest.raises(errors.ReproError):
