@@ -64,10 +64,9 @@ from .scheduler.kube_default import KubeDefaultScheduler
 from .scheduler.spread import SpreadScheduler
 from .simulation.runner import ReplayResult, run_replay
 from .trace.borg import BorgTraceGenerator, synthetic_scaled_trace
-from .trace.loader import load_borg_csv
 from .workload.malicious import MaliciousConfig
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 # The scenario layer sits on top of everything above; importing it
 # after the core packages keeps the orchestrator <-> scheduler import
@@ -106,7 +105,6 @@ __all__ = [
     "SweepResult",
     "WorkloadProfile",
     "__version__",
-    "load_borg_csv",
     "make_pod_spec",
     "paper_cluster",
     "register_scheduler",

@@ -156,8 +156,7 @@ class Scenario:
     :data:`repro.registry.TRACES` (``repro traces`` lists them)::
 
         Scenario(trace="borg-synth:seed=7,jobs=500").run()
-        Scenario(trace="synth-bursty:seed=3,jobs=500").run()
-        Scenario(trace="google2019:path=ev.jsonl,window=1h,sample=0.05")
+        Scenario(trace="borg-csv:path=trace.csv,window=1h,sample=0.05")
         Scenario(trace=my_trace)          # an explicit Trace object
 
     Invalid knobs are rejected here — a bad SGX fraction, a
@@ -190,9 +189,8 @@ class Scenario:
     # -- trace source ------------------------------------------------------
     #: What to replay: a trace spec string resolved through
     #: :data:`repro.registry.TRACES` — e.g. ``"borg-synth:seed=7,
-    #: jobs=500"``, ``"google2019:path=ev.jsonl,window=1h"``,
-    #: ``"synth-bursty:seed=3,jobs=500"`` — or an explicit
-    #: :class:`Trace`.  ``None`` replays the paper's default scaled
+    #: jobs=500"`` or ``"borg-csv:path=trace.csv,window=1h"`` — or an
+    #: explicit :class:`Trace`.  ``None`` replays the paper's default scaled
     #: slice (``"borg-synth"``).  ``repro traces`` lists the catalogue.
     trace: Optional[Union[Trace, str]] = None
 

@@ -6,7 +6,7 @@ Usage::
     python -m repro fig7 [--trace-seed N] [--run-seed N]
     python -m repro all
     python -m repro run --scheduler spread --sgx-fraction 0.5 [--json]
-    python -m repro run --trace synth-bursty:seed=3,jobs=500 --json
+    python -m repro run --trace borg-csv:path=trace.csv,window=1h --json
     python -m repro traces
     python -m repro sweep --grid sgx_fraction=0,0.5,1 --workers 4
     python -m repro profile --jobs 1000 --top 30 --collapsed-out out.txt
@@ -184,7 +184,7 @@ def _scenario_flags() -> argparse.ArgumentParser:
         default=None,
         help="trace spec 'name:key=val,...' resolved through the "
         "trace-adapter registry, e.g. 'borg-synth:seed=7,jobs=500' "
-        "or 'google2019:path=ev.jsonl,window=1h,sample=0.05'; "
+        "or 'borg-csv:path=trace.csv,window=1h,sample=0.05'; "
         "'repro traces' lists the catalogue (default: the paper's "
         "scaled Borg slice)",
     )

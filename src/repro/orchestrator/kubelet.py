@@ -345,18 +345,20 @@ class Kubelet:
     # -- monitoring interfaces --------------------------------------------
 
     def memory_rows(self) -> List[SampleRow]:
-        """Per-pod ``(nodename, pod_name, bytes)`` rows, for Heapster."""
+        """Per-pod ``(nodename, pod_name, bytes)`` rows, for Heapster.
+
+        A pod whose cgroup reads 0 bytes (an SGX pod: its memory is in
+        the enclave) has no row; Listing 1's ``value <> 0`` would drop
+        it anyway.
+        """
         node = self.node
         node_name = node.name
         cgroup_memory_bytes = node.cgroup_memory_bytes
         return [
-            (
-                node_name,
-                record.pod_name,
-                float(cgroup_memory_bytes(record.cgroup_path)),
-            )
+            (node_name, record.pod_name, float(value))
             for record in self._records.values()
             if record.pid is not None
+            and (value := cgroup_memory_bytes(record.cgroup_path))
         ]
 
     def resolve_pod_name(self, cgroup_path: str) -> Optional[str]:

@@ -6,7 +6,7 @@ the first day) and frequency sampling (every 1200th job), yielding 663
 jobs of which 44 allocate more memory than they advertise.
 
 The public trace itself is not redistributable here, so this package
-provides both a loader for the public CSV schema
+provides both a streaming reader for a prepared CSV of the trace
 (:mod:`repro.trace.loader`) and a calibrated synthetic generator
 (:mod:`repro.trace.borg`) reproducing the published marginals: the
 duration CDF of Fig. 4, the max-memory CDF of Fig. 3 and the concurrency
@@ -14,17 +14,16 @@ band of Fig. 5.  All evaluation numbers in the paper are functions of
 these marginals at the scaled size, which is what the substitution
 preserves.
 
-Beyond the paper's workload, :mod:`repro.trace.adapters` turns the
-package into an ecosystem: any workload — public Google 2019 /
-Alibaba 2018 / Azure dumps, parameterised synthetic stress shapes, or
-a third-party plugin — is addressable through one spec string
-(``"google2019:path=ev.jsonl,window=1h,sample=0.05"``) resolved via
-:func:`resolve_trace`.
+Both are trace adapters (:mod:`repro.trace.adapters`), addressed by one
+spec string resolved via :func:`resolve_trace`: ``borg-synth`` (the
+generator, e.g. ``"borg-synth:seed=7,jobs=500"``) and ``borg-csv``
+(the file, e.g. ``"borg-csv:path=trace.csv,window=1h,sample=0.1"``).
+Any other trace is converted to ``borg-csv``'s five columns or
+registered as a plugin with :func:`repro.registry.register_trace`.
 """
 
 from .adapters import resolve_trace, trace_catalogue
 from .borg import BorgTraceGenerator, synthetic_scaled_trace
-from .loader import load_borg_csv
 from .scaling import renumber_from_zero
 from .schema import JobRecord, Trace
 from .spec import (
@@ -33,7 +32,7 @@ from .spec import (
     make_trace_spec,
     parse_trace_spec,
 )
-from .stats import cdf_at, empirical_cdf
+from .stats import cdf_at
 
 __all__ = [
     "BorgTraceGenerator",
@@ -41,9 +40,7 @@ __all__ = [
     "Trace",
     "TraceSpec",
     "cdf_at",
-    "empirical_cdf",
     "format_trace_spec",
-    "load_borg_csv",
     "make_trace_spec",
     "parse_trace_spec",
     "renumber_from_zero",

@@ -1,19 +1,18 @@
-"""Pluggable trace adapters: one ``trace=`` spec, many workloads.
+"""Trace adapters: one ``trace=`` spec names the workload.
 
-Every workload the simulator can replay — the paper's calibrated
-synthetic Borg slice, the public Google/Alibaba/Azure dumps, the
-parameterised synthetic stress shapes — is addressable through one
-string grammar::
+The package ships the paper's Borg workload in two forms, both
+addressable through one string grammar: ``borg-synth``, the
+calibrated synthetic slice behind every figure, and ``borg-csv``, a
+prepared Borg CSV streamed from disk::
 
     Scenario(trace="borg-synth:seed=7,jobs=500").run()
-    Scenario(trace="google2019:path=ev.jsonl,window=1h,sample=0.05")
-    Scenario(trace="synth-bursty:seed=3,jobs=500")
+    Scenario(trace="borg-csv:path=trace.csv,window=1h,sample=0.05")
 
 A spec is ``name`` or ``name:key=value,key=value``
 (:mod:`repro.trace.spec` owns the grammar).  The name selects an
 adapter from the :data:`repro.registry.TRACES` registry; the options
-parameterise it.  Third parties plug in with the same decorator the
-built-ins use::
+parameterise it.  Any other trace either becomes ``borg-csv``'s five
+columns or plugs in with the decorator the two built-ins use::
 
     from repro.registry import register_trace
 
@@ -102,7 +101,5 @@ __all__ = [
 ]
 
 # Import the built-in adapters last so their @register_trace calls see
-# a fully initialised registry; the imports are for their side effects.
+# a fully initialised registry; the import is for its side effect.
 from . import borg as _borg  # noqa: E402,F401
-from . import public as _public  # noqa: E402,F401
-from . import synth as _synth  # noqa: E402,F401

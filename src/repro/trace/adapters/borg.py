@@ -1,11 +1,11 @@
-"""Borg-shaped trace adapters: the paper's own workload, as specs.
+"""The two built-in trace adapters: the paper's Borg workload, as specs.
 
 ``borg-synth`` is the calibrated synthetic generator behind every
 figure (:class:`repro.trace.borg.BorgTraceGenerator`, its over-allocator
 share scaled with ``jobs``);
-``borg-csv`` replays a prepared four-metric CSV — the shape
-:func:`repro.trace.loader.load_borg_csv` documents — parsed in chunks
-into columns and windowed/downsampled before any record is built.
+``borg-csv`` replays a prepared five-column CSV — the shape
+:mod:`repro.trace.loader` documents — parsed in chunks into columns
+and windowed/downsampled before any record is built.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def build_borg_csv(spec: TraceSpec, seed: int) -> Trace:
     Options: ``path`` (required), ``start``/``window`` (relative clip),
     ``sample`` (keep-fraction) or ``stride``, ``limit``, ``renumber``
     (default: only when any scaling option is active, so a plain
-    ``borg-csv:path=...`` load equals ``load_borg_csv`` exactly).
+    ``borg-csv:path=...`` load keeps the file's submit times).
     The ``seed`` option is accepted for spec uniformity but unused —
     the file is the randomness.
     """

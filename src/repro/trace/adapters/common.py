@@ -1,32 +1,29 @@
-"""Shared machinery for the trace adapters.
+"""The scaling grammar of ``borg-csv``, the file-backed adapter.
 
-File-backed adapters all answer the same four knobs — ``start``,
-``window``, ``sample``/``stride`` and ``limit`` — by threading the
-record stream through :func:`apply_scaling` (a relative window, then
-:func:`repro.trace.scaling.iter_stride`) before anything is
-materialised (``borg-csv`` applies the same knobs to its parsed
-columns, in :func:`repro.trace.loader.iter_borg_csv`).  The window is *relative
-to the first record's submit time* (``start=0`` is the beginning of
-the trace), which is the only sane reading for public traces
-timestamped in epoch microseconds.
+:func:`read_scaling` parses ``start``, ``window``, ``sample``/``stride``
+and ``limit``; :func:`repro.trace.loader.iter_borg_csv` applies them to
+the parsed columns as the file streams, and :func:`materialise` sorts
+the kept records into a :class:`Trace`, renumbered to t=0 when the
+spec's ``renumber`` says so.  The window is *relative to the first
+record's submit time* (``start=0`` is the beginning of the trace), so
+a trace timestamped from any origin clips the same way.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ...errors import TraceError
-from ..scaling import iter_stride, renumber_from_zero
+from ..scaling import renumber_from_zero
 from ..schema import JobRecord, Trace
 from ..spec import SpecOptions
 
 
 @dataclass(frozen=True)
 class StreamScaling:
-    """The parsed scaling knobs of one file-backed spec."""
+    """The parsed scaling knobs of one ``borg-csv`` spec."""
 
     start: Optional[float] = None
     window: Optional[float] = None
@@ -90,38 +87,6 @@ def read_scaling(options: SpecOptions) -> StreamScaling:
     return StreamScaling(
         start=start, window=window, stride=stride or 1, limit=limit
     )
-
-
-def iter_relative_window(
-    records: Iterable[JobRecord], start: float, end: float
-) -> Iterator[JobRecord]:
-    """Records submitted within ``[start, end)`` of the trace's origin.
-
-    The origin is the first record's submit time, captured on the fly
-    — no extra pass over the file.  Records outside the window are
-    dropped as they stream past, never materialised.
-    """
-    origin: Optional[float] = None
-    for job in records:
-        if origin is None:
-            origin = job.submit_time
-        offset = job.submit_time - origin
-        if start <= offset < end:
-            yield job
-
-
-def apply_scaling(
-    records: Iterable[JobRecord], scaling: StreamScaling
-) -> Iterator[JobRecord]:
-    """Window → downsample → limit, all streaming."""
-    bounds = scaling.bounds
-    if bounds is not None:
-        records = iter_relative_window(records, *bounds)
-    if scaling.stride != 1:
-        records = iter_stride(records, scaling.stride)
-    if scaling.limit is not None:
-        records = itertools.islice(records, scaling.limit)
-    return iter(records)
 
 
 def materialise(

@@ -202,30 +202,6 @@ class BorgTraceGenerator:
             t += step_seconds
         return series
 
-    # -- marginal sampling (shared with the synthetic spec adapters) ---------
-
-    def sample_durations(
-        self, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        """*n* draws of the Fig. 4 duration marginal under *rng*."""
-        return self._durations(rng, n)
-
-    def sample_max_memory(
-        self, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        """*n* draws of the Fig. 3 max-memory marginal under *rng*."""
-        return self._max_memory(rng, n)
-
-    def sample_assigned_memory(
-        self,
-        rng: np.random.Generator,
-        max_memory: np.ndarray,
-        overallocators: int,
-    ) -> np.ndarray:
-        """Declared memory per job: honest inflation, with exactly
-        *overallocators* under-declaring jobs (Section VI-F)."""
-        return self._assigned_memory(rng, max_memory, overallocators)
-
     # -- distribution internals -------------------------------------------
 
     def _durations(self, rng: np.random.Generator, n: int) -> np.ndarray:

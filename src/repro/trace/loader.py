@@ -1,11 +1,11 @@
-"""Loader for the public Google cluster-usage trace format.
+"""Reader for a prepared Borg trace CSV: the ``borg-csv`` adapter.
 
 The 2011 trace ships as CSV tables (Reiss et al., "Google cluster-usage
 traces: format + schema").  The paper joins the *job events* and *task
-usage* tables to extract four per-job metrics; users who have downloaded
-the public trace can produce a four-column CSV in that shape and replay
-it via ``Scenario(trace="borg-csv:path=…,start=…,window=…,stride=…")``,
-which clips, samples and renumbers it as it streams, or load it here.
+usage* tables to extract four per-job metrics.  A user with the public
+trace, or any other, converts it to a CSV of that shape and replays it
+via ``Scenario(trace="borg-csv:path=…,window=…,stride=…")``, which
+clips, samples and renumbers it as it streams.
 
 Expected columns (header optional, comma-separated)::
 
@@ -25,8 +25,7 @@ A chunk NumPy may not take goes to the row reader (``csv`` rows,
 ``path:line``: a byte outside :data:`_ALLOWED`, a parse NumPy rejects,
 or a row :class:`JobRecord` would reject.  Once a ``"`` appears the
 row reader takes the rest of the file, since a quoted field may span
-lines.  :func:`load_borg_csv` keeps its historical signature as a thin
-wrapper.
+lines.  :func:`dump_borg_csv` writes a :class:`Trace` in the same shape.
 """
 
 from __future__ import annotations
@@ -185,7 +184,7 @@ def _chunk_blocks(
 
 def _skip_header(text: str) -> Tuple[int, int, bool]:
     """Characters and csv records before the first data row of *text*:
-    blank lines, comments and the header (``csv_rows``' rule); and
+    blank lines, comments and the header (``csv_records``' rule); and
     whether the header may still come."""
     buffer = io.StringIO(text, newline="")
     skipped = records = 0
@@ -277,15 +276,6 @@ def _row_blocks(
         yield _Block(np.array(values, _ROW_DTYPE), exc)
     else:
         yield _Block(np.array(values, _ROW_DTYPE))
-
-
-def load_borg_csv(path: PathLike) -> Trace:
-    """Load a prepared Borg-trace CSV into a :class:`Trace`.
-
-    Streams the file through :func:`iter_borg_csv` — the rows are
-    never held twice, only the resulting records.
-    """
-    return Trace(iter_borg_csv(path))
 
 
 def dump_borg_csv(trace: Trace, path: PathLike) -> None:

@@ -6,34 +6,18 @@ trace is scaled down along two dimensions before replay:
 * **Time reduction** — keep only the 1-hour slice [6480 s, 10080 s) of
   the first day, long enough to stabilise the system because no job
   exceeds 300 s;
-* **Frequency reduction** — keep every 1200th job (:func:`iter_stride`),
-  leaving enough jobs to cause contention without flooding the
-  cluster.
+* **Frequency reduction** — keep every 1200th job, leaving enough jobs
+  to cause contention without flooding the cluster.
 
-Each trace reader applies both as it streams: ``borg-csv`` on its
-columns (``start``/``window``/``stride``), the public adapters through
-:func:`repro.trace.adapters.common.apply_scaling`.
+``borg-synth`` draws the scaled slice directly; ``borg-csv`` applies
+both reductions to its columns as it streams
+(``start``/``window``/``stride``) and renumbers what it keeps with
+:func:`renumber_from_zero`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-from ..errors import TraceError
-from .schema import JobRecord, Trace
-
-
-def iter_stride(jobs: Iterable[JobRecord], stride: int) -> Iterator[JobRecord]:
-    """Every *stride*-th record of a job stream, starting at the first.
-
-    Frequency reduction applied on the fly, holding no more than one
-    record.
-    """
-    if stride <= 0:
-        raise TraceError(f"stride must be positive, got {stride}")
-    for index, job in enumerate(jobs):
-        if index % stride == 0:
-            yield job
+from .schema import Trace
 
 
 def renumber_from_zero(trace: Trace) -> Trace:

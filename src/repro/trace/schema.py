@@ -126,17 +126,3 @@ class Trace:
     def overallocator_count(self) -> int:
         """Jobs whose actual memory exceeds the declared amount."""
         return sum(1 for j in self._jobs if j.overallocates)
-
-    def durations(self) -> List[float]:
-        """All job durations (Fig. 4's sample)."""
-        return [j.duration for j in self._jobs]
-
-    def max_memories(self) -> List[float]:
-        """All max-memory fractions (Fig. 3's sample)."""
-        return [j.max_memory for j in self._jobs]
-
-    def concurrency_at(self, time: float) -> int:
-        """Jobs whose [submit, end) interval covers *time*."""
-        return sum(
-            1 for j in self._jobs if j.submit_time <= time < j.end_time
-        )

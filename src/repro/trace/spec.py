@@ -5,8 +5,7 @@ the registries made for schedulers and workloads, except a trace needs
 knobs (seed, path, window) so the name carries an option list::
 
     borg-synth:seed=7,jobs=500
-    google2019:path=events.jsonl,window=1h,sample=0.05
-    synth-bursty:seed=3,jobs=500,bursts=4
+    borg-csv:path=trace.csv,window=1h,sample=0.05
 
 Grammar (strict, so a typo dies at :class:`~repro.api.Scenario`
 construction, not mid-replay):
@@ -15,7 +14,7 @@ construction, not mid-replay):
 * *options* — ``key=value`` pairs joined by commas after one colon;
   keys are ``[a-z][a-z0-9_]*``, values any non-empty text without
   commas (so paths work; a path containing a comma cannot be spelled
-  in a spec — load it with the loader API instead);
+  in a spec — read it with ``Trace(iter_borg_csv(path))`` instead);
 * duplicate keys are rejected.
 
 Values stay **raw strings** in the parsed :class:`TraceSpec`; adapters

@@ -7,27 +7,9 @@ helpers compute them in the exact form the benchmark harness prints.
 from __future__ import annotations
 
 import bisect
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import TraceError
-
-
-def empirical_cdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """The empirical CDF of *samples* as (value, percentile) steps.
-
-    Percentiles are in 0..100 (the paper's y-axes); one point per
-    distinct sample value, at the proportion of samples ``<=`` it.
-    """
-    if not samples:
-        raise TraceError("cannot build a CDF from no samples")
-    ordered = sorted(samples)
-    total = len(ordered)
-    points: List[Tuple[float, float]] = []
-    for index, value in enumerate(ordered, start=1):
-        if index < total and ordered[index] == value:
-            continue  # keep only the last (highest percentile) duplicate
-        points.append((value, 100.0 * index / total))
-    return points
 
 
 def cdf_at(samples: Sequence[float], value: float) -> float:

@@ -1,11 +1,11 @@
-"""Streaming file readers for the trace adapters.
+"""Row-level readers behind the ``borg-csv`` adapter.
 
-Public cluster traces are multi-gigabyte files; the adapters must
-replay them in bounded memory.  Everything here is a generator: rows
-come off the file one at a time, flow through the windowing/sampling
-combinators of :mod:`repro.trace.scaling`, and only the records the
-replay keeps are ever materialised — peak memory is O(kept window),
-not O(file).
+:func:`repro.trace.loader.iter_borg_csv` parses most chunks of a file
+with NumPy; a chunk NumPy may not take goes through
+:func:`csv_records`, one ``csv`` row at a time.  Both readers share
+the rules here: blank lines and ``#`` comments are skipped anywhere,
+and a single header row (a first data row whose first field is not
+numeric) is skipped.
 
 Every malformed row dies with a :class:`~repro.errors.TraceError`
 carrying ``path:line`` context, so a corrupt download points at the
@@ -15,9 +15,8 @@ offending line instead of skewing an experiment silently.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..errors import TraceError
 
@@ -49,27 +48,6 @@ def is_header(row: List[str], numeric_probe: int = 0) -> bool:
     return numeric_probe >= len(row) or not _is_numeric(row[numeric_probe])
 
 
-def csv_rows(
-    path: PathLike,
-    columns: Optional[int] = None,
-    numeric_probe: int = 0,
-) -> Iterator[Tuple[int, List[str]]]:
-    """``(line_number, row)`` stream of a trace CSV.
-
-    Skips blank lines and ``#`` comments anywhere; skips a single
-    header row, detected as the first data row whose *numeric_probe*-th
-    field is not numeric (public formats put strings in some columns,
-    so the probe column is the adapter's submit-time field).  When
-    *columns* is given, rows with a different arity die with
-    ``path:line`` context.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
-    with path.open(newline="") as handle:
-        yield from csv_records(path, handle, columns, numeric_probe)
-
-
 def csv_records(
     path: PathLike,
     lines: Iterable[str],
@@ -78,8 +56,14 @@ def csv_records(
     first_line: int = 1,
     header: bool = True,
 ) -> Iterator[Tuple[int, List[str]]]:
-    """:func:`csv_rows` over *lines*, read from *path* from its line
-    *first_line* on; *header* says whether the header may still come."""
+    """``(line_number, row)`` stream of the csv *lines*, read from
+    *path* from its line *first_line* on.
+
+    Skips blank lines and ``#`` comments; while *header* says the
+    header may still come, skips the first data row if its
+    *numeric_probe*-th field is not numeric.  When *columns* is given,
+    a row with a different arity dies with ``path:line`` context.
+    """
     for line_number, row in enumerate(csv.reader(lines), start=first_line):
         if is_blank_or_comment(row):
             continue
@@ -94,28 +78,3 @@ def csv_records(
                 f"expected {columns} columns, got {len(row)}",
             )
         yield line_number, row
-
-
-def jsonl_rows(path: PathLike) -> Iterator[Tuple[int, Dict]]:
-    """``(line_number, object)`` stream of a JSON-lines trace file."""
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
-    with path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                record = json.loads(text)
-            except ValueError as exc:
-                raise row_error(
-                    path, line_number, f"bad JSON: {exc}"
-                ) from None
-            if not isinstance(record, dict):
-                raise row_error(
-                    path,
-                    line_number,
-                    f"expected a JSON object, got {type(record).__name__}",
-                )
-            yield line_number, record

@@ -4,9 +4,10 @@ columnar reader matches.
 Every row goes through ``csv.reader``, ``int``/``float`` and a
 :class:`JobRecord`; the window, the stride and the limit then run on
 the record stream, and the kept records are sorted (and renumbered)
-into a :class:`Trace`.  ``borg-csv`` and ``load_borg_csv`` must
-reproduce its records (values, types and order) and its errors
-(message and ``path:line``) exactly.
+into a :class:`Trace`.  ``borg-csv`` and
+:func:`repro.trace.loader.iter_borg_csv` must reproduce its records
+(values, types and order) and its errors (message and ``path:line``)
+exactly.
 """
 
 import csv
@@ -15,7 +16,6 @@ from pathlib import Path
 
 from repro.errors import TraceError
 from repro.trace.adapters.common import materialise, read_scaling
-from repro.trace.scaling import iter_stride
 from repro.trace.schema import JobRecord
 from repro.trace.spec import parse_trace_spec
 from repro.trace.stream import row_error
@@ -80,6 +80,13 @@ def iter_relative_window(records, start, end):
             origin = job.submit_time
         offset = job.submit_time - origin
         if start <= offset < end:
+            yield job
+
+
+def iter_stride(records, stride):
+    """Every *stride*-th record, starting at the first."""
+    for index, job in enumerate(records):
+        if index % stride == 0:
             yield job
 
 

@@ -60,7 +60,7 @@ class TestCli:
                 [
                     "run",
                     "--trace",
-                    "synth-bursty:seed=3,jobs=50",
+                    "borg-synth:seed=3,jobs=50",
                     "--json",
                 ]
             )
@@ -106,10 +106,14 @@ class TestCli:
 
     def test_traces_command_lists_catalogue(self, capsys):
         assert main(["traces"]) == 0
-        out = capsys.readouterr().out
-        for name in ("borg-synth", "google2019", "synth-heavytail"):
-            assert name in out
-        assert "needs path=" in out
+        lines = capsys.readouterr().out.splitlines()
+        # One name row and one example row per adapter.
+        assert [line.split()[0] for line in lines[::2]] == [
+            "borg-csv",
+            "borg-synth",
+        ]
+        assert lines[0].endswith("(needs path=...)")
+        assert "needs path=" not in lines[2]
 
     def test_traces_json(self, capsys):
         assert main(["traces", "--json"]) == 0

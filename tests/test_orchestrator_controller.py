@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
@@ -158,7 +159,7 @@ class TestMetricsPath:
         }
 
     def test_default_sink_is_the_window_store(
-        self, orchestrator, scheduler, sgx_pod_spec
+        self, orchestrator, scheduler, sgx_pod_spec, monkeypatch
     ):
         store = orchestrator.aggregate_cache
         assert orchestrator.heapster.sink is store
@@ -166,10 +167,23 @@ class TestMetricsPath:
         pod = orchestrator.submit(sgx_pod_spec, now=0.0)
         orchestrator.scheduling_pass(scheduler, now=1.0)
         orchestrator.start_pod(pod, now=1.5)
-        # Heapster: one pod's memory; the SGX probes: that pod's EPC
-        # (the driver's node gauges are read but stored nowhere, so
-        # they are not samples).
-        assert orchestrator.collect_metrics(now=2.0) == 1 + 1
+        received = []
+        ingest = WindowedAggregateCache.ingest
+
+        def recording(self, measurement, now, rows):
+            received.extend(rows)
+            return ingest(self, measurement, now, rows)
+
+        monkeypatch.setattr(WindowedAggregateCache, "ingest", recording)
+        # The SGX probes: the pod's EPC.  Heapster has no row: the
+        # enclave pod's standard memory reads 0.  The driver's node
+        # gauges are read but stored nowhere, so they are not samples.
+        taken = orchestrator.collect_metrics(now=2.0)
+        assert [row for row in received if row[2] == 0.0] == []
+        assert taken == 1
+        assert received == [
+            (pod.node_name, pod.name, float(pages(mib(10))))
+        ]
         assert {
             (name, pod_name, value)
             for name, node in store.node_states(

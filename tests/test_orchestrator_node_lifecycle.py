@@ -194,10 +194,11 @@ class TestOneRegistry:
                 for pod_name in state.maxima()
             }
 
-        # Heapster samples every live pod and the probes every enclave;
-        # an enclave pod's standard memory is 0, which Listing 1's
-        # ``value <> 0`` keeps out of the window maxima.
-        assert taken == len(live) + sum(sgx for _, _, sgx in live)
+        # Heapster samples every standard pod and the probes every
+        # enclave: one sample per live pod.  An enclave pod's standard
+        # memory reads 0, which Listing 1's ``value <> 0`` would keep
+        # out of the window maxima, so Heapster hands over no row.
+        assert taken == len(live)
         assert sampled(MEASUREMENT_MEMORY) == {
             (node, pod) for node, pod, sgx in live if not sgx
         }

@@ -1,5 +1,6 @@
 """Property-based tests: cgroups, trace pipeline, perf model, sealing."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -9,16 +10,13 @@ from hypothesis.stateful import (
     rule,
 )
 
+from borg_csv_reference import build_borg_csv as reference_borg_csv
 from repro.cluster.cgroups import CgroupHierarchy
 from repro.errors import CgroupError
 from repro.sgx.perf import SgxPerfModel
-from repro.trace.adapters.common import (
-    StreamScaling,
-    apply_scaling,
-    materialise,
-)
+from repro.trace import resolve_trace
 from repro.trace.borg import BorgTraceGenerator
-from repro.trace.schema import Trace
+from repro.trace.loader import dump_borg_csv
 from repro.units import mib
 
 
@@ -80,24 +78,44 @@ class CgroupMachine(RuleBasedStateMachine):
 TestCgroupStateMachine = CgroupMachine.TestCase
 
 
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pipeline") / "trace.csv"
+
+
+def _borg_csv(spec):
+    """``borg-csv``'s trace for *spec*, as the reference reads it."""
+    trace = resolve_trace(spec)
+    assert list(trace) == list(reference_borg_csv(spec))
+    return trace
+
+
 class TestTracePipelineProperties:
     @given(
         seed=st.integers(0, 1000),
         start=st.floats(0.0, 1000.0),
         length=st.floats(10.0, 2000.0),
     )
-    @settings(max_examples=40)
-    def test_slice_stride_renumber_invariants(self, seed, start, length):
-        trace = BorgTraceGenerator(seed=seed).scaled_trace(
-            n_jobs=200, overallocators=10
+    @settings(max_examples=40, deadline=None)
+    def test_slice_stride_renumber_invariants(
+        self, csv_path, seed, start, length
+    ):
+        dump_borg_csv(
+            BorgTraceGenerator(seed=seed).scaled_trace(
+                n_jobs=200, overallocators=10
+            ),
+            csv_path,
         )
-        window = Trace(
-            apply_scaling(trace, StreamScaling(start=start, window=length))
+        trace = _borg_csv(f"borg-csv:path={csv_path}")
+        clip = (
+            f"borg-csv:path={csv_path},start={start:.3f},window={length:.3f}"
         )
-        sampled = Trace(apply_scaling(window, StreamScaling(stride=3)))
-        final = materialise(sampled, renumber=True)
+        window = _borg_csv(f"{clip},renumber=false")
+        sampled = _borg_csv(f"{clip},stride=3,renumber=false")
+        final = _borg_csv(f"{clip},stride=3")
         # Never grows, preserves order, starts at zero.
         assert len(final) == len(sampled) <= len(window) <= len(trace)
+        assert sampled.jobs == window.jobs[::3]
         times = [j.submit_time for j in final]
         assert times == sorted(times)
         if times:

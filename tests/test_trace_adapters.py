@@ -1,35 +1,28 @@
-"""The trace-adapter registry: resolution, determinism, public formats."""
-
-import json
+"""The trace-adapter registry: resolution, determinism, the two
+built-ins."""
 
 import pytest
 
 from repro.api import Scenario
+from repro.cli import main
 from repro.constants import DEFAULT_TRACE_SEED
 from repro.errors import RegistryError, TraceError
 from repro.registry import TRACES, register_trace, trace_names
 from repro.trace import (
     Trace,
-    load_borg_csv,
     resolve_trace,
     synthetic_scaled_trace,
     trace_catalogue,
 )
-from repro.trace.loader import dump_borg_csv
+from repro.trace.loader import dump_borg_csv, iter_borg_csv
 
-BUILTIN_ADAPTERS = (
+BUILTIN_ADAPTERS = ("borg-csv", "borg-synth")
+PATHLESS = ("borg-synth",)
+#: Adapters earlier versions registered; no workload replayed them.
+REMOVED_ADAPTERS = (
     "alibaba2018",
     "azure-packing",
-    "borg-csv",
-    "borg-synth",
     "google2019",
-    "synth-bursty",
-    "synth-diurnal",
-    "synth-heavytail",
-    "synth-ramp",
-)
-PATHLESS = (
-    "borg-synth",
     "synth-bursty",
     "synth-diurnal",
     "synth-heavytail",
@@ -52,9 +45,7 @@ class TestRegistry:
         by_name = {e.name: e for e in trace_catalogue()}
         for name in PATHLESS:
             assert by_name[name].needs_path is False
-        for name in ("borg-csv", "google2019", "alibaba2018",
-                     "azure-packing"):
-            assert by_name[name].needs_path is True
+        assert by_name["borg-csv"].needs_path is True
 
     def test_unknown_adapter_lists_known(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -125,29 +116,53 @@ class TestDeterminism:
 
 
 class TestReplay:
-    """Every path-free adapter replays deterministically to the end."""
+    """Both built-in adapters replay deterministically to the end."""
 
     @staticmethod
-    def replay(name):
+    def spec(name, tmp_path):
+        if name == "borg-csv":
+            path = tmp_path / "trace.csv"
+            dump_borg_csv(resolve_trace("borg-synth:seed=3,jobs=60"), path)
+            return f"borg-csv:path={path}"
+        return f"{name}:seed=3,jobs=60"
+
+    @staticmethod
+    def replay(spec):
         return Scenario(
-            trace=f"{name}:seed=3,jobs=60",
+            trace=spec,
             sgx_fraction=0.5,
             seed=1,
             standard_workers=4,
             sgx_workers=4,
         ).run()
 
-    @pytest.mark.parametrize("name", PATHLESS)
-    def test_replays_twice_identically_and_completes(self, name):
-        first = self.replay(name)
-        assert first.signature() == self.replay(name).signature()
+    @pytest.mark.parametrize("name", BUILTIN_ADAPTERS)
+    def test_replays_twice_identically_and_completes(self, name, tmp_path):
+        spec = self.spec(name, tmp_path)
+        first = self.replay(spec)
+        assert first.signature() == self.replay(spec).signature()
         assert len(first.metrics.succeeded) == 60
 
-    def test_synth_replays_differ_between_shapes(self):
-        """The shapes are real workload variety, not renamed copies."""
-        bursty = self.replay("synth-bursty")
-        heavytail = self.replay("synth-heavytail")
-        assert bursty.pod_signature() != heavytail.pod_signature()
+
+class TestRemovedAdapters:
+    """Only the paper's Borg trace ships: the other names are unknown."""
+
+    @pytest.mark.parametrize("name", REMOVED_ADAPTERS)
+    def test_scenario_rejects_the_name(self, name):
+        with pytest.raises(RegistryError) as excinfo:
+            Scenario(trace=f"{name}:seed=3")
+        assert str(excinfo.value) == (
+            f"unknown trace adapter {name!r}; known: borg-csv, borg-synth"
+        )
+
+    @pytest.mark.parametrize("name", REMOVED_ADAPTERS)
+    def test_run_exits_2_naming_the_adapter(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--trace", f"{name}:seed=3"])
+        assert excinfo.value.code == 2
+        assert (
+            f"unknown trace adapter {name!r}" in capsys.readouterr().err
+        )
 
 
 class TestBorgSynth:
@@ -178,64 +193,12 @@ class TestBorgSynth:
             resolve_trace("borg-synth:warp=9")
 
 
-class TestSynthShapes:
-    def test_bursty_mass_concentrates(self):
-        trace = resolve_trace(
-            "synth-bursty:seed=3,jobs=400,bursts=2,base_fraction=0.1"
-        )
-        # 90% of jobs sit in 2 narrow bursts: the busiest tenth of the
-        # window must hold far more than a uniform share.
-        window = 3600.0
-        times = [job.submit_time for job in trace]
-        bins = [0] * 10
-        for t in times:
-            bins[min(9, int(t / window * 10))] += 1
-        assert max(bins) > len(times) * 0.25
-
-    def test_heavytail_durations_spread(self):
-        trace = resolve_trace("synth-heavytail:seed=3,jobs=400")
-        durations = sorted(trace.durations())
-        # Log-normal with sigma=1.6: the p95/p50 ratio is far beyond
-        # anything the bounded Beta duration model produces.
-        assert durations[379] / durations[199] > 5.0
-
-    def test_ramp_rate_grows(self):
-        trace = resolve_trace("synth-ramp:seed=3,jobs=400,factor=9")
-        half = 1800.0
-        early = sum(1 for j in trace if j.submit_time < half)
-        late = len(trace) - early
-        assert late > early * 1.5
-
-    def test_diurnal_window_default_is_a_day(self):
-        trace = resolve_trace("synth-diurnal:seed=3,jobs=200")
-        assert trace[-1].submit_time <= 86_400.0
-        assert trace[-1].submit_time > 3600.0
-
-    @pytest.mark.parametrize(
-        "spec,detail",
-        [
-            ("synth-diurnal:amplitude=1.5", "amplitude"),
-            ("synth-bursty:jobs=10,overallocators=20", "overallocators"),
-            ("synth-heavytail:sigma=0", "sigma"),
-            ("synth-ramp:factor=0.5", "factor"),
-            ("synth-bursty:window=0", "window"),
-            ("synth-heavytail:sigma=inf", "sigma"),
-            ("synth-heavytail:sigma=nan", "sigma"),
-            ("synth-ramp:factor=inf", "factor"),
-            ("synth-ramp:factor=nan", "factor"),
-        ],
-    )
-    def test_option_validation(self, spec, detail):
-        with pytest.raises(TraceError, match=detail):
-            resolve_trace(spec)
-
-
 class TestBorgCsv:
     def test_plain_load_equals_loader(self, tmp_path, small_trace):
         path = tmp_path / "trace.csv"
         dump_borg_csv(small_trace, path)
         via_spec = resolve_trace(f"borg-csv:path={path}")
-        assert list(via_spec) == list(load_borg_csv(path))
+        assert list(via_spec) == list(Trace(iter_borg_csv(path)))
 
     def test_window_and_limit(self, tmp_path, small_trace):
         path = tmp_path / "trace.csv"
@@ -282,187 +245,6 @@ class TestBorgCsv:
     def test_missing_file(self):
         with pytest.raises(TraceError, match="not found"):
             resolve_trace("borg-csv:path=/nope/missing.csv")
-
-
-def _google_event(kind, collection, time_us, **extra):
-    record = {"type": kind, "collection_id": collection, "time": time_us}
-    record.update(extra)
-    return json.dumps(record)
-
-
-class TestGoogle2019:
-    def test_submit_finish_join(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text(
-            "\n".join(
-                [
-                    _google_event(
-                        "SUBMIT", 1, 1_000_000,
-                        resource_request={"memory": 0.25},
-                    ),
-                    _google_event(
-                        "SUBMIT", 2, 2_000_000,
-                        resource_request={"memory": 0.5},
-                    ),
-                    _google_event("SCHEDULE", 1, 1_500_000),
-                    _google_event(
-                        "FINISH", 1, 11_000_000,
-                        maximum_usage={"memory": 0.2},
-                    ),
-                    _google_event("FINISH", 2, 32_000_000),
-                    # FINISH without SUBMIT: dump starts mid-trace.
-                    _google_event("FINISH", 99, 5_000_000),
-                ]
-            )
-        )
-        trace = resolve_trace(f"google2019:path={path}")
-        assert len(trace) == 2
-        first, second = trace.jobs
-        # Renumbered to t=0; collection 1 submitted first.
-        assert first.submit_time == 0.0
-        assert first.duration == 10.0
-        assert first.assigned_memory == 0.25
-        assert first.max_memory == 0.2
-        # No maximum_usage: falls back to the request.
-        assert second.max_memory == 0.5
-        assert second.duration == 30.0
-
-    def test_bad_json_carries_line(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text("{not json}\n")
-        with pytest.raises(TraceError, match=r"events\.jsonl:1"):
-            resolve_trace(f"google2019:path={path}")
-
-    def test_memory_fraction_validated(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text(
-            _google_event(
-                "SUBMIT", 1, 0, resource_request={"memory": 2.5}
-            )
-        )
-        with pytest.raises(TraceError, match="outside"):
-            resolve_trace(f"google2019:path={path}")
-
-
-ALIBABA_HEADER = (
-    "task_name,instance_num,job_name,task_type,status,"
-    "start_time,end_time,plan_cpu,plan_mem"
-)
-
-
-class TestAlibaba2018:
-    def rows(self, *rows):
-        return "\n".join((ALIBABA_HEADER,) + rows)
-
-    def test_terminated_rows_only(self, tmp_path):
-        path = tmp_path / "batch_task.csv"
-        path.write_text(
-            self.rows(
-                "t1,1,j1,A,Terminated,100,160,50,25",
-                "t2,1,j1,A,Running,100,,50,25",
-                "t3,1,j2,A,Failed,100,110,50,25",
-                "t4,1,j2,A,Terminated,200,230,50,50",
-            )
-        )
-        trace = resolve_trace(f"alibaba2018:path={path}")
-        assert len(trace) == 2
-        assert trace[0].duration == 60.0
-        assert trace[0].assigned_memory == 0.25
-        assert trace[1].submit_time == 100.0  # renumbered from 200
-
-    def test_usage_scale_option(self, tmp_path):
-        path = tmp_path / "batch_task.csv"
-        path.write_text(
-            self.rows("t1,1,j1,A,Terminated,100,160,50,40")
-        )
-        trace = resolve_trace(
-            f"alibaba2018:path={path},usage_scale=0.5"
-        )
-        assert trace[0].assigned_memory == 0.4
-        assert trace[0].max_memory == 0.2
-
-    def test_non_numeric_field_carries_line(self, tmp_path):
-        path = tmp_path / "batch_task.csv"
-        path.write_text(
-            self.rows("t1,1,j1,A,Terminated,xyz,160,50,25")
-        )
-        with pytest.raises(TraceError, match=r"batch_task\.csv:2"):
-            resolve_trace(f"alibaba2018:path={path}")
-
-    def test_non_finite_usage_scale_rejected_before_reading(
-        self, tmp_path
-    ):
-        path = tmp_path / "absent.csv"
-        with pytest.raises(TraceError, match="'usage_scale' must be finite"):
-            resolve_trace(f"alibaba2018:path={path},usage_scale=nan")
-
-    def test_plan_mem_out_of_range(self, tmp_path):
-        path = tmp_path / "batch_task.csv"
-        path.write_text(
-            self.rows("t1,1,j1,A,Terminated,100,160,50,250")
-        )
-        with pytest.raises(TraceError, match="plan_mem"):
-            resolve_trace(f"alibaba2018:path={path}")
-
-
-AZURE_HEADER = (
-    "vmid,subscriptionid,deploymentid,vmcreated,vmdeleted,maxcpu,"
-    "avgcpu,p95maxcpu,vmcategory,vmcorecountbucket,vmmemorybucket"
-)
-
-
-class TestAzurePacking:
-    def rows(self, *rows):
-        return "\n".join((AZURE_HEADER,) + rows)
-
-    def test_vm_rows_with_memory_buckets(self, tmp_path):
-        path = tmp_path / "vmtable.csv"
-        path.write_text(
-            self.rows(
-                "vm1,s1,d1,0,3600,50,10,40,Delay-insensitive,4,32",
-                "vm2,s1,d1,300,7500,50,10,40,Interactive,8,>64",
-                # Never deleted: still running at the end of the dump.
-                "vm3,s1,d1,600,,50,10,40,Interactive,2,8",
-            )
-        )
-        trace = resolve_trace(f"azure-packing:path={path}")
-        assert len(trace) == 2
-        assert trace[0].assigned_memory == 0.5  # 32 of 64 GiB
-        assert trace[1].assigned_memory == 1.0  # top bucket clamps
-        assert trace[1].duration == 7200.0
-
-    def test_machine_memory_option(self, tmp_path):
-        path = tmp_path / "vmtable.csv"
-        path.write_text(
-            self.rows("vm1,s1,d1,0,3600,50,10,40,X,4,32")
-        )
-        trace = resolve_trace(
-            f"azure-packing:path={path},machine_memory_gib=128,"
-            "utilization=0.5"
-        )
-        assert trace[0].assigned_memory == 0.25
-        assert trace[0].max_memory == 0.125
-
-    def test_non_finite_machine_memory_rejected_before_reading(
-        self, tmp_path
-    ):
-        path = tmp_path / "absent.csv"
-        with pytest.raises(
-            TraceError, match="'machine_memory_gib' must be finite"
-        ):
-            resolve_trace(f"azure-packing:path={path},machine_memory_gib=inf")
-
-    def test_infinite_timestamp_dies_with_line(self, tmp_path):
-        path = tmp_path / "vmtable.csv"
-        path.write_text(self.rows("vm1,s1,d1,0,1e400,50,10,40,X,4,32"))
-        with pytest.raises(TraceError, match=r"vmtable\.csv:2: .*finite"):
-            resolve_trace(f"azure-packing:path={path}")
-
-    def test_short_row_dies_with_line(self, tmp_path):
-        path = tmp_path / "vmtable.csv"
-        path.write_text(self.rows("vm1,s1,d1,0,3600"))
-        with pytest.raises(TraceError, match=r"vmtable\.csv:2"):
-            resolve_trace(f"azure-packing:path={path}")
 
 
 class TestResolveTypes:

@@ -21,12 +21,13 @@ class TestScaledTrace:
 
     def test_durations_within_cap(self):
         trace = synthetic_scaled_trace(seed=0)
-        assert max(trace.durations()) <= 300.0
+        assert max(job.duration for job in trace) <= 300.0
 
     def test_memory_within_cap(self):
         trace = synthetic_scaled_trace(seed=0)
-        assert max(trace.max_memories()) <= 0.5
-        assert min(trace.max_memories()) > 0.0
+        memories = [job.max_memory for job in trace]
+        assert max(memories) <= 0.5
+        assert min(memories) > 0.0
 
     def test_determinism(self):
         a = synthetic_scaled_trace(seed=5)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from borg_csv_reference import build_borg_csv as reference_borg_csv
 from borg_csv_reference import iter_borg_csv as reference_rows
 from repro.errors import TraceError
-from repro.trace import Trace, load_borg_csv, loader, resolve_trace
+from repro.trace import Trace, loader, resolve_trace
 
 HEADER = "job_id,submit,duration,assigned,max"
 FLOAT_STYLES = (
@@ -136,6 +136,11 @@ def scaling_options(draw):
 CHUNKS = st.one_of(st.integers(1, 96), st.just(loader._CHUNK_CHARS))
 
 
+def _read(path):
+    """The whole file through the columnar reader, unscaled."""
+    return Trace(loader.iter_borg_csv(path))
+
+
 def _outcome(build, *args):
     """Records with their field types, or the error and its message."""
     try:
@@ -187,7 +192,7 @@ class TestAgainstRowPipeline:
                 reference_borg_csv, spec
             )
             if not options:
-                assert _outcome(load_borg_csv, csv_path) == _outcome(
+                assert _outcome(_read, csv_path) == _outcome(
                     lambda path: Trace(reference_rows(path)), csv_path
                 )
 
@@ -199,7 +204,7 @@ class TestAgainstRowPipeline:
             + "0" * csv.field_size_limit()
             + "1,1.0,60.0,0.1,0.1\n"
         )
-        for build in (load_borg_csv, lambda p: Trace(reference_rows(p))):
+        for build in (_read, lambda p: Trace(reference_rows(p))):
             with pytest.raises(csv.Error, match="field limit"):
                 build(path)
 

@@ -1,22 +1,19 @@
-"""Trace scaling on the adapter path, and the public-CSV loader.
+"""Trace scaling through ``borg-csv``, and the Borg CSV round trip.
 
-The public adapters window, stride and renumber a record stream with
-:func:`repro.trace.adapters.common.apply_scaling` and ``materialise``;
-``borg-csv`` does the same on its columns (``test_trace_adapters.py``
-and ``test_trace_columnar.py``).
+``borg-csv`` windows, strides and renumbers its columns as the file
+streams.  Each scaling case here resolves a spec over a file written
+with :func:`dump_borg_csv` and checks its records against
+``borg_csv_reference.py``'s row pipeline (``test_trace_columnar.py``
+does the same over generated files).
 """
 
 import pytest
 
+from borg_csv_reference import build_borg_csv as reference_borg_csv
 from repro.errors import TraceError
 from repro.trace import resolve_trace
-from repro.trace.adapters.common import (
-    StreamScaling,
-    apply_scaling,
-    materialise,
-)
-from repro.trace.loader import dump_borg_csv, load_borg_csv
-from repro.trace.scaling import iter_stride, renumber_from_zero
+from repro.trace.loader import dump_borg_csv
+from repro.trace.scaling import renumber_from_zero
 from repro.trace.schema import JobRecord, Trace
 
 
@@ -35,31 +32,42 @@ def long_trace() -> Trace:
     return Trace([job(i, float(i * 10)) for i in range(2000)])
 
 
+@pytest.fixture
+def long_csv(tmp_path, long_trace):
+    path = tmp_path / "trace.csv"
+    dump_borg_csv(long_trace, path)
+    return path
+
+
+def scaled(path, options):
+    """``borg-csv`` over *path* with *options*, as the reference reads it."""
+    spec = f"borg-csv:path={path},{options}"
+    trace = resolve_trace(spec)
+    assert list(trace) == list(reference_borg_csv(spec))
+    return trace
+
+
 class TestSliceWindow:
-    def test_keeps_only_window_submissions(self, long_trace):
-        window = Trace(
-            apply_scaling(long_trace, StreamScaling(start=100.0, window=100.0))
-        )
+    def test_keeps_only_window_submissions(self, long_csv):
+        window = scaled(long_csv, "start=100,window=100,renumber=false")
         times = [j.submit_time for j in window]
         assert min(times) >= 100.0
         assert max(times) < 200.0
 
-    def test_empty_window_rejected(self, tmp_path, long_trace):
-        path = tmp_path / "trace.csv"
-        dump_borg_csv(long_trace, path)
+    def test_empty_window_rejected(self, long_csv):
         with pytest.raises(TraceError, match="window"):
-            resolve_trace(f"borg-csv:path={path},window=0")
+            resolve_trace(f"borg-csv:path={long_csv},window=0")
 
 
 class TestSampleStride:
-    def test_every_nth_job(self, long_trace):
-        sampled = list(iter_stride(long_trace, 100))
+    def test_every_nth_job(self, long_csv):
+        sampled = scaled(long_csv, "stride=100")
         assert len(sampled) == 20
         assert [j.job_id for j in sampled][:3] == [0, 100, 200]
 
-    def test_bad_stride_rejected(self, long_trace):
-        with pytest.raises(TraceError):
-            list(iter_stride(long_trace, 0))
+    def test_bad_stride_rejected(self, long_csv):
+        with pytest.raises(TraceError, match="'stride' must be >= 1"):
+            resolve_trace(f"borg-csv:path={long_csv},stride=0")
 
 
 class TestRenumber:
@@ -86,11 +94,10 @@ class TestRenumber:
 
 
 class TestPipeline:
-    def test_full_pipeline(self, long_trace):
-        scaling = StreamScaling(start=0.0, window=20_000.0, stride=10)
-        scaled = materialise(apply_scaling(long_trace, scaling), True)
-        assert len(scaled) == 200
-        assert scaled[0].submit_time == 0.0
+    def test_full_pipeline(self, long_csv):
+        scaled_trace = scaled(long_csv, "start=0,window=20000,stride=10")
+        assert len(scaled_trace) == 200
+        assert scaled_trace[0].submit_time == 0.0
 
 
 class TestLoader:
@@ -98,13 +105,13 @@ class TestLoader:
         path = tmp_path / "trace.csv"
         small = Trace(long_trace.jobs[:10])
         dump_borg_csv(small, path)
-        loaded = load_borg_csv(path)
+        loaded = resolve_trace(f"borg-csv:path={path}")
         assert len(loaded) == 10
         assert loaded[0].submit_time == small[0].submit_time
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="not found"):
-            load_borg_csv(tmp_path / "ghost.csv")
+            resolve_trace(f"borg-csv:path={tmp_path / 'ghost.csv'}")
 
     def test_comments_and_header_skipped(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -113,17 +120,17 @@ class TestLoader:
             "# a comment\n"
             "1,0.0,10.0,0.1,0.05\n"
         )
-        loaded = load_borg_csv(path)
+        loaded = resolve_trace(f"borg-csv:path={path}")
         assert len(loaded) == 1
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("1,0.0,10.0\n")
         with pytest.raises(TraceError, match="columns"):
-            load_borg_csv(path)
+            resolve_trace(f"borg-csv:path={path}")
 
     def test_bad_values_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("1,0.0,-5.0,0.1,0.05\n")
         with pytest.raises(TraceError, match="bad job record"):
-            load_borg_csv(path)
+            resolve_trace(f"borg-csv:path={path}")

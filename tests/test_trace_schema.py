@@ -85,19 +85,3 @@ class TestTrace:
             [job(1, assigned=0.1, used=0.2), job(2, assigned=0.2, used=0.1)]
         )
         assert trace.overallocator_count == 1
-
-    def test_concurrency_at(self):
-        trace = Trace(
-            [
-                job(1, submit=0.0, duration=10.0),
-                job(2, submit=5.0, duration=10.0),
-            ]
-        )
-        assert trace.concurrency_at(7.0) == 2
-        assert trace.concurrency_at(12.0) == 1
-        assert trace.concurrency_at(20.0) == 0
-
-    def test_samples(self):
-        trace = Trace([job(1, duration=10.0, used=0.3)])
-        assert trace.durations() == [10.0]
-        assert trace.max_memories() == [0.3]

@@ -27,9 +27,9 @@ class TestParse:
         assert spec.options == (("jobs", "500"), ("seed", "7"))
 
     def test_values_stay_raw_strings(self):
-        spec = parse_trace_spec("google2019:path=/data/ev.jsonl,window=1h")
+        spec = parse_trace_spec("borg-csv:path=/data/trace.csv,window=1h")
         assert dict(spec.options) == {
-            "path": "/data/ev.jsonl",
+            "path": "/data/trace.csv",
             "window": "1h",
         }
 

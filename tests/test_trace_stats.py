@@ -6,32 +6,9 @@ from repro.errors import TraceError
 from repro.trace.stats import (
     cdf_at,
     confidence_interval_95,
-    empirical_cdf,
     mean,
     percentile,
 )
-
-
-class TestEmpiricalCdf:
-    def test_steps_reach_100(self):
-        points = empirical_cdf([1.0, 2.0, 3.0])
-        assert points[-1] == (3.0, pytest.approx(100.0))
-
-    def test_duplicates_collapse(self):
-        points = empirical_cdf([1.0, 1.0, 2.0])
-        assert points == [
-            (1.0, pytest.approx(200.0 / 3.0)),
-            (2.0, pytest.approx(100.0)),
-        ]
-
-    def test_monotone(self):
-        points = empirical_cdf([5.0, 1.0, 3.0, 2.0, 4.0])
-        shares = [s for _, s in points]
-        assert shares == sorted(shares)
-
-    def test_empty_rejected(self):
-        with pytest.raises(TraceError):
-            empirical_cdf([])
 
 
 class TestCdfAt:

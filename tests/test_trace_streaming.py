@@ -1,14 +1,13 @@
 """Streaming readers: bounded memory, header/comment handling, errors."""
 
-import json
 import tracemalloc
 
 import pytest
 
 from repro.errors import TraceError
-from repro.trace import Trace, load_borg_csv, resolve_trace
+from repro.trace import Trace, resolve_trace
+from repro.trace.loader import iter_borg_csv
 from repro.trace.schema import JobRecord
-from repro.trace.stream import csv_rows, jsonl_rows
 
 
 def _write_big_borg_csv(path, rows):
@@ -33,7 +32,7 @@ class TestBoundedMemory:
         _write_big_borg_csv(path, 100_000)
 
         tracemalloc.start()
-        full = load_borg_csv(path)
+        full = Trace(iter_borg_csv(path))
         _, full_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(full) == 100_000
@@ -104,62 +103,51 @@ class TestLimitAndChunks:
             match=r"big\.csv:15002: bad job record: job 15000: "
             "non-positive",
         ):
-            load_borg_csv(path)
+            resolve_trace(f"borg-csv:path={path}")
 
 
 class TestCsvRows:
+    """``borg-csv``'s csv rules: blanks and comments anywhere, one
+    header, five columns."""
+
     def test_header_comments_blanks_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
             "# a comment\n"
             "\n"
-            "id,start,duration\n"
-            "1,0.0,60\n"
+            "id,submit,duration,assigned,max\n"
+            "1,0.0,60,0.1,0.2\n"
             "# mid-file comment\n"
-            "2,5.0,30\n"
+            "\n"
+            "2,5.0,30,0.1,0.2\n"
+            "3,zap,30,0.1,0.2\n"
         )
-        rows = list(csv_rows(path, columns=3, numeric_probe=1))
-        assert [line for line, _ in rows] == [4, 6]
-        assert rows[0][1] == ["1", "0.0", "60"]
+        # The bad row's line number counts the skipped lines.
+        with pytest.raises(TraceError, match=r"t\.csv:8: bad job record"):
+            resolve_trace(f"borg-csv:path={path}")
+        kept = resolve_trace(f"borg-csv:path={path},limit=2")
+        assert [(job.job_id, job.submit_time) for job in kept] == [
+            (1, 0.0),
+            (2, 5.0),
+        ]
 
     def test_headerless_file_keeps_first_row(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("1,0.0,60\n2,5.0,30\n")
-        rows = list(csv_rows(path, columns=3, numeric_probe=1))
-        assert len(rows) == 2
+        path.write_text("1,0.0,60,0.1,0.2\n2,5.0,30,0.1,0.2\n")
+        trace = resolve_trace(f"borg-csv:path={path}")
+        assert [job.job_id for job in trace] == [1, 2]
 
     def test_arity_mismatch_carries_line(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("1,0.0,60\n2,5.0\n")
+        path.write_text("1,0.0,60,0.1,0.2\n2,5.0,30\n")
         with pytest.raises(
-            TraceError, match=r"t\.csv:2: expected 3 columns, got 2"
+            TraceError, match=r"t\.csv:2: expected 5 columns, got 3"
         ):
-            list(csv_rows(path, columns=3, numeric_probe=1))
+            resolve_trace(f"borg-csv:path={path}")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError, match="not found"):
-            list(csv_rows(tmp_path / "absent.csv"))
-
-
-class TestJsonlRows:
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text(
-            "# comment\n\n" + json.dumps({"a": 1}) + "\n"
-        )
-        assert list(jsonl_rows(path)) == [(3, {"a": 1})]
-
-    def test_bad_json_carries_line(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"ok": 1}\n{broken\n')
-        with pytest.raises(TraceError, match=r"t\.jsonl:2: bad JSON"):
-            list(jsonl_rows(path))
-
-    def test_non_object_rejected(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text("[1, 2, 3]\n")
-        with pytest.raises(TraceError, match="expected a JSON object"):
-            list(jsonl_rows(path))
+            resolve_trace(f"borg-csv:path={tmp_path / 'absent.csv'}")
 
 
 class TestLoaderErrors:
@@ -172,7 +160,7 @@ class TestLoaderErrors:
             "1,zap,60.0,0.01,0.02\n"
         )
         with pytest.raises(TraceError, match=r"t\.csv:3"):
-            load_borg_csv(path)
+            resolve_trace(f"borg-csv:path={path}")
 
     def test_nan_rejected_by_trace_validation(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -182,7 +170,7 @@ class TestLoaderErrors:
             "0,nan,60.0,0.01,0.02\n"
         )
         with pytest.raises(TraceError, match="finite"):
-            load_borg_csv(path)
+            resolve_trace(f"borg-csv:path={path}")
 
     NON_FINITE = (
         "job_id,submit_time_seconds,duration_seconds,"
@@ -211,7 +199,7 @@ class TestLoaderErrors:
         with pytest.raises(
             TraceError, match=r"t\.csv:5: bad job record: job 3: .*finite"
         ):
-            load_borg_csv(path)
+            resolve_trace(f"borg-csv:path={path}")
 
     def test_trace_rejects_nan_duration(self):
         record = JobRecord(
