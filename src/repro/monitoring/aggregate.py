@@ -5,15 +5,16 @@ The paper's scheduler reads exactly one thing from monitoring: Listing
 value <> 0 AND time >= now() - 25s GROUP BY pod_name, nodename``.
 :class:`WindowedAggregateCache` keeps, for every ``(measurement,
 nodename, pod_name)`` series, that rolling MAX with the classic
-monotonic-deque algorithm:
+monotonic-deque algorithm.
 
-* Heapster and the SGX probes hand it one batch of ``(nodename,
-  pod_name, value)`` rows per node per tick through
-  :meth:`~WindowedAggregateCache.ingest`, each absorbed in O(1)
-  amortised time;
-* no raw series are kept: samples no query can reach again are trimmed
-  on ingest, so memory is bounded by the window;
-* expiry is lazy (front-of-deque pops at query time).
+Collectors report by change: at every collection Heapster and the SGX
+probes hand it the series that started, changed value or ended (a row
+of value 0), read from the pods each kubelet's :class:`SeriesLog`
+names.  The store counts a live series as sampled at every collection
+with its last value, so it answers as if every pod were sampled at
+every collection, at a cost that follows the changes, not the pods.
+No raw series are kept (memory is bounded by the window) and expiry
+is lazy: front-of-deque pops at query time.
 
 Series are grouped by node, and every node carries two things that let
 the scheduler rebuild only the node views whose rows moved:
@@ -22,34 +23,47 @@ the scheduler rebuild only the node views whose rows moved:
   :attr:`~WindowedAggregateCache.content_version` at the node's last
   reported-row change (a new series, a rising maximum, or an expiry
   that surfaces a smaller value or kills a series);
-* a **stability horizon**: the oldest window maximum among the node's
-  series.  While a query's cutoff stays at or below it, expiry can
-  change none of the node's rows, so
+* a **stability horizon**: the oldest maximum that can expire among
+  the node's series.  While a query's cutoff stays at or below it,
+  expiry can change none of the node's rows, so
   :meth:`~WindowedAggregateCache.node_states` walks only the nodes
   whose horizon lapsed.
 
-A query the store cannot answer (a ``now`` earlier than absorbed data
-or than an earlier query) raises :class:`~repro.errors.MonitoringError`:
-there is no raw series to fall back to.  The simulation's monotone
-clock never asks one.  Listing 1 itself, run by an InfluxQL engine
-over a time-series database, is the reference the tests compare every
-view build with.
+A query or report the store cannot answer (a ``now`` earlier than the
+last collection, or a query earlier than an earlier query) raises
+:class:`~repro.errors.MonitoringError`: there is no raw series to fall
+back to.  The simulation's monotone clock never makes one.  Listing 1
+itself, run by an InfluxQL engine over a time-series database that
+receives every pod's sample at every collection, is the reference the
+tests compare every view build with.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from ..constants import METRICS_WINDOW_SECONDS
 from ..errors import MonitoringError
 
-#: One collected sample: ``(nodename, pod_name, value)``.
+#: One reported row: ``(nodename, pod_name, value)``; value 0 ends the
+#: series.
 SampleRow = Tuple[str, str, float]
 
 #: One series' monotonic max structure: ``(time, value)`` pairs, times
 #: ascending and values strictly decreasing.  The front is the window
-#: maximum after expiry; the back is the series' newest sample.
+#: maximum after expiry; the back is the series' newest sample (for a
+#: live series, the value it holds at every collection since).
 _MaxDeque = Deque[Tuple[float, float]]
 
 _INF = float("inf")
@@ -59,32 +73,83 @@ _NO_NODE = object()
 
 
 class MetricsSink(Protocol):
-    """Where collectors send samples, one batch per node per tick."""
+    """Where collectors send changes, one batch per collection."""
 
-    def ingest(
+    def report(
         self, measurement: str, now: float, rows: Sequence[SampleRow]
     ) -> None:
-        """Absorb *rows*, all sampled at *now*, into *measurement*."""
+        """Absorb the series that started, changed or ended (value 0)
+        at the collection at *now*."""
         ...  # pragma: no cover - protocol
+
+
+class SeriesLog:
+    """One node's series of one measurement, as its collector sees them.
+
+    The kubelet files a pod's record in :attr:`touched` at every write
+    that can move the pod's reading (admission, teardown, an SGX 2
+    resize); at each collection the collector drains it (:meth:`drain`).
+    Only the state at the collection is read, so what happens between
+    two (a migration's checkpoint, a pod admitted and torn down) is
+    never seen, as sampling every pod would not see it.  Series are
+    keyed by pod name, as Listing 1 groups them, so a touched pod's
+    reading is its name's series value: two live pods of one name on
+    one node share a series.
+    """
+
+    __slots__ = ("node_name", "touched", "reported")
+
+    def __init__(self, node_name: str) -> None:
+        self.node_name = node_name
+        #: Pod uid -> the pod's kubelet record (``pod_name``, ``pid``),
+        #: insertion-ordered; a torn-down record has no pid.
+        self.touched: Dict[str, Any] = {}
+        #: Pod name -> the non-zero value last reported for it.
+        self.reported: Dict[str, float] = {}
+
+    def drain(self, read: Callable[[Any], float]) -> List[SampleRow]:
+        """The rows of the touched pods whose reading moved, in touch
+        order; *read* gives a live record's reading.  Empties
+        :attr:`touched`."""
+        rows: List[SampleRow] = []
+        node_name = self.node_name
+        reported = self.reported
+        for record in self.touched.values():
+            value = 0.0 if record.pid is None else float(read(record))
+            name = record.pod_name
+            if value != reported.get(name, 0.0):
+                rows.append((node_name, name, value))
+                if value:
+                    reported[name] = value
+                else:
+                    del reported[name]
+        self.touched.clear()
+        return rows
 
 
 class _NodeState:
     """One node's series of one measurement, keyed by pod name.
 
+    ``live`` names the series whose collector last reported a non-zero
+    value: each is sampled at every collection with its deque's newest
+    value, so that newest entry stands for the measurement's last
+    collection and never expires while collections continue.
     ``version`` is the store's content version at the node's last
     reported-row change.  The counter never goes back and starts at 0,
     so a node state deleted and created again never repeats a version,
     and callers may read a node without state as version 0 (no rows).
-    ``horizon`` is at most the time of every series' window maximum
-    (its max-deque head): expiry at a cutoff at or below it pops no
-    head and kills no series.  A walk (:meth:`expire`) sets it exactly;
-    between walks, a sample that becomes a series' maximum lowers it.
+    ``horizon`` is at most the time of every maximum that can expire:
+    every ended series' max-deque head, and every live series' head
+    that is not its newest entry.  A walk (:meth:`expire`) sets it
+    exactly; between walks, an end or a change that leaves an older
+    maximum in front lowers it.
     """
 
-    __slots__ = ("series", "version", "horizon")
+    __slots__ = ("series", "live", "version", "horizon")
 
     def __init__(self) -> None:
         self.series: Dict[Optional[str], _MaxDeque] = {}
+        self.live: Dict[Optional[str], None] = {}
         self.version = 0
         self.horizon = _INF
 
@@ -96,23 +161,27 @@ class _NodeState:
 
         Max-deque values strictly decrease, so a popped head always
         surfaces a smaller maximum; the deque's back is the series'
-        newest point, so an emptied deque is a dead series.
+        newest point, so an emptied deque is a dead series.  A live
+        series keeps its newest entry.
         """
         changed = False
         horizon = _INF
         dead: List[Optional[str]] = []
+        live = self.live
         for pod_name, maxdeque in self.series.items():
-            if maxdeque[0][0] < cutoff:
+            keep = 1 if pod_name in live else 0
+            if len(maxdeque) > keep and maxdeque[0][0] < cutoff:
                 changed = True
                 maxdeque.popleft()
-                while maxdeque and maxdeque[0][0] < cutoff:
+                while len(maxdeque) > keep and maxdeque[0][0] < cutoff:
                     maxdeque.popleft()
                 if not maxdeque:
                     dead.append(pod_name)
                     continue
-            head_time = maxdeque[0][0]
-            if head_time < horizon:
-                horizon = head_time
+            if len(maxdeque) > keep:
+                head_time = maxdeque[0][0]
+                if head_time < horizon:
+                    horizon = head_time
         for pod_name in dead:
             del self.series[pod_name]
         self.horizon = horizon
@@ -128,28 +197,36 @@ class _NodeState:
 
 
 class _MeasurementState:
-    """All series of one measurement, by node, plus the validity
-    watermarks."""
+    """All series of one measurement, by node, plus the collection
+    clock and the validity watermarks."""
 
-    __slots__ = ("nodes", "horizon", "max_time", "hwm")
+    __slots__ = (
+        "nodes", "horizon", "last", "prev", "hwm", "paused", "paused_at",
+    )
 
     def __init__(self) -> None:
         self.nodes: Dict[Optional[str], _NodeState] = {}
         #: At most every node's horizon: while a query's cutoff stays
         #: at or below it, no node needs a walk.
         self.horizon = _INF
-        #: Newest non-zero sample time absorbed; queries earlier than
-        #: this would wrongly see "future" samples, so they are refused.
-        self.max_time = float("-inf")
+        #: The latest collection, and the one before it.
+        self.last = float("-inf")
+        self.prev = float("-inf")
         #: Highest query ``now`` served; queries earlier than this may
         #: need already-expired samples.
         self.hwm = float("-inf")
+        #: Live series expired by a pause in collections longer than
+        #: the window, by node, with their values; they start anew at
+        #: the first collection after :attr:`paused_at` that does not
+        #: report them.
+        self.paused: Dict[Optional[str], Dict[Optional[str], float]] = {}
+        self.paused_at = float("-inf")
 
 
 class WindowedAggregateCache:
     """Sliding-window MAX store over Listing 1's 25 s window
     (:data:`~repro.constants.METRICS_WINDOW_SECONDS`), fed by
-    :meth:`ingest`."""
+    :meth:`report`."""
 
     __slots__ = ("_measurements", "content_version")
 
@@ -157,90 +234,168 @@ class WindowedAggregateCache:
         self._measurements: Dict[str, _MeasurementState] = {}
         #: Bumped at every reported-row change of any node (see
         #: :class:`_NodeState`); each node keeps the value of its last
-        #: one as its version.  Samples that merely refresh an unchanged
-        #: maximum (steady-state probes) bump nothing.
+        #: one as its version.  A change that merely lowers a live
+        #: series below its window maximum bumps nothing.
         self.content_version = 0
 
-    def ingest(
+    def report(
         self, measurement: str, now: float, rows: Sequence[SampleRow]
     ) -> None:
-        """Absorb one batch of ``(nodename, pod_name, value)`` samples
-        taken at *now* — one node's tick from one collector.
+        """Absorb one collector's ``(nodename, pod_name, value)`` rows
+        for the collection at *now*: the series that started, changed
+        value or ended (value 0) since the previous collection.
 
-        Zero values are not retained (Listing 1 filters ``value <>
-        0``), a new series or a rising maximum is a change of its node,
-        and a new maximum lowers the horizons.  Samples no query can
-        reach again are trimmed: queries earlier than absorbed data are
-        refused, so nothing older than ``now - window`` is ever served.
-        The maximum deque keeps its head (the head decides the
-        rising-max changes and the expiry walks' change test) and drops
-        only the expired entries behind it, so what every query reports
-        is unchanged while memory stays bounded by the window.
+        Collectors call this at every collection, rows or not: the
+        first call at a new *now* opens a collection, where every live
+        series counts as sampled with its last value.  A change or an
+        end first dates the series' newest entry at the previous
+        collection (the last that saw the old value); a start or a
+        change is then absorbed as a sample at *now*, where a new
+        series or a rising maximum is a change of its node.  Entries
+        behind the deque's head that no query can reach again are
+        trimmed.  A value-0 row for a series that is not live changes
+        nothing (Listing 1 filters ``value <> 0``).
+
+        Raises :class:`~repro.errors.MonitoringError` when *now* lies
+        before the measurement's last collection.
         """
-        if not rows:
-            return
         state = self._measurements.get(measurement)
         if state is None:
             state = self._measurements[measurement] = _MeasurementState()
+        if now != state.last:
+            if now < state.last:
+                raise MonitoringError(
+                    f"{measurement!r} report at t={now} is older than "
+                    f"the last collection at t={state.last}"
+                )
+            if state.paused:
+                self._close(state)
+            state.prev = state.last
+            state.last = now
+        if not rows:
+            return
         nodes = state.nodes
+        paused = state.paused
+        prev = state.prev
         cutoff = now - METRICS_WINDOW_SECONDS
         version = self.content_version
-        absorbed = False
         node_name: object = _NO_NODE
-        # The batch's rows share one time, so the batch lowers a node's
-        # horizon at most once: to *now*, if that is below it.
-        lowers = False
-        try:
-            for nodename, pod_name, value in rows:
-                if value == 0.0:
-                    # Listing 1 filters ``value <> 0``: never a max.
+        node: Optional[_NodeState] = None
+        node_paused: Optional[Dict[Optional[str], float]] = None
+        for nodename, pod_name, value in rows:
+            if nodename != node_name:
+                # A batch is grouped by node: look it up once per run.
+                node_name = nodename
+                node = nodes.get(nodename)
+                node_paused = paused.get(nodename) if paused else None
+            if node is not None and pod_name in node.live:
+                maxdeque = node.series[pod_name]
+                time, old = maxdeque[-1]
+                if time < prev:
+                    maxdeque[-1] = (prev, old)
+                if not value:
+                    # An end: the series' maxima can expire from now on.
+                    del node.live[pod_name]
+                    head_time = maxdeque[0][0]
+                    if head_time < node.horizon:
+                        node.horizon = head_time
+                        if head_time < state.horizon:
+                            state.horizon = head_time
                     continue
-                if nodename != node_name:
-                    # A batch is one node's: look it up once.
-                    node = nodes.get(nodename)
-                    if node is None:
-                        node = nodes[nodename] = _NodeState()
-                    node_name = nodename
-                    node_series = node.series
-                    lowers = now < node.horizon
-                maxdeque = node_series.get(pod_name)
+            else:
+                if node_paused is not None:
+                    node_paused.pop(pod_name, None)
+                if not value:
+                    continue
+                if node is None:
+                    node = nodes[nodename] = _NodeState()
+                node.live[pod_name] = None
+                maxdeque = node.series.get(pod_name)
                 if maxdeque is None:
-                    maxdeque = node_series[pod_name] = deque()
+                    maxdeque = node.series[pod_name] = deque()
                     version += 1
                     node.version = version
-                elif now < maxdeque[-1][0]:
-                    raise MonitoringError(
-                        f"{measurement!r} sample for "
-                        f"{(nodename, pod_name)} at t={now} is older "
-                        f"than the series' newest at t={maxdeque[-1][0]}"
-                    )
-                elif value > maxdeque[0][1]:
-                    version += 1
-                    node.version = version
-                absorbed = True
-                while maxdeque and maxdeque[-1][1] <= value:
-                    maxdeque.pop()
-                if lowers and not maxdeque:
-                    # The sample is the series' new window maximum.
-                    node.horizon = now
-                    lowers = False
-                    if now < state.horizon:
-                        state.horizon = now
-                maxdeque.append((now, value))
+            if maxdeque and value > maxdeque[0][1]:
+                version += 1
+                node.version = version
+            while maxdeque and maxdeque[-1][1] <= value:
+                maxdeque.pop()
+            maxdeque.append((now, value))
+            if len(maxdeque) > 1:
+                # The head is a maximum the live value no longer holds.
+                head_time = maxdeque[0][0]
+                if head_time < node.horizon:
+                    node.horizon = head_time
+                    if head_time < state.horizon:
+                        state.horizon = head_time
                 if len(maxdeque) > 2 and maxdeque[1][0] < cutoff:
                     head = maxdeque.popleft()
                     while maxdeque[0][0] < cutoff:
                         maxdeque.popleft()
                     maxdeque.appendleft(head)
-        finally:
-            # Rows absorbed before a refused one stay absorbed.
-            if absorbed and now > state.max_time:
-                state.max_time = now
-            self.content_version = version
+        self.content_version = version
 
     #: ``bench/run.py`` times this attribute as its
     #: ``monitoring.aggregate`` layer; nothing in the package calls it.
-    on_write = ingest
+    on_write = report
+
+    def end_node(self, nodename: str) -> None:
+        """End every live series of *nodename*, in every measurement,
+        as of that measurement's last collection: the node left, and
+        nothing polls it again."""
+        for state in self._measurements.values():
+            self._close(state)
+            state.paused.pop(nodename, None)
+            node = state.nodes.get(nodename)
+            if node is None or not node.live:
+                continue
+            last = state.last
+            for pod_name in node.live:
+                maxdeque = node.series[pod_name]
+                time, value = maxdeque[-1]
+                if time < last:
+                    maxdeque[-1] = (last, value)
+                head_time = maxdeque[0][0]
+                if head_time < node.horizon:
+                    node.horizon = head_time
+            node.live.clear()
+            if node.horizon < state.horizon:
+                state.horizon = node.horizon
+
+    # -- collections that pause past the window --------------------------
+
+    def _pause(self, state: _MeasurementState) -> None:
+        """The query's cutoff passed the last collection: every sample
+        expired.  Every node leaves (read as version 0, no rows); the
+        live series' values wait for the next collection."""
+        for nodename, node in state.nodes.items():
+            if node.live:
+                waiting = state.paused.setdefault(nodename, {})
+                for pod_name in node.live:
+                    waiting[pod_name] = node.series[pod_name][-1][1]
+        state.nodes.clear()
+        state.horizon = _INF
+        state.paused_at = state.last
+
+    def _close(self, state: _MeasurementState) -> None:
+        """Once the first collection after a pause is over, start the
+        paused series it did not report anew there, as sampling it
+        would have."""
+        if not state.paused or state.last <= state.paused_at:
+            return
+        now = state.last
+        for nodename, values in state.paused.items():
+            if not values:
+                continue  # the collection reported them all
+            node = state.nodes.get(nodename)
+            if node is None:
+                node = state.nodes[nodename] = _NodeState()
+            for pod_name, value in values.items():
+                node.series[pod_name] = deque([(now, value)])
+                node.live[pod_name] = None
+            self.content_version += 1
+            node.version = self.content_version
+        state.paused = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -276,15 +431,15 @@ class WindowedAggregateCache:
         store's own: read it before the next write, never change it.
 
         Raises :class:`~repro.errors.MonitoringError` when *now* lies
-        before absorbed data or before an earlier query (which may
-        already have expired what *now* would see).
+        before the last collection or before an earlier query (which
+        may already have expired what *now* would see).
         """
         state = self._measurements.get(measurement)
         if state is None:
-            return {}  # nothing absorbed: no rows
-        if now < state.max_time or now < state.hwm:
-            if now < state.max_time:
-                reason = f"data was absorbed up to t={state.max_time}"
+            return {}  # never collected: no rows
+        if now < state.last or now < state.hwm:
+            if now < state.last:
+                reason = f"the last collection was at t={state.last}"
             else:
                 reason = f"a query at t={state.hwm} already expired it"
             raise MonitoringError(
@@ -292,8 +447,12 @@ class WindowedAggregateCache:
                 f"query at t={now} is too early: {reason}"
             )
         state.hwm = now
+        if state.paused:
+            self._close(state)
         cutoff = now - METRICS_WINDOW_SECONDS
-        if state.horizon < cutoff:
+        if cutoff > state.last and state.nodes:
+            self._pause(state)
+        elif state.horizon < cutoff:
             self._expire(state, cutoff)
         return state.nodes
 
@@ -302,4 +461,5 @@ class WindowedAggregateCache:
         state = self._measurements.get(measurement)
         if state is None:
             return 0
+        self._close(state)
         return sum(len(node.series) for node in state.nodes.values())

@@ -1,34 +1,41 @@
 """Heapster-like collector for standard-memory metrics.
 
 The paper configures Heapster to gather per-pod memory usage on every
-node and push it into InfluxDB (Section V-C).  Our collector polls its
-*sources* (the orchestrator's live kubelets, in practice) and hands
-each node's samples to a :class:`~repro.monitoring.aggregate.MetricsSink`
-(the scheduler's sliding-window MAX store) as one batch of
-``(nodename, pod_name, value)`` rows per collection pass: the
+node and push it into InfluxDB (Section V-C).  Our collector reads its
+*sources* (the orchestrator's live kubelets, in practice) by change:
+at each collection it reads the cgroup memory of the pods each kubelet
+touched since the previous one, and hands a
+:class:`~repro.monitoring.aggregate.MetricsSink` (the scheduler's
+sliding-window MAX store) one batch of ``(nodename, pod_name, value)``
+rows for the series that started, changed or ended (value 0): the
 ``pod_name`` and ``nodename`` tags the paper's Listing 1 groups by.
 """
 
 from __future__ import annotations
 
-from typing import Collection, List, Protocol
+from typing import TYPE_CHECKING, Collection, Protocol
 
-from .aggregate import MetricsSink, SampleRow
+from .aggregate import MetricsSink, SeriesLog
+
+if TYPE_CHECKING:
+    from ..cluster.node import Node
 
 #: Measurement name for standard memory, Heapster-style.
 MEASUREMENT_MEMORY = "memory/usage"
 
 
 class MemorySource(Protocol):
-    """Anything able to report per-pod memory (Kubelets implement this)."""
+    """What Heapster reads of one node (Kubelets implement this)."""
 
-    def memory_rows(self) -> List[SampleRow]:
-        """Measured standard-memory bytes per pod on this source's node."""
-        ...  # pragma: no cover - protocol
+    #: The machine whose cgroups Heapster reads.
+    node: Node
+    #: The node's memory series and the pods touched since the last
+    #: collection; a touched record has a ``cgroup_path``.
+    memory_log: SeriesLog
 
 
 class Heapster:
-    """Polls Kubelet-like sources and sends per-pod memory samples.
+    """Reads Kubelet-like sources and sends per-pod memory changes.
 
     *sources* is read on every collection, so a live collection (the
     orchestrator's ``kubelets.values()``) follows nodes as they join
@@ -42,11 +49,15 @@ class Heapster:
         self.sources = sources
 
     def collect(self, now: float) -> int:
-        """Poll every source once; returns the number of samples taken."""
-        taken = 0
-        ingest = self.sink.ingest
+        """One collection over every source; returns the number of rows
+        reported (the store hears of the collection even with none)."""
+        rows = []
         for source in self.sources:
-            rows = source.memory_rows()
-            ingest(MEASUREMENT_MEMORY, now, rows)
-            taken += len(rows)
-        return taken
+            log = source.memory_log
+            if log.touched:
+                cgroup_memory_bytes = source.node.cgroup_memory_bytes
+                rows += log.drain(
+                    lambda record: cgroup_memory_bytes(record.cgroup_path)
+                )
+        self.sink.report(MEASUREMENT_MEMORY, now, rows)
+        return len(rows)

@@ -3,15 +3,17 @@
 One probe runs on every node that advertises EPC pages (the paper
 deploys it as a DaemonSet, Section V-C; here the orchestrator files it
 in :attr:`~repro.orchestrator.controller.Orchestrator.probes` when the
-node joins and drops it when the node leaves).  It reads the patched
-driver's counters — the ``sgx_nr_total_epc_pages`` /
-``sgx_nr_free_pages`` module parameters plus the per-process occupancy
-ioctl rolled up by cgroup — and hands per-pod EPC usage to the same
-sink Heapster uses, as one batch of ``(nodename, pod_name, pages)``
-rows under the ``sgx/epc`` measurement, so the scheduler's Listing 1
-query covers both resource kinds with one shape.
-The driver's node-level gauges (total and free pages) are read with
-the counters but stored nowhere: the scheduler never reads them.
+node joins and drops it when the node leaves).  At each collection it
+reads the patched driver's per-process occupancy ioctl
+(``IOCTL_GET_EPC_USAGE``, Section V-E) for the pods its kubelet
+touched since the previous one, and hands the same sink Heapster uses
+one batch of ``(nodename, pod_name, pages)`` rows under the
+``sgx/epc`` measurement for the series that started, changed or ended
+(value 0), so the scheduler's Listing 1 query covers both resource
+kinds with one shape.  The driver's node-level gauges (the
+``sgx_nr_total_epc_pages`` / ``sgx_nr_free_pages`` module parameters)
+stay readable through :meth:`~repro.sgx.driver.SgxDriver.read_parameter`
+but are stored nowhere: the scheduler never reads them.
 
 Values are written in **EPC pages**, the unit the whole accounting chain
 (advertised capacity, driver, scheduler) shares.
@@ -19,17 +21,15 @@ Values are written in **EPC pages**, the unit the whole accounting chain
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from ..sgx.driver import SgxDriver
-from .aggregate import MetricsSink
+from ..sgx.driver import IOCTL_GET_EPC_USAGE, SgxDriver
+from .aggregate import MetricsSink, SeriesLog
 
 #: Measurement name for EPC usage, as in the paper's Listing 1.
 MEASUREMENT_EPC = "sgx/epc"
 
 
 class SgxMetricsProbe:
-    """Per-node probe translating driver counters into samples.
+    """Per-node probe translating driver counters into change rows.
 
     Parameters
     ----------
@@ -38,37 +38,38 @@ class SgxMetricsProbe:
     driver:
         The node's :class:`~repro.sgx.driver.SgxDriver`.
     sink:
-        Where samples go: the window-max store.
-    pod_name_resolver:
-        Maps a cgroup path to the owning pod's name.  Supplied by the
-        Kubelet, which owns the cgroup-to-pod mapping.  Unresolvable
-        cgroups are skipped (e.g. enclaves of system daemons).
+        Where rows go: the window-max store.
+    log:
+        The node's EPC series and the pods touched since the last
+        collection (the kubelet's
+        :attr:`~repro.orchestrator.kubelet.Kubelet.epc_log`); a
+        touched record has a ``pid``.  Enclaves of processes outside
+        any pod (system daemons) are never touched, so never reported.
     """
 
-    __slots__ = ("node_name", "driver", "sink", "pod_name_resolver")
+    __slots__ = ("node_name", "driver", "sink", "log")
 
     def __init__(
         self,
         node_name: str,
         driver: SgxDriver,
         sink: MetricsSink,
-        pod_name_resolver: Callable[[str], Optional[str]],
+        log: SeriesLog,
     ):
         self.node_name = node_name
         self.driver = driver
         self.sink = sink
-        self.pod_name_resolver = pod_name_resolver
+        self.log = log
 
     def collect(self, now: float) -> int:
-        """Take one measurement pass; returns the samples taken, one
-        per resolved pod."""
-        snapshot = self.driver.snapshot()
-        node_name = self.node_name
-        resolve = self.pod_name_resolver
+        """Take one measurement pass; returns the number of rows
+        reported (the store hears of the collection even with none)."""
+        log = self.log
         rows = []
-        for cgroup_path, pages in snapshot.usage_by_owner.items():
-            pod_name = resolve(cgroup_path)
-            if pod_name is not None:
-                rows.append((node_name, pod_name, float(pages)))
-        self.sink.ingest(MEASUREMENT_EPC, now, rows)
+        if log.touched:
+            ioctl = self.driver.ioctl
+            rows = log.drain(
+                lambda record: ioctl(IOCTL_GET_EPC_USAGE, pid=record.pid)
+            )
+        self.sink.report(MEASUREMENT_EPC, now, rows)
         return len(rows)

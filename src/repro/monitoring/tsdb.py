@@ -8,11 +8,12 @@ paper's Listing 1 verbatim.
 
 No module of the package imports it: the scheduler reads only the
 window-max store (:class:`~repro.monitoring.aggregate.
-WindowedAggregateCache`).  The tests feed a database the same collector
-batches (it is a :class:`~repro.monitoring.aggregate.MetricsSink`) and
-compare every view build with a full Listing 1 scan over it, and
-``bench/run.py`` times :meth:`TimeSeriesDatabase.write_tagged` as a
-layer of its own.
+WindowedAggregateCache`), which hears only the series that start,
+change or end.  The tests feed a database every pod's sample at every
+collection (:meth:`TimeSeriesDatabase.ingest`, one batch per node, as
+their per-tick collectors read them) and compare every view build
+with a full Listing 1 scan over it, and ``bench/run.py`` times
+:meth:`TimeSeriesDatabase.write_tagged` as a layer of its own.
 
 Timestamps are simulation-time ``float`` seconds — the database never
 consults the wall clock; callers pass ``now`` explicitly, which keeps the
@@ -168,7 +169,7 @@ class TimeSeriesDatabase:
     def ingest(
         self, measurement: str, now: float, rows: Sequence[SampleRow]
     ) -> None:
-        """Append one collector batch (the :class:`MetricsSink` write).
+        """Append one per-tick batch: every sample of one node.
 
         Each ``(nodename, pod_name, value)`` row becomes one point at
         *now*, tagged as Listing 1 expects, through :meth:`write_tagged`.

@@ -7,8 +7,10 @@ persistent pending queue, and exposes the operations the event loop
 drives:
 
 * :meth:`Orchestrator.submit` — user submits a pod (Fig. 2, step 1-2);
-* :meth:`Orchestrator.collect_metrics` — probes push usage samples,
-  one batch per node, into the monitoring sink;
+* :meth:`Orchestrator.collect_metrics` — Heapster and the probes
+  report the usage series that started, changed or ended since the
+  previous collection (the kubelets name the pods they touched) into
+  the monitoring sink;
 * :meth:`Orchestrator.scheduling_pass` — fetch pending jobs + metrics,
   filter, place, bind (Fig. 2, steps 3-5);
 * :meth:`Orchestrator.start_pod` / :meth:`complete_pod` / meth:`kill_pod`
@@ -17,7 +19,8 @@ drives:
 The monitoring sink is a
 :class:`~repro.monitoring.aggregate.WindowedAggregateCache`
 (:attr:`Orchestrator.aggregate_cache`) holding only Listing 1's window
-maxima; every scheduling pass reads its node views from it.
+maxima, each live series counted as sampled at every collection with
+its last value; every scheduling pass reads its node views from it.
 
 The orchestrator itself is clock-free: every method takes ``now``.
 """
@@ -119,7 +122,7 @@ class Orchestrator:
         self.preemption_policy = preemption_policy
         self.preemption_priority_threshold = preemption_priority_threshold
         #: The monitoring sink: the sliding-window maxima the scheduling
-        #: pass reads, kept current on every metrics sample.
+        #: pass reads, kept current on every reported change.
         self.aggregate_cache = WindowedAggregateCache()
         #: Shared by every kubelet, bootstrap and late-joined alike.
         self.perf_model = perf_model or SgxPerfModel()
@@ -160,18 +163,18 @@ class Orchestrator:
         """Register *node*'s kubelet, and its SGX probe when the node
         advertises EPC pages.
 
-        The probe holds the sink and the kubelet's cgroup resolver,
+        The probe holds the sink and the kubelet's EPC series log,
         never the orchestrator, so a finished replay is freed by
         reference counting.
         """
         kubelet = Kubelet(node, self.perf_model)
         self.kubelets[node.name] = kubelet
-        if kubelet.advertised_epc_pages() > 0:
+        if kubelet.epc_log is not None:
             self.probes[node.name] = SgxMetricsProbe(
                 node_name=node.name,
                 driver=node.driver,
                 sink=self.aggregate_cache,
-                pod_name_resolver=kubelet.resolve_pod_name,
+                log=kubelet.epc_log,
             )
         return kubelet
 
@@ -199,12 +202,15 @@ class Orchestrator:
         Pods running there are re-submitted to the queue (their specs
         survive; their progress does not — a crash analogue of the
         Kubernetes controller recreating lost pods), and the node's
-        probe and metrics stop.  Returns the requeued pods.
+        probe and metrics stop: nothing polls the node again, so its
+        live series end as of the last collection.  Returns the
+        requeued pods.
         """
         kubelet = self.kubelets.pop(node_name, None)
         if kubelet is None:
             raise OrchestrationError(f"no such node {node_name!r}")
         self.probes.pop(node_name, None)
+        self.aggregate_cache.end_node(node_name)
         orphans = list(kubelet.admitted_pods())
         requeued: List[Pod] = []
         for pod in orphans:
@@ -253,8 +259,9 @@ class Orchestrator:
     # -- monitoring --------------------------------------------------------
 
     def collect_metrics(self, now: float) -> int:
-        """One metrics push from Heapster and every SGX probe; returns
-        the number of samples taken."""
+        """One collection by Heapster and every SGX probe; returns the
+        number of rows reported: the series that started, changed value
+        or ended since the previous collection."""
         taken = self.heapster.collect(now)
         for probe in self.probes.values():
             taken += probe.collect(now)

@@ -14,8 +14,12 @@ On pod admission the Kubelet reproduces the paper's node-side pipeline
    malicious pods get caught — and EINIT it through the driver, which
    applies the limit check (a live-migrated pod restores its enclave
    instead, on the same path);
-4. report per-pod measured usage to the monitoring layer (it is both a
-   Heapster source and the probe's cgroup-to-pod resolver).
+4. report per-pod measured usage to the monitoring layer by change: at
+   every write that can move a pod's reading (admission, teardown, an
+   SGX 2 resize) it files the pod in its series logs
+   (:class:`~repro.monitoring.aggregate.SeriesLog`), and Heapster
+   (memory) and the node's SGX probe (EPC) read only those pods at the
+   next collection.
 
 The Kubelet deals only in *actual* usage; declared requests matter to the
 scheduler, not to the node.
@@ -33,7 +37,7 @@ from ..errors import (
     EpcExhaustedError,
     NodeError,
 )
-from ..monitoring.aggregate import SampleRow
+from ..monitoring.aggregate import SeriesLog
 from ..sgx.aesm import PlatformSoftware
 from ..sgx.enclave import Enclave
 from ..sgx.perf import SgxPerfModel
@@ -79,7 +83,7 @@ class Kubelet:
 
     __slots__ = (
         "node", "perf_model", "_records", "commitment_version",
-        "_committed", "_pod_name_by_cgroup",
+        "_committed", "memory_log", "epc_log",
     )
 
     def __init__(
@@ -99,7 +103,14 @@ class Kubelet:
         # integer vectors, so the increments are exact — this is the
         # same number committed_requests() used to re-sum per call.
         self._committed = ResourceVector.zero()
-        self._pod_name_by_cgroup: Dict[str, str] = {}
+        #: The pods Heapster reads at the next collection, and what it
+        #: last reported of this node.
+        self.memory_log = SeriesLog(node.name)
+        #: The same for the node's SGX probe; ``None`` on a node that
+        #: advertises no EPC, which has no probe to drain it.
+        self.epc_log: Optional[SeriesLog] = (
+            SeriesLog(node.name) if node.capacity.epc_pages > 0 else None
+        )
 
     # -- control-plane queries --------------------------------------------
 
@@ -136,14 +147,20 @@ class Kubelet:
         self._records[pod.uid] = record
         self.commitment_version += 1
         self._committed = self._committed + requests
-        self._pod_name_by_cgroup[record.cgroup_path] = pod.name
+        self._touch(record)
 
     def _remove_record(self, record: _PodRecord) -> None:
         """Unregister an admitted pod from the ledger and indexes."""
         del self._records[record.pod.uid]
         self.commitment_version += 1
         self._committed = self._committed - record.pod.spec.resources.requests
-        del self._pod_name_by_cgroup[record.cgroup_path]
+        self._touch(record)
+
+    def _touch(self, record: _PodRecord) -> None:
+        """Have both collectors read *record*'s pod at the next
+        collection (a torn-down record reads 0)."""
+        self.memory_log.touched[record.pod.uid] = record
+        self._touch_epc(record)
 
     def advertised_epc_pages(self) -> int:
         """EPC page items the node advertises, one per usable page
@@ -285,6 +302,7 @@ class Kubelet:
         record = self._require_record(pod)
         if self.node.driver is None or record.enclave is None:
             raise NodeError(f"pod {pod.name} has no enclave to grow")
+        self._touch_epc(record)
         return self.node.driver.grow_enclave(
             record.pid, record.enclave, pages_to_bytes(extra_pages)
         )
@@ -294,9 +312,16 @@ class Kubelet:
         record = self._require_record(pod)
         if self.node.driver is None or record.enclave is None:
             raise NodeError(f"pod {pod.name} has no enclave to shrink")
+        self._touch_epc(record)
         return self.node.driver.shrink_enclave(
             record.pid, record.enclave, pages_to_bytes(fewer_pages)
         )
+
+    def _touch_epc(self, record: _PodRecord) -> None:
+        """Have the probe re-read *record*'s enclave pages at the next
+        collection (whether or not the resize succeeds)."""
+        if self.epc_log is not None:
+            self.epc_log.touched[record.pod.uid] = record
 
     def _require_record(self, pod: Pod) -> "_PodRecord":
         record = self._records.get(pod.uid)
@@ -343,27 +368,6 @@ class Kubelet:
         self._remove_record(record)
 
     # -- monitoring interfaces --------------------------------------------
-
-    def memory_rows(self) -> List[SampleRow]:
-        """Per-pod ``(nodename, pod_name, bytes)`` rows, for Heapster.
-
-        A pod whose cgroup reads 0 bytes (an SGX pod: its memory is in
-        the enclave) has no row; Listing 1's ``value <> 0`` would drop
-        it anyway.
-        """
-        node = self.node
-        node_name = node.name
-        cgroup_memory_bytes = node.cgroup_memory_bytes
-        return [
-            (node_name, record.pod_name, float(value))
-            for record in self._records.values()
-            if record.pid is not None
-            and (value := cgroup_memory_bytes(record.cgroup_path))
-        ]
-
-    def resolve_pod_name(self, cgroup_path: str) -> Optional[str]:
-        """Map a cgroup path back to a pod name, for the SGX probe."""
-        return self._pod_name_by_cgroup.get(cgroup_path)
 
     def epc_overcommit_ratio(self) -> float:
         """The node's current EPC over-commit ratio (1.0 when healthy)."""

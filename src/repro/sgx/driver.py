@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from ..errors import DriverError, EnclaveLimitExceededError
 from .aesm import AesmService
 from .enclave import Enclave
-from .epc import EnclavePageCache, EpcSnapshot
+from .epc import EnclavePageCache
 from .sgx2 import Sgx2Enclave
 
 #: ioctl number for querying a process's EPC occupancy (paper Sec. V-E).
@@ -96,14 +96,6 @@ class SgxDriver:
         if name == PARAM_FREE_PAGES:
             return self.epc.free_pages
         raise DriverError(f"unknown module parameter {name!r}")
-
-    def snapshot(self) -> EpcSnapshot:
-        """Aggregate occupancy snapshot (what the probe pushes to the TSDB)."""
-        return EpcSnapshot(
-            total_pages=self.epc.total_pages,
-            free_pages=self.epc.free_pages,
-            usage_by_owner=self.epc.usage_by_owner(),
-        )
 
     # -- ioctl surface -----------------------------------------------------
 

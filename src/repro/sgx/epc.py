@@ -20,7 +20,7 @@ Two allocation regimes exist:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from ..constants import EPC_TOTAL_BYTES, EPC_USABLE_BYTES
@@ -102,13 +102,6 @@ class EnclavePageCache:
         if self.total_pages == 0:
             return float("inf") if self.allocated_pages else 1.0
         return self.allocated_pages / self.total_pages
-
-    def usage_by_owner(self) -> Dict[str, int]:
-        """Pages owned per owner label, summed across allocations."""
-        usage: Dict[str, int] = {}
-        for alloc in self._allocations.values():
-            usage[alloc.owner] = usage.get(alloc.owner, 0) + alloc.pages
-        return usage
 
     # -- allocation lifecycle -----------------------------------------------
 
@@ -224,17 +217,3 @@ class EnclavePageCache:
             f"allocated={self.allocated_pages}, free={self.free_pages}, "
             f"overcommit={self.allow_overcommit})"
         )
-
-
-@dataclass
-class EpcSnapshot:
-    """Point-in-time EPC occupancy, as reported by the driver's counters."""
-
-    total_pages: int
-    free_pages: int
-    usage_by_owner: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def used_pages(self) -> int:
-        """Pages currently owned by some enclave."""
-        return self.total_pages - self.free_pages

@@ -1,11 +1,13 @@
 """End-to-end trace replay: the paper's evaluation harness in simulation.
 
-Drives the *real* control plane — orchestrator, schedulers, device
-plugins, probes, driver — with a deterministic event loop:
+Drives the *real* control plane — orchestrator, kubelets, schedulers,
+Heapster and the SGX probes, driver — with a deterministic event loop:
 
 * submissions fire at the trace's timestamps;
-* probes push metrics every
-  :data:`~repro.constants.METRICS_PUSH_PERIOD_SECONDS` (10 s);
+* Heapster and the probes collect every
+  :data:`~repro.constants.METRICS_PUSH_PERIOD_SECONDS` (10 s),
+  reporting the usage series that started, changed or ended since the
+  previous collection;
 * the scheduler runs every
   :data:`~repro.constants.SCHEDULER_PERIOD_SECONDS` (5 s) over the
   persistent FCFS queue, offset by half a period;

@@ -58,7 +58,6 @@ from .stream import (
     row_error,
 )
 
-_COLUMNS = 5
 #: Characters read per chunk (bytes, for a Borg CSV's ASCII); bounds the
 #: reader's memory, which is why it is no option.
 _CHUNK_CHARS = 64 * 1024
@@ -152,7 +151,7 @@ def _blocks(path: PathLike) -> Iterator[_Block]:
                     handle,
                 )
                 yield from _row_blocks(
-                    path, csv_records(file, rest, _COLUMNS, 0, line, header)
+                    path, csv_records(file, rest, line, header)
                 )
                 return
             if header and text:
@@ -177,7 +176,7 @@ def _chunk_blocks(
             return counts[0]
     lines = io.StringIO(text, newline="")
     yield from _row_blocks(
-        path, csv_records(Path(path), lines, _COLUMNS, 0, line, False)
+        path, csv_records(Path(path), lines, line, False)
     )
     return sum(1 for _ in io.StringIO(text, newline=""))
 

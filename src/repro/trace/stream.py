@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from ..errors import TraceError
 
 PathLike = Union[str, Path]
+
+#: Fields per row: ``job_id, submit, duration, assigned, max``.
+_COLUMNS = 5
 
 
 def row_error(
@@ -43,16 +46,15 @@ def is_blank_or_comment(row: List[str]) -> bool:
     return not row or row[0].lstrip().startswith("#")
 
 
-def is_header(row: List[str], numeric_probe: int = 0) -> bool:
-    """Whether the first data row is a header: no numeric probe field."""
-    return numeric_probe >= len(row) or not _is_numeric(row[numeric_probe])
+def is_header(row: List[str]) -> bool:
+    """Whether the first data row (not blank) is a header: its first
+    field is not numeric."""
+    return not _is_numeric(row[0])
 
 
 def csv_records(
     path: PathLike,
     lines: Iterable[str],
-    columns: Optional[int] = None,
-    numeric_probe: int = 0,
     first_line: int = 1,
     header: bool = True,
 ) -> Iterator[Tuple[int, List[str]]]:
@@ -60,21 +62,21 @@ def csv_records(
     *path* from its line *first_line* on.
 
     Skips blank lines and ``#`` comments; while *header* says the
-    header may still come, skips the first data row if its
-    *numeric_probe*-th field is not numeric.  When *columns* is given,
-    a row with a different arity dies with ``path:line`` context.
+    header may still come, skips the first data row if its first field
+    is not numeric.  A row without the five columns dies with
+    ``path:line`` context.
     """
     for line_number, row in enumerate(csv.reader(lines), start=first_line):
         if is_blank_or_comment(row):
             continue
         if header:
             header = False
-            if is_header(row, numeric_probe):
+            if is_header(row):
                 continue
-        if columns is not None and len(row) != columns:
+        if len(row) != _COLUMNS:
             raise row_error(
                 path,
                 line_number,
-                f"expected {columns} columns, got {len(row)}",
+                f"expected {_COLUMNS} columns, got {len(row)}",
             )
         yield line_number, row

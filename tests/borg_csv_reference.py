@@ -15,7 +15,7 @@ import itertools
 from pathlib import Path
 
 from repro.errors import TraceError
-from repro.trace.adapters.common import materialise, read_scaling
+from repro.trace.adapters.borg import materialise, read_scaling
 from repro.trace.schema import JobRecord
 from repro.trace.spec import parse_trace_spec
 from repro.trace.stream import row_error

@@ -1,12 +1,17 @@
 """Window-max store: unit behaviour plus equivalence with Listing 1.
 
-The store keeps Listing 1's per-pod 25 s window maximum.  The unit
-tests pin the window, expiry and the queries it refuses.  The property
-tests feed it collector batches and compare every answer with a full
-Listing 1 scan (``tests/influxql.py``) over a database that received
-the same batches; they also check that a node whose rows changed
-carries a new version and that no node's horizon lies above one of its
-window maxima.
+The store keeps Listing 1's per-pod 25 s window maximum, fed the
+series that start, change and end at each collection.  The tests
+write per-tick collections (every sample of one collection) and
+``tests/monitoring_reference.py``'s :class:`ByChange` reports their
+differences.  The unit tests pin the window, expiry and the reports
+and queries it refuses.  The property tests compare every answer with
+a full Listing 1 scan (``tests/influxql.py``) over a database that
+received every sample; they also check that a node whose rows changed
+carries a new version and that no node's horizon lies above a maximum
+that can expire.  The last property compares the store with the
+per-tick store it replaced (:class:`TickStore`), maxima and version
+moves alike.
 """
 
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influxql import execute_query, parse_query
+from monitoring_reference import ByChange, TickStore
 from repro.constants import METRICS_WINDOW_SECONDS
 from repro.errors import MonitoringError
 from repro.monitoring.aggregate import WindowedAggregateCache
@@ -48,6 +54,12 @@ def window_maxima(store, measurement, now):
     )
 
 
+def by_change():
+    """A store and the feed that reports per-tick collections to it."""
+    store = WindowedAggregateCache()
+    return store, ByChange(store)
+
+
 def listing_1_rows(db, measurement, now):
     """The same rows from a full Listing 1 scan of *db*, sorted."""
     query = parse_query(INNER.format(measurement=measurement))
@@ -61,18 +73,18 @@ class TestSnapshot:
     """The store's rows at one query time."""
 
     def test_window_max_per_series(self):
-        store = WindowedAggregateCache()
-        store.ingest("sgx/epc", 1.0, [("n", "a", 10.0)])
-        store.ingest("sgx/epc", 2.0, [("n", "a", 4.0)])
-        store.ingest("sgx/epc", 3.0, [("n", "b", 6.0)])
+        store, feed = by_change()
+        feed.collect("sgx/epc", 1.0, [("n", "a", 10.0)])
+        feed.collect("sgx/epc", 2.0, [("n", "a", 4.0)])
+        feed.collect("sgx/epc", 3.0, [("n", "b", 6.0)])
         assert window_maxima(store, "sgx/epc", now=10.0) == [
             ("n", "a", 10.0), ("n", "b", 6.0),
         ]
 
     def test_old_points_expire_from_window(self):
-        store = WindowedAggregateCache()
-        store.ingest("sgx/epc", 0.0, [("n", "p", 100.0)])
-        store.ingest("sgx/epc", 20.0, [("n", "p", 5.0)])
+        store, feed = by_change()
+        feed.collect("sgx/epc", 0.0, [("n", "p", 100.0)])
+        feed.collect("sgx/epc", 20.0, [("n", "p", 5.0)])
         # Window [5, 30]: the t=0 maximum is gone.
         assert window_maxima(store, "sgx/epc", now=30.0) == [
             ("n", "p", 5.0)
@@ -81,8 +93,9 @@ class TestSnapshot:
         assert store.live_series("sgx/epc") == 0
 
     def test_zero_values_never_contribute(self):
-        store = WindowedAggregateCache()
-        store.ingest("sgx/epc", 1.0, [("n", "p", 0.0)])
+        store, feed = by_change()
+        feed.collect("sgx/epc", 1.0, [("n", "p", 0.0)])
+        store.report("sgx/epc", 1.0, [("n", "q", 0.0)])
         assert store.node_states("sgx/epc", now=2.0) == {}
         assert store.content_version == 0
 
@@ -93,9 +106,9 @@ class TestSnapshot:
 
 class TestStandaloneStore:
     def test_ingest_batches_feed_window_maxima(self):
-        store = WindowedAggregateCache()
-        store.ingest("sgx/epc", 1.0, [("n1", "a", 4.0), ("n1", "b", 0.0)])
-        store.ingest("sgx/epc", 11.0, [("n1", "a", 2.0), ("n2", "c", 7.0)])
+        store, feed = by_change()
+        feed.collect("sgx/epc", 1.0, [("n1", "a", 4.0), ("n1", "b", 0.0)])
+        feed.collect("sgx/epc", 11.0, [("n1", "a", 2.0), ("n2", "c", 7.0)])
         assert window_maxima(store, "sgx/epc", now=12.0) == [
             ("n1", "a", 4.0), ("n2", "c", 7.0),
         ]
@@ -104,42 +117,42 @@ class TestStandaloneStore:
         ]
 
     def test_query_before_absorbed_data_names_both_times(self):
-        store = WindowedAggregateCache()
-        store.ingest("sgx/epc", 10.0, [("n1", "a", 4.0)])
+        store, feed = by_change()
+        feed.collect("sgx/epc", 10.0, [("n1", "a", 4.0)])
         with pytest.raises(MonitoringError, match=r"'sgx/epc'.*t=5.0.*t=10"):
             store.node_states("sgx/epc", now=5.0)
         with pytest.raises(MonitoringError, match="t=9.0"):
             store.node_states("sgx/epc", now=9.0)
 
     def test_query_before_an_earlier_expiry_raises(self):
-        store = WindowedAggregateCache()
-        store.ingest("sgx/epc", 1.0, [("n1", "a", 4.0)])
+        store, feed = by_change()
+        feed.collect("sgx/epc", 1.0, [("n1", "a", 4.0)])
         assert store.node_states("sgx/epc", now=20.0) is not None
         with pytest.raises(MonitoringError, match=r"t=15.0.*t=20"):
             store.node_states("sgx/epc", now=15.0)
 
     def test_out_of_order_sample_raises(self):
-        store = WindowedAggregateCache()
-        store.ingest("sgx/epc", 10.0, [("n1", "a", 4.0)])
+        store, feed = by_change()
+        feed.collect("sgx/epc", 10.0, [("n1", "a", 4.0)])
         with pytest.raises(MonitoringError, match="older"):
-            store.ingest("sgx/epc", 9.0, [("n1", "a", 5.0)])
-        # The series' newest sample is still t=10: equal times pass.
-        store.ingest("sgx/epc", 10.0, [("n1", "a", 1.0)])
-        store.ingest("sgx/epc", 20.0, [("n1", "a", 1.0)])
+            feed.collect("sgx/epc", 9.0, [("n1", "a", 5.0)])
+        # The last collection is still t=10: equal times add to it.
+        feed.collect("sgx/epc", 10.0, [("n1", "a", 1.0)])
+        feed.collect("sgx/epc", 20.0, [("n1", "a", 1.0)])
         # Newer than the window maximum's t=10, older than the newest.
         with pytest.raises(MonitoringError, match="t=20"):
-            store.ingest("sgx/epc", 15.0, [("n1", "a", 5.0)])
+            feed.collect("sgx/epc", 15.0, [("n1", "a", 5.0)])
         assert window_maxima(store, "sgx/epc", now=20.0) == [
             ("n1", "a", 4.0)
         ]
 
     def test_database_ingest_writes_tagged_points(self):
-        """The reference database takes the collectors' batches too,
-        as points tagged the way Listing 1 groups them."""
-        db, store = TimeSeriesDatabase(), WindowedAggregateCache()
+        """The reference database takes the per-tick batches, as points
+        tagged the way Listing 1 groups them."""
+        db, (store, feed) = TimeSeriesDatabase(), by_change()
         rows = [("n1", "a", 4.0), ("n2", "b", 0.0)]
         db.ingest("sgx/epc", 3.0, rows)
-        store.ingest("sgx/epc", 3.0, rows)
+        feed.collect("sgx/epc", 3.0, rows)
         assert db.scan("sgx/epc") == [
             Point.make(3.0, 4.0, {"nodename": "n1", "pod_name": "a"}),
             Point.make(3.0, 0.0, {"nodename": "n2", "pod_name": "b"}),
@@ -147,6 +160,74 @@ class TestStandaloneStore:
         assert listing_1_rows(db, "sgx/epc", 3.0) == window_maxima(
             store, "sgx/epc", now=3.0
         )
+
+
+class TestReport:
+    """What a collection hands the store, and what it refuses."""
+
+    def test_a_collection_without_changes_hands_over_no_row(self):
+        store, feed = by_change()
+        assert feed.collect("sgx/epc", 0.0, [("n", "a", 4.0)]) == [
+            ("n", "a", 4.0)
+        ]
+        for now in (10.0, 20.0, 30.0, 40.0):
+            assert feed.collect("sgx/epc", now, [("n", "a", 4.0)]) == []
+        # Still live: sampled at every collection, never expired.
+        assert window_maxima(store, "sgx/epc", now=45.0) == [
+            ("n", "a", 4.0)
+        ]
+        assert store.content_version == 1
+
+    def test_a_report_earlier_than_the_last_collection_raises(self):
+        store = WindowedAggregateCache()
+        store.report("sgx/epc", 10.0, [])
+        with pytest.raises(MonitoringError, match=r"t=9.5.*t=10"):
+            store.report("sgx/epc", 9.5, [("n", "a", 1.0)])
+        # Refused before anything is absorbed.
+        assert store.node_states("sgx/epc", now=10.0) == {}
+
+    def test_an_end_dates_the_value_at_the_previous_collection(self):
+        store = WindowedAggregateCache()
+        store.report("sgx/epc", 0.0, [("n", "a", 4.0)])
+        store.report("sgx/epc", 10.0, [])
+        store.report("sgx/epc", 20.0, [("n", "a", 0.0)])
+        # Last sampled at t=10: served until t=35, gone after.
+        assert window_maxima(store, "sgx/epc", now=35.0) == [
+            ("n", "a", 4.0)
+        ]
+        (node,) = store.node_states("sgx/epc", now=35.0).values()
+        assert node.horizon == 10.0
+        store.report("sgx/epc", 35.5, [])
+        assert window_maxima(store, "sgx/epc", now=35.5) == []
+
+    def test_a_departed_node_ends_at_its_last_collection(self):
+        store = WindowedAggregateCache()
+        store.report("sgx/epc", 0.0, [("n", "a", 4.0), ("m", "b", 2.0)])
+        store.report("sgx/epc", 10.0, [])
+        store.end_node("n")
+        store.report("sgx/epc", 20.0, [])
+        assert window_maxima(store, "sgx/epc", now=35.0) == [
+            ("m", "b", 2.0), ("n", "a", 4.0),
+        ]
+        assert window_maxima(store, "sgx/epc", now=36.0) == [
+            ("m", "b", 2.0)
+        ]
+
+    def test_a_pause_longer_than_the_window_restarts_live_series(self):
+        """Sampling every pod: the last samples expire 25 s after the
+        last collection and the next collection starts the series
+        anew, each a change of its node."""
+        store = WindowedAggregateCache()
+        store.report("sgx/epc", 0.0, [("n", "a", 4.0), ("n", "b", 2.0)])
+        assert store.node_states("sgx/epc", now=40.0) == {}
+        assert store.live_series("sgx/epc") == 0
+        # The next collection reports b's new value; a is unchanged.
+        store.report("sgx/epc", 50.0, [("n", "b", 3.0)])
+        version = store.content_version
+        (node,) = store.node_states("sgx/epc", now=50.0).values()
+        assert node.maxima() == {"b": 3.0, "a": 4.0}
+        assert node.version == store.content_version == version + 1
+        assert store.node_states("sgx/epc", now=70.0)["n"] is node
 
 
 # -- randomised equivalence -------------------------------------------------
@@ -170,13 +251,12 @@ class TestEquivalenceProperty:
     @given(ops=_OPS)
     @settings(max_examples=200, deadline=None)
     def test_cached_rows_equal_full_scan_rows(self, ops):
-        """Adversarial interleavings: samples older than their series'
-        newest, queries earlier than absorbed data or than an earlier
-        query.  The store answers with the full scan's rows or refuses
-        loudly, and a refused sample is never absorbed."""
-        store, db = WindowedAggregateCache(), TimeSeriesDatabase()
-        newest = {}
-        max_time = hwm = -_INF
+        """Adversarial interleavings: collections earlier than the
+        last one, queries earlier than the last collection or than an
+        earlier query.  The store answers with the full scan's rows or
+        refuses loudly, and a refused collection is never absorbed."""
+        (store, feed), db = by_change(), TimeSeriesDatabase()
+        last = hwm = -_INF
         # Queries record their time once the store has seen a batch.
         seen_batch = False
         for op in ops:
@@ -184,19 +264,15 @@ class TestEquivalenceProperty:
                 _, time, value, pod, node = op
                 seen_batch = True
                 try:
-                    store.ingest("sgx/epc", time, [(node, pod, value)])
+                    feed.collect("sgx/epc", time, [(node, pod, value)])
                 except MonitoringError:
-                    assert time < newest[(node, pod)]
+                    assert time < last
                     continue
                 db.ingest("sgx/epc", time, [(node, pod, value)])
-                if value != 0.0:
-                    newest[(node, pod)] = max(
-                        time, newest.get((node, pod), -_INF)
-                    )
-                    max_time = max(max_time, time)
+                last = time
                 continue
             now = op[1]
-            if now < max(max_time, hwm):
+            if now < max(last, hwm):
                 with pytest.raises(MonitoringError, match="too early"):
                     store.node_states("sgx/epc", now)
                 continue
@@ -216,9 +292,9 @@ class TestEquivalenceProperty:
         """The simulation's access pattern: samples in time order and
         a query at the write frontier after each, every one answered
         with Listing 1's rows."""
-        store, db = WindowedAggregateCache(), TimeSeriesDatabase()
+        (store, feed), db = by_change(), TimeSeriesDatabase()
         for time, value, pod, node in sorted(samples, key=lambda s: s[0]):
-            store.ingest("sgx/epc", time, [(node, pod, value)])
+            feed.collect("sgx/epc", time, [(node, pod, value)])
             db.ingest("sgx/epc", time, [(node, pod, value)])
             assert window_maxima(store, "sgx/epc", time) == listing_1_rows(
                 db, "sgx/epc", time
@@ -234,10 +310,10 @@ class TestEquivalenceProperty:
     def test_full_listing_1_equivalence(self, samples, lag):
         """The paper's nested query: per node, the SUM of the window
         maxima is the sum of the store's node maxima."""
-        store, db = WindowedAggregateCache(), TimeSeriesDatabase()
+        (store, feed), db = by_change(), TimeSeriesDatabase()
         now = 0.0
         for time, value, pod, node in sorted(samples, key=lambda s: s[0]):
-            store.ingest("sgx/epc", time, [(node, pod, value)])
+            feed.collect("sgx/epc", time, [(node, pod, value)])
             db.ingest("sgx/epc", time, [(node, pod, value)])
             now = time
         now += lag
@@ -274,9 +350,11 @@ _INGEST_OPS = st.lists(
 )
 
 
-def head_times(db, measurement, now):
-    """Per node, the time of every series' window maximum: its newest
-    sample holding the maximum value (the store's max-deque head)."""
+def head_times(db, measurement, now, live):
+    """Per node, the time of every window maximum that can expire: a
+    series' newest sample holding its maximum value (the store's
+    max-deque head), unless the series is *live* with that value (the
+    head is then its newest entry, sampled at every collection)."""
     heads = {}
     for point in db.scan(measurement, start=now - WINDOW, end=now):
         if point.value == 0.0:
@@ -285,8 +363,10 @@ def head_times(db, measurement, now):
         if key not in heads or point.value >= heads[key][0]:
             heads[key] = (point.value, point.time)
     by_node = {}
-    for (nodename, _), (_, time) in heads.items():
-        by_node.setdefault(nodename, []).append(time)
+    for key, (value, time) in heads.items():
+        times = by_node.setdefault(key[0], [])
+        if live.get(key) != value:
+            times.append(time)
     return by_node
 
 
@@ -295,10 +375,10 @@ class TestBatchedIngestEquivalence:
         """An expired window max still masks smaller samples until a
         query expires it: trimming on ingest must not bump the version
         before that query does."""
-        store = WindowedAggregateCache()
+        store, feed = by_change()
         for time, value in ((0.0, 6.0), (20.0, 2.0), (30.0, 3.0),
                             (40.0, 4.0)):
-            store.ingest("sgx/epc", time, [("n", "p", value)])
+            feed.collect("sgx/epc", time, [("n", "p", value)])
             assert store.content_version == 1
         (node,) = store.node_states("sgx/epc", 40.0).values()
         assert node.maxima() == {"p": 4.0}
@@ -307,31 +387,29 @@ class TestBatchedIngestEquivalence:
     @given(ops=_INGEST_OPS)
     @settings(max_examples=300, deadline=None)
     def test_batched_ingest_equals_per_point_absorption(self, ops):
-        """Collector batches into the store against one database point
+        """Collections reported by change against one database point
         per sample: at every query the store reports Listing 1's rows
-        (or refuses a query earlier than absorbed data or an earlier
-        query), a node whose rows changed has a new version, and every
-        horizon lies at or below the node's window-maximum times."""
-        store, db = WindowedAggregateCache(), TimeSeriesDatabase()
+        (or refuses a query earlier than the last collection or an
+        earlier query), a node whose rows changed has a new version,
+        and every horizon lies at or below the node's window-maximum
+        times that can expire."""
+        (store, feed), db = by_change(), TimeSeriesDatabase()
         clock = 0.0
-        # Per measurement, the newest time with a non-zero sample and
-        # the latest query served; a measurement the store has never
-        # seen a batch of answers every query.
-        absorbed, queried, seen = {}, {}, {}
+        # Per measurement, the last collection and the latest query
+        # served; a measurement never collected answers every query.
+        collected, queried, seen = {}, {}, {}
         for op in ops:
             kind, offset, measurement = op[:3]
             if kind == "ingest":
                 clock += offset
-                store.ingest(measurement, clock, op[3])
+                feed.collect(measurement, clock, op[3])
                 db.ingest(measurement, clock, op[3])
-                if op[3]:
-                    queried.setdefault(measurement, -_INF)
-                if any(value != 0.0 for _, _, value in op[3]):
-                    absorbed[measurement] = clock
+                queried.setdefault(measurement, -_INF)
+                collected[measurement] = clock
                 continue
             now = clock + offset
             if now < max(
-                absorbed.get(measurement, -_INF),
+                collected.get(measurement, -_INF),
                 queried.get(measurement, -_INF),
             ):
                 with pytest.raises(MonitoringError):
@@ -345,7 +423,7 @@ class TestBatchedIngestEquivalence:
             assert window_maxima(store, measurement, now) == (
                 listing_1_rows(db, measurement, now)
             )
-            heads = head_times(db, measurement, now)
+            heads = head_times(db, measurement, now, feed.live(measurement))
             for name in set(nodes) | set(heads):
                 node = nodes.get(name)
                 state = (
@@ -356,11 +434,97 @@ class TestBatchedIngestEquivalence:
                 if state[1] != before[1]:
                     assert state[0] != before[0]
                 seen[(measurement, name)] = state
-                if node is not None:
+                if node is not None and heads[name]:
                     assert node.horizon <= min(heads[name])
             assert store.live_series(measurement) == len(
                 listing_1_rows(db, measurement, now)
             )
+
+
+#: Every series of the per-tick regime below, one value per series
+#: per collection (0: not sampled).
+_SERIES = [
+    (node, pod)
+    for node in ("node-1", "node-2")
+    for pod in ("pod-a", "pod-b", "pod-c")
+]
+_COLLECTION = st.lists(
+    st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 5.0]),
+    min_size=len(_SERIES),
+    max_size=len(_SERIES),
+)
+#: Collections 2.5–30 s apart; queries 0–40 s after the clock, so a
+#: query may find the last collection more than a window old.
+_TICK_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("collect"),
+            st.sampled_from([2.5, 5.0, 10.0, 10.0, 30.0]),
+            _COLLECTION,
+        ),
+        st.tuples(st.just("query"), st.sampled_from([0.0, 2.5, 20.0, 40.0])),
+    ),
+    max_size=40,
+)
+
+
+def node_answers(store, now):
+    """Per node: its version (0 without state) and its maxima."""
+    return {
+        name: (node.version, node.maxima())
+        for name, node in store.node_states("sgx/epc", now).items()
+    }
+
+
+class TestPerTickEquivalence:
+    @given(ops=_TICK_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_reported_changes_answer_as_every_sample(self, ops):
+        """Series start, rise, fall, end (a zero or a missing sample),
+        start again under the same name on the same node, and
+        collections pause for longer than the window.  The per-tick
+        store ingests every node's samples at every collection; the
+        store under test hears only their changes.  At every query both
+        give the same maxima, and each node's version moves in one
+        exactly when it moves in the other."""
+        ticked, (store, feed) = TickStore(), by_change()
+        clock = 0.0
+        before_ticked, before_store = {}, {}
+        for op in ops:
+            if op[0] == "collect":
+                clock += op[1]
+                rows = [
+                    (node, pod, value)
+                    for (node, pod), value in zip(_SERIES, op[2])
+                ]
+                for name in ("node-1", "node-2"):
+                    ticked.ingest(
+                        "sgx/epc",
+                        clock,
+                        [row for row in rows if row[0] == name],
+                    )
+                feed.collect("sgx/epc", clock, rows)
+                continue
+            clock += op[1]
+            answers_ticked = node_answers(ticked, clock)
+            answers_store = node_answers(store, clock)
+            assert {
+                name: maxima for name, (_, maxima) in answers_store.items()
+            } == {
+                name: maxima for name, (_, maxima) in answers_ticked.items()
+            }
+            for name in set(answers_ticked) | set(before_ticked):
+                moved_ticked = answers_ticked.get(name, (0,))[0] != (
+                    before_ticked.get(name, (0,))[0]
+                )
+                moved_store = answers_store.get(name, (0,))[0] != (
+                    before_store.get(name, (0,))[0]
+                )
+                assert moved_store == moved_ticked, (name, clock)
+            assert store.live_series("sgx/epc") == ticked.live_series(
+                "sgx/epc"
+            )
+            before_ticked, before_store = answers_ticked, answers_store
 
 
 class TestWindowMatchesSchedulerConstants:
@@ -370,13 +534,13 @@ class TestWindowMatchesSchedulerConstants:
     def test_window_is_listing_1s_25_seconds(self):
         """``time >= now() - 25s``: a maximum is served while it is at
         most 25 s old, inclusive, and expires the moment it is older."""
-        store = WindowedAggregateCache()
+        store, feed = by_change()
         for time, value in ((0.0, 100.0), (10.0, 1.0), (20.0, 1.0)):
-            store.ingest("sgx/epc", time, [("n", "p", value)])
+            feed.collect("sgx/epc", time, [("n", "p", value)])
         assert window_maxima(store, "sgx/epc", 25.0) == [("n", "p", 100.0)]
         (node,) = store.node_states("sgx/epc", 25.5).values()
         assert node.maxima() == {"p": 1.0}
         for step in range(3, 20):
-            store.ingest("sgx/epc", step * 10.0, [("n", "p", 1.0)])
+            feed.collect("sgx/epc", step * 10.0, [("n", "p", 1.0)])
         assert window_maxima(store, "sgx/epc", 190.0) == [("n", "p", 1.0)]
         assert store.live_series("sgx/epc") == 1

@@ -168,16 +168,16 @@ class TestMetricsPath:
         orchestrator.scheduling_pass(scheduler, now=1.0)
         orchestrator.start_pod(pod, now=1.5)
         received = []
-        ingest = WindowedAggregateCache.ingest
+        report = WindowedAggregateCache.report
 
         def recording(self, measurement, now, rows):
             received.extend(rows)
-            return ingest(self, measurement, now, rows)
+            return report(self, measurement, now, rows)
 
-        monkeypatch.setattr(WindowedAggregateCache, "ingest", recording)
-        # The SGX probes: the pod's EPC.  Heapster has no row: the
-        # enclave pod's standard memory reads 0.  The driver's node
-        # gauges are read but stored nowhere, so they are not samples.
+        monkeypatch.setattr(WindowedAggregateCache, "report", recording)
+        # The SGX probes: the pod's EPC series starts.  Heapster has no
+        # row: the enclave pod's standard memory reads 0.  The driver's
+        # node gauges are stored nowhere, so they are not rows.
         taken = orchestrator.collect_metrics(now=2.0)
         assert [row for row in received if row[2] == 0.0] == []
         assert taken == 1
@@ -191,6 +191,19 @@ class TestMetricsPath:
             ).items()
             for pod_name, value in node.maxima().items()
         } == {(pod.node_name, pod.name, float(pages(mib(10))))}
+        # Nothing started, changed or ended since: no row, and the
+        # series still counts as sampled at every collection.
+        received.clear()
+        assert orchestrator.collect_metrics(now=12.0) == 0
+        assert orchestrator.collect_metrics(now=22.0) == 0
+        assert received == []
+        assert store.node_states(MEASUREMENT_EPC, now=47.0)[
+            pod.node_name
+        ].maxima() == {pod.name: float(pages(mib(10)))}
+        # The pod ends: one row of value 0.
+        orchestrator.complete_pod(pod, now=48.0)
+        assert orchestrator.collect_metrics(now=52.0) == 1
+        assert received == [(pod.node_name, pod.name, 0.0)]
 
     def test_measured_usage_informs_next_pass(self):
         # A pod declaring little but using much: after metrics arrive,

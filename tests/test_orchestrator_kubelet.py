@@ -181,20 +181,40 @@ class TestReporting:
             mib(10)
         ) + pages(mib(20))
 
-    def test_memory_rows_report_actuals(self):
+    def test_memory_log_reports_actuals(self):
         kubelet = make_kubelet(Node(NodeSpec.standard("w0")))
         pod = standard_pod(declared_gib=1, actual_gib=1.5)
         pod.mark_bound("w0", 1.0)
         kubelet.admit(pod)
-        assert kubelet.memory_rows() == [("w0", pod.name, float(gib(1.5)))]
 
-    def test_resolve_pod_name(self):
-        kubelet = make_kubelet()
-        pod = sgx_pod("lookup-me")
+        def read(record):
+            return kubelet.node.cgroup_memory_bytes(record.cgroup_path)
+
+        assert kubelet.memory_log.drain(read) == [
+            ("w0", pod.name, float(gib(1.5)))
+        ]
+        assert kubelet.memory_log.drain(read) == []
+        kubelet.terminate(pod)
+        assert kubelet.memory_log.drain(read) == [("w0", pod.name, 0.0)]
+        # A node without EPC has no probe, so no EPC log to fill.
+        assert kubelet.epc_log is None
+
+    def test_every_writer_touches_the_pod(self):
+        kubelet = make_kubelet(Node(NodeSpec.sgx("sgx-0", sgx_version=2)))
+        pod = sgx_pod("burst", declared_mib=10, actual_mib=4)
         pod.mark_bound("sgx-0", 1.0)
         kubelet.admit(pod)
-        assert kubelet.resolve_pod_name(pod.cgroup_path) == "lookup-me"
-        assert kubelet.resolve_pod_name("/nope") is None
+        assert list(kubelet.memory_log.touched) == [pod.uid]
+        assert list(kubelet.epc_log.touched) == [pod.uid]
+        kubelet.memory_log.touched.clear()
+        kubelet.epc_log.touched.clear()
+        # An SGX 2 resize moves only the EPC reading.
+        kubelet.grow_pod_epc(pod, 16)
+        kubelet.shrink_pod_epc(pod, 8)
+        assert kubelet.memory_log.touched == {}
+        assert list(kubelet.epc_log.touched) == [pod.uid]
+        kubelet.terminate(pod)
+        assert list(kubelet.memory_log.touched) == [pod.uid]
 
     def test_admitted_pods_listing(self):
         kubelet = make_kubelet()

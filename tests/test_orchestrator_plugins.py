@@ -58,11 +58,11 @@ class TestDaemonSet:
         assert list(orchestrator.probes) == ["sgx-0"]
         probe = orchestrator.probes["sgx-0"]
         kubelet = orchestrator.kubelets["sgx-0"]
-        # The probe reads its own node's driver, resolves pods through
-        # its own kubelet and pushes into the orchestrator's sink.
+        # The probe reads its own node's driver for the pods its own
+        # kubelet touched and reports into the orchestrator's sink.
         assert probe.node_name == "sgx-0"
         assert probe.driver is kubelet.node.driver
-        assert probe.pod_name_resolver == kubelet.resolve_pod_name
+        assert probe.log is kubelet.epc_log
         assert probe.sink is orchestrator.aggregate_cache
 
     def test_reconcile_reaps_departed_nodes(self):

@@ -61,7 +61,12 @@ class TestAllocationProperties:
         )
         for owner, pages in zip(owners, requests, strict=True):
             epc.allocate(owner, pages)
-        assert sum(epc.usage_by_owner().values()) == epc.allocated_pages
+        usage = {}
+        for allocation in epc.allocations():
+            usage[allocation.owner] = (
+                usage.get(allocation.owner, 0) + allocation.pages
+            )
+        assert sum(usage.values()) == epc.allocated_pages
 
 
 class EpcMachine(RuleBasedStateMachine):

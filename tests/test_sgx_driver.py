@@ -52,13 +52,6 @@ class TestModuleParameters:
         with pytest.raises(DriverError):
             driver.read_parameter("sgx_bogus")
 
-    def test_snapshot_reports_usage_by_owner(self, driver):
-        driver.register_process(1, POD)
-        driver.create_enclave(1, size_bytes=mib(2))
-        snapshot = driver.snapshot()
-        assert snapshot.usage_by_owner == {POD: pages(mib(2))}
-        assert snapshot.used_pages == pages(mib(2))
-
 
 class TestIoctls:
     def test_get_epc_usage_ioctl(self, driver):

@@ -5,9 +5,11 @@ token it was built from (the node's memory and EPC versions in the
 window-max store, the kubelet's commitment version) and rebuilds only
 the views whose token moved.  Every build here is compared, field for
 field and in kubelet order, with ``tests/view_reference.py``, which
-rebuilds every view from a full Listing 1 scan: over replays that
-crash nodes, requeue, migrate and evict, and over orchestrators driven
-op by op through node churn and short-lived maxima.
+rebuilds every view from a full Listing 1 scan over every pod's sample
+at every collection: over replays that crash nodes, requeue, migrate
+and evict, over SGX 2 bursts that grow and shrink enclaves through the
+kubelet, and over orchestrators driven op by op through node churn,
+SGX 2 resizes and collections that pause for longer than the window.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from pass_reuse_reference import run_with_replay
 from repro.api import ObserveConfig, Scenario
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
-from repro.monitoring.heapster import MEASUREMENT_MEMORY
-from repro.monitoring.probe import MEASUREMENT_EPC
+from repro.errors import NodeError, SgxError
+from repro.experiments.ext_sgx2 import _BurstyRun, generate_bursty_jobs
 from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
@@ -31,6 +33,7 @@ from repro.scheduler.spread import SpreadScheduler
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib
 from view_reference import checking
+
 
 def replay_scenario(
     trace_seed, seed, n_jobs, sgx_fraction, scheduler, preempting,
@@ -148,6 +151,29 @@ def test_requeues_happen_without_overcommit(tmp_path):
     assert any(event["kind"] == "requeue" for event in events)
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=1_000),
+    n_jobs=st.integers(min_value=4, max_value=16),
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_sgx2_bursts_equal_the_reference(seed, n_jobs):
+    """``ext-sgx2``'s bursty jobs grow their enclaves through the
+    kubelet (EAUG, retried while the EPC is full) and shrink them
+    back: every live value change reaches the views."""
+    jobs = generate_bursty_jobs(
+        n_jobs=n_jobs, seed=seed, window_seconds=300.0
+    )
+    with checking() as checked:
+        run = _BurstyRun(jobs, sgx_version=2)
+        run.run()
+    assert checked[0] > 0
+    assert run.orchestrator.aggregate_cache.content_version > n_jobs
+
+
 # -- orchestrators driven op by op -------------------------------------------
 
 #: Node names ops may add; ``sgx-worker-0`` is also in the initial
@@ -158,12 +184,16 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.booleans(), st.integers(1, 40)),
         st.tuples(st.just("tick"), st.sampled_from([2.5, 5.0, 10.0, 30.0])),
+        # Time passes without a collection: a later query may find the
+        # last collection more than a window old.
+        st.tuples(st.just("wait"), st.sampled_from([5.0, 20.0, 40.0])),
         st.tuples(st.just("pass"), st.integers(0, 2)),
         st.tuples(st.just("views")),
         st.tuples(st.just("finish"), st.integers(0, 50)),
         st.tuples(st.just("remove"), st.integers(0, 5)),
         st.tuples(st.just("add"), st.sampled_from(_NAMES)),
-        st.tuples(st.just("spike"), st.integers(0, 50)),
+        st.tuples(st.just("grow"), st.integers(0, 50), st.integers(1, 12)),
+        st.tuples(st.just("shrink"), st.integers(0, 50), st.integers(1, 12)),
     ),
     max_size=40,
 )
@@ -171,8 +201,18 @@ _OPS = st.lists(
 
 def _new_node(name):
     if name.startswith("sgx"):
-        return Node(NodeSpec.sgx(name, epc_total_bytes=mib(64)))
+        return Node(
+            NodeSpec.sgx(name, epc_total_bytes=mib(64), sgx_version=2)
+        )
     return Node(NodeSpec.standard(name))
+
+
+def _placed(orchestrator):
+    return [
+        pod
+        for pod in orchestrator.all_pods
+        if pod.phase in (PodPhase.BOUND, PodPhase.RUNNING)
+    ]
 
 
 @given(ops=_OPS)
@@ -183,7 +223,9 @@ def _new_node(name):
 )
 def test_driven_builds_equal_the_reference(ops):
     orchestrator = Orchestrator(
-        paper_cluster(epc_total_bytes=mib(64), standard_workers=1)
+        paper_cluster(
+            epc_total_bytes=mib(64), standard_workers=1, sgx_version=2
+        )
     )
     schedulers = [
         BinpackScheduler(),
@@ -215,16 +257,14 @@ def test_driven_builds_equal_the_reference(ops):
             elif kind == "tick":
                 now += op[1]
                 orchestrator.collect_metrics(now)
+            elif kind == "wait":
+                now += op[1]
             elif kind == "pass":
                 orchestrator.scheduling_pass(schedulers[op[1]], now)
             elif kind == "views":
                 orchestrator.state_service.build_views(now)
             elif kind == "finish":
-                placed = [
-                    pod
-                    for pod in orchestrator.all_pods
-                    if pod.phase in (PodPhase.BOUND, PodPhase.RUNNING)
-                ]
+                placed = _placed(orchestrator)
                 if placed:
                     pod = placed[op[1] % len(placed)]
                     if pod.phase is PodPhase.BOUND:
@@ -239,31 +279,37 @@ def test_driven_builds_equal_the_reference(ops):
             elif kind == "add":
                 if op[1] not in orchestrator.kubelets:
                     orchestrator.add_node(_new_node(op[1]), now)
-            elif kind == "spike":
-                # A short-lived maximum for an admitted pod: when it
-                # ages out of the window, the smaller value resurfaces.
+            else:
+                # An SGX 2 resize through the kubelet (EAUG or
+                # EREMOVE): a grown maximum outlives the shrink by a
+                # window, then the smaller value resurfaces.  A resize
+                # past the pod's limit, the free EPC or its pages fails
+                # and changes nothing.
                 placed = [
-                    pod
-                    for pod in orchestrator.all_pods
-                    if pod.phase in (PodPhase.BOUND, PodPhase.RUNNING)
+                    pod for pod in _placed(orchestrator) if pod.requires_sgx
                 ]
                 if placed:
                     pod = placed[op[1] % len(placed)]
-                    measurement = (
-                        MEASUREMENT_EPC
-                        if pod.requires_sgx
-                        else MEASUREMENT_MEMORY
+                    kubelet = orchestrator.kubelets[pod.node_name]
+                    resize = (
+                        kubelet.grow_pod_epc
+                        if kind == "grow"
+                        else kubelet.shrink_pod_epc
                     )
-                    orchestrator.aggregate_cache.ingest(
-                        measurement,
-                        now,
-                        [(pod.node_name, pod.name, 1e6 * (op[1] + 1))],
-                    )
-        # Let every sample taken so far age out of the window.
+                    try:
+                        resize(pod, op[2] * 64)
+                    except (NodeError, SgxError):
+                        pass
+        # Let every sample taken so far age out of the window, then
+        # pause collections past it and resume them.
         for _ in range(3):
             orchestrator.state_service.build_views(now)
             now += 15.0
             orchestrator.collect_metrics(now)
+        now += 40.0
+        orchestrator.state_service.build_views(now)
+        orchestrator.collect_metrics(now)
+        orchestrator.state_service.build_views(now)
     assert checked[0] > 0
 
 
@@ -272,16 +318,18 @@ def test_driven_builds_equal_the_reference(ops):
 
 @pytest.fixture
 def placed():
-    """An orchestrator with one running pod on each of two SGX nodes
-    and a first build behind it; every build is checked."""
+    """An orchestrator with one running pod on each of two SGX 2 nodes
+    (4 of their 8 MiB in use) and a first build behind it; every build
+    is checked."""
     with checking():
-        orchestrator = Orchestrator(paper_cluster())
+        orchestrator = Orchestrator(paper_cluster(sgx_version=2))
         for index in range(2):
             orchestrator.submit(
                 make_pod_spec(
                     f"sgx-{index}",
                     duration_seconds=600.0,
                     declared_epc_bytes=mib(8),
+                    actual_epc_bytes=mib(4),
                 ),
                 now=0.0,
             )
@@ -318,22 +366,24 @@ def test_a_change_to_one_node_rebuilds_exactly_that_node(placed):
         if name != finished.node_name
     )
 
-    # One window maximum rose: only its node is rebuilt.
-    orchestrator.aggregate_cache.ingest(
-        MEASUREMENT_EPC, 4.0, [(kept.node_name, kept.name, 1e6)]
-    )
+    # One window maximum rose (an SGX 2 burst): only its node is
+    # rebuilt; the finished pod's series ends without a change.
+    kubelet = orchestrator.kubelets[kept.node_name]
+    kubelet.grow_pod_epc(kept, 1024)
+    orchestrator.collect_metrics(4.0)
     service.build_views(4.0)
     assert service.nodes_rebuilt == rebuilt + 2
     latest = {view.name: view for view in service._last_views}
-    assert latest[kept.node_name].used.epc_pages == 10**6
+    assert latest[kept.node_name].used.epc_pages == 2048
     assert all(
         latest[name] is after[name]
         for name in after
         if name != kept.node_name
     )
 
-    # The spike ages out of the window and the finished pod's series
-    # die: exactly those two nodes are rebuilt, at a walk.
+    # The burst ends and ages out of the window, and the finished
+    # pod's series die: exactly those two nodes are rebuilt, at a walk.
+    kubelet.shrink_pod_epc(kept, 1024)
     for now in (10.0, 20.0, 30.0):
         orchestrator.collect_metrics(now)
     service.build_views(30.0)

@@ -7,8 +7,10 @@ it runs Listing 1's inner query as a full InfluxQL scan over a
 database holding the samples, then folds each kubelet's admitted pods
 into one :class:`~repro.scheduler.base.NodeView`.  It reads nothing
 from the window-max store, so it cannot share the store's mistakes:
-:func:`checking` feeds a shadow database every collector batch the
-store ingests.
+:func:`checking` feeds a shadow database every pod's sample at every
+``Orchestrator.collect_metrics``, read by the per-tick collectors of
+``tests/monitoring_reference.py``, while the store hears only the
+series that started, changed or ended.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import contextlib
 from typing import Dict, Iterator, List, Tuple
 from unittest import mock
 
+import monitoring_reference
 from influxql import execute_query, parse_query
 from repro.cluster.resources import ResourceVector
 from repro.constants import METRICS_WINDOW_SECONDS
-from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.heapster import MEASUREMENT_MEMORY
 from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.monitoring.tsdb import TimeSeriesDatabase
+from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.base import ClusterStateService, NodeView
 
 _PER_POD_QUERY = (
@@ -59,6 +62,32 @@ def measured_usage(
             else:
                 pods[pod] = (pods.get(pod, (0, 0))[0], usage)
     return measured
+
+
+def window_rows(db: TimeSeriesDatabase, now: float) -> Dict:
+    """Listing 1's inner rows, ``(measurement, nodename, pod_name) ->
+    window maximum``, for every node the database has samples of."""
+    rows = {}
+    for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC):
+        query = parse_query(
+            _PER_POD_QUERY.format(
+                measurement=measurement, window=METRICS_WINDOW_SECONDS
+            )
+        )
+        for row in execute_query(query, db, now):
+            key = (measurement, row["nodename"], row["pod_name"])
+            rows[key] = row["usage"]
+    return rows
+
+
+def store_rows(store, now: float) -> Dict:
+    """The same rows from the window-max store."""
+    return {
+        (measurement, nodename, pod_name): value
+        for measurement in (MEASUREMENT_MEMORY, MEASUREMENT_EPC)
+        for nodename, node in store.node_states(measurement, now).items()
+        for pod_name, value in node.maxima().items()
+    }
 
 
 def reference_views(
@@ -103,38 +132,46 @@ def reference_views(
 @contextlib.contextmanager
 def checking() -> Iterator[List[int]]:
     """Inside the block, every ``build_views`` result must equal
-    :func:`reference_views`, field for field and in kubelet order.
+    :func:`reference_views`, field for field and in kubelet order, and
+    the store must hold Listing 1's rows for every node, departed
+    nodes included.
 
-    The full scan reads a shadow database that receives every batch
-    the service's store ingests.  Yields a one-item list counting the
-    builds checked.
+    The full scan reads a shadow database that receives, at every
+    ``Orchestrator.collect_metrics``, every admitted pod's sample
+    (:func:`monitoring_reference.collect`).  Yields a one-item list
+    counting the builds checked.
     """
-    shadows: Dict[WindowedAggregateCache, TimeSeriesDatabase] = {}
-    ingest = WindowedAggregateCache.ingest
+    shadows: Dict[object, TimeSeriesDatabase] = {}
+    collect_metrics = Orchestrator.collect_metrics
     build_views = ClusterStateService.build_views
     checked = [0]
 
-    def shadowed_ingest(store, measurement, now, rows):
-        ingest(store, measurement, now, rows)
-        shadow = shadows.get(store)
+    def shadowed_collect_metrics(orchestrator, now):
+        reported = collect_metrics(orchestrator, now)
+        shadow = shadows.get(orchestrator.aggregate_cache)
         if shadow is None:
-            shadow = shadows[store] = TimeSeriesDatabase(
-                retention_seconds=3600.0
+            shadow = shadows[orchestrator.aggregate_cache] = (
+                TimeSeriesDatabase(retention_seconds=3600.0)
             )
-        shadow.ingest(measurement, now, rows)
+        for measurement, rows in monitoring_reference.collect(orchestrator):
+            shadow.ingest(measurement, now, rows)
+        return reported
 
     def checked_build_views(service, now):
         views = build_views(service, now)
         db = shadows.get(service.store)
-        if db is None:  # nothing ingested yet
+        if db is None:  # nothing collected yet
             db = TimeSeriesDatabase()
         expected = reference_views(service.kubelets, db, now)
         assert views == expected, f"views differ at t={now}"
+        assert store_rows(service.store, now) == window_rows(db, now), (
+            f"window rows differ at t={now}"
+        )
         checked[0] += 1
         return views
 
     with mock.patch.object(
-        WindowedAggregateCache, "ingest", shadowed_ingest
+        Orchestrator, "collect_metrics", shadowed_collect_metrics
     ), mock.patch.object(
         ClusterStateService, "build_views", checked_build_views
     ):
