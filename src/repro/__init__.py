@@ -53,12 +53,7 @@ from .orchestrator.api import (
 )
 from .orchestrator.controller import Orchestrator
 from .orchestrator.pod import Pod
-from .policy import (
-    PreemptionPolicy,
-    PriorityClass,
-    QosClass,
-    resolve_priority,
-)
+from .policy import PreemptionPolicy, QosClass, resolve_priority
 from .scheduler.binpack import BinpackScheduler
 from .scheduler.kube_default import KubeDefaultScheduler
 from .scheduler.spread import SpreadScheduler
@@ -66,7 +61,7 @@ from .simulation.runner import ReplayResult, run_replay
 from .trace.borg import BorgTraceGenerator, synthetic_scaled_trace
 from .workload.malicious import MaliciousConfig
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 # The scenario layer sits on top of everything above; importing it
 # after the core packages keeps the orchestrator <-> scheduler import
@@ -93,7 +88,6 @@ __all__ = [
     "PodPhase",
     "PodSpec",
     "PreemptionPolicy",
-    "PriorityClass",
     "QosClass",
     "ReplayResult",
     "ResourceRequirements",

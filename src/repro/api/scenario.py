@@ -28,8 +28,6 @@ from typing import (
     Iterable,
     Mapping,
     Optional,
-    Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -40,18 +38,10 @@ from typing import (
 from .. import policy as _policy_builtins  # noqa: F401
 from .. import scheduler as _scheduler_builtins  # noqa: F401
 from .. import workload as _workload_builtins  # noqa: F401
-from ..cluster.topology import worker_names
-from ..constants import (
-    EPC_TOTAL_BYTES,
-    SGX_WORKER_COUNT,
-    STANDARD_WORKER_COUNT,
-)
-from ..errors import PolicyError, RegistryError, SimulationError
+from ..constants import EPC_TOTAL_BYTES
+from ..errors import RegistryError, SimulationError
 from ..obs.ledger import ObserveConfig
-from ..policy.classes import (
-    DEFAULT_PREEMPTION_THRESHOLD,
-    priority_class_map,
-)
+from ..policy.classes import DEFAULT_PREEMPTION_THRESHOLD
 from ..registry import (
     PREEMPTION_POLICIES,
     SCHEDULERS,
@@ -118,27 +108,6 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _node_failure(entry: object) -> Tuple[float, str]:
-    """*entry* as a ``(time, node_name)`` crash, or a SimulationError.
-
-    The time must be a finite number >= 0: a NaN crash time would
-    enter the event heap and corrupt its ordering.
-    """
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        time, node_name = entry
-        if (
-            isinstance(time, (int, float))
-            and not isinstance(time, bool)
-            and 0 <= time < math.inf
-            and isinstance(node_name, str)
-        ):
-            return time, node_name
-    raise SimulationError(
-        "node_failures entries must be (time, node_name) pairs with a "
-        f"finite time >= 0: {entry!r}"
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One experiment: what to replay, on what cluster, with which knobs.
@@ -159,11 +128,14 @@ class Scenario:
         Scenario(trace="borg-csv:path=trace.csv,window=1h,sample=0.05")
         Scenario(trace=my_trace)          # an explicit Trace object
 
+    The cluster is fixed for the whole replay: the workers are built
+    at start and none joins, leaves or crashes.
+
     Invalid knobs are rejected here — a bad SGX fraction, a
-    non-positive or non-finite period, an unknown scheduler name, a
-    strategy that cannot be built with no arguments or a crash of a
-    node the cluster lacks (or already lost) dies at construction
-    with a :class:`SimulationError`, not minutes into a replay.
+    non-positive or non-finite EPC size or stop time, an unknown
+    scheduler name or a strategy that cannot be built with no
+    arguments dies at construction with a :class:`SimulationError`,
+    not minutes into a replay.
     """
 
     #: Optional display name; shows up as the row label in tables.
@@ -206,16 +178,7 @@ class Scenario:
     enforce_epc_limits: bool = False
     epc_allow_overcommit: bool = True
 
-    # -- EPC rebalancer ----------------------------------------------------
-    #: Period of the EPC contention rebalancer (Sec. V-E's migration
-    #: use case); ``None`` disables it, as in the paper's evaluation.
-    rebalance_period: Optional[float] = None
-
     # -- priority & preemption (the policy subsystem) ----------------------
-    #: Extra priority classes (name -> int) overlaid on the built-in
-    #: tiers (``best-effort``/``batch``/``latency-critical``); workload
-    #: ``priority`` options given as names resolve against the merge.
-    priority_classes: OptionItems = ()
     #: Planner consulted when a pod above the threshold fails
     #: placement (any name in
     #: ``repro.registry.PREEMPTION_POLICIES``).  The default ``none``
@@ -233,27 +196,19 @@ class Scenario:
     #: identical to the unobserved one, on every engine.
     observe: Optional[ObserveConfig] = None
 
-    # -- failure injection / stop -----------------------------------------
-    #: (time, node_name) crashes: running pods on the crashed node are
-    #: lost and resubmitted; the node leaves the cluster.
-    node_failures: Sequence[Tuple[float, str]] = ()
+    # -- stop --------------------------------------------------------------
     #: Hard stop; generous because small EPC sizes drain slowly (Fig. 7).
     max_sim_seconds: float = 48 * 3600.0
 
     def __post_init__(self) -> None:
-        # Accept plain dicts for the option fields; store sorted items
-        # so the scenario stays frozen, hashable and picklable.
-        for option_field in ("workload_options", "priority_classes"):
-            value = getattr(self, option_field)
-            if not isinstance(value, tuple):
-                object.__setattr__(
-                    self, option_field, freeze_options(value)
-                )
-        object.__setattr__(
-            self,
-            "node_failures",
-            tuple(_node_failure(failure) for failure in self.node_failures),
-        )
+        # Accept a plain dict for the options; store sorted items so
+        # the scenario stays frozen, hashable and picklable.
+        if not isinstance(self.workload_options, tuple):
+            object.__setattr__(
+                self,
+                "workload_options",
+                freeze_options(self.workload_options),
+            )
         if isinstance(self.trace, str):
             # Die at construction, not mid-replay: the name must be a
             # registered adapter (the error lists the sorted known
@@ -277,12 +232,6 @@ class Scenario:
                 "preemption_priority_threshold must be an int: "
                 f"{self.preemption_priority_threshold!r}"
             )
-        try:
-            # Validates names and values; the merged catalogue itself
-            # is rebuilt where it is used.
-            priority_class_map(self.priority_classes)
-        except PolicyError as exc:
-            raise SimulationError(str(exc)) from None
         if self.malicious is not None and self.workload == "malicious":
             raise SimulationError(
                 "workload='malicious' already deploys the squatters; "
@@ -315,10 +264,7 @@ class Scenario:
             **standard,
             **options,
         )
-        positive_fields = ["max_sim_seconds", "epc_total_bytes"]
-        if self.rebalance_period is not None:
-            positive_fields.append("rebalance_period")
-        for positive_field in positive_fields:
+        for positive_field in ("max_sim_seconds", "epc_total_bytes"):
             value = getattr(self, positive_field)
             # Chained so NaN fails too: ``value <= 0`` is False for it.
             if not 0 < value < math.inf:
@@ -334,27 +280,6 @@ class Scenario:
                 raise SimulationError(
                     f"{worker_field} must be an int >= 1: {value!r}"
                 )
-        standard_names, sgx_names = worker_names(
-            STANDARD_WORKER_COUNT
-            if self.standard_workers is None
-            else self.standard_workers,
-            SGX_WORKER_COUNT if self.sgx_workers is None else self.sgx_workers,
-        )
-        workers = standard_names + sgx_names
-        crashed: Set[str] = set()
-        for failure in self.node_failures:
-            node_name = failure[1]
-            if node_name not in workers:
-                raise SimulationError(
-                    f"node_failures entry {failure!r} names no worker of "
-                    f"this cluster ({', '.join(workers)})"
-                )
-            if node_name in crashed:
-                raise SimulationError(
-                    f"node_failures entry {failure!r} crashes "
-                    f"{node_name!r} a second time"
-                )
-            crashed.add(node_name)
 
     # -- derived views -----------------------------------------------------
 
@@ -399,7 +324,6 @@ class Scenario:
             scenario=self,
             metrics=replay.metrics,
             passes_executed=replay.passes_executed,
-            migration_count=replay.migration_count,
             preemption_count=replay.preemption_count,
             eviction_count=replay.eviction_count,
             wait_reasons=replay.wait_reasons,
@@ -415,16 +339,15 @@ class RunResult:
 
     Carries the scenario, the full :class:`ReplayMetrics` (per-pod
     lifecycles, the Fig. 7 queue series, makespan) and the engine's
-    pass/migration counters — everything picklable, so parallel sweep
-    workers can ship results back whole.  The live orchestrator
-    intentionally stays behind in the worker; scenarios that need it
-    should drive the engine directly.
+    pass, preemption and eviction counters — everything picklable, so
+    parallel sweep workers can ship results back whole.  The live
+    orchestrator intentionally stays behind in the worker; scenarios
+    that need it should drive the engine directly.
     """
 
     scenario: Scenario
     metrics: ReplayMetrics
     passes_executed: int = 0
-    migration_count: int = 0
     #: Pods placed by evicting victims (0 under the ``none`` policy).
     preemption_count: int = 0
     #: Victims evicted (killed and resubmitted) for those placements.
@@ -472,7 +395,8 @@ class RunResult:
             # Where 3.x counted event-driven skipped passes; a constant,
             # like the spillover slot below.
             0,
-            self.migration_count,
+            # Where 15.x and earlier counted live migrations.
+            0,
             self.preemption_count,
             self.eviction_count,
             tuple(sorted(self.wait_reasons.items())),
@@ -500,7 +424,6 @@ class RunResult:
             "max_wait_s": round(metrics.max_waiting_seconds(), 3),
             "turnaround_h": round(metrics.total_turnaround_hours(), 3),
             "passes_executed": self.passes_executed,
-            "migrations": self.migration_count,
             "preemptions": self.preemption_count,
             "evictions": self.eviction_count,
             # Deferral-reason aggregates: what the queue waited *on*.

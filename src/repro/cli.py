@@ -392,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Replay one pod's story out of a repro.ledger/v1 file: "
             "when it was submitted, how many passes deferred it and "
             "why (EPC vs memory vs CPU), where it was placed, and any "
-            "requeues, evictions, preemptions, migrations or (in "
-            "ledgers written by 2.x) cell spillovers along the way.  "
+            "requeues, evictions, preemptions, migrations (in "
+            "ledgers written before 16.0.0) or cell spillovers (in "
+            "ledgers written by 2.x) along the way.  "
             "Exit 2 when the ledger is unreadable or the pod never "
             "appears in it."
         ),
@@ -695,7 +696,7 @@ def _cmd_sweep(
                 f"workers must be a positive integer: {args.workers}"
             )
     # TypeError/ValueError cover grid values that a structured field
-    # rejects before validation proper (e.g. node_failures=5).
+    # rejects before validation proper (e.g. workload_options=5).
     except (
         SimulationError, RegistryError, TraceError, TypeError, ValueError
     ) as exc:

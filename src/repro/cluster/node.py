@@ -185,10 +185,6 @@ class Node:
         """EPC pages currently allocated on this node (0 if non-SGX)."""
         return self.epc.allocated_pages if self.epc is not None else 0
 
-    def free_epc_pages(self) -> int:
-        """EPC pages free on this node (0 if non-SGX)."""
-        return self.epc.free_pages if self.epc is not None else 0
-
     def __repr__(self) -> str:
         kind = "sgx" if self.sgx_capable else "standard"
         return f"Node({self.name!r}, {kind}, capacity={self.capacity})"

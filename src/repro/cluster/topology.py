@@ -37,13 +37,6 @@ class Cluster:
             raise ClusterError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
 
-    def remove_node(self, name: str) -> Node:
-        """Remove and return a node."""
-        node = self._nodes.pop(name, None)
-        if node is None:
-            raise ClusterError(f"no such node {name!r}")
-        return node
-
     def node(self, name: str) -> Node:
         """Look a node up by name."""
         node = self._nodes.get(name)

@@ -90,11 +90,10 @@ class SeriesLog:
     that can move the pod's reading (admission, teardown, an SGX 2
     resize); at each collection the collector drains it (:meth:`drain`).
     Only the state at the collection is read, so what happens between
-    two (a migration's checkpoint, a pod admitted and torn down) is
-    never seen, as sampling every pod would not see it.  Series are
-    keyed by pod name, as Listing 1 groups them, so a touched pod's
-    reading is its name's series value: two live pods of one name on
-    one node share a series.
+    two (a pod admitted and torn down) is never seen, as sampling every
+    pod would not see it.  Series are keyed by pod name, as Listing 1
+    groups them; the orchestrator refuses a second live pod of one
+    name, so a name's series is one pod's reading.
     """
 
     __slots__ = ("node_name", "touched", "reported")
@@ -338,29 +337,6 @@ class WindowedAggregateCache:
     #: ``bench/run.py`` times this attribute as its
     #: ``monitoring.aggregate`` layer; nothing in the package calls it.
     on_write = report
-
-    def end_node(self, nodename: str) -> None:
-        """End every live series of *nodename*, in every measurement,
-        as of that measurement's last collection: the node left, and
-        nothing polls it again."""
-        for state in self._measurements.values():
-            self._close(state)
-            state.paused.pop(nodename, None)
-            node = state.nodes.get(nodename)
-            if node is None or not node.live:
-                continue
-            last = state.last
-            for pod_name in node.live:
-                maxdeque = node.series[pod_name]
-                time, value = maxdeque[-1]
-                if time < last:
-                    maxdeque[-1] = (last, value)
-                head_time = maxdeque[0][0]
-                if head_time < node.horizon:
-                    node.horizon = head_time
-            node.live.clear()
-            if node.horizon < state.horizon:
-                state.horizon = node.horizon
 
     # -- collections that pause past the window --------------------------
 

@@ -2,7 +2,7 @@
 
 The paper configures Heapster to gather per-pod memory usage on every
 node and push it into InfluxDB (Section V-C).  Our collector reads its
-*sources* (the orchestrator's live kubelets, in practice) by change:
+*sources* (the orchestrator's kubelets, in practice) by change:
 at each collection it reads the cgroup memory of the pods each kubelet
 touched since the previous one, and hands a
 :class:`~repro.monitoring.aggregate.MetricsSink` (the scheduler's
@@ -37,9 +37,8 @@ class MemorySource(Protocol):
 class Heapster:
     """Reads Kubelet-like sources and sends per-pod memory changes.
 
-    *sources* is read on every collection, so a live collection (the
-    orchestrator's ``kubelets.values()``) follows nodes as they join
-    and leave.
+    *sources* is the cluster's fixed node set, read in order at every
+    collection.
     """
 
     __slots__ = ("sink", "sources")

@@ -2,8 +2,8 @@
 
 One probe runs on every node that advertises EPC pages (the paper
 deploys it as a DaemonSet, Section V-C; here the orchestrator files it
-in :attr:`~repro.orchestrator.controller.Orchestrator.probes` when the
-node joins and drops it when the node leaves).  At each collection it
+in :attr:`~repro.orchestrator.controller.Orchestrator.probes` when it
+is built).  At each collection it
 reads the patched driver's per-process occupancy ioctl
 (``IOCTL_GET_EPC_USAGE``, Section V-E) for the pods its kubelet
 touched since the previous one, and hands the same sink Heapster uses

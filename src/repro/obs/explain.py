@@ -5,8 +5,9 @@
 ledger's records that mention the pod: submission trigger, every
 deferral with its wait reason, the placement (node and how many
 runner-up candidates it beat), requeues, preemptions it caused,
-evictions and migrations it suffered, cell spillovers (only in
-ledgers written by 2.x), and how it finished.
+evictions it suffered, migrations (only in ledgers written before
+16.0.0), cell spillovers (only in ledgers written by 2.x), and how
+it finished.
 """
 
 from __future__ import annotations

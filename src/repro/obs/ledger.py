@@ -90,9 +90,12 @@ LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     "preemption": ("pod", "node", "victims", "cost"),
     #: One victim killed (and resubmitted) by the preemption step.
     "eviction": ("victim", "node", "preemptor", "lost_work_s"),
-    #: The EPC rebalancer live-migrated a pod.
+    #: The EPC rebalancer live-migrated a pod.  Never emitted since
+    #: 16.0.0 (a replay's cluster is fixed); kept so older ledgers
+    #: stay readable.
     "migration": ("pod", "source", "target", "pages", "downtime_s"),
-    #: A migration died at restore; the spec was resubmitted.
+    #: A migration died at restore; the spec was resubmitted.  Never
+    #: emitted since 16.0.0, like ``migration``.
     "migration_failed": ("pod", "source", "target", "replacement"),
     #: A pod re-routed across scheduling cells.  Only ledgers written
     #: by 2.x (sharded scheduling) carry it; kept so they stay
@@ -100,8 +103,9 @@ LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     "spillover": ("pod", "from_cell", "to_cell", "cause"),
     #: A cluster transition that could make a scheduling pass useful
     #: (``event`` is ``pod-submitted``, ``pod-requeued``,
-    #: ``pod-completed``, ``pod-killed``, ``node-added``,
-    #: ``node-removed`` or ``capacity-freed``).
+    #: ``pod-completed`` or ``pod-killed``; ledgers older than 16.0.0
+    #: may also carry ``node-added``, ``node-removed`` and
+    #: ``capacity-freed``).
     "trigger": ("event", "pod", "node"),
     #: The state service served node views (rebuilt or reused).
     "cache_rebuild": ("reused",),

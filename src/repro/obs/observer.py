@@ -2,9 +2,9 @@
 
 A :class:`RunObserver` groups the three exporters — decision ledger,
 span recorder, metrics registry — behind one object the replay hands
-to the orchestrator, state service, schedulers, preemption policy
-and rebalancer.  Each component keeps only the piece it emits
-to and guards every emission on that piece's ``enabled`` flag.
+to the orchestrator, state service, schedulers and preemption
+policy.  Each component keeps only the piece it emits to and guards
+every emission on that piece's ``enabled`` flag.
 
 An unobserved replay carries :data:`NULL_OBSERVER` instead: a single
 shared object whose components are the null ledger / null spans /

@@ -1,7 +1,7 @@
 """Span recording: Chrome trace-event JSON for Perfetto.
 
 Spans measure the *replay machinery itself* — the whole replay, each
-scheduling pass, view rebuilds, preemption planning, rebalance sweeps.
+scheduling pass, view rebuilds, preemption planning.
 They are wall-time intervals (``time.perf_counter``) annotated with the
 simulated time at which the work happened, exported as complete-event
 (``"ph": "X"``) Chrome trace-event JSON: open the file in Perfetto

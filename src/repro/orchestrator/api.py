@@ -98,12 +98,12 @@ class WorkloadProfile:
 class PodSpec:
     """A pod manifest: resources, labels, workload and priority.
 
-    ``priority`` is the resolved integer of a
-    :class:`repro.policy.classes.PriorityClass`: the pending queue
-    orders tiers by it (higher first, FCFS within a tier) and the
-    preemption planners only evict strictly lower tiers.  The default
-    of 0 (``best-effort``) reproduces the paper's priority-free
-    orchestrator exactly.
+    ``priority`` is an integer tier (a built-in tier's value from
+    :data:`repro.policy.classes.PRIORITY_CLASSES`, or any int): the
+    pending queue orders tiers by it (higher first, FCFS within a
+    tier) and the preemption planners only evict strictly lower
+    tiers.  The default of 0 (``best-effort``) reproduces the paper's
+    priority-free orchestrator exactly.
     """
 
     name: str

@@ -22,6 +22,10 @@ The monitoring sink is a
 maxima, each live series counted as sampled at every collection with
 its last value; every scheduling pass reads its node views from it.
 
+The cluster is fixed at construction: every node the
+:class:`~repro.cluster.topology.Cluster` holds then gets its kubelet
+(and, with EPC, its probe), and none joins or leaves afterwards.
+
 The orchestrator itself is clock-free: every method takes ``now``.
 """
 
@@ -47,7 +51,6 @@ from ..scheduler.base import (
     Scheduler,
     SchedulingOutcome,
 )
-from ..sgx.migration import MigrationManager
 from ..sgx.perf import SgxPerfModel
 from .api import PodSpec
 from .kubelet import Kubelet
@@ -109,10 +112,9 @@ class Orchestrator:
         #: unobserved); the ledger and span recorder are threaded into
         #: the state service, schedulers and preemption policy from
         #: here.  Every cluster transition that could make a scheduling
-        #: pass useful (pod submitted, requeued, completed or killed,
-        #: node added or removed, capacity freed by a migration) is a
-        #: ``trigger`` ledger record; ``repro explain`` reads a pod's
-        #: submission and end from them.
+        #: pass useful (pod submitted, requeued, completed or killed)
+        #: is a ``trigger`` ledger record; ``repro explain`` reads a
+        #: pod's submission and end from them.
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.ledger = self.observer.ledger
         self.spans = self.observer.spans
@@ -124,22 +126,19 @@ class Orchestrator:
         #: The monitoring sink: the sliding-window maxima the scheduling
         #: pass reads, kept current on every reported change.
         self.aggregate_cache = WindowedAggregateCache()
-        #: Shared by every kubelet, bootstrap and late-joined alike.
+        #: Shared by every kubelet.
         self.perf_model = perf_model or SgxPerfModel()
-        #: The one node registry, in join order: Heapster and the state
-        #: service read its live values, so a join or removal touches
-        #: only this, :attr:`probes` and the cluster.
+        #: The one node registry, in cluster order.
         self.kubelets: Dict[str, Kubelet] = {}
-        #: One SGX probe per node that advertises EPC, in join order
+        #: One SGX probe per node that advertises EPC, in cluster order
         #: (the paper's probe DaemonSet, Sec. V-C).
         self.probes: Dict[str, SgxMetricsProbe] = {}
         for node in cluster:
             self._join(node)
-        self.heapster = Heapster(self.aggregate_cache, self.kubelets.values())
+        kubelets = tuple(self.kubelets.values())
+        self.heapster = Heapster(self.aggregate_cache, kubelets)
         self.state_service = ClusterStateService(
-            self.kubelets.values(),
-            self.aggregate_cache,
-            observer=self.observer,
+            kubelets, self.aggregate_cache, observer=self.observer
         )
         if preemption_policy is not None:
             preemption_policy.ledger = self.ledger
@@ -147,7 +146,9 @@ class Orchestrator:
         self.all_pods: List[Pod] = []
         #: Numbers this orchestrator's pods (see :attr:`Pod.uid`).
         self._pod_numbers = itertools.count(1)
-        self.migrations = MigrationManager()
+        #: Each pod name's latest pod: a name is taken while that pod
+        #: is not terminal (see :meth:`submit`).
+        self._named: Dict[str, Pod] = {}
         #: The last pass's all-deferred outcome and what it was computed
         #: from (see :meth:`_schedule`); ``None`` when that pass placed
         #: or rejected a pod.
@@ -157,11 +158,12 @@ class Orchestrator:
         #: as executed).
         self.passes_reused = 0
 
-    # -- node lifecycle (Sec. V-C: probes follow nodes automatically) ----
+    # -- nodes (Sec. V-C: every SGX node gets its probe) ------------------
 
-    def _join(self, node) -> Kubelet:
+    def _join(self, node) -> None:
         """Register *node*'s kubelet, and its SGX probe when the node
-        advertises EPC pages.
+        advertises EPC pages: the paper's "automatic" probe deployment,
+        with no registration step.
 
         The probe holds the sink and the kubelet's EPC series log,
         never the orchestrator, so a finished replay is freed by
@@ -176,55 +178,6 @@ class Orchestrator:
                 sink=self.aggregate_cache,
                 log=kubelet.epc_log,
             )
-        return kubelet
-
-    def add_node(self, node, now: float) -> Kubelet:
-        """Join a new physical node to the cluster.
-
-        Its kubelet starts feeding Heapster and the scheduler's views,
-        and a node that advertises SGX gets a probe — the paper's
-        "automatically handle the deployment of new probes when adding
-        physical nodes".  The Kubelet shares the bootstrap inventory's
-        performance model.
-        """
-        self.cluster.add_node(node)
-        kubelet = self._join(node)
-        ledger = self.ledger
-        if ledger.enabled:
-            ledger.emit(
-                now, "trigger", event="node-added", pod=None, node=node.name
-            )
-        return kubelet
-
-    def remove_node(self, node_name: str, now: float) -> List[Pod]:
-        """Handle a node crash or drain.
-
-        Pods running there are re-submitted to the queue (their specs
-        survive; their progress does not — a crash analogue of the
-        Kubernetes controller recreating lost pods), and the node's
-        probe and metrics stop: nothing polls the node again, so its
-        live series end as of the last collection.  Returns the
-        requeued pods.
-        """
-        kubelet = self.kubelets.pop(node_name, None)
-        if kubelet is None:
-            raise OrchestrationError(f"no such node {node_name!r}")
-        self.probes.pop(node_name, None)
-        self.aggregate_cache.end_node(node_name)
-        orphans = list(kubelet.admitted_pods())
-        requeued: List[Pod] = []
-        for pod in orphans:
-            kubelet.terminate(pod)
-            pod.mark_failed(now, f"node {node_name} lost")
-            replacement = self.submit(pod.spec, now)
-            requeued.append(replacement)
-        self.cluster.remove_node(node_name)
-        ledger = self.ledger
-        if ledger.enabled:
-            ledger.emit(
-                now, "trigger", event="node-removed", pod=None, node=node_name
-            )
-        return requeued
 
     # -- submission --------------------------------------------------------
 
@@ -236,17 +189,30 @@ class Orchestrator:
     ) -> Pod:
         """Accept a pod into the pending queue (Fig. 2, steps 1-2).
 
+        A pod name names one live pod, as in a Kubernetes namespace:
+        Listing 1 groups usage by ``pod_name``, so two live pods of one
+        name would share a series.  Submitting *spec* while a pod of
+        its name is not yet terminal raises
+        :class:`~repro.errors.OrchestrationError`; once that pod
+        succeeded or failed the name is free again.
+
         ``submitted_at`` backdates the pod's FCFS key without touching
         the event time: the eviction path resubmits a victim's spec
         with its original submission instant, so the replacement
         re-enters exactly where its priority tier's FCFS order had the
         victim instead of being demoted to the tier's tail.
         """
+        holder = self._named.get(spec.name)
+        if holder is not None and not holder.phase.is_terminal:
+            raise OrchestrationError(
+                f"pod {spec.name!r} already exists ({holder.phase})"
+            )
         pod = Pod(
             spec,
             submitted_at=now if submitted_at is None else submitted_at,
             uid=f"{next(self._pod_numbers):08d}",
         )
+        self._named[spec.name] = pod
         self.queue.push(pod)
         self.all_pods.append(pod)
         ledger = self.ledger
@@ -623,75 +589,6 @@ class Orchestrator:
                 now, "trigger",
                 event="pod-completed", pod=pod.name, node=pod.node_name,
             )
-
-    def migrate_pod(
-        self, pod: Pod, target_node_name: str, now: float
-    ) -> float:
-        """Live-migrate a running SGX pod to another node.
-
-        The paper's future-work extension, wired through the secure
-        migration protocol (:mod:`repro.sgx.migration`): quiescent
-        checkpoint on the source, self-destroy, attested one-time
-        restore on the target.  Returns the migration downtime in
-        seconds (checkpoint transfer over the 1 Gbit/s network plus the
-        target-side restore allocation), which the caller's event loop
-        should account before the pod resumes useful work.
-        """
-        if pod.node_name is None or pod.node_name == target_node_name:
-            raise OrchestrationError(
-                f"pod {pod.name} cannot migrate to {target_node_name!r}"
-            )
-        source = self.kubelets[pod.node_name]
-        target = self.kubelets.get(target_node_name)
-        if target is None:
-            raise OrchestrationError(f"no such node {target_node_name!r}")
-        if target.node.driver is None:
-            raise OrchestrationError(
-                f"target {target_node_name!r} has no SGX support"
-            )
-        pid, enclave, source_aesm = source.begin_migration(pod)
-        # Target-side PSW does not exist yet; attest against a probe
-        # AESM for the target platform (same platform identity).
-        from ..sgx.aesm import AesmService
-
-        target_probe = AesmService(platform_id=f"platform-{pod.uid}")
-        target_probe.start()
-        checkpoint, key = self.migrations.checkpoint(
-            source.node.driver, pid, enclave, source_aesm, target_probe
-        )
-        source_node_name = pod.node_name
-        source.terminate(pod)
-        # The source's EPC pages are free from here on, whatever the
-        # restore outcome: deferred pods may now fit there.
-        ledger = self.ledger
-        if ledger.enabled:
-            ledger.emit(
-                now, "trigger",
-                event="capacity-freed", pod=pod.name, node=source_node_name,
-            )
-
-        def restore(new_pid, target_aesm):
-            # The key binds to the probe's platform id; rebind the
-            # restore-side AESM to it (one platform, one container).
-            assert target.node.driver is not None
-            return self.migrations.restore(
-                target.node.driver, new_pid, checkpoint, key, target_probe
-            )
-
-        admission = target.admit(pod, restore)
-        if not admission.success:
-            pod.mark_failed(
-                now, admission.failure_reason or "migration failed"
-            )
-            raise OrchestrationError(
-                f"migration of {pod.name} to {target_node_name} failed: "
-                f"{admission.failure_reason}"
-            )
-        pod.mark_migrated(target_node_name)
-        # Downtime: state transfer (enclave bytes over 1 Gbit/s) plus
-        # the target-side rebuild the admission already measured.
-        transfer_seconds = checkpoint.size_bytes / 125_000_000
-        return transfer_seconds + admission.startup_seconds
 
     def kill_pod(self, pod: Pod, now: float, reason: str) -> None:
         """Forcibly terminate a pod (any non-terminal phase)."""

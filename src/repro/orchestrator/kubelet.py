@@ -12,8 +12,7 @@ On pod admission the Kubelet reproduces the paper's node-side pipeline
    container: boot the per-container PSW, create the enclave — committing
    the workload's *actual* EPC pages, which is where under-declared
    malicious pods get caught — and EINIT it through the driver, which
-   applies the limit check (a live-migrated pod restores its enclave
-   instead, on the same path);
+   applies the limit check;
 4. report per-pod measured usage to the monitoring layer by change: at
    every write that can move a pod's reading (admission, teardown, an
    SGX 2 resize) it files the pod in its series logs
@@ -172,9 +171,9 @@ class Kubelet:
 
         The per-process ioctl of Section V-E — the paper's stated
         mechanism for identifying preemption and migration victims.
-        Both the EPC rebalancer and the preemption planners price
-        candidates by this number: an SGX2-grown enclave occupies its
-        *measured* pages, not its declared request.
+        The preemption planners price candidates by this number: an
+        SGX2-grown enclave occupies its *measured* pages, not its
+        declared request.
         """
         record = self._records.get(pod.uid)
         if (
@@ -187,18 +186,12 @@ class Kubelet:
 
     # -- pod lifecycle ----------------------------------------------------
 
-    def admit(self, pod: Pod, restore=None) -> AdmissionResult:
+    def admit(self, pod: Pod) -> AdmissionResult:
         """Launch *pod* on this node; returns the startup outcome.
 
         The caller (orchestrator) has already bound the pod; admission
         failures here surface as immediate pod kills, exactly like the
         paper's "immediately killed after launch" over-allocators.
-
-        *restore* admits a live-migrated pod: a callable ``(pid, aesm)
-        -> enclave`` supplied by the orchestrator, closing over the
-        migration manager, the checkpoint and the key.  It replaces
-        ECREATE/EINIT and runs inside this node's context, so the
-        restored enclave lands in this node's EPC.
         """
         if pod.uid in self._records:
             raise NodeError(
@@ -231,11 +224,11 @@ class Kubelet:
             return AdmissionResult(
                 success=True, startup_seconds=startup.total_seconds
             )
-        return self._launch_sgx(record, restore)
+        return self._launch_sgx(record)
 
-    def _launch_sgx(self, record: _PodRecord, restore) -> AdmissionResult:
+    def _launch_sgx(self, record: _PodRecord) -> AdmissionResult:
         """SGX container launch: PSW boot, then ECREATE and a
-        limit-checked EINIT, or the migrated enclave's *restore*."""
+        limit-checked EINIT."""
         pod = record.pod
         workload = pod.spec.workload
         assert workload is not None and record.pid is not None
@@ -247,34 +240,23 @@ class Kubelet:
         psw = PlatformSoftware(container_id=pod.uid)
         psw_seconds = psw.boot()
         record.psw = psw
-        if restore is not None:
-            try:
-                enclave = restore(record.pid, psw.aesm)
-            except EpcExhaustedError as exc:
-                return self._abort(
-                    record,
-                    f"migration restore failed: {exc}",
-                    retryable=True,
-                )
-            epc_bytes = pages_to_bytes(enclave.pages)
-        else:
-            epc_bytes = pages_to_bytes(workload.epc_pages)
-            try:
-                enclave = driver.create_enclave(
-                    record.pid,
-                    size_bytes=epc_bytes,
-                    dynamic=driver.sgx_version >= 2,
-                )
-            except EpcExhaustedError as exc:
-                return self._abort(
-                    record,
-                    f"enclave creation failed: {exc}",
-                    retryable=True,
-                )
-            try:
-                driver.initialize_enclave(record.pid, enclave, psw.aesm)
-            except EnclaveLimitExceededError as exc:
-                return self._abort(record, f"EPC limit enforcement: {exc}")
+        epc_bytes = pages_to_bytes(workload.epc_pages)
+        try:
+            enclave = driver.create_enclave(
+                record.pid,
+                size_bytes=epc_bytes,
+                dynamic=driver.sgx_version >= 2,
+            )
+        except EpcExhaustedError as exc:
+            return self._abort(
+                record,
+                f"enclave creation failed: {exc}",
+                retryable=True,
+            )
+        try:
+            driver.initialize_enclave(record.pid, enclave, psw.aesm)
+        except EnclaveLimitExceededError as exc:
+            return self._abort(record, f"EPC limit enforcement: {exc}")
         record.enclave = enclave
         alloc_seconds = self.perf_model.allocation_seconds(epc_bytes)
         return AdmissionResult(
@@ -330,23 +312,6 @@ class Kubelet:
                 f"pod {pod.name} is not admitted on {self.node.name}"
             )
         return record
-
-    # -- live migration (the paper's future-work extension) ------------
-
-    def begin_migration(self, pod: Pod):
-        """Expose the node-local handles the migration manager needs.
-
-        Returns ``(pid, enclave, aesm)`` for the pod's container; the
-        caller checkpoints through the driver (which self-destroys the
-        enclave), then tears the source side down with :meth:`terminate`
-        and admits the pod on the target with ``admit(pod, restore)``.
-        """
-        record = self._require_record(pod)
-        if record.enclave is None or record.psw is None:
-            raise NodeError(f"pod {pod.name} has no enclave to migrate")
-        if record.pid is None:
-            raise NodeError(f"pod {pod.name} has no process")
-        return record.pid, record.enclave, record.psw.aesm
 
     def terminate(self, pod: Pod) -> None:
         """Tear a pod down (normal completion or kill). Idempotent."""

@@ -68,7 +68,8 @@ class Pod:
 
     @property
     def name(self) -> str:
-        """The pod's name (unique per experiment by construction)."""
+        """The pod's name; no two live pods of one orchestrator share
+        it (see :meth:`repro.orchestrator.controller.Orchestrator.submit`)."""
         return self.spec.name
 
     @property
@@ -107,16 +108,6 @@ class Pod:
         self._require_phase(PodPhase.BOUND, "start")
         self.phase = PodPhase.RUNNING
         self.started_at = now
-
-    def mark_migrated(self, node_name: str) -> None:
-        """Live migration completed: the pod now runs on *node_name*.
-
-        Only running pods migrate (the paper's future-work extension);
-        waiting/turnaround accounting is unaffected — migration moves
-        the pod mid-flight without restarting its clock.
-        """
-        self._require_phase(PodPhase.RUNNING, "migrate")
-        self.node_name = node_name
 
     def mark_succeeded(self, now: float) -> None:
         """Workload ran to completion."""

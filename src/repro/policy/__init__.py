@@ -4,7 +4,7 @@ Three pieces compose (Section V-E's "processes that should be
 preempted", made schedulable):
 
 * :mod:`repro.policy.classes` — named priority tiers
-  (:class:`PriorityClass`); pods carry the resolved integer and the
+  (:data:`PRIORITY_CLASSES`); pods carry the resolved integer and the
   pending queue orders tiers by it, FCFS within each tier;
 * :mod:`repro.policy.qos` — guaranteed/burstable/best-effort derived
   from requests vs limits, governing who is evictable;
@@ -21,9 +21,7 @@ passes alike.
 
 from .classes import (
     DEFAULT_PREEMPTION_THRESHOLD,
-    DEFAULT_PRIORITY_CLASSES,
-    PriorityClass,
-    priority_class_map,
+    PRIORITY_CLASSES,
     resolve_priority,
 )
 from .preemption import (
@@ -39,18 +37,16 @@ from .qos import QosClass, is_evictable_by, qos_of
 
 __all__ = [
     "DEFAULT_PREEMPTION_THRESHOLD",
-    "DEFAULT_PRIORITY_CLASSES",
+    "PRIORITY_CLASSES",
     "CheapestVictims",
     "EvictionCandidate",
     "EvictionPlan",
     "LowestPriorityFirst",
     "NoPreemption",
     "PreemptionPolicy",
-    "PriorityClass",
     "QosClass",
     "available_after",
     "is_evictable_by",
-    "priority_class_map",
     "qos_of",
     "resolve_priority",
 ]

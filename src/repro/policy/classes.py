@@ -2,14 +2,13 @@
 
 Section V-E motivates the per-process EPC metric with processes "that
 should be preempted" under contention; the policy layer that decision
-implies needs a notion of *who outranks whom*.  A
-:class:`PriorityClass` binds a name to an integer value, exactly like
-the Kubernetes object of the same name: pods carry the resolved
-integer (``PodSpec.priority``), scenarios and workloads may speak in
-class names, and the pending queue orders tiers by value (higher wins)
-while staying FCFS *within* a tier.
+implies needs a notion of *who outranks whom*.  A priority class binds
+a name to an integer value, like the Kubernetes object of the same
+name: pods carry the integer (``PodSpec.priority``), workload options
+may name a tier instead, and the pending queue orders tiers by value
+(higher wins) while staying FCFS *within* a tier.
 
-The default catalogue mirrors a common multi-tenant setup:
+The built-in tiers mirror a common multi-tenant setup:
 
 * ``best-effort`` (0) — the default for every pod; the paper's
   evaluation runs entirely in this tier, which is why priority-disabled
@@ -18,12 +17,13 @@ The default catalogue mirrors a common multi-tenant setup:
   to interactive tenants;
 * ``latency-critical`` (100) — the tier whose pods may trigger
   preemption (it clears the default eviction threshold).
+
+Any other priority is given as an int.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Union
 
 from ..errors import PolicyError
 
@@ -31,67 +31,17 @@ from ..errors import PolicyError
 #: planner is configured (see ``preemption_priority_threshold``).
 DEFAULT_PREEMPTION_THRESHOLD = 100
 
-
-@dataclass(frozen=True)
-class PriorityClass:
-    """One named scheduling tier."""
-
-    name: str
-    value: int
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise PolicyError(
-                f"priority class names must be non-empty strings, "
-                f"got {self.name!r}"
-            )
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise PolicyError(
-                f"priority class {self.name!r} value must be an int, "
-                f"got {self.value!r}"
-            )
+#: The built-in tiers: name -> priority value.
+PRIORITY_CLASSES: Dict[str, int] = {
+    "best-effort": 0,
+    "batch": 10,
+    "latency-critical": DEFAULT_PREEMPTION_THRESHOLD,
+}
 
 
-#: The built-in tiers, always resolvable by name.
-DEFAULT_PRIORITY_CLASSES: Tuple[PriorityClass, ...] = (
-    PriorityClass("best-effort", 0, "the default tier; never preempts"),
-    PriorityClass("batch", 10, "bulk work above scavengers"),
-    PriorityClass(
-        "latency-critical",
-        DEFAULT_PREEMPTION_THRESHOLD,
-        "interactive tenants; may trigger preemption",
-    ),
-)
-
-
-def priority_class_map(
-    extra: Union[
-        Mapping[str, int], Iterable[Tuple[str, int]], None
-    ] = None,
-) -> Dict[str, int]:
-    """Name -> value catalogue: the defaults overlaid with *extra*.
-
-    *extra* may redefine a default name (an experiment can move
-    ``batch`` up) but every value must be an int.
-    """
-    catalogue = {cls.name: cls.value for cls in DEFAULT_PRIORITY_CLASSES}
-    if extra is None:
-        return catalogue
-    items = extra.items() if isinstance(extra, Mapping) else extra
-    for name, value in items:
-        # Route through the dataclass so name/value validation is one
-        # code path whether a tier is built in or scenario-supplied.
-        cls = PriorityClass(name, value)
-        catalogue[cls.name] = cls.value
-    return catalogue
-
-
-def resolve_priority(
-    value: Union[int, str],
-    classes: Union[Mapping[str, int], None] = None,
-) -> int:
-    """The integer priority *value* denotes (int passthrough or name).
+def resolve_priority(value: Union[int, str]) -> int:
+    """The integer priority *value* denotes (int passthrough or the
+    name of a built-in tier).
 
     Unknown names die with the sorted known names, mirroring the
     registry's fail-fast lookups.
@@ -100,12 +50,9 @@ def resolve_priority(
         raise PolicyError(f"priority must be an int or name: {value!r}")
     if isinstance(value, int):
         return value
-    catalogue = (
-        dict(classes) if classes is not None else priority_class_map()
-    )
-    if value not in catalogue:
-        known = ", ".join(sorted(catalogue)) or "<none>"
+    if value not in PRIORITY_CLASSES:
+        known = ", ".join(sorted(PRIORITY_CLASSES))
         raise PolicyError(
             f"unknown priority class {value!r}; known: {known}"
         )
-    return catalogue[value]
+    return PRIORITY_CLASSES[value]

@@ -23,10 +23,9 @@ Three planners ship:
   lowest tier first (youngest first within a tier), preferring the
   node whose most senior victim is cheapest to outrank;
 * ``cheapest-victims`` — the EPC-aware planner: victims are priced by
-  the same driver-measured occupancy the rebalancer's cost model uses
-  (:meth:`repro.scheduler.rebalancer.EpcRebalancer._victims` sorts
-  candidates by measured pages — cheapest transfer first) plus the
-  useful work an eviction throws away, so a freshly started small
+  their driver-measured EPC occupancy (Sec. V-E's per-process metric,
+  :meth:`repro.orchestrator.kubelet.Kubelet.measured_epc_pages`) plus
+  the useful work an eviction throws away, so a freshly started small
   enclave is preferred over a large one about to bank hours of
   runtime.
 
@@ -59,8 +58,7 @@ class EvictionCandidate:
     ``freed`` is what evicting the pod returns to its node's *view*:
     declared requests for CPU and standard memory, and the
     driver-measured enclave occupancy for EPC (an SGX2-grown enclave
-    frees its measured pages, not its declared ones — the same
-    correction the rebalancer applies to migrations).  The next pass
+    frees its measured pages, not its declared ones).  The next pass
     rebuilds views from ground truth, so this estimate only has to be
     good enough for in-pass feasibility.
     """
@@ -268,12 +266,13 @@ class LowestPriorityFirst(PreemptionPolicy):
 class CheapestVictims(PreemptionPolicy):
     """EPC-aware pricing: measured pages plus discarded runtime.
 
-    Reuses the rebalancer's cost model — driver-measured enclave pages
-    are the transfer/rebuild cost of displacing an enclave, so smaller
-    measured enclaves are cheaper — and adds the work an eviction
-    throws away: a victim that has already run for an hour costs its
-    whole hour again after resubmission.  Standard memory is priced at
-    a steep discount to EPC (plentiful vs a 128 MiB PRM).
+    Prices a victim by the driver-measured per-process EPC metric
+    (Sec. V-E) — measured enclave pages are the rebuild cost of
+    displacing an enclave, so smaller measured enclaves are cheaper —
+    and adds the work an eviction throws away: a victim that has
+    already run for an hour costs its whole hour again after
+    resubmission.  Standard memory is priced at a steep discount to
+    EPC (plentiful vs a 128 MiB PRM).
     """
 
     name = "cheapest-victims"

@@ -268,9 +268,7 @@ class ClusterStateService:
         store: WindowedAggregateCache,
         observer=None,
     ):
-        #: Read on every build, so a live collection (the
-        #: orchestrator's ``kubelets.values()``) follows nodes as they
-        #: join and leave.
+        #: The cluster's fixed node set, in view order.
         self.kubelets = kubelets
         self.store = store
         #: Each kubelet's pristine view and the key it was built from.
@@ -317,10 +315,10 @@ class ClusterStateService:
     def state_unchanged(self, now: float) -> bool:
         """Whether views built at *now* would equal the previous pass's.
 
-        The O(nodes) comparison :meth:`build_views` makes first: the
-        same kubelets, in the same order, each with the key its
-        retained view was built from.  Reading the keys walks only the
-        store's nodes whose stability horizon lapsed.
+        The O(nodes) comparison :meth:`build_views` makes first: every
+        kubelet with the key its retained view was built from.  Reading
+        the keys walks only the store's nodes whose stability horizon
+        lapsed.
         :meth:`build_views` serves the retained snapshot when this
         holds, and the orchestrator then reuses the previous pass's
         all-deferred outcome as well (see
@@ -379,13 +377,12 @@ class ClusterStateService:
         self, keys: List[NodeKey], memory: Dict, epc: Dict
     ) -> List[NodeView]:
         """Views from the store, rebuilding the nodes whose key moved
-        and keeping the rest; a removed kubelet's view is dropped."""
-        built = self._node_views
-        node_views: Dict[Kubelet, Tuple[NodeKey, NodeView]] = {}
+        and keeping the rest."""
+        node_views = self._node_views
         views = []
         for key in keys:
             kubelet = key[0]
-            entry = built.get(kubelet)
+            entry = node_views.get(kubelet)
             if entry is None or entry[0] != key:
                 name = kubelet.node.name
                 memory_node = memory.get(name)
@@ -395,11 +392,9 @@ class ClusterStateService:
                     _NO_ROWS if memory_node is None else memory_node.maxima(),
                     _NO_ROWS if epc_node is None else epc_node.maxima(),
                 )
-                entry = (key, view)
+                entry = node_views[kubelet] = (key, view)
                 self.nodes_rebuilt += 1
-            node_views[kubelet] = entry
             views.append(entry[1])
-        self._node_views = node_views
         self._last_keys = keys
         return views
 

@@ -16,14 +16,17 @@ Heapster and the SGX probes, driver — with a deterministic event loop:
   stretched by the EPC paging slowdown while their node is over-
   committed (only possible when limit enforcement is off, Fig. 11).
 
+The cluster is fixed for the whole replay: no node joins, leaves or
+crashes, and no pod moves once started.
+
 The progress of a running enclave job is tracked as *remaining work*:
 whenever a node's EPC occupancy changes, work done so far is banked at
 the old rate and the finish event is rescheduled at the new rate.  Each
 SGX node keeps a *slowdown epoch*, the paging slowdown its enclave jobs
 run at, checked after every scheduling pass and whenever an enclave job
-starts or finishes on it; only an epoch change (or a migration) banks
-and re-arms jobs.  A finish event is otherwise armed once, at start, and
-standard jobs are never re-armed.
+starts or finishes on it; only an epoch change banks and re-arms jobs.
+A finish event is otherwise armed once, at start, and standard jobs are
+never re-armed.
 
 The scheduler wakes on the paper's periodic grid and every wake-up
 with pods queued runs a pass.  In a backlog most of those passes would
@@ -36,7 +39,7 @@ reused pass is indistinguishable from a recomputed one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.topology import paper_cluster
 from ..constants import METRICS_PUSH_PERIOD_SECONDS, SCHEDULER_PERIOD_SECONDS
@@ -44,11 +47,10 @@ from ..errors import PolicyError, RegistryError, SimulationError
 from ..obs.observer import build_observer
 from ..orchestrator.controller import Orchestrator
 from ..orchestrator.pod import Pod
-from ..policy.classes import priority_class_map, resolve_priority
+from ..policy.classes import resolve_priority
 from ..policy.preemption import PreemptionPolicy
 from ..registry import PREEMPTION_POLICIES, SCHEDULERS, WORKLOADS
 from ..scheduler.base import Scheduler
-from ..scheduler.rebalancer import EpcRebalancer
 from ..sgx.perf import SgxPerfModel
 from ..workload.stress import SubmissionPlan
 from .engine import EventHandle, SimulationEngine
@@ -66,8 +68,6 @@ class ReplayResult:
     metrics: ReplayMetrics
     orchestrator: Orchestrator
     plans: List[SubmissionPlan] = field(default_factory=list)
-    #: Live migrations executed by the rebalancer (0 when disabled).
-    migration_count: int = 0
     #: Scheduling passes executed (reused ones included).
     passes_executed: int = 0
     #: Pods placed by evicting victims (0 under the ``none`` policy).
@@ -114,21 +114,21 @@ _PRIORITY_OPTION_KEYS = ("priority", "high_priority", "low_priority")
 
 
 def resolve_workload_priorities(
-    options: Dict[str, object], classes: Dict[str, int]
+    options: Dict[str, object],
 ) -> Dict[str, object]:
     """Resolve priority-class *names* in workload options to integers.
 
     Lets a scenario say ``workload_options={"priority":
-    "latency-critical"}`` and have the catalogue (built-ins plus the
-    scenario's ``priority_classes``) supply the value.  Unknown names
-    die here, before any replay work happens.
+    "latency-critical"}`` and have the built-in tiers
+    (:data:`repro.policy.classes.PRIORITY_CLASSES`) supply the value.
+    Unknown names die here, before any replay work happens.
     """
     resolved = dict(options)
     for key in _PRIORITY_OPTION_KEYS:
         value = resolved.get(key)
         if isinstance(value, str):
             try:
-                resolved[key] = resolve_priority(value, classes)
+                resolved[key] = resolve_priority(value)
             except PolicyError as exc:
                 raise SimulationError(str(exc)) from None
     return resolved
@@ -138,13 +138,12 @@ class _RunningJob:
     """Piecewise-linear progress of one started pod.
 
     The job does one second of work per ``slowdown`` seconds;
-    ``remaining_work`` is what was left at ``last_update``, which lies
-    in the future while a migrated job waits out its downtime.  ``seq``
-    is the global start order; per-node registries keep their jobs
-    sorted by it, so a node's re-arm order (which feeds event sequence
-    numbers, which break simultaneous-event ties) does not depend on
-    migrations.  ``uses_epc`` is resolved once at start: the spec never
-    changes afterwards.
+    ``remaining_work`` is what was left at ``last_update``.  Per-node
+    registries keep their jobs in start order, so a node's re-arm
+    order (which feeds event sequence numbers, which break
+    simultaneous-event ties) is the order its jobs started.
+    ``uses_epc`` is resolved once at start: the spec never changes
+    afterwards.
     """
 
     __slots__ = (
@@ -155,7 +154,6 @@ class _RunningJob:
         "slowdown",
         "finish_handle",
         "finish_action",
-        "seq",
         "uses_epc",
     )
 
@@ -170,7 +168,6 @@ class _RunningJob:
         #: re-arm; cleared when the job is dropped, which breaks the
         #: job <-> closure reference cycle.
         self.finish_action: Optional[Callable[[], None]] = None
-        self.seq = 0
         workload = pod.spec.workload
         self.uses_epc = workload is not None and workload.uses_sgx
 
@@ -189,9 +186,8 @@ class _Replay:
     __slots__ = (
         "scenario", "cluster", "perf", "orchestrator",
         "scheduler", "engine", "running", "_node_jobs",
-        "_job_seq", "_sgx_node_names", "_epochs", "unsubmitted", "plans",
-        "rebalancer", "queue_series", "migration_count",
-        "passes_executed", "preemption_count",
+        "_sgx_node_names", "_epochs", "unsubmitted", "plans",
+        "queue_series", "passes_executed", "preemption_count",
         "eviction_count", "wait_reasons", "obs",
     )
 
@@ -230,15 +226,14 @@ class _Replay:
         self.scheduler = make_scheduler(scenario)
         self.engine = SimulationEngine()
         self.running: Dict[str, _RunningJob] = {}  # pod uid -> job
-        #: Per-node registries (node name -> pod uid -> job), each kept
-        #: in global start order (``_RunningJob.seq``); an epoch change
-        #: re-arms only the node's own jobs.
+        #: Per-node registries (node name -> pod uid -> job), each in
+        #: start order; an epoch change re-arms only the node's own
+        #: jobs.
         self._node_jobs: Dict[str, Dict[str, _RunningJob]] = {}
-        self._job_seq = 0
-        #: SGX node names in cluster order; refreshed on node churn.
-        self._sgx_node_names: List[str] = [
+        #: SGX node names in cluster order.
+        self._sgx_node_names: Tuple[str, ...] = tuple(
             n.name for n in self.cluster.sgx_nodes
-        ]
+        )
         #: Slowdown epochs: node name -> the paging slowdown its enclave
         #: jobs run at (absent means 1.0, no over-commit).
         self._epochs: Dict[str, float] = {}
@@ -249,10 +244,7 @@ class _Replay:
             trace,
             sgx_fraction=scenario.sgx_fraction,
             seed=scenario.seed,
-            **resolve_workload_priorities(
-                dict(scenario.workload_options),
-                priority_class_map(scenario.priority_classes),
-            ),
+            **resolve_workload_priorities(dict(scenario.workload_options)),
         )
         if scenario.malicious is not None:
             self.plans = (
@@ -261,11 +253,7 @@ class _Replay:
                 )
                 + self.plans
             )
-        self.rebalancer: Optional[EpcRebalancer] = None
-        if scenario.rebalance_period is not None:
-            self.rebalancer = EpcRebalancer(self.orchestrator)
         self.queue_series: List[QueueSample] = []
-        self.migration_count = 0
         self.passes_executed = 0
         self.preemption_count = 0
         self.eviction_count = 0
@@ -334,9 +322,8 @@ class _Replay:
             )
         for victim, _ in result.evicted:
             # The preemption step killed the victim mid-pass; purge its
-            # running-job entry (and dangling finish event) exactly
-            # like a failed migration, keyed by uid because the
-            # replacement reuses the spec name.
+            # running-job entry (and dangling finish event), keyed by
+            # uid because the replacement reuses the spec name.
             job = self.running.get(victim.uid)
             if job is not None:
                 self._drop_job(job)
@@ -359,8 +346,6 @@ class _Replay:
         )
         job.last_update = now
         job.finish_action = lambda: self._finish(job)
-        job.seq = self._job_seq
-        self._job_seq += 1
         if job.uses_epc:
             # Settle the node's epoch before the job joins it, so the
             # job is armed once, at the slowdown it starts under.
@@ -368,53 +353,6 @@ class _Replay:
         self.running[pod.uid] = job
         self._node_jobs.setdefault(node_name, {})[pod.uid] = job
         self._arm(job, job.remaining_work * job.slowdown)
-
-    def _rebalance_tick(self) -> None:
-        now = self.engine.now
-        assert self.rebalancer is not None
-        spans = self.obs.spans
-        span_start = spans.begin()
-        report = self.rebalancer.rebalance(now)
-        spans.end(span_start, "rebalance", now)
-        for action in report.actions:
-            self.migration_count += 1
-            job = next(
-                (
-                    j
-                    for j in self.running.values()
-                    if j.pod.name == action.pod_name
-                ),
-                None,
-            )
-            if job is not None:
-                self._move_job(
-                    job, action.target_node, now, action.downtime_seconds
-                )
-        for failure in report.failed:
-            # The source-side pod died at checkpoint and its spec was
-            # resubmitted by the rebalancer; purge the dead pod's job
-            # entry (and its dangling finish event) so the replay does
-            # not try to complete a pod that no longer exists.  Keyed
-            # by uid — the replacement reuses the spec name.
-            job = self.running.get(failure.pod_uid)
-            if job is not None:
-                self._drop_job(job)
-        # The sources' occupancy fell (and failed restores freed pages).
-        self._check_sgx_nodes(now)
-        if self._active():
-            assert self.scenario.rebalance_period is not None
-            self.engine.schedule_in(
-                self.scenario.rebalance_period, self._rebalance_tick
-            )
-
-    def _crash_node(self, node_name: str) -> None:
-        now = self.engine.now
-        # The crashed node's jobs are lost; no other node's occupancy
-        # moves, so no other job is touched.
-        for job in list(self._node_jobs.get(node_name, {}).values()):
-            self._drop_job(job)
-        self.orchestrator.remove_node(node_name, now)
-        self._sgx_node_names = [n.name for n in self.cluster.sgx_nodes]
 
     def _finish(self, job: _RunningJob) -> None:
         # Every slowdown change re-armed this event: the work is done.
@@ -437,10 +375,7 @@ class _Replay:
         """Bank *job*'s progress, then re-arm it to run at *slowdown*."""
         job.bank(now)
         job.slowdown = slowdown
-        # ``last_update`` is past *now* only during migration downtime.
-        self._arm(
-            job, (job.last_update - now) + job.remaining_work * slowdown
-        )
+        self._arm(job, job.remaining_work * slowdown)
 
     def _check_node(self, node_name: str, now: float) -> float:
         """Bring *node_name*'s slowdown epoch up to date; return it.
@@ -466,50 +401,13 @@ class _Replay:
             self._check_node(node_name, now)
 
     def _drop_job(self, job: _RunningJob) -> None:
-        """Disarm a job and remove it from both registries (finish,
-        eviction, crash, failed migration)."""
+        """Disarm a job and remove it from both registries (finish or
+        eviction)."""
         if job.finish_handle is not None:
             job.finish_handle.cancel()
         job.finish_action = None
         del self.running[job.pod.uid]
-        node_jobs = self._node_jobs.get(job.node_name)
-        if node_jobs is not None:
-            node_jobs.pop(job.pod.uid, None)
-
-    def _move_job(
-        self, job: _RunningJob, target_node: str, now: float,
-        downtime: float,
-    ) -> None:
-        """Re-home a migrated job; it resumes after *downtime*.
-
-        Progress is banked at the source's epoch.  The job then does no
-        work for *downtime* seconds and runs at the target's slowdown,
-        so its finish lands exactly *downtime* after the time its
-        remaining work needs on the target.  The target's epoch is
-        settled before the job joins it, so the job is armed once.
-
-        The target registry is rebuilt sorted by ``seq``: a plain
-        insert would append the migrant, and re-arm order must follow
-        start order.  Migrations are rare; the sort is cheap.
-        """
-        job.bank(now)
-        uid = job.pod.uid
-        source_jobs = self._node_jobs.get(job.node_name)
-        if source_jobs is not None:
-            source_jobs.pop(uid, None)
-        job.slowdown = self._check_node(target_node, now)
-        job.node_name = target_node
-        target_jobs = self._node_jobs.setdefault(target_node, {})
-        target_jobs[uid] = job
-        if len(target_jobs) > 1:
-            ordered = sorted(target_jobs.values(), key=lambda j: j.seq)
-            target_jobs.clear()
-            for entry in ordered:
-                target_jobs[entry.pod.uid] = entry
-        # Normally 0 + downtime; more if an earlier downtime is unspent.
-        pause = (job.last_update - now) + downtime
-        job.last_update = now + pause
-        self._arm(job, pause + job.remaining_work * job.slowdown)
+        del self._node_jobs[job.node_name][job.pod.uid]
 
     # -- main ---------------------------------------------------------------
 
@@ -523,15 +421,6 @@ class _Replay:
         self.engine.schedule_at(
             SCHEDULER_PERIOD_SECONDS / 2.0, self._scheduler_tick
         )
-        if self.rebalancer is not None:
-            assert self.scenario.rebalance_period is not None
-            self.engine.schedule_at(
-                self.scenario.rebalance_period, self._rebalance_tick
-            )
-        for crash_time, node_name in self.scenario.node_failures:
-            self.engine.schedule_at(
-                crash_time, lambda n=node_name: self._crash_node(n)
-            )
         spans = self.obs.spans
         span_start = spans.begin()
         try:
@@ -565,7 +454,6 @@ class _Replay:
             metrics=metrics,
             orchestrator=self.orchestrator,
             plans=self.plans,
-            migration_count=self.migration_count,
             passes_executed=self.passes_executed,
             preemption_count=self.preemption_count,
             eviction_count=self.eviction_count,
@@ -599,7 +487,9 @@ class _Replay:
                 skipped=0,
                 preemptions=result.preemption_count,
                 evictions=result.eviction_count,
-                migrations=result.migration_count,
+                # The frozen v1 schema keeps the field; no replay has
+                # migrated a pod since 16.0.0.
+                migrations=0,
                 # The frozen v1 schema keeps the field; a flat replay
                 # never spills.
                 spillovers=0,
@@ -626,7 +516,6 @@ class _Replay:
             )
             reg.counter("repro_preemptions_total", result.preemption_count)
             reg.counter("repro_evictions_total", result.eviction_count)
-            reg.counter("repro_migrations_total", result.migration_count)
             for reason in sorted(result.wait_reasons):
                 reg.counter(
                     "repro_wait_reasons_total",

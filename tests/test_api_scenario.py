@@ -23,6 +23,14 @@ REMOVED_DISCIPLINE_FIELDS = (
     "metrics_period",
 )
 
+#: The knobs 16.0.0 removed with node churn and migration: a replay's
+#: cluster is fixed, and priority tiers are the built-in ones.
+REMOVED_FIXED_CLUSTER_FIELDS = (
+    "rebalance_period",
+    "node_failures",
+    "priority_classes",
+)
+
 
 class TestValidation:
     """Bad scenarios die at build time, with actionable messages."""
@@ -50,7 +58,6 @@ class TestValidation:
         [
             {"epc_total_bytes": 0},
             {"max_sim_seconds": 0.0},
-            {"rebalance_period": 0.0},
             {"standard_workers": 0},
             {"sgx_workers": -2},
             # Integer knobs: floats and bools die here, not mid-replay
@@ -61,58 +68,18 @@ class TestValidation:
             {"seed": True},
             {"preemption_priority_threshold": 1.5},
             {"observe": "ledger.jsonl"},
-            # Crash entries: a NaN time would reach the event heap and
-            # corrupt its ordering; each must be a finite (time, name).
-            {"node_failures": ((math.nan, "sgx-worker-0"),)},
-            {"node_failures": ((-1.0, "sgx-worker-0"),)},
-            {"node_failures": ((math.inf, "sgx-worker-0"),)},
-            {"node_failures": ((True, "sgx-worker-0"),)},
-            {"node_failures": ((300.0, 0),)},
-            {"node_failures": ((300.0,),)},
-            {"node_failures": ((300.0, "sgx-worker-0", "x"),)},
-            {"node_failures": ("sgx-worker-0",)},
-            {"node_failures": (300.0,)},
-            # Registry names and the priority catalogue.
+            # Registry names and the priority threshold.
             {"preemption_policy": "nope"},
             {"preemption_priority_threshold": "100"},
-            {"priority_classes": {"gold": 1.5}},
-            {"priority_classes": {"": 5}},
         ],
     )
     def test_out_of_range_knobs(self, kwargs):
         with pytest.raises(SimulationError):
             Scenario(**kwargs)
 
-    def test_node_failures_normalised_to_tuples(self):
-        scenario = Scenario(node_failures=[[300, "sgx-worker-0"]])
-        assert scenario.node_failures == ((300, "sgx-worker-0"),)
-
-    @pytest.mark.parametrize(
-        "failures",
-        [
-            ((10.0, "nope"),),
-            # The default inventory has two SGX workers.
-            ((10.0, "sgx-worker-2"),),
-            ((10.0, "sgx-worker-0"), (20.0, "sgx-worker-0")),
-        ],
-    )
-    def test_node_failures_name_workers_still_up(self, failures):
-        # Each would otherwise die mid-replay with "no such node".
-        with pytest.raises(SimulationError) as excinfo:
-            Scenario(trace="borg-synth:jobs=30", node_failures=failures)
-        assert repr(failures[-1]) in str(excinfo.value)
-
-    def test_node_failures_follow_the_worker_counts(self):
-        failures = ((5.0, "sgx-worker-2"), (6.0, "worker-2"))
-        scenario = Scenario(
-            standard_workers=3, sgx_workers=3, node_failures=failures
-        )
-        assert scenario.node_failures == failures
-
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "field",
-        ["rebalance_period", "epc_total_bytes", "max_sim_seconds"],
+        "field", ["epc_total_bytes", "max_sim_seconds"]
     )
     def test_non_finite_knobs_rejected(self, field, value):
         # Every comparison with NaN is False, so a lone ``value <= 0``
@@ -167,10 +134,14 @@ class TestValidation:
         with pytest.raises(SimulationError, match="shadow.*seed"):
             Scenario(workload_options={"seed": 3})
 
-    @pytest.mark.parametrize("field", REMOVED_DISCIPLINE_FIELDS)
+    @pytest.mark.parametrize(
+        "field", REMOVED_DISCIPLINE_FIELDS + REMOVED_FIXED_CLUSTER_FIELDS
+    )
     def test_removed_discipline_knobs_die_with_the_valid_fields(
         self, field, capsys
     ):
+        # The fixed-cluster knobs ride along: every removed field is
+        # unknown to with_, Sweep and ``repro sweep`` (exit 2) alike.
         expected = f"unknown scenario field(s) {field}; valid: "
         for build in (
             lambda: Scenario().with_(**{field: True}),

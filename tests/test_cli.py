@@ -177,10 +177,11 @@ class TestScenarioCommands:
         assert "epc_mib" in capsys.readouterr().err
 
     def test_sweep_structurally_bad_grid_value_exits_2(self, capsys):
-        # node_failures=5 passes _coerce but the Scenario field wants
-        # (time, node) pairs; the TypeError must surface as exit 2.
+        # workload_options=5 passes _coerce but the Scenario field
+        # wants a mapping (dict(5) raises TypeError); the TypeError
+        # must surface as exit 2.
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--grid", "node_failures=5", "--jobs", "10"])
+            main(["sweep", "--grid", "workload_options=5", "--jobs", "10"])
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
 

@@ -75,6 +75,3 @@ class TestProcesses:
 
     def test_kill_unknown_pid_is_noop(self, sgx_node):
         sgx_node.kill_process(424242)
-
-    def test_free_epc_pages_non_sgx_is_zero(self, standard_node):
-        assert standard_node.free_epc_pages() == 0

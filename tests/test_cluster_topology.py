@@ -55,14 +55,6 @@ class TestClusterOperations:
         with pytest.raises(ClusterError):
             paper_cluster().node("ghost")
 
-    def test_remove(self):
-        cluster = paper_cluster()
-        removed = cluster.remove_node("worker-0")
-        assert removed.name == "worker-0"
-        assert "worker-0" not in cluster
-        with pytest.raises(ClusterError):
-            cluster.remove_node("worker-0")
-
     def test_iteration_order_is_registration_order(self):
         names = [node.name for node in paper_cluster()]
         assert names == [

@@ -22,10 +22,7 @@ from pass_reuse_reference import (
     run_with_replay,
 )
 from repro.api import ObserveConfig, Scenario
-from repro.errors import EpcExhaustedError
 from repro.obs import load_ledger
-from repro.orchestrator.api import PodPhase
-from repro.sgx.migration import MigrationManager
 from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import mib
@@ -76,8 +73,6 @@ EQUIVALENCE_CONFIGS = [
         enforce_epc_limits=True,
         epc_allow_overcommit=False,
     ),
-    dict(sgx_fraction=1.0, seed=1, rebalance_period=15.0),
-    dict(sgx_fraction=1.0, seed=1, node_failures=((600.0, "sgx-worker-0"),)),
     dict(sgx_fraction=1.0, seed=2, epc_allow_overcommit=False),
     dict(sgx_fraction=1.0, seed=1, epc_allow_overcommit=False),
 ]
@@ -161,56 +156,3 @@ class TestEquivalence:
         assert a_replay.orchestrator.passes_reused == (
             b_replay.orchestrator.passes_reused
         ) > 0
-
-
-class TestFailedMigrationInReplay:
-    def test_restore_outage_loses_no_work(
-        self, monkeypatch, saturated_trace, tmp_path
-    ):
-        """Regression: a failed rebalancer migration left the replay
-        holding a running-job entry and a live finish event for a pod
-        that no longer existed — the finish fired and tried to complete
-        a failed pod.  With the fix, the job entry is purged and the
-        resubmitted spec completes on a later attempt."""
-        real_restore = MigrationManager.restore
-        failures = {"left": 2}
-
-        def flaky_restore(self, driver, pid, checkpoint, key, aesm):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise EpcExhaustedError(
-                    checkpoint.size_bytes // 4096, 0
-                )
-            return real_restore(self, driver, pid, checkpoint, key, aesm)
-
-        monkeypatch.setattr(MigrationManager, "restore", flaky_restore)
-        path = str(tmp_path / "run.jsonl")
-        result = run_replay(
-            Scenario(
-                trace=saturated_trace,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-                rebalance_period=15.0,
-                observe=ObserveConfig(ledger_path=path),
-            )
-        )
-        migration_failures = [
-            event
-            for event in load_ledger(path).events
-            if event["kind"] == "migration_failed"
-        ]
-        assert migration_failures, "outage never exercised the fix"
-        # Every workload name still completes (via the resubmission).
-        completed = {p.name for p in result.metrics.succeeded}
-        assert completed == {p.spec.name for p in result.metrics.pods}
-        # The original pods of failed migrations ended FAILED, with a
-        # successful twin of the same name.
-        for event in migration_failures:
-            twins = [
-                p
-                for p in result.metrics.pods
-                if p.name == event["pod"]
-            ]
-            assert any(p.phase is PodPhase.FAILED for p in twins)
-            assert any(p.phase is PodPhase.SUCCEEDED for p in twins)

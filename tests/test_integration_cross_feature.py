@@ -1,4 +1,4 @@
-"""Cross-feature integration: hybrid + migration + SGX 2.
+"""Cross-feature integration: hybrid workloads on SGX 2.
 
 Exercises feature combinations no single-module test touches, on one
 orchestrator instance — the kind of interleaving a real deployment
@@ -6,35 +6,11 @@ produces.
 """
 
 
-from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
-from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
 from repro.units import gib, mib, pages
 from repro.workload.hybrid import hybrid_pod_spec
-
-
-class TestMigrationBooks:
-    def test_migration_preserves_epc_books(self):
-        orchestrator = Orchestrator(paper_cluster())
-        pod = orchestrator.submit(
-            make_pod_spec(
-                "svc", duration_seconds=600.0, declared_epc_bytes=mib(30)
-            ),
-            now=0.0,
-        )
-        orchestrator.scheduling_pass(BinpackScheduler(), now=1.0)
-        orchestrator.start_pod(pod, now=2.0)
-        source = pod.node_name
-        target = (
-            "sgx-worker-1" if source == "sgx-worker-0" else "sgx-worker-0"
-        )
-        orchestrator.migrate_pod(pod, target, now=10.0)
-        assert orchestrator.cluster.node(source).used_epc_pages() == 0
-        assert orchestrator.cluster.node(
-            target
-        ).used_epc_pages() == pages(mib(30))
 
 
 class TestHybridOnSgx2:
@@ -82,39 +58,3 @@ class TestHybridOnSgx2:
         )}
         assert len(result.launched) == 3
         assert len(nodes) == 2
-
-
-class TestNodeLifecyclePlusEnforcement:
-    def test_replacement_node_inherits_enforcement(self):
-        orchestrator = Orchestrator(paper_cluster(enforce_epc_limits=True))
-        scheduler = BinpackScheduler()
-        orchestrator.remove_node("sgx-worker-0", now=0.0)
-        orchestrator.add_node(
-            Node(NodeSpec.sgx("sgx-worker-2", enforce_epc_limits=True)),
-            now=0.0,
-        )
-        liar = orchestrator.submit(
-            make_pod_spec(
-                "liar",
-                duration_seconds=60.0,
-                declared_epc_bytes=mib(1),
-                actual_epc_bytes=mib(50),
-            ),
-            now=1.0,
-        )
-        # Fill the surviving original node so the liar lands on the
-        # replacement, which must still kill it at EINIT.  The blocker
-        # was submitted earlier, so FCFS places it first; it must leave
-        # no declared room for the liar on sgx-worker-1.
-        blocker = orchestrator.submit(
-            make_pod_spec(
-                "blocker",
-                duration_seconds=600.0,
-                declared_epc_bytes=mib(93),
-            ),
-            now=0.5,
-        )
-        result = orchestrator.scheduling_pass(scheduler, now=2.0)
-        assert any(p is blocker for p, _ in result.launched)
-        assert liar in result.killed
-        assert liar.phase is PodPhase.FAILED

@@ -1,12 +1,11 @@
 """Piecewise-linear job progress: slowdown epochs against the per-tick engine.
 
 A running job's finish event is armed once, at start, and re-armed only
-when its node's paging slowdown moves off the node's epoch or a
-migration moves the job.  :class:`PerTickReplay` keeps the engine this
-replaced as the reference: it banks and re-arms every job it could
-affect on every scheduler wake-up, start, finish, rebalance and crash,
-whether or not a slowdown moved.  Both must make the same decisions,
-with finish times equal up to float rounding.
+when its node's paging slowdown moves off the node's epoch.
+:class:`PerTickReplay` keeps the engine this replaced as the reference:
+it banks and re-arms every job it could affect on every scheduler
+wake-up, start and finish, whether or not a slowdown moved.  Both must
+make the same decisions, with finish times equal up to float rounding.
 """
 
 import contextlib
@@ -16,7 +15,6 @@ import pytest
 
 from pass_reuse_reference import recomputing
 from repro.api import Scenario
-from repro.scheduler.rebalancer import EpcRebalancer
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.runner import _Replay, _RunningJob, run_replay
 
@@ -28,14 +26,6 @@ CONTENDED = dict(
     sgx_workers=1,
     sgx_fraction=0.5,
     seed=1,
-)
-
-#: Over-committed enough that the rebalancer migrates (4 times).
-REBALANCED = Scenario(
-    trace="borg-synth:seed=7,jobs=300",
-    sgx_fraction=0.7,
-    rebalance_period=60.0,
-    seed=2,
 )
 
 
@@ -72,14 +62,6 @@ class PerTickReplay(_Replay):
         super()._finish(job)
         self._refresh(job.node_name, self.engine.now)
 
-    def _rebalance_tick(self):
-        super()._rebalance_tick()
-        self._refresh_sgx_nodes()
-
-    def _crash_node(self, node_name):
-        super()._crash_node(node_name)
-        self._refresh_sgx_nodes()
-
 
 def decisions(result):
     return [
@@ -91,7 +73,6 @@ def decisions(result):
 def counters(result):
     return (
         result.passes_executed,
-        result.migration_count,
         result.eviction_count,
         result.preemption_count,
         result.wait_reasons,
@@ -105,17 +86,56 @@ ORACLE_SCENARIOS = {
     ),
     # Both engines on the pass that recomputes every outcome.
     "recomputing": Scenario(**CONTENDED),
-    "crash": Scenario(
-        trace=CONTENDED["trace"],
-        sgx_fraction=0.5,
-        seed=1,
-        node_failures=((300.0, "sgx-worker-0"),),
+    # Evictions drop running jobs mid-run.
+    "preemption": Scenario(
+        **CONTENDED,
+        workload="priority-mix",
+        workload_options={
+            "high_fraction": 0.25,
+            "high_priority": "latency-critical",
+        },
+        preemption_policy="cheapest-victims",
     ),
-    "rebalancer": REBALANCED,
 }
 
 
+class EpochLog(_Replay):
+    """The replay, recording each SGX node's slowdown epochs in turn."""
+
+    __slots__ = ("epochs",)
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.epochs = {}
+
+    def _check_node(self, node_name, now):
+        slowdown = super()._check_node(node_name, now)
+        history = self.epochs.setdefault(node_name, [1.0])
+        if slowdown != history[-1]:
+            history.append(slowdown)
+        return slowdown
+
+
 class TestPerTickOracle:
+    def test_the_scenarios_exercise_every_input(self):
+        """Guard: the SGX node's paging epoch rises and falls, a limit
+        kills pods, and evictions drop running jobs."""
+        replay = EpochLog(ORACLE_SCENARIOS["default"])
+        replay.run()
+        history = replay.epochs["sgx-worker-0"]
+        assert history[0] < max(history) > history[-1]
+        limited = run_replay(ORACLE_SCENARIOS["limits"])
+        assert any(
+            (pod.failure_reason or "").startswith("EPC limit")
+            for pod in limited.metrics.pods
+        )
+        preempting = run_replay(ORACLE_SCENARIOS["preemption"])
+        assert any(
+            (pod.failure_reason or "").startswith("Evicted")
+            and pod.started_at is not None
+            for pod in preempting.metrics.pods
+        )
+
     @pytest.mark.parametrize("name", list(ORACLE_SCENARIOS))
     def test_epochs_match_per_tick_engine(self, name):
         scenario = ORACLE_SCENARIOS[name]
@@ -180,60 +200,6 @@ class TestRearmCount:
         )
         assert started == 120
         assert started < calls < 2 * started
-
-
-class TestMigrationDowntime:
-    def test_finish_lands_downtime_after_the_work_at_target_rate(
-        self, monkeypatch
-    ):
-        """A migration pauses its pod for exactly the downtime.
-
-        Before each rebalance, a migrant's remaining work follows from
-        its armed finish and its source rate; afterwards its finish
-        must lie that work at the target's rate plus the downtime away.
-        """
-        reports = []
-        rebalance = EpcRebalancer.rebalance
-
-        def recording(self, now):
-            reports.append(rebalance(self, now))
-            return reports[-1]
-
-        monkeypatch.setattr(EpcRebalancer, "rebalance", recording)
-        pauses = []
-
-        class Spy(_Replay):
-            __slots__ = ()
-
-            def slowdown(self, node_name):
-                kubelet = self.orchestrator.kubelets[node_name]
-                return self.perf.paging_slowdown(
-                    kubelet.epc_overcommit_ratio()
-                )
-
-            def _rebalance_tick(self):
-                now = self.engine.now
-                work = {
-                    job.pod.name: (job.finish_handle.time - now)
-                    / self.slowdown(job.node_name)
-                    for job in self.running.values()
-                    if job.uses_epc
-                }
-                jobs = {j.pod.name: j for j in self.running.values()}
-                super()._rebalance_tick()
-                for action in reports[-1].actions:
-                    job = jobs[action.pod_name]
-                    needed = work[action.pod_name] * self.slowdown(
-                        action.target_node
-                    )
-                    pauses.append(
-                        (job.finish_handle.time - now - needed)
-                        / action.downtime_seconds
-                    )
-
-        result = Spy(REBALANCED).run()
-        assert result.migration_count == 4
-        assert pauses == pytest.approx([1.0] * 4, rel=1e-9)
 
 
 class TestReplayLifetime:

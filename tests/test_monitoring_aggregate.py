@@ -200,19 +200,6 @@ class TestReport:
         store.report("sgx/epc", 35.5, [])
         assert window_maxima(store, "sgx/epc", now=35.5) == []
 
-    def test_a_departed_node_ends_at_its_last_collection(self):
-        store = WindowedAggregateCache()
-        store.report("sgx/epc", 0.0, [("n", "a", 4.0), ("m", "b", 2.0)])
-        store.report("sgx/epc", 10.0, [])
-        store.end_node("n")
-        store.report("sgx/epc", 20.0, [])
-        assert window_maxima(store, "sgx/epc", now=35.0) == [
-            ("m", "b", 2.0), ("n", "a", 4.0),
-        ]
-        assert window_maxima(store, "sgx/epc", now=36.0) == [
-            ("m", "b", 2.0)
-        ]
-
     def test_a_pause_longer_than_the_window_restarts_live_series(self):
         """Sampling every pod: the last samples expire 25 s after the
         last collection and the next collection starts the series

@@ -109,9 +109,8 @@ def test_observation_never_changes_the_run(
 #: field except ``name``, ``trace`` and ``observe``.
 HEADER_CONFIG_KEYS = frozenset((
     "enforce_epc_limits", "epc_allow_overcommit", "epc_total_bytes",
-    "malicious", "max_sim_seconds", "node_failures",
-    "preemption_policy", "preemption_priority_threshold",
-    "priority_classes", "rebalance_period", "scheduler", "seed",
+    "malicious", "max_sim_seconds", "preemption_policy",
+    "preemption_priority_threshold", "scheduler", "seed",
     "sgx_fraction", "sgx_workers", "standard_workers", "workload",
     "workload_options",
 ))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import OrchestrationError
 from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.orchestrator.api import PodPhase, make_pod_spec
@@ -140,6 +141,49 @@ class TestLifecycle:
         orchestrator.kill_pod(pod, now=1.0, reason="cancelled")
         assert len(orchestrator.queue) == 0
         assert pod.phase is PodPhase.FAILED
+
+
+class TestPodNames:
+    """One live pod per name, as in a Kubernetes namespace: Listing 1
+    groups usage by ``pod_name``, so two live pods of one name on one
+    node would share one monitoring series."""
+
+    @staticmethod
+    def twin(memory_bytes):
+        return make_pod_spec(
+            "twin", duration_seconds=600.0,
+            declared_memory_bytes=memory_bytes,
+        )
+
+    def test_a_second_live_pod_of_one_name_is_refused(
+        self, orchestrator, scheduler
+    ):
+        first = orchestrator.submit(self.twin(gib(4)), now=0.0)
+        with pytest.raises(OrchestrationError, match="'twin'"):
+            orchestrator.submit(self.twin(gib(1)), now=0.5)
+        orchestrator.scheduling_pass(scheduler, now=1.0)
+        orchestrator.start_pod(first, now=1.0)
+        with pytest.raises(OrchestrationError, match="'twin'"):
+            orchestrator.submit(self.twin(gib(1)), now=2.0)
+        assert orchestrator.all_pods == [first]
+        assert len(orchestrator.queue) == 0
+
+    @pytest.mark.parametrize("end", ["complete", "kill"])
+    def test_a_name_is_free_once_its_holder_is_terminal(
+        self, orchestrator, scheduler, end
+    ):
+        first = orchestrator.submit(self.twin(gib(4)), now=0.0)
+        orchestrator.scheduling_pass(scheduler, now=1.0)
+        orchestrator.start_pod(first, now=1.0)
+        with pytest.raises(OrchestrationError, match="'twin'"):
+            orchestrator.submit(self.twin(gib(1)), now=5.0)
+        if end == "complete":
+            orchestrator.complete_pod(first, now=10.0)
+        else:
+            orchestrator.kill_pod(first, now=10.0, reason="test")
+        second = orchestrator.submit(self.twin(gib(1)), now=11.0)
+        assert orchestrator.all_pods == [first, second]
+        assert list(orchestrator.queue) == [second]
 
 
 class TestMetricsPath:

@@ -11,6 +11,7 @@ hypothesis suite does the same for whole replays.
 """
 
 import contextlib
+import itertools
 import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
@@ -272,7 +273,6 @@ def bursty_trace(trace_seed, n_jobs):
 
 def contended_scenario(
     trace_seed, seed, n_jobs, sgx_fraction, scheduler, preempting, limits,
-    crash, rebalance,
 ):
     """One point of the hypothesis regime: a small backlogged replay."""
     knobs = dict(
@@ -294,10 +294,6 @@ def contended_scenario(
             },
             preemption_policy="cheapest-victims",
         )
-    if crash:
-        knobs["node_failures"] = ((400.0, "sgx-worker-0"),)
-    if rebalance:
-        knobs["rebalance_period"] = 15.0
     return Scenario(**knobs)
 
 
@@ -309,8 +305,6 @@ REGIME = dict(
     scheduler=st.sampled_from(["binpack", "spread", "kube-default"]),
     preempting=st.booleans(),
     limits=st.booleans(),
-    crash=st.booleans(),
-    rebalance=st.booleans(),
 )
 
 
@@ -342,18 +336,24 @@ def test_reusing_replay_is_the_recomputing_replay(**knobs):
 
 def test_the_regime_reuses_passes():
     """Guard: the hypothesis regime above really reuses passes, with
-    every strategy and with preemption on."""
-    base = dict(
-        trace_seed=7, seed=1, n_jobs=30, sgx_fraction=1.0,
-        limits=False, crash=False, rebalance=False,
-    )
-    for scheduler in ("binpack", "spread", "kube-default"):
-        for preempting in (False, True):
-            replay = run_replay(
-                contended_scenario(
-                    scheduler=scheduler, preempting=preempting, **base
-                )
+    every strategy, with preemption on (and then evicts) and with
+    limits on (and then kills at the EPC limit)."""
+    base = dict(trace_seed=7, seed=1, n_jobs=30, sgx_fraction=1.0)
+    for scheduler, preempting, limits in itertools.product(
+        ("binpack", "spread", "kube-default"), (False, True), (False, True)
+    ):
+        replay = run_replay(
+            contended_scenario(
+                scheduler=scheduler, preempting=preempting, limits=limits,
+                **base,
             )
-            assert replay.orchestrator.passes_reused > 0, (
-                scheduler, preempting,
-            )
+        )
+        case = (scheduler, preempting, limits)
+        assert replay.orchestrator.passes_reused > 0, case
+        assert (replay.eviction_count > 0) == preempting, case
+        killed = [
+            pod
+            for pod in replay.orchestrator.all_pods
+            if (pod.failure_reason or "").startswith("EPC limit")
+        ]
+        assert bool(killed) == limits, case

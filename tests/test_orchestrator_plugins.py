@@ -3,7 +3,7 @@
 Both live in the orchestrator's node registry: a kubelet advertises its
 node's usable EPC pages, one schedulable item each, and
 :attr:`Orchestrator.probes` holds one SGX probe per node that
-advertises EPC, filed when the node joins and dropped when it leaves.
+advertises EPC, filed when the orchestrator is built.
 """
 
 from repro.cluster.node import Node, NodeSpec
@@ -64,14 +64,3 @@ class TestDaemonSet:
         assert probe.driver is kubelet.node.driver
         assert probe.log is kubelet.epc_log
         assert probe.sink is orchestrator.aggregate_cache
-
-    def test_reconcile_reaps_departed_nodes(self):
-        orchestrator = self.make_orchestrator()
-        orchestrator.remove_node("sgx-0", now=1.0)
-        assert orchestrator.probes == {}
-        assert list(orchestrator.kubelets) == ["std-0"]
-        # A node that rejoins gets a fresh probe on its new driver.
-        rejoined = Node(NodeSpec.sgx("sgx-0"))
-        orchestrator.add_node(rejoined, now=2.0)
-        assert list(orchestrator.probes) == ["sgx-0"]
-        assert orchestrator.probes["sgx-0"].driver is rejoined.driver

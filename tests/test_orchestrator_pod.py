@@ -93,9 +93,11 @@ class TestMetrics:
         runs in the process."""
         first = Orchestrator(paper_cluster())
         second = Orchestrator(paper_cluster())
-        spec = PodSpec(name="p")
+        # Two names: one orchestrator holds one live pod per name.
         uids = [
-            orchestrator.submit(spec, now=0.0).uid
-            for orchestrator in (first, first, second)
+            orchestrator.submit(PodSpec(name=name), now=0.0).uid
+            for orchestrator, name in (
+                (first, "p"), (first, "q"), (second, "p"),
+            )
         ]
         assert uids == ["00000001", "00000002", "00000001"]

@@ -6,7 +6,6 @@ could make a scheduling pass useful as a ``trigger`` ledger record
 """
 
 from pass_reuse_reference import RecordingObserver
-from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
@@ -56,37 +55,6 @@ class TestOrchestratorPublishes:
         assert self.events(orchestrator)[-2:] == [
             "pod-submitted", "pod-killed",
         ]
-
-    def test_node_add_remove(self):
-        orchestrator = Orchestrator(
-            paper_cluster(), observer=RecordingObserver()
-        )
-        orchestrator.add_node(Node(NodeSpec.sgx("sgx-worker-9")), now=5.0)
-        orchestrator.remove_node("sgx-worker-9", now=6.0)
-        assert triggers(orchestrator.ledger) == [
-            (5.0, "node-added", None, "sgx-worker-9"),
-            (6.0, "node-removed", None, "sgx-worker-9"),
-        ]
-
-    def test_migration_frees_capacity_on_the_source(self):
-        orchestrator = Orchestrator(
-            paper_cluster(), observer=RecordingObserver()
-        )
-        pod = orchestrator.submit(
-            make_pod_spec("svc", duration_seconds=600.0,
-                          declared_epc_bytes=mib(20)),
-            now=0.0,
-        )
-        orchestrator.scheduling_pass(BinpackScheduler(), now=1.0)
-        orchestrator.start_pod(pod, now=1.5)
-        source = pod.node_name
-        target = (
-            "sgx-worker-1" if source == "sgx-worker-0" else "sgx-worker-0"
-        )
-        orchestrator.migrate_pod(pod, target, now=100.0)
-        assert triggers(orchestrator.ledger)[-1] == (
-            100.0, "capacity-freed", "svc", source
-        )
 
     def test_requeue_publishes_ready_at(self):
         orchestrator = Orchestrator(

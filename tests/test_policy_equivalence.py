@@ -53,12 +53,11 @@ def test_disabled_policy_is_bit_for_bit_the_oracle(
     plain = Scenario(
         trace=trace, sgx_fraction=sgx_fraction, seed=seed
     )
-    # Knobs present but inert: extra classes, a lower threshold, the
-    # explicit "none" planner.  Nothing may change.
+    # Knobs present but inert: a lower threshold, the explicit "none"
+    # planner.  Nothing may change.
     inert = plain.with_(
         preemption_policy="none",
         preemption_priority_threshold=1,
-        priority_classes={"gold": 500},
     )
     baseline = plain.run().signature()
     assert inert.run().signature() == baseline

@@ -9,11 +9,9 @@ from repro.errors import PolicyError
 from repro.orchestrator.api import PodSpec, ResourceRequirements
 from repro.orchestrator.pod import Pod
 from repro.policy import (
-    DEFAULT_PRIORITY_CLASSES,
-    PriorityClass,
+    PRIORITY_CLASSES,
     QosClass,
     is_evictable_by,
-    priority_class_map,
     qos_of,
     resolve_priority,
 )
@@ -36,32 +34,21 @@ def pod(name, priority=0, epc=0, mem=0, limits=None, submitted_at=0.0):
 
 class TestPriorityClasses:
     def test_default_catalogue_resolves(self):
-        classes = priority_class_map()
-        for cls in DEFAULT_PRIORITY_CLASSES:
-            assert classes[cls.name] == cls.value
-        assert classes["best-effort"] == 0
-        assert classes["latency-critical"] == 100
-
-    def test_extra_classes_overlay_defaults(self):
-        classes = priority_class_map({"gold": 500, "batch": 20})
-        assert classes["gold"] == 500
-        assert classes["batch"] == 20  # redefined
-        assert classes["best-effort"] == 0  # untouched
+        assert PRIORITY_CLASSES == {
+            "best-effort": 0, "batch": 10, "latency-critical": 100,
+        }
+        for name, value in PRIORITY_CLASSES.items():
+            assert resolve_priority(name) == value
 
     def test_resolve_accepts_ints_and_names(self):
         assert resolve_priority(42) == 42
         assert resolve_priority("latency-critical") == 100
-        assert resolve_priority("gold", {"gold": 7}) == 7
 
     def test_resolve_unknown_name_lists_known(self):
         with pytest.raises(PolicyError, match="best-effort"):
             resolve_priority("platinum")
 
     def test_invalid_class_rejected(self):
-        with pytest.raises(PolicyError):
-            PriorityClass("", 1)
-        with pytest.raises(PolicyError):
-            PriorityClass("x", "high")  # type: ignore[arg-type]
         with pytest.raises(PolicyError):
             resolve_priority(True)  # type: ignore[arg-type]
 

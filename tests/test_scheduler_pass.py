@@ -7,8 +7,9 @@ afresh for every pod.  Over adversarial views and queues and every
 strategy (``kube-default`` covers the declared-only view), the two
 must agree exactly: same assignments, rejections, deferrals and wait
 reasons, same view mutations, same ledger records — in one pass, and
-over passes with nodes joining, leaving, resized or losing SGX between
-them.
+over passes whose views gain or lose nodes, resize or lose SGX between
+them (a replay's cluster is fixed, but a direct caller's views need
+not be).
 """
 
 import itertools

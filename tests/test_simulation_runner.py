@@ -16,6 +16,7 @@ from repro.orchestrator.api import PodPhase
 from repro.simulation.runner import make_scheduler, run_replay
 from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
+from test_job_progress import EpochLog
 from test_view_rebuild import REPLAYS, replay_scenario
 
 
@@ -73,15 +74,14 @@ class TestReplayCompleteness:
 
 _PLAIN = dict(
     trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0, scheduler="binpack",
-    preempting=False, limits=False, overcommit=True, crash=False,
-    rebalance=False,
+    preempting=False, limits=False, overcommit=True,
 )
-#: One contended replay per regime ``replay_scenario`` draws: a node
-#: crash, rebalancer migrations, preemption, and EPC limits without
-#: over-commit (launches then fail transiently and requeue).
+#: One contended replay per regime ``replay_scenario`` draws: paging
+#: under over-commit without limits, preemption, and EPC limits without
+#: over-commit (launches then fail transiently and requeue, and
+#: over-allocators are killed at the limit).
 REGIMES = {
-    "crash": dict(_PLAIN, crash=True),
-    "rebalance": dict(_PLAIN, rebalance=True),
+    "paging": _PLAIN,
     "preemption": dict(_PLAIN, preempting=True),
     "limits-without-overcommit": dict(_PLAIN, limits=True, overcommit=False),
 }
@@ -162,15 +162,19 @@ class TestEventLogInvariants:
         assert len(replay.metrics.pods) == 40
 
     def test_each_regime_exercises_its_transition(self, recorded):
-        crashed, _ = recorded["crash"]
+        paging = EpochLog(replay_scenario(**REGIMES["paging"]))
+        paging.run()
         assert any(
-            "lost" in (pod.failure_reason or "")
-            for pod in crashed.metrics.pods
+            history[0] < max(history) > history[-1]
+            for history in paging.epochs.values()
         )
-        assert recorded["rebalance"][0].migration_count > 0
         assert recorded["preemption"][0].eviction_count > 0
-        _, records = recorded["limits-without-overcommit"]
+        limited, records = recorded["limits-without-overcommit"]
         assert any(record["kind"] == "requeue" for record in records)
+        assert any(
+            (pod.failure_reason or "").startswith("EPC limit")
+            for pod in limited.metrics.pods
+        )
 
 
 @given(**REPLAYS)
@@ -351,114 +355,3 @@ class TestEpcSweep:
             )
             makespans.append(result.metrics.makespan_seconds)
         assert makespans[0] >= makespans[1] >= makespans[2]
-
-
-class TestRebalancerInReplay:
-    def test_rebalancer_reduces_paging_excess(self, small_trace_module):
-        def excess(result):
-            return sum(
-                (p.finished_at - p.started_at)
-                - p.spec.workload.duration_seconds
-                for p in result.metrics.succeeded
-            )
-
-        base = run_replay(
-            Scenario(
-                trace=small_trace_module,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-            )
-        )
-        rebalanced = run_replay(
-            Scenario(
-                trace=small_trace_module,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-                rebalance_period=15.0,
-            )
-        )
-        # Over-allocators cause transient over-commit in both runs; the
-        # rebalancer may only ever reduce the resulting paging time.
-        assert excess(rebalanced) <= excess(base) + 1e-6
-        assert base.migration_count == 0
-
-    def test_rebalancer_disabled_by_default(self, small_trace_module):
-        result = run_replay(
-            Scenario(
-                trace=small_trace_module,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-            )
-        )
-        assert result.migration_count == 0
-
-
-class TestFailureInjection:
-    def test_sgx_node_crash_mid_replay(self, small_trace_module):
-        """Crashing one SGX node mid-run loses no work permanently:
-        every job name eventually completes on the survivors."""
-        result = run_replay(
-            Scenario(
-                trace=small_trace_module,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-                node_failures=((600.0, "sgx-worker-0"),),
-            )
-        )
-        metrics = result.metrics
-        completed_names = {p.name for p in metrics.succeeded}
-        all_names = {p.spec.name for p in metrics.pods}
-        assert completed_names == all_names  # replacements finished
-        # Nothing ran on the dead node after the crash.
-        for pod in metrics.succeeded:
-            if pod.node_name == "sgx-worker-0":
-                assert pod.finished_at <= 600.0 + 1e-6
-        # Lost pods are recorded as failed alongside their replacements.
-        lost = [
-            p
-            for p in metrics.failed
-            if "lost" in (p.failure_reason or "")
-        ]
-        assert all(p.node_name == "sgx-worker-0" for p in lost)
-
-    def test_crash_of_idle_standard_node_is_harmless(
-        self, small_trace_module
-    ):
-        result = run_replay(
-            Scenario(
-                trace=small_trace_module,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-                node_failures=((600.0, "worker-0"),),
-            )
-        )
-        assert len(result.metrics.succeeded) == 40
-
-    def test_makespan_grows_under_failure(self, small_trace_module):
-        healthy = run_replay(
-            Scenario(
-                trace=small_trace_module,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-            )
-        )
-        degraded = run_replay(
-            Scenario(
-                trace=small_trace_module,
-                scheduler="binpack",
-                sgx_fraction=1.0,
-                seed=1,
-                node_failures=((300.0, "sgx-worker-0"),),
-            )
-        )
-        # Losing half the EPC capacity cannot speed the batch up.
-        assert (
-            degraded.metrics.makespan_seconds
-            >= healthy.metrics.makespan_seconds - 1e-6
-        )

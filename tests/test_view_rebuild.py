@@ -6,10 +6,11 @@ window-max store, the kubelet's commitment version) and rebuilds only
 the views whose token moved.  Every build here is compared, field for
 field and in kubelet order, with ``tests/view_reference.py``, which
 rebuilds every view from a full Listing 1 scan over every pod's sample
-at every collection: over replays that crash nodes, requeue, migrate
+at every collection: over replays that requeue, kill at the EPC limit
 and evict, over SGX 2 bursts that grow and shrink enclaves through the
-kubelet, and over orchestrators driven op by op through node churn,
-SGX 2 resizes and collections that pause for longer than the window.
+kubelet, and over orchestrators driven op by op through submissions,
+completions, SGX 2 resizes and collections that pause for longer than
+the window.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from pass_reuse_reference import run_with_replay
 from repro.api import ObserveConfig, Scenario
-from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.errors import NodeError, SgxError
 from repro.experiments.ext_sgx2 import _BurstyRun, generate_bursty_jobs
@@ -37,7 +37,7 @@ from view_reference import checking
 
 def replay_scenario(
     trace_seed, seed, n_jobs, sgx_fraction, scheduler, preempting,
-    limits, overcommit, crash, rebalance,
+    limits, overcommit,
 ):
     """A small contended replay on two SGX nodes and one standard one."""
     knobs = dict(
@@ -65,10 +65,6 @@ def replay_scenario(
             },
             preemption_policy="cheapest-victims",
         )
-    if crash:
-        knobs["node_failures"] = ((300.0, "sgx-worker-0"),)
-    if rebalance:
-        knobs["rebalance_period"] = 15.0
     return Scenario(**knobs)
 
 
@@ -82,8 +78,6 @@ REPLAYS = dict(
     preempting=st.booleans(),
     limits=st.booleans(),
     overcommit=st.booleans(),
-    crash=st.booleans(),
-    rebalance=st.booleans(),
 )
 
 
@@ -107,31 +101,29 @@ def test_replayed_builds_equal_the_reference(**knobs):
 
 
 def test_the_replay_regime_exercises_every_input():
-    """Guard: the regime above really requeues, migrates, evicts and
-    crashes a node, and rebuilds only some of the nodes per build."""
+    """Guard: the regime above really kills at the EPC limit and evicts,
+    and rebuilds only some of the nodes per build."""
     knobs = dict(
         trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0,
-        scheduler="binpack", crash=True,
+        scheduler="binpack",
     )
     requeuing, _ = checked_replay(
         replay_scenario(
             **knobs, preempting=False, limits=True, overcommit=False,
-            rebalance=False,
         ),
     )
     assert any(
-        pod.phase is PodPhase.FAILED and "lost" in pod.failure_reason
+        pod.phase is PodPhase.FAILED
+        and pod.failure_reason.startswith("EPC limit enforcement")
         for pod in requeuing.orchestrator.all_pods
     )
-    moving, builds = checked_replay(
+    evicting, builds = checked_replay(
         replay_scenario(
             **knobs, preempting=True, limits=False, overcommit=True,
-            rebalance=True,
         ),
     )
-    assert moving.migration_count > 0
-    assert moving.eviction_count > 0
-    service = moving.orchestrator.state_service
+    assert evicting.eviction_count > 0
+    service = evicting.orchestrator.state_service
     rebuilding = builds - service.snapshots_reused
     assert rebuilding > 0
     assert service.nodes_rebuilt < 3 * rebuilding
@@ -144,7 +136,7 @@ def test_requeues_happen_without_overcommit(tmp_path):
         replay_scenario(
             trace_seed=7, seed=1, n_jobs=24, sgx_fraction=1.0,
             scheduler="binpack", preempting=False, limits=True,
-            overcommit=False, crash=False, rebalance=False,
+            overcommit=False,
         ).with_(observe=ObserveConfig(ledger_path=path)),
     )
     events = load_ledger(path).events
@@ -176,10 +168,6 @@ def test_sgx2_bursts_equal_the_reference(seed, n_jobs):
 
 # -- orchestrators driven op by op -------------------------------------------
 
-#: Node names ops may add; ``sgx-worker-0`` is also in the initial
-#: inventory, so adding it after its removal re-adds a name.
-_NAMES = ["sgx-worker-0", "sgx-worker-9", "worker-9"]
-
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.booleans(), st.integers(1, 40)),
@@ -190,21 +178,11 @@ _OPS = st.lists(
         st.tuples(st.just("pass"), st.integers(0, 2)),
         st.tuples(st.just("views")),
         st.tuples(st.just("finish"), st.integers(0, 50)),
-        st.tuples(st.just("remove"), st.integers(0, 5)),
-        st.tuples(st.just("add"), st.sampled_from(_NAMES)),
         st.tuples(st.just("grow"), st.integers(0, 50), st.integers(1, 12)),
         st.tuples(st.just("shrink"), st.integers(0, 50), st.integers(1, 12)),
     ),
     max_size=40,
 )
-
-
-def _new_node(name):
-    if name.startswith("sgx"):
-        return Node(
-            NodeSpec.sgx(name, epc_total_bytes=mib(64), sgx_version=2)
-        )
-    return Node(NodeSpec.standard(name))
 
 
 def _placed(orchestrator):
@@ -270,15 +248,6 @@ def test_driven_builds_equal_the_reference(ops):
                     if pod.phase is PodPhase.BOUND:
                         orchestrator.start_pod(pod, now)
                     orchestrator.complete_pod(pod, now)
-            elif kind == "remove":
-                names = sorted(orchestrator.kubelets)
-                if len(names) > 1:
-                    orchestrator.remove_node(
-                        names[op[1] % len(names)], now
-                    )
-            elif kind == "add":
-                if op[1] not in orchestrator.kubelets:
-                    orchestrator.add_node(_new_node(op[1]), now)
             else:
                 # An SGX 2 resize through the kubelet (EAUG or
                 # EREMOVE): a grown maximum outlives the shrink by a
@@ -394,25 +363,3 @@ def test_a_change_to_one_node_rebuilds_exactly_that_node(placed):
     assert all(
         final[name] is latest[name] for name in latest if name not in moved
     )
-
-
-def test_a_removed_kubelet_leaves_the_views(placed):
-    orchestrator, (_, pod) = placed
-    service = orchestrator.state_service
-    rebuilt = service.nodes_rebuilt
-    orchestrator.remove_node(pod.node_name, now=2.0)
-    views = service.build_views(2.0)
-    assert pod.node_name not in {view.name for view in views}
-    # No remaining node moved, yet the snapshot is a new one.
-    assert service.nodes_rebuilt == rebuilt
-    assert service.snapshots_reused == 0
-
-
-def test_a_name_added_again_gets_a_fresh_view(placed):
-    orchestrator, (_, pod) = placed
-    name = pod.node_name
-    orchestrator.remove_node(name, now=2.0)
-    orchestrator.add_node(_new_node(name), now=2.0)
-    views = orchestrator.state_service.build_views(2.0)
-    (view,) = (view for view in views if view.name == name)
-    assert view.committed.epc_pages == 0

@@ -133,8 +133,7 @@ def reference_views(
 def checking() -> Iterator[List[int]]:
     """Inside the block, every ``build_views`` result must equal
     :func:`reference_views`, field for field and in kubelet order, and
-    the store must hold Listing 1's rows for every node, departed
-    nodes included.
+    the store must hold Listing 1's rows for every node.
 
     The full scan reads a shadow database that receives, at every
     ``Orchestrator.collect_metrics``, every admitted pod's sample
