@@ -16,16 +16,18 @@ every collection, at a cost that follows the changes, not the pods.
 No raw series are kept (memory is bounded by the window) and expiry
 is lazy: front-of-deque pops at query time.
 
-Series are grouped by node, and every node carries two things that let
-the scheduler rebuild only the node views whose rows moved:
+Series are grouped by node, and two things let the scheduler update
+only the pods whose rows moved:
 
-* a **version**: the store's monotone
-  :attr:`~WindowedAggregateCache.content_version` at the node's last
-  reported-row change (a new series, a rising maximum, or an expiry
-  that surfaces a smaller value or kills a series);
-* a **stability horizon**: the oldest maximum that can expire among
-  the node's series.  While a query's cutoff stays at or below it,
-  expiry can change none of the node's rows, so
+* a **change log** per measurement: every reported-row change files
+  the series' pod name under its node (a new series, a rising
+  maximum, an expiry that surfaces a smaller value or kills a series,
+  a pause past the window, which files every series, and the restart
+  after it); :meth:`~WindowedAggregateCache.drain_changes` hands the
+  log over and empties it;
+* a **stability horizon** per node: the oldest maximum that can expire
+  among the node's series.  While a query's cutoff stays at or below
+  it, expiry can change none of the node's rows, so
   :meth:`~WindowedAggregateCache.node_states` walks only the nodes
   whose horizon lapsed.
 
@@ -46,6 +48,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    Iterable,
     List,
     Optional,
     Protocol,
@@ -66,10 +69,25 @@ SampleRow = Tuple[str, str, float]
 #: live series, the value it holds at every collection since).
 _MaxDeque = Deque[Tuple[float, float]]
 
+#: Pod names by node name, each insertion-ordered: the series whose
+#: window maximum moved.
+ChangeLog = Dict[Optional[str], Dict[Optional[str], None]]
+
 _INF = float("inf")
 
 #: Equal to no node name (``None`` included).
 _NO_NODE = object()
+
+
+def file_changes(
+    changed: ChangeLog, nodename: Optional[str], pod_names: Iterable
+) -> None:
+    """File *pod_names* under *nodename* in the change log *changed*."""
+    pods = changed.get(nodename)
+    if pods is None:
+        changed[nodename] = dict.fromkeys(pod_names)
+    else:
+        pods.update(dict.fromkeys(pod_names))
 
 
 class MetricsSink(Protocol):
@@ -133,10 +151,6 @@ class _NodeState:
     value: each is sampled at every collection with its deque's newest
     value, so that newest entry stands for the measurement's last
     collection and never expires while collections continue.
-    ``version`` is the store's content version at the node's last
-    reported-row change.  The counter never goes back and starts at 0,
-    so a node state deleted and created again never repeats a version,
-    and callers may read a node without state as version 0 (no rows).
     ``horizon`` is at most the time of every maximum that can expire:
     every ended series' max-deque head, and every live series' head
     that is not its newest entry.  A walk (:meth:`expire`) sets it
@@ -144,47 +158,46 @@ class _NodeState:
     maximum in front lowers it.
     """
 
-    __slots__ = ("series", "live", "version", "horizon")
+    __slots__ = ("series", "live", "horizon")
 
     def __init__(self) -> None:
         self.series: Dict[Optional[str], _MaxDeque] = {}
         self.live: Dict[Optional[str], None] = {}
-        self.version = 0
         self.horizon = _INF
 
-    def expire(self, cutoff: float) -> bool:
+    def expire(self, cutoff: float) -> List[Optional[str]]:
         """Drop every point older than *cutoff*, and every series left
-        without one, and recompute the horizon; ``True`` when a
-        reported row changed (a smaller maximum surfaced or a series
-        died).
+        without one, and recompute the horizon; returns the series
+        whose reported row changed (a smaller maximum surfaced or the
+        series died).
 
         Max-deque values strictly decrease, so a popped head always
         surfaces a smaller maximum; the deque's back is the series'
         newest point, so an emptied deque is a dead series.  A live
         series keeps its newest entry.
         """
-        changed = False
+        moved: List[Optional[str]] = []
         horizon = _INF
-        dead: List[Optional[str]] = []
         live = self.live
-        for pod_name, maxdeque in self.series.items():
+        series = self.series
+        for pod_name, maxdeque in series.items():
             keep = 1 if pod_name in live else 0
             if len(maxdeque) > keep and maxdeque[0][0] < cutoff:
-                changed = True
+                moved.append(pod_name)
                 maxdeque.popleft()
                 while len(maxdeque) > keep and maxdeque[0][0] < cutoff:
                     maxdeque.popleft()
                 if not maxdeque:
-                    dead.append(pod_name)
                     continue
             if len(maxdeque) > keep:
                 head_time = maxdeque[0][0]
                 if head_time < horizon:
                     horizon = head_time
-        for pod_name in dead:
-            del self.series[pod_name]
+        for pod_name in moved:
+            if not series[pod_name]:
+                del series[pod_name]
         self.horizon = horizon
-        return changed
+        return moved
 
     def maxima(self) -> Dict[Optional[str], float]:
         """Each series' window maximum, by pod name (valid right after
@@ -194,17 +207,27 @@ class _NodeState:
             for pod_name, maxdeque in self.series.items()
         }
 
+    def maximum(self, pod_name: Optional[str]) -> Optional[float]:
+        """*pod_name*'s window maximum, or ``None`` without a row
+        (valid as :meth:`maxima`)."""
+        maxdeque = self.series.get(pod_name)
+        return None if maxdeque is None else maxdeque[0][1]
+
 
 class _MeasurementState:
     """All series of one measurement, by node, plus the collection
-    clock and the validity watermarks."""
+    clock, the validity watermarks and the change log."""
 
     __slots__ = (
-        "nodes", "horizon", "last", "prev", "hwm", "paused", "paused_at",
+        "nodes", "changed", "horizon", "last", "prev", "hwm", "paused",
+        "paused_at",
     )
 
     def __init__(self) -> None:
         self.nodes: Dict[Optional[str], _NodeState] = {}
+        #: The series whose window maximum moved since the last
+        #: :meth:`WindowedAggregateCache.drain_changes`.
+        self.changed: ChangeLog = {}
         #: At most every node's horizon: while a query's cutoff stays
         #: at or below it, no node needs a walk.
         self.horizon = _INF
@@ -227,15 +250,10 @@ class WindowedAggregateCache:
     (:data:`~repro.constants.METRICS_WINDOW_SECONDS`), fed by
     :meth:`report`."""
 
-    __slots__ = ("_measurements", "content_version")
+    __slots__ = ("_measurements",)
 
     def __init__(self) -> None:
         self._measurements: Dict[str, _MeasurementState] = {}
-        #: Bumped at every reported-row change of any node (see
-        #: :class:`_NodeState`); each node keeps the value of its last
-        #: one as its version.  A change that merely lowers a live
-        #: series below its window maximum bumps nothing.
-        self.content_version = 0
 
     def report(
         self, measurement: str, now: float, rows: Sequence[SampleRow]
@@ -250,7 +268,9 @@ class WindowedAggregateCache:
         end first dates the series' newest entry at the previous
         collection (the last that saw the old value); a start or a
         change is then absorbed as a sample at *now*, where a new
-        series or a rising maximum is a change of its node.  Entries
+        series or a rising maximum is filed in the change log (a
+        change that merely lowers a live series below its window
+        maximum files nothing).  Entries
         behind the deque's head that no query can reach again are
         trimmed.  A value-0 row for a series that is not live changes
         nothing (Listing 1 filters ``value <> 0``).
@@ -274,10 +294,10 @@ class WindowedAggregateCache:
         if not rows:
             return
         nodes = state.nodes
+        changed = state.changed
         paused = state.paused
         prev = state.prev
         cutoff = now - METRICS_WINDOW_SECONDS
-        version = self.content_version
         node_name: object = _NO_NODE
         node: Optional[_NodeState] = None
         node_paused: Optional[Dict[Optional[str], float]] = None
@@ -312,11 +332,9 @@ class WindowedAggregateCache:
                 maxdeque = node.series.get(pod_name)
                 if maxdeque is None:
                     maxdeque = node.series[pod_name] = deque()
-                    version += 1
-                    node.version = version
-            if maxdeque and value > maxdeque[0][1]:
-                version += 1
-                node.version = version
+            if not maxdeque or value > maxdeque[0][1]:
+                # A new series or a rising maximum.
+                file_changes(changed, nodename, (pod_name,))
             while maxdeque and maxdeque[-1][1] <= value:
                 maxdeque.pop()
             maxdeque.append((now, value))
@@ -332,7 +350,6 @@ class WindowedAggregateCache:
                     while maxdeque[0][0] < cutoff:
                         maxdeque.popleft()
                     maxdeque.appendleft(head)
-        self.content_version = version
 
     #: ``bench/run.py`` times this attribute as its
     #: ``monitoring.aggregate`` layer; nothing in the package calls it.
@@ -342,9 +359,10 @@ class WindowedAggregateCache:
 
     def _pause(self, state: _MeasurementState) -> None:
         """The query's cutoff passed the last collection: every sample
-        expired.  Every node leaves (read as version 0, no rows); the
-        live series' values wait for the next collection."""
+        expired.  Every node leaves with every series filed (no rows);
+        the live series' values wait for the next collection."""
         for nodename, node in state.nodes.items():
+            file_changes(state.changed, nodename, node.series)
             if node.live:
                 waiting = state.paused.setdefault(nodename, {})
                 for pod_name in node.live:
@@ -369,23 +387,22 @@ class WindowedAggregateCache:
             for pod_name, value in values.items():
                 node.series[pod_name] = deque([(now, value)])
                 node.live[pod_name] = None
-            self.content_version += 1
-            node.version = self.content_version
+            file_changes(state.changed, nodename, values)
         state.paused = {}
 
     # -- queries ---------------------------------------------------------
 
     def _expire(self, state: _MeasurementState, cutoff: float) -> None:
-        """Walk the nodes whose horizon lapsed at *cutoff*, giving each
-        changed node a new version, dropping emptied nodes and
+        """Walk the nodes whose horizon lapsed at *cutoff*, filing each
+        series whose row changed, dropping emptied nodes and
         recomputing the measurement's horizon."""
         horizon = _INF
         empty: List[Optional[str]] = []
         for nodename, node in state.nodes.items():
             if node.horizon < cutoff:
-                if node.expire(cutoff):
-                    self.content_version += 1
-                    node.version = self.content_version
+                moved = node.expire(cutoff)
+                if moved:
+                    file_changes(state.changed, nodename, moved)
                 if not node.series:
                     empty.append(nodename)
                     continue
@@ -405,6 +422,8 @@ class WindowedAggregateCache:
         and its :meth:`_NodeState.maxima` are Listing 1's rows for it;
         a node absent from the mapping has no rows.  The mapping is the
         store's own: read it before the next write, never change it.
+        What the walk changes is filed in the change log, so query
+        before :meth:`drain_changes`.
 
         Raises :class:`~repro.errors.MonitoringError` when *now* lies
         before the last collection or before an earlier query (which
@@ -431,6 +450,22 @@ class WindowedAggregateCache:
         elif state.horizon < cutoff:
             self._expire(state, cutoff)
         return state.nodes
+
+    def drain_changes(self, measurement: str) -> ChangeLog:
+        """*measurement*'s change log: the series whose window maximum
+        appeared, changed or vanished since the last drain, pod names
+        by node name, each in the order first filed.  Empties the log.
+
+        A series can be named although its maximum is back where it
+        was (a rise that expired again, a series that started and
+        died), never omitted when it moved.
+        """
+        state = self._measurements.get(measurement)
+        if state is None or not state.changed:
+            return {}
+        changed = state.changed
+        state.changed = {}
+        return changed
 
     def live_series(self, measurement: str) -> int:
         """Number of series currently tracked for *measurement*."""

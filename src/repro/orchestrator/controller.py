@@ -53,7 +53,7 @@ from ..scheduler.base import (
 )
 from ..sgx.perf import SgxPerfModel
 from .api import PodSpec
-from .kubelet import Kubelet
+from .kubelet import AdmissionLog, Kubelet
 from .pod import Pod
 from .queue import PendingQueue
 
@@ -133,12 +133,15 @@ class Orchestrator:
         #: One SGX probe per node that advertises EPC, in cluster order
         #: (the paper's probe DaemonSet, Sec. V-C).
         self.probes: Dict[str, SgxMetricsProbe] = {}
+        # Every kubelet files the pods it admits and tears down here;
+        # the state service empties it at every view build.
+        admissions: AdmissionLog = {}
         for node in cluster:
-            self._join(node)
+            self._join(node, admissions)
         kubelets = tuple(self.kubelets.values())
         self.heapster = Heapster(self.aggregate_cache, kubelets)
         self.state_service = ClusterStateService(
-            kubelets, self.aggregate_cache, observer=self.observer
+            kubelets, self.aggregate_cache, admissions, observer=self.observer
         )
         if preemption_policy is not None:
             preemption_policy.ledger = self.ledger
@@ -160,16 +163,17 @@ class Orchestrator:
 
     # -- nodes (Sec. V-C: every SGX node gets its probe) ------------------
 
-    def _join(self, node) -> None:
-        """Register *node*'s kubelet, and its SGX probe when the node
-        advertises EPC pages: the paper's "automatic" probe deployment,
-        with no registration step.
+    def _join(self, node, admissions: AdmissionLog) -> None:
+        """Register *node*'s kubelet, filing into *admissions*, and its
+        SGX probe when the node advertises EPC pages: the paper's
+        "automatic" probe deployment, with no registration step.
 
         The probe holds the sink and the kubelet's EPC series log,
-        never the orchestrator, so a finished replay is freed by
+        never the orchestrator, and the admission log holds pods and
+        names, never a kubelet, so a finished replay is freed by
         reference counting.
         """
-        kubelet = Kubelet(node, self.perf_model)
+        kubelet = Kubelet(node, self.perf_model, admissions)
         self.kubelets[node.name] = kubelet
         if kubelet.epc_log is not None:
             self.probes[node.name] = SgxMetricsProbe(
@@ -324,10 +328,9 @@ class Orchestrator:
           keeps nothing);
         * considered the same ``Pod`` objects in the same order;
         * saw the snapshot :meth:`ClusterStateService.build_views` has
-          just served again: every node's token (its window-max store
-          versions and its kubelet's commitment version) is the one
-          its retained view was built from, and no build replaced the
-          snapshot since.
+          just served again: neither the window-max store's change logs
+          nor the kubelets' admission log named a pod since the build
+          that made it, and no build replaced the snapshot since.
 
         A pass is a function of exactly those inputs because strategies
         are pure (see :meth:`Scheduler._select`).  A reused pass leaves

@@ -21,7 +21,9 @@ On pod admission the Kubelet reproduces the paper's node-side pipeline
    next collection.
 
 The Kubelet deals only in *actual* usage; declared requests matter to the
-scheduler, not to the node.
+scheduler, not to the node.  It names the pods that came and went in
+its admission log (:data:`AdmissionLog`), so the scheduler's state
+service updates only those pods' share of the node's view.
 """
 
 from __future__ import annotations
@@ -56,14 +58,19 @@ class AdmissionResult:
     retryable: bool = False
 
 
+#: Node name -> pod name -> the pod admitted under that name, or
+#: ``None`` once it left; each insertion-ordered.  One log is shared by
+#: an orchestrator's kubelets and emptied by its scheduler's state
+#: service at every view build.
+AdmissionLog = Dict[str, Dict[str, Optional[Pod]]]
+
+
 @dataclass(slots=True)
 class _PodRecord:
     """Node-local state of one admitted pod.
 
-    ``pod_name`` and the ``req_*`` components denormalise immutable pod
-    fields at admission: the scheduler's view builder touches every
-    record every pass, and the flat ints spare it three attribute hops
-    per pod (``pod.spec.resources.requests``) on that path.
+    ``pod_name`` denormalises the pod's immutable name at admission: the
+    collectors read it for every pod they report.
     """
 
     pod: Pod
@@ -72,31 +79,33 @@ class _PodRecord:
     enclave: Optional[Enclave] = None
     psw: Optional[PlatformSoftware] = None
     pod_name: str = ""
-    req_cpu: int = 0
-    req_mem: int = 0
-    req_epc: int = 0
 
 
 class Kubelet:
     """Node agent: admission, container launch, usage reporting."""
 
     __slots__ = (
-        "node", "perf_model", "_records", "commitment_version",
-        "_committed", "memory_log", "epc_log",
+        "node", "perf_model", "_records", "admissions", "_committed",
+        "memory_log", "epc_log",
     )
 
     def __init__(
-        self, node: Node, perf_model: Optional[SgxPerfModel] = None
+        self,
+        node: Node,
+        perf_model: Optional[SgxPerfModel] = None,
+        admissions: Optional[AdmissionLog] = None,
     ):
         self.node = node
         self.perf_model = perf_model or SgxPerfModel()
         self._records: Dict[str, _PodRecord] = {}
-        #: Bumped whenever the admitted-pod set (and hence this node's
-        #: committed requests) changes — once per record inserted and
-        #: once per record removed; the scheduler's state service
-        #: keys this node's view on it, with the node's monitoring
-        #: versions, and rebuilds the view when the key moves.
-        self.commitment_version = 0
+        #: Where every record inserted or removed is filed, under this
+        #: node's name: the pod, or ``None`` once it left.  A pod
+        #: admitted and torn down before the reader empties the log
+        #: still names its node.  Shared when given (the orchestrator
+        #: passes one log to all its kubelets), else this kubelet's own.
+        self.admissions: AdmissionLog = (
+            {} if admissions is None else admissions
+        )
         # Running total of admitted requests, maintained at the two
         # points records enter/leave ``_records``.  Requests are
         # integer vectors, so the increments are exact — this is the
@@ -122,15 +131,6 @@ class Kubelet:
         """Pods currently admitted on this node, oldest first."""
         return [record.pod for record in self._records.values()]
 
-    def admitted_records(self):
-        """Live admission records, oldest first — no copy.
-
-        The per-pass view builder iterates this instead of
-        :meth:`admitted_pods` to skip one list per node per pass; the
-        view must not be held across admissions or terminations.
-        """
-        return self._records.values()
-
     def committed_requests(self):
         """Sum of declared requests of admitted pods (scheduler's ledger)."""
         return self._committed
@@ -138,22 +138,27 @@ class Kubelet:
     def _insert_record(self, record: _PodRecord) -> None:
         """Register an admitted pod in the ledger and indexes."""
         pod = record.pod
-        requests = pod.spec.resources.requests
         record.pod_name = pod.name
-        record.req_cpu = requests.cpu_millicores
-        record.req_mem = requests.memory_bytes
-        record.req_epc = requests.epc_pages
         self._records[pod.uid] = record
-        self.commitment_version += 1
-        self._committed = self._committed + requests
+        self._committed = self._committed + pod.spec.resources.requests
+        self._file(pod.name, pod)
         self._touch(record)
 
     def _remove_record(self, record: _PodRecord) -> None:
         """Unregister an admitted pod from the ledger and indexes."""
         del self._records[record.pod.uid]
-        self.commitment_version += 1
         self._committed = self._committed - record.pod.spec.resources.requests
+        self._file(record.pod_name, None)
         self._touch(record)
+
+    def _file(self, pod_name: str, pod: Optional[Pod]) -> None:
+        """Name *pod_name* in the admission log: *pod* came, or
+        (``None``) the pod of that name left."""
+        node_name = self.node.name
+        pods = self.admissions.get(node_name)
+        if pods is None:
+            pods = self.admissions[node_name] = {}
+        pods[pod_name] = pod
 
     def _touch(self, record: _PodRecord) -> None:
         """Have both collectors read *record*'s pod at the next

@@ -7,7 +7,8 @@ The pieces every strategy shares:
 * :class:`ClusterStateService` — builds node views from Listing 1's
   per-pod sliding-window maxima, read from the window-max store,
   falling back to declared requests for pods too young to have
-  samples.
+  samples; each build updates only the pods the store's and the
+  kubelets' change logs name.
 * :class:`Scheduler` — the non-preemptive FCFS scheduling pass shared by
   all strategies; concrete strategies implement :meth:`Scheduler._select`.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import (
     Collection,
     Dict,
+    Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -28,12 +29,17 @@ from typing import (
 
 from ..cluster.resources import ResourceVector
 from ..errors import SchedulingError
-from ..monitoring.aggregate import WindowedAggregateCache
+from ..monitoring.aggregate import (
+    ChangeLog,
+    WindowedAggregateCache,
+    _NodeState,
+    file_changes,
+)
 from ..monitoring.heapster import MEASUREMENT_MEMORY
 from ..monitoring.probe import MEASUREMENT_EPC
 from ..obs.ledger import NULL_LEDGER
 from ..obs.spans import NULL_SPANS
-from ..orchestrator.kubelet import Kubelet
+from ..orchestrator.kubelet import AdmissionLog, Kubelet
 from ..orchestrator.pod import Pod
 from .filtering import can_ever_fit, feasible_candidates, prefer_non_sgx
 
@@ -194,97 +200,129 @@ def _free_maxima(
     return cpu_max, memory_max, epc_max
 
 
-#: What one node view is built from: the kubelet, the node's memory and
-#: EPC versions in the window-max store (0 while it has no rows there)
-#: and the kubelet's commitment version.
-NodeKey = Tuple[Kubelet, int, int, int]
+class _NodeInputs:
+    """What one node's view is built from, kept between builds.
 
-#: Per pod, one measurement's window maximum on one node.
-_Maxima = Mapping[Optional[str], float]
-
-#: Every kubelet's key, plus the store's memory and EPC node states the
-#: keys were read from.
-_StoreInputs = Tuple[List[NodeKey], Dict, Dict]
-
-_NO_ROWS: Dict[Optional[str], float] = {}
-
-
-def _node_view(kubelet: Kubelet, memory: _Maxima, epc: _Maxima) -> NodeView:
-    """One node's view, given its pods' window maxima per measurement.
-
-    Each admitted pod contributes its measured usage when the window
-    holds a sample for it (a pod measured in one measurement only
-    counts 0 in the other), and its declared requests otherwise (pods
-    younger than one probe period would be invisible to a purely
+    Each admitted pod's share of ``used``: its measured window maxima,
+    or its declared requests while neither measurement has a row for it
+    (pods younger than one probe period would be invisible to a purely
     measured view — this is the reservation that prevents stampedes
-    between a bind and its first sample).
+    between a bind and its first sample); a pod measured in one
+    measurement only counts 0 in the other.  The shares' memory and EPC
+    sums are kept as ints, exact whatever order pods come and go in.
+    CPU is not measured, so ``used`` carries the committed CPU.
     """
-    node = kubelet.node
-    # Accumulate on plain ints: the per-pod vector adds were the
-    # hottest allocation site of the pass, and integer accumulation is
-    # exactly the same sum.
-    cpu = memory_bytes = epc_pages = 0
-    for record in kubelet.admitted_records():
-        # CPU is not measured; carry the declared value.  The record
-        # denormalises the request components so this loop never
-        # dereferences the pod at all.
-        cpu += record.req_cpu
-        pod_memory = memory.get(record.pod_name)
-        pod_epc = epc.get(record.pod_name)
-        if pod_memory is None and pod_epc is None:
-            memory_bytes += record.req_mem
-            epc_pages += record.req_epc
-            continue
-        if pod_memory is not None:
-            memory_bytes += int(pod_memory)
-        if pod_epc is not None:
-            epc_pages += int(pod_epc)
-    return NodeView(
-        name=node.name,
-        sgx_capable=kubelet.advertised_epc_pages() > 0,
-        capacity=node.capacity,
-        used=ResourceVector._unchecked(cpu, memory_bytes, epc_pages),
-        committed=kubelet.committed_requests(),
+
+    __slots__ = (
+        "kubelet", "pods", "shares", "memory_bytes", "epc_pages", "view",
     )
+
+    def __init__(self, kubelet: Kubelet) -> None:
+        self.kubelet = kubelet
+        #: The admitted pods, by name (kept from the admission log).
+        self.pods: Dict[str, Pod] = {}
+        #: Each admitted pod's ``(memory_bytes, epc_pages)`` share.
+        self.shares: Dict[str, Tuple[int, int]] = {}
+        self.memory_bytes = 0
+        self.epc_pages = 0
+        #: The pristine view of the last update (every node is updated
+        #: at the service's first build).
+        self.view: NodeView
+
+    def update(
+        self,
+        pod_names: Iterable,
+        memory: Optional[_NodeState],
+        epc: Optional[_NodeState],
+    ) -> None:
+        """Recompute *pod_names*' shares from the node's store states
+        (``None`` without rows), then the view."""
+        pods = self.pods
+        shares = self.shares
+        memory_bytes = self.memory_bytes
+        epc_pages = self.epc_pages
+        for name in pod_names:
+            share = shares.pop(name, None)
+            if share is not None:
+                memory_bytes -= share[0]
+                epc_pages -= share[1]
+            pod = pods.get(name)
+            if pod is None:
+                continue
+            pod_memory = None if memory is None else memory.maximum(name)
+            pod_epc = None if epc is None else epc.maximum(name)
+            if pod_memory is None and pod_epc is None:
+                requests = pod.spec.resources.requests
+                share = (requests.memory_bytes, requests.epc_pages)
+            else:
+                share = (
+                    0 if pod_memory is None else int(pod_memory),
+                    0 if pod_epc is None else int(pod_epc),
+                )
+            shares[name] = share
+            memory_bytes += share[0]
+            epc_pages += share[1]
+        self.memory_bytes = memory_bytes
+        self.epc_pages = epc_pages
+        kubelet = self.kubelet
+        node = kubelet.node
+        committed = kubelet.committed_requests()
+        self.view = NodeView(
+            name=node.name,
+            sgx_capable=kubelet.advertised_epc_pages() > 0,
+            capacity=node.capacity,
+            used=ResourceVector._unchecked(
+                committed.cpu_millicores, memory_bytes, epc_pages
+            ),
+            committed=committed,
+        )
 
 
 class ClusterStateService:
     """Builds :class:`NodeView` snapshots from Kubelets plus monitoring.
 
     The measured view is Listing 1's inner query: each pod's maximum
-    over the sliding window, read from the window-max *store* node by
-    node.  Each pass rebuilds only the views whose inputs moved (see
+    over the sliding window, read from the window-max *store*.  Each
+    build updates only the pods the store's change logs and the
+    kubelets' admission log name since the last build (see
     :meth:`build_views`).
     """
 
     __slots__ = (
-        "kubelets", "store", "_node_views", "_last_views", "_last_keys",
-        "_inputs", "snapshots_reused", "nodes_rebuilt", "ledger", "spans",
+        "kubelets", "store", "admissions", "_nodes", "_moved", "_rows",
+        "_last_views", "snapshots_reused", "nodes_rebuilt", "ledger",
+        "spans",
     )
 
     def __init__(
         self,
         kubelets: Collection[Kubelet],
         store: WindowedAggregateCache,
+        admissions: AdmissionLog,
         observer=None,
     ):
         #: The cluster's fixed node set, in view order.
         self.kubelets = kubelets
         self.store = store
-        #: Each kubelet's pristine view and the key it was built from.
-        self._node_views: Dict[Kubelet, Tuple[NodeKey, NodeView]] = {}
+        #: The admission log the kubelets file into, emptied here.
+        self.admissions = admissions
+        #: Each node's kept view inputs, by node name, in view order.
+        self._nodes: Dict[Optional[str], _NodeInputs] = {
+            kubelet.node.name: _NodeInputs(kubelet) for kubelet in kubelets
+        }
+        #: The pods whose share may have moved since the last build, by
+        #: node name; every node (with no pod yet) before the first.
+        self._moved: ChangeLog = {name: {} for name in self._nodes}
+        #: The store's memory and EPC node states at the last
+        #: :meth:`state_unchanged`.
+        self._rows: Tuple[Dict, Dict] = ({}, {})
         #: The retained snapshot: the last build's pristine views in
-        #: kubelet order.  Served again, as clones, while no key moved;
-        #: every build replaces the list.
+        #: kubelet order.  Served again, as clones, while nothing
+        #: moved; every build replaces the list.
         self._last_views: Optional[List[NodeView]] = None
-        #: The keys of the retained snapshot's views (``None`` before
-        #: the first build).
-        self._last_keys: Optional[List[NodeKey]] = None
-        #: What :meth:`state_unchanged` read, for :meth:`build_views`.
-        self._inputs: Optional[_StoreInputs] = None
         #: Passes answered from the retained snapshot (observability).
         self.snapshots_reused = 0
-        #: Node views built (observability): one per moved key.
+        #: Node views built (observability): one per moved node.
         self.nodes_rebuilt = 0
         #: The run's decision ledger / span recorder (null when the
         #: replay is unobserved); :meth:`build_views` records whether
@@ -292,40 +330,41 @@ class ClusterStateService:
         self.ledger = observer.ledger if observer is not None else NULL_LEDGER
         self.spans = observer.spans if observer is not None else NULL_SPANS
 
-    # -- per-node builds ---------------------------------------------------
-
-    def _read_inputs(self, now: float) -> _StoreInputs:
-        """Every kubelet's key at *now*, with the store's node states."""
-        store = self.store
-        memory = store.node_states(MEASUREMENT_MEMORY, now)
-        epc = store.node_states(MEASUREMENT_EPC, now)
-        keys: List[NodeKey] = []
-        for kubelet in self.kubelets:
-            name = kubelet.node.name
-            memory_node = memory.get(name)
-            epc_node = epc.get(name)
-            keys.append((
-                kubelet,
-                0 if memory_node is None else memory_node.version,
-                0 if epc_node is None else epc_node.version,
-                kubelet.commitment_version,
-            ))
-        return keys, memory, epc
-
     def state_unchanged(self, now: float) -> bool:
         """Whether views built at *now* would equal the previous pass's.
 
-        The O(nodes) comparison :meth:`build_views` makes first: every
-        kubelet with the key its retained view was built from.  Reading
-        the keys walks only the store's nodes whose stability horizon
-        lapsed.
-        :meth:`build_views` serves the retained snapshot when this
-        holds, and the orchestrator then reuses the previous pass's
-        all-deferred outcome as well (see
+        Runs both measurements' expiry walks, which visit only the
+        store's nodes whose stability horizon lapsed and file what they
+        change, then takes over the store's change logs and the
+        admission log: nothing filed since the last build means nothing
+        moved.  :meth:`build_views` serves the retained snapshot when
+        this holds, and the orchestrator then reuses the previous
+        pass's all-deferred outcome as well (see
         :meth:`repro.orchestrator.controller.Orchestrator._schedule`).
         """
-        self._inputs = inputs = self._read_inputs(now)
-        return inputs[0] == self._last_keys
+        store = self.store
+        self._rows = (
+            store.node_states(MEASUREMENT_MEMORY, now),
+            store.node_states(MEASUREMENT_EPC, now),
+        )
+        admissions = self.admissions
+        for node_name, pods in admissions.items():
+            admitted = self._nodes[node_name].pods
+            for pod_name, pod in pods.items():
+                if pod is None:
+                    admitted.pop(pod_name, None)
+                else:
+                    admitted[pod_name] = pod
+        moved = self._moved
+        for log in (
+            store.drain_changes(MEASUREMENT_MEMORY),
+            store.drain_changes(MEASUREMENT_EPC),
+            admissions,
+        ):
+            for node_name, pod_names in log.items():
+                file_changes(moved, node_name, pod_names)
+        admissions.clear()
+        return not moved
 
     @staticmethod
     def _clone_views(views: Sequence[NodeView]) -> List[NodeView]:
@@ -349,10 +388,10 @@ class ClusterStateService:
     def build_views(self, now: float) -> List[NodeView]:
         """One :class:`NodeView` per node, in :attr:`kubelets` order.
 
-        Each kubelet's pristine view is kept with its key (see
-        :data:`NodeKey`) and rebuilt only when the key moved —
-        Firmament's rule: re-solve from the changes since the last run.
-        When no key moved (:meth:`state_unchanged`), the retained
+        Only the pods named since the last build get their share
+        recomputed, and only their nodes get a new view — Firmament's
+        rule: re-solve from the changes since the last run.  When
+        nothing was named (:meth:`state_unchanged`), the retained
         snapshot itself is served again.  Callers get fresh views to
         mutate either way.
         """
@@ -367,36 +406,22 @@ class ClusterStateService:
             ledger.emit(now, "cache_rebuild", reused=False)
         spans = self.spans
         span_start = spans.begin()
-        assert self._inputs is not None
-        views = self._build_moved(*self._inputs)
+        views = self._build_moved()
         self._last_views = views
         spans.end(span_start, "view_rebuild", now)
         return self._clone_views(views)
 
-    def _build_moved(
-        self, keys: List[NodeKey], memory: Dict, epc: Dict
-    ) -> List[NodeView]:
-        """Views from the store, rebuilding the nodes whose key moved
-        and keeping the rest."""
-        node_views = self._node_views
-        views = []
-        for key in keys:
-            kubelet = key[0]
-            entry = node_views.get(kubelet)
-            if entry is None or entry[0] != key:
-                name = kubelet.node.name
-                memory_node = memory.get(name)
-                epc_node = epc.get(name)
-                view = _node_view(
-                    kubelet,
-                    _NO_ROWS if memory_node is None else memory_node.maxima(),
-                    _NO_ROWS if epc_node is None else epc_node.maxima(),
-                )
-                entry = node_views[kubelet] = (key, view)
-                self.nodes_rebuilt += 1
-            views.append(entry[1])
-        self._last_keys = keys
-        return views
+    def _build_moved(self) -> List[NodeView]:
+        """Views from the kept inputs, updating the moved nodes."""
+        memory, epc = self._rows
+        nodes = self._nodes
+        for node_name, pod_names in self._moved.items():
+            nodes[node_name].update(
+                pod_names, memory.get(node_name), epc.get(node_name)
+            )
+            self.nodes_rebuilt += 1
+        self._moved.clear()
+        return [inputs.view for inputs in nodes.values()]
 
 
 class Scheduler(abc.ABC):

@@ -23,10 +23,11 @@ The progress of a running enclave job is tracked as *remaining work*:
 whenever a node's EPC occupancy changes, work done so far is banked at
 the old rate and the finish event is rescheduled at the new rate.  Each
 SGX node keeps a *slowdown epoch*, the paging slowdown its enclave jobs
-run at, checked after every scheduling pass and whenever an enclave job
-starts or finishes on it; only an epoch change banks and re-arms jobs.
-A finish event is otherwise armed once, at start, and standard jobs are
-never re-armed.
+run at, checked whenever a scheduling pass admits a pod on the node or
+evicts one from it (a failed launch leaves occupancy as it was) and
+whenever an enclave job starts or finishes on it; only an epoch change
+banks and re-arms jobs.  A finish event is otherwise armed once, at
+start, and standard jobs are never re-armed.
 
 The scheduler wakes on the paper's periodic grid and every wake-up
 with pods queued runs a pass.  In a backlog most of those passes would
@@ -39,7 +40,7 @@ reused pass is indistinguishable from a recomputed one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..cluster.topology import paper_cluster
 from ..constants import METRICS_PUSH_PERIOD_SECONDS, SCHEDULER_PERIOD_SECONDS
@@ -186,7 +187,7 @@ class _Replay:
     __slots__ = (
         "scenario", "cluster", "perf", "orchestrator",
         "scheduler", "engine", "running", "_node_jobs",
-        "_sgx_node_names", "_epochs", "unsubmitted", "plans",
+        "_sgx_nodes", "_epochs", "unsubmitted", "plans",
         "queue_series", "passes_executed", "preemption_count",
         "eviction_count", "wait_reasons", "obs",
     )
@@ -230,10 +231,11 @@ class _Replay:
         #: start order; an epoch change re-arms only the node's own
         #: jobs.
         self._node_jobs: Dict[str, Dict[str, _RunningJob]] = {}
-        #: SGX node names in cluster order.
-        self._sgx_node_names: Tuple[str, ...] = tuple(
-            n.name for n in self.cluster.sgx_nodes
-        )
+        #: SGX node names in cluster order, each with its position.
+        self._sgx_nodes: Dict[str, int] = {
+            node.name: index
+            for index, node in enumerate(self.cluster.sgx_nodes)
+        }
         #: Slowdown epochs: node name -> the paging slowdown its enclave
         #: jobs run at (absent means 1.0, no over-commit).
         self._epochs: Dict[str, float] = {}
@@ -299,28 +301,34 @@ class _Replay:
 
     def _scheduler_tick(self) -> None:
         now = self.engine.now
-        self._execute_pass(now)
-        # Admissions, kills and evictions moved EPC occupancy.
-        self._check_sgx_nodes(now)
+        self._check_sgx_nodes(self._execute_pass(now), now)
         self._sample_queue(now)
         if self._active():
             self.engine.schedule_in(
                 SCHEDULER_PERIOD_SECONDS, self._scheduler_tick
             )
 
-    def _execute_pass(self, now: float) -> None:
+    def _execute_pass(self, now: float) -> Dict[Optional[str], None]:
         """One scheduling pass over the whole queue, folded into the
-        replay's start events and counters."""
+        replay's start events and counters; returns the nodes whose EPC
+        occupancy it moved, each a pod was admitted on or evicted from.
+
+        A failed launch tears down what it created, so it leaves its
+        node's occupancy as it was and names no node.
+        """
         spans = self.obs.spans
         span_start = spans.begin()
         result = self.orchestrator.scheduling_pass(self.scheduler, now)
         spans.end(span_start, "pass", now)
         self.passes_executed += 1
+        moved: Dict[Optional[str], None] = {}
         for pod, startup_seconds in result.launched:
+            moved[pod.node_name] = None
             self.engine.schedule_in(
                 startup_seconds, lambda p=pod: self._start(p)
             )
         for victim, _ in result.evicted:
+            moved[victim.node_name] = None
             # The preemption step killed the victim mid-pass; purge its
             # running-job entry (and dangling finish event), keyed by
             # uid because the replacement reuses the spec name.
@@ -333,6 +341,7 @@ class _Replay:
             self.wait_reasons[reason] = (
                 self.wait_reasons.get(reason, 0) + count
             )
+        return moved
 
     def _start(self, pod: Pod) -> None:
         now = self.engine.now
@@ -396,8 +405,14 @@ class _Replay:
                         self._rearm(job, now, slowdown)
         return slowdown
 
-    def _check_sgx_nodes(self, now: float) -> None:
-        for node_name in self._sgx_node_names:
+    def _check_sgx_nodes(self, node_names, now: float) -> None:
+        """Check the SGX nodes among *node_names* in cluster order, the
+        order their jobs are re-armed in."""
+        order = self._sgx_nodes
+        for node_name in sorted(
+            [name for name in node_names if name in order],
+            key=order.__getitem__,
+        ):
             self._check_node(node_name, now)
 
     def _drop_job(self, job: _RunningJob) -> None:

@@ -11,7 +11,8 @@ what they replaced, every pod sampled at every collection:
 * :func:`collect` is one such collection over an orchestrator's
   kubelets and probes, one batch per node;
 * :class:`TickStore` is the window-max store that absorbed those
-  batches, one sample per row (its ``ingest``);
+  batches, one sample per row (its ``ingest``), with the change log
+  that sampling every pod files;
 * :class:`ByChange` turns per-tick collections into the rows a
   change-reporting collector hands :meth:`WindowedAggregateCache.report`,
   by diffing each collection against the previous one.
@@ -40,12 +41,10 @@ def memory_rows(kubelet) -> List[Row]:
     whose cgroup reads 0 bytes (an SGX pod) has none."""
     node = kubelet.node
     rows = []
-    for record in kubelet.admitted_records():
-        if record.pid is None:
-            continue
-        value = node.cgroup_memory_bytes(record.cgroup_path)
+    for pod in kubelet.admitted_pods():
+        value = node.cgroup_memory_bytes(pod.cgroup_path)
         if value:
-            rows.append((node.name, record.pod_name, float(value)))
+            rows.append((node.name, pod.name, float(value)))
     return rows
 
 
@@ -53,10 +52,7 @@ def epc_rows(kubelet) -> List[Row]:
     """The driver's EPC pages by owner cgroup, one row per cgroup an
     admitted pod owns (enclaves of other processes are skipped)."""
     node = kubelet.node
-    pod_names = {
-        record.cgroup_path: record.pod_name
-        for record in kubelet.admitted_records()
-    }
+    pod_names = {pod.cgroup_path: pod.name for pod in kubelet.admitted_pods()}
     usage: Dict[str, int] = {}
     for allocation in node.epc.allocations():
         usage[allocation.owner] = (
@@ -86,23 +82,27 @@ def collect(orchestrator) -> List[Tuple[str, List[Row]]]:
 # -- the per-tick store ----------------------------------------------------
 
 
-class _TickNode:
-    """One node's series, versioned and with a stability horizon."""
+def _file(changed: Dict, nodename, pod_name) -> None:
+    changed.setdefault(nodename, {})[pod_name] = None
 
-    __slots__ = ("series", "version", "horizon")
+
+class _TickNode:
+    """One node's series, with a stability horizon."""
+
+    __slots__ = ("series", "horizon")
 
     def __init__(self) -> None:
         self.series: Dict[Optional[str], deque] = {}
-        self.version = 0
         self.horizon = _INF
 
-    def expire(self, cutoff: float) -> bool:
-        changed = False
+    def expire(self, cutoff: float) -> List[Optional[str]]:
+        """Expire up to *cutoff*; the series whose maximum moved."""
+        moved = []
         horizon = _INF
         dead = []
         for pod_name, maxdeque in self.series.items():
             if maxdeque[0][0] < cutoff:
-                changed = True
+                moved.append(pod_name)
                 maxdeque.popleft()
                 while maxdeque and maxdeque[0][0] < cutoff:
                     maxdeque.popleft()
@@ -113,7 +113,7 @@ class _TickNode:
         for pod_name in dead:
             del self.series[pod_name]
         self.horizon = horizon
-        return changed
+        return moved
 
     def maxima(self) -> Dict[Optional[str], float]:
         return {
@@ -123,10 +123,11 @@ class _TickNode:
 
 
 class _TickMeasurement:
-    __slots__ = ("nodes", "horizon", "max_time", "hwm")
+    __slots__ = ("nodes", "changed", "horizon", "max_time", "hwm")
 
     def __init__(self) -> None:
         self.nodes: Dict[Optional[str], _TickNode] = {}
+        self.changed: Dict[Optional[str], Dict[Optional[str], None]] = {}
         self.horizon = _INF
         self.max_time = -_INF
         self.hwm = -_INF
@@ -137,14 +138,13 @@ class TickStore:
 
     Same queries as :class:`~repro.monitoring.aggregate.
     WindowedAggregateCache`; each ``ingest`` row is one sample at
-    *now*.  A new series or a rising maximum is a change of its node,
-    and so is an expiry that surfaces a smaller maximum or kills a
-    series.
+    *now*.  A new series or a rising maximum files the series in the
+    change log, and so does an expiry that surfaces a smaller maximum
+    or kills a series.
     """
 
     def __init__(self) -> None:
         self._measurements: Dict[str, _TickMeasurement] = {}
-        self.content_version = 0
 
     def ingest(self, measurement: str, now: float, rows: Sequence[Row]):
         if not rows:
@@ -160,13 +160,11 @@ class TickStore:
             maxdeque = node.series.get(pod_name)
             if maxdeque is None:
                 maxdeque = node.series[pod_name] = deque()
-                self.content_version += 1
-                node.version = self.content_version
+                _file(state.changed, nodename, pod_name)
             elif now < maxdeque[-1][0]:
                 raise MonitoringError("sample older than its series")
             elif value > maxdeque[0][1]:
-                self.content_version += 1
-                node.version = self.content_version
+                _file(state.changed, nodename, pod_name)
             while maxdeque and maxdeque[-1][1] <= value:
                 maxdeque.pop()
             if not maxdeque:
@@ -193,15 +191,21 @@ class TickStore:
             for nodename in list(state.nodes):
                 node = state.nodes[nodename]
                 if node.horizon < cutoff:
-                    if node.expire(cutoff):
-                        self.content_version += 1
-                        node.version = self.content_version
+                    for pod_name in node.expire(cutoff):
+                        _file(state.changed, nodename, pod_name)
                     if not node.series:
                         del state.nodes[nodename]
                         continue
                 horizon = min(horizon, node.horizon)
             state.horizon = horizon
         return state.nodes
+
+    def drain_changes(self, measurement: str) -> Dict:
+        state = self._measurements.get(measurement)
+        if state is None:
+            return {}
+        changed, state.changed = state.changed, {}
+        return changed
 
     def live_series(self, measurement: str) -> int:
         state = self._measurements.get(measurement)

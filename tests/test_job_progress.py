@@ -6,6 +6,11 @@ when its node's paging slowdown moves off the node's epoch.
 it banks and re-arms every job it could affect on every scheduler
 wake-up, start and finish, whether or not a slowdown moved.  Both must
 make the same decisions, with finish times equal up to float rounding.
+
+After a pass the replay checks only the SGX nodes the pass admitted a
+pod on or evicted one from.  :class:`EpochSweep` keeps the full sweep
+as the reference: after every scheduler tick, every SGX node's epoch
+must be the paging slowdown of its EPC occupancy.
 """
 
 import contextlib
@@ -45,7 +50,7 @@ class PerTickReplay(_Replay):
             self._rearm(job, now, slowdown if job.uses_epc else 1.0)
 
     def _refresh_sgx_nodes(self):
-        for node_name in self._sgx_node_names:
+        for node_name in self._sgx_nodes:
             self._refresh(node_name, self.engine.now)
 
     def _sample_queue(self, now):
@@ -116,6 +121,31 @@ class EpochLog(_Replay):
         return slowdown
 
 
+class EpochSweep(_Replay):
+    """The replay, checking after every scheduler tick that each SGX
+    node's slowdown epoch is what a sweep over every SGX node would
+    set: the paging slowdown of the node's EPC occupancy."""
+
+    __slots__ = ("sweeps",)
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.sweeps = 0
+
+    def _scheduler_tick(self):
+        super()._scheduler_tick()
+        now = self.engine.now
+        for node_name in self._sgx_nodes:
+            kubelet = self.orchestrator.kubelets[node_name]
+            slowdown = self.perf.paging_slowdown(
+                kubelet.epc_overcommit_ratio()
+            )
+            assert self._epochs.get(node_name, 1.0) == slowdown, (
+                node_name, now,
+            )
+        self.sweeps += 1
+
+
 class TestPerTickOracle:
     def test_the_scenarios_exercise_every_input(self):
         """Guard: the SGX node's paging epoch rises and falls, a limit
@@ -161,6 +191,18 @@ class TestPerTickOracle:
         assert epochs.metrics.makespan_seconds == pytest.approx(
             oracle.metrics.makespan_seconds, rel=1e-9
         )
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SCENARIOS))
+def test_epochs_equal_a_full_sweep_after_every_tick(name):
+    with (
+        recomputing()
+        if name == "recomputing"
+        else contextlib.nullcontext()
+    ):
+        replay = EpochSweep(ORACLE_SCENARIOS[name])
+        replay.run()
+    assert replay.sweeps == replay.passes_executed > 0
 
 
 def count_arms(monkeypatch, run, scenario):

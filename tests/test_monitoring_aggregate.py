@@ -4,14 +4,14 @@ The store keeps Listing 1's per-pod 25 s window maximum, fed the
 series that start, change and end at each collection.  The tests
 write per-tick collections (every sample of one collection) and
 ``tests/monitoring_reference.py``'s :class:`ByChange` reports their
-differences.  The unit tests pin the window, expiry and the reports
-and queries it refuses.  The property tests compare every answer with
-a full Listing 1 scan (``tests/influxql.py``) over a database that
-received every sample; they also check that a node whose rows changed
-carries a new version and that no node's horizon lies above a maximum
-that can expire.  The last property compares the store with the
-per-tick store it replaced (:class:`TickStore`), maxima and version
-moves alike.
+differences.  The unit tests pin the window, expiry, the change log
+and the reports and queries it refuses.  The property tests compare
+every answer with a full Listing 1 scan (``tests/influxql.py``) over a
+database that received every sample; they also check that the change
+log names every series whose row changed and that no node's horizon
+lies above a maximum that can expire.  The last property compares the
+store with the per-tick store it replaced (:class:`TickStore`), maxima
+and change logs alike.
 """
 
 import pytest
@@ -60,6 +60,16 @@ def by_change():
     return store, ByChange(store)
 
 
+def named(store, measurement="sgx/epc"):
+    """The ``(nodename, pod_name)`` series *store*'s change log names,
+    drained."""
+    return {
+        (nodename, pod_name)
+        for nodename, pods in store.drain_changes(measurement).items()
+        for pod_name in pods
+    }
+
+
 def listing_1_rows(db, measurement, now):
     """The same rows from a full Listing 1 scan of *db*, sorted."""
     query = parse_query(INNER.format(measurement=measurement))
@@ -97,7 +107,7 @@ class TestSnapshot:
         feed.collect("sgx/epc", 1.0, [("n", "p", 0.0)])
         store.report("sgx/epc", 1.0, [("n", "q", 0.0)])
         assert store.node_states("sgx/epc", now=2.0) == {}
-        assert store.content_version == 0
+        assert store.drain_changes("sgx/epc") == {}
 
     def test_unknown_measurement_is_empty(self):
         store = WindowedAggregateCache()
@@ -170,13 +180,14 @@ class TestReport:
         assert feed.collect("sgx/epc", 0.0, [("n", "a", 4.0)]) == [
             ("n", "a", 4.0)
         ]
+        assert store.drain_changes("sgx/epc") == {"n": {"a": None}}
         for now in (10.0, 20.0, 30.0, 40.0):
             assert feed.collect("sgx/epc", now, [("n", "a", 4.0)]) == []
         # Still live: sampled at every collection, never expired.
         assert window_maxima(store, "sgx/epc", now=45.0) == [
             ("n", "a", 4.0)
         ]
-        assert store.content_version == 1
+        assert store.drain_changes("sgx/epc") == {}
 
     def test_a_report_earlier_than_the_last_collection_raises(self):
         store = WindowedAggregateCache()
@@ -203,18 +214,23 @@ class TestReport:
     def test_a_pause_longer_than_the_window_restarts_live_series(self):
         """Sampling every pod: the last samples expire 25 s after the
         last collection and the next collection starts the series
-        anew, each a change of its node."""
+        anew, each filed in the change log."""
         store = WindowedAggregateCache()
         store.report("sgx/epc", 0.0, [("n", "a", 4.0), ("n", "b", 2.0)])
+        assert named(store) == {("n", "a"), ("n", "b")}
         assert store.node_states("sgx/epc", now=40.0) == {}
         assert store.live_series("sgx/epc") == 0
+        # The pause files every series it expires.
+        assert named(store) == {("n", "a"), ("n", "b")}
         # The next collection reports b's new value; a is unchanged.
         store.report("sgx/epc", 50.0, [("n", "b", 3.0)])
-        version = store.content_version
+        assert named(store) == {("n", "b")}
         (node,) = store.node_states("sgx/epc", now=50.0).values()
         assert node.maxima() == {"b": 3.0, "a": 4.0}
-        assert node.version == store.content_version == version + 1
+        # a restarts once that collection is over.
+        assert named(store) == {("n", "a")}
         assert store.node_states("sgx/epc", now=70.0)["n"] is node
+        assert named(store) == set()
 
 
 # -- randomised equivalence -------------------------------------------------
@@ -360,16 +376,18 @@ def head_times(db, measurement, now, live):
 class TestBatchedIngestEquivalence:
     def test_trimming_keeps_the_head_that_decides_version_bumps(self):
         """An expired window max still masks smaller samples until a
-        query expires it: trimming on ingest must not bump the version
+        query expires it: trimming on ingest must not file the series
         before that query does."""
         store, feed = by_change()
+        filed = []
         for time, value in ((0.0, 6.0), (20.0, 2.0), (30.0, 3.0),
                             (40.0, 4.0)):
             feed.collect("sgx/epc", time, [("n", "p", value)])
-            assert store.content_version == 1
+            filed.append(named(store))
+        assert filed == [{("n", "p")}, set(), set(), set()]
         (node,) = store.node_states("sgx/epc", 40.0).values()
         assert node.maxima() == {"p": 4.0}
-        assert node.version == store.content_version == 2
+        assert named(store) == {("n", "p")}
 
     @given(ops=_INGEST_OPS)
     @settings(max_examples=300, deadline=None)
@@ -377,14 +395,17 @@ class TestBatchedIngestEquivalence:
         """Collections reported by change against one database point
         per sample: at every query the store reports Listing 1's rows
         (or refuses a query earlier than the last collection or an
-        earlier query), a node whose rows changed has a new version,
-        and every horizon lies at or below the node's window-maximum
-        times that can expire."""
+        earlier query), the change log names every series whose row
+        appeared, changed or vanished since the measurement's previous
+        query, and every horizon lies at or below the node's
+        window-maximum times that can expire."""
         (store, feed), db = by_change(), TimeSeriesDatabase()
         clock = 0.0
         # Per measurement, the last collection and the latest query
         # served; a measurement never collected answers every query.
-        collected, queried, seen = {}, {}, {}
+        collected, queried = {}, {}
+        # Per measurement, the rows of its previous query.
+        seen = {}
         for op in ops:
             kind, offset, measurement = op[:3]
             if kind == "ingest":
@@ -402,25 +423,29 @@ class TestBatchedIngestEquivalence:
                 with pytest.raises(MonitoringError):
                     store.node_states(measurement, now)
                 continue
-            version = store.content_version
             nodes = store.node_states(measurement, now)
-            assert store.content_version >= version
             if measurement in queried:
                 queried[measurement] = now
-            assert window_maxima(store, measurement, now) == (
-                listing_1_rows(db, measurement, now)
-            )
+            rows = {
+                (name, pod): value
+                for name, pod, value in window_maxima(
+                    store, measurement, now
+                )
+            }
+            assert sorted(
+                (*key, value) for key, value in rows.items()
+            ) == listing_1_rows(db, measurement, now)
+            before = seen.get(measurement, {})
+            moved = {
+                key
+                for key in rows.keys() | before.keys()
+                if rows.get(key) != before.get(key)
+            }
+            assert moved <= named(store, measurement)
+            seen[measurement] = rows
             heads = head_times(db, measurement, now, feed.live(measurement))
             for name in set(nodes) | set(heads):
                 node = nodes.get(name)
-                state = (
-                    (0, {}) if node is None
-                    else (node.version, node.maxima())
-                )
-                before = seen.get((measurement, name), (0, {}))
-                if state[1] != before[1]:
-                    assert state[0] != before[0]
-                seen[(measurement, name)] = state
                 if node is not None and heads[name]:
                     assert node.horizon <= min(heads[name])
             assert store.live_series(measurement) == len(
@@ -455,11 +480,12 @@ _TICK_OPS = st.lists(
 )
 
 
-def node_answers(store, now):
-    """Per node: its version (0 without state) and its maxima."""
+def series_maxima(store, now):
+    """Per ``(nodename, pod_name)`` series: its window maximum."""
     return {
-        name: (node.version, node.maxima())
+        (name, pod): value
         for name, node in store.node_states("sgx/epc", now).items()
+        for pod, value in node.maxima().items()
     }
 
 
@@ -472,11 +498,14 @@ class TestPerTickEquivalence:
         collections pause for longer than the window.  The per-tick
         store ingests every node's samples at every collection; the
         store under test hears only their changes.  At every query both
-        give the same maxima, and each node's version moves in one
-        exactly when it moves in the other."""
+        give the same maxima, and the store's change log names exactly
+        the series the per-tick store's log names: every series whose
+        window maximum appeared, changed or vanished since the previous
+        query, and those whose maximum moved and came back in between
+        (a rise that expired, a series that started and died)."""
         ticked, (store, feed) = TickStore(), by_change()
         clock = 0.0
-        before_ticked, before_store = {}, {}
+        before = {}
         for op in ops:
             if op[0] == "collect":
                 clock += op[1]
@@ -493,25 +522,19 @@ class TestPerTickEquivalence:
                 feed.collect("sgx/epc", clock, rows)
                 continue
             clock += op[1]
-            answers_ticked = node_answers(ticked, clock)
-            answers_store = node_answers(store, clock)
+            maxima = series_maxima(ticked, clock)
+            assert series_maxima(store, clock) == maxima
+            filed = named(ticked)
+            assert named(store) == filed, clock
             assert {
-                name: maxima for name, (_, maxima) in answers_store.items()
-            } == {
-                name: maxima for name, (_, maxima) in answers_ticked.items()
-            }
-            for name in set(answers_ticked) | set(before_ticked):
-                moved_ticked = answers_ticked.get(name, (0,))[0] != (
-                    before_ticked.get(name, (0,))[0]
-                )
-                moved_store = answers_store.get(name, (0,))[0] != (
-                    before_store.get(name, (0,))[0]
-                )
-                assert moved_store == moved_ticked, (name, clock)
+                key
+                for key in maxima.keys() | before.keys()
+                if maxima.get(key) != before.get(key)
+            } <= filed
             assert store.live_series("sgx/epc") == ticked.live_series(
                 "sgx/epc"
             )
-            before_ticked, before_store = answers_ticked, answers_store
+            before = maxima
 
 
 class TestWindowMatchesSchedulerConstants:

@@ -216,6 +216,25 @@ class TestReporting:
         kubelet.terminate(pod)
         assert list(kubelet.memory_log.touched) == [pod.uid]
 
+    def test_every_admission_and_teardown_is_filed(self):
+        """The admission log names, under the node's name, each pod
+        that came (the pod) or went (``None``); a pod admitted and torn
+        down before the log is read, as a failed launch is, is filed
+        as gone."""
+        admissions = {}
+        kubelet = make_kubelet(admissions=admissions)
+        kept, gone = sgx_pod("kept"), sgx_pod("gone")
+        for pod in (kept, gone):
+            pod.mark_bound("sgx-0", 1.0)
+            kubelet.admit(pod)
+        kubelet.terminate(gone)
+        assert admissions == {"sgx-0": {"kept": kept, "gone": None}}
+        admissions.clear()
+        failed = sgx_pod("failed", declared_mib=1, actual_mib=20)
+        failed.mark_bound("sgx-0", 1.0)
+        assert not kubelet.admit(failed).success
+        assert admissions == {"sgx-0": {"failed": None}}
+
     def test_admitted_pods_listing(self):
         kubelet = make_kubelet()
         pod = sgx_pod()

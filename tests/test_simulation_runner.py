@@ -13,10 +13,12 @@ from repro.api import ObserveConfig, Scenario
 from repro.errors import SimulationError
 from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase
+from repro.orchestrator.controller import Orchestrator
+from repro.orchestrator.kubelet import AdmissionResult, Kubelet
 from repro.simulation.runner import make_scheduler, run_replay
 from repro.units import mib
 from repro.workload.malicious import MaliciousConfig
-from test_job_progress import EpochLog
+from test_job_progress import ORACLE_SCENARIOS, EpochLog, EpochSweep
 from test_view_rebuild import REPLAYS, replay_scenario
 
 
@@ -88,11 +90,12 @@ REGIMES = {
 
 
 def recorded_replay(scenario, directory):
-    """Replay *scenario* with a ledger on; the live replay and the
-    ledger's records."""
+    """Replay *scenario* with a ledger on, checking every SGX node's
+    slowdown epoch after every scheduler tick (:class:`EpochSweep`);
+    the live replay and the ledger's records."""
     path = str(Path(directory) / "run.jsonl")
     observed = scenario.with_(observe=ObserveConfig(ledger_path=path))
-    return run_replay(observed), load_ledger(path).events
+    return EpochSweep(observed).run(), load_ledger(path).events
 
 
 def assert_lifecycles_ordered(pods):
@@ -189,6 +192,83 @@ def test_drawn_replays_keep_the_lifecycle_invariants(**knobs):
     assert_lifecycles_ordered(replay.metrics.pods)
     assert_times_non_decreasing(records)
     assert_one_terminal_pod_per_submission(replay.metrics.pods, records)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_epochs_equal_a_full_sweep_after_every_tick(regime):
+    replay = EpochSweep(replay_scenario(**REGIMES[regime]))
+    replay.run()
+    assert replay.sweeps == replay.passes_executed > 0
+
+
+def test_a_failed_launch_leaves_epc_occupancy_as_it_was(monkeypatch):
+    """Why a pass names no failed launch's node for an epoch check: a
+    launch that fails, transiently (the EPC is full) or at the limit
+    (also with over-commit, where paging follows occupancy), tears down
+    what it created."""
+    failures = Counter()
+    admit = Kubelet.admit
+
+    def checked_admit(kubelet, pod):
+        epc = kubelet.node.epc
+        before = None if epc is None else epc.allocated_pages
+        result = admit(kubelet, pod)
+        if not result.success:
+            assert (None if epc is None else epc.allocated_pages) == before
+            failures[result.retryable] += 1
+        return result
+
+    monkeypatch.setattr(Kubelet, "admit", checked_admit)
+    run_replay(replay_scenario(**REGIMES["limits-without-overcommit"]))
+    run_replay(ORACLE_SCENARIOS["limits"])
+    limited = run_replay(
+        replay_scenario(**dict(_PLAIN, limits=True, overcommit=True))
+    )
+    assert failures[True] > 0
+    assert failures[False] > 0
+    assert any(
+        (pod.failure_reason or "").startswith("EPC limit")
+        for pod in limited.metrics.pods
+    )
+
+
+def test_an_eviction_names_its_node_when_its_preemptor_fails(monkeypatch):
+    """A pass checks the epoch of a node it evicted from even when the
+    preemptor's launch there fails.  No replay fails that launch on its
+    own (without limits the EPC over-commits instead of refusing), so
+    each high-tier pod's first launch fails here, as a transient EPC
+    race would; where that launch follows the pod's evictions, the pass
+    admits nothing on the node it evicted from."""
+    raced, unadmitted = set(), []
+    admit = Kubelet.admit
+
+    def racing(kubelet, pod):
+        if pod.spec.priority > 0 and pod.uid not in raced:
+            raced.add(pod.uid)
+            return AdmissionResult(
+                success=False,
+                failure_reason="enclave creation failed: raced",
+                retryable=True,
+            )
+        return admit(kubelet, pod)
+
+    scheduling_pass = Orchestrator.scheduling_pass
+
+    def counting(orchestrator, scheduler, now):
+        result = scheduling_pass(orchestrator, scheduler, now)
+        admitted = {pod.node_name for pod, _ in result.launched}
+        unadmitted.extend(
+            victim.node_name
+            for victim, _ in result.evicted
+            if victim.node_name not in admitted
+        )
+        return result
+
+    monkeypatch.setattr(Kubelet, "admit", racing)
+    monkeypatch.setattr(Orchestrator, "scheduling_pass", counting)
+    replay = EpochSweep(replay_scenario(**REGIMES["preemption"]))
+    replay.run()
+    assert unadmitted
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))

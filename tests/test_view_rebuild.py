@@ -1,19 +1,22 @@
 """Per-node view rebuilds equal the whole-cluster build.
 
-``ClusterStateService.build_views`` keeps each kubelet's view with the
-token it was built from (the node's memory and EPC versions in the
-window-max store, the kubelet's commitment version) and rebuilds only
-the views whose token moved.  Every build here is compared, field for
-field and in kubelet order, with ``tests/view_reference.py``, which
-rebuilds every view from a full Listing 1 scan over every pod's sample
-at every collection: over replays that requeue, kill at the EPC limit
-and evict, over SGX 2 bursts that grow and shrink enclaves through the
+``ClusterStateService.build_views`` keeps each admitted pod's share of
+its node's view and updates only the pods the window-max store's
+change logs and the kubelets' admission log name, rebuilding only
+their nodes' views.  Every build here is compared, field for field and
+in kubelet order, with ``tests/view_reference.py``, which rebuilds
+every view from a full Listing 1 scan over every pod's sample at every
+collection: over replays that requeue, kill at the EPC limit and
+evict, over SGX 2 bursts that grow and shrink enclaves through the
 kubelet, and over orchestrators driven op by op through submissions,
 completions, SGX 2 resizes and collections that pause for longer than
-the window.
+the window.  The last test pins how many views the benchmark's
+scenarios rebuild and how often they serve the retained snapshot.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,12 +27,15 @@ from repro.api import ObserveConfig, Scenario
 from repro.cluster.topology import paper_cluster
 from repro.errors import NodeError, SgxError
 from repro.experiments.ext_sgx2 import _BurstyRun, generate_bursty_jobs
+from repro.monitoring.aggregate import WindowedAggregateCache
+from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.scheduler.binpack import BinpackScheduler
 from repro.scheduler.kube_default import KubeDefaultScheduler
 from repro.scheduler.spread import SpreadScheduler
+from repro.simulation.runner import run_replay
 from repro.trace.borg import synthetic_scaled_trace
 from repro.units import gib, mib
 from view_reference import checking
@@ -155,15 +161,29 @@ def test_requeues_happen_without_overcommit(tmp_path):
 def test_sgx2_bursts_equal_the_reference(seed, n_jobs):
     """``ext-sgx2``'s bursty jobs grow their enclaves through the
     kubelet (EAUG, retried while the EPC is full) and shrink them
-    back: every live value change reaches the views."""
+    back: every live value change reaches the views, and every job's
+    series reaches the EPC change log."""
     jobs = generate_bursty_jobs(
         n_jobs=n_jobs, seed=seed, window_seconds=300.0
     )
-    with checking() as checked:
+    named = set()
+    drain = WindowedAggregateCache.drain_changes
+
+    def naming(store, measurement):
+        changes = drain(store, measurement)
+        if measurement == MEASUREMENT_EPC:
+            named.update(pod for pods in changes.values() for pod in pods)
+        return changes
+
+    with checking() as checked, mock.patch.object(
+        WindowedAggregateCache, "drain_changes", naming
+    ):
         run = _BurstyRun(jobs, sgx_version=2)
         run.run()
+        # What no build after the last change drained.
+        run.orchestrator.aggregate_cache.drain_changes(MEASUREMENT_EPC)
     assert checked[0] > 0
-    assert run.orchestrator.aggregate_cache.content_version > n_jobs
+    assert named == {job.name for job in jobs}
 
 
 # -- orchestrators driven op by op -------------------------------------------
@@ -362,4 +382,49 @@ def test_a_change_to_one_node_rebuilds_exactly_that_node(placed):
     moved = {kept.node_name, finished.node_name}
     assert all(
         final[name] is latest[name] for name in latest if name not in moved
+    )
+
+
+# -- the counts a change to the service must keep ---------------------------
+
+
+def test_view_build_counters_are_pinned():
+    """How many node views the benchmark scenarios rebuild and how
+    often they serve the retained snapshot (or reuse a pass on it), at
+    seed 1: ``borg-steady``'s cluster, where a few of 48 nodes move per
+    pass, and ``epc-contended``'s two EPC sizes, where most passes see
+    nothing move."""
+    steady = run_replay(
+        Scenario(
+            trace="borg-synth:seed=1,jobs=3000,overallocators=300",
+            sgx_fraction=0.5,
+            standard_workers=24,
+            sgx_workers=24,
+            seed=1,
+        )
+    ).orchestrator
+    service = steady.state_service
+    assert (service.nodes_rebuilt, service.snapshots_reused) == (4432, 0)
+    contended = [
+        run_replay(
+            Scenario(
+                trace="borg-synth:seed=42,jobs=500,window=5m",
+                sgx_fraction=0.9,
+                epc_total_bytes=mib(epc),
+                standard_workers=1,
+                sgx_workers=1,
+                seed=1,
+            )
+        ).orchestrator
+        for epc in (64, 128)
+    ]
+    assert [
+        (
+            orchestrator.state_service.nodes_rebuilt,
+            orchestrator.state_service.snapshots_reused,
+        )
+        for orchestrator in contended
+    ] == [(1062, 2025), (846, 635)]
+    assert sum(orchestrator.passes_reused for orchestrator in contended) == (
+        2660
     )
