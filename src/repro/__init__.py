@@ -61,7 +61,7 @@ from .simulation.runner import ReplayResult, run_replay
 from .trace.borg import BorgTraceGenerator, synthetic_scaled_trace
 from .workload.malicious import MaliciousConfig
 
-__version__ = "17.0.0"
+__version__ = "18.0.0"
 
 # The scenario layer sits on top of everything above; importing it
 # after the core packages keeps the orchestrator <-> scheduler import

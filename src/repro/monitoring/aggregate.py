@@ -19,17 +19,17 @@ is lazy: front-of-deque pops at query time.
 Series are grouped by node, and two things let the scheduler update
 only the pods whose rows moved:
 
-* a **change log** per measurement: every reported-row change files
-  the series' pod name under its node (a new series, a rising
+* a **change log**: every reported-row change of either measurement
+  files the series' pod name under its node (a new series, a rising
   maximum, an expiry that surfaces a smaller value or kills a series,
   a pause past the window, which files every series, and the restart
-  after it); :meth:`~WindowedAggregateCache.drain_changes` hands the
-  log over and empties it;
-* a **stability horizon** per node: the oldest maximum that can expire
-  among the node's series.  While a query's cutoff stays at or below
-  it, expiry can change none of the node's rows, so
-  :meth:`~WindowedAggregateCache.node_states` walks only the nodes
-  whose horizon lapsed.
+  after it) in :attr:`~WindowedAggregateCache.changes`, the one log
+  the kubelets and the scheduler's state service share, which the
+  service empties;
+* a **time index** per measurement: a heap of the maxima that can
+  expire, oldest first.  A query pops only the entries older than its
+  cutoff and expires their series, so its cost follows the rows that
+  move, not the series the store holds.
 
 A query or report the store cannot answer (a ``now`` earlier than the
 last collection, or a query earlier than an earlier query) raises
@@ -42,13 +42,14 @@ tests compare every view build with.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
+from heapq import heappop, heappush
 from typing import (
     Any,
     Callable,
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Protocol,
@@ -69,25 +70,28 @@ SampleRow = Tuple[str, str, float]
 #: live series, the value it holds at every collection since).
 _MaxDeque = Deque[Tuple[float, float]]
 
-#: Pod names by node name, each insertion-ordered: the series whose
-#: window maximum moved.
+#: Pod names by node name, each insertion-ordered: the pods whose
+#: share of their node's view may have moved.
 ChangeLog = Dict[Optional[str], Dict[Optional[str], None]]
 
-_INF = float("inf")
+#: One time-index entry: ``(head time, sequence number, nodename,
+#: pod_name)``.  The sequence number breaks ties, so names are never
+#: compared.
+_IndexEntry = Tuple[float, int, Optional[str], Optional[str]]
 
 #: Equal to no node name (``None`` included).
 _NO_NODE = object()
 
 
-def file_changes(
-    changed: ChangeLog, nodename: Optional[str], pod_names: Iterable
+def file_change(
+    changes: ChangeLog, nodename: Optional[str], pod_name: Optional[str]
 ) -> None:
-    """File *pod_names* under *nodename* in the change log *changed*."""
-    pods = changed.get(nodename)
+    """File *pod_name* under *nodename* in the change log *changes*."""
+    pods = changes.get(nodename)
     if pods is None:
-        changed[nodename] = dict.fromkeys(pod_names)
+        changes[nodename] = {pod_name: None}
     else:
-        pods.update(dict.fromkeys(pod_names))
+        pods[pod_name] = None
 
 
 class MetricsSink(Protocol):
@@ -150,54 +154,17 @@ class _NodeState:
     ``live`` names the series whose collector last reported a non-zero
     value: each is sampled at every collection with its deque's newest
     value, so that newest entry stands for the measurement's last
-    collection and never expires while collections continue.
-    ``horizon`` is at most the time of every maximum that can expire:
-    every ended series' max-deque head, and every live series' head
-    that is not its newest entry.  A walk (:meth:`expire`) sets it
-    exactly; between walks, an end or a change that leaves an older
-    maximum in front lowers it.
+    collection and never expires while collections continue.  Every
+    other head can expire: an ended series' head, and a live series'
+    head that is not its newest entry; the measurement's time index
+    holds an entry at or before each.
     """
 
-    __slots__ = ("series", "live", "horizon")
+    __slots__ = ("series", "live")
 
     def __init__(self) -> None:
         self.series: Dict[Optional[str], _MaxDeque] = {}
         self.live: Dict[Optional[str], None] = {}
-        self.horizon = _INF
-
-    def expire(self, cutoff: float) -> List[Optional[str]]:
-        """Drop every point older than *cutoff*, and every series left
-        without one, and recompute the horizon; returns the series
-        whose reported row changed (a smaller maximum surfaced or the
-        series died).
-
-        Max-deque values strictly decrease, so a popped head always
-        surfaces a smaller maximum; the deque's back is the series'
-        newest point, so an emptied deque is a dead series.  A live
-        series keeps its newest entry.
-        """
-        moved: List[Optional[str]] = []
-        horizon = _INF
-        live = self.live
-        series = self.series
-        for pod_name, maxdeque in series.items():
-            keep = 1 if pod_name in live else 0
-            if len(maxdeque) > keep and maxdeque[0][0] < cutoff:
-                moved.append(pod_name)
-                maxdeque.popleft()
-                while len(maxdeque) > keep and maxdeque[0][0] < cutoff:
-                    maxdeque.popleft()
-                if not maxdeque:
-                    continue
-            if len(maxdeque) > keep:
-                head_time = maxdeque[0][0]
-                if head_time < horizon:
-                    horizon = head_time
-        for pod_name in moved:
-            if not series[pod_name]:
-                del series[pod_name]
-        self.horizon = horizon
-        return moved
 
     def maxima(self) -> Dict[Optional[str], float]:
         """Each series' window maximum, by pod name (valid right after
@@ -216,21 +183,18 @@ class _NodeState:
 
 class _MeasurementState:
     """All series of one measurement, by node, plus the collection
-    clock, the validity watermarks and the change log."""
+    clock, the validity watermarks and the time index."""
 
     __slots__ = (
-        "nodes", "changed", "horizon", "last", "prev", "hwm", "paused",
-        "paused_at",
+        "nodes", "index", "last", "prev", "hwm", "paused", "paused_at",
     )
 
     def __init__(self) -> None:
         self.nodes: Dict[Optional[str], _NodeState] = {}
-        #: The series whose window maximum moved since the last
-        #: :meth:`WindowedAggregateCache.drain_changes`.
-        self.changed: ChangeLog = {}
-        #: At most every node's horizon: while a query's cutoff stays
-        #: at or below it, no node needs a walk.
-        self.horizon = _INF
+        #: A heap with an entry at or before every head that can expire
+        #: (see :class:`_NodeState`).  An entry whose head has since
+        #: gone is stale: popping it expires nothing.
+        self.index: List[_IndexEntry] = []
         #: The latest collection, and the one before it.
         self.last = float("-inf")
         self.prev = float("-inf")
@@ -250,10 +214,21 @@ class WindowedAggregateCache:
     (:data:`~repro.constants.METRICS_WINDOW_SECONDS`), fed by
     :meth:`report`."""
 
-    __slots__ = ("_measurements",)
+    __slots__ = ("_measurements", "changes", "_seq")
 
-    def __init__(self) -> None:
+    def __init__(self, changes: Optional[ChangeLog] = None) -> None:
         self._measurements: Dict[str, _MeasurementState] = {}
+        #: The change log both measurements file into: the series whose
+        #: window maximum appeared, changed or vanished, pod names by
+        #: node name, each in the order first filed.  A series can be
+        #: named although its maximum is back where it was (a rise that
+        #: expired again, a series that started and died), never
+        #: omitted when it moved.  Shared when given (the orchestrator
+        #: passes the one log its kubelets also file into), else the
+        #: store's own; its reader empties it.
+        self.changes: ChangeLog = {} if changes is None else changes
+        #: Numbers the time-index entries (see :data:`_IndexEntry`).
+        self._seq = itertools.count()
 
     def report(
         self, measurement: str, now: float, rows: Sequence[SampleRow]
@@ -270,10 +245,11 @@ class WindowedAggregateCache:
         change is then absorbed as a sample at *now*, where a new
         series or a rising maximum is filed in the change log (a
         change that merely lowers a live series below its window
-        maximum files nothing).  Entries
-        behind the deque's head that no query can reach again are
-        trimmed.  A value-0 row for a series that is not live changes
-        nothing (Listing 1 filters ``value <> 0``).
+        maximum files nothing).  A head that stops being its series'
+        newest entry, or whose series ends, joins the time index.
+        Entries behind the deque's head that no query can reach again
+        are trimmed.  A value-0 row for a series that is not live
+        changes nothing (Listing 1 filters ``value <> 0``).
 
         Raises :class:`~repro.errors.MonitoringError` when *now* lies
         before the measurement's last collection.
@@ -294,7 +270,9 @@ class WindowedAggregateCache:
         if not rows:
             return
         nodes = state.nodes
-        changed = state.changed
+        changes = self.changes
+        index = state.index
+        seq = self._seq
         paused = state.paused
         prev = state.prev
         cutoff = now - METRICS_WINDOW_SECONDS
@@ -312,14 +290,16 @@ class WindowedAggregateCache:
                 time, old = maxdeque[-1]
                 if time < prev:
                     maxdeque[-1] = (prev, old)
+                # Until now the newest entry held the head back.
+                held = len(maxdeque) == 1
                 if not value:
                     # An end: the series' maxima can expire from now on.
                     del node.live[pod_name]
-                    head_time = maxdeque[0][0]
-                    if head_time < node.horizon:
-                        node.horizon = head_time
-                        if head_time < state.horizon:
-                            state.horizon = head_time
+                    if held:
+                        heappush(
+                            index,
+                            (maxdeque[0][0], next(seq), nodename, pod_name),
+                        )
                     continue
             else:
                 if node_paused is not None:
@@ -332,24 +312,24 @@ class WindowedAggregateCache:
                 maxdeque = node.series.get(pod_name)
                 if maxdeque is None:
                     maxdeque = node.series[pod_name] = deque()
+                # An ended series' head is indexed already.
+                held = False
             if not maxdeque or value > maxdeque[0][1]:
                 # A new series or a rising maximum.
-                file_changes(changed, nodename, (pod_name,))
+                file_change(changes, nodename, pod_name)
+            elif held and value < maxdeque[0][1]:
+                # The head outlives the value that held it back.
+                heappush(
+                    index, (maxdeque[0][0], next(seq), nodename, pod_name)
+                )
             while maxdeque and maxdeque[-1][1] <= value:
                 maxdeque.pop()
             maxdeque.append((now, value))
-            if len(maxdeque) > 1:
-                # The head is a maximum the live value no longer holds.
-                head_time = maxdeque[0][0]
-                if head_time < node.horizon:
-                    node.horizon = head_time
-                    if head_time < state.horizon:
-                        state.horizon = head_time
-                if len(maxdeque) > 2 and maxdeque[1][0] < cutoff:
-                    head = maxdeque.popleft()
-                    while maxdeque[0][0] < cutoff:
-                        maxdeque.popleft()
-                    maxdeque.appendleft(head)
+            if len(maxdeque) > 2 and maxdeque[1][0] < cutoff:
+                head = maxdeque.popleft()
+                while maxdeque[0][0] < cutoff:
+                    maxdeque.popleft()
+                maxdeque.appendleft(head)
 
     #: ``bench/run.py`` times this attribute as its
     #: ``monitoring.aggregate`` layer; nothing in the package calls it.
@@ -359,16 +339,18 @@ class WindowedAggregateCache:
 
     def _pause(self, state: _MeasurementState) -> None:
         """The query's cutoff passed the last collection: every sample
-        expired.  Every node leaves with every series filed (no rows);
-        the live series' values wait for the next collection."""
+        expired.  Every node leaves with every series filed (no rows)
+        and the index empties; the live series' values wait for the
+        next collection."""
+        changes = self.changes
         for nodename, node in state.nodes.items():
-            file_changes(state.changed, nodename, node.series)
+            changes.setdefault(nodename, {}).update(dict.fromkeys(node.series))
             if node.live:
                 waiting = state.paused.setdefault(nodename, {})
                 for pod_name in node.live:
                     waiting[pod_name] = node.series[pod_name][-1][1]
         state.nodes.clear()
-        state.horizon = _INF
+        state.index.clear()
         state.paused_at = state.last
 
     def _close(self, state: _MeasurementState) -> None:
@@ -387,43 +369,63 @@ class WindowedAggregateCache:
             for pod_name, value in values.items():
                 node.series[pod_name] = deque([(now, value)])
                 node.live[pod_name] = None
-            file_changes(state.changed, nodename, values)
+            self.changes.setdefault(nodename, {}).update(dict.fromkeys(values))
         state.paused = {}
 
     # -- queries ---------------------------------------------------------
 
     def _expire(self, state: _MeasurementState, cutoff: float) -> None:
-        """Walk the nodes whose horizon lapsed at *cutoff*, filing each
-        series whose row changed, dropping emptied nodes and
-        recomputing the measurement's horizon."""
-        horizon = _INF
-        empty: List[Optional[str]] = []
-        for nodename, node in state.nodes.items():
-            if node.horizon < cutoff:
-                moved = node.expire(cutoff)
-                if moved:
-                    file_changes(state.changed, nodename, moved)
+        """Pop the index entries older than *cutoff*, expiring each
+        one's series, filing it and indexing its next head that can
+        expire; a stale entry expires nothing and is dropped.
+
+        Max-deque values strictly decrease, so a popped head always
+        surfaces a smaller maximum; the deque's back is the series'
+        newest point, so an emptied deque is a dead series, and its
+        node leaves with its last series.  A live series keeps its
+        newest entry.
+        """
+        index = state.index
+        nodes = state.nodes
+        changes = self.changes
+        seq = self._seq
+        while index and index[0][0] < cutoff:
+            _, _, nodename, pod_name = heappop(index)
+            node = nodes.get(nodename)
+            if node is None:
+                continue  # stale: the node left with its last series
+            maxdeque = node.series.get(pod_name)
+            if maxdeque is None:
+                continue  # stale: the series died
+            keep = 1 if pod_name in node.live else 0
+            if len(maxdeque) <= keep or maxdeque[0][0] >= cutoff:
+                continue  # stale: the head it named has gone
+            maxdeque.popleft()
+            while len(maxdeque) > keep and maxdeque[0][0] < cutoff:
+                maxdeque.popleft()
+            file_change(changes, nodename, pod_name)
+            if len(maxdeque) > keep:
+                heappush(
+                    index, (maxdeque[0][0], next(seq), nodename, pod_name)
+                )
+            elif not maxdeque:
+                del node.series[pod_name]
                 if not node.series:
-                    empty.append(nodename)
-                    continue
-            if node.horizon < horizon:
-                horizon = node.horizon
-        for nodename in empty:
-            del state.nodes[nodename]
-        state.horizon = horizon
+                    del nodes[nodename]
 
     def node_states(
         self, measurement: str, now: float
     ) -> Dict[Optional[str], _NodeState]:
         """*measurement*'s node states, by node name, valid at *now*.
 
-        Walks only the nodes whose horizon lapsed, so every node's
-        series are then exactly those alive in ``[now - window, now]``
-        and its :meth:`_NodeState.maxima` are Listing 1's rows for it;
-        a node absent from the mapping has no rows.  The mapping is the
+        Expires only the series the time index names before the
+        window's cutoff, so every node's series are then exactly those
+        alive in ``[now - window, now]`` and its
+        :meth:`_NodeState.maxima` are Listing 1's rows for it; a node
+        absent from the mapping has no rows.  The mapping is the
         store's own: read it before the next write, never change it.
-        What the walk changes is filed in the change log, so query
-        before :meth:`drain_changes`.
+        What the expiry changes is filed in :attr:`changes`, so query
+        before reading the log.
 
         Raises :class:`~repro.errors.MonitoringError` when *now* lies
         before the last collection or before an earlier query (which
@@ -447,25 +449,9 @@ class WindowedAggregateCache:
         cutoff = now - METRICS_WINDOW_SECONDS
         if cutoff > state.last and state.nodes:
             self._pause(state)
-        elif state.horizon < cutoff:
+        elif state.index and state.index[0][0] < cutoff:
             self._expire(state, cutoff)
         return state.nodes
-
-    def drain_changes(self, measurement: str) -> ChangeLog:
-        """*measurement*'s change log: the series whose window maximum
-        appeared, changed or vanished since the last drain, pod names
-        by node name, each in the order first filed.  Empties the log.
-
-        A series can be named although its maximum is back where it
-        was (a rise that expired again, a series that started and
-        died), never omitted when it moved.
-        """
-        state = self._measurements.get(measurement)
-        if state is None or not state.changed:
-            return {}
-        changed = state.changed
-        state.changed = {}
-        return changed
 
     def live_series(self, measurement: str) -> int:
         """Number of series currently tracked for *measurement*."""

@@ -21,6 +21,10 @@ The monitoring sink is a
 (:attr:`Orchestrator.aggregate_cache`) holding only Listing 1's window
 maxima, each live series counted as sampled at every collection with
 its last value; every scheduling pass reads its node views from it.
+The sink and every kubelet file into one change log, the series whose
+window maximum moved and the pods admitted or torn down, by node, and
+the scheduler's state service rebuilds only the views of the nodes it
+names (:class:`~repro.scheduler.base.ClusterStateService`).
 
 The cluster is fixed at construction: every node the
 :class:`~repro.cluster.topology.Cluster` holds then gets its kubelet
@@ -38,9 +42,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..cluster.resources import ResourceVector
 from ..cluster.topology import Cluster
 from ..errors import OrchestrationError, SchedulingError
-from ..monitoring.aggregate import WindowedAggregateCache
+from ..monitoring.aggregate import ChangeLog, WindowedAggregateCache
 from ..monitoring.heapster import Heapster
-from ..monitoring.probe import SgxMetricsProbe
+from ..monitoring.probe import MEASUREMENT_EPC, SgxMetricsProbe
 from ..obs.observer import NULL_OBSERVER
 from ..policy.classes import DEFAULT_PREEMPTION_THRESHOLD
 from ..policy.preemption import EvictionCandidate, PreemptionPolicy
@@ -53,7 +57,7 @@ from ..scheduler.base import (
 )
 from ..sgx.perf import SgxPerfModel
 from .api import PodSpec
-from .kubelet import AdmissionLog, Kubelet
+from .kubelet import Kubelet
 from .pod import Pod
 from .queue import PendingQueue
 
@@ -97,7 +101,11 @@ class _KeptPass(NamedTuple):
 
 
 class Orchestrator:
-    """The control plane of one cluster."""
+    """The control plane of one cluster.
+
+    A pass gets the state service's own views, valid until the next
+    build, which resets whatever the pass rebound on them.
+    """
 
     def __init__(
         self,
@@ -123,9 +131,13 @@ class Orchestrator:
         #: the paper's strictly non-preemptive scheduling.
         self.preemption_policy = preemption_policy
         self.preemption_priority_threshold = preemption_priority_threshold
+        # The one change log: the sink files the series whose window
+        # maximum moved, every kubelet the pods it admits and tears
+        # down; the state service empties it at every view build.
+        changes: ChangeLog = {}
         #: The monitoring sink: the sliding-window maxima the scheduling
         #: pass reads, kept current on every reported change.
-        self.aggregate_cache = WindowedAggregateCache()
+        self.aggregate_cache = WindowedAggregateCache(changes)
         #: Shared by every kubelet.
         self.perf_model = perf_model or SgxPerfModel()
         #: The one node registry, in cluster order.
@@ -133,15 +145,12 @@ class Orchestrator:
         #: One SGX probe per node that advertises EPC, in cluster order
         #: (the paper's probe DaemonSet, Sec. V-C).
         self.probes: Dict[str, SgxMetricsProbe] = {}
-        # Every kubelet files the pods it admits and tears down here;
-        # the state service empties it at every view build.
-        admissions: AdmissionLog = {}
         for node in cluster:
-            self._join(node, admissions)
+            self._join(node, changes)
         kubelets = tuple(self.kubelets.values())
         self.heapster = Heapster(self.aggregate_cache, kubelets)
         self.state_service = ClusterStateService(
-            kubelets, self.aggregate_cache, admissions, observer=self.observer
+            kubelets, self.aggregate_cache, observer=self.observer
         )
         if preemption_policy is not None:
             preemption_policy.ledger = self.ledger
@@ -163,17 +172,17 @@ class Orchestrator:
 
     # -- nodes (Sec. V-C: every SGX node gets its probe) ------------------
 
-    def _join(self, node, admissions: AdmissionLog) -> None:
-        """Register *node*'s kubelet, filing into *admissions*, and its
+    def _join(self, node, changes: ChangeLog) -> None:
+        """Register *node*'s kubelet, filing into *changes*, and its
         SGX probe when the node advertises EPC pages: the paper's
         "automatic" probe deployment, with no registration step.
 
         The probe holds the sink and the kubelet's EPC series log,
-        never the orchestrator, and the admission log holds pods and
-        names, never a kubelet, so a finished replay is freed by
-        reference counting.
+        never the orchestrator, and the change log holds names, never
+        a pod or a kubelet, so a finished replay is freed by reference
+        counting.
         """
-        kubelet = Kubelet(node, self.perf_model, admissions)
+        kubelet = Kubelet(node, self.perf_model, changes)
         self.kubelets[node.name] = kubelet
         if kubelet.epc_log is not None:
             self.probes[node.name] = SgxMetricsProbe(
@@ -231,10 +240,19 @@ class Orchestrator:
     def collect_metrics(self, now: float) -> int:
         """One collection by Heapster and every SGX probe; returns the
         number of rows reported: the series that started, changed value
-        or ended since the previous collection."""
+        or ended since the previous collection.
+
+        The EPC collection is opened once, rows or not (the sink dates
+        a series' changes by its collections); then only the probes
+        whose kubelet touched a pod since the last one collect, as an
+        untouched probe would report no row.
+        """
         taken = self.heapster.collect(now)
-        for probe in self.probes.values():
-            taken += probe.collect(now)
+        if self.probes:
+            self.aggregate_cache.report(MEASUREMENT_EPC, now, ())
+            for probe in self.probes.values():
+                if probe.log.touched:
+                    taken += probe.collect(now)
         return taken
 
     # -- scheduling ----------------------------------------------------------
@@ -328,9 +346,9 @@ class Orchestrator:
           keeps nothing);
         * considered the same ``Pod`` objects in the same order;
         * saw the snapshot :meth:`ClusterStateService.build_views` has
-          just served again: neither the window-max store's change logs
-          nor the kubelets' admission log named a pod since the build
-          that made it, and no build replaced the snapshot since.
+          just served again: the change log the window-max store and
+          the kubelets file into named no pod since the build that
+          made it, and no build replaced the snapshot since.
 
         A pass is a function of exactly those inputs because strategies
         are pure (see :meth:`Scheduler._select`).  A reused pass leaves
@@ -339,8 +357,8 @@ class Orchestrator:
         ``deferral`` record again, in order, at *now*.  The preemption
         step and ``pass_end`` run as on any pass.
         """
-        # The retained snapshot: a build replaces the list, serving it
-        # again hands out clones and leaves it in place.
+        # The retained snapshot: a build that updates a node replaces
+        # the list; serving it again hands out its views, reset.
         snapshot = self.state_service._last_views
         kept = self._kept
         if (
@@ -353,7 +371,7 @@ class Orchestrator:
             outcome = kept.outcome
             if not scheduler.use_measured:
                 for view in views:
-                    view.used = view.committed
+                    view.use_committed()
             ledger = self.ledger
             if ledger.enabled:
                 for pod, reason in zip(

@@ -21,9 +21,10 @@ On pod admission the Kubelet reproduces the paper's node-side pipeline
    next collection.
 
 The Kubelet deals only in *actual* usage; declared requests matter to the
-scheduler, not to the node.  It names the pods that came and went in
-its admission log (:data:`AdmissionLog`), so the scheduler's state
-service updates only those pods' share of the node's view.
+scheduler, not to the node.  It files the name of every pod that comes
+or goes in a change log (:data:`~repro.monitoring.aggregate.ChangeLog`),
+and keeps the admitted pods by name, so the scheduler's state service
+updates only those pods' share of the node's view.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..errors import (
     EpcExhaustedError,
     NodeError,
 )
-from ..monitoring.aggregate import SeriesLog
+from ..monitoring.aggregate import ChangeLog, SeriesLog, file_change
 from ..sgx.aesm import PlatformSoftware
 from ..sgx.enclave import Enclave
 from ..sgx.perf import SgxPerfModel
@@ -58,13 +59,6 @@ class AdmissionResult:
     retryable: bool = False
 
 
-#: Node name -> pod name -> the pod admitted under that name, or
-#: ``None`` once it left; each insertion-ordered.  One log is shared by
-#: an orchestrator's kubelets and emptied by its scheduler's state
-#: service at every view build.
-AdmissionLog = Dict[str, Dict[str, Optional[Pod]]]
-
-
 @dataclass(slots=True)
 class _PodRecord:
     """Node-local state of one admitted pod.
@@ -82,30 +76,42 @@ class _PodRecord:
 
 
 class Kubelet:
-    """Node agent: admission, container launch, usage reporting."""
+    """Node agent: admission, container launch, usage reporting.
+
+    Records enter and leave the node at two points,
+    :meth:`_insert_record` and :meth:`_remove_record`; both keep the
+    committed requests, the name index (:attr:`by_name`) and the change
+    log (:attr:`changes`) and have the collectors read the pod at the
+    next collection.  The log holds names only, never a pod or a
+    kubelet, so a kubelet filing into a log its owner also holds makes
+    no reference cycle.
+    """
 
     __slots__ = (
-        "node", "perf_model", "_records", "admissions", "_committed",
-        "memory_log", "epc_log",
+        "node", "perf_model", "_records", "by_name", "changes",
+        "_committed", "memory_log", "epc_log",
     )
 
     def __init__(
         self,
         node: Node,
         perf_model: Optional[SgxPerfModel] = None,
-        admissions: Optional[AdmissionLog] = None,
+        changes: Optional[ChangeLog] = None,
     ):
         self.node = node
         self.perf_model = perf_model or SgxPerfModel()
         self._records: Dict[str, _PodRecord] = {}
-        #: Where every record inserted or removed is filed, under this
-        #: node's name: the pod, or ``None`` once it left.  A pod
-        #: admitted and torn down before the reader empties the log
-        #: still names its node.  Shared when given (the orchestrator
-        #: passes one log to all its kubelets), else this kubelet's own.
-        self.admissions: AdmissionLog = (
-            {} if admissions is None else admissions
-        )
+        #: Pod name -> the admitted pod of that name.  The orchestrator
+        #: refuses a second live pod of one name, so a name names one
+        #: admitted pod.
+        self.by_name: Dict[str, Pod] = {}
+        #: Where the name of every pod admitted or torn down is filed,
+        #: under this node's name.  A pod admitted and torn down before
+        #: the reader empties the log still names its node.  Shared
+        #: when given (the orchestrator passes the one log its
+        #: window-max store and its state service share), else this
+        #: kubelet's own.
+        self.changes: ChangeLog = {} if changes is None else changes
         # Running total of admitted requests, maintained at the two
         # points records enter/leave ``_records``.  Requests are
         # integer vectors, so the increments are exact — this is the
@@ -141,24 +147,20 @@ class Kubelet:
         record.pod_name = pod.name
         self._records[pod.uid] = record
         self._committed = self._committed + pod.spec.resources.requests
-        self._file(pod.name, pod)
+        self.by_name[pod.name] = pod
+        file_change(self.changes, self.node.name, pod.name)
         self._touch(record)
 
     def _remove_record(self, record: _PodRecord) -> None:
         """Unregister an admitted pod from the ledger and indexes."""
-        del self._records[record.pod.uid]
-        self._committed = self._committed - record.pod.spec.resources.requests
-        self._file(record.pod_name, None)
+        pod = record.pod
+        del self._records[pod.uid]
+        self._committed = self._committed - pod.spec.resources.requests
+        name = record.pod_name
+        if self.by_name.get(name) is pod:
+            del self.by_name[name]
+        file_change(self.changes, self.node.name, name)
         self._touch(record)
-
-    def _file(self, pod_name: str, pod: Optional[Pod]) -> None:
-        """Name *pod_name* in the admission log: *pod* came, or
-        (``None``) the pod of that name left."""
-        node_name = self.node.name
-        pods = self.admissions.get(node_name)
-        if pods is None:
-            pods = self.admissions[node_name] = {}
-        pods[pod_name] = pod
 
     def _touch(self, record: _PodRecord) -> None:
         """Have both collectors read *record*'s pod at the next

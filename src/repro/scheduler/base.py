@@ -7,8 +7,9 @@ The pieces every strategy shares:
 * :class:`ClusterStateService` — builds node views from Listing 1's
   per-pod sliding-window maxima, read from the window-max store,
   falling back to declared requests for pods too young to have
-  samples; each build updates only the pods the store's and the
-  kubelets' change logs name.
+  samples; each build updates only the pods named in the one change
+  log the store and the kubelets file into, and serves the views it
+  keeps, resetting at the next build only those a pass rebound.
 * :class:`Scheduler` — the non-preemptive FCFS scheduling pass shared by
   all strategies; concrete strategies implement :meth:`Scheduler._select`.
 """
@@ -29,19 +30,14 @@ from typing import (
 
 from ..cluster.resources import ResourceVector
 from ..errors import SchedulingError
-from ..monitoring.aggregate import (
-    ChangeLog,
-    WindowedAggregateCache,
-    _NodeState,
-    file_changes,
-)
+from ..monitoring.aggregate import WindowedAggregateCache, _NodeState
 from ..monitoring.heapster import MEASUREMENT_MEMORY
 from ..monitoring.probe import MEASUREMENT_EPC
 from ..obs.ledger import NULL_LEDGER
 from ..obs.spans import NULL_SPANS
-from ..orchestrator.kubelet import AdmissionLog, Kubelet
+from ..orchestrator.kubelet import Kubelet
 from ..orchestrator.pod import Pod
-from .filtering import can_ever_fit, feasible_candidates, prefer_non_sgx
+from .filtering import can_ever_fit, feasible_candidates
 
 
 @dataclass(slots=True)
@@ -50,12 +46,16 @@ class NodeView:
 
     ``used`` reflects measured usage plus in-pass reservations; the
     strategies mutate it via :meth:`reserve` as they assign pods so one
-    pass never double-books a node.
+    pass never double-books a node.  A pass rebinds ``used`` and
+    ``committed`` only through :meth:`reserve`, :meth:`release` and
+    :meth:`use_committed`, each of which files the view's name in
+    :attr:`rebound`: the state service sets it on the views it serves
+    and puts their pristine vectors back at its next build.
 
     Slotted: a pass materialises one per node and the filter/score
     loops touch them per candidate per pod; equality stays the
-    generated field-wise comparison (and the class stays unhashable),
-    exactly as before the slots conversion.
+    generated field-wise comparison of the first five fields (and the
+    class stays unhashable), exactly as before the slots conversion.
     """
 
     name: str
@@ -63,6 +63,10 @@ class NodeView:
     capacity: ResourceVector
     used: ResourceVector = field(default_factory=ResourceVector.zero)
     committed: ResourceVector = field(default_factory=ResourceVector.zero)
+    #: Where a pass's rebinding files :attr:`name` (``None``: nowhere).
+    rebound: Optional[Dict[str, None]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def available(self) -> ResourceVector:
@@ -88,6 +92,8 @@ class NodeView:
         """Account an in-pass assignment against this node."""
         self.used = self.used + requests
         self.committed = self.committed + requests
+        if self.rebound is not None:
+            self.rebound[self.name] = None
 
     def release(
         self,
@@ -108,6 +114,15 @@ class NodeView:
         self.committed = (
             self.committed - (freed if committed is None else committed)
         ).clamp_floor()
+        if self.rebound is not None:
+            self.rebound[self.name] = None
+
+    def use_committed(self) -> None:
+        """Judge this node by declared commitments only: ``used =
+        committed``, as the Kubernetes-default baseline does."""
+        self.used = self.committed
+        if self.rebound is not None:
+            self.rebound[self.name] = None
 
     def load_after(self, requests: ResourceVector) -> float:
         """The load this node would have after placing *requests*.
@@ -177,19 +192,15 @@ def classify_wait(
     return "fragmentation"
 
 
-def _free_maxima(
-    views: Sequence[NodeView], requires_sgx: bool
-) -> Tuple[int, int, int]:
-    """Per-dimension maxima of free capacity over the eligible views.
-
-    Eligible means SGX-capable for an enclave pod and any view for a
-    standard one; these are the maxima :func:`classify_wait` takes
-    (``-1`` in every dimension when no view is eligible).
+def _free_maxima(views: Sequence[NodeView]) -> Tuple[int, int, int]:
+    """Per-dimension maxima of free capacity over *views*, a pod's
+    eligible views (the SGX-capable ones for an enclave pod, all of
+    them for a standard one); these are the maxima
+    :func:`classify_wait` takes (``-1`` in every dimension without a
+    view).
     """
     cpu_max = memory_max = epc_max = -1
     for view in views:
-        if requires_sgx and not view.sgx_capable:
-            continue
         available = view.available
         if available.cpu_millicores > cpu_max:
             cpu_max = available.cpu_millicores
@@ -214,19 +225,20 @@ class _NodeInputs:
     """
 
     __slots__ = (
-        "kubelet", "pods", "shares", "memory_bytes", "epc_pages", "view",
+        "kubelet", "shares", "memory_bytes", "epc_pages", "used",
+        "committed", "view",
     )
 
     def __init__(self, kubelet: Kubelet) -> None:
         self.kubelet = kubelet
-        #: The admitted pods, by name (kept from the admission log).
-        self.pods: Dict[str, Pod] = {}
         #: Each admitted pod's ``(memory_bytes, epc_pages)`` share.
         self.shares: Dict[str, Tuple[int, int]] = {}
         self.memory_bytes = 0
         self.epc_pages = 0
-        #: The pristine view of the last update (every node is updated
-        #: at the service's first build).
+        #: The view of the last update and its pristine vectors (every
+        #: node is updated at the service's first build).
+        self.used: ResourceVector
+        self.committed: ResourceVector
         self.view: NodeView
 
     def update(
@@ -234,10 +246,12 @@ class _NodeInputs:
         pod_names: Iterable,
         memory: Optional[_NodeState],
         epc: Optional[_NodeState],
+        rebound: Dict[str, None],
     ) -> None:
         """Recompute *pod_names*' shares from the node's store states
-        (``None`` without rows), then the view."""
-        pods = self.pods
+        (``None`` without rows), then build the view, which files its
+        name in *rebound* when a pass rebinds it."""
+        admitted = self.kubelet.by_name
         shares = self.shares
         memory_bytes = self.memory_bytes
         epc_pages = self.epc_pages
@@ -246,7 +260,7 @@ class _NodeInputs:
             if share is not None:
                 memory_bytes -= share[0]
                 epc_pages -= share[1]
-            pod = pods.get(name)
+            pod = admitted.get(name)
             if pod is None:
                 continue
             pod_memory = None if memory is None else memory.maximum(name)
@@ -266,30 +280,40 @@ class _NodeInputs:
         self.epc_pages = epc_pages
         kubelet = self.kubelet
         node = kubelet.node
-        committed = kubelet.committed_requests()
-        self.view = NodeView(
-            name=node.name,
-            sgx_capable=kubelet.advertised_epc_pages() > 0,
-            capacity=node.capacity,
-            used=ResourceVector._unchecked(
-                committed.cpu_millicores, memory_bytes, epc_pages
-            ),
-            committed=committed,
+        committed = self.committed = kubelet.committed_requests()
+        used = self.used = ResourceVector._unchecked(
+            committed.cpu_millicores, memory_bytes, epc_pages
         )
+        self.view = NodeView(
+            node.name,
+            kubelet.advertised_epc_pages() > 0,
+            node.capacity,
+            used,
+            committed,
+            rebound,
+        )
+
+    def reset(self) -> None:
+        """Put the pristine vectors back on the view a pass rebound."""
+        view = self.view
+        view.used = self.used
+        view.committed = self.committed
 
 
 class ClusterStateService:
     """Builds :class:`NodeView` snapshots from Kubelets plus monitoring.
 
     The measured view is Listing 1's inner query: each pod's maximum
-    over the sliding window, read from the window-max *store*.  Each
-    build updates only the pods the store's change logs and the
-    kubelets' admission log name since the last build (see
-    :meth:`build_views`).
+    over the sliding window, read from the window-max *store*.  The
+    store and the kubelets file into one change log (the store's
+    :attr:`~repro.monitoring.aggregate.WindowedAggregateCache.changes`):
+    the pods whose window maxima moved and the pods admitted or torn
+    down, by node.  Each build updates only the pods it names and
+    empties it (see :meth:`build_views`).
     """
 
     __slots__ = (
-        "kubelets", "store", "admissions", "_nodes", "_moved", "_rows",
+        "kubelets", "store", "changes", "_nodes", "_rows", "_rebound",
         "_last_views", "snapshots_reused", "nodes_rebuilt", "ledger",
         "spans",
     )
@@ -298,27 +322,30 @@ class ClusterStateService:
         self,
         kubelets: Collection[Kubelet],
         store: WindowedAggregateCache,
-        admissions: AdmissionLog,
         observer=None,
     ):
-        #: The cluster's fixed node set, in view order.
+        #: The cluster's fixed node set, in view order; each files the
+        #: pods it admits and tears down in :attr:`changes`.
         self.kubelets = kubelets
         self.store = store
-        #: The admission log the kubelets file into, emptied here.
-        self.admissions = admissions
+        #: The one change log, the store's, emptied at every build.
+        self.changes = changes = store.changes
         #: Each node's kept view inputs, by node name, in view order.
         self._nodes: Dict[Optional[str], _NodeInputs] = {
             kubelet.node.name: _NodeInputs(kubelet) for kubelet in kubelets
         }
-        #: The pods whose share may have moved since the last build, by
-        #: node name; every node (with no pod yet) before the first.
-        self._moved: ChangeLog = {name: {} for name in self._nodes}
+        # Every node is built at the first build, pods or not.
+        for name in self._nodes:
+            changes.setdefault(name, {})
         #: The store's memory and EPC node states at the last
         #: :meth:`state_unchanged`.
         self._rows: Tuple[Dict, Dict] = ({}, {})
-        #: The retained snapshot: the last build's pristine views in
-        #: kubelet order.  Served again, as clones, while nothing
-        #: moved; every build replaces the list.
+        #: The names of the served views a pass rebound since the last
+        #: build (see :attr:`NodeView.rebound`).
+        self._rebound: Dict[str, None] = {}
+        #: The retained snapshot: the last build's views in kubelet
+        #: order, served again while nothing moved; every build that
+        #: updates a node replaces the list.
         self._last_views: Optional[List[NodeView]] = None
         #: Passes answered from the retained snapshot (observability).
         self.snapshots_reused = 0
@@ -333,13 +360,12 @@ class ClusterStateService:
     def state_unchanged(self, now: float) -> bool:
         """Whether views built at *now* would equal the previous pass's.
 
-        Runs both measurements' expiry walks, which visit only the
-        store's nodes whose stability horizon lapsed and file what they
-        change, then takes over the store's change logs and the
-        admission log: nothing filed since the last build means nothing
-        moved.  :meth:`build_views` serves the retained snapshot when
-        this holds, and the orchestrator then reuses the previous
-        pass's all-deferred outcome as well (see
+        Runs both measurements' expiry, which pops only the store's
+        index entries older than the window and files what it changes;
+        then nothing filed since the last build means nothing moved.
+        :meth:`build_views` serves the retained snapshot when this
+        holds, and the orchestrator then reuses the previous pass's
+        all-deferred outcome as well (see
         :meth:`repro.orchestrator.controller.Orchestrator._schedule`).
         """
         store = self.store
@@ -347,80 +373,57 @@ class ClusterStateService:
             store.node_states(MEASUREMENT_MEMORY, now),
             store.node_states(MEASUREMENT_EPC, now),
         )
-        admissions = self.admissions
-        for node_name, pods in admissions.items():
-            admitted = self._nodes[node_name].pods
-            for pod_name, pod in pods.items():
-                if pod is None:
-                    admitted.pop(pod_name, None)
-                else:
-                    admitted[pod_name] = pod
-        moved = self._moved
-        for log in (
-            store.drain_changes(MEASUREMENT_MEMORY),
-            store.drain_changes(MEASUREMENT_EPC),
-            admissions,
-        ):
-            for node_name, pod_names in log.items():
-                file_changes(moved, node_name, pod_names)
-        admissions.clear()
-        return not moved
-
-    @staticmethod
-    def _clone_views(views: Sequence[NodeView]) -> List[NodeView]:
-        """Fresh NodeView objects over the same (immutable) vectors.
-
-        Strategies mutate views only by rebinding ``used``/``committed``
-        (see :meth:`NodeView.reserve`), so sharing the vectors is safe
-        while the retained originals stay pristine.
-        """
-        return [
-            NodeView(
-                view.name,
-                view.sgx_capable,
-                view.capacity,
-                view.used,
-                view.committed,
-            )
-            for view in views
-        ]
+        return not self.changes
 
     def build_views(self, now: float) -> List[NodeView]:
         """One :class:`NodeView` per node, in :attr:`kubelets` order.
 
-        Only the pods named since the last build get their share
-        recomputed, and only their nodes get a new view — Firmament's
-        rule: re-solve from the changes since the last run.  When
-        nothing was named (:meth:`state_unchanged`), the retained
-        snapshot itself is served again.  Callers get fresh views to
-        mutate either way.
+        First the views the previous pass rebound get their pristine
+        vectors back.  Then only the pods named since the last build
+        get their share recomputed, and only their nodes get a new view
+        — Firmament's rule: re-solve from the changes since the last
+        run.  When nothing was named (:meth:`state_unchanged`), the
+        retained snapshot itself is served again.
+
+        The list is the caller's; the views are the service's own,
+        valid until the next build.  A pass may rebind their ``used``
+        and ``committed`` through the :class:`NodeView` methods, never
+        otherwise.
         """
+        rebound = self._rebound
+        if rebound:
+            nodes = self._nodes
+            for name in rebound:
+                nodes[name].reset()
+            rebound.clear()
         ledger = self.ledger
         if self.state_unchanged(now):
             self.snapshots_reused += 1
             if ledger.enabled:
                 ledger.emit(now, "cache_rebuild", reused=True)
             assert self._last_views is not None
-            return self._clone_views(self._last_views)
+            return list(self._last_views)
         if ledger.enabled:
             ledger.emit(now, "cache_rebuild", reused=False)
         spans = self.spans
         span_start = spans.begin()
-        views = self._build_moved()
-        self._last_views = views
+        views = self._last_views = self._build_moved()
         spans.end(span_start, "view_rebuild", now)
-        return self._clone_views(views)
+        return list(views)
 
     def _build_moved(self) -> List[NodeView]:
-        """Views from the kept inputs, updating the moved nodes."""
+        """Views from the kept inputs, updating the nodes the change log
+        names; empties the log."""
         memory, epc = self._rows
         nodes = self._nodes
-        for node_name, pod_names in self._moved.items():
+        rebound = self._rebound
+        changes = self.changes
+        for node_name, pod_names in changes.items():
             nodes[node_name].update(
-                pod_names, memory.get(node_name), epc.get(node_name)
+                pod_names, memory.get(node_name), epc.get(node_name), rebound
             )
-            self.nodes_rebuilt += 1
-        self._moved.clear()
+        self.nodes_rebuilt += len(changes)
+        changes.clear()
         return [inputs.view for inputs in nodes.values()]
 
 
@@ -458,6 +461,13 @@ class Scheduler(abc.ABC):
     ) -> SchedulingOutcome:
         """Run one pass over *pending* (oldest first) against *views*.
 
+        The pass splits *views* by ``sgx_capable`` once: an enclave pod
+        filters only the SGX-capable views, and a standard pod filters
+        the others, then the SGX-capable ones only when none of those
+        fits (the node-preservation rule of Section IV).  A pod's
+        eligible views are the SGX-capable ones for an enclave pod and
+        all of them for a standard one.
+
         A backlogged pass costs one cheap step per deferred pod:
 
         * Whether a pod can ever fit depends only on the cluster shape,
@@ -469,9 +479,8 @@ class Scheduler(abc.ABC):
           the first pass that sees the new shape, as without the record.
         * Only a placement changes the views within a pass, so the free
           maxima a deferral is classified by stay valid until the next
-          :meth:`NodeView.reserve`.  They are kept per eligibility class
-          (enclave pods see the SGX-capable views, standard pods all of
-          them), and a pod requesting more than a kept maximum in some
+          :meth:`NodeView.reserve`.  They are kept per eligibility
+          class, and a pod requesting more than a kept maximum in some
           dimension is deferred without filtering: free capacity floors
           at zero, so that request exceeds every eligible view's
           headroom and the filter could only return no candidates.
@@ -480,12 +489,14 @@ class Scheduler(abc.ABC):
         views = list(views)
         if not self.use_measured:
             for view in views:
-                view.used = view.committed
+                view.use_committed()
         shape = tuple([(view.sgx_capable, view.capacity) for view in views])
         if shape == self._shape:
             shape = self._shape
         else:
             self._shape = shape
+        sgx_views = [view for view in views if view.sgx_capable]
+        standard_views = [view for view in views if not view.sgx_capable]
         ledger = self.ledger
         recording = ledger.enabled
         deferred = outcome.deferred
@@ -494,13 +505,14 @@ class Scheduler(abc.ABC):
         # Free maxima of each eligibility class, until the next placement.
         sgx_maxima = standard_maxima = None
         for pod in pending:
+            needs_sgx = pod.requires_sgx
+            eligible = sgx_views if needs_sgx else views
             if pod.fit_shape is not shape:
-                if not can_ever_fit(pod, views):
+                if not can_ever_fit(pod, eligible):
                     outcome.unschedulable.append(pod)
                     continue
                 pod.fit_shape = shape
             requests = pod.spec.resources.requests
-            needs_sgx = pod.requires_sgx
             maxima = sgx_maxima if needs_sgx else standard_maxima
             reason = None
             if maxima is not None:
@@ -513,9 +525,12 @@ class Scheduler(abc.ABC):
                 elif requests.cpu_millicores > cpu_max:
                     reason = "cpu"
             if reason is None:
-                candidates = prefer_non_sgx(
-                    pod, feasible_candidates(pod, views)
-                )
+                if needs_sgx:
+                    candidates = feasible_candidates(pod, sgx_views)
+                else:
+                    candidates = feasible_candidates(
+                        pod, standard_views
+                    ) or feasible_candidates(pod, sgx_views)
                 chosen = (
                     self._select(pod, candidates, views)
                     if candidates
@@ -540,7 +555,7 @@ class Scheduler(abc.ABC):
                         )
                     continue
                 if maxima is None:
-                    maxima = _free_maxima(views, needs_sgx)
+                    maxima = _free_maxima(eligible)
                     if needs_sgx:
                         sgx_maxima = maxima
                     else:

@@ -7,10 +7,9 @@ order of the nodes stays consistent by always sorting them in the same
 way.  In the case of a standard job, we sort SGX-enabled nodes at the end
 of this list, to preserve their resources for SGX-enabled jobs."
 
-The strategy is therefore first-fit over a fixed node order; the
-``prefer_non_sgx`` step in the base pass already guarantees SGX nodes are
-only touched by standard jobs when nothing else fits, and the sort here
-keeps the order consistent within each group.
+The strategy is therefore first-fit over a fixed node order; the base
+pass already hands a standard job the SGX nodes only when no other node
+fits, and the sort here keeps the order consistent within each group.
 """
 
 from __future__ import annotations
@@ -39,6 +38,6 @@ class BinpackScheduler(Scheduler):
     ) -> Optional[NodeView]:
         # First fit over the consistent order is the first name.  The
         # pass hands over only views the pod fits, so no fit test is
-        # left, and ``prefer_non_sgx`` has already narrowed them to
-        # one SGX-ness (SGX nodes last).
+        # left, and the pass has already narrowed them to one SGX-ness
+        # (SGX nodes last).
         return min(candidates, key=attrgetter("name"))

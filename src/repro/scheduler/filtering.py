@@ -73,19 +73,3 @@ def can_ever_fit(pod: Pod, views: Sequence["NodeView"]) -> bool:
         if requests.fits_within(view.capacity):
             return True
     return False
-
-
-def prefer_non_sgx(
-    pod: Pod, candidates: Sequence["NodeView"]
-) -> List["NodeView"]:
-    """Apply the paper's node-preservation rule to *candidates*.
-
-    Both strategies "only resort to SGX-enabled nodes for non-SGX jobs
-    when no other choice is possible" (Section IV).  For standard pods,
-    return only the non-SGX candidates when any exist; SGX pods see all
-    candidates unchanged (the filter already removed non-SGX nodes).
-    """
-    if pod.requires_sgx:
-        return list(candidates)
-    standard = [view for view in candidates if not view.sgx_capable]
-    return standard if standard else list(candidates)

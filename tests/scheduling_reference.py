@@ -1,15 +1,17 @@
 """The literal full-scan scheduling pass: the reference the pass matches.
 
 Per pod, in queue order: the unschedulable test (``can_ever_fit``), the
-feasibility filter, the node-preservation rule, the strategy's pick,
-and, for a pod left without a node, a scan of its eligible views for
-the free maxima that name the binding dimension.  Nothing carries over
-from one pod to the next except the views' in-pass reservations.
+feasibility filter over every view, the node-preservation rule
+(:func:`prefer_non_sgx`), the strategy's pick, and, for a pod left
+without a node, a scan of its eligible views for the free maxima that
+name the binding dimension.  Nothing carries over from one pod to the
+next except the views' in-pass reservations.
 
-``Scheduler.schedule`` keeps free maxima across deferrals and each
-pod's ``can_ever_fit`` answer across passes over one cluster shape; it
-must reproduce this pass's outcome, view mutations and ledger records
-exactly (``test_scheduler_pass.py``).
+``Scheduler.schedule`` splits the views by SGX capability once per
+pass and filters only a pod's eligible ones, keeps free maxima across
+deferrals and each pod's ``can_ever_fit`` answer across passes over
+one cluster shape; it must reproduce this pass's outcome, view
+mutations and ledger records exactly (``test_scheduler_pass.py``).
 """
 
 from repro.errors import SchedulingError
@@ -18,11 +20,21 @@ from repro.scheduler.base import (
     SchedulingOutcome,
     classify_wait,
 )
-from repro.scheduler.filtering import (
-    can_ever_fit,
-    feasible_candidates,
-    prefer_non_sgx,
-)
+from repro.scheduler.filtering import can_ever_fit, feasible_candidates
+
+
+def prefer_non_sgx(pod, candidates):
+    """Apply the paper's node-preservation rule to *candidates*.
+
+    Both strategies "only resort to SGX-enabled nodes for non-SGX jobs
+    when no other choice is possible" (Section IV).  For standard pods,
+    return only the non-SGX candidates when any exist; SGX pods see all
+    candidates unchanged (the filter already removed non-SGX nodes).
+    """
+    if pod.requires_sgx:
+        return list(candidates)
+    standard = [view for view in candidates if not view.sgx_capable]
+    return standard if standard else list(candidates)
 
 
 class RecordingLedger:

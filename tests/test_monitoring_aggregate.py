@@ -8,14 +8,14 @@ differences.  The unit tests pin the window, expiry, the change log
 and the reports and queries it refuses.  The property tests compare
 every answer with a full Listing 1 scan (``tests/influxql.py``) over a
 database that received every sample; they also check that the change
-log names every series whose row changed and that no node's horizon
-lies above a maximum that can expire.  The last property compares the
-store with the per-tick store it replaced (:class:`TickStore`), maxima
-and change logs alike.
+log names every series whose row changed and that every maximum that
+can expire has a time-index entry at or before it.  The last property
+compares the store with the per-tick store it replaced
+(:class:`TickStore`), maxima and change logs alike.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from influxql import execute_query, parse_query
@@ -60,14 +60,27 @@ def by_change():
     return store, ByChange(store)
 
 
-def named(store, measurement="sgx/epc"):
+def named(store):
     """The ``(nodename, pod_name)`` series *store*'s change log names,
-    drained."""
-    return {
+    both measurements' alike; empties the log."""
+    filed = {
         (nodename, pod_name)
-        for nodename, pods in store.drain_changes(measurement).items()
+        for nodename, pods in store.changes.items()
         for pod_name in pods
     }
+    store.changes.clear()
+    return filed
+
+
+def indexed(store, measurement="sgx/epc"):
+    """Per ``(nodename, pod_name)``: the earliest time-index entry."""
+    earliest = {}
+    for time, _, nodename, pod_name in store._measurements[
+        measurement
+    ].index:
+        key = (nodename, pod_name)
+        earliest[key] = min(time, earliest.get(key, time))
+    return earliest
 
 
 def listing_1_rows(db, measurement, now):
@@ -107,7 +120,7 @@ class TestSnapshot:
         feed.collect("sgx/epc", 1.0, [("n", "p", 0.0)])
         store.report("sgx/epc", 1.0, [("n", "q", 0.0)])
         assert store.node_states("sgx/epc", now=2.0) == {}
-        assert store.drain_changes("sgx/epc") == {}
+        assert store.changes == {}
 
     def test_unknown_measurement_is_empty(self):
         store = WindowedAggregateCache()
@@ -180,14 +193,17 @@ class TestReport:
         assert feed.collect("sgx/epc", 0.0, [("n", "a", 4.0)]) == [
             ("n", "a", 4.0)
         ]
-        assert store.drain_changes("sgx/epc") == {"n": {"a": None}}
+        assert store.changes == {"n": {"a": None}}
+        store.changes.clear()
         for now in (10.0, 20.0, 30.0, 40.0):
             assert feed.collect("sgx/epc", now, [("n", "a", 4.0)]) == []
-        # Still live: sampled at every collection, never expired.
+        # Still live: sampled at every collection, never expired, and
+        # its head, the newest entry, is not indexed.
         assert window_maxima(store, "sgx/epc", now=45.0) == [
             ("n", "a", 4.0)
         ]
-        assert store.drain_changes("sgx/epc") == {}
+        assert store.changes == {}
+        assert indexed(store) == {}
 
     def test_a_report_earlier_than_the_last_collection_raises(self):
         store = WindowedAggregateCache()
@@ -206,8 +222,8 @@ class TestReport:
         assert window_maxima(store, "sgx/epc", now=35.0) == [
             ("n", "a", 4.0)
         ]
-        (node,) = store.node_states("sgx/epc", now=35.0).values()
-        assert node.horizon == 10.0
+        # The end indexed the head at that date.
+        assert indexed(store) == {("n", "a"): 10.0}
         store.report("sgx/epc", 35.5, [])
         assert window_maxima(store, "sgx/epc", now=35.5) == []
 
@@ -354,10 +370,11 @@ _INGEST_OPS = st.lists(
 
 
 def head_times(db, measurement, now, live):
-    """Per node, the time of every window maximum that can expire: a
-    series' newest sample holding its maximum value (the store's
-    max-deque head), unless the series is *live* with that value (the
-    head is then its newest entry, sampled at every collection)."""
+    """Per ``(nodename, pod_name)``, the time of each window maximum
+    that can expire: a series' newest sample holding its maximum value
+    (the store's max-deque head), unless the series is *live* with that
+    value (the head is then its newest entry, sampled at every
+    collection)."""
     heads = {}
     for point in db.scan(measurement, start=now - WINDOW, end=now):
         if point.value == 0.0:
@@ -365,12 +382,11 @@ def head_times(db, measurement, now, live):
         key = (point.tag("nodename"), point.tag("pod_name"))
         if key not in heads or point.value >= heads[key][0]:
             heads[key] = (point.value, point.time)
-    by_node = {}
-    for key, (value, time) in heads.items():
-        times = by_node.setdefault(key[0], [])
-        if live.get(key) != value:
-            times.append(time)
-    return by_node
+    return {
+        key: time
+        for key, (value, time) in heads.items()
+        if live.get(key) != value
+    }
 
 
 class TestBatchedIngestEquivalence:
@@ -397,15 +413,17 @@ class TestBatchedIngestEquivalence:
         (or refuses a query earlier than the last collection or an
         earlier query), the change log names every series whose row
         appeared, changed or vanished since the measurement's previous
-        query, and every horizon lies at or below the node's
-        window-maximum times that can expire."""
+        query, and the time index holds an entry at or before every
+        window maximum that can expire."""
         (store, feed), db = by_change(), TimeSeriesDatabase()
         clock = 0.0
         # Per measurement, the last collection and the latest query
         # served; a measurement never collected answers every query.
         collected, queried = {}, {}
-        # Per measurement, the rows of its previous query.
+        # Per measurement, the rows of its previous query, and the
+        # series the one log named since (either measurement's).
         seen = {}
+        unseen = {"sgx/epc": set(), "memory/usage": set()}
         for op in ops:
             kind, offset, measurement = op[:3]
             if kind == "ingest":
@@ -441,13 +459,16 @@ class TestBatchedIngestEquivalence:
                 for key in rows.keys() | before.keys()
                 if rows.get(key) != before.get(key)
             }
-            assert moved <= named(store, measurement)
+            filed = named(store)
+            for names in unseen.values():
+                names |= filed
+            assert moved <= unseen[measurement]
+            unseen[measurement] = set()
             seen[measurement] = rows
             heads = head_times(db, measurement, now, feed.live(measurement))
-            for name in set(nodes) | set(heads):
-                node = nodes.get(name)
-                if node is not None and heads[name]:
-                    assert node.horizon <= min(heads[name])
+            entries = indexed(store, measurement) if nodes else {}
+            for key, time in heads.items():
+                assert entries[key] <= time
             assert store.live_series(measurement) == len(
                 listing_1_rows(db, measurement, now)
             )
@@ -489,8 +510,17 @@ def series_maxima(store, now):
     }
 
 
+#: One live series falling 5 → 3 → 2, then holding: its maxima expire
+#: one by one, each uncovering the next that can expire.
+_FALLING = [
+    ("collect", 10.0, [value, 0.0, 0.0, 0.0, 0.0, 0.0])
+    for value in (5.0, 3.0, 2.0, 2.0)
+] + [("query", 0.0), ("collect", 10.0, [2.0] + [0.0] * 5), ("query", 0.0)]
+
+
 class TestPerTickEquivalence:
     @given(ops=_TICK_OPS)
+    @example(ops=_FALLING)
     @settings(max_examples=300, deadline=None)
     def test_reported_changes_answer_as_every_sample(self, ops):
         """Series start, rise, fall, end (a zero or a missing sample),
@@ -524,7 +554,13 @@ class TestPerTickEquivalence:
             clock += op[1]
             maxima = series_maxima(ticked, clock)
             assert series_maxima(store, clock) == maxima
-            filed = named(ticked)
+            filed = {
+                (nodename, pod_name)
+                for nodename, pods in ticked.drain_changes(
+                    "sgx/epc"
+                ).items()
+                for pod_name in pods
+            }
             assert named(store) == filed, clock
             assert {
                 key

@@ -217,23 +217,28 @@ class TestReporting:
         assert list(kubelet.memory_log.touched) == [pod.uid]
 
     def test_every_admission_and_teardown_is_filed(self):
-        """The admission log names, under the node's name, each pod
-        that came (the pod) or went (``None``); a pod admitted and torn
-        down before the log is read, as a failed launch is, is filed
-        as gone."""
-        admissions = {}
-        kubelet = make_kubelet(admissions=admissions)
+        """The change log names, under the node's name, each pod that
+        came or went, and the name index returns the pod admitted
+        under a name while it stays; a pod admitted and torn down
+        before the log is read, as a failed launch is, is filed and
+        gone from the index."""
+        changes = {}
+        kubelet = make_kubelet(changes=changes)
+        assert kubelet.changes is changes
         kept, gone = sgx_pod("kept"), sgx_pod("gone")
         for pod in (kept, gone):
             pod.mark_bound("sgx-0", 1.0)
             kubelet.admit(pod)
+        assert kubelet.by_name == {"kept": kept, "gone": gone}
         kubelet.terminate(gone)
-        assert admissions == {"sgx-0": {"kept": kept, "gone": None}}
-        admissions.clear()
+        assert changes == {"sgx-0": {"kept": None, "gone": None}}
+        assert kubelet.by_name == {"kept": kept}
+        changes.clear()
         failed = sgx_pod("failed", declared_mib=1, actual_mib=20)
         failed.mark_bound("sgx-0", 1.0)
         assert not kubelet.admit(failed).success
-        assert admissions == {"sgx-0": {"failed": None}}
+        assert changes == {"sgx-0": {"failed": None}}
+        assert kubelet.by_name == {"kept": kept}
 
     def test_admitted_pods_listing(self):
         kubelet = make_kubelet()

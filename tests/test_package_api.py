@@ -12,7 +12,7 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "17.0.0"
+        assert repro.__version__ == "18.0.0"
 
     def test_quickstart_from_docstring_works(self):
         from repro import (

@@ -1,15 +1,17 @@
-"""Feasibility filter and node-preservation rule."""
+"""Feasibility filter and node-preservation rule.
+
+The rule itself (:func:`scheduling_reference.prefer_non_sgx`) lives with
+the literal reference pass; ``Scheduler.schedule`` applies it by
+filtering a standard pod's non-SGX views before the SGX ones.
+"""
 
 from repro.cluster.resources import ResourceVector
 from repro.orchestrator.api import PodSpec, ResourceRequirements
 from repro.orchestrator.pod import Pod
 from repro.scheduler.base import NodeView
-from repro.scheduler.filtering import (
-    can_ever_fit,
-    feasible_candidates,
-    prefer_non_sgx,
-)
+from repro.scheduler.filtering import can_ever_fit, feasible_candidates
 from repro.units import gib
+from scheduling_reference import prefer_non_sgx
 
 
 def make_pod(epc=0, mem=0) -> Pod:

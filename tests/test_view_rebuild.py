@@ -1,17 +1,19 @@
 """Per-node view rebuilds equal the whole-cluster build.
 
 ``ClusterStateService.build_views`` keeps each admitted pod's share of
-its node's view and updates only the pods the window-max store's
-change logs and the kubelets' admission log name, rebuilding only
-their nodes' views.  Every build here is compared, field for field and
-in kubelet order, with ``tests/view_reference.py``, which rebuilds
-every view from a full Listing 1 scan over every pod's sample at every
-collection: over replays that requeue, kill at the EPC limit and
-evict, over SGX 2 bursts that grow and shrink enclaves through the
-kubelet, and over orchestrators driven op by op through submissions,
-completions, SGX 2 resizes and collections that pause for longer than
-the window.  The last test pins how many views the benchmark's
-scenarios rebuild and how often they serve the retained snapshot.
+its node's view and updates only the pods named in the one change log
+the window-max store and the kubelets file into, rebuilding only their
+nodes' views; it serves its own views and puts back, at the next
+build, what a pass rebound on them.  Every build here is compared,
+field for field and in kubelet order, with ``tests/view_reference.py``,
+which rebuilds every view from a full Listing 1 scan over every pod's
+sample at every collection: over replays that requeue, kill at the EPC
+limit and evict, over SGX 2 bursts that grow and shrink enclaves
+through the kubelet, and over orchestrators driven op by op through
+submissions, completions, SGX 2 resizes and collections that pause for
+longer than the window.  The last tests pin how many views the
+benchmark's scenarios build and how often they serve the retained
+snapshot, and how many time-index entries the store's expiry pops.
 """
 
 from __future__ import annotations
@@ -24,14 +26,17 @@ from hypothesis import strategies as st
 
 from pass_reuse_reference import run_with_replay
 from repro.api import ObserveConfig, Scenario
+from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import paper_cluster
 from repro.errors import NodeError, SgxError
 from repro.experiments.ext_sgx2 import _BurstyRun, generate_bursty_jobs
+from repro.monitoring import aggregate
 from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
+from repro.scheduler.base import NodeView
 from repro.scheduler.binpack import BinpackScheduler
 from repro.scheduler.kube_default import KubeDefaultScheduler
 from repro.scheduler.spread import SpreadScheduler
@@ -161,27 +166,45 @@ def test_requeues_happen_without_overcommit(tmp_path):
 def test_sgx2_bursts_equal_the_reference(seed, n_jobs):
     """``ext-sgx2``'s bursty jobs grow their enclaves through the
     kubelet (EAUG, retried while the EPC is full) and shrink them
-    back: every live value change reaches the views, and every job's
-    series reaches the EPC change log."""
+    back: every live value change reaches the views, and the store
+    files every job's EPC series in the one change log."""
     jobs = generate_bursty_jobs(
         n_jobs=n_jobs, seed=seed, window_seconds=300.0
     )
     named = set()
-    drain = WindowedAggregateCache.drain_changes
+    # The measurement of the store call under way; the kubelets' own
+    # filings (admissions, teardowns) happen outside any.
+    measuring = [None]
+    file_change = aggregate.file_change
 
-    def naming(store, measurement):
-        changes = drain(store, measurement)
-        if measurement == MEASUREMENT_EPC:
-            named.update(pod for pods in changes.values() for pod in pods)
-        return changes
+    def filing(changes, nodename, pod_name):
+        if measuring[0] == MEASUREMENT_EPC:
+            named.add(pod_name)
+        file_change(changes, nodename, pod_name)
 
+    def measured(method):
+        def call(store, measurement, *args):
+            measuring[0] = measurement
+            try:
+                return method(store, measurement, *args)
+            finally:
+                measuring[0] = None
+
+        return call
+
+    store = WindowedAggregateCache
     with checking() as checked, mock.patch.object(
-        WindowedAggregateCache, "drain_changes", naming
+        aggregate, "file_change", filing
+    ), mock.patch.object(
+        store, "report", measured(store.report)
+    ), mock.patch.object(
+        store, "node_states", measured(store.node_states)
     ):
         run = _BurstyRun(jobs, sgx_version=2)
         run.run()
-        # What no build after the last change drained.
-        run.orchestrator.aggregate_cache.drain_changes(MEASUREMENT_EPC)
+        assert run.orchestrator.aggregate_cache.changes is (
+            run.orchestrator.state_service.changes
+        )
     assert checked[0] > 0
     assert named == {job.name for job in jobs}
 
@@ -385,6 +408,57 @@ def test_a_change_to_one_node_rebuilds_exactly_that_node(placed):
     )
 
 
+# -- served views, no clones -------------------------------------------------
+
+
+def test_a_served_view_is_reset_at_the_next_build(placed):
+    """The service serves its own view objects.  Each way a pass
+    rebinds one — a placement's reserve, a preemption's release,
+    kube-default's declared-only pass and a reused pass — is put back
+    by the next build, which serves the same objects again with their
+    pristine vectors, without rebuilding a node."""
+    orchestrator, _ = placed
+    service = orchestrator.state_service
+    served = service.build_views(2.0)
+    pristine = [(view.used, view.committed) for view in served]
+    rebuilt = service.nodes_rebuilt
+    sgx = next(
+        index for index, view in enumerate(served) if view.used.epc_pages
+    )
+    freed = ResourceVector(epc_pages=64)
+    # A pod no node can take now (8 of 93.5 MiB committed on each SGX
+    # node): kube-default defers it, then reuses that outcome.
+    orchestrator.submit(
+        make_pod_spec("waits", 600.0, declared_epc_bytes=mib(90)), now=2.0
+    )
+    kube_default = KubeDefaultScheduler()
+    rebinds = [
+        ("reserve", lambda now: service.build_views(now)[sgx].reserve(freed)),
+        ("release", lambda now: service.build_views(now)[sgx].release(freed)),
+        ("kube-default", lambda now: orchestrator.scheduling_pass(
+            kube_default, now
+        )),
+        ("reused pass", lambda now: orchestrator.scheduling_pass(
+            kube_default, now
+        )),
+    ]
+    now = 3.0
+    for name, rebind in rebinds:
+        rebind(now)
+        assert [
+            (view.used, view.committed) for view in served
+        ] != pristine, name
+        now += 1.0
+        again = service.build_views(now)
+        assert all(
+            view is kept for view, kept in zip(again, served, strict=True)
+        ), name
+        assert [(view.used, view.committed) for view in again] == pristine
+        now += 1.0
+    assert orchestrator.passes_reused == 1
+    assert service.nodes_rebuilt == rebuilt
+
+
 # -- the counts a change to the service must keep ---------------------------
 
 
@@ -428,3 +502,55 @@ def test_view_build_counters_are_pinned():
     assert sum(orchestrator.passes_reused for orchestrator in contended) == (
         2660
     )
+
+
+def test_steady_work_follows_change():
+    """``borg-steady`` at seed 1: the service builds a view only for a
+    node the change log names (no per-pass copies of the 48), and the
+    store's expiry pops one time-index entry per series it moves,
+    visiting no other series."""
+    built, popped, moved, expiring = [0], [0], [0], [False]
+    init = NodeView.__init__
+    heappop = aggregate.heappop
+    file_change = aggregate.file_change
+    expire = WindowedAggregateCache._expire
+
+    def building(view, *args, **kwargs):
+        built[0] += 1
+        init(view, *args, **kwargs)
+
+    def popping(heap):
+        popped[0] += 1
+        return heappop(heap)
+
+    def filing(changes, nodename, pod_name):
+        moved[0] += expiring[0]
+        file_change(changes, nodename, pod_name)
+
+    def expiry(store, state, cutoff):
+        expiring[0] = True
+        try:
+            expire(store, state, cutoff)
+        finally:
+            expiring[0] = False
+
+    with mock.patch.object(
+        NodeView, "__init__", building
+    ), mock.patch.object(
+        aggregate, "heappop", popping
+    ), mock.patch.object(
+        aggregate, "file_change", filing
+    ), mock.patch.object(
+        WindowedAggregateCache, "_expire", expiry
+    ):
+        service = run_replay(
+            Scenario(
+                trace="borg-synth:seed=1,jobs=3000,overallocators=300",
+                sgx_fraction=0.5,
+                standard_workers=24,
+                sgx_workers=24,
+                seed=1,
+            )
+        ).orchestrator.state_service
+    assert built[0] == service.nodes_rebuilt == 4432
+    assert popped[0] == moved[0] == 2819
