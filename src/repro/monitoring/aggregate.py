@@ -216,17 +216,17 @@ class WindowedAggregateCache:
 
     __slots__ = ("_measurements", "changes", "_seq")
 
-    def __init__(self, changes: Optional[ChangeLog] = None) -> None:
+    def __init__(self) -> None:
         self._measurements: Dict[str, _MeasurementState] = {}
         #: The change log both measurements file into: the series whose
         #: window maximum appeared, changed or vanished, pod names by
         #: node name, each in the order first filed.  A series can be
         #: named although its maximum is back where it was (a rise that
         #: expired again, a series that started and died), never
-        #: omitted when it moved.  Shared when given (the orchestrator
-        #: passes the one log its kubelets also file into), else the
-        #: store's own; its reader empties it.
-        self.changes: ChangeLog = {} if changes is None else changes
+        #: omitted when it moved.  The orchestrator hands it to its
+        #: kubelets, which file their admissions and teardowns here
+        #: too; its reader empties it.
+        self.changes: ChangeLog = {}
         #: Numbers the time-index entries (see :data:`_IndexEntry`).
         self._seq = itertools.count()
 

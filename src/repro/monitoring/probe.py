@@ -64,12 +64,9 @@ class SgxMetricsProbe:
     def collect(self, now: float) -> int:
         """Take one measurement pass; returns the number of rows
         reported (the store hears of the collection even with none)."""
-        log = self.log
-        rows = []
-        if log.touched:
-            ioctl = self.driver.ioctl
-            rows = log.drain(
-                lambda record: ioctl(IOCTL_GET_EPC_USAGE, pid=record.pid)
-            )
+        ioctl = self.driver.ioctl
+        rows = self.log.drain(
+            lambda record: ioctl(IOCTL_GET_EPC_USAGE, pid=record.pid)
+        )
         self.sink.report(MEASUREMENT_EPC, now, rows)
         return len(rows)

@@ -104,7 +104,7 @@ class Orchestrator:
     """The control plane of one cluster.
 
     A pass gets the state service's own views, valid until the next
-    build, which resets whatever the pass rebound on them.
+    build, which puts back whatever the pass rebound on them.
     """
 
     def __init__(
@@ -131,13 +131,9 @@ class Orchestrator:
         #: the paper's strictly non-preemptive scheduling.
         self.preemption_policy = preemption_policy
         self.preemption_priority_threshold = preemption_priority_threshold
-        # The one change log: the sink files the series whose window
-        # maximum moved, every kubelet the pods it admits and tears
-        # down; the state service empties it at every view build.
-        changes: ChangeLog = {}
         #: The monitoring sink: the sliding-window maxima the scheduling
         #: pass reads, kept current on every reported change.
-        self.aggregate_cache = WindowedAggregateCache(changes)
+        self.aggregate_cache = WindowedAggregateCache()
         #: Shared by every kubelet.
         self.perf_model = perf_model or SgxPerfModel()
         #: The one node registry, in cluster order.
@@ -145,8 +141,11 @@ class Orchestrator:
         #: One SGX probe per node that advertises EPC, in cluster order
         #: (the paper's probe DaemonSet, Sec. V-C).
         self.probes: Dict[str, SgxMetricsProbe] = {}
+        # The one change log: the sink files the series whose window
+        # maximum moved, every kubelet the pods it admits and tears
+        # down; the state service empties it at every view build.
         for node in cluster:
-            self._join(node, changes)
+            self._join(node, self.aggregate_cache.changes)
         kubelets = tuple(self.kubelets.values())
         self.heapster = Heapster(self.aggregate_cache, kubelets)
         self.state_service = ClusterStateService(
@@ -371,7 +370,7 @@ class Orchestrator:
             outcome = kept.outcome
             if not scheduler.use_measured:
                 for view in views:
-                    view.use_committed()
+                    view.used = view.committed
             ledger = self.ledger
             if ledger.enabled:
                 for pod, reason in zip(

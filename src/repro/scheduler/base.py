@@ -9,7 +9,7 @@ The pieces every strategy shares:
   falling back to declared requests for pods too young to have
   samples; each build updates only the pods named in the one change
   log the store and the kubelets file into, and serves the views it
-  keeps, resetting at the next build only those a pass rebound.
+  keeps, putting back at the next build whatever a pass rebound.
 * :class:`Scheduler` — the non-preemptive FCFS scheduling pass shared by
   all strategies; concrete strategies implement :meth:`Scheduler._select`.
 """
@@ -46,16 +46,14 @@ class NodeView:
 
     ``used`` reflects measured usage plus in-pass reservations; the
     strategies mutate it via :meth:`reserve` as they assign pods so one
-    pass never double-books a node.  A pass rebinds ``used`` and
-    ``committed`` only through :meth:`reserve`, :meth:`release` and
-    :meth:`use_committed`, each of which files the view's name in
-    :attr:`rebound`: the state service sets it on the views it serves
-    and puts their pristine vectors back at its next build.
+    pass never double-books a node.  The views the state service
+    serves are its own; its next build puts their pristine ``used``
+    and ``committed`` back, whatever a pass rebound.
 
     Slotted: a pass materialises one per node and the filter/score
     loops touch them per candidate per pod; equality stays the
-    generated field-wise comparison of the first five fields (and the
-    class stays unhashable), exactly as before the slots conversion.
+    generated field-wise comparison (and the class stays unhashable),
+    exactly as before the slots conversion.
     """
 
     name: str
@@ -63,10 +61,6 @@ class NodeView:
     capacity: ResourceVector
     used: ResourceVector = field(default_factory=ResourceVector.zero)
     committed: ResourceVector = field(default_factory=ResourceVector.zero)
-    #: Where a pass's rebinding files :attr:`name` (``None``: nowhere).
-    rebound: Optional[Dict[str, None]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def available(self) -> ResourceVector:
@@ -92,8 +86,6 @@ class NodeView:
         """Account an in-pass assignment against this node."""
         self.used = self.used + requests
         self.committed = self.committed + requests
-        if self.rebound is not None:
-            self.rebound[self.name] = None
 
     def release(
         self,
@@ -114,15 +106,6 @@ class NodeView:
         self.committed = (
             self.committed - (freed if committed is None else committed)
         ).clamp_floor()
-        if self.rebound is not None:
-            self.rebound[self.name] = None
-
-    def use_committed(self) -> None:
-        """Judge this node by declared commitments only: ``used =
-        committed``, as the Kubernetes-default baseline does."""
-        self.used = self.committed
-        if self.rebound is not None:
-            self.rebound[self.name] = None
 
     def load_after(self, requests: ResourceVector) -> float:
         """The load this node would have after placing *requests*.
@@ -246,11 +229,9 @@ class _NodeInputs:
         pod_names: Iterable,
         memory: Optional[_NodeState],
         epc: Optional[_NodeState],
-        rebound: Dict[str, None],
     ) -> None:
         """Recompute *pod_names*' shares from the node's store states
-        (``None`` without rows), then build the view, which files its
-        name in *rebound* when a pass rebinds it."""
+        (``None`` without rows), then build the view."""
         admitted = self.kubelet.by_name
         shares = self.shares
         memory_bytes = self.memory_bytes
@@ -290,14 +271,7 @@ class _NodeInputs:
             node.capacity,
             used,
             committed,
-            rebound,
         )
-
-    def reset(self) -> None:
-        """Put the pristine vectors back on the view a pass rebound."""
-        view = self.view
-        view.used = self.used
-        view.committed = self.committed
 
 
 class ClusterStateService:
@@ -309,13 +283,16 @@ class ClusterStateService:
     :attr:`~repro.monitoring.aggregate.WindowedAggregateCache.changes`):
     the pods whose window maxima moved and the pods admitted or torn
     down, by node.  Each build updates only the pods it names and
-    empties it (see :meth:`build_views`).
+    empties it (see :meth:`build_views`).  Every kubelet must file
+    into the store's log (``Kubelet(node, perf_model, store.changes)``,
+    as the orchestrator builds them); a kubelet with a log of its own
+    raises :class:`~repro.errors.SchedulingError`, since the service
+    would never hear of its admissions and teardowns.
     """
 
     __slots__ = (
-        "kubelets", "store", "changes", "_nodes", "_rows", "_rebound",
-        "_last_views", "snapshots_reused", "nodes_rebuilt", "ledger",
-        "spans",
+        "kubelets", "store", "changes", "_nodes", "_rows", "_last_views",
+        "snapshots_reused", "nodes_rebuilt", "ledger", "spans",
     )
 
     def __init__(
@@ -324,12 +301,19 @@ class ClusterStateService:
         store: WindowedAggregateCache,
         observer=None,
     ):
+        #: The one change log, the store's, emptied at every build.
+        self.changes = changes = store.changes
+        for kubelet in kubelets:
+            if kubelet.changes is not changes:
+                raise SchedulingError(
+                    f"kubelet of node {kubelet.node.name!r} files into "
+                    "its own change log, not the store's: build it with "
+                    "Kubelet(node, perf_model, store.changes)"
+                )
         #: The cluster's fixed node set, in view order; each files the
         #: pods it admits and tears down in :attr:`changes`.
         self.kubelets = kubelets
         self.store = store
-        #: The one change log, the store's, emptied at every build.
-        self.changes = changes = store.changes
         #: Each node's kept view inputs, by node name, in view order.
         self._nodes: Dict[Optional[str], _NodeInputs] = {
             kubelet.node.name: _NodeInputs(kubelet) for kubelet in kubelets
@@ -340,9 +324,6 @@ class ClusterStateService:
         #: The store's memory and EPC node states at the last
         #: :meth:`state_unchanged`.
         self._rows: Tuple[Dict, Dict] = ({}, {})
-        #: The names of the served views a pass rebound since the last
-        #: build (see :attr:`NodeView.rebound`).
-        self._rebound: Dict[str, None] = {}
         #: The retained snapshot: the last build's views in kubelet
         #: order, served again while nothing moved; every build that
         #: updates a node replaces the list.
@@ -378,24 +359,22 @@ class ClusterStateService:
     def build_views(self, now: float) -> List[NodeView]:
         """One :class:`NodeView` per node, in :attr:`kubelets` order.
 
-        First the views the previous pass rebound get their pristine
-        vectors back.  Then only the pods named since the last build
-        get their share recomputed, and only their nodes get a new view
-        — Firmament's rule: re-solve from the changes since the last
-        run.  When nothing was named (:meth:`state_unchanged`), the
-        retained snapshot itself is served again.
+        First every retained view gets its pristine ``used`` and
+        ``committed`` back, whatever the previous pass rebound.  Then
+        only the pods named since the last build get their share
+        recomputed, and only their nodes get a new view — Firmament's
+        rule: re-solve from the changes since the last run.  When
+        nothing was named (:meth:`state_unchanged`), the retained
+        snapshot itself is served again.
 
         The list is the caller's; the views are the service's own,
-        valid until the next build.  A pass may rebind their ``used``
-        and ``committed`` through the :class:`NodeView` methods, never
-        otherwise.
+        valid until the next build.
         """
-        rebound = self._rebound
-        if rebound:
-            nodes = self._nodes
-            for name in rebound:
-                nodes[name].reset()
-            rebound.clear()
+        if self._last_views is not None:
+            for inputs in self._nodes.values():
+                view = inputs.view
+                view.used = inputs.used
+                view.committed = inputs.committed
         ledger = self.ledger
         if self.state_unchanged(now):
             self.snapshots_reused += 1
@@ -416,11 +395,10 @@ class ClusterStateService:
         names; empties the log."""
         memory, epc = self._rows
         nodes = self._nodes
-        rebound = self._rebound
         changes = self.changes
         for node_name, pod_names in changes.items():
             nodes[node_name].update(
-                pod_names, memory.get(node_name), epc.get(node_name), rebound
+                pod_names, memory.get(node_name), epc.get(node_name)
             )
         self.nodes_rebuilt += len(changes)
         changes.clear()
@@ -489,7 +467,7 @@ class Scheduler(abc.ABC):
         views = list(views)
         if not self.use_measured:
             for view in views:
-                view.use_committed()
+                view.used = view.committed
         shape = tuple([(view.sgx_capable, view.capacity) for view in views])
         if shape == self._shape:
             shape = self._shape

@@ -27,8 +27,9 @@ from hypothesis import strategies as st
 from pass_reuse_reference import run_with_replay
 from repro.api import ObserveConfig, Scenario
 from repro.cluster.resources import ResourceVector
+from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
-from repro.errors import NodeError, SgxError
+from repro.errors import NodeError, SchedulingError, SgxError
 from repro.experiments.ext_sgx2 import _BurstyRun, generate_bursty_jobs
 from repro.monitoring import aggregate
 from repro.monitoring.aggregate import WindowedAggregateCache
@@ -36,7 +37,9 @@ from repro.monitoring.probe import MEASUREMENT_EPC
 from repro.obs import load_ledger
 from repro.orchestrator.api import PodPhase, make_pod_spec
 from repro.orchestrator.controller import Orchestrator
-from repro.scheduler.base import NodeView
+from repro.orchestrator.kubelet import Kubelet
+from repro.orchestrator.pod import Pod
+from repro.scheduler.base import ClusterStateService, NodeView
 from repro.scheduler.binpack import BinpackScheduler
 from repro.scheduler.kube_default import KubeDefaultScheduler
 from repro.scheduler.spread import SpreadScheduler
@@ -457,6 +460,36 @@ def test_a_served_view_is_reset_at_the_next_build(placed):
         now += 1.0
     assert orchestrator.passes_reused == 1
     assert service.nodes_rebuilt == rebuilt
+
+
+# -- the one log -------------------------------------------------------------
+
+
+def test_the_service_refuses_a_kubelet_with_its_own_log():
+    """A kubelet that files into a log of its own would leave the
+    service deaf to its admissions and teardowns (a pod too young for
+    samples would not count at its declared requests), so a service
+    built from default-constructed parts raises.  Kubelets built on
+    the store's log are heard."""
+    with pytest.raises(SchedulingError, match="'sgx-0'"):
+        ClusterStateService(
+            [Kubelet(Node(NodeSpec.sgx("sgx-0")))], WindowedAggregateCache()
+        )
+    store = WindowedAggregateCache()
+    kubelet = Kubelet(Node(NodeSpec.sgx("sgx-0")), changes=store.changes)
+    service = ClusterStateService([kubelet], store)
+    (empty,) = service.build_views(0.0)
+    assert empty.used == empty.committed == ResourceVector.zero()
+    spec = make_pod_spec("young", 60.0, declared_epc_bytes=mib(8))
+    pod = Pod(spec, submitted_at=0.0, uid="1")
+    pod.mark_bound("sgx-0", 0.0)
+    assert kubelet.admit(pod).success
+    (young,) = service.build_views(1.0)
+    assert young.committed == spec.resources.requests
+    assert young.used.epc_pages == spec.resources.requests.epc_pages
+    kubelet.terminate(pod)
+    (gone,) = service.build_views(2.0)
+    assert gone.used == gone.committed == ResourceVector.zero()
 
 
 # -- the counts a change to the service must keep ---------------------------
