@@ -8,7 +8,7 @@ itself, before a flaky equivalence failure ships: unseeded RNG
 (DET001), wall-clock reads in simulated time (DET002), iteration over
 unordered sets (DET003) and identity-based tie-breakers (DET004) in
 decision paths, and ledger emit sites off the frozen
-``repro.ledger/v1`` table (OBS001).  Invariants the interpreter can
+``repro.ledger/v2`` table (OBS001).  Invariants the interpreter can
 check itself (slotted layouts, registry call contracts, CLI flags
 mapping onto ``Scenario`` fields) are left to runtime tests of their
 subjects, which read the live objects.
@@ -62,7 +62,7 @@ RULES: Dict[str, Tuple[Rule, str]] = {
     "OBS001": (
         ledger_conformance,
         "declare every event kind and its fields in the "
-        "repro.ledger/v1 table (LEDGER_EVENT_KINDS) and emit only "
+        "repro.ledger/v2 table (LEDGER_EVENT_KINDS) and emit only "
         "primitives: ledger.emit(now, \"kind\", field=pod.name, ...)",
     ),
 }

@@ -6,7 +6,7 @@ enforces on *observed* runs (the null ledger validates nothing):
 * **declared kinds and fields** — every ``<ledger>.emit(now, kind,
   field=...)`` call anywhere in the tree uses a string-literal kind
   declared in :data:`repro.obs.ledger.LEDGER_EVENT_KINDS` (the
-  ``repro.ledger/v1`` schema table) and passes exactly declared
+  ``repro.ledger/v2`` schema table) and passes exactly declared
   payload fields, so ``repro diff`` compares records whose shape is
   known in advance and consumers can parse any ledger against one
   table;

@@ -392,17 +392,9 @@ class RunResult:
             self.metrics.makespan_seconds,
             tuple(self.metrics.queue_series),
             self.passes_executed,
-            # Where 3.x counted event-driven skipped passes; a constant,
-            # like the spillover slot below.
-            0,
-            # Where 15.x and earlier counted live migrations.
-            0,
             self.preemption_count,
             self.eviction_count,
             tuple(sorted(self.wait_reasons.items())),
-            # Where 2.x counted sharded spillovers; the constant keeps
-            # the tuple's shape, so committed digests stay valid.
-            0,
         )
 
     def to_row(self) -> Dict[str, object]:

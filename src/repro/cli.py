@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run one scenario (same flags as 'run') with the "
             "observability exports on: every scheduling decision goes "
-            "to a repro.ledger/v1 JSONL file, and optionally a Chrome "
+            "to a repro.ledger/v2 JSONL file, and optionally a Chrome "
             "trace (open in Perfetto) and a Prometheus metrics "
             "snapshot.  The run itself is bit-for-bit identical to "
             "the unobserved one."
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger",
         metavar="PATH",
         required=True,
-        help="write the decision ledger (repro.ledger/v1 JSONL) here",
+        help="write the decision ledger (repro.ledger/v2 JSONL) here",
     )
     record_parser.add_argument(
         "--trace-out",
@@ -360,11 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="compare two decision ledgers, pinpoint the divergence",
         description=(
-            "Walk two repro.ledger/v1 files in lockstep, report "
+            "Walk two repro.ledger/v2 files in lockstep, report "
             "hit/diff statistics, and show the first diverging "
             "decision with context from both sides plus the config "
             "knobs that differ.  Exit 0 when the decision streams are "
-            "identical, 1 when they diverge, 2 on unreadable inputs."
+            "identical, 1 when they diverge, 2 on unreadable inputs "
+            "(a file of another schema, v1 included, is unreadable)."
         ),
     )
     diff_parser.add_argument(
@@ -389,21 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="reconstruct one pod's lifecycle from a decision ledger",
         description=(
-            "Replay one pod's story out of a repro.ledger/v1 file: "
+            "Replay one pod's story out of a repro.ledger/v2 file: "
             "when it was submitted, how many passes deferred it and "
             "why (EPC vs memory vs CPU), where it was placed, and any "
-            "requeues, evictions, preemptions, migrations (in "
-            "ledgers written before 16.0.0) or cell spillovers (in "
-            "ledgers written by 2.x) along the way.  "
-            "Exit 2 when the ledger is unreadable or the pod never "
-            "appears in it."
+            "requeues, evictions, preemptions or rejection along the "
+            "way.  Exit 2 when the ledger is unreadable (a file of "
+            "another schema, v1 included) or the pod never appears "
+            "in it."
         ),
     )
     explain_parser.add_argument(
         "--ledger",
         metavar="PATH",
         required=True,
-        help="the repro.ledger/v1 JSONL file to read",
+        help="the repro.ledger/v2 JSONL file to read",
     )
     explain_parser.add_argument(
         "--pod",

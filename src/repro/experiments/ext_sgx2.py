@@ -17,6 +17,8 @@ for most of their runtime and a large *peak* only during a short burst.
   whose growth does not fit retries until enough pages free up,
   stalling its burst (the EDMM analogue of waiting for memory).
 
+Each mode replays the batch through the replay driver every figure
+uses (:class:`~repro.simulation.runner._Replay`) on the paper's testbed.
 Reported: makespan, mean waiting time and growth-stall totals for both
 modes.  The SGX 2 run finishes the batch strictly earlier.
 """
@@ -28,19 +30,18 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..api import Scenario
 from ..cluster.resources import ResourceVector
-from ..cluster.topology import paper_cluster
-from ..constants import METRICS_PUSH_PERIOD_SECONDS, SCHEDULER_PERIOD_SECONDS
 from ..errors import EpcExhaustedError
 from ..orchestrator.api import (
     PodSpec,
     ResourceRequirements,
     WorkloadProfile,
 )
-from ..orchestrator.controller import Orchestrator
 from ..orchestrator.pod import Pod
-from ..registry import SCHEDULERS
-from ..simulation.engine import SimulationEngine
+from ..simulation.runner import _Replay, _RunningJob
+from ..trace.schema import Trace
+from ..workload.stress import SubmissionPlan
 from .common import format_table
 
 #: Growth-retry period when the EPC cannot satisfy an EAUG (seconds).
@@ -117,20 +118,38 @@ class ExtSgx2Result:
         return self.sgx1.makespan_seconds / self.sgx2.makespan_seconds
 
 
-class _BurstyRun:
-    """Mini event-driven run of the bursty workload on one mode."""
+class _BurstyReplay(_Replay):
+    """The bursty batch replayed on one hardware mode.
+
+    A started job's finish is armed at its duration, as in any replay.
+    On SGX 2 the job grows its enclave to the peak after
+    ``burst_start_fraction`` of its runtime, retrying every
+    :data:`GROW_RETRY_SECONDS` while the EPC cannot satisfy the EAUG
+    (each retry is work added to the job: the stall), and shrinks back
+    after ``burst_length_fraction``; the rest of its runtime is the
+    tail.  Without EPC over-commit no node pages, so every job runs at
+    full speed.
+    """
+
+    __slots__ = ("sgx_version", "bursts", "stall_seconds")
 
     def __init__(self, jobs: List[BurstyJob], sgx_version: int):
-        self.jobs = jobs
         self.sgx_version = sgx_version
-        self.cluster = paper_cluster(sgx_version=sgx_version)
-        self.orchestrator = Orchestrator(self.cluster)
-        self.scheduler = SCHEDULERS.get("binpack")()
-        self.engine = SimulationEngine()
-        self.by_pod_name: Dict[str, BurstyJob] = {j.name: j for j in jobs}
+        # The paper's testbed with its driver defaults: limits
+        # enforced, no EPC over-commit; the plans replace the trace's.
+        super().__init__(
+            Scenario(
+                trace=Trace(),
+                enforce_epc_limits=True,
+                epc_allow_overcommit=False,
+            )
+        )
+        self.bursts: Dict[str, BurstyJob] = {job.name: job for job in jobs}
         self.stall_seconds: Dict[str, float] = {}
-        self.unsubmitted = len(jobs)
-        self.running = 0
+        self.plans = [
+            SubmissionPlan(job.submit_time, self._spec(job), index, True)
+            for index, job in enumerate(jobs)
+        ]
 
     def _spec(self, job: BurstyJob) -> PodSpec:
         committed = (
@@ -148,110 +167,66 @@ class _BurstyRun:
             ),
         )
 
-    # -- event handlers ------------------------------------------------
-
-    def _active(self) -> bool:
-        return (
-            self.unsubmitted > 0
-            or self.running > 0
-            or len(self.orchestrator.queue) > 0
-        )
-
-    def _submit(self, job: BurstyJob) -> None:
-        self.unsubmitted -= 1
-        self.orchestrator.submit(self._spec(job), self.engine.now)
-
-    def _metrics_tick(self) -> None:
-        self.orchestrator.collect_metrics(self.engine.now)
-        if self._active():
-            self.engine.schedule_in(
-                METRICS_PUSH_PERIOD_SECONDS, self._metrics_tick
-            )
-
-    def _scheduler_tick(self) -> None:
-        result = self.orchestrator.scheduling_pass(
-            self.scheduler, self.engine.now
-        )
-        for pod, startup in result.launched:
-            self.running += 1
-            self.engine.schedule_in(startup, lambda p=pod: self._start(p))
-        if self._active():
-            self.engine.schedule_in(
-                SCHEDULER_PERIOD_SECONDS, self._scheduler_tick
-            )
-
     def _start(self, pod: Pod) -> None:
-        self.orchestrator.start_pod(pod, self.engine.now)
-        job = self.by_pod_name[pod.name]
+        super()._start(pod)
         if self.sgx_version >= 2:
+            job = self.running[pod.uid]
+            burst = self.bursts[pod.name]
             self.engine.schedule_in(
-                job.burst_start_fraction * job.duration,
-                lambda: self._try_grow(pod),
-            )
-        else:
-            self.engine.schedule_in(
-                job.duration, lambda: self._finish(pod)
+                burst.burst_start_fraction * burst.duration,
+                lambda: self._grow(job, burst),
             )
 
-    def _try_grow(self, pod: Pod) -> None:
+    def _grow(self, job: _RunningJob, burst: BurstyJob) -> None:
         """EAUG at burst time; retry while the EPC is full (stall)."""
-        job = self.by_pod_name[pod.name]
-        kubelet = self.orchestrator.kubelets[pod.node_name]
+        kubelet = self.orchestrator.kubelets[job.node_name]
         try:
-            kubelet.grow_pod_epc(pod, job.burst_pages)
+            kubelet.grow_pod_epc(job.pod, burst.burst_pages)
         except EpcExhaustedError:
-            self.stall_seconds[pod.name] = (
-                self.stall_seconds.get(pod.name, 0.0) + GROW_RETRY_SECONDS
+            name = job.pod.name
+            self.stall_seconds[name] = (
+                self.stall_seconds.get(name, 0.0) + GROW_RETRY_SECONDS
             )
+            job.bank(self.engine.now)
+            job.remaining_work += GROW_RETRY_SECONDS
+            self._arm(job, job.remaining_work * job.slowdown)
             self.engine.schedule_in(
-                GROW_RETRY_SECONDS, lambda: self._try_grow(pod)
+                GROW_RETRY_SECONDS, lambda: self._grow(job, burst)
             )
             return
-        burst_len = job.burst_length_fraction * job.duration
-        self.engine.schedule_in(burst_len, lambda: self._shrink(pod))
+        self.engine.schedule_in(
+            burst.burst_length_fraction * burst.duration,
+            lambda: self._shrink(job, burst),
+        )
 
-    def _shrink(self, pod: Pod) -> None:
-        job = self.by_pod_name[pod.name]
-        kubelet = self.orchestrator.kubelets[pod.node_name]
-        kubelet.shrink_pod_epc(pod, job.burst_pages)
+    def _shrink(self, job: _RunningJob, burst: BurstyJob) -> None:
+        """Shrink back to the baseline; the tail is what is left, so
+        the finish lands on start + burst start + stalls + burst +
+        tail, summed in that order."""
+        kubelet = self.orchestrator.kubelets[job.node_name]
+        kubelet.shrink_pod_epc(job.pod, burst.burst_pages)
+        job.bank(self.engine.now)
         tail = (
             1.0
-            - job.burst_start_fraction
-            - job.burst_length_fraction
-        ) * job.duration
-        self.engine.schedule_in(max(0.0, tail), lambda: self._finish(pod))
+            - burst.burst_start_fraction
+            - burst.burst_length_fraction
+        ) * burst.duration
+        job.remaining_work = max(0.0, tail)
+        self._arm(job, job.remaining_work * job.slowdown)
 
-    def _finish(self, pod: Pod) -> None:
-        self.running -= 1
-        self.orchestrator.complete_pod(pod, self.engine.now)
 
-    # -- main ------------------------------------------------------------
-
-    def run(self) -> ModeResult:
-        for job in self.jobs:
-            self.engine.schedule_at(
-                job.submit_time, lambda j=job: self._submit(j)
-            )
-        self.engine.schedule_at(0.0, self._metrics_tick)
-        self.engine.schedule_at(
-            SCHEDULER_PERIOD_SECONDS / 2.0, self._scheduler_tick
-        )
-        self.engine.run(until=24 * 3600.0)
-        pods = self.orchestrator.all_pods
-        waits = [
-            p.waiting_seconds for p in pods if p.waiting_seconds is not None
-        ]
-        return ModeResult(
-            sgx_version=self.sgx_version,
-            makespan_seconds=max(
-                p.finished_at for p in pods if p.finished_at is not None
-            ),
-            mean_wait_seconds=sum(waits) / len(waits) if waits else 0.0,
-            total_stall_seconds=sum(self.stall_seconds.values()),
-            completed=sum(
-                1 for p in pods if p.phase.value == "Succeeded"
-            ),
-        )
+def _run_mode(jobs: List[BurstyJob], sgx_version: int) -> ModeResult:
+    """Replay *jobs* on one hardware mode."""
+    replay = _BurstyReplay(jobs, sgx_version)
+    metrics = replay.run().metrics
+    waits = metrics.waiting_times(metrics.pods)
+    return ModeResult(
+        sgx_version=sgx_version,
+        makespan_seconds=metrics.makespan_seconds,
+        mean_wait_seconds=sum(waits) / len(waits) if waits else 0.0,
+        total_stall_seconds=sum(replay.stall_seconds.values()),
+        completed=len(metrics.succeeded),
+    )
 
 
 def run_ext_sgx2(
@@ -260,8 +235,8 @@ def run_ext_sgx2(
     """Run the bursty workload on SGX 1 and SGX 2 hardware."""
     jobs = generate_bursty_jobs(n_jobs=n_jobs, seed=seed)
     return ExtSgx2Result(
-        sgx1=_BurstyRun(jobs, sgx_version=1).run(),
-        sgx2=_BurstyRun(jobs, sgx_version=2).run(),
+        sgx1=_run_mode(jobs, sgx_version=1),
+        sgx2=_run_mode(jobs, sgx_version=2),
     )
 
 

@@ -6,11 +6,12 @@ in :attr:`~repro.orchestrator.controller.Orchestrator.probes` when it
 is built).  At each collection it
 reads the patched driver's per-process occupancy ioctl
 (``IOCTL_GET_EPC_USAGE``, Section V-E) for the pods its kubelet
-touched since the previous one, and hands the same sink Heapster uses
-one batch of ``(nodename, pod_name, pages)`` rows under the
-``sgx/epc`` measurement for the series that started, changed or ended
-(value 0), so the scheduler's Listing 1 query covers both resource
-kinds with one shape.  The driver's node-level gauges (the
+touched since the previous one, and returns ``(nodename, pod_name,
+pages)`` rows for the series that started, changed or ended (value 0);
+the orchestrator hands every probe's rows of one collection to the
+sink Heapster uses, in one batch under the ``sgx/epc`` measurement, so
+the scheduler's Listing 1 query covers both resource kinds with one
+shape.  The driver's node-level gauges (the
 ``sgx_nr_total_epc_pages`` / ``sgx_nr_free_pages`` module parameters)
 stay readable through :meth:`~repro.sgx.driver.SgxDriver.read_parameter`
 but are stored nowhere: the scheduler never reads them.
@@ -21,8 +22,10 @@ Values are written in **EPC pages**, the unit the whole accounting chain
 
 from __future__ import annotations
 
+from typing import List
+
 from ..sgx.driver import IOCTL_GET_EPC_USAGE, SgxDriver
-from .aggregate import MetricsSink, SeriesLog
+from .aggregate import SampleRow, SeriesLog
 
 #: Measurement name for EPC usage, as in the paper's Listing 1.
 MEASUREMENT_EPC = "sgx/epc"
@@ -37,8 +40,6 @@ class SgxMetricsProbe:
         Tag value for ``nodename``.
     driver:
         The node's :class:`~repro.sgx.driver.SgxDriver`.
-    sink:
-        Where rows go: the window-max store.
     log:
         The node's EPC series and the pods touched since the last
         collection (the kubelet's
@@ -47,26 +48,17 @@ class SgxMetricsProbe:
         any pod (system daemons) are never touched, so never reported.
     """
 
-    __slots__ = ("node_name", "driver", "sink", "log")
+    __slots__ = ("node_name", "driver", "log")
 
-    def __init__(
-        self,
-        node_name: str,
-        driver: SgxDriver,
-        sink: MetricsSink,
-        log: SeriesLog,
-    ):
+    def __init__(self, node_name: str, driver: SgxDriver, log: SeriesLog):
         self.node_name = node_name
         self.driver = driver
-        self.sink = sink
         self.log = log
 
-    def collect(self, now: float) -> int:
-        """Take one measurement pass; returns the number of rows
-        reported (the store hears of the collection even with none)."""
+    def collect(self) -> List[SampleRow]:
+        """Take one measurement pass; returns the rows of the touched
+        pods whose occupancy moved, in touch order."""
         ioctl = self.driver.ioctl
-        rows = self.log.drain(
+        return self.log.drain(
             lambda record: ioctl(IOCTL_GET_EPC_USAGE, pid=record.pid)
         )
-        self.sink.report(MEASUREMENT_EPC, now, rows)
-        return len(rows)

@@ -1,6 +1,6 @@
 """Deterministic observability: decision ledger, spans, metrics.
 
-See :mod:`repro.obs.ledger` for the ``repro.ledger/v1`` schema, and
+See :mod:`repro.obs.ledger` for the ``repro.ledger/v2`` schema, and
 the ``repro record`` / ``repro diff`` / ``repro explain`` CLI commands
 for the workflow built on top of it.
 """

@@ -32,7 +32,7 @@ class LedgerFile:
 
 
 def load_ledger(path: str) -> LedgerFile:
-    """Parse a ``repro.ledger/v1`` JSONL file.
+    """Parse a ``repro.ledger/v2`` JSONL file.
 
     Raises :class:`~repro.errors.SimulationError` when the file is
     missing, empty, not JSONL, or not a ledger.

@@ -5,9 +5,7 @@
 ledger's records that mention the pod: submission trigger, every
 deferral with its wait reason, the placement (node and how many
 runner-up candidates it beat), requeues, preemptions it caused,
-evictions it suffered, migrations (only in ledgers written before
-16.0.0), cell spillovers (only in ledgers written by 2.x), and how
-it finished.
+evictions it suffered, a rejection, and how it finished.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ def explain_pod(ledger: LedgerFile, pod: str) -> Dict[str, object]:
     requeues: List[Dict[str, object]] = []
     evictions: List[Dict[str, object]] = []
     preemptions: List[Dict[str, object]] = []
-    migrations: List[Dict[str, object]] = []
-    spillovers: List[Dict[str, object]] = []
     rejection: Optional[Dict[str, object]] = None
     for event in events:
         kind = event["kind"]
@@ -76,10 +72,7 @@ def explain_pod(ledger: LedgerFile, pod: str) -> Dict[str, object]:
                 "runner_ups": event.get("runner_ups"),
             })
         elif kind == "requeue":
-            requeues.append({
-                "t": event["t"],
-                "ready_at": event.get("ready_at"),
-            })
+            requeues.append({"t": event["t"]})
         elif kind == "eviction" and event.get("victim") == pod:
             evictions.append({
                 "t": event["t"],
@@ -94,22 +87,8 @@ def explain_pod(ledger: LedgerFile, pod: str) -> Dict[str, object]:
                 "victims": event.get("victims"),
                 "cost": event.get("cost"),
             })
-        elif kind == "migration":
-            migrations.append({
-                "t": event["t"],
-                "source": event.get("source"),
-                "target": event.get("target"),
-                "downtime_s": event.get("downtime_s"),
-            })
-        elif kind == "spillover":
-            spillovers.append({
-                "t": event["t"],
-                "from_cell": event.get("from_cell"),
-                "to_cell": event.get("to_cell"),
-                "cause": event.get("cause"),
-            })
         elif kind == "rejection":
-            rejection = {"t": event["t"], "reason": event.get("reason")}
+            rejection = {"t": event["t"]}
     return {
         "pod": pod,
         "ledger": ledger.path,
@@ -121,8 +100,6 @@ def explain_pod(ledger: LedgerFile, pod: str) -> Dict[str, object]:
         "requeues": requeues,
         "preemptions": preemptions,
         "evictions": evictions,
-        "migrations": migrations,
-        "spillovers": spillovers,
         "rejection": rejection,
         "finished": finished,
         "timeline": events,
@@ -143,32 +120,13 @@ def format_explain(report: Dict[str, object]) -> str:
         lines.append(
             f"  deferred in {report['deferral_passes']} pass(es): {reasons}"
         )
-    for spill in report["spillovers"]:
-        lines.append(
-            f"  t={spill['t']:g}: spilled cell {spill['from_cell']} -> "
-            f"{spill['to_cell']} ({spill['cause']})"
-        )
     for placement in report["placements"]:
-        runner_ups = placement["runner_ups"]
-        if runner_ups is None or runner_ups < 0:
-            # Only 4.x ledgers recorded with the indexed pass (removed
-            # in 5.0.0) carry ``runner_ups=-1``.
-            against = "via indexed fast path"
-        else:
-            against = f"against {runner_ups} runner-up candidate(s)"
         lines.append(
             f"  t={placement['t']:g}: placed on {placement['node']} "
-            f"{against}"
+            f"against {placement['runner_ups']} runner-up candidate(s)"
         )
     for requeue in report["requeues"]:
-        # Since 12.0.0 a failed launch is retried on the next pass and
-        # ``ready_at`` equals ``t``; older ledgers can carry a backoff.
-        ready = ""
-        if requeue["ready_at"] != requeue["t"]:
-            ready = f" (ready at t={requeue['ready_at']:g})"
-        lines.append(
-            f"  t={requeue['t']:g}: launch failed, requeued{ready}"
-        )
+        lines.append(f"  t={requeue['t']:g}: launch failed, requeued")
     for preemption in report["preemptions"]:
         lines.append(
             f"  t={preemption['t']:g}: preempted {preemption['victims']} "
@@ -181,16 +139,9 @@ def format_explain(report: Dict[str, object]) -> str:
             f"by {eviction['preemptor']} "
             f"(lost {eviction['lost_work_s']:g}s of work)"
         )
-    for migration in report["migrations"]:
-        lines.append(
-            f"  t={migration['t']:g}: migrated {migration['source']} -> "
-            f"{migration['target']} "
-            f"(downtime {migration['downtime_s']:g}s)"
-        )
     if report["rejection"] is not None:
         lines.append(
-            f"  t={report['rejection']['t']:g}: rejected "
-            f"({report['rejection']['reason']})"
+            f"  t={report['rejection']['t']:g}: rejected as unschedulable"
         )
     if report["finished"] is not None:
         lines.append(

@@ -7,7 +7,7 @@ its wait reason, an eviction with its planner cost, a trigger firing,
 a view-cache rebuild — is appended as one compact record and streamed
 to a JSON-lines file:
 
-* line 1 is the **header**: the ``repro.ledger/v1`` schema tag, the
+* line 1 is the **header**: the ``repro.ledger/v2`` schema tag, the
   run's seed, a primitive snapshot of the replay config (so a diff can
   say *which knob* differed) and the declared event kinds;
 * every further line is one **event**: ``{"t": sim_time, "i": seq,
@@ -46,40 +46,36 @@ from typing import Dict, Optional, Tuple
 from ..errors import SimulationError
 
 #: Schema tag written into every ledger header.
-LEDGER_SCHEMA = "repro.ledger/v1"
+LEDGER_SCHEMA = "repro.ledger/v2"
 
 #: Ledger records buffered before a stream flush.
 BUFFER_RECORDS = 4096
 
-#: The frozen ``repro.ledger/v1`` schema table: event kind -> the
+#: The frozen ``repro.ledger/v2`` schema table: event kind -> the
 #: payload fields that kind may carry (beyond the implicit ``t``
 #: sim-time, ``i`` sequence number and ``kind`` discriminator).  Emit
 #: sites must stay inside this table — OBS001 checks statically,
-#: :meth:`DecisionLedger.emit` at run time.  ``pass_end``'s
-#: ``feasibility_checks``/``bound_skips``/``score_cutoffs``/
-#: ``statics_reused`` counted the indexed pass removed in 5.0.0 and are
-#: always ``-1`` since; a ``runner_ups`` of ``-1`` only appears in 4.x
-#: ledgers recorded with that pass.
+#: :meth:`DecisionLedger.emit` at run time — and it holds only what
+#: replays record: every kind has an emit site, and no field is one
+#: constant at every site of its kind.
 LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     #: A scheduling pass started over a non-empty pending snapshot.
     "pass_begin": ("pending",),
-    #: The pass finished: outcome counts, then four constant ``-1``s.
+    #: The pass finished: its outcome counts.
     "pass_end": (
         "placed", "deferred", "rejected", "requeued", "killed",
-        "evicted", "preemptions", "feasibility_checks", "bound_skips",
-        "score_cutoffs", "statics_reused",
+        "evicted", "preemptions",
     ),
-    #: A wake-up skipped its pass.  Never emitted since 4.0.0; kept so
-    #: 3.x ledgers stay readable.
-    "pass_skipped": (),
     #: The strategy bound a pod to a node.
     "placement": ("pod", "node", "runner_ups"),
     #: The pass left a pod pending, with its classified wait reason.
     "deferral": ("pod", "reason"),
-    #: The pass rejected a pod as permanently unschedulable.
-    "rejection": ("pod", "reason"),
-    #: A launch failed transiently; the pod went back to the queue.
-    "requeue": ("pod", "ready_at"),
+    #: The pass rejected a pod as permanently unschedulable (the pod's
+    #: ``failure_reason`` says why).
+    "rejection": ("pod",),
+    #: A launch failed transiently; the pod went back to the queue,
+    #: eligible again on the next pass.
+    "requeue": ("pod",),
     #: A launch failed terminally; the pod was killed at admission.
     "launch_killed": ("pod", "node", "reason"),
     #: The preemption planner's verdict for one deferred pod
@@ -90,30 +86,14 @@ LEDGER_EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     "preemption": ("pod", "node", "victims", "cost"),
     #: One victim killed (and resubmitted) by the preemption step.
     "eviction": ("victim", "node", "preemptor", "lost_work_s"),
-    #: The EPC rebalancer live-migrated a pod.  Never emitted since
-    #: 16.0.0 (a replay's cluster is fixed); kept so older ledgers
-    #: stay readable.
-    "migration": ("pod", "source", "target", "pages", "downtime_s"),
-    #: A migration died at restore; the spec was resubmitted.  Never
-    #: emitted since 16.0.0, like ``migration``.
-    "migration_failed": ("pod", "source", "target", "replacement"),
-    #: A pod re-routed across scheduling cells.  Only ledgers written
-    #: by 2.x (sharded scheduling) carry it; kept so they stay
-    #: readable.
-    "spillover": ("pod", "from_cell", "to_cell", "cause"),
     #: A cluster transition that could make a scheduling pass useful
     #: (``event`` is ``pod-submitted``, ``pod-requeued``,
-    #: ``pod-completed`` or ``pod-killed``; ledgers older than 16.0.0
-    #: may also carry ``node-added``, ``node-removed`` and
-    #: ``capacity-freed``).
+    #: ``pod-completed`` or ``pod-killed``).
     "trigger": ("event", "pod", "node"),
     #: The state service served node views (rebuilt or reused).
     "cache_rebuild": ("reused",),
     #: The replay converged; the run's headline counters.
-    "run_end": (
-        "makespan_s", "passes", "skipped", "preemptions", "evictions",
-        "migrations", "spillovers",
-    ),
+    "run_end": ("makespan_s", "passes", "preemptions", "evictions"),
 }
 
 #: Frozen-set mirror of the table for O(1) payload validation.
@@ -243,7 +223,7 @@ class ObserveConfig:
     path.
     """
 
-    #: JSONL decision-ledger output (``repro.ledger/v1``).
+    #: JSONL decision-ledger output (``repro.ledger/v2``).
     ledger_path: Optional[str] = None
     #: Chrome trace-event JSON output (load in Perfetto / about:tracing).
     trace_path: Optional[str] = None
@@ -302,8 +282,7 @@ class DecisionLedger:
             )
         if payload.keys() != fields:
             # Records of one kind always have one shape: emit sites
-            # pass every declared field (with -1/None sentinels where
-            # a count is unavailable), so diffs compare like to like.
+            # pass every declared field, so diffs compare like to like.
             unexpected = sorted(payload.keys() - fields)
             missing = sorted(fields - payload.keys())
             raise SimulationError(

@@ -42,7 +42,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..cluster.resources import ResourceVector
 from ..cluster.topology import Cluster
 from ..errors import OrchestrationError, SchedulingError
-from ..monitoring.aggregate import ChangeLog, WindowedAggregateCache
+from ..monitoring.aggregate import (
+    ChangeLog,
+    SampleRow,
+    WindowedAggregateCache,
+)
 from ..monitoring.heapster import Heapster
 from ..monitoring.probe import MEASUREMENT_EPC, SgxMetricsProbe
 from ..obs.observer import NULL_OBSERVER
@@ -176,10 +180,9 @@ class Orchestrator:
         SGX probe when the node advertises EPC pages: the paper's
         "automatic" probe deployment, with no registration step.
 
-        The probe holds the sink and the kubelet's EPC series log,
-        never the orchestrator, and the change log holds names, never
-        a pod or a kubelet, so a finished replay is freed by reference
-        counting.
+        The probe holds the kubelet's EPC series log, never the
+        orchestrator, and the change log holds names, never a pod or a
+        kubelet, so a finished replay is freed by reference counting.
         """
         kubelet = Kubelet(node, self.perf_model, changes)
         self.kubelets[node.name] = kubelet
@@ -187,7 +190,6 @@ class Orchestrator:
             self.probes[node.name] = SgxMetricsProbe(
                 node_name=node.name,
                 driver=node.driver,
-                sink=self.aggregate_cache,
                 log=kubelet.epc_log,
             )
 
@@ -241,17 +243,20 @@ class Orchestrator:
         number of rows reported: the series that started, changed value
         or ended since the previous collection.
 
-        The EPC collection is opened once, rows or not (the sink dates
-        a series' changes by its collections); then only the probes
-        whose kubelet touched a pod since the last one collect, as an
-        untouched probe would report no row.
+        Only the probes whose kubelet touched a pod since the last
+        collection measure (an untouched probe has no row); their rows
+        go to the sink in one report, in cluster order, made even with
+        no rows, because it opens the EPC collection (the sink dates a
+        series' changes by its collections).
         """
         taken = self.heapster.collect(now)
         if self.probes:
-            self.aggregate_cache.report(MEASUREMENT_EPC, now, ())
+            rows: List[SampleRow] = []
             for probe in self.probes.values():
                 if probe.log.touched:
-                    taken += probe.collect(now)
+                    rows += probe.collect()
+            self.aggregate_cache.report(MEASUREMENT_EPC, now, rows)
+            taken += len(rows)
         return taken
 
     # -- scheduling ----------------------------------------------------------
@@ -285,10 +290,7 @@ class Orchestrator:
             pod.mark_failed(now, "Unschedulable: fits no node's capacity")
             result.rejected.append(pod)
             if ledger.enabled:
-                ledger.emit(
-                    now, "rejection",
-                    pod=pod.name, reason="unschedulable",
-                )
+                ledger.emit(now, "rejection", pod=pod.name)
 
         for assignment in outcome.assignments:
             pod = assignment.pod
@@ -317,10 +319,6 @@ class Orchestrator:
                 killed=len(result.killed),
                 evicted=len(result.evicted),
                 preemptions=result.preemptions,
-                feasibility_checks=-1,
-                bound_skips=-1,
-                score_cutoffs=-1,
-                statics_reused=-1,
             )
         return result
 
@@ -411,9 +409,7 @@ class Orchestrator:
             self.queue.push(pod)
             result.requeued.append(pod)
             if ledger.enabled:
-                # The frozen v1 schema keeps ``ready_at``: the pod is
-                # eligible again at once.
-                ledger.emit(now, "requeue", pod=pod.name, ready_at=now)
+                ledger.emit(now, "requeue", pod=pod.name)
                 ledger.emit(
                     now, "trigger",
                     event="pod-requeued", pod=pod.name, node=None,

@@ -184,6 +184,10 @@ class _RunningJob:
 class _Replay:
     """One replay in flight; see :func:`run_replay`."""
 
+    #: The SGX nodes' hardware generation; a subclass that replays
+    #: SGX 2's dynamic memory sets 2.
+    sgx_version = 1
+
     __slots__ = (
         "scenario", "cluster", "perf", "orchestrator",
         "scheduler", "engine", "running", "_node_jobs",
@@ -207,6 +211,7 @@ class _Replay:
             epc_total_bytes=scenario.epc_total_bytes,
             enforce_epc_limits=scenario.enforce_epc_limits,
             epc_allow_overcommit=scenario.epc_allow_overcommit,
+            sgx_version=self.sgx_version,
         )
         if scenario.standard_workers is not None:
             cluster_kwargs["standard_workers"] = scenario.standard_workers
@@ -497,27 +502,15 @@ class _Replay:
                 now, "run_end",
                 makespan_s=result.metrics.makespan_seconds,
                 passes=result.passes_executed,
-                # The frozen v1 schema keeps the field; no pass has
-                # been skipped since 4.0.0.
-                skipped=0,
                 preemptions=result.preemption_count,
                 evictions=result.eviction_count,
-                # The frozen v1 schema keeps the field; no replay has
-                # migrated a pod since 16.0.0.
-                migrations=0,
-                # The frozen v1 schema keeps the field; a flat replay
-                # never spills.
-                spillovers=0,
             )
             ledger.close()
             result.ledger_path = ledger.path
         metrics_reg = obs.metrics
         if metrics_reg.enabled:
             reg = metrics_reg
-            reg.counter(
-                "repro_passes_total", result.passes_executed,
-                outcome="executed",
-            )
+            reg.counter("repro_passes_total", result.passes_executed)
             reg.counter(
                 "repro_passes_reused_total",
                 result.orchestrator.passes_reused,

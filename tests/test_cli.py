@@ -396,6 +396,14 @@ def _record(tmp_path, name, *extra):
     return path
 
 
+def _v1_ledger(tmp_path):
+    """A ledger file under a ``repro.ledger/v1`` header; return its
+    path."""
+    path = tmp_path / "v1.jsonl"
+    path.write_text(json.dumps({"schema": "repro.ledger/v1"}) + "\n")
+    return str(path)
+
+
 class TestObservabilityCommands:
     """``repro record`` / ``diff`` / ``explain``: exit-code contract.
 
@@ -423,7 +431,7 @@ class TestObservabilityCommands:
         assert f"ledger written to {path}" in out
         with open(path) as handle:
             header = json.loads(handle.readline())
-        assert header["schema"] == "repro.ledger/v1"
+        assert header["schema"] == "repro.ledger/v2"
 
     def test_record_json_reports_export_paths(self, tmp_path, capsys):
         ledger = str(tmp_path / "run.jsonl")
@@ -487,17 +495,23 @@ class TestObservabilityCommands:
         capsys.readouterr()
         assert main(["diff", left, right, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.ledger/v1"
+        assert payload["schema"] == "repro.ledger/v2"
         assert payload["identical"] is False
         assert payload["first_divergence"] is not None
 
     def test_diff_missing_ledger_exits_2(self, tmp_path, capsys):
         left = _record(tmp_path, "a")
         capsys.readouterr()
-        with pytest.raises(SystemExit) as excinfo:
-            main(["diff", left, str(tmp_path / "absent.jsonl")])
-        assert excinfo.value.code == 2
-        assert "cannot read" in capsys.readouterr().err
+        for right, error in (
+            (str(tmp_path / "absent.jsonl"), "cannot read"),
+            # A v1 ledger is not readable: it is refused like a missing
+            # file.
+            (_v1_ledger(tmp_path), "repro.ledger/v2 header"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["diff", left, right])
+            assert excinfo.value.code == 2
+            assert error in capsys.readouterr().err
 
     def test_diff_negative_context_exits_2(self, tmp_path, capsys):
         left = _record(tmp_path, "a")
@@ -531,18 +545,14 @@ class TestObservabilityCommands:
         assert "no event" in capsys.readouterr().err
 
     def test_explain_missing_ledger_exits_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "explain",
-                    "--ledger",
-                    str(tmp_path / "absent.jsonl"),
-                    "--pod",
-                    "x",
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "cannot read" in capsys.readouterr().err
+        for path, error in (
+            (str(tmp_path / "absent.jsonl"), "cannot read"),
+            (_v1_ledger(tmp_path), "repro.ledger/v2 header"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["explain", "--ledger", path, "--pod", "x"])
+            assert excinfo.value.code == 2
+            assert error in capsys.readouterr().err
 
     def test_explain_requires_pod_flag(self, tmp_path, capsys):
         path = _record(tmp_path, "run")

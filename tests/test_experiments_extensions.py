@@ -9,6 +9,8 @@ from repro.cluster.node import Node, NodeSpec
 from repro.errors import DriverError
 from repro.experiments.ext_hybrid import format_ext_hybrid, run_ext_hybrid
 from repro.experiments.ext_sgx2 import (
+    GROW_RETRY_SECONDS,
+    _BurstyReplay,
     format_ext_sgx2,
     generate_bursty_jobs,
     run_ext_sgx2,
@@ -110,6 +112,42 @@ class TestExtSgx2Experiment:
         text = format_ext_sgx2(result)
         assert "SGX 1" in text and "SGX 2" in text
 
+    def test_bursty_jobs_finish_on_their_chained_schedule(self):
+        # A finish is its job's phases added to its start, in order: on
+        # SGX 1 the duration; on SGX 2 the run up to the burst, one
+        # retry period per refused EAUG, the burst, then the tail.
+        checked, stalled = 0, 0
+        for seed in range(4):
+            jobs = generate_bursty_jobs(n_jobs=80, seed=seed)
+            bursts = {job.name: job for job in jobs}
+            for sgx_version in (1, 2):
+                replay = _BurstyReplay(jobs, sgx_version)
+                for pod in replay.run().metrics.pods:
+                    job = bursts[pod.name]
+                    finish = pod.started_at
+                    if sgx_version == 1:
+                        finish += job.duration
+                    else:
+                        finish += job.burst_start_fraction * job.duration
+                        stall = replay.stall_seconds.get(pod.name, 0.0)
+                        for _ in range(round(stall / GROW_RETRY_SECONDS)):
+                            finish += GROW_RETRY_SECONDS
+                        stalled += stall > 0.0
+                        finish += job.burst_length_fraction * job.duration
+                        finish += max(
+                            0.0,
+                            (
+                                1.0
+                                - job.burst_start_fraction
+                                - job.burst_length_fraction
+                            )
+                            * job.duration,
+                        )
+                    assert pod.finished_at == finish, (seed, pod.name)
+                    checked += 1
+        assert checked == 640
+        assert stalled > 0
+
 
 #: sha256 of each extension table with its experiment's default
 #: arguments (seed 0); a change that means to move a table updates its
@@ -121,6 +159,10 @@ EXTENSION_TABLE_DIGESTS = {
     "ext-sgx2": (
         "f30d4bd99c4b8b6de0437f7ef5856c9eeb554a523fac5260a75a0cc7729979c6"
     ),
+    # A larger batch whose SGX 2 jobs stall on growth more often.
+    "ext-sgx2-120-jobs-seed-3": (
+        "8203a31f36262a9b0616cb1a11b7a9ce16a9e63e382b1dfde33c9908cafd6636"
+    ),
 }
 
 
@@ -129,6 +171,10 @@ EXTENSION_TABLE_DIGESTS = {
     [
         ("ext-hybrid", lambda: format_ext_hybrid(run_ext_hybrid())),
         ("ext-sgx2", lambda: format_ext_sgx2(run_ext_sgx2())),
+        (
+            "ext-sgx2-120-jobs-seed-3",
+            lambda: format_ext_sgx2(run_ext_sgx2(n_jobs=120, seed=3)),
+        ),
     ],
 )
 def test_extension_table_is_pinned(name, table):

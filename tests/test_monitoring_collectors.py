@@ -168,43 +168,39 @@ class TestSgxProbe:
         return SimpleNamespace(pid=pid, pod_name=name)
 
     def test_probe_reports_per_pod_pages(self, driver):
-        sink, log = RecordingSink(), SeriesLog("sgx-0")
+        log = SeriesLog("sgx-0")
         record = self.pod_record(
             driver, 1, "/kubepods/burstable/podx", "pod-x", mib(4)
         )
         log.touched["x"] = record
-        probe = SgxMetricsProbe(
-            node_name="sgx-0", driver=driver, sink=sink, log=log
-        )
-        assert probe.collect(now=3.0) == 1
-        assert sink.reports == [
-            (MEASUREMENT_EPC, 3.0, [("sgx-0", "pod-x", float(pages(mib(4))))])
+        probe = SgxMetricsProbe(node_name="sgx-0", driver=driver, log=log)
+        assert probe.collect() == [
+            ("sgx-0", "pod-x", float(pages(mib(4))))
         ]
+        # The touched pod was drained: nothing moved since.
+        assert probe.collect() == []
 
     def test_probe_skips_unresolvable_cgroups(self, driver):
         # A system daemon's enclave belongs to no pod: no kubelet
         # touches it, so the probe never reads it.
         driver.register_process(1, "/system/daemon")
         driver.create_enclave(1, size_bytes=mib(1))
-        sink = RecordingSink()
         probe = SgxMetricsProbe(
-            node_name="sgx-0", driver=driver, sink=sink,
-            log=SeriesLog("sgx-0"),
+            node_name="sgx-0", driver=driver, log=SeriesLog("sgx-0")
         )
-        assert probe.collect(now=1.0) == 0
-        assert sink.reports == [(MEASUREMENT_EPC, 1.0, [])]
+        assert probe.collect() == []
 
     def test_window_store_sink_gets_pods_but_no_gauges(self, driver):
         store, log = WindowedAggregateCache(), SeriesLog("sgx-0")
         log.touched["x"] = self.pod_record(
             driver, 1, "/kubepods/burstable/podx", "pod-x", mib(4)
         )
-        probe = SgxMetricsProbe(
-            node_name="sgx-0", driver=driver, sink=store, log=log
-        )
-        # Rows reported: the one pod.  The driver's two node gauges
-        # are stored nowhere, so they are not rows.
-        assert probe.collect(now=3.0) == 1
+        probe = SgxMetricsProbe(node_name="sgx-0", driver=driver, log=log)
+        # Rows: the one pod.  The driver's two node gauges are stored
+        # nowhere, so they are not rows.
+        rows = probe.collect()
+        assert len(rows) == 1
+        store.report(MEASUREMENT_EPC, 3.0, rows)
         assert window_maxima(store, MEASUREMENT_EPC, now=3.0) == [
             ("sgx-0", "pod-x", float(pages(mib(4))))
         ]
@@ -213,17 +209,21 @@ class TestSgxProbe:
     def test_sgx2_resizes_through_the_kubelet_report_changes(self):
         kubelet = Kubelet(Node(NodeSpec.sgx("sgx-0", sgx_version=2)))
         store = WindowedAggregateCache()
-        probe = SgxMetricsProbe(
-            "sgx-0", kubelet.node.driver, store, kubelet.epc_log
-        )
+        probe = SgxMetricsProbe("sgx-0", kubelet.node.driver, kubelet.epc_log)
+
+        def collect(now):
+            rows = probe.collect()
+            store.report(MEASUREMENT_EPC, now, rows)
+            return len(rows)
+
         pod = admit(kubelet, "burst", epc_mib=8)
-        assert probe.collect(now=0.0) == 1
+        assert collect(now=0.0) == 1
         kubelet.grow_pod_epc(pod, 512)
         kubelet.shrink_pod_epc(pod, 256)
-        assert probe.collect(now=10.0) == 1
-        assert probe.collect(now=20.0) == 0
+        assert collect(now=10.0) == 1
+        assert collect(now=20.0) == 0
         kubelet.shrink_pod_epc(pod, 256)
-        assert probe.collect(now=30.0) == 1
+        assert collect(now=30.0) == 1
         # The burst was last sampled at t=20: served until t=45.
         base = float(pages(mib(4)))
         assert window_maxima(store, MEASUREMENT_EPC, now=45.0) == [

@@ -8,19 +8,24 @@ Two claims, the first hypothesis-checked on random bursty traces:
   pass, with preemption on and off.
 * **the file format is deterministic** — replaying one scenario twice
   produces byte-identical ledgers, ordered by sim time with a dense
-  sequence counter, under the declared ``repro.ledger/v1`` header.
+  sequence counter, under the declared ``repro.ledger/v2`` header.
 """
 
+import ast
 import contextlib
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from pass_reuse_reference import recomputing
+from repro.analysis.obs_conformance import _receiver_is_ledger
+from repro.analysis.source import load_modules
 from repro.api import ObserveConfig, Scenario
 from repro.errors import SimulationError
 from repro.obs import (
@@ -250,3 +255,46 @@ def test_load_ledger_rejects_garbage(tmp_path):
     alien.write_text(json.dumps({"schema": "other/v9"}) + "\n")
     with pytest.raises(SimulationError, match="header"):
         load_ledger(str(alien))
+    # The v1 records carried fields and kinds v2 dropped; a v1 file is
+    # refused, not half read.
+    v1 = tmp_path / "v1.jsonl"
+    v1.write_text(json.dumps({"schema": "repro.ledger/v1"}) + "\n")
+    with pytest.raises(SimulationError, match="repro.ledger/v2 header"):
+        load_ledger(str(v1))
+
+
+#: Stands for a payload value that is not a literal at some emit site.
+_COMPUTED = object()
+
+
+def test_every_declared_kind_and_field_is_recorded():
+    """No fossils in the schema table: every declared kind has an emit
+    site in the package, found the way OBS001 finds them, and no
+    declared field is one literal value at every emit site of its kind
+    (a record would carry a constant that tells a reader nothing)."""
+    sites = {}
+    for module in load_modules(Path(repro.__file__).parent):
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and _receiver_is_ledger(node.func)
+            ):
+                kind = ast.literal_eval(node.args[1])
+                sites.setdefault(kind, []).append(
+                    {keyword.arg: keyword.value for keyword in node.keywords}
+                )
+    unemitted = sorted(set(LEDGER_EVENT_KINDS) - set(sites))
+    constant = []
+    for kind, fields in LEDGER_EVENT_KINDS.items():
+        for field in fields:
+            values = set()
+            for payload in sites.get(kind, ()):
+                try:
+                    values.add(repr(ast.literal_eval(payload[field])))
+                except ValueError:
+                    values.add(_COMPUTED)
+            if len(values) == 1 and _COMPUTED not in values:
+                constant.append(f"{kind}.{field}={values.pop()}")
+    assert (unemitted, constant) == ([], [])

@@ -223,38 +223,6 @@ class TestExplain:
         )
         assert "deferred in" in format_explain(report)
 
-    def test_2x_spillover_records_still_render(self, tmp_path):
-        # No 3.x replay emits ``spillover``; ledgers written by 2.x's
-        # sharded runner carry it and stay readable.
-        path = tmp_path / "v2.jsonl"
-        path.write_text(
-            '{"schema": "repro.ledger/v1"}\n'
-            '{"t": 1.0, "i": 0, "kind": "trigger", '
-            '"event": "pod-submitted", "pod": "job-1", "node": null}\n'
-            '{"t": 20.0, "i": 1, "kind": "spillover", "pod": "job-1", '
-            '"from_cell": 0, "to_cell": 1, "cause": "deferred"}\n'
-        )
-        report = explain_pod(load_ledger(str(path)), "job-1")
-        assert report["spillovers"] == [
-            {"t": 20.0, "from_cell": 0, "to_cell": 1, "cause": "deferred"}
-        ]
-        assert "spilled cell 0 -> 1 (deferred)" in format_explain(report)
-
-    def test_4x_indexed_placements_still_render(self, tmp_path):
-        # No 5.x pass writes ``runner_ups=-1``; ledgers recorded with
-        # 4.x's indexed pass carry it and stay readable.
-        path = tmp_path / "v4.jsonl"
-        path.write_text(
-            '{"schema": "repro.ledger/v1"}\n'
-            '{"t": 1.0, "i": 0, "kind": "placement", "pod": "job-1", '
-            '"node": "sgx-worker-0", "runner_ups": -1}\n'
-        )
-        report = explain_pod(load_ledger(str(path)), "job-1")
-        assert (
-            "placed on sgx-worker-0 via indexed fast path"
-            in format_explain(report)
-        )
-
     def test_recorded_requeue_omits_its_own_time(self, tmp_path):
         # Two strict 64 MiB PRMs with limits enforced: placed pods fail
         # their launch and are retried on the next pass.
@@ -273,28 +241,14 @@ class TestExplain:
             event for event in ledger.events if event["kind"] == "requeue"
         ]
         assert requeued, "fixture regime must requeue some pods"
+        assert all("ready_at" not in event for event in requeued)
         report = explain_pod(ledger, requeued[0]["pod"])
         assert report["requeues"]
         for requeue in report["requeues"]:
-            assert requeue["ready_at"] == requeue["t"]
+            assert requeue == {"t": requeue["t"]}
         text = format_explain(report)
         assert "launch failed, requeued" in text
         assert "ready at" not in text
-
-    def test_requeue_with_a_backoff_still_renders_it(self, tmp_path):
-        # Ledgers written before 12.0.0 can carry a requeue backoff.
-        path = tmp_path / "v11.jsonl"
-        path.write_text(
-            '{"schema": "repro.ledger/v1"}\n'
-            '{"t": 37.5, "i": 0, "kind": "requeue", "pod": "job-1", '
-            '"ready_at": 47.5}\n'
-        )
-        report = explain_pod(load_ledger(str(path)), "job-1")
-        assert report["requeues"] == [{"t": 37.5, "ready_at": 47.5}]
-        assert (
-            "t=37.5: launch failed, requeued (ready at t=47.5)"
-            in format_explain(report)
-        )
 
     def test_unknown_pod_raises(self, tmp_path, base_scenario):
         ledger, _ = record(base_scenario, tmp_path, "run")
@@ -350,11 +304,8 @@ class TestMetrics:
         ).run()
         text = open(result.metrics_path).read()
         assert "# TYPE repro_passes_total counter" in text
-        assert (
-            f'repro_passes_total{{outcome="executed"}} '
-            f"{result.passes_executed}" in text
-        )
-        assert 'outcome="skipped"' not in text
+        assert f"repro_passes_total {result.passes_executed}\n" in text
+        assert "outcome=" not in text
         assert "# TYPE repro_passes_reused_total counter" in text
         # The view counters agree with the ledger's cache_rebuild
         # records: each served snapshot is one reused record, and each

@@ -8,9 +8,13 @@ advertises EPC, filed when the orchestrator is built.
 
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import Cluster
+from repro.monitoring.aggregate import WindowedAggregateCache
+from repro.monitoring.probe import MEASUREMENT_EPC
+from repro.orchestrator.api import make_pod_spec
 from repro.orchestrator.controller import Orchestrator
 from repro.orchestrator.kubelet import Kubelet
-from repro.units import mib
+from repro.orchestrator.pod import Pod
+from repro.units import mib, pages
 
 
 class TestDevicePlugin:
@@ -59,8 +63,47 @@ class TestDaemonSet:
         probe = orchestrator.probes["sgx-0"]
         kubelet = orchestrator.kubelets["sgx-0"]
         # The probe reads its own node's driver for the pods its own
-        # kubelet touched and reports into the orchestrator's sink.
+        # kubelet touched and returns their rows; it holds no sink, as
+        # the orchestrator reports every probe's rows at once.
         assert probe.node_name == "sgx-0"
         assert probe.driver is kubelet.node.driver
         assert probe.log is kubelet.epc_log
-        assert probe.sink is orchestrator.aggregate_cache
+        assert not hasattr(probe, "sink")
+
+    def test_one_epc_report_per_collection(self, monkeypatch):
+        orchestrator = Orchestrator(
+            Cluster(
+                [
+                    Node(NodeSpec.sgx("sgx-0")),
+                    Node(NodeSpec.sgx("sgx-1")),
+                    Node(NodeSpec.standard("std-0")),
+                ]
+            )
+        )
+        reports = []
+        report = WindowedAggregateCache.report
+
+        def recording(store, measurement, now, rows):
+            if measurement == MEASUREMENT_EPC:
+                reports.append((now, list(rows)))
+            report(store, measurement, now, rows)
+
+        monkeypatch.setattr(WindowedAggregateCache, "report", recording)
+        # Touched on sgx-1 first: rows still come in cluster order.
+        for node_name, pod_name in (("sgx-1", "b"), ("sgx-0", "a")):
+            pod = Pod(
+                make_pod_spec(
+                    pod_name, duration_seconds=60.0,
+                    declared_epc_bytes=mib(8),
+                ),
+                submitted_at=0.0,
+                uid=pod_name,
+            )
+            pod.mark_bound(node_name, 0.0)
+            assert orchestrator.kubelets[node_name].admit(pod).success
+        epc = float(pages(mib(8)))
+        assert orchestrator.collect_metrics(10.0) == 2
+        assert reports == [(10.0, [("sgx-0", "a", epc), ("sgx-1", "b", epc)])]
+        # A collection with no row still opens the EPC collection.
+        assert orchestrator.collect_metrics(20.0) == 0
+        assert reports[1:] == [(20.0, [])]

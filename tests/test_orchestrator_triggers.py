@@ -56,7 +56,7 @@ class TestOrchestratorPublishes:
             "pod-submitted", "pod-killed",
         ]
 
-    def test_requeue_publishes_ready_at(self):
+    def test_requeue_publishes_its_pod(self):
         orchestrator = Orchestrator(
             paper_cluster(
                 enforce_epc_limits=False,
@@ -82,11 +82,11 @@ class TestOrchestratorPublishes:
         assert (1.0, "pod-requeued", requeued, None) in triggers(
             orchestrator.ledger
         )
-        # The ``requeue`` record keeps the v1 schema's ``ready_at``: the
-        # pod is eligible again at once, on the next pass.
+        # The ``requeue`` record names the pod alone: it is eligible
+        # again at once, on the next pass.
         requeues = [
             (t, payload)
             for t, kind, payload in orchestrator.ledger.records
             if kind == "requeue"
         ]
-        assert requeues == [(1.0, {"pod": requeued, "ready_at": 1.0})]
+        assert requeues == [(1.0, {"pod": requeued})]

@@ -30,7 +30,7 @@ from repro.cluster.resources import ResourceVector
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import paper_cluster
 from repro.errors import NodeError, SchedulingError, SgxError
-from repro.experiments.ext_sgx2 import _BurstyRun, generate_bursty_jobs
+from repro.experiments.ext_sgx2 import _BurstyReplay, generate_bursty_jobs
 from repro.monitoring import aggregate
 from repro.monitoring.aggregate import WindowedAggregateCache
 from repro.monitoring.probe import MEASUREMENT_EPC
@@ -203,7 +203,7 @@ def test_sgx2_bursts_equal_the_reference(seed, n_jobs):
     ), mock.patch.object(
         store, "node_states", measured(store.node_states)
     ):
-        run = _BurstyRun(jobs, sgx_version=2)
+        run = _BurstyReplay(jobs, sgx_version=2)
         run.run()
         assert run.orchestrator.aggregate_cache.changes is (
             run.orchestrator.state_service.changes
